@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -78,6 +80,43 @@ func TestHeavyExperiments(t *testing.T) {
 			}
 			if buf.Len() == 0 {
 				t.Error("no output")
+			}
+		})
+	}
+}
+
+// TestEngineExperimentGoldens pins the printed output of every experiment
+// the per-second engine drives, byte for byte, against
+// testdata/<id>.golden (captured with `tsebench -fig <id>`). The runs are
+// virtual-time and deterministic, so any diff is a behaviour change.
+func TestEngineExperimentGoldens(t *testing.T) {
+	cases := []struct {
+		id    string
+		heavy bool // tens of seconds: skipped with -short
+	}{
+		{"fig8a", false}, {"fig8b", false}, {"multicore", false},
+		{"portfairness", false}, {"chaos", false}, {"fleetchaos", false},
+		{"fig8c", true}, {"saturation", true},
+	}
+	for _, c := range cases {
+		t.Run(c.id, func(t *testing.T) {
+			if c.heavy && testing.Short() {
+				t.Skip("heavy experiment skipped with -short")
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", c.id+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, ok := ByID(c.id)
+			if !ok {
+				t.Fatalf("experiment %q missing", c.id)
+			}
+			var buf bytes.Buffer
+			if err := e.Run(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Errorf("output differs from testdata/%s.golden:\n%s", c.id, buf.String())
 			}
 		})
 	}
