@@ -58,8 +58,6 @@ func main() {
 		"export sampled flow-setup spans from the run as chrome://tracing JSON to this path")
 	replay := flag.String("replay", "",
 		"replay a binary flow trace (tsegen -emit-trace) through the datapath at wire rate and report achieved Mpps")
-	prefetch := flag.Int("prefetch", 0,
-		"with -replay: cache lines of prefetch per burst (0 disables the prefetch pass)")
 	flag.Parse()
 
 	if *compare {
@@ -90,7 +88,7 @@ func main() {
 	}
 
 	if *replay != "" {
-		if err := experiments.RunTraceReplay(os.Stdout, *replay, *workers, *prefetch); err != nil {
+		if err := experiments.RunTraceReplay(os.Stdout, *replay, *workers); err != nil {
 			fmt.Fprintln(os.Stderr, "tsebench:", err)
 			os.Exit(1)
 		}

@@ -20,17 +20,14 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"tse/internal/bitvec"
 	"tse/internal/cloud"
-	"tse/internal/datapath"
 	"tse/internal/dataplane"
 	"tse/internal/faults"
 	"tse/internal/flowtable"
 	"tse/internal/telemetry"
-	"tse/internal/upcall"
 	"tse/internal/vswitch"
 )
 
@@ -187,23 +184,22 @@ type FleetSample struct {
 type placement struct {
 	idx    int // index into Config.Workloads
 	w      *Workload
-	port   int        // node-local ingress vport
-	header bitvec.Vec // benign probe flow (victims)
-	trace  []bitvec.Vec
+	port   int               // node-local ingress vport
+	victim *dataplane.Victim // benign probe flow (nil for attackers)
+	trace  []bitvec.Vec      // the flood (attackers)
 	cursor int
 	rewarm int // pending re-warmup quota; 0 = full admission
 }
 
-// Node is one hypervisor of the fleet: shared switch, PMD pool, upcall
-// subsystem, revalidator, and its own metrics registry.
+// Node is one hypervisor of the fleet: shared switch, the per-second
+// engine over its PMD pool, upcall subsystem and revalidator, and its own
+// metrics registry.
 type Node struct {
-	id   int
-	hv   *cloud.Hypervisor
-	sw   *vswitch.Switch
-	pool *datapath.Pool
-	sub  *upcall.Subsystem
-	rv   *upcall.Revalidator
-	reg  *telemetry.Registry
+	id  int
+	hv  *cloud.Hypervisor
+	sw  *vswitch.Switch
+	eng *dataplane.Engine
+	reg *telemetry.Registry
 
 	alive bool
 	// base is the pure hypervisor-compiled tenant table captured after
@@ -217,13 +213,6 @@ type Node struct {
 
 	placements []*placement
 	nextPort   int
-	prevStats  upcall.Stats
-	prevRv     upcall.RevalidatorStats
-
-	// scratch buffers reused across ticks
-	batch    []bitvec.Vec
-	ports    []int
-	verdicts []vswitch.Verdict
 }
 
 // Fabric is the N-node fleet plus its control plane. All exported methods
@@ -232,7 +221,6 @@ type Node struct {
 type Fabric struct {
 	mu      sync.Mutex
 	cfg     Config
-	perCore float64
 	nodes   []*Node
 	health  []HealthState
 	missed  []int
@@ -255,9 +243,6 @@ func New(cfg Config) (*Fabric, error) {
 		return nil, fmt.Errorf("cluster: NodeFaults has %d plans for %d nodes",
 			len(cfg.NodeFaults), cfg.Nodes)
 	}
-	if cfg.WorkersPerNode <= 0 {
-		cfg.WorkersPerNode = 1
-	}
 	if cfg.SuspectAfter <= 0 {
 		cfg.SuspectAfter = 2
 	}
@@ -273,19 +258,8 @@ func New(cfg Config) (*Fabric, error) {
 	if cfg.MaxBackoffSec <= 0 {
 		cfg.MaxBackoffSec = 8
 	}
-	if cfg.RevalidateSec <= 0 {
-		cfg.RevalidateSec = 1
-	}
-	if err := cfg.NIC.Validate(); err != nil {
-		return nil, err
-	}
-	perCore := dataplane.NewModel(cfg.NIC).Budget()
-	if cfg.BudgetPerCore > 0 {
-		perCore = cfg.BudgetPerCore
-	}
 	f := &Fabric{
 		cfg:     cfg,
-		perCore: perCore,
 		health:  make([]HealthState, cfg.Nodes),
 		missed:  make([]int, cfg.Nodes),
 		deadAt:  make([]int64, cfg.Nodes),
@@ -327,43 +301,30 @@ func (f *Fabric) newNode(id int) (*Node, error) {
 	}
 	reg := telemetry.NewRegistry(1)
 	sw := hv.Switch()
-	sw.AttachMetrics(reg)
-	pool, err := datapath.New(datapath.Config{
-		Switch:  sw,
-		Workers: f.cfg.WorkersPerNode,
-		Ports:   len(f.cfg.Workloads) + 1,
-		Metrics: reg,
-		Upcall: &upcall.Options{
+	eng, err := dataplane.NewEngine(dataplane.EngineConfig{
+		Switch:        sw,
+		NIC:           f.cfg.NIC,
+		PerCoreBudget: f.cfg.BudgetPerCore,
+		Workers:       f.cfg.WorkersPerNode,
+		Ports:         len(f.cfg.Workloads) + 1,
+		Upcall: &dataplane.UpcallParams{
 			QueueCap:          f.cfg.QueueCap,
-			QuotaPerSource:    f.cfg.QuotaPerPort,
+			QuotaPerPort:      f.cfg.QuotaPerPort,
+			HandledPerSec:     f.cfg.HandledPerSec,
+			RevalidateSec:     f.cfg.RevalidateSec,
 			ModelledHandlers:  f.cfg.ModelledHandlers,
 			StallTimeoutSec:   f.cfg.StallTimeoutSec,
 			DisableSupervisor: f.cfg.DisableSupervisor,
-			Injector:          nodeFaults,
-			Metrics:           reg,
+			PendingAgeSec:     f.cfg.PendingAgeSec,
+			Faults:            nodeFaults,
 		},
-		DisableEMC: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if nodeFaults != nil {
-		sw.SetInstallFault(nodeFaults.InstallErrorAt)
-	}
-	sub := pool.Upcalls()
-	rv, err := upcall.NewRevalidator(upcall.RevalidatorConfig{
-		Switch:        sw,
-		IntervalSec:   f.cfg.RevalidateSec,
-		Subsystem:     sub,
-		PendingAgeSec: f.cfg.PendingAgeSec,
-		Injector:      nodeFaults,
-		Metrics:       reg,
+		Telemetry: &telemetry.Hub{Reg: reg},
 	})
 	if err != nil {
 		return nil, err
 	}
 	return &Node{
-		id: id, hv: hv, sw: sw, pool: pool, sub: sub, rv: rv, reg: reg,
+		id: id, hv: hv, sw: sw, eng: eng, reg: reg,
 		alive: true, base: sw.FlowTable(),
 	}, nil
 }
@@ -417,11 +378,17 @@ func (n *Node) place(w *Workload, idx int, rewarm bool, cfg *Config) error {
 	if w.Attacker {
 		pl.trace = attackTrace(l, w.IP)
 	} else {
-		pl.header = flowHeader(l, 0x08080800+uint32(idx), w.IP, uint64(40000+idx), 80)
+		pl.victim = &dataplane.Victim{
+			Name:        w.Name,
+			Header:      flowHeader(l, 0x08080800+uint32(idx), w.IP, uint64(40000+idx), 80),
+			Port:        pl.port,
+			OfferedGbps: w.OfferedGbps,
+			StartSec:    w.StartSec,
+		}
 	}
 	if rewarm && cfg.QuotaPerPort > 0 {
 		pl.rewarm = cfg.RewarmStartQuota
-		n.sub.SetQuota(pl.port, pl.rewarm)
+		n.eng.Upcalls().SetQuota(pl.port, pl.rewarm)
 	}
 	n.placements = append(n.placements, pl)
 	return nil
@@ -651,87 +618,39 @@ func (f *Fabric) failover(dead *Node, now int64) {
 	}
 }
 
-// step runs one virtual second of the node's dataplane: revalidator tick,
-// the co-located flood (half before and half after the victims' probes,
-// the same mid-second interleaving as the dataplane runners), the handler
-// drain, admission re-warmup, and the per-worker budget waterfill.
+// step runs one virtual second of the node's dataplane: this tick's floods
+// and victims are read off the placements and handed to the engine, then
+// re-placed vports' admission quotas re-warm.
 func (n *Node) step(now int64, f *Fabric, tenantGbps []float64, tenantNode []int) NodeSample {
 	ns := NodeSample{Alive: n.alive, AppliedGen: n.appliedGen}
 	if !n.alive {
 		return ns
 	}
+	t := int(now)
+	var floods []dataplane.Flood
+	var victims []*dataplane.Victim
+	var served []int // victims[k] is workload served[k]
 	for _, pl := range n.placements {
 		tenantNode[pl.idx] = n.id
-	}
-	t := int(now)
-	n.rv.Tick(now)
-	nw := n.pool.Workers()
-	workerAttack := make([]float64, nw)
-
-	replay := func(pl *placement, k int) {
-		if k <= 0 || len(pl.trace) == 0 {
-			return
-		}
-		n.batch, n.ports = n.batch[:0], n.ports[:0]
-		for i := 0; i < k; i++ {
-			n.batch = append(n.batch, pl.trace[pl.cursor%len(pl.trace)])
-			n.ports = append(n.ports, pl.port)
-			pl.cursor++
-		}
-		n.verdicts = n.pool.ProcessBatchDeferredPorts(n.ports, n.batch, now, n.verdicts)
-		assign := n.pool.Assignments()
-		for i, v := range n.verdicts[:len(n.batch)] {
-			workerAttack[assign[i]] += dataplane.VerdictCost(v, f.cfg.NIC)
+		switch w := pl.w; {
+		case w.Attacker:
+			if t >= w.AttackStartSec && t < w.AttackStopSec {
+				floods = append(floods, dataplane.Flood{Headers: pl.trace,
+					Cursor: &pl.cursor, Port: pl.port, RatePps: w.RatePps})
+			}
+		case w.OfferedGbps > 0:
+			victims = append(victims, pl.victim)
+			served = append(served, pl.idx)
 		}
 	}
-	attacking := func(pl *placement) bool {
-		return pl.w.Attacker && t >= pl.w.AttackStartSec && t < pl.w.AttackStopSec
+	s, err := n.eng.Step(t, floods, victims)
+	if err != nil {
+		f.err = err
+		return ns
 	}
-
-	for _, pl := range n.placements {
-		if attacking(pl) {
-			replay(pl, pl.w.RatePps/2)
-		}
+	for k, idx := range served {
+		tenantGbps[idx] = s.VictimGbps[k]
 	}
-
-	// Victims probe mid-flood.
-	offered := make([]float64, len(n.placements))
-	costs := make([]float64, len(n.placements))
-	workerOf := make([]int, len(n.placements))
-	n.batch, n.ports = n.batch[:0], n.ports[:0]
-	var probing []int
-	for j, pl := range n.placements {
-		workerOf[j] = n.pool.PortWorker(pl.port)
-		if pl.w.Attacker || t < pl.w.StartSec || pl.w.OfferedGbps <= 0 {
-			continue
-		}
-		n.batch = append(n.batch, pl.header)
-		n.ports = append(n.ports, pl.port)
-		probing = append(probing, j)
-		offered[j] = pl.w.OfferedGbps * 1e9 / 8 / dataplane.PacketBytes
-	}
-	n.verdicts = n.pool.ProcessBatchDeferredPorts(n.ports, n.batch, now, n.verdicts)
-	for k, j := range probing {
-		costs[j] = dataplane.VictimCost(n.verdicts[k], f.cfg.NIC)
-		if n.verdicts[k].Path == vswitch.PathUpcallDrop {
-			// Setup packet refused at admission: the flow moves nothing
-			// this second.
-			offered[j] = 0
-		}
-	}
-
-	for _, pl := range n.placements {
-		if attacking(pl) {
-			replay(pl, pl.w.RatePps-pl.w.RatePps/2)
-		}
-	}
-
-	budget := f.cfg.HandledPerSec
-	if budget <= 0 {
-		budget = math.MaxInt
-	}
-	handled := n.sub.HandleNAt(budget, now)
-	n.sub.TickBreakers(now)
 
 	// Admission re-warmup: each tick a re-placed vport's quota doubles
 	// until it reaches the configured budget, then the override clears.
@@ -742,30 +661,20 @@ func (n *Node) step(now int64, f *Fabric, tenantGbps []float64, tenantNode []int
 		pl.rewarm *= 2
 		if pl.rewarm >= f.cfg.QuotaPerPort {
 			pl.rewarm = 0
-			n.sub.SetQuota(pl.port, -1)
+			n.eng.Upcalls().SetQuota(pl.port, -1)
 		} else {
-			n.sub.SetQuota(pl.port, pl.rewarm)
+			n.eng.Upcalls().SetQuota(pl.port, pl.rewarm)
 		}
 	}
 
-	pps := dataplane.WaterfillWorkers(nw, workerOf, offered, costs, workerAttack,
-		f.perCore, f.cfg.NIC.LinePps())
-	for j, pl := range n.placements {
-		tenantGbps[pl.idx] = pps[j] * dataplane.PacketBytes * 8 / 1e9
-	}
-
-	st := n.sub.Stats()
-	rvStats := n.rv.Stats()
-	ns.Masks = n.sw.MFC().MaskCount()
-	ns.Entries = n.sw.MFC().EntryCount()
-	ns.Backlog = st.Backlog
-	ns.PendingFlows = st.PendingFlows
-	ns.Handled = handled
-	ns.Enqueued = int(st.Enqueued - n.prevStats.Enqueued)
-	ns.QuotaDrops = int(st.QuotaDrops - n.prevStats.QuotaDrops)
-	ns.QueueDrops = int(st.QueueDrops - n.prevStats.QueueDrops)
-	ns.SweepStalls = int(rvStats.SweepStalls - n.prevRv.SweepStalls)
-	n.prevStats, n.prevRv = st, rvStats
+	ns.Masks, ns.Entries = s.Masks, s.Entries
+	ns.Backlog = s.Upcall.Backlog
+	ns.PendingFlows = s.Upcall.PendingFlows
+	ns.Handled = s.Upcall.Handled
+	ns.Enqueued = s.Upcall.Enqueued
+	ns.QuotaDrops = s.Upcall.QuotaDrops
+	ns.QueueDrops = s.Upcall.QueueDrops
+	ns.SweepStalls = s.Upcall.SweepStalls
 	return ns
 }
 

@@ -41,8 +41,8 @@ func TestAsyncDriveMatchesInline(t *testing.T) {
 			trace := attackMix(t, inline.Switch().FlowTable())
 
 			for pass := int64(0); pass < 2; pass++ {
-				want := inline.ProcessBatchSerial(trace, pass, nil)
-				got := async.ProcessBatchSerial(trace, pass, nil)
+				want := inline.ProcessBatchSerialPorts(nil, trace, pass, nil)
+				got := async.ProcessBatchSerialPorts(nil, trace, pass, nil)
 				for i := range trace {
 					if got[i] != want[i] {
 						t.Fatalf("pass %d packet %d: async %+v != inline %+v",
@@ -90,7 +90,7 @@ func TestAsyncPoolDedupBurst(t *testing.T) {
 	for i := range burst {
 		burst[i] = h
 	}
-	out := pool.ProcessBatchDeferred(burst, 0, nil)
+	out := pool.ProcessBatchDeferredPorts(nil, burst, 0, nil)
 	for i, v := range out {
 		if v.Path != vswitch.PathUpcallPending {
 			t.Fatalf("packet %d: path %v, want upcall-pending", i, v.Path)
@@ -110,7 +110,7 @@ func TestAsyncPoolDedupBurst(t *testing.T) {
 		t.Errorf("MFC holds %d entries, want 1", got)
 	}
 	// Once drained, a re-dispatch is a plain megaflow hit.
-	out = pool.ProcessBatchDeferred(burst, 1, out)
+	out = pool.ProcessBatchDeferredPorts(nil, burst, 1, out)
 	for i, v := range out {
 		if v.Path != vswitch.PathMegaflow {
 			t.Fatalf("warm packet %d: path %v, want megaflow", i, v.Path)
@@ -134,7 +134,7 @@ func TestAsyncBoundedDrops(t *testing.T) {
 	flood := tr.Headers[:256]
 
 	for _, p := range []*datapath.Pool{bounded, open} {
-		p.ProcessBatchDeferred(flood, 0, nil)
+		p.ProcessBatchDeferredPorts(nil, flood, 0, nil)
 		p.Upcalls().HandleN(math.MaxInt)
 	}
 
@@ -232,8 +232,8 @@ func TestTotalsAggregateEMCStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	flows := benignFlows(64) // 64 flows vs 2x8 EMC slots: guaranteed churn
-	pool.ProcessBatchSerial(flows, 0, nil)
-	pool.ProcessBatchSerial(flows, 1, nil)
+	pool.ProcessBatchSerialPorts(nil, flows, 0, nil)
+	pool.ProcessBatchSerialPorts(nil, flows, 1, nil)
 
 	tot := pool.Totals()
 	if tot.EMC.Misses == 0 {

@@ -73,30 +73,14 @@ type Config struct {
 	// p % Workers, OVS's rxq-to-PMD assignment — and the upcall
 	// subsystem's queues and admission quotas are keyed by port, the
 	// granularity OVS rate-limits at. Callers name each packet's ingress
-	// port via the ProcessBatch*Ports entry points; the port-less entry
-	// points derive a port from the RSS hash.
+	// port via the ProcessBatch*Ports entry points; ProcessBatch, or a nil
+	// ports slice, derives a port from the RSS hash.
 	Ports int
-	// SourceByWorker keys upcall admission on the worker index instead of
-	// the ingress port: the pre-vport behaviour, kept as an ablation. A
-	// victim port sharing a PMD worker with a flooding port then shares
-	// its admission quota — the fairness gap the port dimension fixes,
-	// and what the portfairness experiment measures.
-	SourceByWorker bool
 	// Metrics, when non-nil, registers the pool's tse_pmd_* counter
 	// families. Each worker flushes one burst's deltas into its own
 	// registry shard at burst end — a handful of padded atomic adds per
 	// 32-packet burst, nothing per packet.
 	Metrics *telemetry.Registry
-	// PrefetchDepth, when > 0, runs a software-prefetch pass at the head
-	// of every burst before the lookup loop: each packet's EMC
-	// fingerprint slot is touched (microflow.Cache.PrefetchBatch), and
-	// the leading PrefetchDepth cache lines of the classifier's probe
-	// mirror are streamed (tss.Handle.PrefetchScan) — the DPDK idiom
-	// where the PMD issues prefetches for the burst's cache lines while
-	// earlier packets are still being processed. 0 disables the pass
-	// (the default; the win is workload-dependent and the replay engine
-	// exposes it as a knob).
-	PrefetchDepth int
 }
 
 // WorkerStats aggregates one worker's activity.
@@ -105,7 +89,7 @@ type WorkerStats struct {
 	Packets uint64
 	// EMCHits, MegaflowHits, SlowPath partition Packets by deciding
 	// layer. In async mode a packet resolved through an upcall counts as
-	// SlowPath; packets left pending by ProcessBatchDeferred or refused at
+	// SlowPath; packets left pending by ProcessBatchDeferredPorts or refused at
 	// upcall admission are in neither bucket (see Upcalls/UpcallDrops).
 	EMCHits, MegaflowHits, SlowPath uint64
 	// Dropped and Allowed partition decided packets by verdict; a packet
@@ -162,16 +146,14 @@ type PortStats struct {
 // other (the parallelism lives inside ProcessBatch, where the workers of
 // one dispatch run concurrently against the shared switch).
 type Pool struct {
-	sw          *vswitch.Switch
-	batch       int
-	ports       int
-	prefetch    int // prefetch pass depth in cache lines; 0 = off
-	workers     []*worker
-	assign      []int // per-header worker index of the latest dispatch
-	up          *upcall.Subsystem
-	handlers    bool // async mode runs handler goroutines (vs drive mode)
-	srcByWorker bool // ablation: upcall source = worker, not port
-	tm          *poolMetrics
+	sw       *vswitch.Switch
+	batch    int
+	ports    int
+	workers  []*worker
+	assign   []int // per-header worker index of the latest dispatch
+	up       *upcall.Subsystem
+	handlers bool // async mode runs handler goroutines (vs drive mode)
+	tm       *poolMetrics
 }
 
 // poolMetrics is the pool's registry wiring: push counters sharded by
@@ -244,10 +226,6 @@ type worker struct {
 	missPorts  []int
 	verdicts   []vswitch.Verdict
 	tickets    []pendingTicket
-
-	// sink accumulates the prefetch pass's touched words so the loads
-	// cannot be elided; per-worker, so no cross-goroutine write.
-	sink uint64
 }
 
 // pendingTicket is one in-flight upcall of the current burst: the ticket
@@ -271,8 +249,7 @@ func New(cfg Config) (*Pool, error) {
 	if cfg.Ports <= 0 {
 		cfg.Ports = cfg.Workers
 	}
-	p := &Pool{sw: cfg.Switch, batch: cfg.BatchSize, ports: cfg.Ports,
-		prefetch: cfg.PrefetchDepth, srcByWorker: cfg.SourceByWorker}
+	p := &Pool{sw: cfg.Switch, batch: cfg.BatchSize, ports: cfg.Ports}
 	if cfg.Metrics != nil {
 		p.tm = newPoolMetrics(cfg.Metrics)
 	}
@@ -285,11 +262,7 @@ func New(cfg Config) (*Pool, error) {
 		p.workers = append(p.workers, w)
 	}
 	if cfg.Upcall != nil {
-		sources := cfg.Ports
-		if cfg.SourceByWorker {
-			sources = cfg.Workers
-		}
-		up, err := upcall.New(cfg.Switch, sources, *cfg.Upcall)
+		up, err := upcall.New(cfg.Switch, cfg.Ports, *cfg.Upcall)
 		if err != nil {
 			return nil, err
 		}
@@ -328,7 +301,7 @@ func (p *Pool) Switch() *vswitch.Switch { return p.sw }
 // worker.
 func (p *Pool) PortWorker(port int) int { return port % len(p.workers) }
 
-// PortOf returns the vport the port-less dispatch entry points derive for
+// PortOf returns the vport dispatch without explicit ports derives for
 // header h from its RSS hash. With Ports == Workers (the default) the
 // resulting PortWorker mapping is identical to the pre-vport RSS dispatch.
 func (p *Pool) PortOf(h bitvec.Vec) int {
@@ -351,7 +324,7 @@ func (p *Pool) WorkerFor(h bitvec.Vec) int {
 // Verdicts are deterministic per worker stream, but when concurrent
 // slow-path installs interleave, the Probes field of megaflow hits can
 // vary run to run (a mask installed by another core shifts scan
-// positions). Use ProcessBatchSerial where bit-exact reproducibility
+// positions). Use ProcessBatchSerialPorts where bit-exact reproducibility
 // matters, e.g. the paper-figure simulations.
 func (p *Pool) ProcessBatch(hs []bitvec.Vec, now int64, out []vswitch.Verdict) []vswitch.Verdict {
 	return p.ProcessBatchPorts(nil, hs, now, out)
@@ -379,16 +352,11 @@ func (p *Pool) ProcessBatchPorts(ports []int, hs []bitvec.Vec, now int64, out []
 	return out
 }
 
-// ProcessBatchSerial is ProcessBatch with the workers executed one after
-// the other in index order: the deterministic drive mode. The simulator
-// models per-core parallelism through per-core CPU budgets, so it does not
-// need (and cannot afford, reproducibility-wise) real concurrency.
-func (p *Pool) ProcessBatchSerial(hs []bitvec.Vec, now int64, out []vswitch.Verdict) []vswitch.Verdict {
-	return p.ProcessBatchSerialPorts(nil, hs, now, out)
-}
-
-// ProcessBatchSerialPorts is ProcessBatchSerial with explicit ingress
-// vports (see ProcessBatchPorts).
+// ProcessBatchSerialPorts is ProcessBatchPorts with the workers executed
+// one after the other in index order: the deterministic drive mode. The
+// simulator models per-core parallelism through per-core CPU budgets, so
+// it does not need (and cannot afford, reproducibility-wise) real
+// concurrency.
 func (p *Pool) ProcessBatchSerialPorts(ports []int, hs []bitvec.Vec, now int64, out []vswitch.Verdict) []vswitch.Verdict {
 	out = p.shard(ports, hs, out)
 	for _, w := range p.workers {
@@ -400,20 +368,14 @@ func (p *Pool) ProcessBatchSerialPorts(ports []int, hs []bitvec.Vec, now int64, 
 	return out
 }
 
-// ProcessBatchDeferred is the fire-and-forget dispatch of the asynchronous
-// slow path: like ProcessBatchSerial, but a miss's upcall is only
-// submitted, never waited for. The corresponding verdicts report
+// ProcessBatchDeferredPorts is the fire-and-forget dispatch of the
+// asynchronous slow path: like ProcessBatchSerialPorts, but a miss's upcall
+// is only submitted, never waited for. The corresponding verdicts report
 // PathUpcallPending (queued; the decision arrives when a handler or a
 // later HandleN drains it) or PathUpcallDrop (refused at admission). The
 // dataplane simulator drives this mode and drains with the modelled
 // per-second handler budget via Upcalls().HandleN. On an inline pool it
-// falls back to ProcessBatchSerial.
-func (p *Pool) ProcessBatchDeferred(hs []bitvec.Vec, now int64, out []vswitch.Verdict) []vswitch.Verdict {
-	return p.ProcessBatchDeferredPorts(nil, hs, now, out)
-}
-
-// ProcessBatchDeferredPorts is ProcessBatchDeferred with explicit ingress
-// vports (see ProcessBatchPorts).
+// falls back to ProcessBatchSerialPorts.
 func (p *Pool) ProcessBatchDeferredPorts(ports []int, hs []bitvec.Vec, now int64, out []vswitch.Verdict) []vswitch.Verdict {
 	if p.up == nil {
 		return p.ProcessBatchSerialPorts(ports, hs, now, out)
@@ -470,13 +432,13 @@ func (p *Pool) shard(ports []int, hs []bitvec.Vec, out []vswitch.Verdict) []vswi
 }
 
 // Assignments returns the worker index each header of the most recent
-// ProcessBatch/ProcessBatchSerial call was steered to, in input order.
+// dispatch was steered to, in input order.
 // The slice is reused by the next dispatch (a Pool is single-dispatcher);
 // copy it to keep it.
 func (p *Pool) Assignments() []int { return p.assign }
 
 // run drains the worker's shard in bursts. deferred selects the
-// fire-and-forget upcall mode (see ProcessBatchDeferred).
+// fire-and-forget upcall mode (see ProcessBatchDeferredPorts).
 func (w *worker) run(p *Pool, now int64, out []vswitch.Verdict, deferred bool) {
 	batch := p.batch
 	for start := 0; start < len(w.shardHs); start += batch {
@@ -510,12 +472,6 @@ func (w *worker) burst(p *Pool, hs []bitvec.Vec, idx, ports []int, now int64, ou
 }
 
 func (w *worker) burstRun(p *Pool, hs []bitvec.Vec, idx, ports []int, now int64, out []vswitch.Verdict, deferred bool) {
-	if p.prefetch > 0 {
-		if w.emc != nil {
-			w.sink ^= w.emc.PrefetchBatch(hs)
-		}
-		w.sink ^= w.mfc.PrefetchScan(p.prefetch)
-	}
 	w.stats.Packets += uint64(len(hs))
 	for _, port := range ports {
 		w.portStats[port].Packets++
@@ -586,18 +542,14 @@ func (w *worker) burstRun(p *Pool, hs []bitvec.Vec, idx, ports []int, now int64,
 
 // miss turns one full-scan megaflow miss from ingress vport port into an
 // upcall, in the mode the dispatch selected. The upcall is admitted
-// against the port's queue and quota (or the worker's, under the
-// SourceByWorker ablation). The verdicts it returns for admitted upcalls
-// in handler/deferred mode are placeholders: handler mode overwrites them
-// when the burst's tickets resolve, deferred mode leaves them pending.
+// against the port's queue and quota. The verdicts it returns for admitted
+// upcalls in handler/deferred mode are placeholders: handler mode
+// overwrites them when the burst's tickets resolve, deferred mode leaves
+// them pending.
 func (w *worker) miss(p *Pool, h bitvec.Vec, port int, now int64, i, probes int, deferred bool) vswitch.Verdict {
-	src := port
-	if p.srcByWorker {
-		src = w.id
-	}
 	if !deferred && !p.handlers {
 		// Drive mode: submit and drain synchronously.
-		v, o := p.up.SubmitSync(src, h, now)
+		v, o := p.up.SubmitSync(port, h, now)
 		if o.Dropped() {
 			w.stats.UpcallDrops++
 			w.portStats[port].UpcallDrops++
@@ -611,7 +563,7 @@ func (w *worker) miss(p *Pool, h bitvec.Vec, port int, now int64, i, probes int,
 		w.portStats[port].Upcalls++
 		return v
 	}
-	t, o := p.up.Submit(src, h, now)
+	t, o := p.up.Submit(port, h, now)
 	if o.Dropped() {
 		w.stats.UpcallDrops++
 		w.portStats[port].UpcallDrops++

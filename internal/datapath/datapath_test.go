@@ -83,7 +83,7 @@ func TestWorkerForRSS(t *testing.T) {
 		}
 	}
 	// Assignments mirrors WorkerFor for the latest dispatch.
-	p.ProcessBatchSerial(trace, 0, nil)
+	p.ProcessBatchSerialPorts(nil, trace, 0, nil)
 	assign := p.Assignments()
 	if len(assign) != len(trace) {
 		t.Fatalf("Assignments length %d, want %d", len(assign), len(trace))
@@ -102,8 +102,8 @@ func TestWorkerForRSS(t *testing.T) {
 func TestPoolSerialDeterminism(t *testing.T) {
 	a, b := newPool(t, 4, true), newPool(t, 4, true)
 	trace := attackMix(t, a.Switch().FlowTable())
-	va := a.ProcessBatchSerial(trace, 0, nil)
-	vb := b.ProcessBatchSerial(trace, 0, nil)
+	va := a.ProcessBatchSerialPorts(nil, trace, 0, nil)
+	vb := b.ProcessBatchSerialPorts(nil, trace, 0, nil)
 	for i := range trace {
 		if va[i] != vb[i] {
 			t.Fatalf("packet %d: run A %+v != run B %+v", i, va[i], vb[i])
@@ -131,7 +131,7 @@ func TestPoolMatchesSerialSwitch(t *testing.T) {
 			}
 			trace := attackMix(t, ref.FlowTable())
 
-			got := pool.ProcessBatchSerial(trace, 0, nil)
+			got := pool.ProcessBatchSerialPorts(nil, trace, 0, nil)
 			want := make([]vswitch.Verdict, len(trace))
 			for i, h := range trace {
 				want[i] = ref.Process(h, 0)
@@ -163,7 +163,7 @@ func TestPoolMatchesSerialSwitch(t *testing.T) {
 			if emc {
 				return // warm-pass verdicts include EMC paths by design
 			}
-			got = pool.ProcessBatchSerial(trace, 1, got)
+			got = pool.ProcessBatchSerialPorts(nil, trace, 1, got)
 			for i, h := range trace {
 				want[i] = ref.Process(h, 1)
 			}
@@ -263,7 +263,7 @@ func TestPoolWithConcurrentMonitor(t *testing.T) {
 func TestFlushEMC(t *testing.T) {
 	pool := newPool(t, 2, false)
 	trace := benignFlows(8)
-	pool.ProcessBatchSerial(trace, 0, nil)
+	pool.ProcessBatchSerialPorts(nil, trace, 0, nil)
 	populated := 0
 	for i := 0; i < pool.Workers(); i++ {
 		populated += pool.EMC(i).Len()

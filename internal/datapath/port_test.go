@@ -14,7 +14,7 @@ import (
 	"tse/internal/vswitch"
 )
 
-func newPortPool(t testing.TB, workers, ports int, byWorker bool, opts *upcall.Options) *datapath.Pool {
+func newPortPool(t testing.TB, workers, ports int, opts *upcall.Options) *datapath.Pool {
 	t.Helper()
 	tbl := flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{})
 	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true})
@@ -22,8 +22,7 @@ func newPortPool(t testing.TB, workers, ports int, byWorker bool, opts *upcall.O
 		t.Fatal(err)
 	}
 	p, err := datapath.New(datapath.Config{
-		Switch: sw, Workers: workers, Ports: ports, SourceByWorker: byWorker,
-		DisableEMC: true, Upcall: opts})
+		Switch: sw, Workers: workers, Ports: ports, DisableEMC: true, Upcall: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +32,7 @@ func newPortPool(t testing.TB, workers, ports int, byWorker bool, opts *upcall.O
 // TestPortPinnedDispatch: explicit ingress ports steer every packet to the
 // port's pinned worker (port % workers) and split the counters per port.
 func TestPortPinnedDispatch(t *testing.T) {
-	pool := newPortPool(t, 2, 4, false, nil)
+	pool := newPortPool(t, 2, 4, nil)
 	flows := benignFlows(32)
 	ports := make([]int, len(flows))
 	for i := range ports {
@@ -59,8 +58,8 @@ func TestPortPinnedDispatch(t *testing.T) {
 				port, s.Allowed, s.Dropped, s.Packets)
 		}
 	}
-	// The port-less entry point still works and is flow-sticky.
-	pool.ProcessBatchSerial(flows, 1, nil)
+	// Without explicit ports dispatch is RSS-derived and flow-sticky.
+	pool.ProcessBatchSerialPorts(nil, flows, 1, nil)
 	for i, wi := range pool.Assignments() {
 		if want := pool.WorkerFor(flows[i]); wi != want {
 			t.Fatalf("RSS packet %d on worker %d, want %d", i, wi, want)
@@ -68,11 +67,11 @@ func TestPortPinnedDispatch(t *testing.T) {
 	}
 }
 
-// TestVictimPortKeepsQuota is the fairness invariant satellite, the exact
-// bug this refactor fixes: with port-keyed admission, a victim vport
-// sharing its one PMD worker with a flooding vport keeps its full
-// per-second quota; under the legacy worker-keyed ablation the same flood
-// starves it completely.
+// TestVictimPortKeepsQuota is the fairness invariant: with port-keyed
+// admission, a victim vport sharing its one PMD worker with a flooding
+// vport keeps its full per-second quota; collapse the victim onto the
+// flood's vport (the pre-vport shape: one bucket per worker) and the same
+// flood starves it completely.
 func TestVictimPortKeepsQuota(t *testing.T) {
 	tbl := flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{})
 	tr, err := core.CoLocated(tbl, core.CoLocatedOptions{Noise: true, Seed: 29})
@@ -83,30 +82,27 @@ func TestVictimPortKeepsQuota(t *testing.T) {
 	victim := benignFlows(4)
 
 	// One shared dispatch: the flood (port 0) ahead of the victim's flow
-	// setups (port 1), all on the single worker.
+	// setups, all on the single worker.
 	hs := append(append([]bitvec.Vec(nil), flood...), victim...)
-	ports := make([]int, len(hs))
-	for i := len(flood); i < len(hs); i++ {
-		ports[i] = 1
-	}
-
-	for _, byWorker := range []bool{false, true} {
-		pool := newPortPool(t, 1, 2, byWorker, &upcall.Options{QuotaPerSource: 4})
-		pool.ProcessBatchDeferredPorts(ports, hs, 0, nil)
-		ps := pool.PortStats()
-		if ps[0].UpcallDrops == 0 {
-			t.Errorf("byWorker=%v: flooding port recorded no drops", byWorker)
+	for _, victimPort := range []int{1, 0} {
+		ports := make([]int, len(hs))
+		for i := len(flood); i < len(hs); i++ {
+			ports[i] = victimPort
 		}
-		if byWorker {
-			// Legacy: the flood exhausted the shared worker bucket before
-			// the victim's setups arrived.
-			if ps[1].Upcalls != 0 || ps[1].UpcallDrops != 4 {
-				t.Errorf("worker-keyed ablation: victim port stats %+v, want 0 admitted / 4 dropped", ps[1])
-			}
-		} else {
-			// Port-keyed: the victim's own bucket is untouched by the flood.
-			if ps[1].Upcalls != 4 || ps[1].UpcallDrops != 0 {
-				t.Errorf("port-keyed: victim port stats %+v, want 4 admitted / 0 dropped", ps[1])
+		pool := newPortPool(t, 1, 2, &upcall.Options{QuotaPerSource: 4})
+		out := pool.ProcessBatchDeferredPorts(ports, hs, 0, nil)
+		if pool.PortStats()[0].UpcallDrops == 0 {
+			t.Errorf("victim on port %d: flooding port recorded no drops", victimPort)
+		}
+		// Own vport: the victim's bucket is untouched by the flood. Shared
+		// vport: the flood exhausted the bucket before its setups arrived.
+		want := vswitch.PathUpcallPending
+		if victimPort == 0 {
+			want = vswitch.PathUpcallDrop
+		}
+		for i, v := range out[len(flood):] {
+			if v.Path != want {
+				t.Errorf("victim on port %d: setup %d got %v, want %v", victimPort, i, v.Path, want)
 			}
 		}
 	}
@@ -116,7 +112,7 @@ func TestVictimPortKeepsQuota(t *testing.T) {
 // -race: four workers submit from eight ports into the port-keyed queues
 // while handler goroutines drain in batches.
 func TestPortSubmitsParallel(t *testing.T) {
-	pool := newPortPool(t, 4, 8, false, &upcall.Options{Handlers: 2})
+	pool := newPortPool(t, 4, 8, &upcall.Options{Handlers: 2})
 	defer pool.Close()
 	tbl := pool.Switch().FlowTable()
 	tr, err := core.CoLocated(tbl, core.CoLocatedOptions{Noise: true, Seed: 31})

@@ -120,6 +120,10 @@ func TestPacketCostShape(t *testing.T) {
 }
 
 func TestWaterfill(t *testing.T) {
+	// One idle worker serving every victim.
+	waterfill := func(offered, costs []float64, budget, linePps float64) []float64 {
+		return waterfill(1, make([]int, len(offered)), offered, costs, []float64{0}, budget, linePps)
+	}
 	// Plenty of budget: everyone gets their offered rate.
 	pps := waterfill([]float64{100, 200}, []float64{1, 1}, 1e9, 1e9)
 	if pps[0] != 100 || pps[1] != 200 {

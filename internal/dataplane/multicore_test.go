@@ -51,9 +51,10 @@ func TestMulticoreScenario(t *testing.T) {
 		}
 	}
 
-	// Single-core runs keep the classic sample shape.
-	if one[0].WorkerAttackCost != nil || one[0].WorkerVictimGbps != nil {
-		t.Error("single-core samples should not carry per-worker series")
+	// A single core is a one-worker pool: same sample shape, one column.
+	if len(one[0].WorkerAttackCost) != 1 || len(one[0].WorkerVictimGbps) != 1 {
+		t.Errorf("single-core per-worker series have lengths %d/%d, want 1/1",
+			len(one[0].WorkerAttackCost), len(one[0].WorkerVictimGbps))
 	}
 	// Multi-core samples carry coherent per-worker series.
 	for _, s := range four {
@@ -106,8 +107,8 @@ func TestMulticoreScenario(t *testing.T) {
 }
 
 // TestMulticorePortPinning: once the traffic mix names ingress vports, the
-// synchronous multi-core runner pins flows to workers by port (rxq-to-PMD)
-// instead of by RSS hash — the attack's CPU cost lands only on the flooded
+// engine pins flows to workers by port (rxq-to-PMD) instead of by RSS
+// hash — the attack's CPU cost lands only on the flooded
 // port's worker, so victims on the other worker dodge the CPU-exhaustion
 // component entirely. The shared megaflow cache's mask-scan tax still hits
 // every victim (global state; the point of the multicore experiment), so

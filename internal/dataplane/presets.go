@@ -274,7 +274,8 @@ type PortFairnessMode string
 
 const (
 	// FairnessWorkerKeyed is the legacy ablation: quotas keyed on the PMD
-	// worker, so the victims share the flooding port's bucket.
+	// worker — here, every flow on one vport of the one worker — so the
+	// victims share the flooding port's bucket.
 	FairnessWorkerKeyed PortFairnessMode = "workerkeyed"
 	// FairnessPortKeyed keys a static quota on the ingress vport.
 	FairnessPortKeyed PortFairnessMode = "portkeyed"
@@ -325,8 +326,9 @@ func churnACL() *flowtable.Table {
 // must win upcall admission again while the flood floods.
 //
 // The three modes isolate what each fairness layer buys. Worker-keyed
-// (the pre-vport shape): all three vports share one admission bucket, and
-// after every churn event the flood drains it before the victims' setup
+// (the pre-vport shape, modelled by collapsing the victims onto the
+// flood's vport): all three flows share one admission bucket, and after
+// every churn event the flood drains it before the victims' setup
 // packets arrive — the victims are refused at admission and move nothing
 // until the flood's own megaflows re-cover them (the order-dependence
 // called out in ROADMAP). Port-keyed: each victim owns its bucket, so
@@ -381,7 +383,11 @@ func PortFairnessScenario(mode PortFairnessMode) (*Scenario, error) {
 	}
 	switch mode {
 	case FairnessWorkerKeyed:
-		up.WorkerKeyedQuota = true
+		// Everything on the flood's vport: one port on one worker is one
+		// admission source, the pre-vport worker-keyed bucket.
+		for _, v := range victims {
+			v.Port = 0
+		}
 	case FairnessPortKeyed:
 	case FairnessAdaptive:
 		// The de-flapped controller: both signals smoothed at the default

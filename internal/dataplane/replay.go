@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"fmt"
+	"slices"
 
 	"tse/internal/bitvec"
 	"tse/internal/core"
@@ -29,12 +30,10 @@ type ReplayConfig struct {
 	// dispatch serially: a goroutine handoff per burst buys nothing on
 	// one core.
 	Workers int
-	// Ports is the vport count (4 when <= 0); must cover the trace's
-	// in_port values.
+	// Ports is the vport count; <= 0 derives it from the trace (highest
+	// in_port + 1). An explicit count that does not cover the trace's
+	// in_port values is an error.
 	Ports int
-	// PrefetchDepth is handed to the pool's per-burst prefetch pass
-	// (0 disables it).
-	PrefetchDepth int
 	// Chunk is the records decoded per dispatch (trace.DefaultChunk when
 	// <= 0).
 	Chunk int
@@ -56,9 +55,23 @@ type ReplayReport struct {
 	Totals datapath.WorkerStats
 }
 
+// maxReplayPorts bounds the vport count a trace's in_port column may
+// demand (the pool keeps per-port ledgers on every worker), so a corrupt
+// record cannot ask for gigabytes of them.
+const maxReplayPorts = 1 << 16
+
 // buildReplayPipeline assembles the switch, pool and replayer for one
-// run.
-func buildReplayPipeline(cfg ReplayConfig) (*vswitch.Switch, *datapath.Pool, *trace.Replayer, error) {
+// run over records whose highest in_port is maxPort.
+func buildReplayPipeline(cfg ReplayConfig, maxPort int) (*vswitch.Switch, *datapath.Pool, *trace.Replayer, error) {
+	ports := cfg.Ports
+	switch {
+	case maxPort >= maxReplayPorts:
+		return nil, nil, nil, fmt.Errorf("dataplane: trace names in_port %d, limit is %d", maxPort, maxReplayPorts-1)
+	case ports <= 0:
+		ports = maxPort + 1
+	case ports <= maxPort:
+		return nil, nil, nil, fmt.Errorf("dataplane: %d ports do not cover the trace's in_port %d", ports, maxPort)
+	}
 	tbl := cfg.Table
 	if tbl == nil {
 		use := cfg.Use
@@ -71,15 +84,12 @@ func buildReplayPipeline(cfg ReplayConfig) (*vswitch.Switch, *datapath.Pool, *tr
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	workers, ports := cfg.Workers, cfg.Ports
+	workers := cfg.Workers
 	if workers <= 0 {
 		workers = 1
 	}
-	if ports <= 0 {
-		ports = 4
-	}
 	pool, err := datapath.New(datapath.Config{
-		Switch: sw, Workers: workers, Ports: ports, PrefetchDepth: cfg.PrefetchDepth})
+		Switch: sw, Workers: workers, Ports: ports})
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -100,7 +110,7 @@ func replayReport(sw *vswitch.Switch, res trace.Result) *ReplayReport {
 
 // RunReplay replays rd through a freshly built pipeline.
 func RunReplay(cfg ReplayConfig, rd *trace.Reader) (*ReplayReport, error) {
-	sw, pool, rr, err := buildReplayPipeline(cfg)
+	sw, pool, rr, err := buildReplayPipeline(cfg, rd.MaxPort())
 	if err != nil {
 		return nil, err
 	}
@@ -112,7 +122,11 @@ func RunReplay(cfg ReplayConfig, rd *trace.Reader) (*ReplayReport, error) {
 // pipeline — the never-encoded side of the replay-vs-synthetic identity
 // check the replay experiment reports.
 func RunReplayRecords(cfg ReplayConfig, ticks []int64, ports []int, keys []bitvec.Vec) (*ReplayReport, error) {
-	sw, pool, rr, err := buildReplayPipeline(cfg)
+	maxPort := -1
+	if len(ports) > 0 {
+		maxPort = slices.Max(ports)
+	}
+	sw, pool, rr, err := buildReplayPipeline(cfg, maxPort)
 	if err != nil {
 		return nil, err
 	}

@@ -1,10 +1,6 @@
 package dataplane
 
 import (
-	"math"
-
-	"tse/internal/bitvec"
-	"tse/internal/datapath"
 	"tse/internal/faults"
 	"tse/internal/telemetry"
 	"tse/internal/upcall"
@@ -30,11 +26,6 @@ type UpcallParams struct {
 	// [MinQuota, BaseQuota] every sweep, so Adaptive.BaseQuota is
 	// authoritative.
 	QuotaPerPort int
-	// WorkerKeyedQuota keys queues and quotas on the PMD worker index
-	// instead of the ingress vport — the legacy pre-vport behaviour, kept
-	// as the ablation the portfairness experiment measures: a victim
-	// sharing a worker with the flood then shares its admission bucket.
-	WorkerKeyedQuota bool
 	// Adaptive, when non-nil, closes the feedback loop: each revalidator
 	// sweep measures every vport's megaflow footprint (plus churn) and
 	// re-tunes its quota, so the flooding port throttles itself while
@@ -47,8 +38,6 @@ type UpcallParams struct {
 	// upcalls/s (Fig. 9c). Drained upcalls resolve in bursts that share
 	// one megaflow-install transaction (upcall.Options.HandlerBurst).
 	HandledPerSec int
-	// DisableDedup turns off flow-miss deduplication (ablation).
-	DisableDedup bool
 	// RevalidateSec is the revalidator cadence in virtual seconds; <= 0
 	// selects 1. The revalidator replaces the inline Switch.Tick idle
 	// expiry and additionally re-checks entries against the current flow
@@ -66,9 +55,6 @@ type UpcallParams struct {
 	// respawned and their orphaned in-flight upcalls leak in the pending
 	// table (see upcall.Options.DisableSupervisor).
 	DisableSupervisor bool
-	// FailOrphans fails orphaned in-flight upcalls with an error verdict
-	// instead of requeueing them.
-	FailOrphans bool
 	// PendingAgeSec is the revalidator's orphaned-pending-entry reap
 	// horizon (upcall.RevalidatorConfig.PendingAgeSec semantics: 0
 	// defaults, negative disables).
@@ -106,8 +92,7 @@ type UpcallSample struct {
 	HandlerCost float64
 	// PortQuota is each upcall source's admission quota in effect at the
 	// end of the second (after any adaptive re-tune), and PortQuotaDrops
-	// the second's quota refusals per source. Sources are vports, or PMD
-	// workers under WorkerKeyedQuota.
+	// the second's quota refusals per source. Sources are vports.
 	PortQuota      []int
 	PortQuotaDrops []int
 	// FlowSetupP50 and FlowSetupP99 are this second's flow-setup latency
@@ -147,33 +132,10 @@ type UpcallSample struct {
 	OrphanPressure int
 }
 
-// portsOrNil returns the explicit ingress-port slice for port-aware
-// scenarios, or nil so the pool falls back to RSS-derived dispatch.
-func portsOrNil(usePorts bool, ports []int) []int {
-	if usePorts {
-		return ports
-	}
-	return nil
-}
-
-// runAsync executes the scenario over a PMD-style pool whose misses go
-// through the vport-keyed upcall subsystem in fire-and-forget mode,
-// drained once per virtual second by the modelled handler service rate.
-// Per-worker EMCs are disabled for the same observability reason as
-// runMulticore.
-//
-// Within each virtual second the victims' probes land mid-flood: half of
-// each attack phase's packets are dispatched first, then the victims, then
-// the rest. A steady one-probe-per-second flow arrives at an effectively
-// uniform position inside the second, and granting it the head-of-second
-// slot would hand every victim a fresh admission bucket before the flood —
-// exactly the order-dependence the per-port quotas exist to remove.
-func (sc *Scenario) runAsync(perCore float64) ([]Sample, error) {
-	up := sc.Upcall
-	nw := sc.Workers
-	if nw < 1 {
-		nw = 1
-	}
+// options maps the scenario-level knobs onto the upcall subsystem's.
+// Handlers stays 0: the engine owns the drain (HandleNAt) so runs are
+// deterministic.
+func (up *UpcallParams) options(hub telemetry.Hub) *upcall.Options {
 	quota := up.QuotaPerPort
 	if up.Adaptive != nil {
 		// The adaptive controller owns the quota: its range is
@@ -182,312 +144,141 @@ func (sc *Scenario) runAsync(perCore float64) ([]Sample, error) {
 		// anyway. BaseQuota is authoritative.
 		quota = up.Adaptive.BaseQuota
 	}
-	// A scenario that never names an ingress port (all traffic on vport 0)
-	// keeps the legacy port-oblivious shape: one vport per worker with
-	// RSS-derived dispatch, so multi-worker runs still spread across the
-	// cores exactly as before the port dimension existed. Naming ports
-	// switches to explicit port-pinned dispatch.
-	usePorts := sc.portCount() > 1
-	ports := nw
-	if usePorts {
-		ports = sc.portCount()
-	}
-	// Unpack the optional telemetry hub; every consumer below is nil-safe.
-	var reg *telemetry.Registry
-	var journal *telemetry.Journal
-	var tracer *telemetry.Tracer
-	if sc.Telemetry != nil {
-		reg, journal, tracer = sc.Telemetry.Reg, sc.Telemetry.Journal, sc.Telemetry.Tracer
-	}
-	if reg != nil {
-		sc.Switch.AttachMetrics(reg)
-	}
-	pool, err := datapath.New(datapath.Config{
-		Switch:         sc.Switch,
-		Workers:        nw,
-		Ports:          ports,
-		SourceByWorker: up.WorkerKeyedQuota,
-		Metrics:        reg,
-		// Handlers stays 0: the simulator owns the drain (HandleN below)
-		// so runs are deterministic.
-		Upcall: &upcall.Options{
-			QueueCap:          up.QueueCap,
-			QuotaPerSource:    quota,
-			DisableDedup:      up.DisableDedup,
-			ModelledHandlers:  up.ModelledHandlers,
-			StallTimeoutSec:   up.StallTimeoutSec,
-			DisableSupervisor: up.DisableSupervisor,
-			FailOrphans:       up.FailOrphans,
-			Injector:          up.Faults,
-			Breaker: upcall.Breaker{
-				SLOSec:         up.BreakerSLOSec,
-				TripAfter:      up.TripAfter,
-				CooldownSec:    up.BreakerCooldownSec,
-				HalfOpenProbes: up.HalfOpenProbes,
-				EWMAAlpha:      up.BreakerEWMAAlpha,
-			},
-			Metrics: reg,
-			Journal: journal,
-			Tracer:  tracer,
+	return &upcall.Options{
+		QueueCap:          up.QueueCap,
+		QuotaPerSource:    quota,
+		ModelledHandlers:  up.ModelledHandlers,
+		StallTimeoutSec:   up.StallTimeoutSec,
+		DisableSupervisor: up.DisableSupervisor,
+		Injector:          up.Faults,
+		Breaker: upcall.Breaker{
+			SLOSec:         up.BreakerSLOSec,
+			TripAfter:      up.TripAfter,
+			CooldownSec:    up.BreakerCooldownSec,
+			HalfOpenProbes: up.HalfOpenProbes,
+			EWMAAlpha:      up.BreakerEWMAAlpha,
 		},
-		DisableEMC: true,
-	})
-	if err != nil {
-		return nil, err
+		Metrics: hub.Reg,
+		Journal: hub.Journal,
+		Tracer:  hub.Tracer,
 	}
+}
+
+// revalidator builds the loop that replaces the inline Switch.Tick idle
+// expiry for sub's switch, and arms the switch's side of the fault
+// schedule.
+func (up *UpcallParams) revalidator(sw *vswitch.Switch, sub *upcall.Subsystem, hub telemetry.Hub) (*upcall.Revalidator, error) {
 	if up.Faults != nil {
 		// Install errors are the switch's side of the fault schedule: a
 		// window during which HandleMissFrom refuses to install megaflows,
 		// so every packet of the affected flows keeps missing.
-		sc.Switch.SetInstallFault(up.Faults.InstallErrorAt)
+		sw.SetInstallFault(up.Faults.InstallErrorAt)
 	}
-	sub := pool.Upcalls()
-	rvCfg := upcall.RevalidatorConfig{
-		Switch:        sc.Switch,
+	return upcall.NewRevalidator(upcall.RevalidatorConfig{
+		Switch:        sw,
 		IntervalSec:   up.RevalidateSec,
+		Subsystem:     sub, // quota re-tunes and the pending reaper
+		Adapt:         up.Adaptive,
 		PendingAgeSec: up.PendingAgeSec,
 		Injector:      up.Faults,
-		Journal:       journal,
-		Metrics:       reg,
+		Journal:       hub.Journal,
+		Metrics:       hub.Reg,
+	})
+}
+
+// journalFaults records tick now's scheduled fault injections, so the
+// timeline shows cause (injection) strictly before effect (panic, stall,
+// shed). Delivery faults get their own kind.
+func (up *UpcallParams) journalFaults(journal *telemetry.Journal, now int64) {
+	if journal == nil || up.Faults == nil {
+		return
 	}
-	if up.Adaptive != nil {
-		rvCfg.Subsystem = sub
-		rvCfg.Adapt = up.Adaptive
+	for _, ev := range up.Faults.ScheduledAt(now) {
+		kind, actor := telemetry.EvFaultInjected, ev.Handler
+		switch ev.Kind {
+		case faults.DeliverDelay, faults.DeliverDuplicate:
+			kind, actor = telemetry.EvDeliveryFault, ev.Source
+		case faults.RevalidatorStall, faults.InstallError:
+			actor = -1
+		}
+		journal.RecordNote(now, kind, actor, ev.Duration, ev.Kind.String())
 	}
-	if up.PendingAgeSec != 0 || up.Faults != nil {
-		// The pending reaper needs the subsystem even without the adaptive
-		// controller.
-		rvCfg.Subsystem = sub
+}
+
+// upcallTotals is the cumulative slow-path state one sample is diffed
+// against the next from.
+type upcallTotals struct {
+	stats                 upcall.Stats
+	per                   []upcall.SourceStats
+	installs, installErrs uint64
+	rv                    upcall.RevalidatorStats
+}
+
+func (e *Engine) upcallTotals() upcallTotals {
+	c := e.pool.Switch().Counters()
+	return upcallTotals{
+		stats:       e.pool.Upcalls().Stats(),
+		per:         e.pool.Upcalls().PerSource(),
+		installs:    c.Installs,
+		installErrs: c.InstallErrors,
+		rv:          e.rv.Stats(),
 	}
-	rv, err := upcall.NewRevalidator(rvCfg)
-	if err != nil {
-		return nil, err
+}
+
+// upcallSample folds the second's slow-path activity — everything since
+// the previous sample — into the per-second series.
+func (e *Engine) upcallSample(now int64, handled int, swept vswitch.SweepResult) *UpcallSample {
+	sub := e.pool.Upcalls()
+	prev, cur := e.prev, e.upcallTotals()
+	e.prev = cur
+	st, per := cur.stats, cur.per
+	// The residence histograms are cumulative, so this second's flow-setup
+	// latency distribution is the delta against the previous snapshot.
+	resDelta := st.Residence.Delta(prev.stats.Residence)
+	u := &UpcallSample{
+		Enqueued:         int(st.Enqueued - prev.stats.Enqueued),
+		Deduped:          int(st.Deduped - prev.stats.Deduped),
+		QueueDrops:       int(st.QueueDrops - prev.stats.QueueDrops),
+		QuotaDrops:       int(st.QuotaDrops - prev.stats.QuotaDrops),
+		Handled:          handled,
+		Installed:        int(cur.installs - prev.installs),
+		Backlog:          st.Backlog,
+		Expired:          swept.Expired,
+		Invalidated:      swept.Invalidated,
+		HandlerCost:      float64(handled) * e.nic.SlowPathCost,
+		PortQuota:        make([]int, len(per)),
+		PortQuotaDrops:   make([]int, len(per)),
+		FlowSetupP50:     int(resDelta.P50()),
+		FlowSetupP99:     int(resDelta.P99()),
+		PortFlowSetupP50: make([]int, len(per)),
+		PortFlowSetupP99: make([]int, len(per)),
+		PendingFlows:     st.PendingFlows,
+		HandlerPanics:    int(st.HandlerPanics - prev.stats.HandlerPanics),
+		StallsDetected:   int(st.StallsDetected - prev.stats.StallsDetected),
+		HandlerRestarts:  int(st.HandlerRestarts - prev.stats.HandlerRestarts),
+		Requeued:         int(st.Requeued - prev.stats.Requeued),
+		PendingReaped:    int(st.PendingReaped - prev.stats.PendingReaped),
+		BreakerTrips:     int(st.BreakerTrips - prev.stats.BreakerTrips),
+		BreakerShed:      int(st.BreakerShed - prev.stats.BreakerShed),
+		InstallErrors:    int(cur.installErrs - prev.installErrs),
+		SweepStalls:      int(cur.rv.SweepStalls - prev.rv.SweepStalls),
+		OrphanPressure:   int(cur.rv.OrphanPressure - prev.rv.OrphanPressure),
 	}
-
-	cursor := make([]int, len(sc.Phases))
-	injected := make([]bool, len(sc.Phases))
-	samples := make([]Sample, 0, sc.DurationSec)
-	var batch []bitvec.Vec
-	var batchPorts []int
-	var verdicts []vswitch.Verdict
-	var vIdx []int
-	prevStats := sub.Stats()
-	prevPer := sub.PerSource()
-	prevInstalls := sc.Switch.Counters().Installs
-	prevInstallErrs := sc.Switch.Counters().InstallErrors
-	prevRv := rv.Stats()
-	for t := 0; t < sc.DurationSec; t++ {
-		now := int64(t)
-		// Journal this tick's scheduled fault injections before anything
-		// fires, so the timeline shows cause (injection) strictly before
-		// effect (panic, stall, shed). Delivery faults get their own kind.
-		if journal != nil && up.Faults != nil {
-			for _, ev := range up.Faults.ScheduledAt(now) {
-				kind, actor := telemetry.EvFaultInjected, ev.Handler
-				switch ev.Kind {
-				case faults.DeliverDelay, faults.DeliverDuplicate:
-					kind, actor = telemetry.EvDeliveryFault, ev.Source
-				case faults.RevalidatorStall, faults.InstallError:
-					actor = -1
-				}
-				journal.RecordNote(now, kind, actor, ev.Duration, ev.Kind.String())
-			}
-		}
-		// The revalidator owns megaflow lifecycle: idle expiry plus
-		// dump-and-check against the current table (and, in adaptive mode,
-		// the per-port quota re-tune). No Switch.Tick here.
-		rvRes := rv.Tick(now)
-
-		workerAttack := make([]float64, nw)
-		costs := make([]float64, len(sc.Victims))
-		offered := make([]float64, len(sc.Victims))
-		workerOf := make([]int, len(sc.Victims))
-		attackPps := 0
-
-		// replayPhase dispatches up to n of phase i's packets this second,
-		// applying the phase's ACL injection on first activation.
-		replayPhase := func(i, n int) error {
-			ph := &sc.Phases[i]
-			if t == ph.StartSec && ph.InjectACL != nil && !injected[i] {
-				injected[i] = true
-				// Asynchronous deployment: the table swap is applied
-				// without an inline sweep; the revalidator's next pass
-				// deletes stale megaflows (dump-and-check).
-				if err := sc.Switch.SwapTable(ph.InjectACL); err != nil {
-					return err
-				}
-				pool.FlushEMC()
-				journal.RecordNote(now, telemetry.EvACLSwap, ph.Port, 0,
-					"mid-run ACL injection")
-			}
-			tr := ph.Trace
-			if tr == nil || tr.Len() == 0 || n <= 0 {
-				return nil
-			}
-			batch, batchPorts = batch[:0], batchPorts[:0]
-			for k := 0; k < n; k++ {
-				batch = append(batch, tr.Headers[cursor[i]%tr.Len()])
-				if usePorts {
-					batchPorts = append(batchPorts, ph.Port)
-				}
-				cursor[i]++
-			}
-			verdicts = pool.ProcessBatchDeferredPorts(portsOrNil(usePorts, batchPorts), batch, now, verdicts)
-			assign := pool.Assignments()
-			for k, v := range verdicts[:len(batch)] {
-				workerAttack[assign[k]] += verdictCost(v, sc.NIC)
-			}
-			return nil
-		}
-
-		active := func(i int) bool {
-			return t >= sc.Phases[i].StartSec && t < sc.Phases[i].StopSec
-		}
-
-		// First half of the flood.
-		for i := range sc.Phases {
-			if !active(i) {
-				continue
-			}
-			attackPps += sc.Phases[i].RatePps
-			if err := replayPhase(i, sc.Phases[i].RatePps/2); err != nil {
-				return nil, err
-			}
-		}
-
-		// Victims probe mid-second.
-		batch, batchPorts, vIdx = batch[:0], batchPorts[:0], vIdx[:0]
-		for i, v := range sc.Victims {
-			if usePorts {
-				workerOf[i] = pool.PortWorker(v.Port)
-			} else {
-				workerOf[i] = pool.WorkerFor(v.Header)
-			}
-			if t < v.StartSec {
-				continue
-			}
-			batch = append(batch, v.Header)
-			if usePorts {
-				batchPorts = append(batchPorts, v.Port)
-			}
-			vIdx = append(vIdx, i)
-			offered[i] = v.OfferedGbps * 1e9 / 8 / PacketBytes // pps
-		}
-		verdicts = pool.ProcessBatchDeferredPorts(portsOrNil(usePorts, batchPorts), batch, now, verdicts)
-		for k, i := range vIdx {
-			costs[i] = sc.victimCost(sc.Victims[i], verdicts[k])
-			if verdicts[k].Path == vswitch.PathUpcallDrop {
-				// The flow's setup packet was refused at admission: the
-				// datapath is dropping the flow on the floor, so it moves
-				// no traffic this second. This is the loss the per-port
-				// quotas protect victims from.
-				offered[i] = 0
-			}
-		}
-
-		// Second half of the flood.
-		for i := range sc.Phases {
-			if !active(i) {
-				continue
-			}
-			if err := replayPhase(i, sc.Phases[i].RatePps-sc.Phases[i].RatePps/2); err != nil {
-				return nil, err
-			}
-		}
-
-		// Handlers drain on their own service budget, round-robin across
-		// the vport queues; leftovers stay queued into the next second.
-		budget := up.HandledPerSec
-		if budget <= 0 {
-			budget = math.MaxInt
-		}
-		handled := sub.HandleNAt(budget, now)
-		// Breakers advance on the same cadence as the handler drain: each
-		// virtual second is one observation interval.
-		sub.TickBreakers(now)
-
-		st := sub.Stats()
-		per := sub.PerSource()
-		counters := sc.Switch.Counters()
-		installs := counters.Installs
-		rvStats := rv.Stats()
-		// This second's flow-setup latency distribution: the residence
-		// histograms are cumulative, so the per-second series is the delta
-		// against the previous sample's snapshot.
-		resDelta := st.Residence.Delta(prevStats.Residence)
-		usample := &UpcallSample{
-			Enqueued:         int(st.Enqueued - prevStats.Enqueued),
-			Deduped:          int(st.Deduped - prevStats.Deduped),
-			QueueDrops:       int(st.QueueDrops - prevStats.QueueDrops),
-			QuotaDrops:       int(st.QuotaDrops - prevStats.QuotaDrops),
-			Handled:          handled,
-			Installed:        int(installs - prevInstalls),
-			Backlog:          st.Backlog,
-			Expired:          rvRes.Expired,
-			Invalidated:      rvRes.Invalidated,
-			HandlerCost:      float64(handled) * sc.NIC.SlowPathCost,
-			PortQuota:        make([]int, len(per)),
-			PortQuotaDrops:   make([]int, len(per)),
-			FlowSetupP50:     int(resDelta.P50()),
-			FlowSetupP99:     int(resDelta.P99()),
-			PortFlowSetupP50: make([]int, len(per)),
-			PortFlowSetupP99: make([]int, len(per)),
-			PendingFlows:     st.PendingFlows,
-			HandlerPanics:    int(st.HandlerPanics - prevStats.HandlerPanics),
-			StallsDetected:   int(st.StallsDetected - prevStats.StallsDetected),
-			HandlerRestarts:  int(st.HandlerRestarts - prevStats.HandlerRestarts),
-			Requeued:         int(st.Requeued - prevStats.Requeued),
-			PendingReaped:    int(st.PendingReaped - prevStats.PendingReaped),
-			BreakerTrips:     int(st.BreakerTrips - prevStats.BreakerTrips),
-			BreakerShed:      int(st.BreakerShed - prevStats.BreakerShed),
-			InstallErrors:    int(counters.InstallErrors - prevInstallErrs),
-			SweepStalls:      int(rvStats.SweepStalls - prevRv.SweepStalls),
-			OrphanPressure:   int(rvStats.OrphanPressure - prevRv.OrphanPressure),
-		}
-		if usample.InstallErrors > 0 {
-			journal.Record(now, telemetry.EvInstallError, -1, int64(usample.InstallErrors))
-		}
-		if phases := sub.BreakerPhases(); phases != nil {
-			usample.PortBreaker = make([]string, len(phases))
-			for p, ph := range phases {
-				usample.PortBreaker[p] = ph.String()
-			}
-		}
-		for p := range per {
-			usample.PortQuota[p] = sub.QuotaFor(p)
-			usample.PortQuotaDrops[p] = int(per[p].QuotaDrops - prevPer[p].QuotaDrops)
-			d := per[p].Residence.Delta(prevPer[p].Residence)
-			usample.PortFlowSetupP50[p] = int(d.P50())
-			usample.PortFlowSetupP99[p] = int(d.P99())
-		}
-		prevStats, prevPer, prevInstalls = st, per, installs
-		prevInstallErrs, prevRv = counters.InstallErrors, rvStats
-
-		pps := waterfillWorkers(nw, workerOf, offered, costs, workerAttack,
-			perCore, sc.NIC.LinePps())
-
-		sample := Sample{
-			Sec:              t,
-			VictimGbps:       make([]float64, len(sc.Victims)),
-			AttackPps:        attackPps,
-			Masks:            sc.Switch.MFC().MaskCount(),
-			Entries:          sc.Switch.MFC().EntryCount(),
-			Budget:           perCore * float64(nw),
-			WorkerAttackCost: workerAttack,
-			WorkerVictimGbps: make([]float64, nw),
-			Upcall:           usample,
-		}
-		for _, c := range workerAttack {
-			sample.AttackCost += c
-		}
-		for i, v := range sc.Victims {
-			g := pps[i] * PacketBytes * 8 / 1e9
-			sample.VictimGbps[i] = g
-			sample.TotalVictimGbps += g
-			sample.WorkerVictimGbps[workerOf[i]] += g
-			v.trackEstablishment(t, g)
-		}
-		samples = append(samples, sample)
+	if u.InstallErrors > 0 {
+		e.journal.Record(now, telemetry.EvInstallError, -1, int64(u.InstallErrors))
 	}
-	return samples, nil
+	if phases := sub.BreakerPhases(); phases != nil {
+		u.PortBreaker = make([]string, len(phases))
+		for p, ph := range phases {
+			u.PortBreaker[p] = ph.String()
+		}
+	}
+	for p := range per {
+		u.PortQuota[p] = sub.QuotaFor(p)
+		u.PortQuotaDrops[p] = int(per[p].QuotaDrops - prev.per[p].QuotaDrops)
+		d := per[p].Residence.Delta(prev.per[p].Residence)
+		u.PortFlowSetupP50[p] = int(d.P50())
+		u.PortFlowSetupP99[p] = int(d.P99())
+	}
+	return u
 }

@@ -576,8 +576,7 @@ func BenchJSON() (*BenchReport, error) {
 			if err != nil {
 				return nil, err
 			}
-			return datapath.New(datapath.Config{
-				Switch: sw, Workers: workers, Ports: 4, PrefetchDepth: 8})
+			return datapath.New(datapath.Config{Switch: sw, Workers: workers, Ports: 4})
 		}
 		pool, err := mkPool(1)
 		if err != nil {
@@ -793,8 +792,7 @@ func BenchJSON() (*BenchReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := dataplane.RunReplay(dataplane.ReplayConfig{
-			PrefetchDepth: 8, TickSwitch: true}, rd)
+		res, err := dataplane.RunReplay(dataplane.ReplayConfig{TickSwitch: true}, rd)
 		if err != nil {
 			return nil, err
 		}

@@ -20,17 +20,15 @@ func init() {
 
 // RunTraceReplay backs tsebench -replay: open the trace file (mmap'd),
 // drive it through a freshly built pipeline, print the achieved rate.
-// workers <= 0 means one worker; prefetch is the per-burst prefetch
-// depth in cache lines.
-func RunTraceReplay(w io.Writer, path string, workers, prefetch int) error {
+// workers <= 0 means one worker.
+func RunTraceReplay(w io.Writer, path string, workers int) error {
 	rd, err := trace.Open(path)
 	if err != nil {
 		return err
 	}
 	defer rd.Close()
 	fmt.Fprintf(w, "replaying %s: %d records, layout %s\n", path, rd.Count(), rd.LayoutString())
-	rep, err := dataplane.RunReplay(dataplane.ReplayConfig{
-		Workers: workers, PrefetchDepth: prefetch, TickSwitch: true}, rd)
+	rep, err := dataplane.RunReplay(dataplane.ReplayConfig{Workers: workers, TickSwitch: true}, rd)
 	if err != nil {
 		return err
 	}
@@ -41,35 +39,28 @@ func RunTraceReplay(w io.Writer, path string, workers, prefetch int) error {
 
 // runReplay measures what the real pipeline ingests per wall second: the
 // victim-mix trace (EMC-hit steady state, the wire-rate ceiling) and the
-// TSE-attack trace (the same mix with the co-located SipSpDp flood),
-// each with the prefetch pass off and on. Where the virtual-time
+// TSE-attack trace (the same mix with the co-located SipSpDp flood).
+// Where the virtual-time
 // scenarios model the paper's testbed, this experiment replays encoded
 // traces through mmap-style zero-copy decode and 32-packet bursts and
 // reports the achieved rate directly. A final check replays the same
 // flow sequence from memory (never encoded) and asserts the verdict
 // counters are bit-identical to the trace-driven run.
 func runReplay(w io.Writer) error {
-	fmt.Fprintf(w, "%-12s %-10s %10s %12s %10s %8s %12s %12s\n",
-		"trace", "prefetch", "packets", "wall_ms", "mpps", "masks", "emc_hits", "slow_path")
+	fmt.Fprintf(w, "%-12s %10s %12s %10s %8s %12s %12s\n",
+		"trace", "packets", "wall_ms", "mpps", "masks", "emc_hits", "slow_path")
 	for _, preset := range []dataplane.ReplayPreset{dataplane.ReplayVictimMix, dataplane.ReplayTSE} {
-		for _, depth := range []int{0, 8} {
-			rd, _, err := dataplane.ReplayScenario(preset, 2)
-			if err != nil {
-				return err
-			}
-			rep, err := dataplane.RunReplay(dataplane.ReplayConfig{
-				PrefetchDepth: depth, TickSwitch: true}, rd)
-			if err != nil {
-				return err
-			}
-			label := "off"
-			if depth > 0 {
-				label = fmt.Sprintf("depth=%d", depth)
-			}
-			fmt.Fprintf(w, "%-12s %-10s %10d %12.2f %10.2f %8d %12d %12d\n",
-				preset, label, rep.Packets, rep.WallMs, rep.Mpps, rep.Masks,
-				rep.Totals.EMC.Hits, rep.Totals.SlowPath)
+		rd, _, err := dataplane.ReplayScenario(preset, 2)
+		if err != nil {
+			return err
 		}
+		rep, err := dataplane.RunReplay(dataplane.ReplayConfig{TickSwitch: true}, rd)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "%-12s %10d %12.2f %10.2f %8d %12d %12d\n",
+			preset, rep.Packets, rep.WallMs, rep.Mpps, rep.Masks,
+			rep.Totals.EMC.Hits, rep.Totals.SlowPath)
 	}
 
 	// Replay-vs-synthetic identity: trace-driven counters must equal the

@@ -140,27 +140,6 @@ func (c *Cache) LookupBatch(hs []bitvec.Vec, res []Result, ok []bool) {
 	}
 }
 
-// PrefetchBatch touches each header's home fingerprint cell (slot and
-// fingerprint word) ahead of a LookupBatch over the same burst — the
-// software-prefetch idiom of DPDK's EMC processing, where the PMD
-// computes hashes for the whole rx burst and issues prefetches for the
-// entries' cache lines before the compare loop runs. Go has no prefetch
-// intrinsic, so the "prefetch" is a plain load of the target line; the
-// XOR of the touched words is returned so the caller can sink it and
-// the compiler cannot elide the loads. One lock acquisition covers the
-// burst, like LookupBatch. It performs no allocation.
-func (c *Cache) PrefetchBatch(hs []bitvec.Vec) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m := uint64(len(c.slots) - 1)
-	var sink uint64
-	for _, h := range hs {
-		i := bitvec.KeyHash(h) & m
-		sink ^= c.fps[i] ^ uint64(uint32(c.slots[i]))
-	}
-	return sink
-}
-
 // Insert caches the result for header h, evicting the oldest entry if the
 // cache is full. Inserting an existing header refreshes its value without
 // moving it in the eviction order. The header is cloned into the cache (the

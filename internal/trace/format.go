@@ -6,9 +6,7 @@
 // the PMD pool the way a DPDK rx burst would: mmap'd records decoded
 // straight into reusable structure-of-arrays batches (one flat word
 // arena, zero per-packet allocation) and dispatched to
-// datapath.Pool.ProcessBatchPorts in 32-packet bursts, with a software
-// prefetch pass over the EMC fingerprint slots and the head of the tss
-// probe mirror ahead of the lookup loop.
+// datapath.Pool.ProcessBatchPorts in 32-packet bursts.
 //
 // File layout (all little-endian):
 //

@@ -140,6 +140,19 @@ func (r *Reader) Layout() (*bitvec.Layout, error) {
 	return nil, fmt.Errorf("trace: unknown layout %q", r.layout)
 }
 
+// MaxPort returns the largest in_port of any record, or -1 for an empty
+// trace: one pass over the port column, independent of the cursor. A
+// replay sizes (or checks) its pool's vport count with it before the
+// clock starts.
+func (r *Reader) MaxPort() int {
+	rs := recordSize(r.words)
+	top := -1
+	for off, end := 4, int(r.count)*rs; off < end; off += rs {
+		top = max(top, int(binary.LittleEndian.Uint32(r.recs[off:])))
+	}
+	return top
+}
+
 // Reset rewinds the cursor to the first record.
 func (r *Reader) Reset() { r.next = 0 }
 

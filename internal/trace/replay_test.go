@@ -31,15 +31,14 @@ func mixOptions(t *testing.T, seconds, attackPps int) SynthOptions {
 // newReplayPool builds the pool the replay tests drive: SipSpDp ACL,
 // switch-level microflow off (the EMC lives per worker), inline slow
 // path, 4 vports.
-func newReplayPool(t *testing.T, prefetch int) *datapath.Pool {
+func newReplayPool(t *testing.T) *datapath.Pool {
 	t.Helper()
 	tbl := flowtable.UseCaseACL(flowtable.SipSpDp, flowtable.ACLParams{})
 	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := datapath.New(datapath.Config{
-		Switch: sw, Workers: 1, Ports: 4, PrefetchDepth: prefetch})
+	pool, err := datapath.New(datapath.Config{Switch: sw, Workers: 1, Ports: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +83,7 @@ func synthSlices(t *testing.T, opts SynthOptions) (ticks []int64, ports []int, k
 func TestReplayMatchesSynthetic(t *testing.T) {
 	opts := mixOptions(t, 3, 500)
 
-	replayPool := newReplayPool(t, 0)
+	replayPool := newReplayPool(t)
 	rd, err := NewReader(synthImage(t, opts))
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +91,7 @@ func TestReplayMatchesSynthetic(t *testing.T) {
 	rr := &Replayer{Pool: replayPool, Chunk: 256, Serial: true, TickSwitch: true}
 	replayRes := rr.Run(rd)
 
-	synthPool := newReplayPool(t, 0)
+	synthPool := newReplayPool(t)
 	ticks, ports, keys := synthSlices(t, opts)
 	sr := &Replayer{Pool: synthPool, Chunk: 256, Serial: true, TickSwitch: true}
 	synthRes := sr.RunRecords(ticks, ports, keys)
@@ -110,28 +109,6 @@ func TestReplayMatchesSynthetic(t *testing.T) {
 	if m := replayPool.Switch().MFC().MaskCount(); m != synthPool.Switch().MFC().MaskCount() {
 		t.Fatalf("mask counts diverge: replay %d, synthetic %d",
 			m, synthPool.Switch().MFC().MaskCount())
-	}
-}
-
-// TestReplayPrefetchEquivalent asserts the prefetch pass is purely a
-// memory-warming hint: a pool with PrefetchDepth on must produce
-// bit-identical counters to one with it off.
-func TestReplayPrefetchEquivalent(t *testing.T) {
-	opts := mixOptions(t, 2, 300)
-	image := synthImage(t, opts)
-
-	run := func(depth int) datapath.WorkerStats {
-		pool := newReplayPool(t, depth)
-		rd, err := NewReader(image)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rr := &Replayer{Pool: pool, Serial: true, TickSwitch: true}
-		return rr.Run(rd).Totals
-	}
-	plain, prefetched := run(0), run(8)
-	if !reflect.DeepEqual(plain, prefetched) {
-		t.Fatalf("prefetch changed verdicts:\noff %+v\non  %+v", plain, prefetched)
 	}
 }
 
@@ -158,7 +135,7 @@ func TestReplayDecodeAllocs(t *testing.T) {
 // dispatch through the pool's 32-packet bursts — is allocation-free on
 // a warm pool (the EMC already primed by a first pass).
 func TestReplayBurstAllocs(t *testing.T) {
-	pool := newReplayPool(t, 8)
+	pool := newReplayPool(t)
 	rd, err := NewReader(synthImage(t, mixOptions(t, 1, 0)))
 	if err != nil {
 		t.Fatal(err)
@@ -193,14 +170,14 @@ func TestReplayFromDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer diskRd.Close()
-	diskPool := newReplayPool(t, 8)
+	diskPool := newReplayPool(t)
 	diskRes := (&Replayer{Pool: diskPool, Serial: true, TickSwitch: true}).Run(diskRd)
 
 	memRd, err := NewReader(synthImage(t, opts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	memPool := newReplayPool(t, 8)
+	memPool := newReplayPool(t)
 	memRes := (&Replayer{Pool: memPool, Serial: true, TickSwitch: true}).Run(memRd)
 
 	if !reflect.DeepEqual(diskRes.Totals, memRes.Totals) {

@@ -17,10 +17,10 @@ const DefaultChunk = 1024
 
 // Replayer drives a trace through a datapath pool at wall-clock rate:
 // decode a chunk into the reusable SoA batch, dispatch it to
-// ProcessBatchPorts (32-packet bursts, EMC prepass, prefetch pass when
-// the pool enables it), repeat. The measured quantity is achieved
-// packets per wall second — ingest plus classification, the number the
-// experiment runners could previously only model.
+// ProcessBatchPorts (32-packet bursts, EMC prepass), repeat. The
+// measured quantity is achieved packets per wall second — ingest plus
+// classification, the number the experiment runners could previously
+// only model.
 type Replayer struct {
 	// Pool is the worker pool to drive. Its Ports must cover the
 	// trace's in_port values.

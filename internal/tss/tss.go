@@ -901,38 +901,6 @@ func (hd *Handle) LookupBatch(hs []bitvec.Vec, now int64, out []BatchResult) int
 	return n
 }
 
-// scanProbeBytes approximates the in-memory size of one probe-mirror
-// record (48 bytes on 64-bit hosts: three pointers, two words, two
-// packed bytes with padding). PrefetchScan uses it to translate a
-// cache-line budget into a record count.
-const scanProbeBytes = 48
-
-// PrefetchScan touches the leading `lines` cache lines of the current
-// snapshot's probe mirror — the memory the next lookup's scan will
-// stream through — and returns the XOR of the touched mask words so the
-// caller can sink it (Go has no prefetch intrinsic; the "prefetch" is a
-// plain load, and sinking the result keeps the compiler from eliding
-// it). This is the probe-mirror counterpart of the EMC's PrefetchBatch:
-// the scan is hit-count ordered, so its head holds the hot groups and a
-// bounded depth warms where victim lookups resolve, without paying a
-// full O(|M|) touch pass per burst in the attack regime. It takes no
-// locks (snapshot reads are lock-free) and performs no allocation.
-func (hd *Handle) PrefetchScan(lines int) uint64 {
-	if lines <= 0 {
-		return 0
-	}
-	sn := hd.c.snap.Load()
-	n := lines * 64 / scanProbeBytes
-	if n > len(sn.probes) {
-		n = len(sn.probes)
-	}
-	var sink uint64
-	for k := 0; k < n; k++ {
-		sink ^= sn.probes[k].mw0
-	}
-	return sink
-}
-
 // Stats returns the read-path counters recorded through this handle only
 // (its private shard): the per-worker share of lookups, hits, misses,
 // probes, and stage skips. Lifecycle counters (Inserted/Deleted) are

@@ -345,15 +345,10 @@ func (u *Subsystem) checkStalls(wallNow int64) {
 
 // orphanLocked disposes of a dead handler's popped-but-unresolved upcalls:
 // requeued at their source queues' tails (original enqueue stamps kept, so
-// the extra wait is visible as residence), or failed with the orphan
-// verdict under FailOrphans. Under DisableSupervisor they are dropped on
-// the floor — the deliberate pending-table wedge of the chaos ablation,
-// cleaned up only by ReapPending. Callers hold u.mu.
+// the extra wait is visible as residence). Under DisableSupervisor they
+// are dropped on the floor — the deliberate pending-table wedge of the
+// chaos ablation, cleaned up only by ReapPending. Callers hold u.mu.
 func (u *Subsystem) orphanLocked(items []item) int {
-	if u.opts.FailOrphans {
-		u.failOrphansLocked(items)
-		return 0
-	}
 	n := 0
 	for _, it := range items {
 		if it.p == nil || it.p.resolved {

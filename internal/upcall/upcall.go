@@ -99,9 +99,6 @@ type Options struct {
 	// is paid once per burst instead of once per megaflow. <= 0 selects
 	// DefaultHandlerBurst.
 	HandlerBurst int
-	// DisableDedup turns off the pending-table flow-miss deduplication
-	// (ablation: every admitted miss becomes its own upcall).
-	DisableDedup bool
 	// StallTimeout (goroutine mode) is the wall-clock horizon after which
 	// the supervisor declares a busy handler stalled, abandons it, and
 	// respawns its slot; 0 disables stall detection (panic recovery stays
@@ -125,10 +122,6 @@ type Options struct {
 	// in-flight upcalls are dropped on the floor — the pending-table wedge
 	// the supervisor exists to prevent.
 	DisableSupervisor bool
-	// FailOrphans resolves orphaned in-flight upcalls (their handler died
-	// between pop and resolve) with an error verdict instead of returning
-	// them to their queues.
-	FailOrphans bool
 	// Breaker configures the per-source SLO circuit breaker; the zero
 	// value (SLOSec == 0) disables it.
 	Breaker Breaker
@@ -237,7 +230,7 @@ type Stats struct {
 	HandlerPanics, StallsDetected, HandlerRestarts, HandlersAbandoned uint64
 	// Requeued counts orphaned in-flight upcalls returned to their queues
 	// by the supervisor; OrphanFailed counts orphans resolved with the
-	// error verdict instead (FailOrphans, or a timed-out Stop);
+	// error verdict instead (a timed-out Stop);
 	// PendingReaped counts aged-out pending entries swept by the
 	// revalidator's orphan reaper.
 	Requeued, OrphanFailed, PendingReaped uint64
@@ -511,15 +504,13 @@ func (u *Subsystem) Submit(src int, h bitvec.Vec, now int64) (Ticket, Outcome) {
 		}
 	}
 	key := flowKey{src: src, key: h.Key()}
-	if !u.opts.DisableDedup {
-		if p, ok := u.pending[key]; ok {
-			u.stats.Deduped++
-			u.srcStats[src].Deduped++
-			if u.tm != nil {
-				u.tm.coalesced.Inc(0)
-			}
-			return Ticket{p}, Coalesced
+	if p, ok := u.pending[key]; ok {
+		u.stats.Deduped++
+		u.srcStats[src].Deduped++
+		if u.tm != nil {
+			u.tm.coalesced.Inc(0)
 		}
+		return Ticket{p}, Coalesced
 	}
 	// Breaker before the queue bound: an open breaker means queued work is
 	// already missing its SLO, so new submissions are shed without
@@ -560,9 +551,7 @@ func (u *Subsystem) Submit(src int, h bitvec.Vec, now int64) (Ticket, Outcome) {
 		u.tokens[src]--
 	}
 	p := &pendingFlow{done: make(chan struct{}), born: now, queued: 1}
-	if !u.opts.DisableDedup {
-		u.pending[key] = p
-	}
+	u.pending[key] = p
 	// Clone: the caller's header buffer may be reused before a handler
 	// gets to the upcall.
 	it := item{h: h.Clone(), now: now, src: src, key: key, p: p}
@@ -849,8 +838,8 @@ func (u *Subsystem) resolve(it item, v vswitch.Verdict) {
 }
 
 // orphanVerdict is the error verdict an abandoned upcall resolves with
-// when nobody will ever classify it (FailOrphans, a timed-out Stop, or
-// the revalidator's pending reaper): the packet is dropped on the upcall
+// when nobody will ever classify it (a timed-out Stop or the
+// revalidator's pending reaper): the packet is dropped on the upcall
 // path, the same loss mode as an admission refusal.
 func orphanVerdict() vswitch.Verdict {
 	return vswitch.Verdict{Action: flowtable.Drop, Path: vswitch.PathUpcallDrop}

@@ -102,29 +102,6 @@ func TestDedupBurst(t *testing.T) {
 	}
 }
 
-// TestDedupDisabled: the ablation enqueues every miss separately.
-func TestDedupDisabled(t *testing.T) {
-	sw := newSwitch(t, flowtable.SipDp)
-	sub := newSub(t, sw, 1, upcall.Options{DisableDedup: true})
-	h := header(0x0a000002, 40001)
-	for i := 0; i < 4; i++ {
-		if _, out := sub.Submit(0, h, 0); out != upcall.Enqueued {
-			t.Fatalf("submit %d: outcome %v, want enqueued", i, out)
-		}
-	}
-	if n := sub.DrainAll(); n != 4 {
-		t.Fatalf("drained %d, want 4", n)
-	}
-	// Install is idempotent (same key+mask refreshes), so still 1 entry
-	// but 4 slow-path classifications.
-	if got := sw.Counters().Slow; got != 4 {
-		t.Errorf("slow-path classifications = %d, want 4", got)
-	}
-	if got := sw.MFC().EntryCount(); got != 1 {
-		t.Errorf("MFC holds %d entries, want 1", got)
-	}
-}
-
 // TestQueueBound: a full queue refuses the miss.
 func TestQueueBound(t *testing.T) {
 	sw := newSwitch(t, flowtable.SipDp)
@@ -244,7 +221,7 @@ func TestRoundRobinDrain(t *testing.T) {
 // queue stays non-empty) and checks strict FIFO resolution throughout.
 func TestQueueCompactionPreservesFIFO(t *testing.T) {
 	sw := newSwitch(t, flowtable.SipDp)
-	sub := newSub(t, sw, 1, upcall.Options{DisableDedup: true})
+	sub := newSub(t, sw, 1, upcall.Options{})
 	var tickets []upcall.Ticket
 	push := func(n int) {
 		for i := 0; i < n; i++ {
