@@ -221,6 +221,19 @@ func TestStageSkipsCounted(t *testing.T) {
 	if s.StageSkips < uint64(probes)/2 {
 		t.Errorf("skips = %d of %d probes; staging is not engaging", s.StageSkips, probes)
 	}
+	// A one-word mask has no later stage to skip: rejecting a header on
+	// its only word is a full probe, not a skip.
+	one := New(l, Options{})
+	mask := bitvec.PrefixMask(l, sip, 8)
+	if err := one.Insert(&Entry{Key: bitvec.NewVec(l), Mask: mask, Action: flowtable.Drop}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := one.Lookup(miss, 0); ok {
+		t.Fatal("expected a miss")
+	}
+	if s := one.Stats(); s.Probes != 1 || s.StageSkips != 0 {
+		t.Errorf("one-word mask: %d probes, %d skips; want 1 and 0", s.Probes, s.StageSkips)
+	}
 }
 
 // TestHandleShardStats: per-handle statistics are private, and the

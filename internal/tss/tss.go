@@ -733,29 +733,39 @@ func (hd *Handle) lookupSnap(sn *snapshot, h bitvec.Vec, now int64) (*Entry, int
 		return hd.lookupSnapTracked(sn, h, now)
 	}
 	staged := c.staged
-	probes, skips := 0, 0
-	for k := range sn.probes {
-		p := &sn.probes[k]
-		probes++
+	ps := sn.probes
+	skips := 0
+	for k := 0; k < len(ps); k++ {
+		if staged {
+			// Inlined one-entry groups: compare the first masked header
+			// word against the inlined key word. A mismatch — the common
+			// case by far in the attack regime — bails on streamed bytes
+			// alone, so runs of them are skipped in a loop of their own
+			// that calls nothing and keeps its state in registers.
+			run := ps[k:]
+			for i := range run {
+				p := &run[i]
+				if p.e0 == nil || h[p.idx0]&p.mw0 == p.kw0 {
+					break
+				}
+				if p.n > 1 {
+					skips++
+				}
+				k++
+			}
+			if k == len(ps) {
+				break
+			}
+		}
+		p := &ps[k]
 		var e *Entry
 		if p.e0 != nil {
 			if staged {
-				// Inlined one-entry group: compare the first masked header
-				// word against the inlined key word. A mismatch — the
-				// overwhelmingly common case in the attack regime — bails
-				// on streamed bytes alone; matching every nonzero mask
-				// word IS the full match (the key is canonical), so a hit
-				// needs no hash at all.
-				if h[p.idx0]&p.mw0 != p.kw0 {
-					if p.n > 1 {
-						skips++
-					}
-				} else if p.n <= 1 {
-					e = p.e0
-				} else if p.g.sparse.EqualKey(p.e0.Key, h) {
-					// First word agreed: confirm the remaining stage words
-					// through the group (rare, so the extra dereference is
-					// off the common path).
+				// First word agreed. Matching every nonzero mask word IS
+				// the full match (the key is canonical), so a hit needs no
+				// hash at all; further words are confirmed through the
+				// group (rare, so the dereference is off the common path).
+				if p.n <= 1 || p.g.sparse.EqualKey(p.e0.Key, h) {
 					e = p.e0
 				}
 			} else {
@@ -775,6 +785,7 @@ func (hd *Handle) lookupSnap(sn *snapshot, h bitvec.Vec, now int64) (*Entry, int
 			e = p.g.findMasked(h)
 		}
 		if e != nil {
+			probes := k + 1
 			atomic.AddUint64(&e.Hits, 1)
 			atomic.StoreInt64(&e.LastUsed, now)
 			atomic.AddUint64(p.hits, 1)
@@ -792,9 +803,9 @@ func (hd *Handle) lookupSnap(sn *snapshot, h bitvec.Vec, now int64) (*Entry, int
 	sh := hd.sh
 	atomic.AddUint64(&sh.lookups, 1)
 	atomic.AddUint64(&sh.misses, 1)
-	atomic.AddUint64(&sh.probes, uint64(probes))
+	atomic.AddUint64(&sh.probes, uint64(len(ps)))
 	atomic.AddUint64(&sh.stageSkips, uint64(skips))
-	return nil, probes, skips, false
+	return nil, len(ps), skips, false
 }
 
 // lookupSnapTracked is lookupSnap for OrderProbeCost: identical probe
