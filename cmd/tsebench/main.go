@@ -10,18 +10,6 @@
 //	                         # node death, controller partition, push errors
 //	tsebench -fig all        # regenerate everything (takes ~1 min)
 //	tsebench -workers 6      # PMD datapath scaling table for 1 vs 6 cores
-//	tsebench -json BENCH.json  # write the perf suite as JSON (schema
-//	                         # tse-bench/v7: hot-path benches + scenario
-//	                         # rows incl. handler_restarts, breaker_trips,
-//	                         # recovery_sec and the FleetChaos-* fleet rows
-//	                         # with blast_radius_frac / failover_sec /
-//	                         # acl_convergence_sec)
-//	tsebench -compare OLD.json NEW.json  # CI regression gate over two
-//	                         # committed BENCH files (>2x slowdown of the
-//	                         # mask-scan/victim-lookup families fails)
-//	tsebench -compare BENCH_pr2.json ... BENCH_pr9.json  # >2 files:
-//	                         # trajectory mode, per-family sparkline across
-//	                         # the whole committed series (informational)
 //	tsebench -replay mix.trace  # replay a tsegen -emit-trace file through
 //	                         # the datapath at wire rate; prints achieved Mpps
 //	tsebench -serve :8080 -fig all  # live telemetry while the figures run:
@@ -48,10 +36,6 @@ func main() {
 	fig := flag.String("fig", "all", "experiment ID to run, or 'all'")
 	workers := flag.Int("workers", 0,
 		"run the multicore datapath scaling table comparing 1 worker against N")
-	jsonPath := flag.String("json", "",
-		"measure the hot-path benchmark suite and write machine-readable results to this path")
-	compare := flag.Bool("compare", false,
-		"compare BENCH json files: two = regression gate (exit non-zero on hot-path regressions), three or more = perf trajectory with sparklines")
 	serve := flag.String("serve", "",
 		"serve live telemetry (/metrics, /journal, /debug/vars, /debug/pprof/) on this address while running, then block")
 	trace := flag.String("trace", "",
@@ -60,31 +44,9 @@ func main() {
 		"replay a binary flow trace (tsegen -emit-trace) through the datapath at wire rate and report achieved Mpps")
 	flag.Parse()
 
-	if *compare {
-		switch {
-		case flag.NArg() == 2:
-			if err := experiments.CompareBenchFiles(os.Stdout, flag.Arg(0), flag.Arg(1)); err != nil {
-				fmt.Fprintln(os.Stderr, "tsebench:", err)
-				os.Exit(1)
-			}
-		case flag.NArg() > 2:
-			if err := experiments.CompareBenchTrajectory(os.Stdout, flag.Args()); err != nil {
-				fmt.Fprintln(os.Stderr, "tsebench:", err)
-				os.Exit(1)
-			}
-		default:
-			fmt.Fprintln(os.Stderr, "tsebench: -compare needs two files (gate) or more (trajectory)")
-			os.Exit(2)
-		}
-		return
-	}
-
-	if *jsonPath != "" {
-		if err := experiments.WriteBenchJSON(os.Stdout, *jsonPath); err != nil {
-			fmt.Fprintln(os.Stderr, "tsebench:", err)
-			os.Exit(1)
-		}
-		return
+	if *workers < 0 {
+		fmt.Fprintln(os.Stderr, "tsebench: -workers must be >= 0")
+		os.Exit(2)
 	}
 
 	if *replay != "" {
@@ -143,10 +105,6 @@ func main() {
 		select {}
 	}
 
-	if *workers < 0 {
-		fmt.Fprintln(os.Stderr, "tsebench: -workers must be >= 1")
-		os.Exit(2)
-	}
 	if *workers > 0 {
 		counts := []int{1}
 		if *workers > 1 {

@@ -250,10 +250,8 @@ func SaturationScenario(workers int, bounded bool) (*Scenario, error) {
 		up.QueueCap = 128
 		up.QuotaPerPort = 64
 		up.HandledPerSec = 32
-		// The handler budget is in the name: tuned parameters would
-		// otherwise make same-named BENCH trajectory rows compare
-		// different configurations across PRs (the budget was 64 through
-		// BENCH_pr4).
+		// The handler budget is in the name, so a retuned budget cannot
+		// pass for the same configuration.
 		name = "Saturation-SipSpDp-bounded-h32"
 	}
 	return &Scenario{

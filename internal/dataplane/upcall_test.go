@@ -10,7 +10,7 @@ import (
 
 // asyncScenario builds a scaled-down saturation scenario (SipDp, ~257
 // attainable masks) so the test suite stays fast; the full SipSpDp preset
-// runs in the `saturation` experiment and the bench JSON suite.
+// runs in the `saturation` experiment.
 func asyncScenario(t *testing.T, up *UpcallParams) *Scenario {
 	t.Helper()
 	tbl := flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{})

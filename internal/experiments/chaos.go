@@ -17,7 +17,7 @@ func init() {
 }
 
 // chaosSummary condenses one chaos run into the table row the experiment
-// prints (and tsebench -json exports).
+// prints.
 type chaosSummary struct {
 	Mode dataplane.ChaosMode
 	// LateUnderGbps is the mid-attack victim's throughput averaged over

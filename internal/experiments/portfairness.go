@@ -17,7 +17,7 @@ func init() {
 }
 
 // fairnessSummary condenses one port-fairness run into the table row the
-// experiment prints (and tsebench -json exports).
+// experiment prints.
 type fairnessSummary struct {
 	Mode       dataplane.PortFairnessMode
 	PeakMasks  int

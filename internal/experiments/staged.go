@@ -7,6 +7,7 @@ import (
 
 	"tse/internal/bitvec"
 	"tse/internal/dataplane"
+	"tse/internal/flowtable"
 	"tse/internal/tss"
 )
 
@@ -22,6 +23,42 @@ func init() {
 // §5.2 use-case maxima (516 ≈ SipDp) and the 4096/8200 flood regime where
 // Observation 1's linear term dominates.
 var stagedScanMaskPoints = []int{16, 256, 516, 1024, 4096}
+
+// populateMasks installs n entries under n distinct masks (prefix
+// combinations over ip_src/ip_dst/tp_dst), the synthetic TSE attack shape
+// the mask sweep scans. It mirrors populateDistinctMasks in
+// internal/tss/tss_test.go (unreachable from here without exporting a
+// bench-only helper); keep the two in sync so this table stays comparable
+// with BenchmarkLookupMasks.
+func populateMasks(c *tss.Classifier, l *bitvec.Layout, n int) error {
+	sip, _ := l.FieldIndex("ip_src")
+	dip, _ := l.FieldIndex("ip_dst")
+	dp, _ := l.FieldIndex("tp_dst")
+	count := 0
+	for k := 0; k <= 32 && count < n; k++ {
+		for i := 1; i <= 32 && count < n; i++ {
+			for j := 1; j <= 16 && count < n; j++ {
+				mask := bitvec.PrefixMask(l, sip, i).Or(bitvec.PrefixMask(l, dp, j))
+				key := bitvec.NewVec(l)
+				key.SetFieldBit(l, sip, i-1)
+				key.SetFieldBit(l, dp, j-1)
+				if k > 0 {
+					mask = mask.Or(bitvec.PrefixMask(l, dip, k))
+					key.SetFieldBit(l, dip, k-1)
+				}
+				e := &tss.Entry{Key: key.And(mask), Mask: mask, Action: flowtable.Drop}
+				if err := c.Insert(e, 0); err != nil {
+					return err
+				}
+				count++
+			}
+		}
+	}
+	if count < n {
+		return fmt.Errorf("stagedscan: could only build %d of %d masks", count, n)
+	}
+	return nil
+}
 
 // measureMissNs times the full-scan miss lookup (the attack-regime cost)
 // on a classifier, returning ns/op. Manual timing rather than

@@ -17,7 +17,7 @@ func init() {
 }
 
 // satSummary condenses one saturation run into the table row the
-// experiment prints (and tsebench -json exports).
+// experiment prints.
 type satSummary struct {
 	PeakMasks, PeakBacklog                             int
 	Enqueued, Deduped, QueueDrops, QuotaDrops, Handled int

@@ -93,7 +93,7 @@ func TestSnapshotDelta(t *testing.T) {
 
 // TestHotPathAllocs is the zero-alloc acceptance assertion: counter,
 // gauge, and histogram writes must be free of allocation so attaching a
-// registry cannot move the hot-path regression gate.
+// registry cannot move the hot-path figures.
 func TestHotPathAllocs(t *testing.T) {
 	r := NewRegistry(4)
 	c := r.Counter("c", "")

@@ -31,7 +31,7 @@ func mixOptions(t *testing.T, seconds, attackPps int) SynthOptions {
 // newReplayPool builds the pool the replay tests drive: SipSpDp ACL,
 // switch-level microflow off (the EMC lives per worker), inline slow
 // path, 4 vports.
-func newReplayPool(t *testing.T) *datapath.Pool {
+func newReplayPool(t testing.TB) *datapath.Pool {
 	t.Helper()
 	tbl := flowtable.UseCaseACL(flowtable.SipSpDp, flowtable.ACLParams{})
 	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true})
@@ -46,7 +46,7 @@ func newReplayPool(t *testing.T) *datapath.Pool {
 }
 
 // synthImage renders the workload to an in-memory trace image.
-func synthImage(t *testing.T, opts SynthOptions) []byte {
+func synthImage(t testing.TB, opts SynthOptions) []byte {
 	t.Helper()
 	var buf Buffer
 	w, err := NewWriter(&buf, bitvec.IPv4Tuple)

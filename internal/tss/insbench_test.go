@@ -34,7 +34,7 @@ func BenchmarkInsertAtManyMasks(b *testing.B) {
 // 32-entry InsertBatch per op — the handler-drain burst shape — so the
 // O(|M|) publish is paid once per 32 installs instead of per install.
 // Compare ns/op/32 against BenchmarkInsertAtManyMasks to read the
-// per-install win (the bench JSON suite records both).
+// per-install win.
 func BenchmarkInsertBatchAtManyMasks(b *testing.B) {
 	const burst = 32
 	l := bitvec.IPv4Tuple

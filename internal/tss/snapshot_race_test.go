@@ -28,11 +28,15 @@ func TestSnapshotConsistencyUnderWrites(t *testing.T) {
 	fullMask := bitvec.FullMask(l)
 
 	// Stable population: exact-match entries present for the whole test.
+	// Their ip_dst keeps its top 16 bits zero, while every churn megaflow
+	// below matches a one among those bits: the overlap check is off, so
+	// the two populations must be disjoint by construction or a reader
+	// landing between a churn insert and its delete hits Drop first.
 	const stable = 64
 	mkStable := func(v uint64) bitvec.Vec {
 		h := bitvec.NewVec(l)
 		h.SetField(l, sip, v)
-		h.SetField(l, dip, 0x0a000001)
+		h.SetField(l, dip, 0x00000a01)
 		return h
 	}
 	for i := 0; i < stable; i++ {
@@ -46,22 +50,33 @@ func TestSnapshotConsistencyUnderWrites(t *testing.T) {
 		readers = 4
 		churn   = 400
 	)
+	// Churn population: distinct attack-style masks, built up front so the
+	// disjointness the stable-hit assertion rests on is checked, not assumed.
+	churnEntries := make([]*Entry, churn)
+	for i := range churnEntries {
+		mask := bitvec.PrefixMask(l, sip, 1+i%31).Or(bitvec.PrefixMask(l, dip, 1+i%16))
+		key := bitvec.NewVec(l)
+		key.SetFieldBit(l, sip, i%31)
+		key.SetFieldBit(l, dip, i%16)
+		e := &Entry{Key: key.And(mask), Mask: mask, Action: flowtable.Drop, RuleName: "churn"}
+		for v := 0; v < stable; v++ {
+			if bitvec.Covers(e.Key, e.Mask, mkStable(uint64(v))) {
+				t.Fatalf("churn entry %d covers stable key %d", i, v)
+			}
+		}
+		churnEntries[i] = e
+	}
 	maskHigh := int64(stable + 1) // high-water bound for probe counts
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 
-	// Writer: churn distinct attack-style masks (insert then delete),
+	// Writer: churn the attack-style masks (insert then delete),
 	// interleaved with sweeps and refreshes of the stable entries.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		defer stop.Store(true)
-		for i := 0; i < churn; i++ {
-			mask := bitvec.PrefixMask(l, sip, 1+i%31).Or(bitvec.PrefixMask(l, dip, 1+i%16))
-			key := bitvec.NewVec(l)
-			key.SetFieldBit(l, sip, i%31)
-			key.SetFieldBit(l, dip, i%16)
-			e := &Entry{Key: key.And(mask), Mask: mask, Action: flowtable.Drop, RuleName: "churn"}
+		for i, e := range churnEntries {
 			// Raise the probe bound BEFORE publishing the new snapshot, so
 			// a reader can never legitimately observe more probes than the
 			// recorded high-water mark (single writer: +1 mask max).

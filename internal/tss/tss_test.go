@@ -619,8 +619,8 @@ func TestObservation1ProbesLinear(t *testing.T) {
 // populateDistinctMasks installs n entries with n distinct masks shaped
 // like TSE deny megaflows (prefix combinations over ip_src/tp_dst, with an
 // ip_dst prefix dimension unlocking mask counts past 512; mirrored by
-// populateMasks in internal/experiments/benchjson.go — keep in sync so the
-// JSON perf trajectory stays comparable). The first 512
+// populateMasks in internal/experiments/staged.go — keep in sync so the
+// stagedscan table stays comparable). The first 512
 // masks (k == 0) are pairwise disjoint; the k > 0 extension reuses the same
 // ip_src/tp_dst key bits and may overlap the k == 0 plane, so callers
 // needing more than 512 masks must disable the overlap check (the

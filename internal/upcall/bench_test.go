@@ -5,6 +5,7 @@ import (
 
 	"tse/internal/core"
 	"tse/internal/flowtable"
+	"tse/internal/telemetry"
 	"tse/internal/tss"
 	"tse/internal/upcall"
 )
@@ -12,10 +13,12 @@ import (
 // BenchmarkSubmitDedup measures the pending-table hit: the per-packet cost
 // a same-flow miss burst pays after its first packet. This is the path
 // that keeps a hot new flow from flooding the handlers, so it must stay
-// cheap (a map probe, no queue traffic).
+// cheap (a map probe, no queue traffic). A live metrics registry is
+// attached: the figure is the instrumented path production pays, not the
+// nil-registry fast path.
 func BenchmarkSubmitDedup(b *testing.B) {
 	sw := newSwitch(b, flowtable.SipDp)
-	sub := newSub(b, sw, 1, upcall.Options{})
+	sub := newSub(b, sw, 1, upcall.Options{Metrics: telemetry.NewRegistry(4)})
 	h := header(0x0a000001, 40000)
 	sub.Submit(0, h, 0) // park one pending upcall; everything coalesces
 	b.ReportAllocs()
@@ -30,9 +33,10 @@ func BenchmarkSubmitDedup(b *testing.B) {
 // quirk active — the one slow-path shape that is stationary under
 // repetition (classification happens, no install mutates the cache), which
 // is also exactly the forever-slow-path traffic MFCGuard deletions create.
+// Instrumented like BenchmarkSubmitDedup.
 func BenchmarkRoundtripSuppressed(b *testing.B) {
 	sw := newSwitch(b, flowtable.SipDp)
-	sub := newSub(b, sw, 1, upcall.Options{})
+	sub := newSub(b, sw, 1, upcall.Options{Metrics: telemetry.NewRegistry(4)})
 	h := header(0x0a000002, 40001)
 	sw.Process(h, 0)
 	sw.DeleteMegaflows(func(*tss.Entry) bool { return true })
