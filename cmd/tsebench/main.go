@@ -18,13 +18,15 @@
 //	                         # spans as chrome://tracing JSON
 //
 // Each experiment prints the same rows/series the paper reports plus the
-// paper's published anchor values for comparison; EXPERIMENTS.md records
-// the paper-vs-measured comparison produced by `tsebench -fig all`.
+// paper's published anchor values for comparison; `tsebench -fig all` is
+// the paper-vs-measured record, and internal/experiments/testdata/*.golden
+// pins the engine-driven tables byte for byte.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"tse/internal/experiments"
@@ -46,6 +48,12 @@ func main() {
 
 	if *workers < 0 {
 		fmt.Fprintln(os.Stderr, "tsebench: -workers must be >= 0")
+		os.Exit(2)
+	}
+	figSet := false
+	flag.Visit(func(f *flag.Flag) { figSet = figSet || f.Name == "fig" })
+	if *workers > 0 && figSet && *replay == "" {
+		fmt.Fprintln(os.Stderr, "tsebench: -workers and -fig are mutually exclusive")
 		os.Exit(2)
 	}
 
@@ -83,10 +91,28 @@ func main() {
 		}
 		fmt.Printf("telemetry: http://%s/  (/metrics /journal /debug/vars /debug/pprof/)\n", addr)
 	}
-	writeTrace := func() {
-		if *trace == "" {
-			return
+
+	run := experiments.RunAll
+	switch {
+	case *workers > 0:
+		counts := []int{1}
+		if *workers > 1 {
+			counts = append(counts, *workers)
 		}
+		run = func(w io.Writer) error { return experiments.RunMulticore(w, counts) }
+	case *fig != "all":
+		e, ok := experiments.ByID(*fig)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "tsebench: unknown experiment %q; try -list\n", *fig)
+			os.Exit(2)
+		}
+		run = e.Run
+	}
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "tsebench:", err)
+		os.Exit(1)
+	}
+	if *trace != "" {
 		spans := hub.Tracer.Spans()
 		if err := telemetry.WriteChromeTraceFile(*trace, spans); err != nil {
 			fmt.Fprintln(os.Stderr, "tsebench:", err)
@@ -95,47 +121,9 @@ func main() {
 		fmt.Printf("wrote %d flow-setup spans (of %d admissions seen) to %s — open in chrome://tracing or ui.perfetto.dev\n",
 			len(spans), hub.Tracer.Seen(), *trace)
 	}
-	// After the figures finish, -serve keeps the endpoints up for
-	// inspection until interrupted.
-	block := func() {
-		if *serve == "" {
-			return
-		}
+	if *serve != "" {
+		// -serve keeps the endpoints up for inspection until interrupted.
 		fmt.Println("telemetry: run complete, endpoints still live — ctrl-C to exit")
 		select {}
 	}
-
-	if *workers > 0 {
-		counts := []int{1}
-		if *workers > 1 {
-			counts = append(counts, *workers)
-		}
-		if err := experiments.RunMulticore(os.Stdout, counts); err != nil {
-			fmt.Fprintln(os.Stderr, "tsebench:", err)
-			os.Exit(1)
-		}
-		writeTrace()
-		block()
-		return
-	}
-	if *fig == "all" {
-		if err := experiments.RunAll(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "tsebench:", err)
-			os.Exit(1)
-		}
-		writeTrace()
-		block()
-		return
-	}
-	e, ok := experiments.ByID(*fig)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "tsebench: unknown experiment %q; try -list\n", *fig)
-		os.Exit(2)
-	}
-	if err := e.Run(os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "tsebench:", err)
-		os.Exit(1)
-	}
-	writeTrace()
-	block()
 }

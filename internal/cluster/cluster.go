@@ -101,12 +101,9 @@ type Config struct {
 	// DurationSec is the experiment length.
 	DurationSec int
 
-	// Per-node upcall knobs (dataplane.UpcallParams semantics).
-	QueueCap, QuotaPerPort, HandledPerSec, ModelledHandlers int
-	StallTimeoutSec                                         int64
-	DisableSupervisor                                       bool
-	PendingAgeSec                                           int64
-	RevalidateSec                                           int64
+	// Upcall is every node's slow-path configuration; its Faults field is
+	// ignored — node i's single-box plan is NodeFaults[i].
+	Upcall dataplane.UpcallParams
 
 	// ChurnEverySec > 0 makes the controller bump the ACL generation
 	// every ChurnEverySec seconds from ChurnStartSec on, alternating a
@@ -129,7 +126,7 @@ type Config struct {
 	// missed heartbeats (defaults 2 and 5). DisableFailover is the
 	// ablation: a dead node's tenants stay dark. RewarmStartQuota is the
 	// admission quota a failed-over tenant's vport starts at, doubling
-	// each tick back to QuotaPerPort (default 4).
+	// each tick back to Upcall.QuotaPerSource (default 4).
 	SuspectAfter, DeadAfter int
 	DisableFailover         bool
 	RewarmStartQuota        int
@@ -295,9 +292,10 @@ func (f *Fabric) newNode(id int) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	var nodeFaults *faults.Plan
+	up := f.cfg.Upcall
+	up.Faults = nil
 	if f.cfg.NodeFaults != nil {
-		nodeFaults = f.cfg.NodeFaults[id]
+		up.Faults = f.cfg.NodeFaults[id]
 	}
 	reg := telemetry.NewRegistry(1)
 	sw := hv.Switch()
@@ -307,18 +305,8 @@ func (f *Fabric) newNode(id int) (*Node, error) {
 		PerCoreBudget: f.cfg.BudgetPerCore,
 		Workers:       f.cfg.WorkersPerNode,
 		Ports:         len(f.cfg.Workloads) + 1,
-		Upcall: &dataplane.UpcallParams{
-			QueueCap:          f.cfg.QueueCap,
-			QuotaPerPort:      f.cfg.QuotaPerPort,
-			HandledPerSec:     f.cfg.HandledPerSec,
-			RevalidateSec:     f.cfg.RevalidateSec,
-			ModelledHandlers:  f.cfg.ModelledHandlers,
-			StallTimeoutSec:   f.cfg.StallTimeoutSec,
-			DisableSupervisor: f.cfg.DisableSupervisor,
-			PendingAgeSec:     f.cfg.PendingAgeSec,
-			Faults:            nodeFaults,
-		},
-		Telemetry: &telemetry.Hub{Reg: reg},
+		Upcall:        &up,
+		Telemetry:     &telemetry.Hub{Reg: reg},
 	})
 	if err != nil {
 		return nil, err
@@ -386,7 +374,7 @@ func (n *Node) place(w *Workload, idx int, rewarm bool, cfg *Config) error {
 			StartSec:    w.StartSec,
 		}
 	}
-	if rewarm && cfg.QuotaPerPort > 0 {
+	if rewarm && cfg.Upcall.QuotaPerSource > 0 {
 		pl.rewarm = cfg.RewarmStartQuota
 		n.eng.Upcalls().SetQuota(pl.port, pl.rewarm)
 	}
@@ -659,7 +647,7 @@ func (n *Node) step(now int64, f *Fabric, tenantGbps []float64, tenantNode []int
 			continue
 		}
 		pl.rewarm *= 2
-		if pl.rewarm >= f.cfg.QuotaPerPort {
+		if pl.rewarm >= f.cfg.Upcall.QuotaPerSource {
 			pl.rewarm = 0
 			n.eng.Upcalls().SetQuota(pl.port, -1)
 		} else {
@@ -715,11 +703,4 @@ func (f *Fabric) MaxConvergeSec() int64 {
 		return -1
 	}
 	return f.ctrl.maxConvergeSec
-}
-
-// Err reports the first internal error (placement or table swap failure).
-func (f *Fabric) Err() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.err
 }

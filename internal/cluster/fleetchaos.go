@@ -8,6 +8,7 @@ import (
 	"tse/internal/faults"
 	"tse/internal/flowtable"
 	"tse/internal/telemetry"
+	"tse/internal/upcall"
 )
 
 // FleetMode selects the fleetchaos variant.
@@ -94,11 +95,10 @@ func FleetChaosConfig(mode FleetMode, journal *telemetry.Journal) (Config, error
 		Workloads:      workloads,
 		DurationSec:    FleetDurationSec,
 
-		QueueCap:         256,
-		QuotaPerPort:     64,
-		HandledPerSec:    32,
-		ModelledHandlers: 2,
-		RevalidateSec:    1,
+		Upcall: dataplane.UpcallParams{
+			Options:       upcall.Options{QueueCap: 256, QuotaPerSource: 64, ModelledHandlers: 2},
+			HandledPerSec: 32,
+		},
 
 		ChurnStartSec: 10,
 		ChurnEverySec: 5,
@@ -136,10 +136,10 @@ func FleetChaosConfig(mode FleetMode, journal *telemetry.Journal) (Config, error
 		if mode == FleetUnsupervised {
 			cfg.DisableFailover = true
 			cfg.DisableRetry = true
-			cfg.DisableSupervisor = true
-			cfg.PendingAgeSec = -1
+			cfg.Upcall.DisableSupervisor = true
+			cfg.Upcall.Revalidator.PendingAgeSec = -1
 		} else {
-			cfg.StallTimeoutSec = 1
+			cfg.Upcall.StallTimeoutSec = 1
 		}
 	default:
 		return Config{}, fmt.Errorf("cluster: unknown fleet mode %q", mode)

@@ -45,9 +45,6 @@ type Config struct {
 	Switch *vswitch.Switch
 	// Workers is the number of PMD workers; <= 0 selects 1.
 	Workers int
-	// BatchSize is the per-worker burst size; <= 0 selects
-	// DefaultBatchSize.
-	BatchSize int
 	// EMCCapacity sizes each worker's private exact-match cache; <= 0
 	// selects the microflow default ("a couple of hundred entries").
 	EMCCapacity int
@@ -243,13 +240,10 @@ func New(cfg Config) (*Pool, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = DefaultBatchSize
-	}
 	if cfg.Ports <= 0 {
 		cfg.Ports = cfg.Workers
 	}
-	p := &Pool{sw: cfg.Switch, batch: cfg.BatchSize, ports: cfg.Ports}
+	p := &Pool{sw: cfg.Switch, batch: DefaultBatchSize, ports: cfg.Ports}
 	if cfg.Metrics != nil {
 		p.tm = newPoolMetrics(cfg.Metrics)
 	}

@@ -84,17 +84,17 @@ func ChaosScenario(mode ChaosMode) (*Scenario, error) {
 	switch mode {
 	case ChaosFaultFree:
 		up.StallTimeoutSec = 1
-		up.BreakerSLOSec = 2
-		up.TripAfter = 3
+		up.Breaker.SLOSec = 2
+		up.Breaker.TripAfter = 3
 	case ChaosUnsupervised:
 		up.Faults = chaosPlan()
 		up.DisableSupervisor = true
-		up.PendingAgeSec = -1 // reaper off: let the leak show
+		up.Revalidator.PendingAgeSec = -1 // reaper off: let the leak show
 	case ChaosSupervised:
 		up.Faults = chaosPlan()
 		up.StallTimeoutSec = 1
-		up.BreakerSLOSec = 2
-		up.TripAfter = 3
+		up.Breaker.SLOSec = 2
+		up.Breaker.TripAfter = 3
 	default:
 		return nil, fmt.Errorf("dataplane: unknown chaos mode %q", mode)
 	}

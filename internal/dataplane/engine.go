@@ -118,6 +118,9 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	pcfg := datapath.Config{Switch: cfg.Switch, Workers: cfg.Workers, Ports: cfg.Ports,
 		Metrics: hub.Reg, DisableEMC: true}
 	if cfg.Upcall != nil {
+		if cfg.Upcall.Handlers != 0 {
+			return nil, fmt.Errorf("dataplane: Upcall.Handlers is %d; the engine owns the drain, leave it 0", cfg.Upcall.Handlers)
+		}
 		pcfg.Upcall = cfg.Upcall.options(hub)
 		e.handledPerSec = cfg.Upcall.HandledPerSec
 	}
@@ -151,6 +154,9 @@ func (e *Engine) Upcalls() *upcall.Subsystem { return e.pool.Upcalls() }
 // slot would hand every victim a fresh admission bucket before the flood —
 // exactly the order-dependence the per-port quotas exist to remove.
 func (e *Engine) Step(t int, floods []Flood, victims []*Victim) (Sample, error) {
+	if err := e.checkPorts(floods, victims); err != nil {
+		return Sample{}, err
+	}
 	now := int64(t)
 	sw, sub := e.pool.Switch(), e.pool.Upcalls()
 	var swept vswitch.SweepResult
@@ -253,6 +259,26 @@ func (e *Engine) Step(t int, floods []Flood, victims []*Victim) (Sample, error) 
 		v.trackEstablishment(t, g)
 	}
 	return sample, nil
+}
+
+// checkPorts rejects floods and victims that name an ingress vport the
+// pool does not have. Ports are user configuration, so a bad one is an
+// error here rather than the pool's out-of-range panic; a port-oblivious
+// engine ignores ports, so there only a negative one is wrong.
+func (e *Engine) checkPorts(floods []Flood, victims []*Victim) error {
+	n := e.pool.Ports()
+	bad := func(port int) bool { return port < 0 || e.portAware && port >= n }
+	for i := range floods {
+		if bad(floods[i].Port) {
+			return fmt.Errorf("dataplane: flood %d port %d outside [0,%d)", i, floods[i].Port, n)
+		}
+	}
+	for _, v := range victims {
+		if bad(v.Port) {
+			return fmt.Errorf("dataplane: victim %q port %d outside [0,%d)", v.Name, v.Port, n)
+		}
+	}
+	return nil
 }
 
 // swapACL applies a flood's table injection. Inline, the megaflow cache is

@@ -6,8 +6,10 @@
 // abstract CPU cost units so results are deterministic and reproducible.
 // Per Observation 1 the dominant term is linear in the number of mask
 // probes; the constants below are fitted to the paper's published anchor
-// points (see EXPERIMENTS.md for paper-vs-model tables), while the probe
-// counts themselves come from the *real* TSS classifier in package tss.
+// points (`tsebench -fig all` prints the paper-vs-model tables;
+// internal/experiments/testdata/*.golden pins the engine-driven ones), while
+// the probe counts themselves come from the *real* TSS classifier in
+// package tss.
 package dataplane
 
 import "fmt"
@@ -50,7 +52,7 @@ type NICProfile struct {
 
 // The four Fig. 9a configurations. Constants are fitted to the paper's
 // anchors (GRO OFF: 17 masks -> ~53 %, 260 -> ~10 %, 516 -> ~4.7 %,
-// 8200 -> ~0.2 % of baseline; see EXPERIMENTS.md).
+// 8200 -> ~0.2 % of baseline; `tsebench -fig fig9a` prints both).
 var (
 	// TCPGroOff is plain TCP with offloads disabled — the configuration
 	// the paper reports in most figures.

@@ -239,7 +239,7 @@ func SaturationScenario(workers int, bounded bool) (*Scenario, error) {
 			OfferedGbps: 9.7 / 2,
 		}
 	}
-	up := &UpcallParams{RevalidateSec: 1}
+	up := &UpcallParams{}
 	name := "Saturation-SipSpDp-unbounded"
 	if bounded {
 		// Tuned so every defense layer is visible in the series: the
@@ -248,7 +248,7 @@ func SaturationScenario(workers int, bounded bool) (*Scenario, error) {
 		// queue bound (queue drops), and the quota refuses the bulk of
 		// the flood.
 		up.QueueCap = 128
-		up.QuotaPerPort = 64
+		up.QuotaPerSource = 64
 		up.HandledPerSec = 32
 		// The handler budget is in the name, so a retuned budget cannot
 		// pass for the same configuration.
@@ -374,10 +374,8 @@ func PortFairnessScenario(mode PortFairnessMode) (*Scenario, error) {
 		phases = append(phases, AttackPhase{StartSec: t, StopSec: t + 1, InjectACL: tbl})
 	}
 	up := &UpcallParams{
-		QueueCap:      256,
-		QuotaPerPort:  64,
+		Options:       upcall.Options{QueueCap: 256, QuotaPerSource: 64},
 		HandledPerSec: 64,
-		RevalidateSec: 1,
 	}
 	switch mode {
 	case FairnessWorkerKeyed:
@@ -393,14 +391,14 @@ func PortFairnessScenario(mode PortFairnessMode) (*Scenario, error) {
 		// at 2 virtual seconds — with HandledPerSec 64 shared round-robin,
 		// a port whose upcalls wait >2 s has a standing backlog no victim
 		// ever builds.
-		up.Adaptive = &upcall.AdaptiveQuota{
+		up.Revalidator.Adapt = &upcall.AdaptiveQuota{
 			BaseQuota: 64, MinQuota: 4, TargetFootprint: 64,
 			TargetResidenceSec: 2,
 			EWMAAlpha:          upcall.DefaultEWMAAlpha,
 			HysteresisPct:      upcall.DefaultHysteresisPct,
 		}
 	case FairnessAdaptiveRaw:
-		up.Adaptive = &upcall.AdaptiveQuota{BaseQuota: 64, MinQuota: 4, TargetFootprint: 64}
+		up.Revalidator.Adapt = &upcall.AdaptiveQuota{BaseQuota: 64, MinQuota: 4, TargetFootprint: 64}
 	default:
 		return nil, fmt.Errorf("dataplane: unknown port-fairness mode %q", mode)
 	}

@@ -19,13 +19,9 @@ import (
 // the paper's testbed see"; the replay mode answers "what does *this*
 // implementation actually sustain".
 
-// ReplayConfig describes one wall-clock replay run.
+// ReplayConfig describes one wall-clock replay run over the SipSpDp tenant
+// ACL.
 type ReplayConfig struct {
-	// Use selects the tenant ACL (SipSpDp when zero-valued and Table is
-	// nil).
-	Use flowtable.UseCase
-	// Table overrides the ACL; when nil it is built from Use.
-	Table *flowtable.Table
 	// Workers is the PMD pool size (1 when <= 0). Single-worker pools
 	// dispatch serially: a goroutine handoff per burst buys nothing on
 	// one core.
@@ -34,9 +30,6 @@ type ReplayConfig struct {
 	// in_port + 1). An explicit count that does not cover the trace's
 	// in_port values is an error.
 	Ports int
-	// Chunk is the records decoded per dispatch (trace.DefaultChunk when
-	// <= 0).
-	Chunk int
 	// TickSwitch runs the switch's idle-expiry sweep at trace tick
 	// transitions.
 	TickSwitch bool
@@ -72,14 +65,7 @@ func buildReplayPipeline(cfg ReplayConfig, maxPort int) (*vswitch.Switch, *datap
 	case ports <= maxPort:
 		return nil, nil, nil, fmt.Errorf("dataplane: %d ports do not cover the trace's in_port %d", ports, maxPort)
 	}
-	tbl := cfg.Table
-	if tbl == nil {
-		use := cfg.Use
-		if cfg.Use == flowtable.Baseline {
-			use = flowtable.SipSpDp
-		}
-		tbl = flowtable.UseCaseACL(use, flowtable.ACLParams{})
-	}
+	tbl := flowtable.UseCaseACL(flowtable.SipSpDp, flowtable.ACLParams{})
 	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true})
 	if err != nil {
 		return nil, nil, nil, err
@@ -93,8 +79,7 @@ func buildReplayPipeline(cfg ReplayConfig, maxPort int) (*vswitch.Switch, *datap
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	rr := &trace.Replayer{
-		Pool: pool, Chunk: cfg.Chunk, Serial: workers == 1, TickSwitch: cfg.TickSwitch}
+	rr := &trace.Replayer{Pool: pool, Serial: workers == 1, TickSwitch: cfg.TickSwitch}
 	return sw, pool, rr, nil
 }
 

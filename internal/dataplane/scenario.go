@@ -154,6 +154,15 @@ func (sc *Scenario) portCount() int {
 // path, and naming any ingress port switches dispatch from RSS to
 // port-pinned.
 func (sc *Scenario) Run() ([]Sample, error) {
+	eng, err := sc.engine()
+	if err != nil {
+		return nil, err
+	}
+	return sc.drive(eng)
+}
+
+// engine builds the engine Run drives.
+func (sc *Scenario) engine() (*Engine, error) {
 	if sc.Switch == nil {
 		return nil, fmt.Errorf("dataplane: scenario %q has no switch", sc.Name)
 	}
@@ -164,7 +173,7 @@ func (sc *Scenario) Run() ([]Sample, error) {
 	if ports == 1 {
 		ports = 0
 	}
-	eng, err := NewEngine(EngineConfig{
+	return NewEngine(EngineConfig{
 		Switch:        sc.Switch,
 		NIC:           sc.NIC,
 		PerCoreBudget: sc.BudgetOverride,
@@ -173,11 +182,20 @@ func (sc *Scenario) Run() ([]Sample, error) {
 		Upcall:        sc.Upcall,
 		Telemetry:     sc.Telemetry,
 	})
-	if err != nil {
+}
+
+// drive steps eng through the scenario's seconds.
+func (sc *Scenario) drive(eng *Engine) ([]Sample, error) {
+	// Every phase's port is checked before the first tick, not at the tick
+	// the phase starts.
+	floods := make([]Flood, len(sc.Phases))
+	for i := range sc.Phases {
+		floods[i].Port = sc.Phases[i].Port
+	}
+	if err := eng.checkPorts(floods, sc.Victims); err != nil {
 		return nil, err
 	}
 	cursor := make([]int, len(sc.Phases)) // per-phase trace replay position
-	floods := make([]Flood, 0, len(sc.Phases))
 	samples := make([]Sample, 0, sc.DurationSec)
 	for t := 0; t < sc.DurationSec; t++ {
 		if sc.Upcall != nil && sc.Telemetry != nil {

@@ -16,21 +16,24 @@ import (
 // granularity OVS rate-limits upcalls at — so per-port traffic mixes
 // (attacker port vs victim ports) exercise the fairness story exactly.
 
-// UpcallParams switches a scenario to the asynchronous slow path.
+// UpcallParams switches a scenario to the asynchronous slow path. The
+// subsystem and revalidator knobs are upcall's own structs, declared once
+// there; the engine fills in what it owns — the switch, the subsystem, the
+// telemetry hub and the fault plan.
 type UpcallParams struct {
-	// QueueCap bounds each vport's upcall queue (0 = unbounded).
-	QueueCap int
-	// QuotaPerPort is the per-vport per-second admission quota, the
-	// OVS-style upcall rate limit (0 = off). Ignored when Adaptive is
-	// set: the controller owns the quota and re-tunes it within
-	// [MinQuota, BaseQuota] every sweep, so Adaptive.BaseQuota is
-	// authoritative.
-	QuotaPerPort int
-	// Adaptive, when non-nil, closes the feedback loop: each revalidator
-	// sweep measures every vport's megaflow footprint (plus churn) and
-	// re-tunes its quota, so the flooding port throttles itself while
-	// victim ports keep their full budget.
-	Adaptive *upcall.AdaptiveQuota
+	// Options are the subsystem knobs, keyed by ingress vport (QueueCap,
+	// QuotaPerSource, ModelledHandlers, StallTimeoutSec, DisableSupervisor,
+	// Breaker, ...). Handlers must stay 0: the engine owns the drain
+	// (HandleNAt), so runs are deterministic. QuotaPerSource is ignored
+	// when Revalidator.Adapt is set: the controller owns the quota and
+	// re-tunes it within [MinQuota, BaseQuota] every sweep, so
+	// Adapt.BaseQuota is authoritative.
+	upcall.Options
+	// Revalidator are the knobs of the loop that replaces the inline
+	// Switch.Tick idle expiry and additionally re-checks entries against
+	// the current flow table, so mid-run ACL injections take effect at its
+	// cadence (IntervalSec, Adapt, PendingAgeSec, ...).
+	Revalidator upcall.RevalidatorConfig
 	// HandledPerSec is the handler service rate: how many upcalls the
 	// slow-path daemon classifies per virtual second (<= 0 = unlimited —
 	// the whole backlog drains every second). This is the saturation
@@ -38,36 +41,6 @@ type UpcallParams struct {
 	// upcalls/s (Fig. 9c). Drained upcalls resolve in bursts that share
 	// one megaflow-install transaction (upcall.Options.HandlerBurst).
 	HandledPerSec int
-	// RevalidateSec is the revalidator cadence in virtual seconds; <= 0
-	// selects 1. The revalidator replaces the inline Switch.Tick idle
-	// expiry and additionally re-checks entries against the current flow
-	// table, so mid-run ACL injections take effect at this cadence.
-	RevalidateSec int64
-
-	// ModelledHandlers is the drive-mode handler fleet size the fault
-	// model spreads HandledPerSec across (a dead handler costs its 1/N
-	// service share); <= 0 selects 1. Only meaningful with Faults.
-	ModelledHandlers int
-	// StallTimeoutSec is the modelled supervisor's stall-detection horizon
-	// in virtual seconds; <= 0 selects upcall.DefaultStallTimeoutSec.
-	StallTimeoutSec int64
-	// DisableSupervisor is the chaos ablation: dead handlers are never
-	// respawned and their orphaned in-flight upcalls leak in the pending
-	// table (see upcall.Options.DisableSupervisor).
-	DisableSupervisor bool
-	// PendingAgeSec is the revalidator's orphaned-pending-entry reap
-	// horizon (upcall.RevalidatorConfig.PendingAgeSec semantics: 0
-	// defaults, negative disables).
-	PendingAgeSec int64
-	// BreakerSLOSec enables the per-port SLO circuit breaker at the given
-	// backlog-residence p99 SLO; TripAfter, BreakerCooldownSec,
-	// HalfOpenProbes and BreakerEWMAAlpha refine it (upcall.Breaker
-	// semantics; zero values select the upcall defaults).
-	BreakerSLOSec      int64
-	TripAfter          int
-	BreakerCooldownSec int64
-	HalfOpenProbes     int
-	BreakerEWMAAlpha   float64
 	// Faults is the optional deterministic fault schedule, threaded into
 	// the upcall subsystem (handler panics/stalls, delivery faults), the
 	// revalidator (sweep stalls) and the switch (install errors).
@@ -132,36 +105,16 @@ type UpcallSample struct {
 	OrphanPressure int
 }
 
-// options maps the scenario-level knobs onto the upcall subsystem's.
-// Handlers stays 0: the engine owns the drain (HandleNAt) so runs are
-// deterministic.
+// options completes the subsystem knobs with what the engine owns: the
+// fault plan and the hub.
 func (up *UpcallParams) options(hub telemetry.Hub) *upcall.Options {
-	quota := up.QuotaPerPort
-	if up.Adaptive != nil {
-		// The adaptive controller owns the quota: its range is
-		// [MinQuota, BaseQuota] and every sweep re-tunes within it, so a
-		// different static QuotaPerPort could not survive the first sweep
-		// anyway. BaseQuota is authoritative.
-		quota = up.Adaptive.BaseQuota
+	o := up.Options
+	if a := up.Revalidator.Adapt; a != nil {
+		o.QuotaPerSource = a.BaseQuota
 	}
-	return &upcall.Options{
-		QueueCap:          up.QueueCap,
-		QuotaPerSource:    quota,
-		ModelledHandlers:  up.ModelledHandlers,
-		StallTimeoutSec:   up.StallTimeoutSec,
-		DisableSupervisor: up.DisableSupervisor,
-		Injector:          up.Faults,
-		Breaker: upcall.Breaker{
-			SLOSec:         up.BreakerSLOSec,
-			TripAfter:      up.TripAfter,
-			CooldownSec:    up.BreakerCooldownSec,
-			HalfOpenProbes: up.HalfOpenProbes,
-			EWMAAlpha:      up.BreakerEWMAAlpha,
-		},
-		Metrics: hub.Reg,
-		Journal: hub.Journal,
-		Tracer:  hub.Tracer,
-	}
+	o.Injector = up.Faults
+	o.Metrics, o.Journal, o.Tracer = hub.Reg, hub.Journal, hub.Tracer
+	return &o
 }
 
 // revalidator builds the loop that replaces the inline Switch.Tick idle
@@ -174,16 +127,11 @@ func (up *UpcallParams) revalidator(sw *vswitch.Switch, sub *upcall.Subsystem, h
 		// so every packet of the affected flows keeps missing.
 		sw.SetInstallFault(up.Faults.InstallErrorAt)
 	}
-	return upcall.NewRevalidator(upcall.RevalidatorConfig{
-		Switch:        sw,
-		IntervalSec:   up.RevalidateSec,
-		Subsystem:     sub, // quota re-tunes and the pending reaper
-		Adapt:         up.Adaptive,
-		PendingAgeSec: up.PendingAgeSec,
-		Injector:      up.Faults,
-		Journal:       hub.Journal,
-		Metrics:       hub.Reg,
-	})
+	cfg := up.Revalidator
+	cfg.Switch, cfg.Subsystem = sw, sub // quota re-tunes and the pending reaper
+	cfg.Injector = up.Faults
+	cfg.Journal, cfg.Metrics = hub.Journal, hub.Reg
+	return upcall.NewRevalidator(cfg)
 }
 
 // journalFaults records tick now's scheduled fault injections, so the

@@ -1,10 +1,13 @@
 package dataplane
 
 import (
+	"strings"
 	"testing"
 
 	"tse/internal/core"
 	"tse/internal/flowtable"
+	"tse/internal/telemetry"
+	"tse/internal/upcall"
 	"tse/internal/vswitch"
 )
 
@@ -68,13 +71,13 @@ func sumUpcall(samples []Sample) (tot UpcallSample, peakMasks, peakBacklog int) 
 // queues/quotas/handler budget cap MFC mask growth well below the
 // unbounded async run, with the refusals visible in the series.
 func TestAsyncScenarioBoundsMaskGrowth(t *testing.T) {
-	open := asyncScenario(t, &UpcallParams{RevalidateSec: 1})
+	open := asyncScenario(t, &UpcallParams{})
 	// The single ingress vport admits 12/s while the handlers serve 8, so
 	// the backlog climbs toward the queue cap: early seconds show quota
 	// drops (tokens out while the queue has room), late seconds queue-full
 	// drops — every bound is exercised.
 	bounded := asyncScenario(t, &UpcallParams{
-		QueueCap: 32, QuotaPerPort: 12, HandledPerSec: 8, RevalidateSec: 1})
+		Options: upcall.Options{QueueCap: 32, QuotaPerSource: 12}, HandledPerSec: 8})
 
 	so, err := open.Run()
 	if err != nil {
@@ -133,7 +136,7 @@ func TestAsyncScenarioBoundsMaskGrowth(t *testing.T) {
 // Fig. 8c injection) takes effect through the revalidator's dump-and-check
 // rather than synchronously.
 func TestAsyncScenarioRevalidatesInjectedACL(t *testing.T) {
-	sc := asyncScenario(t, &UpcallParams{RevalidateSec: 1})
+	sc := asyncScenario(t, &UpcallParams{})
 	malicious := flowtable.UseCaseACL(flowtable.SipSpDp, flowtable.ACLParams{})
 	sc.Phases = append(sc.Phases, AttackPhase{
 		Trace: sc.Phases[0].Trace, RatePps: 0, StartSec: 10, StopSec: 11,
@@ -173,7 +176,7 @@ func avgVictimGbpsT(samples []Sample, from, to int) float64 {
 // drains, and -1 on seconds with nothing handled.
 func TestFlowSetupLatencySeries(t *testing.T) {
 	sc := asyncScenario(t, &UpcallParams{
-		QueueCap: 32, QuotaPerPort: 12, HandledPerSec: 8, RevalidateSec: 1})
+		Options: upcall.Options{QueueCap: 32, QuotaPerSource: 12}, HandledPerSec: 8})
 	samples, err := sc.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -234,5 +237,119 @@ func TestFlowSetupLatencySeries(t *testing.T) {
 	}
 	if !post {
 		t.Error("no post-attack second recorded positive residence while draining the backlog")
+	}
+}
+
+// TestScenarioRejectsBadPorts: a victim or phase naming a vport outside the
+// pool is a configuration error from Run — before any tick runs — never the
+// pool's out-of-range panic.
+func TestScenarioRejectsBadPorts(t *testing.T) {
+	for name, tc := range map[string]struct {
+		mutate func(*Scenario)
+		want   string
+	}{
+		"negative victim": {func(sc *Scenario) { sc.Victims[0].Port = -1 },
+			`victim "Victim" port -1 outside [0,`},
+		"negative phase": {func(sc *Scenario) { sc.Phases[0].Port = -2 },
+			"flood 0 port -2 outside [0,"},
+	} {
+		sc := asyncScenario(t, &UpcallParams{})
+		sc.Phases = append(sc.Phases, AttackPhase{Port: 2, StartSec: 30, StopSec: 31})
+		tc.mutate(sc)
+		if _, err := sc.Run(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Run error %v, want %q", name, err, tc.want)
+		}
+	}
+}
+
+// TestEngineStepRejectsBadPorts: direct engine users (fleet nodes) get the
+// same error from Step, for ports past the pool's range too.
+func TestEngineStepRejectsBadPorts(t *testing.T) {
+	sc := asyncScenario(t, &UpcallParams{})
+	eng, err := NewEngine(EngineConfig{Switch: sc.Switch, NIC: sc.NIC, Ports: 3, Upcall: sc.Upcall})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cursor := 0
+	flood := Flood{Headers: sc.Phases[0].Trace.Headers, Cursor: &cursor, RatePps: 4}
+	for _, port := range []int{-1, 3} {
+		flood.Port = port
+		if _, err := eng.Step(0, []Flood{flood}, nil); err == nil || !strings.Contains(err.Error(), "outside [0,3)") {
+			t.Errorf("flood port %d: Step error %v", port, err)
+		}
+		sc.Victims[0].Port = port
+		if _, err := eng.Step(0, nil, sc.Victims); err == nil || !strings.Contains(err.Error(), "outside [0,3)") {
+			t.Errorf("victim port %d: Step error %v", port, err)
+		}
+	}
+	sc.Victims[0].Port, flood.Port = 2, 2
+	if _, err := eng.Step(0, []Flood{flood}, sc.Victims); err != nil {
+		t.Errorf("in-range ports refused: %v", err)
+	}
+}
+
+// TestEngineRejectsHandlerGoroutines: the engine owns the per-second drain,
+// so upcall.Options.Handlers is not the caller's to set.
+func TestEngineRejectsHandlerGoroutines(t *testing.T) {
+	sc := asyncScenario(t, &UpcallParams{Options: upcall.Options{Handlers: 1}})
+	if _, err := NewEngine(EngineConfig{Switch: sc.Switch, NIC: sc.NIC, Upcall: sc.Upcall}); err == nil {
+		t.Error("NewEngine accepted Upcall.Handlers = 1")
+	}
+}
+
+// TestRegistryEqualsStats: after the supervised chaos run every upcall
+// metric family reads exactly the Stats() field it is documented to export —
+// the families are views, not second counters — and the run is eventful
+// enough that a family re-pointed at another field would show.
+func TestRegistryEqualsStats(t *testing.T) {
+	sc, err := ChaosScenario(ChaosSupervised)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry(1)
+	sc.Telemetry = &telemetry.Hub{Reg: reg}
+	eng, err := sc.engine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sc.drive(eng); err != nil {
+		t.Fatal(err)
+	}
+	st, snap := eng.Upcalls().Stats(), reg.Snapshot()
+	for _, f := range []struct {
+		family string
+		want   uint64
+	}{
+		{"tse_upcall_enqueued_total", st.Enqueued},
+		{"tse_upcall_coalesced_total", st.Deduped},
+		{"tse_upcall_queue_drops_total", st.QueueDrops},
+		{"tse_upcall_quota_drops_total", st.QuotaDrops},
+		{"tse_upcall_breaker_shed_total", st.BreakerShed},
+		{"tse_upcall_handled_total", st.Handled},
+		{"tse_upcall_requeued_total", st.Requeued},
+		{"tse_upcall_orphan_failed_total", st.OrphanFailed},
+		{"tse_upcall_pending_reaped_total", st.PendingReaped},
+		{"tse_handler_panics_total", st.HandlerPanics},
+		{"tse_handler_stalls_total", st.StallsDetected},
+		{"tse_handler_restarts_total", st.HandlerRestarts},
+		{"tse_breaker_trips_total", st.BreakerTrips},
+		{"tse_breaker_closes_total", st.BreakerCloses},
+		{"tse_upcall_backlog", uint64(st.Backlog)},
+		{"tse_upcall_pending_flows", uint64(st.PendingFlows)},
+	} {
+		p, ok := snap.Get(f.family)
+		if !ok {
+			t.Errorf("%s is not registered", f.family)
+		} else if uint64(p.Value) != f.want {
+			t.Errorf("%s = %v, Stats() says %d", f.family, p.Value, f.want)
+		}
+	}
+	// Distinct nonzero values are what make a swapped getter visible.
+	if st.Enqueued == 0 || st.Handled == 0 || st.QuotaDrops == 0 || st.HandlerPanics != 1 ||
+		st.StallsDetected != 1 || st.HandlerRestarts != 2 || st.Requeued == 0 || st.BreakerTrips == 0 {
+		t.Errorf("supervised chaos run too quiet to pin the views: %+v", st)
+	}
+	if p, _ := snap.Get("tse_upcall_residence_seconds"); p.Count != st.Residence.Count {
+		t.Errorf("residence histogram saw %d pops, Stats() %d", p.Count, st.Residence.Count)
 	}
 }

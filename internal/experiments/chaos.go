@@ -49,7 +49,9 @@ type chaosSummary struct {
 }
 
 // victimP99 is the worst victim-port flow-setup p99 of one sample (-1 when
-// neither victim port handled an upcall that second).
+// neither victim port handled an upcall that second). The victim vports of
+// PortFairnessScenario, and so of ChaosScenario, are 1 (present from t=0)
+// and 2 (joins at 15).
 func victimP99(u *dataplane.UpcallSample) int {
 	p99 := -1
 	for _, port := range []int{1, 2} {
@@ -60,6 +62,34 @@ func victimP99(u *dataplane.UpcallSample) int {
 	return p99
 }
 
+// worstVictimP99 is the worst victimP99 over seconds [from, to) (-1 when
+// no victim upcall was handled in the window).
+func worstVictimP99(samples []dataplane.Sample, from, to int) int {
+	worst := -1
+	for _, smp := range samples {
+		if smp.Sec >= from && smp.Sec < to && smp.Upcall != nil {
+			worst = max(worst, victimP99(smp.Upcall))
+		}
+	}
+	return worst
+}
+
+// lateVictimGbps averages the mid-attack victim's throughput over
+// [20, 35): the flow that tries to establish while the flood rages.
+func lateVictimGbps(samples []dataplane.Sample) float64 {
+	sum, n := 0.0, 0
+	for _, smp := range samples {
+		if smp.Sec >= 20 && smp.Sec < 35 && smp.Upcall != nil && len(smp.VictimGbps) > 1 {
+			sum += smp.VictimGbps[1]
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
+}
+
 // foldChaos summarises one run. Recovery is measured against the victims'
 // own flow-setup latency: preP99 is the worst victim p99 in the 5 seconds
 // before the first fault, and the run has recovered at the first second >=
@@ -68,8 +98,7 @@ func victimP99(u *dataplane.UpcallSample) int {
 // *and* both victims are moving traffic (their megaflows are installed and
 // serving, the steady state the slow path exists to reach).
 func foldChaos(mode dataplane.ChaosMode, samples []dataplane.Sample) chaosSummary {
-	s := chaosSummary{Mode: mode, FaultSec: -1, RecoverySec: -1, WorstVictimP99: -1}
-	lateSum, lateN := 0.0, 0
+	s := chaosSummary{Mode: mode, FaultSec: -1, RecoverySec: -1}
 	for _, smp := range samples {
 		u := smp.Upcall
 		if u == nil {
@@ -92,19 +121,9 @@ func foldChaos(mode dataplane.ChaosMode, samples []dataplane.Sample) chaosSummar
 			u.InstallErrors > 0 || u.SweepStalls > 0) {
 			s.FaultSec = smp.Sec
 		}
-		if smp.Sec >= 20 && smp.Sec < 35 && len(smp.VictimGbps) > 1 {
-			lateSum += smp.VictimGbps[1]
-			lateN++
-		}
-		if smp.Sec >= 5 && smp.Sec < 35 {
-			if p := victimP99(u); p > s.WorstVictimP99 {
-				s.WorstVictimP99 = p
-			}
-		}
 	}
-	if lateN > 0 {
-		s.LateUnderGbps = lateSum / float64(lateN)
-	}
+	s.WorstVictimP99 = worstVictimP99(samples, 5, 35)
+	s.LateUnderGbps = lateVictimGbps(samples)
 	s.UnderGbps = avgVictimGbps(samples, 20, 35)
 	s.PostGbps = avgVictimGbps(samples, 40, 45)
 	if s.FaultSec >= 0 {
@@ -116,15 +135,7 @@ func foldChaos(mode dataplane.ChaosMode, samples []dataplane.Sample) chaosSummar
 // chaosRecovery finds the first healthy second at or after faultSec and
 // returns its distance from faultSec, or -1 if the run never recovers.
 func chaosRecovery(samples []dataplane.Sample, faultSec int) int {
-	pre := -1
-	for _, smp := range samples {
-		if smp.Sec < faultSec-5 || smp.Sec >= faultSec || smp.Upcall == nil {
-			continue
-		}
-		if p := victimP99(smp.Upcall); p > pre {
-			pre = p
-		}
-	}
+	pre := worstVictimP99(samples, faultSec-5, faultSec)
 	thresh := 1
 	if t := pre + pre/2; t > thresh { // 1.5x pre-fault, integer seconds
 		thresh = t
@@ -148,18 +159,8 @@ func chaosRecovery(samples []dataplane.Sample, faultSec int) int {
 // runChaos builds and runs one chaos mode, returning the run's slice of
 // the control-plane event journal alongside the summary.
 func runChaos(mode dataplane.ChaosMode) (chaosSummary, []dataplane.Sample, []telemetry.Event, error) {
-	sc, err := dataplane.ChaosScenario(mode)
-	if err != nil {
-		return chaosSummary{}, nil, nil, err
-	}
-	hub := runHub()
-	sc.Telemetry = hub
-	mark := hub.Journal.Seq()
-	samples, err := sc.Run()
-	if err != nil {
-		return chaosSummary{}, nil, nil, err
-	}
-	return foldChaos(mode, samples), samples, hub.Journal.EventsSince(mark), nil
+	samples, events, err := runJournaled(dataplane.ChaosScenario(mode))
+	return foldChaos(mode, samples), samples, events, err
 }
 
 // RunChaos replays the port-fairness attack under the deterministic fault

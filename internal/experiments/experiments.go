@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation. Each experiment writes the same rows/series the paper
 // reports, annotated with the paper's published values where applicable,
-// so paper-vs-reproduction comparison is a diff away (EXPERIMENTS.md holds
-// the recorded comparison).
+// so paper-vs-reproduction comparison is a diff away (`tsebench -fig all`
+// prints it; testdata/*.golden pins the engine-driven tables).
 //
 // The cmd/tsebench binary is a thin CLI over this package; the top-level
 // benchmark suite times the underlying primitives.

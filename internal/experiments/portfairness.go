@@ -51,8 +51,7 @@ type fairnessSummary struct {
 // foldPortFairness summarises one run; the attack window of
 // PortFairnessScenario is [5, 35) with the late victim joining at 15.
 func foldPortFairness(mode dataplane.PortFairnessMode, samples []dataplane.Sample) fairnessSummary {
-	s := fairnessSummary{Mode: mode, VictimFctP99: -1}
-	lateSum, lateN := 0.0, 0
+	s := fairnessSummary{Mode: mode}
 	prevQuota := -1
 	for _, smp := range samples {
 		if smp.Masks > s.PeakMasks {
@@ -65,20 +64,8 @@ func foldPortFairness(mode dataplane.PortFairnessMode, samples []dataplane.Sampl
 		s.Enqueued += u.Enqueued
 		s.QuotaDrops += u.QuotaDrops
 		s.OrphanPressure += u.OrphanPressure
-		if smp.Sec >= 20 && smp.Sec < 35 && len(smp.VictimGbps) > 1 {
-			lateSum += smp.VictimGbps[1]
-			lateN++
-		}
 		if smp.Sec == 34 && len(u.PortQuota) > 0 {
 			s.FloodQuotaEnd = u.PortQuota[0]
-		}
-		if smp.Sec >= 5 && smp.Sec < 35 {
-			// Victim vports are 1 (present from t=0) and 2 (joins at 15).
-			for _, port := range []int{1, 2} {
-				if port < len(u.PortFlowSetupP99) && u.PortFlowSetupP99[port] > s.VictimFctP99 {
-					s.VictimFctP99 = u.PortFlowSetupP99[port]
-				}
-			}
 		}
 		if smp.Sec >= 15 && smp.Sec < 35 && len(u.PortQuota) > 0 {
 			if prevQuota >= 0 && u.PortQuota[0] != prevQuota {
@@ -87,9 +74,8 @@ func foldPortFairness(mode dataplane.PortFairnessMode, samples []dataplane.Sampl
 			prevQuota = u.PortQuota[0]
 		}
 	}
-	if lateN > 0 {
-		s.LateUnderGbps = lateSum / float64(lateN)
-	}
+	s.VictimFctP99 = worstVictimP99(samples, 5, 35)
+	s.LateUnderGbps = lateVictimGbps(samples)
 	s.UnderGbps = avgVictimGbps(samples, 20, 35)
 	s.PostGbps = avgVictimGbps(samples, 40, 45)
 	return s
@@ -98,18 +84,8 @@ func foldPortFairness(mode dataplane.PortFairnessMode, samples []dataplane.Sampl
 // runPortFairness builds and runs one port-fairness mode, returning the
 // run's slice of the control-plane event journal alongside the summary.
 func runPortFairness(mode dataplane.PortFairnessMode) (fairnessSummary, []dataplane.Sample, []telemetry.Event, error) {
-	sc, err := dataplane.PortFairnessScenario(mode)
-	if err != nil {
-		return fairnessSummary{}, nil, nil, err
-	}
-	hub := runHub()
-	sc.Telemetry = hub
-	mark := hub.Journal.Seq()
-	samples, err := sc.Run()
-	if err != nil {
-		return fairnessSummary{}, nil, nil, err
-	}
-	return foldPortFairness(mode, samples), samples, hub.Journal.EventsSince(mark), nil
+	samples, events, err := runJournaled(dataplane.PortFairnessScenario(mode))
+	return foldPortFairness(mode, samples), samples, events, err
 }
 
 // RunPortFairness regenerates the victim-throughput-under-flood comparison

@@ -1,13 +1,14 @@
 package experiments
 
-import "tse/internal/telemetry"
+import (
+	"tse/internal/dataplane"
+	"tse/internal/telemetry"
+)
 
 // liveHub, when set via SetTelemetry, is the process-wide hub the -serve
 // flag installs: experiment runs thread it through their scenarios so the
 // live /metrics, /journal and pprof endpoints observe the runs as they
-// happen. Runs mark the journal sequence before starting and slice with
-// EventsSince after, so several runs can share one live journal without
-// seeing each other's events.
+// happen (runJournaled keeps the runs' events apart).
 var liveHub *telemetry.Hub
 
 // SetTelemetry installs the live hub (nil restores private per-run hubs).
@@ -22,4 +23,23 @@ func runHub() *telemetry.Hub {
 		return liveHub
 	}
 	return &telemetry.Hub{Journal: telemetry.NewJournal(0)}
+}
+
+// runJournaled runs a freshly built scenario on the run hub and returns its
+// samples with the run's own slice of the control-plane journal: the
+// sequence is marked before the run and sliced after it, so several runs
+// can share one live journal without seeing each other's events. It takes
+// the scenario constructor's (scenario, error) pair.
+func runJournaled(sc *dataplane.Scenario, err error) ([]dataplane.Sample, []telemetry.Event, error) {
+	if err != nil {
+		return nil, nil, err
+	}
+	hub := runHub()
+	sc.Telemetry = hub
+	mark := hub.Journal.Seq()
+	samples, err := sc.Run()
+	if err != nil {
+		return nil, nil, err
+	}
+	return samples, hub.Journal.EventsSince(mark), nil
 }

@@ -133,21 +133,30 @@ type Event struct {
 	Duration int64
 }
 
-// window reports whether now falls inside the event's active window
-// ([Tick, Tick+Duration), with Duration <= 0 meaning one tick and Forever
-// meaning unbounded).
-func (e Event) window(now int64) bool {
-	if now < e.Tick {
-		return false
-	}
+// end is the first tick past the event's active window
+// [Tick, Tick+Duration): Duration <= 0 means one tick, Forever never ends.
+func (e Event) end() int64 {
 	if e.Duration == Forever {
+		return math.MaxInt64
+	}
+	return e.Tick + max(e.Duration, 1)
+}
+
+// targets reports whether the event is aimed at id, read off the field its
+// kind uses — Handler for the handler kinds, Source for the delivery
+// faults, Node for the node kinds; a negative target matches anyone. The
+// revalidator-stall and install-error windows are switch-wide.
+func (e Event) targets(id int) bool {
+	t := e.Handler
+	switch e.Kind {
+	case RevalidatorStall, InstallError:
 		return true
+	case DeliverDelay, DeliverDuplicate:
+		t = e.Source
+	case NodeCrash, NodePartition, ACLPushError:
+		t = e.Node
 	}
-	d := e.Duration
-	if d <= 0 {
-		d = 1
-	}
-	return now < e.Tick+d
+	return t < 0 || t == id
 }
 
 // scheduled is one plan entry with its runtime state.
@@ -227,38 +236,35 @@ func (p *Plan) Seed() int64 {
 	return p.seed
 }
 
-// matches reports whether the event targets the given handler slot.
-func matchesHandler(e Event, handler int) bool {
-	return e.Handler < 0 || e.Handler == handler
+// consumeLocked fires the first unconsumed event of kind k that is due at
+// now (Tick <= now) and targets id: it is marked consumed — a one-shot
+// event fires once — and returned. Callers hold p.mu.
+func (p *Plan) consumeLocked(k Kind, id int, now int64) (Event, bool) {
+	for i := range p.events {
+		e := &p.events[i]
+		if !e.consumed && e.Kind == k && e.Tick <= now && e.targets(id) {
+			e.consumed = true
+			return e.Event, true
+		}
+	}
+	return Event{}, false
 }
 
-// matchesSource reports whether the event targets the given source.
-func matchesSource(e Event, src int) bool {
-	return e.Source < 0 || e.Source == src
-}
-
-// matchesNode reports whether the event targets the given node.
-func matchesNode(e Event, node int) bool {
-	return e.Node < 0 || e.Node == node
+// consume is consumeLocked for the queries that hold nothing.
+func (p *Plan) consume(k Kind, id int, now int64) (Event, bool) {
+	if p == nil {
+		return Event{}, false
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.consumeLocked(k, id, now)
 }
 
 // HandlerPanicAt consumes a due HandlerPanic event targeting handler:
 // true means the handler dies now. Each event fires once.
 func (p *Plan) HandlerPanicAt(handler int, now int64) bool {
-	if p == nil {
-		return false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i := range p.events {
-		e := &p.events[i]
-		if e.consumed || e.Kind != HandlerPanic || e.Tick > now || !matchesHandler(e.Event, handler) {
-			continue
-		}
-		e.consumed = true
-		return true
-	}
-	return false
+	_, ok := p.consume(HandlerPanic, handler, now)
+	return ok
 }
 
 // HandlerStallAt consumes a due HandlerStall event targeting handler and
@@ -266,27 +272,11 @@ func (p *Plan) HandlerPanicAt(handler int, now int64) bool {
 // math.MaxInt64 for Forever). The drive-mode fault model uses this; the
 // goroutine mode uses HandlerGate instead.
 func (p *Plan) HandlerStallAt(handler int, now int64) (until int64, ok bool) {
-	if p == nil {
+	e, ok := p.consume(HandlerStall, handler, now)
+	if !ok {
 		return 0, false
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i := range p.events {
-		e := &p.events[i]
-		if e.consumed || e.Kind != HandlerStall || e.Tick > now || !matchesHandler(e.Event, handler) {
-			continue
-		}
-		e.consumed = true
-		if e.Duration == Forever {
-			return math.MaxInt64, true
-		}
-		d := e.Duration
-		if d <= 0 {
-			d = 1
-		}
-		return e.Tick + d, true
-	}
-	return 0, false
+	return e.end(), true
 }
 
 // HandlerGate consumes a due HandlerStall event targeting handler and
@@ -300,17 +290,12 @@ func (p *Plan) HandlerGate(handler int, now int64) <-chan struct{} {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for i := range p.events {
-		e := &p.events[i]
-		if e.consumed || e.Kind != HandlerStall || e.Tick > now || !matchesHandler(e.Event, handler) {
-			continue
-		}
-		e.consumed = true
-		gate := make(chan struct{})
-		p.gates = append(p.gates, gate)
-		return gate
+	if _, ok := p.consumeLocked(HandlerStall, handler, now); !ok {
+		return nil
 	}
-	return nil
+	gate := make(chan struct{})
+	p.gates = append(p.gates, gate)
+	return gate
 }
 
 // Release opens every gate handed out by HandlerGate, unwedging stalled
@@ -332,113 +317,86 @@ func (p *Plan) Release() {
 // RevalidatorStalledAt reports whether a RevalidatorStall window covers
 // now. Window faults are not consumed.
 func (p *Plan) RevalidatorStalledAt(now int64) bool {
-	return p.windowActive(RevalidatorStall, now)
+	return p.active(RevalidatorStall, -1, now)
 }
 
 // InstallErrorAt reports whether an InstallError window covers now — the
 // hook vswitch's install paths consult per attempted install.
 func (p *Plan) InstallErrorAt(now int64) bool {
-	return p.windowActive(InstallError, now)
+	return p.active(InstallError, -1, now)
 }
 
-func (p *Plan) windowActive(k Kind, now int64) bool {
+// active reports whether the window [Tick, end) of some event of kind k
+// targeting id covers now.
+func (p *Plan) active(k Kind, id int, now int64) bool {
 	if p == nil {
 		return false
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for i := range p.events {
-		if p.events[i].Kind == k && p.events[i].window(now) {
+		e := &p.events[i]
+		if e.Kind == k && e.targets(id) && e.Tick <= now && now < e.end() {
 			return true
 		}
 	}
 	return false
+}
+
+// at returns the first event of kind k scheduled at exactly now that
+// targets id: the delivery faults apply to submissions at their tick only.
+func (p *Plan) at(k Kind, id int, now int64) (Event, bool) {
+	if p == nil {
+		return Event{}, false
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i := range p.events {
+		e := &p.events[i]
+		if e.Kind == k && e.Tick == now && e.targets(id) {
+			return e.Event, true
+		}
+	}
+	return Event{}, false
 }
 
 // DeliverDelayAt returns the limbo delay (in ticks) for an upcall
 // submitted by src at now; 0 means deliver immediately. The event applies
 // to submissions at exactly its Tick; Duration is the delay amount.
 func (p *Plan) DeliverDelayAt(src int, now int64) int64 {
-	if p == nil {
+	e, ok := p.at(DeliverDelay, src, now)
+	if !ok {
 		return 0
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i := range p.events {
-		e := &p.events[i]
-		if e.Kind != DeliverDelay || e.Tick != now || !matchesSource(e.Event, src) {
-			continue
-		}
-		if e.Duration > 0 {
-			return e.Duration
-		}
-		return 1
-	}
-	return 0
+	return max(e.Duration, 1)
 }
 
 // DeliverDuplicateAt reports whether upcalls submitted by src at now are
 // delivered twice.
 func (p *Plan) DeliverDuplicateAt(src int, now int64) bool {
-	if p == nil {
-		return false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i := range p.events {
-		e := &p.events[i]
-		if e.Kind == DeliverDuplicate && e.Tick == now && matchesSource(e.Event, src) {
-			return true
-		}
-	}
-	return false
+	_, ok := p.at(DeliverDuplicate, src, now)
+	return ok
 }
 
 // NodeCrashAt consumes a due NodeCrash event targeting node: true means
 // the node dies now. Each event fires once, like HandlerPanicAt.
 func (p *Plan) NodeCrashAt(node int, now int64) bool {
-	if p == nil {
-		return false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i := range p.events {
-		e := &p.events[i]
-		if e.consumed || e.Kind != NodeCrash || e.Tick > now || !matchesNode(e.Event, node) {
-			continue
-		}
-		e.consumed = true
-		return true
-	}
-	return false
+	_, ok := p.consume(NodeCrash, node, now)
+	return ok
 }
 
 // NodePartitionedAt reports whether a NodePartition window covering node
 // is active at now. Window faults are not consumed; the controller asks
 // every heartbeat and every push attempt.
 func (p *Plan) NodePartitionedAt(node int, now int64) bool {
-	return p.nodeWindowActive(NodePartition, node, now)
+	return p.active(NodePartition, node, now)
 }
 
 // ACLPushErrorAt reports whether an ACLPushError window covering node is
 // active at now — consulted per push attempt, so a retry after the window
 // closes succeeds.
 func (p *Plan) ACLPushErrorAt(node int, now int64) bool {
-	return p.nodeWindowActive(ACLPushError, node, now)
-}
-
-func (p *Plan) nodeWindowActive(k Kind, node int, now int64) bool {
-	if p == nil {
-		return false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i := range p.events {
-		if p.events[i].Kind == k && matchesNode(p.events[i].Event, node) && p.events[i].window(now) {
-			return true
-		}
-	}
-	return false
+	return p.active(ACLPushError, node, now)
 }
 
 // RandomConfig parameterises Random's seeded schedule generation.

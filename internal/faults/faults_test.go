@@ -246,3 +246,74 @@ func TestRandomNodeFaults(t *testing.T) {
 		}
 	}
 }
+
+// TestQueriesShareTargetingAndOneShot pins what the plan's shared scan
+// helpers must keep for every query: an event is matched on the target
+// field of its own kind only (a -1 in another field must not widen it), a
+// negative own target matches anyone, no query fires before its tick,
+// one-shot kinds fire once and window kinds hold.
+func TestQueriesShareTargetingAndOneShot(t *testing.T) {
+	stallAt := func(p *faults.Plan, id int, now int64) bool { _, ok := p.HandlerStallAt(id, now); return ok }
+	gate := func(p *faults.Plan, id int, now int64) bool { return p.HandlerGate(id, now) != nil }
+	delay := func(p *faults.Plan, id int, now int64) bool { return p.DeliverDelayAt(id, now) > 0 }
+	for _, tc := range []struct {
+		name    string
+		kind    faults.Kind
+		target  func(e *faults.Event) *int
+		ask     func(p *faults.Plan, id int, now int64) bool
+		oneShot bool
+	}{
+		{"panic", faults.HandlerPanic, func(e *faults.Event) *int { return &e.Handler }, (*faults.Plan).HandlerPanicAt, true},
+		{"stall", faults.HandlerStall, func(e *faults.Event) *int { return &e.Handler }, stallAt, true},
+		{"gate", faults.HandlerStall, func(e *faults.Event) *int { return &e.Handler }, gate, true},
+		{"crash", faults.NodeCrash, func(e *faults.Event) *int { return &e.Node }, (*faults.Plan).NodeCrashAt, true},
+		{"delay", faults.DeliverDelay, func(e *faults.Event) *int { return &e.Source }, delay, false},
+		{"duplicate", faults.DeliverDuplicate, func(e *faults.Event) *int { return &e.Source }, (*faults.Plan).DeliverDuplicateAt, false},
+		{"partition", faults.NodePartition, func(e *faults.Event) *int { return &e.Node }, (*faults.Plan).NodePartitionedAt, false},
+		{"push error", faults.ACLPushError, func(e *faults.Event) *int { return &e.Node }, (*faults.Plan).ACLPushErrorAt, false},
+	} {
+		ev := faults.Event{Tick: 5, Kind: tc.kind, Handler: -1, Source: -1, Node: -1}
+		*tc.target(&ev) = 2
+		p := faults.NewPlan(ev)
+		defer p.Release()
+		if tc.ask(p, 2, 4) {
+			t.Errorf("%s: fired before its tick", tc.name)
+		}
+		if tc.ask(p, 1, 5) {
+			t.Errorf("%s: matched id 1, the event targets 2", tc.name)
+		}
+		if !tc.ask(p, 2, 5) {
+			t.Errorf("%s: did not fire for its target at its tick", tc.name)
+		}
+		if again := tc.ask(p, 2, 5); again == tc.oneShot {
+			t.Errorf("%s: second query = %v, one-shot = %v", tc.name, again, tc.oneShot)
+		}
+		*tc.target(&ev) = -1
+		if anyone := faults.NewPlan(ev); !tc.ask(anyone, 7, 5) {
+			t.Errorf("%s: target -1 did not match id 7", tc.name)
+		} else {
+			anyone.Release()
+		}
+	}
+}
+
+// TestStallEndAndDelayTick: HandlerStallAt returns Tick + max(Duration, 1)
+// (MaxInt64 for Forever) even when asked late, and DeliverDelayAt is not a
+// window — it applies at exactly its tick, for at least one tick.
+func TestStallEndAndDelayTick(t *testing.T) {
+	for dur, want := range map[int64]int64{0: 11, 1: 11, 4: 14, faults.Forever: math.MaxInt64} {
+		p := faults.NewPlan(faults.Event{Tick: 10, Kind: faults.HandlerStall, Duration: dur})
+		if until, ok := p.HandlerStallAt(0, 12); !ok || until != want {
+			t.Errorf("stall Duration %d: until = (%d, %v), want %d", dur, until, ok, want)
+		}
+	}
+	p := faults.NewPlan(
+		faults.Event{Tick: 10, Kind: faults.DeliverDelay, Duration: 3},
+		faults.Event{Tick: 20, Kind: faults.DeliverDelay},
+	)
+	for now, want := range map[int64]int64{9: 0, 10: 3, 11: 0, 12: 0, 20: 1} {
+		if d := p.DeliverDelayAt(0, now); d != want {
+			t.Errorf("DeliverDelayAt(0, %d) = %d, want %d", now, d, want)
+		}
+	}
+}

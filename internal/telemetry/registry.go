@@ -8,14 +8,14 @@
 // The design splits metrics into two camps, mirroring OVS's
 // coverage-counter vs. appctl-query split:
 //
-//   - push metrics (Counter.Add / Histogram.Observe) for paths the
-//     producer already serializes (the upcall subsystem under its mutex,
-//     datapath workers on their own shard index): one relaxed atomic add
-//     on a private cache line, no allocation, no map lookup;
+//   - push metrics (Counter.Add / Histogram.Observe) where a reader
+//     cannot take the owner's lock (datapath workers on their own shard
+//     index, the upcall residence histogram): one relaxed atomic add on
+//     a private cache line, no allocation, no map lookup;
 //   - pull metrics (CounterFunc / GaugeFunc) for values a subsystem
 //     already maintains behind its own synchronization (switch counters,
-//     classifier mask counts): the closure is evaluated only at snapshot
-//     time, so the hot path is untouched.
+//     classifier mask counts, the upcall subsystem's Stats): the closure
+//     is evaluated only at snapshot time, so the hot path is untouched.
 //
 // Snapshots are point-in-time, name-sorted, and support Delta() so the
 // same registry serves both monotonic /metrics exposition and the

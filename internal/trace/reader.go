@@ -156,10 +156,6 @@ func (r *Reader) MaxPort() int {
 // Reset rewinds the cursor to the first record.
 func (r *Reader) Reset() { r.next = 0 }
 
-// Remaining returns the number of records the cursor has not yet
-// decoded.
-func (r *Reader) Remaining() uint64 { return r.count - r.next }
-
 // Next decodes up to b.Cap() records into b and returns the number
 // decoded; 0 means end of trace. It performs no allocation: ticks,
 // ports and key words are written into the batch's preallocated columns

@@ -4,7 +4,7 @@ package upcall
 // quota. The quota tunes *how much* a source may submit; the breaker
 // decides *whether* submitting is useful at all. When a source's
 // backlog-residence p99 (the per-port LatencyHist the adaptive controller
-// already reads) violates BreakerSLOSec for TripAfter consecutive
+// already reads) violates Breaker.SLOSec for TripAfter consecutive
 // intervals, queued work is already missing its flow-setup SLO — so the
 // source trips open and new submissions fast-fail (shed) instead of
 // joining a queue whose wait already exceeds the deadline. After
@@ -55,9 +55,9 @@ const (
 	// DefaultTripAfter is the consecutive SLO-violating intervals required
 	// to trip: the flap-immunity streak.
 	DefaultTripAfter = 3
-	// DefaultBreakerCooldownSec is how long an open breaker sheds before
+	// DefaultCooldownSec is how long an open breaker sheds before
 	// probing (half-open).
-	DefaultBreakerCooldownSec int64 = 3
+	DefaultCooldownSec int64 = 3
 	// DefaultHalfOpenProbes is the per-tick probe trickle while half-open.
 	DefaultHalfOpenProbes = 2
 )
@@ -73,7 +73,7 @@ type Breaker struct {
 	// trips the breaker open; <= 0 selects DefaultTripAfter.
 	TripAfter int
 	// CooldownSec is how long the breaker stays open before going
-	// half-open; <= 0 selects DefaultBreakerCooldownSec.
+	// half-open; <= 0 selects DefaultCooldownSec.
 	CooldownSec int64
 	// HalfOpenProbes is the per-tick admission trickle while half-open;
 	// <= 0 selects DefaultHalfOpenProbes.
@@ -96,7 +96,7 @@ func (b Breaker) cooldown() int64 {
 	if b.CooldownSec > 0 {
 		return b.CooldownSec
 	}
-	return DefaultBreakerCooldownSec
+	return DefaultCooldownSec
 }
 
 func (b Breaker) probes() int {
@@ -224,15 +224,9 @@ func (u *Subsystem) TickBreakers(now int64) {
 		tripped, closed := u.opts.Breaker.Next(&bp.st, now, delta.P99())
 		if tripped {
 			u.stats.BreakerTrips++
-			if u.tm != nil {
-				u.tm.breakerTrips.Inc(0)
-			}
 		}
 		if closed {
 			u.stats.BreakerCloses++
-			if u.tm != nil {
-				u.tm.breakerCloses.Inc(0)
-			}
 		}
 		// Journal every phase transition (trip, cooldown→half-open,
 		// half-open→re-open, close) with the p99 signal that drove it.

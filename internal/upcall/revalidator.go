@@ -87,10 +87,6 @@ func (a AdaptiveQuota) Smoothed() bool {
 // the raw single-input controller, kept verbatim as the ablation baseline
 // and as the pressure half of the smoothed controller.
 func (a AdaptiveQuota) QuotaFor(pressure int) int {
-	min := a.MinQuota
-	if min <= 0 {
-		min = 1
-	}
 	target := a.TargetFootprint
 	if target <= 0 {
 		target = a.BaseQuota
@@ -98,12 +94,11 @@ func (a AdaptiveQuota) QuotaFor(pressure int) int {
 	if pressure <= target {
 		return a.BaseQuota
 	}
-	q := a.BaseQuota * target / pressure
-	if q < min {
-		q = min
-	}
-	return q
+	return max(a.BaseQuota*target/pressure, a.floor())
 }
+
+// floor is the lowest quota the controller hands out: MinQuota, at least 1.
+func (a AdaptiveQuota) floor() int { return max(a.MinQuota, 1) }
 
 // quotaForResidence maps the smoothed backlog residence to its implied
 // quota: BaseQuota at or below the target, inverse shrink beyond it,
@@ -112,15 +107,7 @@ func (a AdaptiveQuota) quotaForResidence(resSec float64) int {
 	if a.TargetResidenceSec <= 0 || resSec <= a.TargetResidenceSec {
 		return a.BaseQuota
 	}
-	min := a.MinQuota
-	if min <= 0 {
-		min = 1
-	}
-	q := int(float64(a.BaseQuota) * a.TargetResidenceSec / resSec)
-	if q < min {
-		q = min
-	}
-	return q
+	return max(int(float64(a.BaseQuota)*a.TargetResidenceSec/resSec), a.floor())
 }
 
 // QuotaState is one port's controller memory across sweeps: the smoothed
@@ -168,16 +155,12 @@ func (a AdaptiveQuota) Next(st *QuotaState, pressure int, resSec float64) int {
 	if qr := a.quotaForResidence(st.EWMAResidence); qr < cand {
 		cand = qr
 	}
-	min := a.MinQuota
-	if min <= 0 {
-		min = 1
-	}
 	band := a.HysteresisPct
 	if band <= 0 {
 		band = DefaultHysteresisPct
 	}
 	switch {
-	case cand == a.BaseQuota || cand == min:
+	case cand == a.BaseQuota || cand == a.floor():
 		// Rails snap exactly: recovery lands on BaseQuota, a saturating
 		// flood lands on the floor.
 		st.Quota = cand
@@ -366,10 +349,7 @@ func (r *Revalidator) Tick(now int64) vswitch.SweepResult {
 		r.journal.Record(now, telemetry.EvSweepStall, -1, 0)
 		return vswitch.SweepResult{}
 	}
-	r.mu.Lock()
-	r.lastRun, r.ran = now, true
-	r.mu.Unlock()
-	return r.Sweep(now)
+	return r.Sweep(now) // records the run time
 }
 
 // Sweep performs one dump-expire-revalidate pass immediately: idle entries

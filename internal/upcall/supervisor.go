@@ -44,48 +44,6 @@ type handlerRun struct {
 	exited    atomic.Bool
 }
 
-// HandlerState is one handler's liveness snapshot (observability and the
-// supervisor tests).
-type HandlerState struct {
-	// Slot is the handler slot; Gen counts respawns into it (1 = the
-	// original spawn of the subsystem's lifetime counter).
-	Slot int
-	Gen  uint64
-	// LastBeatNanos is the wall clock of the most recent heartbeat;
-	// BusyNanos is how long the current burst has been in flight (0 when
-	// idle); Abandoned marks a zombie superseded by a newer generation.
-	LastBeatNanos, BusyNanos int64
-	Abandoned                bool
-}
-
-// HandlerStates snapshots the current generation of handler goroutines;
-// nil when not started.
-func (u *Subsystem) HandlerStates() []HandlerState {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	if u.runs == nil {
-		return nil
-	}
-	now := time.Now().UnixNano()
-	out := make([]HandlerState, 0, len(u.runs))
-	for _, r := range u.runs {
-		if r == nil {
-			continue
-		}
-		hs := HandlerState{
-			Slot:          r.slot,
-			Gen:           r.gen,
-			LastBeatNanos: r.heartbeat.Load(),
-			Abandoned:     r.abandoned.Load(),
-		}
-		if busy := r.busySince.Load(); busy != 0 {
-			hs.BusyNanos = now - busy
-		}
-		out = append(out, hs)
-	}
-	return out
-}
-
 // Start launches the handler goroutines (Options.Handlers, default 1)
 // under supervision, and — when StallTimeout > 0 — the stall-detection
 // watchdog. Handlers drain the queues round-robin, blocking while idle,
@@ -244,18 +202,7 @@ func (u *Subsystem) handlerLoop(r *handlerRun, wg *sync.WaitGroup) {
 			u.mu.Unlock()
 			return
 		}
-		u.stats.HandlerPanics++
-		if u.tm != nil {
-			u.tm.panics.Inc(0)
-		}
-		u.opts.Journal.Record(u.clock, telemetry.EvHandlerPanic, r.slot, int64(len(owned)))
-		u.orphanRecordedLocked(r.slot, owned)
-		if u.started && !u.stopped && !u.opts.DisableSupervisor {
-			u.stats.HandlerRestarts++
-			if u.tm != nil {
-				u.tm.restarts.Inc(0)
-			}
-			u.opts.Journal.Record(u.clock, telemetry.EvHandlerRestart, r.slot, 0)
+		if u.handlerDownLocked(r.slot, telemetry.EvHandlerPanic, u.clock, owned) {
 			u.runs[r.slot] = u.spawnLocked(r.slot)
 		}
 		u.mu.Unlock()
@@ -327,53 +274,55 @@ func (u *Subsystem) checkStalls(wallNow int64) {
 			continue
 		}
 		r.abandoned.Store(true)
-		u.stats.StallsDetected++
-		if u.tm != nil {
-			u.tm.stalls.Inc(0)
-		}
-		u.opts.Journal.Record(u.clock, telemetry.EvHandlerStall, slot, 0)
-		u.orphanRecordedLocked(slot, u.inflight[r])
+		respawn := u.handlerDownLocked(slot, telemetry.EvHandlerStall, u.clock, u.inflight[r])
 		delete(u.inflight, r)
-		u.stats.HandlerRestarts++
-		if u.tm != nil {
-			u.tm.restarts.Inc(0)
+		if respawn {
+			u.runs[slot] = u.spawnLocked(slot)
 		}
-		u.opts.Journal.Record(u.clock, telemetry.EvHandlerRestart, slot, 0)
-		u.runs[slot] = u.spawnLocked(slot)
 	}
 }
 
-// orphanLocked disposes of a dead handler's popped-but-unresolved upcalls:
-// requeued at their source queues' tails (original enqueue stamps kept, so
-// the extra wait is visible as residence). Under DisableSupervisor they
-// are dropped on the floor — the deliberate pending-table wedge of the
-// chaos ablation, cleaned up only by ReapPending. Callers hold u.mu.
-func (u *Subsystem) orphanLocked(items []item) int {
+// handlerDownLocked books one handler death, the same way for a goroutine
+// and for a modelled handler: the cause's counter, then — journalled in
+// causal order at now — the cause (EvHandlerPanic or EvHandlerStall), the
+// requeue of the dead handler's popped-but-unresolved upcalls at their
+// source queues' tails (original enqueue stamps kept, so the extra wait is
+// visible as residence), and the restart. It reports whether the caller is
+// to bring the slot back: never under DisableSupervisor — the chaos
+// ablation, which also drops the orphans on the floor, the deliberate
+// pending-table wedge only ReapPending cleans up — and not while stopping.
+// Callers hold u.mu.
+func (u *Subsystem) handlerDownLocked(slot int, cause telemetry.EventKind, now int64, orphans []item) bool {
+	held := int64(0) // only a panic's journal entry carries the burst size
+	if cause == telemetry.EvHandlerPanic {
+		u.stats.HandlerPanics++
+		held = int64(len(orphans))
+	} else {
+		u.stats.StallsDetected++
+	}
+	u.opts.Journal.Record(now, cause, slot, held)
+	if u.opts.DisableSupervisor {
+		return false
+	}
 	n := 0
-	for _, it := range items {
+	for _, it := range orphans {
 		if it.p == nil || it.p.resolved {
-			continue
-		}
-		if u.opts.DisableSupervisor {
 			continue
 		}
 		it.p.queued++
 		u.enqueueLocked(it)
 		u.stats.Requeued++
-		if u.tm != nil {
-			u.tm.requeued.Inc(0)
-		}
 		n++
 	}
-	return n
-}
-
-// orphanRecordedLocked is orphanLocked plus the journal entry for the
-// requeue burst (slot attributes the dead handler). Callers hold u.mu.
-func (u *Subsystem) orphanRecordedLocked(slot int, items []item) {
-	if n := u.orphanLocked(items); n > 0 {
-		u.opts.Journal.Record(u.clock, telemetry.EvOrphanRequeue, slot, int64(n))
+	if n > 0 {
+		u.opts.Journal.Record(now, telemetry.EvOrphanRequeue, slot, int64(n))
 	}
+	if u.stopped {
+		return false
+	}
+	u.stats.HandlerRestarts++
+	u.opts.Journal.Record(now, telemetry.EvHandlerRestart, slot, 0)
+	return true
 }
 
 // failOrphansLocked resolves orphaned upcalls with the orphan verdict,
@@ -390,9 +339,6 @@ func (u *Subsystem) failOrphansLocked(items []item) {
 		it.p.verdict = orphanVerdict()
 		close(it.p.done)
 		u.stats.OrphanFailed++
-		if u.tm != nil {
-			u.tm.orphanFailed.Inc(0)
-		}
 	}
 }
 
@@ -428,50 +374,29 @@ func (u *Subsystem) driveFaultsLocked(max int, now int64) int {
 	for slot := range u.driveH {
 		d := &u.driveH[slot]
 		if until, ok := inj.HandlerStallAt(slot, now); ok {
-			switch detect := now + stallTO; {
-			case u.opts.DisableSupervisor:
-				// Nobody watching: dead for the whole stall.
-				d.deadUntil, d.detectAt = until, 0
-			case detect < until:
+			if detect := now + stallTO; !u.opts.DisableSupervisor && detect < until {
 				// The stall outlasts the detection horizon: the supervisor
 				// declares the handler dead at detect and respawns it.
 				d.deadUntil, d.detectAt = detect, detect
-			default:
-				// Short stall: over before detection would fire.
+			} else {
+				// Nobody watching, or a short stall that is over before
+				// detection would fire: dead for the whole stall.
 				d.deadUntil, d.detectAt = until, 0
 			}
 		}
 		if inj.HandlerPanicAt(slot, now) {
-			u.stats.HandlerPanics++
-			if u.tm != nil {
-				u.tm.panics.Inc(0)
-			}
+			// The dying handler's in-flight work is one round-robin burst.
 			burst := u.popBurstLocked(nil, u.burstSize())
-			u.opts.Journal.Record(now, telemetry.EvHandlerPanic, slot, int64(len(burst)))
-			u.orphanRecordedLocked(slot, burst)
-			if u.opts.DisableSupervisor {
+			if !u.handlerDownLocked(slot, telemetry.EvHandlerPanic, now, burst) {
 				d.deadUntil = math.MaxInt64 // never respawned
-			} else {
-				u.stats.HandlerRestarts++
-				if u.tm != nil {
-					u.tm.restarts.Inc(0)
-				}
-				u.opts.Journal.Record(now, telemetry.EvHandlerRestart, slot, 0)
-				if now+1 > d.deadUntil {
-					d.deadUntil = now + 1 // back next tick
-				}
+			} else if now+1 > d.deadUntil {
+				d.deadUntil = now + 1 // back next tick
 			}
 		}
 		if d.detectAt != 0 && now >= d.detectAt {
+			// deadUntil already ends at detectAt: the respawn is this tick.
 			d.detectAt = 0
-			u.stats.StallsDetected++
-			u.stats.HandlerRestarts++
-			if u.tm != nil {
-				u.tm.stalls.Inc(0)
-				u.tm.restarts.Inc(0)
-			}
-			u.opts.Journal.Record(now, telemetry.EvHandlerStall, slot, 0)
-			u.opts.Journal.Record(now, telemetry.EvHandlerRestart, slot, 0)
+			u.handlerDownLocked(slot, telemetry.EvHandlerStall, now, nil)
 		}
 		if now >= d.deadUntil {
 			alive++

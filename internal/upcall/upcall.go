@@ -44,7 +44,7 @@
 //     bounded by StopTimeout so a wedged handler cannot hang shutdown.
 //
 //   - An SLO circuit breaker (breaker.go): when a source's backlog
-//     residence p99 violates BreakerSLOSec for TripAfter consecutive
+//     residence p99 violates Breaker.SLOSec for TripAfter consecutive
 //     intervals, the source trips open and new submissions fast-fail
 //     (shed) instead of queueing behind work that will miss its SLO
 //     anyway; half-open probes a trickle and closes on recovery.
@@ -129,11 +129,10 @@ type Options struct {
 	// case) injects nothing and costs one pointer comparison on the paths
 	// it guards.
 	Injector *faults.Plan
-	// Metrics, when non-nil, registers the subsystem's admission/service
-	// counters and the residence histogram with the registry. The
-	// increments ride the paths that already hold u.mu and are
-	// allocation-free (telemetry's AllocsPerRun assertions), so attaching
-	// a registry cannot move the hot-path gate.
+	// Metrics, when non-nil, registers the subsystem with the registry:
+	// pull views over Stats() for the admission/service counters, read at
+	// snapshot time only, plus the residence histogram, observed once per
+	// pop under u.mu (allocation-free, telemetry's AllocsPerRun assertions).
 	Metrics *telemetry.Registry
 	// Journal, when non-nil, receives tick-stamped control-plane events:
 	// handler panics/stalls/restarts, orphan requeues, pending reaps, and
@@ -299,9 +298,6 @@ type SourceStats struct {
 // admission drops) is invalid.
 type Ticket struct{ p *pendingFlow }
 
-// Valid reports whether the ticket references a pending upcall.
-func (t Ticket) Valid() bool { return t.p != nil }
-
 // Wait blocks until a handler resolves the upcall, then returns its
 // verdict.
 func (t Ticket) Wait() vswitch.Verdict {
@@ -358,44 +354,56 @@ type Subsystem struct {
 	// Per-source circuit breakers (breaker.go); nil when disabled.
 	brk []breakerPort
 
-	// tm holds the registered telemetry metrics; nil without a registry.
-	tm *subMetrics
+	// residence is the registered residence histogram; nil without a
+	// registry.
+	residence *telemetry.Histogram
 }
 
-// subMetrics are the subsystem's registered telemetry handles. All
-// increments happen under u.mu, so shard 0 is always correct and
-// uncontended.
-type subMetrics struct {
-	enqueued, coalesced, queueDrops, quotaDrops, shed *telemetry.Counter
-	handled, requeued, orphanFailed, reaped           *telemetry.Counter
-	panics, stalls, restarts                          *telemetry.Counter
-	breakerTrips, breakerCloses                       *telemetry.Counter
-	residence                                         *telemetry.Histogram
-}
-
-// registerMetrics builds the subsystem's metric set on reg. The names
+// registerMetrics exposes the subsystem on reg. The counter families are
+// pull views over Stats(), read at snapshot time, so /metrics equals
+// Stats() by construction; the residence histogram is the one push
+// observation (popLocked, under u.mu, so shard 0 is uncontended). The names
 // shadow OVS coverage counters (upcall_*, handler_*) — see the README
 // catalog.
 func (u *Subsystem) registerMetrics(reg *telemetry.Registry) {
-	u.tm = &subMetrics{
-		enqueued:      reg.Counter("tse_upcall_enqueued_total", "Flow misses admitted to an upcall queue."),
-		coalesced:     reg.Counter("tse_upcall_coalesced_total", "Misses deduplicated onto an in-flight upcall of the same flow."),
-		queueDrops:    reg.Counter("tse_upcall_queue_drops_total", "Misses refused because the source queue was at capacity."),
-		quotaDrops:    reg.Counter("tse_upcall_quota_drops_total", "Misses refused by the per-source admission quota."),
-		shed:          reg.Counter("tse_upcall_breaker_shed_total", "Misses fast-failed by an open SLO circuit breaker."),
-		handled:       reg.Counter("tse_upcall_handled_total", "Upcalls resolved by a handler (one slow-path classification each)."),
-		requeued:      reg.Counter("tse_upcall_requeued_total", "Orphaned in-flight upcalls returned to their queues by the supervisor."),
-		orphanFailed:  reg.Counter("tse_upcall_orphan_failed_total", "Orphaned upcalls resolved with the error verdict."),
-		reaped:        reg.Counter("tse_upcall_pending_reaped_total", "Aged-out pending-table entries failed by the orphan reaper."),
-		panics:        reg.Counter("tse_handler_panics_total", "Handler deaths by panic."),
-		stalls:        reg.Counter("tse_handler_stalls_total", "Handlers declared stalled past the heartbeat deadline."),
-		restarts:      reg.Counter("tse_handler_restarts_total", "Handler slots respawned after a panic or stall."),
-		breakerTrips:  reg.Counter("tse_breaker_trips_total", "SLO circuit-breaker transitions to open."),
-		breakerCloses: reg.Counter("tse_breaker_closes_total", "SLO circuit-breaker recoveries from half-open to closed."),
-		residence: reg.Histogram("tse_upcall_residence_seconds",
-			"Virtual seconds an upcall sat queued between admission and handler pop.",
-			[]int64{0, 1, 2, 4, 8, 15}),
+	for _, f := range []struct {
+		name, help string
+		get        func(Stats) uint64
+	}{
+		{"tse_upcall_enqueued_total", "Flow misses admitted to an upcall queue.",
+			func(s Stats) uint64 { return s.Enqueued }},
+		{"tse_upcall_coalesced_total", "Misses deduplicated onto an in-flight upcall of the same flow.",
+			func(s Stats) uint64 { return s.Deduped }},
+		{"tse_upcall_queue_drops_total", "Misses refused because the source queue was at capacity.",
+			func(s Stats) uint64 { return s.QueueDrops }},
+		{"tse_upcall_quota_drops_total", "Misses refused by the per-source admission quota.",
+			func(s Stats) uint64 { return s.QuotaDrops }},
+		{"tse_upcall_breaker_shed_total", "Misses fast-failed by an open SLO circuit breaker.",
+			func(s Stats) uint64 { return s.BreakerShed }},
+		{"tse_upcall_handled_total", "Upcalls resolved by a handler (one slow-path classification each).",
+			func(s Stats) uint64 { return s.Handled }},
+		{"tse_upcall_requeued_total", "Orphaned in-flight upcalls returned to their queues by the supervisor.",
+			func(s Stats) uint64 { return s.Requeued }},
+		{"tse_upcall_orphan_failed_total", "Orphaned upcalls resolved with the error verdict.",
+			func(s Stats) uint64 { return s.OrphanFailed }},
+		{"tse_upcall_pending_reaped_total", "Aged-out pending-table entries failed by the orphan reaper.",
+			func(s Stats) uint64 { return s.PendingReaped }},
+		{"tse_handler_panics_total", "Handler deaths by panic.",
+			func(s Stats) uint64 { return s.HandlerPanics }},
+		{"tse_handler_stalls_total", "Handlers declared stalled past the heartbeat deadline.",
+			func(s Stats) uint64 { return s.StallsDetected }},
+		{"tse_handler_restarts_total", "Handler slots respawned after a panic or stall.",
+			func(s Stats) uint64 { return s.HandlerRestarts }},
+		{"tse_breaker_trips_total", "SLO circuit-breaker transitions to open.",
+			func(s Stats) uint64 { return s.BreakerTrips }},
+		{"tse_breaker_closes_total", "SLO circuit-breaker recoveries from half-open to closed.",
+			func(s Stats) uint64 { return s.BreakerCloses }},
+	} {
+		reg.CounterFunc(f.name, f.help, func() uint64 { return f.get(u.Stats()) })
 	}
+	u.residence = reg.Histogram("tse_upcall_residence_seconds",
+		"Virtual seconds an upcall sat queued between admission and handler pop.",
+		[]int64{0, 1, 2, 4, 8, 15})
 	reg.GaugeFunc("tse_upcall_backlog", "Total queued upcalls right now.",
 		func() int64 { return int64(u.Stats().Backlog) })
 	reg.GaugeFunc("tse_upcall_pending_flows", "Pending-table entries (in-flight deduplicated flows).",
@@ -507,9 +515,6 @@ func (u *Subsystem) Submit(src int, h bitvec.Vec, now int64) (Ticket, Outcome) {
 	if p, ok := u.pending[key]; ok {
 		u.stats.Deduped++
 		u.srcStats[src].Deduped++
-		if u.tm != nil {
-			u.tm.coalesced.Inc(0)
-		}
 		return Ticket{p}, Coalesced
 	}
 	// Breaker before the queue bound: an open breaker means queued work is
@@ -518,9 +523,6 @@ func (u *Subsystem) Submit(src int, h bitvec.Vec, now int64) (Ticket, Outcome) {
 	if u.brk != nil && !u.breakerAdmitLocked(src, now) {
 		u.stats.BreakerShed++
 		u.srcStats[src].BreakerShed++
-		if u.tm != nil {
-			u.tm.shed.Inc(0)
-		}
 		return Ticket{}, DroppedBreaker
 	}
 	// Queue bound before quota: a miss refused for lack of queue space
@@ -530,9 +532,6 @@ func (u *Subsystem) Submit(src int, h bitvec.Vec, now int64) (Ticket, Outcome) {
 	if u.opts.QueueCap > 0 && len(u.queues[src])-u.heads[src] >= u.opts.QueueCap {
 		u.stats.QueueDrops++
 		u.srcStats[src].QueueDrops++
-		if u.tm != nil {
-			u.tm.queueDrops.Inc(0)
-		}
 		return Ticket{}, DroppedQueueFull
 	}
 	if q := u.quotaForLocked(src); q > 0 {
@@ -543,9 +542,6 @@ func (u *Subsystem) Submit(src int, h bitvec.Vec, now int64) (Ticket, Outcome) {
 		if u.tokens[src] == 0 {
 			u.stats.QuotaDrops++
 			u.srcStats[src].QuotaDrops++
-			if u.tm != nil {
-				u.tm.quotaDrops.Inc(0)
-			}
 			return Ticket{}, DroppedQuota
 		}
 		u.tokens[src]--
@@ -559,24 +555,19 @@ func (u *Subsystem) Submit(src int, h bitvec.Vec, now int64) (Ticket, Outcome) {
 		sp.Enqueue = now
 		it.span = sp
 	}
-	if u.tm != nil {
-		u.tm.enqueued.Inc(0)
-	}
+	u.stats.Enqueued++
+	u.srcStats[src].Enqueued++
 	if u.opts.Injector != nil {
 		if d := u.opts.Injector.DeliverDelayAt(src, now); d > 0 {
 			// Delivery fault: admitted, but held in limbo until readyAt.
 			// The enqueue stamp stays `now`, so the delay shows up as
 			// residence when the upcall is finally popped.
 			u.limbo = append(u.limbo, limboItem{it: it, readyAt: now + d})
-			u.stats.Enqueued++
-			u.srcStats[src].Enqueued++
 			u.stats.Delayed++
 			return Ticket{p}, Enqueued
 		}
 	}
 	u.enqueueLocked(it)
-	u.stats.Enqueued++
-	u.srcStats[src].Enqueued++
 	if u.opts.Injector != nil && u.opts.Injector.DeliverDuplicateAt(src, now) {
 		// Delivery fault: at-least-once semantics. The copy shares the
 		// pending cell; whichever pop resolves first wins and the other
@@ -693,7 +684,24 @@ func (u *Subsystem) SubmitSync(src int, h bitvec.Vec, now int64) (vswitch.Verdic
 // burst installs its megaflows in one classifier transaction with one
 // snapshot publish.
 func (u *Subsystem) HandleN(max int) int {
-	return u.handleN(max)
+	n := 0
+	burst := u.burstSize()
+	items := make([]item, 0, burst)
+	for n < max {
+		size := burst
+		if left := max - n; left < size {
+			size = left
+		}
+		u.mu.Lock()
+		items = u.popBurstLocked(items[:0], size)
+		u.mu.Unlock()
+		if len(items) == 0 {
+			break
+		}
+		u.handleBatch(items)
+		n += len(items)
+	}
+	return n
 }
 
 // HandleNAt is HandleN with an explicit drain time: the subsystem clock
@@ -715,28 +723,7 @@ func (u *Subsystem) HandleNAt(max int, now int64) int {
 		max = u.driveFaultsLocked(max, now)
 	}
 	u.mu.Unlock()
-	return u.handleN(max)
-}
-
-func (u *Subsystem) handleN(max int) int {
-	n := 0
-	burst := u.burstSize()
-	items := make([]item, 0, burst)
-	for n < max {
-		size := burst
-		if left := max - n; left < size {
-			size = left
-		}
-		u.mu.Lock()
-		items = u.popBurstLocked(items[:0], size)
-		u.mu.Unlock()
-		if len(items) == 0 {
-			break
-		}
-		u.handleBatch(items)
-		n += len(items)
-	}
-	return n
+	return u.HandleN(max)
 }
 
 // burstSize resolves the configured handler drain burst.
@@ -822,9 +809,6 @@ func (u *Subsystem) resolve(it item, v vswitch.Verdict) {
 		delete(u.pending, it.key)
 	}
 	u.stats.Handled++
-	if u.tm != nil {
-		u.tm.handled.Inc(0)
-	}
 	if it.span != nil {
 		// The burst's megaflows were installed and its one COW snapshot
 		// published just before resolution, so at burst granularity both
@@ -878,9 +862,6 @@ func (u *Subsystem) ReapPending(now, age int64) int {
 		p.verdict = orphanVerdict()
 		close(p.done)
 		u.stats.PendingReaped++
-		if u.tm != nil {
-			u.tm.reaped.Inc(0)
-		}
 		n++
 	}
 	if n > 0 {
@@ -937,8 +918,8 @@ func (u *Subsystem) popLocked(src int) (item, bool) {
 		res := u.clock - it.now
 		u.srcStats[src].Residence.Observe(res)
 		u.stats.Residence.Observe(res)
-		if u.tm != nil {
-			u.tm.residence.Observe(0, res)
+		if u.residence != nil {
+			u.residence.Observe(0, res)
 		}
 		if it.span != nil {
 			it.span.Pop = u.clock
