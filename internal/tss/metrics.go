@@ -40,6 +40,15 @@ func (c *Classifier) AttachMetrics(reg *telemetry.Registry) {
 	reg.CounterFunc("tse_tss_publishes_total",
 		"Copy-on-write snapshot publications (one per InsertBatch, however large).",
 		stat(func(s Stats) uint64 { return s.Publishes }))
+	reg.CounterFunc("tse_tss_probes_copied_total",
+		"Probe records copied into published snapshots (the writer's publish bill).",
+		stat(func(s Stats) uint64 { return s.ProbesCopied }))
+	reg.CounterFunc("tse_tss_slots_copied_total",
+		"Mask-group slots copied by copy-on-write clones.",
+		stat(func(s Stats) uint64 { return s.SlotsCopied }))
+	reg.CounterFunc("tse_tss_overlap_compared_total",
+		"Entries passed to the full overlap comparison by the insert-time independence check.",
+		stat(func(s Stats) uint64 { return s.OverlapCompared }))
 	reg.GaugeFunc("tse_megaflow_masks",
 		"Installed mask groups |M| — the attack's amplification lever.",
 		func() int64 { return int64(c.MaskCount()) })

@@ -25,24 +25,52 @@ func TestSnapshotConsistencyUnderWrites(t *testing.T) {
 	c := New(l, Options{DisableOverlapCheck: true})
 	sip, _ := l.FieldIndex("ip_src")
 	dip, _ := l.FieldIndex("ip_dst")
+	dp, _ := l.FieldIndex("tp_dst")
 	fullMask := bitvec.FullMask(l)
 
-	// Stable population: exact-match entries present for the whole test.
-	// Their ip_dst keeps its top 16 bits zero, while every churn megaflow
-	// below matches a one among those bits: the overlap check is off, so
-	// the two populations must be disjoint by construction or a reader
-	// landing between a churn insert and its delete hits Drop first.
-	const stable = 64
+	// Stable population, present for the whole test and large enough to
+	// span several probe-mirror chunks and group slot pages: stableExact
+	// exact-match entries in one group (256 slots) plus stableMasks
+	// one-entry groups under distinct ip_dst/16 + ip_src/i + tp_dst/j
+	// masks. Every stable ip_dst keeps its top 16 bits zero, while every
+	// churn megaflow below matches a one among those bits: the overlap
+	// check is off, so the two populations must be disjoint by
+	// construction or a reader landing between a churn insert and its
+	// delete hits Drop first.
+	const (
+		stableExact = 100
+		stableMasks = 300
+		stable      = stableExact + stableMasks
+	)
 	mkStable := func(v uint64) bitvec.Vec {
 		h := bitvec.NewVec(l)
 		h.SetField(l, sip, v)
 		h.SetField(l, dip, 0x00000a01)
 		return h
 	}
-	for i := 0; i < stable; i++ {
-		if err := c.Insert(&Entry{Key: mkStable(uint64(i)), Mask: fullMask,
-			Action: flowtable.Allow, RuleName: "stable"}, 0); err != nil {
-			t.Fatal(err)
+	var stableHs []bitvec.Vec
+	var stableEs []*Entry
+	for i := 0; i < stableExact; i++ {
+		stableHs = append(stableHs, mkStable(uint64(i)))
+		stableEs = append(stableEs, &Entry{Key: mkStable(uint64(i)), Mask: fullMask,
+			Action: flowtable.Allow, RuleName: "stable"})
+	}
+	for i := 0; len(stableEs) < stable; i++ {
+		mask := bitvec.PrefixMask(l, dip, 16).Or(bitvec.PrefixMask(l, sip, 1+i/16)).Or(bitvec.PrefixMask(l, dp, 1+i%16))
+		key := bitvec.NewVec(l)
+		key.SetFieldBit(l, sip, i/16)
+		key.SetFieldBit(l, dp, i%16)
+		stableHs = append(stableHs, key)
+		stableEs = append(stableEs, &Entry{Key: key.Clone(), Mask: mask,
+			Action: flowtable.Allow, RuleName: "stable"})
+	}
+	mustInsertBatch(t, c, stableEs, 0)
+	if c.MaskCount() != stableMasks+1 {
+		t.Fatalf("stable population has %d masks, want %d", c.MaskCount(), stableMasks+1)
+	}
+	for i, h := range stableHs {
+		if e, _, ok := c.Lookup(h, 0); !ok || e != stableEs[i] {
+			t.Fatalf("stable header %d does not hit its own entry", i)
 		}
 	}
 
@@ -59,14 +87,14 @@ func TestSnapshotConsistencyUnderWrites(t *testing.T) {
 		key.SetFieldBit(l, sip, i%31)
 		key.SetFieldBit(l, dip, i%16)
 		e := &Entry{Key: key.And(mask), Mask: mask, Action: flowtable.Drop, RuleName: "churn"}
-		for v := 0; v < stable; v++ {
-			if bitvec.Covers(e.Key, e.Mask, mkStable(uint64(v))) {
+		for v, h := range stableHs {
+			if bitvec.Covers(e.Key, e.Mask, h) {
 				t.Fatalf("churn entry %d covers stable key %d", i, v)
 			}
 		}
 		churnEntries[i] = e
 	}
-	maskHigh := int64(stable + 1) // high-water bound for probe counts
+	maskHigh := int64(stableMasks + 2) // high-water bound for probe counts
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 
@@ -94,7 +122,7 @@ func TestSnapshotConsistencyUnderWrites(t *testing.T) {
 				c.DeleteWhere(func(e *Entry) bool { return e.RuleName == "churn" })
 			case 2:
 				// Refresh a stable entry (same key+mask, COW replace).
-				if err := c.Insert(&Entry{Key: mkStable(uint64(i % stable)), Mask: fullMask.Clone(),
+				if err := c.Insert(&Entry{Key: mkStable(uint64(i % stableExact)), Mask: fullMask.Clone(),
 					Action: flowtable.Allow, RuleName: "stable"}, int64(i)); err != nil {
 					t.Error(err)
 					return
@@ -112,8 +140,8 @@ func TestSnapshotConsistencyUnderWrites(t *testing.T) {
 			hs := make([]bitvec.Vec, 8)
 			out := make([]BatchResult, 8)
 			for i := 0; !stop.Load(); i++ {
-				v := uint64((i + r) % stable)
-				e, probes, ok := hd.Lookup(mkStable(v), int64(i))
+				v := (i + r) % stable
+				e, probes, ok := hd.Lookup(stableHs[v], int64(i))
 				if !ok || e.Action != flowtable.Allow {
 					t.Errorf("reader %d: stable entry %d missed (torn snapshot?)", r, v)
 					return
@@ -123,7 +151,7 @@ func TestSnapshotConsistencyUnderWrites(t *testing.T) {
 					return
 				}
 				for j := range hs {
-					hs[j] = mkStable(uint64((i + j) % stable))
+					hs[j] = stableHs[(i+j*53)%stable]
 				}
 				n := hd.LookupBatch(hs, int64(i), out)
 				if n != len(hs) {
@@ -186,8 +214,8 @@ func TestSnapshotConsistencyUnderWrites(t *testing.T) {
 	}
 	// All churn entries were deleted by the final DeleteWhere rounds or
 	// remain; either way the stable set must be intact.
-	for i := 0; i < stable; i++ {
-		if _, _, ok := c.Lookup(mkStable(uint64(i)), 0); !ok {
+	for i, h := range stableHs {
+		if _, _, ok := c.Lookup(h, 0); !ok {
 			t.Fatalf("stable entry %d lost", i)
 		}
 	}

@@ -495,6 +495,13 @@ type Stats struct {
 	// InsertBatch raises it by exactly one — the amortisation the batched
 	// slow path exists for.
 	Publishes uint64
+	// ProbesCopied, SlotsCopied and OverlapCompared are the writer's work
+	// ledger, counted under the writer lock and never on the lookup path:
+	// probe records copied into published snapshots, group slots copied by
+	// copy-on-write clones, and entries passed to the full bitvec.Overlap
+	// by the insert-time overlap check. Unlike timings they repeat
+	// exactly, so tests pin them.
+	ProbesCopied, SlotsCopied, OverlapCompared uint64
 }
 
 // Options configures a Classifier.
@@ -568,7 +575,9 @@ type Classifier struct {
 	shards   []*statShard
 	costKeys []float64 // resort scratch (under mu), OrderProbeCost only
 
-	inserted, deleted, published uint64 // writer-side counters, under mu
+	// Writer-side counters, under mu.
+	inserted, deleted, published               uint64
+	probesCopied, slotsCopied, overlapCompared uint64
 }
 
 // snapshot is one immutable published scan state: the flat probe list in
@@ -638,6 +647,7 @@ func (c *Classifier) publishLocked() {
 	}
 	c.thawed = c.thawed[:0]
 	c.published++
+	c.probesCopied += uint64(len(c.probes))
 	c.snap.Store(sn)
 }
 
@@ -961,6 +971,7 @@ func (c *Classifier) mutableLocked(g *group) (*group, int) {
 		return g, i
 	}
 	ng := g.clone()
+	c.slotsCopied += uint64(len(ng.slots))
 	c.byMask[ng.maskKey] = ng
 	c.groups[i] = ng
 	c.thawed = append(c.thawed, ng)
@@ -1081,6 +1092,7 @@ func (c *Classifier) findOverlapLocked(e *Entry) *Entry {
 		}
 		var found *Entry
 		g.each(func(ex *Entry) bool {
+			c.overlapCompared++
 			if bitvec.Overlap(e.Key, e.Mask, ex.Key, ex.Mask) {
 				found = ex
 				return false
@@ -1287,6 +1299,7 @@ func (c *Classifier) Stats() Stats {
 	c.shardsMu.Unlock()
 	c.mu.Lock()
 	s.Inserted, s.Deleted, s.Publishes = c.inserted, c.deleted, c.published
+	s.ProbesCopied, s.SlotsCopied, s.OverlapCompared = c.probesCopied, c.slotsCopied, c.overlapCompared
 	c.mu.Unlock()
 	return s
 }

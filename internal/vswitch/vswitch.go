@@ -405,7 +405,7 @@ func (s *Switch) HandleMissFrom(port int, h bitvec.Vec, now int64) Verdict {
 	v := Verdict{Action: e.Action, OutPort: e.OutPort, Path: PathSlow, Probes: probes, Rule: e.RuleName}
 
 	s.mu.Lock()
-	suppressed := !s.cfg.NoRevalidatorQuirk && s.deleted[entryID(e)]
+	suppressed := s.suppressedLocked(e)
 	s.mu.Unlock()
 
 	switch {
@@ -490,12 +490,11 @@ func (s *Switch) HandleMissBatch(ms []Miss, now int64) []Verdict {
 		install = nil
 	} else {
 		s.mu.Lock()
-		quirk := !s.cfg.NoRevalidatorQuirk
 		count := s.mfc.EntryCount()
 		n := 0
 		for _, e := range entries {
 			switch {
-			case quirk && s.deleted[entryID(e)]:
+			case s.suppressedLocked(e):
 				delta.Suppressed++
 			case s.cfg.MaxMegaflows > 0 && count >= s.cfg.MaxMegaflows:
 				// Conservative within the burst: a refresh of an existing
@@ -815,3 +814,10 @@ func (s *Switch) putBatchResults(res []tss.BatchResult) {
 
 // entryID keys a (key, mask) pair for the quirk ledger.
 func entryID(e *tss.Entry) string { return e.Key.Key() + "|" + e.Mask.Key() }
+
+// suppressedLocked reports whether the quirk ledger forbids installing e.
+// An empty ledger — every run without monitor deletions — answers without
+// building the entry's ledger key. Caller holds s.mu.
+func (s *Switch) suppressedLocked(e *tss.Entry) bool {
+	return !s.cfg.NoRevalidatorQuirk && len(s.deleted) > 0 && s.deleted[entryID(e)]
+}
