@@ -1078,32 +1078,58 @@ func (c *Classifier) insertLocked(e *Entry, now int64) error {
 	return nil
 }
 
-// findOverlapLocked returns any existing entry overlapping e, or nil.
+// findOverlapLocked returns the first existing entry, in scan order, that
+// overlaps e, or nil. It streams the writer-side probe mirror the way
+// lookupSnap streams a snapshot: a one-entry inline group is rejected on
+// its inlined first mask word alone — the two entries disagree on a bit
+// both masks constrain — in a loop that calls nothing, which decides
+// nearly every group of an attack-inflated cache; survivors are confirmed
+// with the full bitvec.Overlap, so the check stays exact.
 func (c *Classifier) findOverlapLocked(e *Entry) *Entry {
-	for _, g := range c.groups {
-		// Fast path: if the group's mask is a subset of e's mask, an
-		// overlap within this group must agree with e on the group mask,
-		// so a single masked hash probe decides.
-		if g.mask.SubsetOf(e.Mask) {
-			if ex := g.findMasked(e.Key); ex != nil {
-				return ex
+	ps := c.probes
+	for k := 0; k < len(ps); k++ {
+		run := ps[k:]
+		for i := range run {
+			p := &run[i]
+			if p.e0 == nil || (e.Key[p.idx0]^p.kw0)&e.Mask[p.idx0]&p.mw0 == 0 {
+				break
 			}
-			continue
+			k++
 		}
-		var found *Entry
-		g.each(func(ex *Entry) bool {
+		if k == len(ps) {
+			break
+		}
+		p := &ps[k]
+		if p.e0 != nil {
 			c.overlapCompared++
-			if bitvec.Overlap(e.Key, e.Mask, ex.Key, ex.Mask) {
-				found = ex
-				return false
+			if bitvec.Overlap(e.Key, e.Mask, p.e0.Key, p.e0.Mask) {
+				return p.e0
 			}
-			return true
-		})
-		if found != nil {
-			return found
+		} else if ex := c.groupOverlapLocked(p.g, e); ex != nil {
+			return ex
 		}
 	}
 	return nil
+}
+
+// groupOverlapLocked returns an entry of g overlapping e, or nil.
+func (c *Classifier) groupOverlapLocked(g *group, e *Entry) *Entry {
+	// If the group's mask is a subset of e's mask, an overlap within this
+	// group must agree with e on the group mask, so a single masked hash
+	// probe decides.
+	if g.mask.SubsetOf(e.Mask) {
+		return g.findMasked(e.Key)
+	}
+	var found *Entry
+	g.each(func(ex *Entry) bool {
+		c.overlapCompared++
+		if bitvec.Overlap(e.Key, e.Mask, ex.Key, ex.Mask) {
+			found = ex
+			return false
+		}
+		return true
+	})
+	return found
 }
 
 // placeLocked restores the configured scan order after a group was
