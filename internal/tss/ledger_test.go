@@ -120,9 +120,9 @@ func TestWorkLedgerPins(t *testing.T) {
 		want  ledger
 	}{
 		{"attack install at 1024 masks", ins1024, op1024,
-			ledger{publishes: 1, probesCopied: 1024, slotsCopied: 0, overlapCompared: 33}},
+			ledger{publishes: 1, probesCopied: 253, slotsCopied: 0, overlapCompared: 33}},
 		{"attack install at 8192 masks", ins8192, op8192,
-			ledger{publishes: 1, probesCopied: 8192, slotsCopied: 0, overlapCompared: 255}},
+			ledger{publishes: 1, probesCopied: 210, slotsCopied: 0, overlapCompared: 255}},
 		{"install into a 12k-entry group", exactGroup, func(c *Classifier) error {
 			return c.Insert(exactEntries(l, 12001)[12000], 100)
 		}, ledger{publishes: 1, probesCopied: 1, slotsCopied: 16384, overlapCompared: 0}},
@@ -137,7 +137,7 @@ func TestWorkLedgerPins(t *testing.T) {
 				return fmt.Errorf("expired %d, want 4096", n)
 			}
 			return nil
-		}, ledger{publishes: 1, probesCopied: 4096, slotsCopied: 32768, overlapCompared: 0}},
+		}, ledger{publishes: 1, probesCopied: 4096, slotsCopied: 0, overlapCompared: 0}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

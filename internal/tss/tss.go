@@ -183,7 +183,6 @@ type group struct {
 	// so the default orders pay nothing for them.
 	probes *uint64
 	skips  *uint64
-	seq    int
 }
 
 // slot is one open-addressing cell: the key's fingerprint (keyHash) for a
@@ -200,7 +199,7 @@ const minGroupSlots = 8
 // newGroup builds an empty group for the (already cloned) mask. stages is
 // the classifier's staged-lookup word boundary list (nil when staging is
 // off).
-func newGroup(mask bitvec.Vec, maskKey string, seq int, stages []int) *group {
+func newGroup(mask bitvec.Vec, maskKey string, stages []int) *group {
 	g := &group{
 		mask:    mask,
 		maskKey: maskKey,
@@ -210,7 +209,6 @@ func newGroup(mask bitvec.Vec, maskKey string, seq int, stages []int) *group {
 		hits:    new(uint64),
 		probes:  new(uint64),
 		skips:   new(uint64),
-		seq:     seq,
 	}
 	g.sparse, g.sparseOK = bitvec.NewSparseMask(mask)
 	if g.sparseOK && len(stages) > 1 {
@@ -555,17 +553,16 @@ type Handle struct {
 // groups they touch (copy-on-write), and publish the next snapshot
 // atomically.
 type Classifier struct {
-	mu      sync.Mutex // serialises writers; readers never take it
-	layout  *bitvec.Layout
-	groups  []*group    // authoritative scan order (writer-side)
-	probes  []scanProbe // mirror of groups' probe records, kept in sync
-	thawed  []*group    // groups created/cloned since the last publish
-	byMask  map[string]*group
-	nEntry  int
-	nextSeq int
-	opts    Options
-	stages  []int // staged-lookup word boundaries; nil = staging off
-	staged  bool
+	mu     sync.Mutex // serialises writers; readers never take it
+	layout *bitvec.Layout
+	dir    []chunk  // writer-side probe mirror: the authoritative scan order
+	masks  int      // records in dir: |M|
+	thawed []*group // groups created/cloned since the last publish
+	byMask map[string]*group
+	nEntry int
+	opts   Options
+	stages []int // staged-lookup word boundaries; nil = staging off
+	staged bool
 
 	snap  atomic.Pointer[snapshot]
 	dirty atomic.Bool // OrderHitCount/OrderProbeCost needs re-sort
@@ -580,13 +577,14 @@ type Classifier struct {
 	probesCopied, slotsCopied, overlapCompared uint64
 }
 
-// snapshot is one immutable published scan state: the flat probe list in
-// scan order (each record carries its group pointer, so the dump-style
-// readers walk the same slice). Readers obtained it from the atomic
-// pointer; nothing in it is mutated after publication (entry and hit
-// counters are updated atomically through shared pointers).
+// snapshot is one immutable published scan state: the probe mirror's chunk
+// directory in scan order (each record carries its group pointer, so the
+// dump-style readers walk the same chunks). Readers obtained it from the
+// atomic pointer; nothing it references is mutated after publication
+// (entry and hit counters are updated atomically through shared pointers).
 type snapshot struct {
-	probes []scanProbe
+	chunks [][]scanProbe
+	masks  int
 	nEntry int
 }
 
@@ -612,7 +610,7 @@ type scanProbe struct {
 
 // buildProbe constructs the scan record for a group's current state.
 // Writers call it whenever a group's membership or solo entry changes,
-// keeping the writer-side probe mirror in sync with c.groups.
+// keeping the probe mirror in sync with the groups.
 func buildProbe(g *group) scanProbe {
 	p := scanProbe{g: g, hits: g.hits}
 	if g.sparseOK && g.solo != nil {
@@ -626,54 +624,6 @@ func buildProbe(g *group) scanProbe {
 		}
 	}
 	return p
-}
-
-// publishLocked copies the writer-side mirror into the next snapshot and
-// publishes it. Called under the writer lock after every mutation. The
-// copy is the copy-on-write bill — O(|M|) memcpy per publish, the same
-// shape as OVS's RCU pvector republish — but deliberately just a memcpy:
-// probe records are maintained incrementally as groups change, not
-// reconstructed per publish (an attack installing one megaflow per upcall
-// pays memory bandwidth here, not pointer-chasing). Groups touched since
-// the last publish are frozen so later writers clone before mutating
-// (readers may scan this snapshot indefinitely).
-func (c *Classifier) publishLocked() {
-	sn := &snapshot{
-		probes: append([]scanProbe(nil), c.probes...),
-		nEntry: c.nEntry,
-	}
-	for _, g := range c.thawed {
-		g.frozen = true
-	}
-	c.thawed = c.thawed[:0]
-	c.published++
-	c.probesCopied += uint64(len(c.probes))
-	c.snap.Store(sn)
-}
-
-// indexOfLocked returns g's position in the writer-side scan order.
-func (c *Classifier) indexOfLocked(g *group) int {
-	for i, gg := range c.groups {
-		if gg == g {
-			return i
-		}
-	}
-	return -1
-}
-
-// removeAtLocked drops the group at scan position i from the writer-side
-// lists and the mask index. The vacated tail slot is zeroed so a
-// post-wipe shrink (MFCGuard deleting a whole attack state) does not pin
-// deleted entries and groups through the slices' backing arrays.
-func (c *Classifier) removeAtLocked(i int) {
-	delete(c.byMask, c.groups[i].maskKey)
-	n := len(c.groups) - 1
-	copy(c.groups[i:], c.groups[i+1:])
-	c.groups[n] = nil
-	c.groups = c.groups[:n]
-	copy(c.probes[i:], c.probes[i+1:])
-	c.probes[n] = scanProbe{}
-	c.probes = c.probes[:n]
 }
 
 // New creates an empty classifier over the layout.
@@ -734,7 +684,9 @@ func (hd *Handle) Lookup(h bitvec.Vec, now int64) (*Entry, int, bool) {
 // nonzero words (no scratch vector, no allocation), with the staged early
 // bail skipping most of that work for non-matching masks. Hit accounting
 // is atomic so any number of readers may run concurrently; scan
-// statistics go to the handle's private shard.
+// statistics go to the handle's private shard. The scan walks the
+// snapshot's chunks in order; a record's probe number is its chunk's base
+// plus its index plus one.
 func (hd *Handle) lookupSnap(sn *snapshot, h bitvec.Vec, now int64) (*Entry, int, int, bool) {
 	c := hd.c
 	if c.opts.Order == OrderProbeCost {
@@ -743,79 +695,81 @@ func (hd *Handle) lookupSnap(sn *snapshot, h bitvec.Vec, now int64) (*Entry, int
 		return hd.lookupSnapTracked(sn, h, now)
 	}
 	staged := c.staged
-	ps := sn.probes
-	skips := 0
-	for k := 0; k < len(ps); k++ {
-		if staged {
-			// Inlined one-entry groups: compare the first masked header
-			// word against the inlined key word. A mismatch — the common
-			// case by far in the attack regime — bails on streamed bytes
-			// alone, so runs of them are skipped in a loop of their own
-			// that calls nothing and keeps its state in registers.
-			run := ps[k:]
-			for i := range run {
-				p := &run[i]
-				if p.e0 == nil || h[p.idx0]&p.mw0 == p.kw0 {
+	skips, base := 0, 0
+	for _, ps := range sn.chunks {
+		for k := 0; k < len(ps); k++ {
+			if staged {
+				// Inlined one-entry groups: compare the first masked header
+				// word against the inlined key word. A mismatch — the common
+				// case by far in the attack regime — bails on streamed bytes
+				// alone, so runs of them are skipped in a loop of their own
+				// that calls nothing and keeps its state in registers.
+				run := ps[k:]
+				for i := range run {
+					p := &run[i]
+					if p.e0 == nil || h[p.idx0]&p.mw0 == p.kw0 {
+						break
+					}
+					if p.n > 1 {
+						skips++
+					}
+					k++
+				}
+				if k == len(ps) {
 					break
 				}
-				if p.n > 1 {
+			}
+			p := &ps[k]
+			var e *Entry
+			if p.e0 != nil {
+				if staged {
+					// First word agreed. Matching every nonzero mask word IS
+					// the full match (the key is canonical), so a hit needs no
+					// hash at all; further words are confirmed through the
+					// group (rare, so the dereference is off the common path).
+					if p.n <= 1 || p.g.sparse.EqualKey(p.e0.Key, h) {
+						e = p.e0
+					}
+				} else {
+					// Unstaged: decide on the group's fingerprint; only a
+					// match (or a 2^-64 collision) touches the entry itself.
+					if g := p.g; g.sparse.Hash(h) == g.soloFP && g.sparse.EqualKey(p.e0.Key, h) {
+						e = p.e0
+					}
+				}
+			} else if staged {
+				var skip bool
+				e, skip = p.g.findMaskedStaged(h)
+				if skip {
 					skips++
 				}
-				k++
-			}
-			if k == len(ps) {
-				break
-			}
-		}
-		p := &ps[k]
-		var e *Entry
-		if p.e0 != nil {
-			if staged {
-				// First word agreed. Matching every nonzero mask word IS
-				// the full match (the key is canonical), so a hit needs no
-				// hash at all; further words are confirmed through the
-				// group (rare, so the dereference is off the common path).
-				if p.n <= 1 || p.g.sparse.EqualKey(p.e0.Key, h) {
-					e = p.e0
-				}
 			} else {
-				// Unstaged: decide on the group's fingerprint; only a
-				// match (or a 2^-64 collision) touches the entry itself.
-				if g := p.g; g.sparse.Hash(h) == g.soloFP && g.sparse.EqualKey(p.e0.Key, h) {
-					e = p.e0
+				e = p.g.findMasked(h)
+			}
+			if e != nil {
+				probes := base + k + 1
+				atomic.AddUint64(&e.Hits, 1)
+				atomic.StoreInt64(&e.LastUsed, now)
+				atomic.AddUint64(p.hits, 1)
+				if c.opts.Order == OrderHitCount {
+					c.dirty.Store(true)
 				}
+				sh := hd.sh
+				atomic.AddUint64(&sh.lookups, 1)
+				atomic.AddUint64(&sh.hits, 1)
+				atomic.AddUint64(&sh.probes, uint64(probes))
+				atomic.AddUint64(&sh.stageSkips, uint64(skips))
+				return e, probes, skips, true
 			}
-		} else if staged {
-			var skip bool
-			e, skip = p.g.findMaskedStaged(h)
-			if skip {
-				skips++
-			}
-		} else {
-			e = p.g.findMasked(h)
 		}
-		if e != nil {
-			probes := k + 1
-			atomic.AddUint64(&e.Hits, 1)
-			atomic.StoreInt64(&e.LastUsed, now)
-			atomic.AddUint64(p.hits, 1)
-			if c.opts.Order == OrderHitCount {
-				c.dirty.Store(true)
-			}
-			sh := hd.sh
-			atomic.AddUint64(&sh.lookups, 1)
-			atomic.AddUint64(&sh.hits, 1)
-			atomic.AddUint64(&sh.probes, uint64(probes))
-			atomic.AddUint64(&sh.stageSkips, uint64(skips))
-			return e, probes, skips, true
-		}
+		base += len(ps)
 	}
 	sh := hd.sh
 	atomic.AddUint64(&sh.lookups, 1)
 	atomic.AddUint64(&sh.misses, 1)
-	atomic.AddUint64(&sh.probes, uint64(len(ps)))
+	atomic.AddUint64(&sh.probes, uint64(base))
 	atomic.AddUint64(&sh.stageSkips, uint64(skips))
-	return nil, len(ps), skips, false
+	return nil, base, skips, false
 }
 
 // lookupSnapTracked is lookupSnap for OrderProbeCost: identical probe
@@ -826,44 +780,46 @@ func (hd *Handle) lookupSnapTracked(sn *snapshot, h bitvec.Vec, now int64) (*Ent
 	c := hd.c
 	staged := c.staged
 	probes, skips := 0, 0
-	for k := range sn.probes {
-		p := &sn.probes[k]
-		probes++
-		var e *Entry
-		var skip bool
-		if p.e0 != nil {
-			if staged {
-				if h[p.idx0]&p.mw0 != p.kw0 {
-					skip = p.n > 1
-				} else if p.n <= 1 {
-					e = p.e0
-				} else if p.g.sparse.EqualKey(p.e0.Key, h) {
+	for _, ps := range sn.chunks {
+		for k := range ps {
+			p := &ps[k]
+			probes++
+			var e *Entry
+			var skip bool
+			if p.e0 != nil {
+				if staged {
+					if h[p.idx0]&p.mw0 != p.kw0 {
+						skip = p.n > 1
+					} else if p.n <= 1 {
+						e = p.e0
+					} else if p.g.sparse.EqualKey(p.e0.Key, h) {
+						e = p.e0
+					}
+				} else if g := p.g; g.sparse.Hash(h) == g.soloFP && g.sparse.EqualKey(p.e0.Key, h) {
 					e = p.e0
 				}
-			} else if g := p.g; g.sparse.Hash(h) == g.soloFP && g.sparse.EqualKey(p.e0.Key, h) {
-				e = p.e0
+			} else if staged {
+				e, skip = p.g.findMaskedStaged(h)
+			} else {
+				e = p.g.findMasked(h)
 			}
-		} else if staged {
-			e, skip = p.g.findMaskedStaged(h)
-		} else {
-			e = p.g.findMasked(h)
-		}
-		atomic.AddUint64(p.g.probes, 1)
-		if skip {
-			skips++
-			atomic.AddUint64(p.g.skips, 1)
-		}
-		if e != nil {
-			atomic.AddUint64(&e.Hits, 1)
-			atomic.StoreInt64(&e.LastUsed, now)
-			atomic.AddUint64(p.hits, 1)
-			c.dirty.Store(true)
-			sh := hd.sh
-			atomic.AddUint64(&sh.lookups, 1)
-			atomic.AddUint64(&sh.hits, 1)
-			atomic.AddUint64(&sh.probes, uint64(probes))
-			atomic.AddUint64(&sh.stageSkips, uint64(skips))
-			return e, probes, skips, true
+			atomic.AddUint64(p.g.probes, 1)
+			if skip {
+				skips++
+				atomic.AddUint64(p.g.skips, 1)
+			}
+			if e != nil {
+				atomic.AddUint64(&e.Hits, 1)
+				atomic.StoreInt64(&e.LastUsed, now)
+				atomic.AddUint64(p.hits, 1)
+				c.dirty.Store(true)
+				sh := hd.sh
+				atomic.AddUint64(&sh.lookups, 1)
+				atomic.AddUint64(&sh.hits, 1)
+				atomic.AddUint64(&sh.probes, uint64(probes))
+				atomic.AddUint64(&sh.stageSkips, uint64(skips))
+				return e, probes, skips, true
+			}
 		}
 	}
 	sh := hd.sh
@@ -960,24 +916,6 @@ func (e *ErrOverlap) Error() string {
 	return "tss: entry overlaps existing megaflow (Inv(2) violation)"
 }
 
-// mutableLocked returns a group safe to mutate under the writer lock plus
-// its scan position: the group itself if it has never been published,
-// else a clone wired into the writer-side index and scan list in its
-// place (copy-on-write; the published snapshot keeps the frozen
-// original). Callers must refresh c.probes[i] after mutating.
-func (c *Classifier) mutableLocked(g *group) (*group, int) {
-	i := c.indexOfLocked(g)
-	if !g.frozen {
-		return g, i
-	}
-	ng := g.clone()
-	c.slotsCopied += uint64(len(ng.slots))
-	c.byMask[ng.maskKey] = ng
-	c.groups[i] = ng
-	c.thawed = append(c.thawed, ng)
-	return ng, i
-}
-
 // Insert adds a megaflow at virtual time now. If an entry with the same
 // key and mask exists, it is refreshed in place (idempotent install). If
 // the new entry overlaps a different existing entry, Insert returns
@@ -1047,9 +985,9 @@ func (c *Classifier) insertLocked(e *Entry, now int64) error {
 			// group, carrying the hit count forward.
 			e.LastUsed = now
 			e.Hits = atomic.LoadUint64(&old.Hits)
-			g, gi := c.mutableLocked(g)
+			g, ci, k := c.mutableLocked(g)
 			g.replace(old, e)
-			c.probes[gi] = buildProbe(g)
+			c.setProbeLocked(ci, k, g)
 			return nil
 		}
 	}
@@ -1060,18 +998,15 @@ func (c *Classifier) insertLocked(e *Entry, now int64) error {
 	}
 	e.LastUsed = now
 	if g == nil {
-		g = newGroup(e.Mask.Clone(), mk, c.nextSeq, c.stages)
-		c.nextSeq++
+		g = newGroup(e.Mask.Clone(), mk, c.stages)
 		c.byMask[mk] = g
 		c.thawed = append(c.thawed, g)
 		g.put(e)
-		c.groups = append(c.groups, g)
-		c.placeLocked()
+		c.placeLocked(g)
 	} else {
-		var gi int
-		g, gi = c.mutableLocked(g)
+		g, ci, k := c.mutableLocked(g)
 		g.put(e)
-		c.probes[gi] = buildProbe(g)
+		c.setProbeLocked(ci, k, g)
 	}
 	c.nEntry++
 	c.inserted++
@@ -1086,27 +1021,29 @@ func (c *Classifier) insertLocked(e *Entry, now int64) error {
 // nearly every group of an attack-inflated cache; survivors are confirmed
 // with the full bitvec.Overlap, so the check stays exact.
 func (c *Classifier) findOverlapLocked(e *Entry) *Entry {
-	ps := c.probes
-	for k := 0; k < len(ps); k++ {
-		run := ps[k:]
-		for i := range run {
-			p := &run[i]
-			if p.e0 == nil || (e.Key[p.idx0]^p.kw0)&e.Mask[p.idx0]&p.mw0 == 0 {
+	for _, ch := range c.dir {
+		ps := ch.recs
+		for k := 0; k < len(ps); k++ {
+			run := ps[k:]
+			for i := range run {
+				p := &run[i]
+				if p.e0 == nil || (e.Key[p.idx0]^p.kw0)&e.Mask[p.idx0]&p.mw0 == 0 {
+					break
+				}
+				k++
+			}
+			if k == len(ps) {
 				break
 			}
-			k++
-		}
-		if k == len(ps) {
-			break
-		}
-		p := &ps[k]
-		if p.e0 != nil {
-			c.overlapCompared++
-			if bitvec.Overlap(e.Key, e.Mask, p.e0.Key, p.e0.Mask) {
-				return p.e0
+			p := &ps[k]
+			if p.e0 != nil {
+				c.overlapCompared++
+				if bitvec.Overlap(e.Key, e.Mask, p.e0.Key, p.e0.Mask) {
+					return p.e0
+				}
+			} else if ex := c.groupOverlapLocked(p.g, e); ex != nil {
+				return ex
 			}
-		} else if ex := c.groupOverlapLocked(p.g, e); ex != nil {
-			return ex
 		}
 	}
 	return nil
@@ -1132,43 +1069,32 @@ func (c *Classifier) groupOverlapLocked(g *group, e *Entry) *Entry {
 	return found
 }
 
-// placeLocked restores the configured scan order after a group was
-// appended at the end of c.groups (its entries already in place), and
-// inserts the group's probe record into the mirror at the same position.
-func (c *Classifier) placeLocked() {
-	g := c.groups[len(c.groups)-1]
-	pos := len(c.groups) - 1
+// placeLocked inserts a new group's probe record into the mirror at its
+// scan position: binary-searched into hash order under OrderHash,
+// appended otherwise.
+func (c *Classifier) placeLocked(g *group) {
+	ci, k := c.endLocked()
 	if c.opts.Order == OrderHash {
-		// Binary-insert the appended group into hash order.
-		pos = sort.Search(len(c.groups)-1, func(i int) bool {
-			if c.groups[i].hash != g.hash {
-				return c.groups[i].hash > g.hash
-			}
-			return c.groups[i].maskKey > g.maskKey
-		})
-		copy(c.groups[pos+1:], c.groups[pos:len(c.groups)-1])
-		c.groups[pos] = g
+		ci, k = c.searchLocked(g.hash, g.maskKey)
 	}
-	c.probes = append(c.probes, scanProbe{})
-	copy(c.probes[pos+1:], c.probes[pos:len(c.probes)-1])
-	c.probes[pos] = buildProbe(g)
+	c.insertProbeLocked(ci, k, buildProbe(g))
 	if c.opts.Order.resorts() {
 		// Appended for now; the lazy resort restores the measured order.
 		c.dirty.Store(true)
 	}
 }
 
-// costSorter stably sorts the writer-side group order by descending
-// snapshotted probe-cost key, keeping the two slices in tandem.
+// costSorter stably sorts probe records by descending snapshotted
+// probe-cost key, keeping the two slices in tandem.
 type costSorter struct {
-	groups []*group
-	keys   []float64
+	recs []scanProbe
+	keys []float64
 }
 
-func (s *costSorter) Len() int           { return len(s.groups) }
+func (s *costSorter) Len() int           { return len(s.recs) }
 func (s *costSorter) Less(i, j int) bool { return s.keys[i] > s.keys[j] }
 func (s *costSorter) Swap(i, j int) {
-	s.groups[i], s.groups[j] = s.groups[j], s.groups[i]
+	s.recs[i], s.recs[j] = s.recs[j], s.recs[i]
 	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
@@ -1197,31 +1123,29 @@ func (c *Classifier) resortLocked() {
 	if !c.opts.Order.resorts() || !c.dirty.Load() {
 		return
 	}
+	recs := c.flattenLocked()
 	if c.opts.Order == OrderProbeCost {
 		// Keys are snapshotted before sorting: concurrent readers keep
 		// bumping the counters, and a comparator re-reading them mid-sort
-		// would not be a consistent ordering. The scratch slices live on
+		// would not be a consistent ordering. The scratch slice lives on
 		// the classifier (we hold c.mu) — under traffic every hit dirties
 		// the order, so re-sorts are frequent enough that per-resort
 		// O(|M|) allocations would be real garbage.
-		n := len(c.groups)
+		n := len(recs)
 		if cap(c.costKeys) < n {
 			c.costKeys = make([]float64, n)
 		}
 		keys := c.costKeys[:n]
-		for i, g := range c.groups {
-			keys[i] = probeCostKey(g)
+		for i := range recs {
+			keys[i] = probeCostKey(recs[i].g)
 		}
-		sort.Stable(&costSorter{groups: c.groups, keys: keys})
+		sort.Stable(&costSorter{recs: recs, keys: keys})
 	} else {
-		sort.SliceStable(c.groups, func(i, j int) bool {
-			return atomic.LoadUint64(c.groups[i].hits) > atomic.LoadUint64(c.groups[j].hits)
+		sort.SliceStable(recs, func(i, j int) bool {
+			return atomic.LoadUint64(recs[i].hits) > atomic.LoadUint64(recs[j].hits)
 		})
 	}
-	c.probes = c.probes[:0]
-	for _, g := range c.groups {
-		c.probes = append(c.probes, buildProbe(g))
-	}
+	c.rechunkLocked(recs)
 	c.publishLocked()
 	c.dirty.Store(false)
 }
@@ -1238,14 +1162,17 @@ func (c *Classifier) Delete(key, mask bitvec.Vec) bool {
 	if g.find(key) == nil {
 		return false
 	}
-	g, gi := c.mutableLocked(g)
-	g.remove(key)
 	c.nEntry--
 	c.deleted++
-	if g.n == 0 {
-		c.removeAtLocked(gi)
+	if g.n == 1 {
+		// The group empties: drop it without cloning it first.
+		ci, k := c.locateLocked(g)
+		delete(c.byMask, g.maskKey)
+		c.removeProbeLocked(ci, k)
 	} else {
-		c.probes[gi] = buildProbe(g)
+		g, ci, k := c.mutableLocked(g)
+		g.remove(key)
+		c.setProbeLocked(ci, k, g)
 	}
 	c.publishLocked()
 	return true
@@ -1258,34 +1185,66 @@ func (c *Classifier) Delete(key, mask bitvec.Vec) bool {
 // snapshot at the end, so concurrent readers scan the previous snapshot
 // undisturbed for the duration (the revalidator's dump never stalls the
 // fast path).
+//
+// The sweep is one pass over the probe mirror, O(|M| + |C|): each chunk
+// is compacted as it is walked (copied first only if it changes and a
+// snapshot shares it), a group that loses every entry is dropped without
+// being cloned, and a group that loses some is cloned once.
 func (c *Classifier) DeleteWhere(pred func(*Entry) bool) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	removed := 0
-	for _, g := range append([]*group(nil), c.groups...) {
-		var victims []bitvec.Vec
-		g.each(func(e *Entry) bool {
-			if pred(e) {
-				victims = append(victims, e.Key)
+	var victims []bitvec.Vec
+	out := 0
+	for _, ch := range c.dir {
+		var keep []scanProbe // the compacted chunk; nil while unchanged
+		for k, p := range ch.recs {
+			victims = victims[:0]
+			p.g.each(func(e *Entry) bool {
+				if pred(e) {
+					victims = append(victims, e.Key)
+				}
+				return true
+			})
+			if len(victims) > 0 {
+				if keep == nil {
+					if ch.own {
+						keep = ch.recs[:k]
+					} else {
+						keep = append(make([]scanProbe, 0, len(ch.recs)), ch.recs[:k]...)
+					}
+				}
+				removed += len(victims)
+				if len(victims) == p.g.n {
+					delete(c.byMask, p.g.maskKey)
+					c.masks--
+					continue
+				}
+				g := c.thawLocked(p.g)
+				for _, key := range victims {
+					g.remove(key)
+				}
+				p = buildProbe(g)
 			}
-			return true
-		})
-		if len(victims) == 0 {
-			continue
-		}
-		g, gi := c.mutableLocked(g)
-		for _, k := range victims {
-			if g.remove(k) {
-				c.nEntry--
-				removed++
+			if keep != nil {
+				keep = append(keep, p)
 			}
 		}
-		if g.n == 0 {
-			c.removeAtLocked(gi)
-		} else {
-			c.probes[gi] = buildProbe(g)
+		if keep != nil {
+			if ch.own {
+				clear(ch.recs[len(keep):]) // compacted in place: unpin the tail
+			}
+			ch = chunk{recs: keep, own: true}
+		}
+		if len(ch.recs) > 0 {
+			c.dir[out] = ch
+			out++
 		}
 	}
+	clear(c.dir[out:])
+	c.dir = c.dir[:out]
+	c.repackLocked()
+	c.nEntry -= removed
 	c.deleted += uint64(removed)
 	c.publishLocked()
 	return removed
@@ -1301,7 +1260,7 @@ func (c *Classifier) ExpireIdle(now, timeout int64) int {
 // MaskCount returns |M|, the number of distinct masks — the quantity the
 // TSE attack maximises. Lock-free snapshot read.
 func (c *Classifier) MaskCount() int {
-	return len(c.snap.Load().probes)
+	return c.snap.Load().masks
 }
 
 // EntryCount returns |C|, the number of installed megaflows. Lock-free
@@ -1339,12 +1298,13 @@ func (c *Classifier) Stats() Stats {
 func (c *Classifier) Entries() []*Entry {
 	sn := c.snap.Load()
 	out := make([]*Entry, 0, sn.nEntry)
-	for k := range sn.probes {
-		g := sn.probes[k].g
-		start := len(out)
-		g.each(func(e *Entry) bool { out = append(out, snapshotEntry(e)); return true })
-		within := out[start:]
-		sort.Slice(within, func(i, j int) bool { return within[i].Key.Key() < within[j].Key.Key() })
+	for _, ps := range sn.chunks {
+		for k := range ps {
+			start := len(out)
+			ps[k].g.each(func(e *Entry) bool { out = append(out, snapshotEntry(e)); return true })
+			within := out[start:]
+			sort.Slice(within, func(i, j int) bool { return within[i].Key.Key() < within[j].Key.Key() })
+		}
 	}
 	return out
 }
@@ -1365,9 +1325,11 @@ func snapshotEntry(e *Entry) *Entry {
 // Masks returns a snapshot of the distinct masks in scan order.
 func (c *Classifier) Masks() []bitvec.Vec {
 	sn := c.snap.Load()
-	out := make([]bitvec.Vec, len(sn.probes))
-	for i := range sn.probes {
-		out[i] = sn.probes[i].g.mask.Clone()
+	out := make([]bitvec.Vec, 0, sn.masks)
+	for _, ps := range sn.chunks {
+		for k := range ps {
+			out = append(out, ps[k].g.mask.Clone())
+		}
 	}
 	return out
 }
@@ -1377,16 +1339,20 @@ func (c *Classifier) Masks() []bitvec.Vec {
 // debugging and the CLI tools.
 func (c *Classifier) Dump(w io.Writer, l *bitvec.Layout) {
 	sn := c.snap.Load()
-	for i := range sn.probes {
-		g := sn.probes[i].g
-		fmt.Fprintf(w, "mask %d/%d: %s (%d entries, %d hits)\n",
-			i+1, len(sn.probes), g.mask.Format(l), g.n, atomic.LoadUint64(g.hits))
-		var es []*Entry
-		g.each(func(e *Entry) bool { es = append(es, snapshotEntry(e)); return true })
-		sort.Slice(es, func(a, b int) bool { return es[a].Key.Key() < es[b].Key.Key() })
-		for _, e := range es {
-			fmt.Fprintf(w, "  %s hits=%d last=%d rule=%s\n",
-				bitvec.FormatMasked(l, e.Key, e.Mask), e.Hits, e.LastUsed, e.RuleName)
+	pos := 0
+	for _, ps := range sn.chunks {
+		for k := range ps {
+			g := ps[k].g
+			pos++
+			fmt.Fprintf(w, "mask %d/%d: %s (%d entries, %d hits)\n",
+				pos, sn.masks, g.mask.Format(l), g.n, atomic.LoadUint64(g.hits))
+			var es []*Entry
+			g.each(func(e *Entry) bool { es = append(es, snapshotEntry(e)); return true })
+			sort.Slice(es, func(a, b int) bool { return es[a].Key.Key() < es[b].Key.Key() })
+			for _, e := range es {
+				fmt.Fprintf(w, "  %s hits=%d last=%d rule=%s\n",
+					bitvec.FormatMasked(l, e.Key, e.Mask), e.Hits, e.LastUsed, e.RuleName)
+			}
 		}
 	}
 }
@@ -1399,10 +1365,14 @@ func (c *Classifier) ProbePosition(mask bitvec.Vec) int {
 	c.maybeResort()
 	sn := c.snap.Load()
 	mk := mask.Key()
-	for i := range sn.probes {
-		if sn.probes[i].g.maskKey == mk {
-			return i + 1
+	base := 0
+	for _, ps := range sn.chunks {
+		for k := range ps {
+			if ps[k].g.maskKey == mk {
+				return base + k + 1
+			}
 		}
+		base += len(ps)
 	}
 	return 0
 }
