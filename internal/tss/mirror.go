@@ -187,8 +187,7 @@ func (c *Classifier) thawLocked(g *group) *group {
 	if !g.frozen {
 		return g
 	}
-	ng := g.clone()
-	c.slotsCopied += uint64(len(ng.slots))
+	ng := g.clone(&c.slotsCopied)
 	c.byMask[ng.maskKey] = ng
 	c.thawed = append(c.thawed, ng)
 	return ng

@@ -37,6 +37,7 @@ package tss
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -143,24 +144,35 @@ func (f *stageFilter) has(h uint64) bool { return f[(h>>6)&3]>>(h&63)&1 == 1 }
 // words caches the mask's nonzero word indices, so hashing and comparing a
 // header under the mask touches only the words the mask can constrain
 // (miniflow-style sparsity) and never materialises the masked header; and
-// entries live in a power-of-two open-addressing slot array (fingerprint +
+// entries live in a power-of-two open-addressing slot table (fingerprint +
 // entry pointer, linear probing) rather than a Go map, so a probe is an
 // array walk with no map-runtime calls and no allocation.
 //
 // Groups are copy-on-write: once a snapshot referencing the group has been
 // published (frozen == true), writers clone the group before mutating it,
-// so concurrent readers always scan a consistent slot array. The hits
-// counter is shared across clones through a pointer so no hit accounting
-// is lost when a group is copied.
+// so concurrent readers always scan a consistent slot table. The table is
+// paged so a clone costs what it writes, not what the group holds: the
+// clone copies the page directory and then each page only when it first
+// writes it (see set). The hits counter is shared across clones through a
+// pointer so no hit accounting is lost when a group is copied.
 type group struct {
-	// slots and sparse lead the struct so a lookup probe's loads stay
+	// pages and sparse lead the struct so a lookup probe's loads stay
 	// within the group's first cache lines.
-	slots    []slot
+	pages    [][]slot          // slot i is pages[i>>pageShift][i&pageMask]
 	sparse   bitvec.SparseMask // inline nonzero-word view of mask
 	sparseOK bool              // mask fits inline; else use mask/words
 	frozen   bool              // published in a snapshot; clone to mutate
+	slotBits uint8             // the table has 1<<slotBits slots
 	solo     *Entry            // the sole entry while n == 1, else nil
 	soloFP   uint64            // solo's fingerprint
+
+	// own and cow are a multi-page clone's writer-side page ownership: bit
+	// p of own is set once page p is the clone's own copy, and cow is the
+	// classifier's Stats.SlotsCopied counter, charged per page copied. Both
+	// are nil for a group that owns every page (new, regrown, or a
+	// one-page clone).
+	own []uint64
+	cow *uint64
 
 	// stageOff are the staged-lookup slot offsets: stage s covers sparse
 	// slots [stageOff[s], stageOff[s+1]). nil (or a single effective
@@ -192,23 +204,46 @@ type slot struct {
 	e  *Entry
 }
 
-// minGroupSlots keeps even one-entry groups probe-cheap without resizing on
-// every early insert.
-const minGroupSlots = 8
+// Slot tables are paged: slot i lives at pages[i>>pageShift][i&pageMask],
+// with the same global linear probing and backward-shift delete as one flat
+// array. A table of pageSlots slots or fewer is a single page of its own
+// length, so the one-entry groups an attack spawns by the thousand keep
+// their minSlotBits-slot tables; a 16 k-slot exact-match group is 256
+// pages, and a clone copies its directory plus the one or two pages an
+// install writes instead of all 256 kB.
+const (
+	pageShift   = 6
+	pageSlots   = 1 << pageShift
+	pageMask    = pageSlots - 1
+	minSlotBits = 3 // keeps even one-entry groups probe-cheap without resizing on every early insert
+)
+
+// makePages allocates an empty table of n slots, n a power of two.
+func makePages(n int) [][]slot {
+	if n <= pageSlots {
+		return [][]slot{make([]slot, n)}
+	}
+	pages := make([][]slot, n>>pageShift)
+	for p := range pages {
+		pages[p] = make([]slot, pageSlots)
+	}
+	return pages
+}
 
 // newGroup builds an empty group for the (already cloned) mask. stages is
 // the classifier's staged-lookup word boundary list (nil when staging is
 // off).
 func newGroup(mask bitvec.Vec, maskKey string, stages []int) *group {
 	g := &group{
-		mask:    mask,
-		maskKey: maskKey,
-		hash:    mask.Hash(),
-		words:   mask.NonzeroWords(),
-		slots:   make([]slot, minGroupSlots),
-		hits:    new(uint64),
-		probes:  new(uint64),
-		skips:   new(uint64),
+		mask:     mask,
+		maskKey:  maskKey,
+		hash:     mask.Hash(),
+		words:    mask.NonzeroWords(),
+		pages:    makePages(1 << minSlotBits),
+		slotBits: minSlotBits,
+		hits:     new(uint64),
+		probes:   new(uint64),
+		skips:    new(uint64),
 	}
 	g.sparse, g.sparseOK = bitvec.NewSparseMask(mask)
 	if g.sparseOK && len(stages) > 1 {
@@ -244,14 +279,43 @@ func buildStageOff(sp *bitvec.SparseMask, bounds []int) []uint8 {
 }
 
 // clone returns a mutable copy of the group sharing the immutable pieces
-// (mask, words, stage offsets, hit counter) and copying everything a
-// writer mutates in place (slot array, Bloom filters, counts).
-func (g *group) clone() *group {
+// (mask, words, stage offsets, hit counter) and copying what a writer
+// mutates in place: Bloom filters, counts, the page directory, and the
+// slot pages — a one-page table at once, since a write follows every
+// clone, a larger one page by page as set first writes each. copied is
+// the classifier's Stats.SlotsCopied.
+func (g *group) clone(copied *uint64) *group {
 	ng := *g
-	ng.slots = append([]slot(nil), g.slots...)
-	ng.filters = append([]stageFilter(nil), g.filters...)
 	ng.frozen = false
+	ng.filters = append([]stageFilter(nil), g.filters...)
+	ng.pages = append([][]slot(nil), g.pages...)
+	if len(ng.pages) == 1 {
+		ng.pages[0] = append([]slot(nil), ng.pages[0]...)
+		*copied += uint64(len(ng.pages[0]))
+		ng.own, ng.cow = nil, nil
+	} else {
+		ng.own = make([]uint64, (len(ng.pages)+63)/64)
+		ng.cow = copied
+	}
 	return &ng
+}
+
+// slotMask is the table's index mask.
+func (g *group) slotMask() uint64 { return 1<<g.slotBits - 1 }
+
+// at returns slot i.
+func (g *group) at(i uint64) slot { return g.pages[i>>pageShift][i&pageMask] }
+
+// set stores s at slot i, first copying i's page if the group is a clone
+// that still shares it with its frozen original.
+func (g *group) set(i uint64, s slot) {
+	p := i >> pageShift
+	if g.own != nil && g.own[p/64]>>(p%64)&1 == 0 {
+		g.pages[p] = append([]slot(nil), g.pages[p]...)
+		g.own[p/64] |= 1 << (p % 64)
+		*g.cow += uint64(len(g.pages[p]))
+	}
+	g.pages[p][i&pageMask] = s
 }
 
 // hashHeader returns the fingerprint of h under the group's mask,
@@ -309,9 +373,9 @@ func (g *group) findMaskedStaged(h bitvec.Vec) (e *Entry, skipped bool) {
 
 // probeSlots walks the open-addressing slot array for the fingerprint.
 func (g *group) probeSlots(fp uint64, h bitvec.Vec) *Entry {
-	m := uint64(len(g.slots) - 1)
+	m := g.slotMask()
 	for i := fp & m; ; i = (i + 1) & m {
-		s := g.slots[i]
+		s := g.at(i)
 		if s.e == nil {
 			return nil
 		}
@@ -325,9 +389,9 @@ func (g *group) probeSlots(fp uint64, h bitvec.Vec) *Entry {
 // exact probe; k must already be canonical for the mask).
 func (g *group) find(k bitvec.Vec) *Entry {
 	fp := keyHash(k)
-	m := uint64(len(g.slots) - 1)
+	m := g.slotMask()
 	for i := fp & m; ; i = (i + 1) & m {
-		s := g.slots[i]
+		s := g.at(i)
 		if s.e == nil {
 			return nil
 		}
@@ -337,15 +401,19 @@ func (g *group) find(k bitvec.Vec) *Entry {
 	}
 }
 
-// put inserts e (whose key must not already be present), growing the slot
-// array past 3/4 load and folding the entry into the stage filters.
+// put inserts e (whose key must not already be present), doubling the slot
+// table past 3/4 load and folding the entry into the stage filters.
 func (g *group) put(e *Entry) {
-	if (g.n+1)*4 > len(g.slots)*3 {
-		old := g.slots
-		g.slots = make([]slot, len(old)*2)
-		for _, s := range old {
-			if s.e != nil {
-				g.insertSlot(s.fp, s.e)
+	if (g.n+1)*4 > 3<<g.slotBits {
+		old := g.pages
+		g.slotBits++
+		g.pages = makePages(1 << g.slotBits)
+		g.own, g.cow = nil, nil
+		for _, pg := range old {
+			for _, s := range pg {
+				if s.e != nil {
+					g.insertSlot(s.fp, s.e)
+				}
 			}
 		}
 	}
@@ -357,7 +425,7 @@ func (g *group) put(e *Entry) {
 	} else {
 		g.solo = nil
 	}
-	// Bloom bits only accumulate on insert; remove rebuilds from scratch.
+	// Bloom bits only accumulate on insert; settle rebuilds from scratch.
 	g.addToFilters(e)
 }
 
@@ -372,28 +440,12 @@ func (g *group) addToFilters(e *Entry) {
 	}
 }
 
-// rebuildFilters recomputes the stage filters from the live entries
-// (Bloom filters cannot delete; called after remove).
-func (g *group) rebuildFilters() {
-	if g.filters == nil {
-		return
-	}
-	for s := range g.filters {
-		g.filters[s] = stageFilter{}
-	}
-	for _, sl := range g.slots {
-		if sl.e != nil {
-			g.addToFilters(sl.e)
-		}
-	}
-}
-
 // insertSlot places e at the first free cell of its probe chain.
 func (g *group) insertSlot(fp uint64, e *Entry) {
-	m := uint64(len(g.slots) - 1)
+	m := g.slotMask()
 	for i := fp & m; ; i = (i + 1) & m {
-		if g.slots[i].e == nil {
-			g.slots[i] = slot{fp: fp, e: e}
+		if g.at(i).e == nil {
+			g.set(i, slot{fp: fp, e: e})
 			return
 		}
 	}
@@ -401,16 +453,17 @@ func (g *group) insertSlot(fp uint64, e *Entry) {
 
 // replace swaps old for e in its slot (same key, so same fingerprint).
 func (g *group) replace(old, e *Entry) {
-	m := uint64(len(g.slots) - 1)
+	m := g.slotMask()
 	for i := keyHash(old.Key) & m; ; i = (i + 1) & m {
-		if g.slots[i].e == old {
-			g.slots[i].e = e
+		s := g.at(i)
+		if s.e == old {
+			g.set(i, slot{fp: s.fp, e: e})
 			if g.solo == old {
 				g.solo = e
 			}
 			return
 		}
-		if g.slots[i].e == nil {
+		if s.e == nil {
 			return
 		}
 	}
@@ -418,13 +471,15 @@ func (g *group) replace(old, e *Entry) {
 
 // remove deletes the entry with key k, reporting success. Deletion uses
 // backward-shift compaction (no tombstones): the probe cluster after the
-// hole is re-packed so linear probing stays correct.
+// hole is re-packed so linear probing stays correct. The solo entry and
+// the stage filters go stale; the caller settles the group after its last
+// removal.
 func (g *group) remove(k bitvec.Vec) bool {
 	fp := keyHash(k)
-	m := uint64(len(g.slots) - 1)
+	m := g.slotMask()
 	i := fp & m
 	for {
-		s := g.slots[i]
+		s := g.at(i)
 		if s.e == nil {
 			return false
 		}
@@ -436,37 +491,54 @@ func (g *group) remove(k bitvec.Vec) bool {
 	j := i
 	for {
 		j = (j + 1) & m
-		s := g.slots[j]
+		s := g.at(j)
 		if s.e == nil {
 			break
 		}
 		// s may fill the hole at i iff its home cell is cyclically at or
 		// before i (moving it cannot break its own probe chain).
 		if (j-s.fp)&m >= (j-i)&m {
-			g.slots[i] = s
+			g.set(i, s)
 			i = j
 		}
 	}
-	g.slots[i] = slot{}
+	g.set(i, slot{})
 	g.n--
+	return true
+}
+
+// settle restores what removals leave stale: the solo entry, and the
+// stage filters, which as Bloom filters cannot delete and are rebuilt from
+// the live entries — once per sweep of the group, not once per entry
+// removed.
+func (g *group) settle() {
 	g.solo = nil
-	if g.n == 1 {
-		for _, s := range g.slots {
-			if s.e != nil {
-				g.solo, g.soloFP = s.e, s.fp
-				break
+	if g.filters == nil && g.n != 1 {
+		return
+	}
+	for s := range g.filters {
+		g.filters[s] = stageFilter{}
+	}
+	for _, pg := range g.pages {
+		for _, s := range pg {
+			if s.e == nil {
+				continue
 			}
+			if g.n == 1 {
+				g.solo, g.soloFP = s.e, s.fp
+			}
+			g.addToFilters(s.e)
 		}
 	}
-	g.rebuildFilters()
-	return true
 }
 
 // each calls f for every entry; f returning false stops the walk.
 func (g *group) each(f func(*Entry) bool) {
-	for _, s := range g.slots {
-		if s.e != nil && !f(s.e) {
-			return
+	for _, pg := range g.pages {
+		for _, s := range pg {
+			if s.e != nil && !f(s.e) {
+				return
+			}
 		}
 	}
 }
@@ -1172,6 +1244,7 @@ func (c *Classifier) Delete(key, mask bitvec.Vec) bool {
 	} else {
 		g, ci, k := c.mutableLocked(g)
 		g.remove(key)
+		g.settle()
 		c.setProbeLocked(ci, k, g)
 	}
 	c.publishLocked()
@@ -1197,25 +1270,36 @@ func (c *Classifier) DeleteWhere(pred func(*Entry) bool) int {
 	var victims []bitvec.Vec
 	out := 0
 	for _, ch := range c.dir {
-		var keep []scanProbe // the compacted chunk; nil while unchanged
+		var keep []scanProbe // the chunk's survivors, once it has changed
+		changed := false
 		for k, p := range ch.recs {
-			victims = victims[:0]
-			p.g.each(func(e *Entry) bool {
-				if pred(e) {
-					victims = append(victims, e.Key)
+			// gone counts the entries of p's group that pred selects. A
+			// one-entry inline group's record holds its entry, so the
+			// attack-shaped bulk of a sweep touches a group only to drop it.
+			gone := 0
+			if p.e0 != nil {
+				if pred(p.e0) {
+					gone = 1
 				}
-				return true
-			})
-			if len(victims) > 0 {
-				if keep == nil {
-					if ch.own {
-						keep = ch.recs[:k]
-					} else {
-						keep = append(make([]scanProbe, 0, len(ch.recs)), ch.recs[:k]...)
+			} else {
+				victims = victims[:0]
+				p.g.each(func(e *Entry) bool {
+					if pred(e) {
+						victims = append(victims, e.Key)
+					}
+					return true
+				})
+				gone = len(victims)
+			}
+			if gone > 0 {
+				if !changed {
+					changed = true
+					if keep = ch.recs[:k]; !ch.own {
+						keep = slices.Clone(keep)
 					}
 				}
-				removed += len(victims)
-				if len(victims) == p.g.n {
+				removed += gone
+				if gone == p.g.n {
 					delete(c.byMask, p.g.maskKey)
 					c.masks--
 					continue
@@ -1224,13 +1308,14 @@ func (c *Classifier) DeleteWhere(pred func(*Entry) bool) int {
 				for _, key := range victims {
 					g.remove(key)
 				}
+				g.settle()
 				p = buildProbe(g)
 			}
-			if keep != nil {
+			if changed {
 				keep = append(keep, p)
 			}
 		}
-		if keep != nil {
+		if changed {
 			if ch.own {
 				clear(ch.recs[len(keep):]) // compacted in place: unpin the tail
 			}
