@@ -1,6 +1,7 @@
 package tss
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -26,8 +27,9 @@ type refMask struct {
 type refClassifier struct {
 	order   MaskOrder
 	entries []*Entry
-	masks   []*refMask // creation order
-	scan    []*refMask // scan order; nil = recompute
+	masks   []*refMask          // creation order
+	byKey   map[string]*refMask // masks by mask key
+	pos     map[string]int      // 1-based scan position by mask key; nil = recompute
 }
 
 func (r *refClassifier) index(key, mask bitvec.Vec) int {
@@ -42,14 +44,14 @@ func (r *refClassifier) index(key, mask bitvec.Vec) int {
 func (r *refClassifier) add(e *Entry) {
 	r.entries = append(r.entries, e)
 	mk := e.Mask.Key()
-	for _, m := range r.masks {
-		if m.key == mk {
-			m.n++
-			return
-		}
+	if m := r.byKey[mk]; m != nil {
+		m.n++
+		return
 	}
-	r.masks = append(r.masks, &refMask{mask: e.Mask, key: mk, hash: e.Mask.Hash(), n: 1})
-	r.scan = nil
+	m := &refMask{mask: e.Mask, key: mk, hash: e.Mask.Hash(), n: 1}
+	r.masks = append(r.masks, m)
+	r.byKey[mk] = m
+	r.pos = nil
 }
 
 // insert mirrors Classifier.Insert's acceptance: refresh an equal
@@ -71,14 +73,11 @@ func (r *refClassifier) insert(e *Entry) bool {
 func (r *refClassifier) removeAt(i int) {
 	mk := r.entries[i].Mask.Key()
 	r.entries = append(r.entries[:i], r.entries[i+1:]...)
-	for j, m := range r.masks {
-		if m.key == mk {
-			if m.n--; m.n == 0 {
-				r.masks = append(r.masks[:j], r.masks[j+1:]...)
-				r.scan = nil
-			}
-			return
-		}
+	m := r.byKey[mk]
+	if m.n--; m.n == 0 {
+		r.masks = slices.DeleteFunc(r.masks, func(x *refMask) bool { return x == m })
+		delete(r.byKey, mk)
+		r.pos = nil
 	}
 }
 
@@ -98,28 +97,27 @@ func (r *refClassifier) deleteWhere(pred func(*Entry) bool) int {
 // lookup returns the covering entry and the probe count TSS must report:
 // the 1-based scan position of its mask, or |M| on a miss.
 func (r *refClassifier) lookup(h bitvec.Vec) (*Entry, int) {
-	if r.scan == nil {
-		r.scan = append([]*refMask(nil), r.masks...)
+	if r.pos == nil {
+		scan := slices.Clone(r.masks)
 		if r.order == OrderHash {
-			sort.Slice(r.scan, func(i, j int) bool {
-				if r.scan[i].hash != r.scan[j].hash {
-					return r.scan[i].hash < r.scan[j].hash
+			sort.Slice(scan, func(i, j int) bool {
+				if scan[i].hash != scan[j].hash {
+					return scan[i].hash < scan[j].hash
 				}
-				return r.scan[i].key < r.scan[j].key
+				return scan[i].key < scan[j].key
 			})
+		}
+		r.pos = make(map[string]int, len(scan))
+		for i, m := range scan {
+			r.pos[m.key] = i + 1
 		}
 	}
 	for _, e := range r.entries {
 		if bitvec.Covers(e.Key, e.Mask, h) {
-			mk := e.Mask.Key()
-			for pos, m := range r.scan {
-				if m.key == mk {
-					return e, pos + 1
-				}
-			}
+			return e, r.pos[e.Mask.Key()]
 		}
 	}
-	return nil, len(r.scan)
+	return nil, len(r.masks)
 }
 
 // opBytes hands out fuzz input a byte at a time (zeros once exhausted).
@@ -173,7 +171,7 @@ func FuzzClassifierOps(f *testing.F) {
 		l := bitvec.IPv4Tuple
 		in := opBytes(data)
 		cfg := in.next()
-		ref := &refClassifier{order: OrderHash}
+		ref := &refClassifier{order: OrderHash, byKey: map[string]*refMask{}}
 		if cfg&1 == 1 {
 			ref.order = OrderInsertion
 		}

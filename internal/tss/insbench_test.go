@@ -9,14 +9,14 @@ import (
 
 // BenchmarkInsertAtManyMasks measures the writer-side cost of one megaflow
 // install into an attack-inflated classifier: the copy-on-write publish
-// re-copies the O(|M|) probe mirror, so this is the per-upcall bill the
-// snapshot design charges the slow path to keep the read path lock-free
-// (the mirror itself is maintained incrementally; the copy is a memcpy).
+// copies the probe mirror's chunk directory plus the one chunk the install
+// touched (Stats.ProbesCopied), so this is the per-upcall bill the
+// snapshot design charges the slow path to keep the read path lock-free.
 //
 // Installs are idempotent refreshes round-robin over the 4096 seeded
 // megaflows — the one-entry-per-mask attack shape — so the classifier
 // stays in steady state for any b.N: each op pays one tiny-group clone
-// plus the full O(|M|) publish, which is the quantity under test.
+// plus one chunk copy and the publish, which is the quantity under test.
 func BenchmarkInsertAtManyMasks(b *testing.B) {
 	l := bitvec.IPv4Tuple
 	c := New(l, Options{DisableOverlapCheck: true})
@@ -32,8 +32,8 @@ func BenchmarkInsertAtManyMasks(b *testing.B) {
 
 // BenchmarkInsertBatchAtManyMasks is the amortised counterpart: one
 // 32-entry InsertBatch per op — the handler-drain burst shape — so the
-// O(|M|) publish is paid once per 32 installs instead of per install.
-// Compare ns/op/32 against BenchmarkInsertAtManyMasks to read the
+// directory copy and publish are paid once per 32 installs instead of per
+// install. Compare ns/op/32 against BenchmarkInsertAtManyMasks to read the
 // per-install win.
 func BenchmarkInsertBatchAtManyMasks(b *testing.B) {
 	const burst = 32

@@ -38,7 +38,7 @@ func batchEntries(l *bitvec.Layout, n int) []*Entry {
 
 // TestInsertBatchPublishesOnce is the acceptance criterion of the batched
 // slow path: a K-entry install burst performs exactly one snapshot publish
-// (one O(|M|) probe-mirror copy), against K for the serial path.
+// (one chunk-directory copy), against K for the serial path.
 func TestInsertBatchPublishesOnce(t *testing.T) {
 	l := bitvec.IPv4Tuple
 	c := New(l, Options{})

@@ -27,11 +27,24 @@
 // published through an atomic pointer, the Go equivalent of OVS's RCU
 // cmap/pvector in dpcls: readers load the current snapshot and scan it
 // without synchronisation, writers build the next snapshot under a mutex
-// (cloning only the mask groups they touch) and publish it atomically.
-// A retired snapshot lives until its last in-flight reader drops it; the
-// garbage collector plays the role of the RCU grace period. Hit counters
-// are sharded per reader handle so parallel PMD workers never contend on
-// a shared counter cache line.
+// and publish it atomically. A retired snapshot lives until its last
+// in-flight reader drops it; the garbage collector plays the role of the
+// RCU grace period. Hit counters are sharded per reader handle so parallel
+// PMD workers never contend on a shared counter cache line.
+//
+// # Writes cost what they change
+//
+// Every write is priced by what it touches, not by |M| or |C|, because
+// under the attack the writer runs once per flood packet. The scan order
+// lives in a probe mirror of 256-record chunks (mirror.go): a publish
+// copies the chunk directory plus the chunks written since the last one.
+// A group's slot table is paged in 64-slot pages: a copy-on-write clone
+// copies the page directory and only the pages it writes. The insert-time
+// overlap check streams the mirror and rejects a one-entry group on its
+// inlined first mask word before any call, confirming survivors exactly.
+// A sweep (DeleteWhere) compacts the mirror in one pass and rebuilds each
+// touched group's stage filters once. Stats.ProbesCopied, SlotsCopied and
+// OverlapCompared count that work exactly.
 package tss
 
 import (
@@ -469,19 +482,18 @@ func (g *group) replace(old, e *Entry) {
 	}
 }
 
-// remove deletes the entry with key k, reporting success. Deletion uses
-// backward-shift compaction (no tombstones): the probe cluster after the
-// hole is re-packed so linear probing stays correct. The solo entry and
-// the stage filters go stale; the caller settles the group after its last
-// removal.
-func (g *group) remove(k bitvec.Vec) bool {
+// remove deletes the entry with key k. Deletion uses backward-shift
+// compaction (no tombstones): the probe cluster after the hole is
+// re-packed so linear probing stays correct. The solo entry and the stage
+// filters go stale; the caller settles the group after its last removal.
+func (g *group) remove(k bitvec.Vec) {
 	fp := keyHash(k)
 	m := g.slotMask()
 	i := fp & m
 	for {
 		s := g.at(i)
 		if s.e == nil {
-			return false
+			return
 		}
 		if s.fp == fp && s.e.Key.Equal(k) {
 			break
@@ -504,7 +516,6 @@ func (g *group) remove(k bitvec.Vec) bool {
 	}
 	g.set(i, slot{})
 	g.n--
-	return true
 }
 
 // settle restores what removals leave stale: the solo entry, and the
@@ -560,10 +571,11 @@ type Stats struct {
 	StageSkips uint64
 	// Inserted and Deleted count entry lifecycle events.
 	Inserted, Deleted uint64
-	// Publishes counts snapshot publications: the number of times the
-	// writer paid the O(|M|) copy-on-write probe-mirror copy. A K-entry
-	// InsertBatch raises it by exactly one — the amortisation the batched
-	// slow path exists for.
+	// Publishes counts snapshot publications. Each copies the probe
+	// mirror's chunk directory (O(|M|/256) entries) plus the chunks written
+	// since the previous one (ProbesCopied); a K-entry InsertBatch raises
+	// it by exactly one — the amortisation the batched slow path exists
+	// for.
 	Publishes uint64
 	// ProbesCopied, SlotsCopied and OverlapCompared are the writer's work
 	// ledger, counted under the writer lock and never on the lookup path:
@@ -1005,12 +1017,12 @@ func (c *Classifier) Insert(e *Entry, now int64) error {
 // InsertBatch adds a batch of megaflows in one copy-on-write transaction:
 // the per-entry semantics are exactly Insert's (idempotent refresh,
 // overlap rejection, per-entry error in the returned slice, aligned with
-// es), but every group the batch touches is cloned at most once and the
-// snapshot is published exactly once at commit. A handler draining a
-// K-miss burst therefore pays one O(|M|) probe-mirror copy instead of K —
-// the pvector-republish amortisation OVS applies to megaflow install
-// bursts, and the writer-side counterpart of the paper's Observation 1
-// (the publish bill, like the scan, is linear in |M|).
+// es), but every group, slot page and probe-mirror chunk the batch touches
+// is copied at most once and the snapshot is published exactly once at
+// commit — the pvector-republish amortisation OVS applies to megaflow
+// install bursts. A publish copies the chunk directory plus the chunks
+// written, so a K-miss burst pays for at most K chunks and one directory
+// rather than K.
 //
 // Entries that fail validation or overlap an existing megaflow get their
 // error recorded and do not block the rest of the batch; the snapshot is

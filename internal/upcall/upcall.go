@@ -95,8 +95,8 @@ type Options struct {
 	// HandlerBurst is the number of queued upcalls a handler drains and
 	// resolves as one batch: the burst shares one flow-table classification
 	// pass and ONE megaflow-install transaction (vswitch.HandleMissBatch →
-	// tss.InsertBatch), so the classifier's O(|M|) copy-on-write publish
-	// is paid once per burst instead of once per megaflow. <= 0 selects
+	// tss.InsertBatch), so the classifier's copy-on-write publish is paid
+	// once per burst instead of once per megaflow. <= 0 selects
 	// DefaultHandlerBurst.
 	HandlerBurst int
 	// StallTimeout (goroutine mode) is the wall-clock horizon after which

@@ -455,10 +455,9 @@ type Miss struct {
 // HandleMissBatch is the batched miss-to-install step: it classifies every
 // miss of a handler-drain burst against the flow table and commits the
 // resulting megaflows through one tss.InsertBatch transaction, so the
-// burst pays exactly one O(|M|) snapshot publish instead of one per
-// megaflow — the amortisation that caps the attack-regime writer bill
-// (each upcall of a TSE flood otherwise re-copies the whole inflated
-// probe mirror).
+// burst pays exactly one snapshot publish instead of one per megaflow,
+// and a group or probe-mirror chunk several installs touch is copied
+// once.
 //
 // Per-miss semantics match a HandleMiss sequence — same verdicts, same
 // counter totals (Slow/Installs/Suppressed/Rejected/Conflicts and the
