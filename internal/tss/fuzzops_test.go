@@ -159,7 +159,10 @@ func fresh(e *Entry, a flowtable.Action) *Entry {
 // equal verdicts by entry identity, equal probe counts, equal mask and
 // entry counts, and snapshot isolation — a snapshot loaded before a run of
 // writes answers exactly as it did, so copy-on-write never mutates
-// anything a reader can still see. The base population (260–459 attack
+// anything a reader can still see. Every lookup's verdict, probe count and
+// stage-skip count must also equal refScan's group-by-group decision over
+// the same snapshot, so a probe record that drifts from its group fails
+// here. The base population (260–459 attack
 // masks plus a 50–249-entry exact-match group) spans several probe-mirror
 // chunks and group slot pages, so splits, page copies and compaction
 // across those boundaries are all on the path.
@@ -232,20 +235,25 @@ func FuzzClassifierOps(f *testing.F) {
 			key[1] = uint64(in.next16()) << 24
 			return &Entry{Key: key.And(mask), Mask: mask, Action: a, RuleName: "fuzz"}
 		}
+		// lookup scans sn and checks the answer against the group-by-group
+		// reference scan.
+		lookup := func(sn *snapshot, h bitvec.Vec, now int64) BatchResult {
+			e, probes, skips, ok := hd.lookupSnap(sn, h, now)
+			checkScan(t, c, sn, h, e, probes, skips)
+			return BatchResult{Entry: e, Probes: probes, OK: ok}
+		}
 		freeze := func() *frozenView {
 			v := &frozenView{sn: c.snap.Load()}
 			for i := 0; i < 12; i++ {
 				h := header()
-				e, probes, _, ok := hd.lookupSnap(v.sn, h, 0)
 				v.hs = append(v.hs, h)
-				v.want = append(v.want, BatchResult{Entry: e, Probes: probes, OK: ok})
+				v.want = append(v.want, lookup(v.sn, h, 0))
 			}
 			return v
 		}
 		thawCheck := func(v *frozenView) {
 			for i, h := range v.hs {
-				e, probes, _, ok := hd.lookupSnap(v.sn, h, 0)
-				if got := (BatchResult{Entry: e, Probes: probes, OK: ok}); got != v.want[i] {
+				if got := lookup(v.sn, h, 0); got != v.want[i] {
 					t.Fatalf("snapshot answered %+v after writes, %+v before", got, v.want[i])
 				}
 			}
@@ -298,11 +306,11 @@ func FuzzClassifierOps(f *testing.F) {
 				view = freeze()
 			default: // lookup
 				h := header()
-				got, probes, ok := hd.Lookup(h, now)
+				got := lookup(c.snap.Load(), h, now)
 				want, wantProbes := ref.lookup(h)
-				if got != want || ok != (want != nil) || probes != wantProbes {
+				if got.Entry != want || got.OK != (want != nil) || got.Probes != wantProbes {
 					t.Fatalf("op %d: lookup %s = (%v, %d probes), reference (%v, %d probes)",
-						op, h.Format(l), got, probes, want, wantProbes)
+						op, h.Format(l), got.Entry, got.Probes, want, wantProbes)
 				}
 			}
 			if c.EntryCount() != len(ref.entries) || c.MaskCount() != len(ref.masks) {
@@ -313,10 +321,10 @@ func FuzzClassifierOps(f *testing.F) {
 		thawCheck(view)
 		// Every installed entry answers its own key, at its scan position.
 		for _, e := range ref.entries {
-			got, probes, _ := hd.Lookup(e.Key, 0)
-			if _, wantProbes := ref.lookup(e.Key); got != e || probes != wantProbes {
+			got := lookup(c.snap.Load(), e.Key, 0)
+			if _, wantProbes := ref.lookup(e.Key); got.Entry != e || got.Probes != wantProbes {
 				t.Fatalf("entry %s: lookup of its key = (%v, %d probes), want itself at %d",
-					e.Format(l), got, probes, wantProbes)
+					e.Format(l), got.Entry, got.Probes, wantProbes)
 			}
 		}
 	})

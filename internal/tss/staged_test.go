@@ -141,30 +141,94 @@ func TestStagedLookupEquivalence(t *testing.T) {
 	}
 }
 
+// refScan is the scan lookupSnap must reproduce, decided from the groups
+// alone: it walks sn's groups in scan order and decides each probe by
+// dereferencing the group — a one-entry inline-mask group on its first
+// nonzero mask word and then its whole key, any other group through
+// findMaskedStaged (findMasked with staging off). It returns the verdict,
+// the probe count and the stage-skip count.
+func refScan(sn *snapshot, h bitvec.Vec, staged bool) (*Entry, int, int) {
+	probes, skips := 0, 0
+	for _, ps := range sn.chunks {
+		for k := range ps {
+			g := ps[k].g
+			probes++
+			var e *Entry
+			switch {
+			case !staged:
+				e = g.findMasked(h)
+			case g.sparseOK && g.solo != nil:
+				sp := &g.sparse
+				if n := sp.N(); n > 0 && h[sp.WordIndex(0)]&sp.MaskWord(0) != g.solo.Key[sp.WordIndex(0)] {
+					if n > 1 {
+						skips++
+					}
+				} else if sp.EqualKey(g.solo.Key, h) {
+					e = g.solo
+				}
+			default:
+				var skip bool
+				if e, skip = g.findMaskedStaged(h); skip {
+					skips++
+				}
+			}
+			if e != nil {
+				return e, probes, skips
+			}
+		}
+	}
+	return nil, probes, skips
+}
+
+// checkScan fails t unless lookupSnap's answer (e, probes, skips) for h
+// over sn equals refScan's.
+func checkScan(t *testing.T, c *Classifier, sn *snapshot, h bitvec.Vec, e *Entry, probes, skips int) {
+	t.Helper()
+	if re, rp, rs := refScan(sn, h, c.staged); e != re || probes != rp || skips != rs {
+		t.Fatalf("lookup %s = (%v, %d probes, %d skips), group-by-group scan (%v, %d, %d)",
+			h.Format(c.layout), e, probes, skips, re, rp, rs)
+	}
+}
+
 // FuzzStagedEquivalence cross-checks a staged and an unstaged classifier
-// holding the same TSE-shaped entry set on fuzzer-chosen headers.
+// holding the same attack-shaped entry set on fuzzer-chosen headers, and
+// each of them against refScan. The set is scanPinCases' IPv4 families:
+// one-entry groups of one and two words, multi-entry groups staged on a
+// one-word first stage, and multi-entry one-word groups.
 func FuzzStagedEquivalence(f *testing.F) {
-	l := bitvec.IPv4Tuple
-	staged := New(l, Options{DisableOverlapCheck: true})
-	unstaged := New(l, Options{DisableOverlapCheck: true, DisableStagedLookup: true})
-	populateDistinctMasks(staged, l, 128)
-	populateDistinctMasks(unstaged, l, 128)
+	tc := scanPinCases[0]
+	l := tc.l
+	staged, es := tc.build(f)
+	unstaged := New(l, Options{DisableStagedLookup: true})
+	for _, fam := range tc.fams {
+		mustInsertBatch(f, unstaged, fam.entries(l, tc.src, tc.tag, tc.dp), 0)
+	}
 	f.Add(uint64(0), uint64(0))
 	f.Add(^uint64(0), ^uint64(0))
 	f.Add(uint64(1)<<63, uint64(3))
+	for _, e := range []*Entry{es[0], es[len(es)/2], es[len(es)-1]} {
+		f.Add(e.Key[0], e.Key[1])
+		f.Add(e.Key[0], e.Key[1]^e.Mask[1]&-e.Mask[1]) // first word agrees, second does not
+	}
 	f.Fuzz(func(t *testing.T, w0, w1 uint64) {
 		h := bitvec.NewVec(l)
 		h[0], h[1] = w0, w1
 		for b := l.Bits(); b < len(h)*64; b++ {
 			h.ClearBit(b)
 		}
-		e1, p1, ok1 := staged.Lookup(h, 0)
-		e2, p2, ok2 := unstaged.Lookup(h, 0)
-		if ok1 != ok2 || p1 != p2 {
-			t.Fatalf("staged (probes=%d ok=%v) vs unstaged (probes=%d ok=%v)", p1, ok1, p2, ok2)
+		var got [2]BatchResult
+		for i, c := range []*Classifier{staged, unstaged} {
+			sn := c.snap.Load()
+			e, probes, skips, ok := c.def.lookupSnap(sn, h, 0)
+			checkScan(t, c, sn, h, e, probes, skips)
+			got[i] = BatchResult{Entry: e, Probes: probes, OK: ok}
 		}
-		if ok1 && !e1.Key.Equal(e2.Key) {
-			t.Fatalf("staged hit %s, unstaged hit %s", e1.Format(l), e2.Format(l))
+		if got[0].OK != got[1].OK || got[0].Probes != got[1].Probes {
+			t.Fatalf("staged (probes=%d ok=%v) vs unstaged (probes=%d ok=%v)",
+				got[0].Probes, got[0].OK, got[1].Probes, got[1].OK)
+		}
+		if got[0].OK && got[0].Entry.RuleName != got[1].Entry.RuleName {
+			t.Fatalf("staged hit %s, unstaged hit %s", got[0].Entry.Format(l), got[1].Entry.Format(l))
 		}
 	})
 }

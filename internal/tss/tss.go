@@ -77,23 +77,7 @@ const (
 	// OrderHitCount scans masks most-hit-first, re-sorted lazily. Models
 	// the OVS userspace classifier's pvector priority optimisation.
 	OrderHitCount
-	// OrderProbeCost scans masks by hits per unit of *measured* probe
-	// cost, re-sorted lazily like OrderHitCount. Staged lookup makes
-	// per-probe cost non-uniform — a mask whose probes mostly bail at the
-	// first stage costs a word touch, one that rarely bails costs the full
-	// masked hash+compare over its nonzero words — so the scan-order
-	// objective is hits/cost, not raw hits: a cheap mask in an early
-	// position taxes every lookup less than an expensive one with the same
-	// hit count. Cost is measured per group as the mean words touched per
-	// probe (stage-skip rate x nonzero words); with staging off (or no
-	// skips observed) every mask costs its word count and, at equal word
-	// counts, the order degenerates to OrderHitCount exactly — the
-	// equivalence the probecost tests pin down.
-	OrderProbeCost
 )
-
-// resorts reports whether the order re-sorts lazily from measured traffic.
-func (o MaskOrder) resorts() bool { return o == OrderHitCount || o == OrderProbeCost }
 
 // Entry is one megaflow: a disjoint key-mask pair with a cached action.
 type Entry struct {
@@ -201,13 +185,6 @@ type group struct {
 	words   []int // nonzero word indices of mask, in order
 	n       int
 	hits    *uint64 // shared across copy-on-write clones
-	// probes and skips measure the group's per-probe cost for
-	// OrderProbeCost (shared across clones like hits): probes counts scan
-	// probes of this mask, skips the subset that bailed at a stage
-	// boundary. Only maintained while the classifier runs OrderProbeCost,
-	// so the default orders pay nothing for them.
-	probes *uint64
-	skips  *uint64
 }
 
 // slot is one open-addressing cell: the key's fingerprint (keyHash) for a
@@ -255,8 +232,6 @@ func newGroup(mask bitvec.Vec, maskKey string, stages []int) *group {
 		pages:    makePages(1 << minSlotBits),
 		slotBits: minSlotBits,
 		hits:     new(uint64),
-		probes:   new(uint64),
-		skips:    new(uint64),
 	}
 	g.sparse, g.sparseOK = bitvec.NewSparseMask(mask)
 	if g.sparseOK && len(stages) > 1 {
@@ -649,12 +624,11 @@ type Classifier struct {
 	staged bool
 
 	snap  atomic.Pointer[snapshot]
-	dirty atomic.Bool // OrderHitCount/OrderProbeCost needs re-sort
+	dirty atomic.Bool // OrderHitCount needs re-sort
 
 	def      *Handle
 	shardsMu sync.Mutex
 	shards   []*statShard
-	costKeys []float64 // resort scratch (under mu), OrderProbeCost only
 
 	// Writer-side counters, under mu.
 	inserted, deleted, published               uint64
@@ -773,11 +747,6 @@ func (hd *Handle) Lookup(h bitvec.Vec, now int64) (*Entry, int, bool) {
 // plus its index plus one.
 func (hd *Handle) lookupSnap(sn *snapshot, h bitvec.Vec, now int64) (*Entry, int, int, bool) {
 	c := hd.c
-	if c.opts.Order == OrderProbeCost {
-		// Probe-cost ranking needs per-group probe/skip accounting; it
-		// runs in its own loop so the default orders pay nothing for it.
-		return hd.lookupSnapTracked(sn, h, now)
-	}
 	staged := c.staged
 	skips, base := 0, 0
 	for _, ps := range sn.chunks {
@@ -856,64 +825,6 @@ func (hd *Handle) lookupSnap(sn *snapshot, h bitvec.Vec, now int64) (*Entry, int
 	return nil, base, skips, false
 }
 
-// lookupSnapTracked is lookupSnap for OrderProbeCost: identical probe
-// semantics, plus per-group probe/skip counters — the measurements the
-// cost-aware resort ranks by. Kept out of lookupSnap so the default
-// orders' scan loop carries no accounting branches.
-func (hd *Handle) lookupSnapTracked(sn *snapshot, h bitvec.Vec, now int64) (*Entry, int, int, bool) {
-	c := hd.c
-	staged := c.staged
-	probes, skips := 0, 0
-	for _, ps := range sn.chunks {
-		for k := range ps {
-			p := &ps[k]
-			probes++
-			var e *Entry
-			var skip bool
-			if p.e0 != nil {
-				if staged {
-					if h[p.idx0]&p.mw0 != p.kw0 {
-						skip = p.n > 1
-					} else if p.n <= 1 {
-						e = p.e0
-					} else if p.g.sparse.EqualKey(p.e0.Key, h) {
-						e = p.e0
-					}
-				} else if g := p.g; g.sparse.Hash(h) == g.soloFP && g.sparse.EqualKey(p.e0.Key, h) {
-					e = p.e0
-				}
-			} else if staged {
-				e, skip = p.g.findMaskedStaged(h)
-			} else {
-				e = p.g.findMasked(h)
-			}
-			atomic.AddUint64(p.g.probes, 1)
-			if skip {
-				skips++
-				atomic.AddUint64(p.g.skips, 1)
-			}
-			if e != nil {
-				atomic.AddUint64(&e.Hits, 1)
-				atomic.StoreInt64(&e.LastUsed, now)
-				atomic.AddUint64(p.hits, 1)
-				c.dirty.Store(true)
-				sh := hd.sh
-				atomic.AddUint64(&sh.lookups, 1)
-				atomic.AddUint64(&sh.hits, 1)
-				atomic.AddUint64(&sh.probes, uint64(probes))
-				atomic.AddUint64(&sh.stageSkips, uint64(skips))
-				return e, probes, skips, true
-			}
-		}
-	}
-	sh := hd.sh
-	atomic.AddUint64(&sh.lookups, 1)
-	atomic.AddUint64(&sh.misses, 1)
-	atomic.AddUint64(&sh.probes, uint64(probes))
-	atomic.AddUint64(&sh.stageSkips, uint64(skips))
-	return nil, probes, skips, false
-}
-
 // BatchResult is one per-header outcome of LookupBatch.
 type BatchResult struct {
 	// Entry is the matching megaflow (nil on a miss).
@@ -976,12 +887,12 @@ func (hd *Handle) Stats() Stats {
 	}
 }
 
-// maybeResort restores hit-count (or probe-cost) order before a read-path
-// scan. At most one reader performs the re-sort (TryLock); everyone else
-// proceeds with the current snapshot, so the read path never blocks on the
-// writer lock. OrderHash and OrderInsertion never enter it.
+// maybeResort restores hit-count order before a read-path scan. At most
+// one reader performs the re-sort (TryLock); everyone else proceeds with
+// the current snapshot, so the read path never blocks on the writer lock.
+// OrderHash and OrderInsertion never enter it.
 func (c *Classifier) maybeResort() {
-	if c.opts.Order.resorts() && c.dirty.Load() {
+	if c.opts.Order == OrderHitCount && c.dirty.Load() {
 		if c.mu.TryLock() {
 			c.resortLocked()
 			c.mu.Unlock()
@@ -1162,73 +1073,22 @@ func (c *Classifier) placeLocked(g *group) {
 		ci, k = c.searchLocked(g.hash, g.maskKey)
 	}
 	c.insertProbeLocked(ci, k, buildProbe(g))
-	if c.opts.Order.resorts() {
-		// Appended for now; the lazy resort restores the measured order.
+	if c.opts.Order == OrderHitCount {
+		// Appended for now; the lazy resort restores the hit-count order.
 		c.dirty.Store(true)
 	}
 }
 
-// costSorter stably sorts probe records by descending snapshotted
-// probe-cost key, keeping the two slices in tandem.
-type costSorter struct {
-	recs []scanProbe
-	keys []float64
-}
-
-func (s *costSorter) Len() int           { return len(s.recs) }
-func (s *costSorter) Less(i, j int) bool { return s.keys[i] > s.keys[j] }
-func (s *costSorter) Swap(i, j int) {
-	s.recs[i], s.recs[j] = s.recs[j], s.recs[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-}
-
-// probeCostKey is the OrderProbeCost sort key: hits per mean word touched
-// per probe. A probe that bailed at a stage boundary touched roughly one
-// word; a full probe touched every nonzero mask word. With no probes
-// observed (or staging off and so no skips) the mean is the word count, and
-// masks of equal width order exactly as OrderHitCount would.
-func probeCostKey(g *group) float64 {
-	words := float64(len(g.words))
-	if words == 0 {
-		words = 1
-	}
-	mean := words
-	if probes := float64(atomic.LoadUint64(g.probes)); probes > 0 {
-		skips := float64(atomic.LoadUint64(g.skips))
-		mean = ((probes-skips)*words + skips) / probes
-	}
-	return float64(atomic.LoadUint64(g.hits)) / mean
-}
-
-// resortLocked re-sorts the measured scan order (hit count, or hits per
-// measured probe cost) lazily, rebuilds the probe mirror, and publishes
-// the re-ordered snapshot.
+// resortLocked re-sorts the OrderHitCount scan order lazily, rebuilds the
+// probe mirror, and publishes the re-ordered snapshot.
 func (c *Classifier) resortLocked() {
-	if !c.opts.Order.resorts() || !c.dirty.Load() {
+	if c.opts.Order != OrderHitCount || !c.dirty.Load() {
 		return
 	}
 	recs := c.flattenLocked()
-	if c.opts.Order == OrderProbeCost {
-		// Keys are snapshotted before sorting: concurrent readers keep
-		// bumping the counters, and a comparator re-reading them mid-sort
-		// would not be a consistent ordering. The scratch slice lives on
-		// the classifier (we hold c.mu) — under traffic every hit dirties
-		// the order, so re-sorts are frequent enough that per-resort
-		// O(|M|) allocations would be real garbage.
-		n := len(recs)
-		if cap(c.costKeys) < n {
-			c.costKeys = make([]float64, n)
-		}
-		keys := c.costKeys[:n]
-		for i := range recs {
-			keys[i] = probeCostKey(recs[i].g)
-		}
-		sort.Stable(&costSorter{recs: recs, keys: keys})
-	} else {
-		sort.SliceStable(recs, func(i, j int) bool {
-			return atomic.LoadUint64(recs[i].hits) > atomic.LoadUint64(recs[j].hits)
-		})
-	}
+	sort.SliceStable(recs, func(i, j int) bool {
+		return atomic.LoadUint64(recs[i].hits) > atomic.LoadUint64(recs[j].hits)
+	})
 	c.rechunkLocked(recs)
 	c.publishLocked()
 	c.dirty.Store(false)

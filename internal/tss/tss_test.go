@@ -655,18 +655,35 @@ func populateDistinctMasks(c *Classifier, l *bitvec.Layout, n int) {
 	}
 }
 
+// BenchmarkLookupMasks times the scan: full misses (the worst case) over
+// 16 to 4 096 masks, and at 8 192 masks hits on the SipSpDp attack family
+// at uniformly random scan positions — the regime of an attack replay,
+// where most lookups end on a match somewhere in the scan.
 func BenchmarkLookupMasks(b *testing.B) {
 	l := bitvec.IPv4Tuple
-	for _, masks := range []int{16, 256, 4096} {
+	for _, masks := range []int{16, 256, 4096, 8192} {
 		b.Run(fmt.Sprintf("masks=%d", masks), func(b *testing.B) {
 			c := New(l, Options{DisableOverlapCheck: true})
-			populateDistinctMasks(c, l, masks)
-			h := bitvec.NewVec(l)
-			h.SetField(l, 0, 0xffffffff)
+			miss := bitvec.NewVec(l)
+			miss.SetField(l, 0, 0xffffffff)
+			hs := []bitvec.Vec{miss}
+			if masks < 8192 {
+				populateDistinctMasks(c, l, masks)
+			} else {
+				// The family is disjoint, so each key hits at its own mask's
+				// scan position.
+				es := attackEntries(l, masks)
+				mustInsertBatch(b, c, es, 0)
+				rng := rand.New(rand.NewSource(1))
+				hs = hs[:0]
+				for i := 0; i < 1024; i++ {
+					hs = append(hs, es[rng.Intn(len(es))].Key)
+				}
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.Lookup(h, 0) // worst case: full mask scan
+				c.Lookup(hs[i%len(hs)], 0)
 			}
 		})
 	}

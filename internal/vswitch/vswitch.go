@@ -292,9 +292,9 @@ func (s *Switch) processFunc(hd *tss.Handle, i int, h bitvec.Vec, now int64, mis
 // flushed once per batch. With the microflow cache enabled the layers are
 // interleaved packet by packet (EMC FIFO eviction order is part of the
 // serial semantics), which is also how OVS's emc_processing walks a burst.
-// OrderHitCount and OrderProbeCost likewise fall back to the serial loop:
-// their scan orders re-sort between consecutive lookups, which a
-// shared-lock batch cannot reproduce.
+// OrderHitCount likewise falls back to the serial loop: its scan order
+// re-sorts between consecutive lookups, which a shared-lock batch cannot
+// reproduce.
 func (s *Switch) ProcessBatch(hs []bitvec.Vec, now int64, out []Verdict) []Verdict {
 	return s.ProcessBatchOn(nil, hs, now, out, nil)
 }
@@ -326,8 +326,7 @@ func (s *Switch) ProcessBatchOn(hd *tss.Handle, hs []bitvec.Vec, now int64, out 
 		out = make([]Verdict, len(hs))
 	}
 	out = out[:len(hs)]
-	if s.ufc != nil || s.cfg.DisableMegaflow ||
-		s.cfg.Order == tss.OrderHitCount || s.cfg.Order == tss.OrderProbeCost {
+	if s.ufc != nil || s.cfg.DisableMegaflow || s.cfg.Order == tss.OrderHitCount {
 		for i, h := range hs {
 			out[i] = s.processFunc(hd, i, h, now, miss)
 		}
