@@ -3,22 +3,57 @@ package tss
 import (
 	"slices"
 	"sort"
+	"sync/atomic"
 )
 
 // chunkCap is the capacity of one probe-mirror chunk. The mirror is a
 // directory of chunks rather than one flat array so that a publish copies
 // only the chunks a write touched plus the directory (about 33 entries at
-// the attack's 8 209 masks), not all |M| records: 256 records of 48 bytes
-// keep a chunk's copy at 12 kB, while the scan still runs its call-free
-// inner loop over hundreds of records between chunk boundaries.
+// the attack's 8 209 masks), not all |M| records: 256 records of 24 hot
+// and 40 side bytes keep a chunk's copy at 16 kB, while the scan still
+// runs its call-free inner loop over hundreds of records between chunk
+// boundaries.
 const chunkCap = 256
+
+// records is a run of probe records in scan order, held as two parallel
+// arrays: record k is hot[k], the pointer-free part the scan streams, and
+// side[k], the part it reads only when hot[k] cannot decide the probe.
+type records struct {
+	hot  []scanProbe
+	side []probeSide
+}
+
+// head returns the first k records, sharing (and able to grow into) r's
+// arrays.
+func (r records) head(k int) records { return records{r.hot[:k], r.side[:k]} }
+
+// clone returns a copy of r with room for extra more records.
+func (r records) clone(extra int) records {
+	n := len(r.hot)
+	return records{
+		hot:  append(make([]scanProbe, 0, n+extra), r.hot...),
+		side: append(make([]probeSide, 0, n+extra), r.side...),
+	}
+}
+
+// byHits orders records by descending group hit count (OrderHitCount).
+type byHits records
+
+func (r byHits) Len() int { return len(r.hot) }
+func (r byHits) Less(i, j int) bool {
+	return atomic.LoadUint64(r.side[i].g.hits) > atomic.LoadUint64(r.side[j].g.hits)
+}
+func (r byHits) Swap(i, j int) {
+	r.hot[i], r.hot[j] = r.hot[j], r.hot[i]
+	r.side[i], r.side[j] = r.side[j], r.side[i]
+}
 
 // chunk is one writer-side piece of the probe mirror, in scan order.
 type chunk struct {
-	recs []scanProbe
-	// own reports that recs was allocated since the last publish, so no
-	// snapshot can see it and the writer may mutate it in place; a shared
-	// chunk is copied first (writableLocked).
+	records
+	// own reports that the arrays were allocated since the last publish, so
+	// no snapshot can see them and the writer may mutate them in place; a
+	// shared chunk is copied first (writableLocked).
 	own bool
 }
 
@@ -30,14 +65,14 @@ type chunk struct {
 // writers copy before mutating (readers may scan this snapshot
 // indefinitely).
 func (c *Classifier) publishLocked() {
-	sn := &snapshot{chunks: make([][]scanProbe, len(c.dir)), masks: c.masks, nEntry: c.nEntry}
+	sn := &snapshot{chunks: make([]records, len(c.dir)), masks: c.masks, nEntry: c.nEntry}
 	for i := range c.dir {
 		ch := &c.dir[i]
 		if ch.own {
-			c.probesCopied += uint64(len(ch.recs))
+			c.probesCopied += uint64(len(ch.hot))
 			ch.own = false
 		}
-		sn.chunks[i] = ch.recs
+		sn.chunks[i] = ch.records
 	}
 	for _, g := range c.thawed {
 		g.frozen = true
@@ -62,14 +97,14 @@ func hashBefore(g *group, hash uint64, maskKey string) bool {
 // then within the chunk.
 func (c *Classifier) searchLocked(hash uint64, maskKey string) (ci, k int) {
 	ci = sort.Search(len(c.dir), func(i int) bool {
-		recs := c.dir[i].recs
-		return !hashBefore(recs[len(recs)-1].g, hash, maskKey)
+		side := c.dir[i].side
+		return !hashBefore(side[len(side)-1].g, hash, maskKey)
 	})
 	if ci == len(c.dir) {
 		return c.endLocked()
 	}
-	recs := c.dir[ci].recs
-	return ci, sort.Search(len(recs), func(j int) bool { return !hashBefore(recs[j].g, hash, maskKey) })
+	side := c.dir[ci].side
+	return ci, sort.Search(len(side), func(j int) bool { return !hashBefore(side[j].g, hash, maskKey) })
 }
 
 // endLocked returns the position one past the last record.
@@ -78,7 +113,7 @@ func (c *Classifier) endLocked() (ci, k int) {
 		return 0, 0
 	}
 	ci = len(c.dir) - 1
-	return ci, len(c.dir[ci].recs)
+	return ci, len(c.dir[ci].hot)
 }
 
 // locateLocked returns the mirror position of g, which must be installed:
@@ -89,8 +124,8 @@ func (c *Classifier) locateLocked(g *group) (ci, k int) {
 		return c.searchLocked(g.hash, g.maskKey)
 	}
 	for ci := range c.dir {
-		for k := range c.dir[ci].recs {
-			if c.dir[ci].recs[k].g == g {
+		for k := range c.dir[ci].side {
+			if c.dir[ci].side[k].g == g {
 				return ci, k
 			}
 		}
@@ -100,46 +135,53 @@ func (c *Classifier) locateLocked(g *group) (ci, k int) {
 
 // writableLocked returns chunk ci's records for in-place mutation, first
 // copying them (with room for one insert) if a snapshot shares them.
-func (c *Classifier) writableLocked(ci int) []scanProbe {
+func (c *Classifier) writableLocked(ci int) records {
 	ch := &c.dir[ci]
 	if !ch.own {
-		ch.recs = append(make([]scanProbe, 0, len(ch.recs)+1), ch.recs...)
+		ch.records = ch.clone(1)
 		ch.own = true
 	}
-	return ch.recs
+	return ch.records
 }
 
 // setProbeLocked refreshes the record at (ci, k) from g's current state.
 func (c *Classifier) setProbeLocked(ci, k int, g *group) {
-	c.writableLocked(ci)[k] = buildProbe(g)
+	r := c.writableLocked(ci)
+	r.hot[k], r.side[k] = buildProbe(g)
 }
 
-// insertProbeLocked inserts p at (ci, k), splitting a chunk that outgrows
-// chunkCap into two halves.
-func (c *Classifier) insertProbeLocked(ci, k int, p scanProbe) {
+// insertProbeLocked inserts g's record at (ci, k), splitting a chunk that
+// outgrows chunkCap into two halves.
+func (c *Classifier) insertProbeLocked(ci, k int, g *group) {
 	c.masks++
+	p, s := buildProbe(g)
 	if len(c.dir) == 0 {
-		c.dir = append(c.dir, chunk{recs: []scanProbe{p}, own: true})
+		c.dir = append(c.dir, chunk{records: records{[]scanProbe{p}, []probeSide{s}}, own: true})
 		return
 	}
-	recs := slices.Insert(c.writableLocked(ci), k, p)
-	if len(recs) <= chunkCap {
-		c.dir[ci].recs = recs
+	r := c.writableLocked(ci)
+	r.hot = slices.Insert(r.hot, k, p)
+	r.side = slices.Insert(r.side, k, s)
+	if len(r.hot) <= chunkCap {
+		c.dir[ci].records = r
 		return
 	}
-	half := len(recs) / 2
-	right := slices.Clone(recs[half:])
-	clear(recs[half:]) // the left half's spare capacity must not pin groups
-	c.dir[ci].recs = recs[:half]
-	c.dir = slices.Insert(c.dir, ci+1, chunk{recs: right, own: true})
+	half := len(r.hot) / 2
+	right := records{slices.Clone(r.hot[half:]), slices.Clone(r.side[half:])}
+	clear(r.side[half:]) // the left half's spare capacity must not pin groups
+	c.dir[ci].records = r.head(half)
+	c.dir = slices.Insert(c.dir, ci+1, chunk{records: right, own: true})
 }
 
 // removeProbeLocked deletes the record at (ci, k), dropping its chunk if
 // it empties, and repacks a mirror left mostly empty.
 func (c *Classifier) removeProbeLocked(ci, k int) {
 	c.masks--
-	if recs := slices.Delete(c.writableLocked(ci), k, k+1); len(recs) > 0 {
-		c.dir[ci].recs = recs
+	r := c.writableLocked(ci)
+	r.hot = slices.Delete(r.hot, k, k+1)
+	r.side = slices.Delete(r.side, k, k+1)
+	if len(r.hot) > 0 {
+		c.dir[ci].records = r
 	} else {
 		c.dir = slices.Delete(c.dir, ci, ci+1)
 	}
@@ -157,25 +199,26 @@ func (c *Classifier) repackLocked() {
 	}
 }
 
-// flattenLocked returns a fresh array holding every record in scan order.
-func (c *Classifier) flattenLocked() []scanProbe {
-	recs := make([]scanProbe, 0, c.masks)
+// flattenLocked returns fresh arrays holding every record in scan order.
+func (c *Classifier) flattenLocked() records {
+	r := records{make([]scanProbe, 0, c.masks), make([]probeSide, 0, c.masks)}
 	for _, ch := range c.dir {
-		recs = append(recs, ch.recs...)
+		r.hot = append(r.hot, ch.hot...)
+		r.side = append(r.side, ch.side...)
 	}
-	return recs
+	return r
 }
 
-// rechunkLocked rebuilds the directory as full chunks over recs, a fresh
-// array nothing else references. Each chunk's capacity ends at its last
-// record, so an in-place insert can never spill into its neighbour.
-func (c *Classifier) rechunkLocked(recs []scanProbe) {
+// rechunkLocked rebuilds the directory as full chunks over r, fresh arrays
+// nothing else references. Each chunk's capacity ends at its last record,
+// so an in-place insert can never spill into its neighbour.
+func (c *Classifier) rechunkLocked(r records) {
 	clear(c.dir)
 	c.dir = c.dir[:0]
-	for len(recs) > 0 {
-		n := min(len(recs), chunkCap)
-		c.dir = append(c.dir, chunk{recs: recs[:n:n], own: true})
-		recs = recs[n:]
+	for len(r.hot) > 0 {
+		n := min(len(r.hot), chunkCap)
+		c.dir = append(c.dir, chunk{records: records{r.hot[:n:n], r.side[:n:n]}, own: true})
+		r = records{r.hot[n:], r.side[n:]}
 	}
 }
 

@@ -3,7 +3,9 @@ package tss
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"tse/internal/bitvec"
 	"tse/internal/flowtable"
@@ -195,11 +197,21 @@ func TestScanCountPins(t *testing.T) {
 		"ipv6": {420266, 391192},
 		"wide": {223348, 144603},
 	}
+	kinds := map[uint8]int{}
+	wide := 0
 	for _, tc := range scanPinCases {
 		t.Run(tc.name, func(t *testing.T) {
 			c, es := tc.build(t)
 			if c.EntryCount() != len(es) {
 				t.Fatalf("%d entries installed, want %d", c.EntryCount(), len(es))
+			}
+			for _, ch := range c.dir {
+				for k, p := range ch.hot {
+					kinds[p.kind]++
+					if !ch.side[k].g.sparseOK {
+						wide++
+					}
+				}
 			}
 			for i, h := range tc.headers(es, 7) {
 				got, _, ok := c.Lookup(h, 0)
@@ -219,5 +231,46 @@ func TestScanCountPins(t *testing.T) {
 				t.Errorf("%d masks: probes, skips = %v, want %v", c.MaskCount(), got, want[tc.name])
 			}
 		})
+	}
+	for kind := kindSolo1; kind <= kindGroup; kind++ {
+		if kinds[kind] == 0 {
+			t.Errorf("no case holds a record of kind %d", kind)
+		}
+	}
+	if wide == 0 {
+		t.Error("no case holds a mask too wide for the inline sparse view")
+	}
+}
+
+// TestScanRecordLayout guards the hot scan record: at most 24 bytes, and
+// nothing in it the garbage collector would have to scan.
+func TestScanRecordLayout(t *testing.T) {
+	if n := unsafe.Sizeof(scanProbe{}); n > 24 {
+		t.Errorf("scanProbe is %d bytes, want <= 24", n)
+	}
+	var hasPointers func(reflect.Type) bool
+	hasPointers = func(typ reflect.Type) bool {
+		switch typ.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+			return false
+		case reflect.Array:
+			return hasPointers(typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				if hasPointers(typ.Field(i).Type) {
+					return true
+				}
+			}
+			return false
+		}
+		return true
+	}
+	typ := reflect.TypeOf(scanProbe{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); hasPointers(f.Type) {
+			t.Errorf("scanProbe.%s (%s) holds a pointer", f.Name, f.Type)
+		}
 	}
 }

@@ -149,9 +149,9 @@ func TestStagedLookupEquivalence(t *testing.T) {
 // the probe count and the stage-skip count.
 func refScan(sn *snapshot, h bitvec.Vec, staged bool) (*Entry, int, int) {
 	probes, skips := 0, 0
-	for _, ps := range sn.chunks {
-		for k := range ps {
-			g := ps[k].g
+	for _, ch := range sn.chunks {
+		for _, s := range ch.side {
+			g := s.g
 			probes++
 			var e *Entry
 			switch {

@@ -50,7 +50,6 @@ package tss
 import (
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -345,12 +344,18 @@ func (g *group) findMasked(h bitvec.Vec) *Entry {
 // stages' header words or the slot table; skipped reports that early exit
 // (the quantity Stats.StageSkips counts).
 func (g *group) findMaskedStaged(h bitvec.Vec) (e *Entry, skipped bool) {
-	last := len(g.stageOff) - 1
-	if last < 2 {
+	if len(g.stageOff) < 3 {
 		return g.findMasked(h), false
 	}
-	var fp uint64
-	for s := 0; s < last; s++ {
+	return g.stagesFrom(0, 0, h)
+}
+
+// stagesFrom runs a staged probe from stage s on, fp being the running
+// hash through the stages before s. The scan enters it at stage 1 for a
+// kindFilter record whose stage 0 it already decided from the mirror.
+func (g *group) stagesFrom(s int, fp uint64, h bitvec.Vec) (e *Entry, skipped bool) {
+	last := len(g.stageOff) - 1
+	for ; s < last; s++ {
 		fp ^= g.sparse.HashRange(h, int(g.stageOff[s]), int(g.stageOff[s+1]))
 		if s < last-1 && !g.filters[s].has(fp) {
 			return nil, true
@@ -636,52 +641,80 @@ type Classifier struct {
 }
 
 // snapshot is one immutable published scan state: the probe mirror's chunk
-// directory in scan order (each record carries its group pointer, so the
-// dump-style readers walk the same chunks). Readers obtained it from the
-// atomic pointer; nothing it references is mutated after publication
+// directory in scan order (each side record carries its group pointer, so
+// the dump-style readers walk the same chunks). Readers obtained it from
+// the atomic pointer; nothing it references is mutated after publication
 // (entry and hit counters are updated atomically through shared pointers).
 type snapshot struct {
-	chunks [][]scanProbe
+	chunks []records
 	masks  int
 	nEntry int
 }
 
-// scanProbe is one step of the lookup scan, flattened so the O(|M|) walk
-// streams sequential memory the hardware prefetcher can follow instead of
-// chasing a pointer per mask. Groups holding exactly one entry under an
-// inline-able mask — the shape TSE attack state takes, one megaflow per
-// inflated mask — have their *first-stage* probe fully inlined: the first
-// nonzero mask word and the entry's key word under it sit in the record
-// itself, so the staged probe decides most misses with a single AND and
-// compare against streamed bytes, never dereferencing the group. The
-// record is kept to 48 bytes deliberately — the 4096-mask scan is memory-
-// bandwidth-bound, so bytes per probe matter more than instructions.
+// Probe record kinds: what the scan can decide about a group from its
+// record, without dereferencing the group. Inline-able masks only; a
+// group whose mask does not fit a bitvec.SparseMask is kindGroup.
+const (
+	kindSolo1  uint8 = iota // one entry, at most one nonzero mask word
+	kindSolo2               // one entry, two words: the second is in the side record
+	kindSoloN               // one entry, more words
+	kindFilter              // several entries, stage 0 is sparse word 0: side holds its filter
+	kindGroup               // any other group
+)
+
+// scanProbe is the hot half of one step of the lookup scan: pointer-free
+// and 24 bytes, so the O(|M|) walk streams sequential memory the hardware
+// prefetcher can follow, the garbage collector never scans it, and bytes
+// per probe — the budget of a memory-bandwidth-bound scan — are half those
+// of a record carrying pointers. For a one-entry group — the shape TSE
+// attack state takes, one megaflow per inflated mask — it holds the first
+// nonzero mask word and the entry's key word under it, so a staged probe
+// decides most misses with a single AND and compare against streamed
+// bytes. For a kindFilter group it holds the word stage 0 hashes.
 type scanProbe struct {
-	e0   *Entry  // sole entry of a one-entry inline-mask group, else nil
-	hits *uint64 // group hit counter, shared across snapshots
-	g    *group
-	mw0  uint64 // first nonzero mask word of the solo group's mask
-	kw0  uint64 // solo entry's key word under mw0
+	mw0  uint64 // first nonzero mask word
+	kw0  uint64 // one-entry kinds: the entry's key word under mw0
 	idx0 uint8  // Vec word index of mw0
-	n    uint8  // nonzero mask words of the solo group's mask
+	idx1 uint8  // kindSolo2: Vec word index of the second mask word
+	kind uint8
+}
+
+// probeSide is the cold half of a scan record, read only when the hot half
+// cannot decide a probe: the group, plus four inline words — for kindSolo2
+// the second mask word and the entry's key word under it, so a first-word
+// agreement is decided here too; for kindFilter the group's stage-0
+// stageFilter, so a probe bails on it without touching the group. The
+// entry and its counters are reached through g only on a hit.
+type probeSide struct {
+	g *group
+	w [4]uint64
 }
 
 // buildProbe constructs the scan record for a group's current state.
-// Writers call it whenever a group's membership or solo entry changes,
-// keeping the probe mirror in sync with the groups.
-func buildProbe(g *group) scanProbe {
-	p := scanProbe{g: g, hits: g.hits}
-	if g.sparseOK && g.solo != nil {
-		p.e0 = g.solo
-		p.n = uint8(g.sparse.N())
-		if p.n > 0 {
-			wi := g.sparse.WordIndex(0)
-			p.idx0 = uint8(wi)
-			p.mw0 = g.sparse.MaskWord(0)
-			p.kw0 = g.solo.Key[wi]
-		}
+// Writers call it whenever a group's membership, solo entry or filters
+// change, keeping the probe mirror in sync with the groups.
+func buildProbe(g *group) (scanProbe, probeSide) {
+	p, s := scanProbe{kind: kindGroup}, probeSide{g: g}
+	if !g.sparseOK {
+		return p, s
 	}
-	return p
+	sp := &g.sparse
+	if sp.N() > 0 {
+		p.idx0, p.mw0 = uint8(sp.WordIndex(0)), sp.MaskWord(0)
+	}
+	switch {
+	case g.solo != nil && sp.N() <= 1:
+		p.kind, p.kw0 = kindSolo1, g.solo.Key[p.idx0]
+	case g.solo != nil && sp.N() == 2:
+		p.kind, p.kw0 = kindSolo2, g.solo.Key[p.idx0]
+		p.idx1 = uint8(sp.WordIndex(1))
+		s.w[0], s.w[1] = sp.MaskWord(1), g.solo.Key[p.idx1]
+	case g.solo != nil:
+		p.kind, p.kw0 = kindSoloN, g.solo.Key[p.idx0]
+	case len(g.stageOff) > 2 && g.stageOff[1] == 1:
+		p.kind, s.w = kindFilter, g.filters[0]
+	}
+	return p, s
 }
 
 // New creates an empty classifier over the layout.
@@ -742,87 +775,129 @@ func (hd *Handle) Lookup(h bitvec.Vec, now int64) (*Entry, int, bool) {
 // nonzero words (no scratch vector, no allocation), with the staged early
 // bail skipping most of that work for non-matching masks. Hit accounting
 // is atomic so any number of readers may run concurrently; scan
-// statistics go to the handle's private shard. The scan walks the
-// snapshot's chunks in order; a record's probe number is its chunk's base
-// plus its index plus one.
+// statistics go to the handle's private shard.
 func (hd *Handle) lookupSnap(sn *snapshot, h bitvec.Vec, now int64) (*Entry, int, int, bool) {
 	c := hd.c
-	staged := c.staged
-	skips, base := 0, 0
-	for _, ps := range sn.chunks {
-		for k := 0; k < len(ps); k++ {
-			if staged {
-				// Inlined one-entry groups: compare the first masked header
-				// word against the inlined key word. A mismatch — the common
-				// case by far in the attack regime — bails on streamed bytes
-				// alone, so runs of them are skipped in a loop of their own
-				// that calls nothing and keeps its state in registers.
-				run := ps[k:]
-				for i := range run {
-					p := &run[i]
-					if p.e0 == nil || h[p.idx0]&p.mw0 == p.kw0 {
-						break
-					}
-					if p.n > 1 {
-						skips++
-					}
-					k++
-				}
-				if k == len(ps) {
-					break
-				}
-			}
-			p := &ps[k]
-			var e *Entry
-			if p.e0 != nil {
-				if staged {
-					// First word agreed. Matching every nonzero mask word IS
-					// the full match (the key is canonical), so a hit needs no
-					// hash at all; further words are confirmed through the
-					// group (rare, so the dereference is off the common path).
-					if p.n <= 1 || p.g.sparse.EqualKey(p.e0.Key, h) {
-						e = p.e0
-					}
-				} else {
-					// Unstaged: decide on the group's fingerprint; only a
-					// match (or a 2^-64 collision) touches the entry itself.
-					if g := p.g; g.sparse.Hash(h) == g.soloFP && g.sparse.EqualKey(p.e0.Key, h) {
-						e = p.e0
-					}
-				}
-			} else if staged {
-				var skip bool
-				e, skip = p.g.findMaskedStaged(h)
-				if skip {
-					skips++
-				}
-			} else {
-				e = p.g.findMasked(h)
-			}
-			if e != nil {
-				probes := base + k + 1
-				atomic.AddUint64(&e.Hits, 1)
-				atomic.StoreInt64(&e.LastUsed, now)
-				atomic.AddUint64(p.hits, 1)
-				if c.opts.Order == OrderHitCount {
-					c.dirty.Store(true)
-				}
-				sh := hd.sh
-				atomic.AddUint64(&sh.lookups, 1)
-				atomic.AddUint64(&sh.hits, 1)
-				atomic.AddUint64(&sh.probes, uint64(probes))
-				atomic.AddUint64(&sh.stageSkips, uint64(skips))
-				return e, probes, skips, true
-			}
-		}
-		base += len(ps)
+	var e *Entry
+	var g *group
+	probes, skips := 0, 0
+	if c.staged {
+		e, g, probes, skips = sn.scanStaged(h)
+	} else {
+		e, g, probes = sn.scanUnstaged(h)
 	}
 	sh := hd.sh
 	atomic.AddUint64(&sh.lookups, 1)
-	atomic.AddUint64(&sh.misses, 1)
-	atomic.AddUint64(&sh.probes, uint64(base))
+	if e == nil {
+		atomic.AddUint64(&sh.misses, 1)
+	} else {
+		atomic.AddUint64(&e.Hits, 1)
+		atomic.StoreInt64(&e.LastUsed, now)
+		atomic.AddUint64(g.hits, 1)
+		if c.opts.Order == OrderHitCount {
+			c.dirty.Store(true)
+		}
+		atomic.AddUint64(&sh.hits, 1)
+	}
+	atomic.AddUint64(&sh.probes, uint64(probes))
 	atomic.AddUint64(&sh.stageSkips, uint64(skips))
-	return nil, base, skips, false
+	return e, probes, skips, e != nil
+}
+
+// scanStaged is the staged scan: it returns the first entry matching h in
+// scan order and its group, or nil, with the probes made and the stage
+// skips among them. A record's probe number is its chunk's base plus its
+// index plus one. Every miss is decided from the mirror: a one-entry
+// record on its inline words, a kindFilter record on its stage-0 filter.
+// Only a kindSoloN first-word agreement, a filter pass, a kindGroup record
+// and a hit dereference the group.
+func (sn *snapshot) scanStaged(h bitvec.Vec) (*Entry, *group, int, int) {
+	skips, base := 0, 0
+	for _, ch := range sn.chunks {
+		hot, side := ch.hot, ch.side
+		for k := 0; k < len(hot); k++ {
+			// One-entry records whose first masked header word differs from
+			// the inline key word — the common case by far in the attack
+			// regime — are skipped in a loop of their own that calls nothing
+			// and keeps its state in registers.
+			p := &hot[k]
+			for p.kind <= kindSoloN && h[p.idx0]&p.mw0 != p.kw0 {
+				if p.kind != kindSolo1 {
+					skips++
+				}
+				if k++; k == len(hot) {
+					break
+				}
+				p = &hot[k]
+			}
+			if k == len(hot) {
+				break
+			}
+			s := &side[k]
+			var e *Entry
+			switch p.kind {
+			case kindSolo1:
+				// The first word was the whole mask: a match (the key is
+				// canonical, so agreeing on every mask word is the match).
+				e = s.g.solo
+			case kindSolo2:
+				if h[p.idx1]&s.w[0] == s.w[1] {
+					e = s.g.solo
+				}
+			case kindSoloN:
+				if g := s.g; g.sparse.EqualKey(g.solo.Key, h) {
+					e = g.solo
+				}
+			case kindFilter:
+				// Stage 0 is the one word mw0 covers: its partial hash, as
+				// SparseMask.HashRange computes it, against the inline filter.
+				var fp uint64
+				if w := h[p.idx0] & p.mw0; w != 0 {
+					fp = bitvec.MixWord(w, int(p.idx0))
+				}
+				if !(*stageFilter)(&s.w).has(fp) {
+					skips++
+					continue
+				}
+				var skip bool
+				if e, skip = s.g.stagesFrom(1, fp, h); skip {
+					skips++
+				}
+			default:
+				var skip bool
+				if e, skip = s.g.findMaskedStaged(h); skip {
+					skips++
+				}
+			}
+			if e != nil {
+				return e, s.g, base + k + 1, skips
+			}
+		}
+		base += len(hot)
+	}
+	return nil, nil, base, skips
+}
+
+// scanUnstaged is the scan with staging off (Options.DisableStagedLookup):
+// every probe is the full masked hash through the group. A one-entry group
+// decides on its fingerprint; only a match (or a 2^-64 collision) touches
+// the entry itself.
+func (sn *snapshot) scanUnstaged(h bitvec.Vec) (*Entry, *group, int) {
+	probes := 0
+	for _, ch := range sn.chunks {
+		for _, s := range ch.side {
+			probes++
+			g := s.g
+			if g.sparseOK && g.solo != nil {
+				if g.sparse.Hash(h) == g.soloFP && g.sparse.EqualKey(g.solo.Key, h) {
+					return g.solo, g, probes
+				}
+			} else if e := g.findMasked(h); e != nil {
+				return e, g, probes
+			}
+		}
+	}
+	return nil, nil, probes
 }
 
 // BatchResult is one per-header outcome of LookupBatch.
@@ -1009,35 +1084,47 @@ func (c *Classifier) insertLocked(e *Entry, now int64) error {
 }
 
 // findOverlapLocked returns the first existing entry, in scan order, that
-// overlaps e, or nil. It streams the writer-side probe mirror the way
-// lookupSnap streams a snapshot: a one-entry inline group is rejected on
-// its inlined first mask word alone — the two entries disagree on a bit
-// both masks constrain — in a loop that calls nothing, which decides
-// nearly every group of an attack-inflated cache; survivors are confirmed
-// with the full bitvec.Overlap, so the check stays exact.
+// overlaps e, or nil. It streams the writer-side probe mirror's hot array
+// the way scanStaged streams a snapshot: a one-entry inline group is
+// rejected on its inlined first mask word alone — the two entries disagree
+// on a bit both masks constrain — in a loop that calls nothing, which
+// decides nearly every group of an attack-inflated cache. Survivors count
+// in OverlapCompared and are confirmed exactly: a one- or two-word group
+// from its record (its mask constrains no other word), a wider one with
+// the full bitvec.Overlap.
 func (c *Classifier) findOverlapLocked(e *Entry) *Entry {
 	for _, ch := range c.dir {
-		ps := ch.recs
-		for k := 0; k < len(ps); k++ {
-			run := ps[k:]
-			for i := range run {
-				p := &run[i]
-				if p.e0 == nil || (e.Key[p.idx0]^p.kw0)&e.Mask[p.idx0]&p.mw0 == 0 {
+		hot, side := ch.hot, ch.side
+		for k := 0; k < len(hot); k++ {
+			p := &hot[k]
+			for p.kind <= kindSoloN && (e.Key[p.idx0]^p.kw0)&e.Mask[p.idx0]&p.mw0 != 0 {
+				if k++; k == len(hot) {
 					break
 				}
-				k++
+				p = &hot[k]
 			}
-			if k == len(ps) {
+			if k == len(hot) {
 				break
 			}
-			p := &ps[k]
-			if p.e0 != nil {
+			s := &side[k]
+			switch p.kind {
+			case kindSolo1:
 				c.overlapCompared++
-				if bitvec.Overlap(e.Key, e.Mask, p.e0.Key, p.e0.Mask) {
-					return p.e0
+				return s.g.solo
+			case kindSolo2:
+				c.overlapCompared++
+				if (e.Key[p.idx1]^s.w[1])&e.Mask[p.idx1]&s.w[0] == 0 {
+					return s.g.solo
 				}
-			} else if ex := c.groupOverlapLocked(p.g, e); ex != nil {
-				return ex
+			case kindSoloN:
+				c.overlapCompared++
+				if ex := s.g.solo; bitvec.Overlap(e.Key, e.Mask, ex.Key, ex.Mask) {
+					return ex
+				}
+			default:
+				if ex := c.groupOverlapLocked(s.g, e); ex != nil {
+					return ex
+				}
 			}
 		}
 	}
@@ -1072,7 +1159,7 @@ func (c *Classifier) placeLocked(g *group) {
 	if c.opts.Order == OrderHash {
 		ci, k = c.searchLocked(g.hash, g.maskKey)
 	}
-	c.insertProbeLocked(ci, k, buildProbe(g))
+	c.insertProbeLocked(ci, k, g)
 	if c.opts.Order == OrderHitCount {
 		// Appended for now; the lazy resort restores the hit-count order.
 		c.dirty.Store(true)
@@ -1086,9 +1173,7 @@ func (c *Classifier) resortLocked() {
 		return
 	}
 	recs := c.flattenLocked()
-	sort.SliceStable(recs, func(i, j int) bool {
-		return atomic.LoadUint64(recs[i].hits) > atomic.LoadUint64(recs[j].hits)
-	})
+	sort.Stable(byHits(recs))
 	c.rechunkLocked(recs)
 	c.publishLocked()
 	c.dirty.Store(false)
@@ -1142,20 +1227,22 @@ func (c *Classifier) DeleteWhere(pred func(*Entry) bool) int {
 	var victims []bitvec.Vec
 	out := 0
 	for _, ch := range c.dir {
-		var keep []scanProbe // the chunk's survivors, once it has changed
+		var keep records // the chunk's survivors, once it has changed
 		changed := false
-		for k, p := range ch.recs {
-			// gone counts the entries of p's group that pred selects. A
-			// one-entry inline group's record holds its entry, so the
-			// attack-shaped bulk of a sweep touches a group only to drop it.
+		for k := range ch.hot {
+			p, s := ch.hot[k], ch.side[k]
+			// gone counts the entries of the record's group that pred
+			// selects. A one-entry group is its solo entry, so the
+			// attack-shaped bulk of a sweep never walks a slot table.
+			g := s.g
 			gone := 0
-			if p.e0 != nil {
-				if pred(p.e0) {
+			if g.solo != nil {
+				if pred(g.solo) {
 					gone = 1
 				}
 			} else {
 				victims = victims[:0]
-				p.g.each(func(e *Entry) bool {
+				g.each(func(e *Entry) bool {
 					if pred(e) {
 						victims = append(victims, e.Key)
 					}
@@ -1166,34 +1253,35 @@ func (c *Classifier) DeleteWhere(pred func(*Entry) bool) int {
 			if gone > 0 {
 				if !changed {
 					changed = true
-					if keep = ch.recs[:k]; !ch.own {
-						keep = slices.Clone(keep)
+					if keep = ch.head(k); !ch.own {
+						keep = keep.clone(0)
 					}
 				}
 				removed += gone
-				if gone == p.g.n {
-					delete(c.byMask, p.g.maskKey)
+				if gone == g.n {
+					delete(c.byMask, g.maskKey)
 					c.masks--
 					continue
 				}
-				g := c.thawLocked(p.g)
+				g = c.thawLocked(g)
 				for _, key := range victims {
 					g.remove(key)
 				}
 				g.settle()
-				p = buildProbe(g)
+				p, s = buildProbe(g)
 			}
 			if changed {
-				keep = append(keep, p)
+				keep.hot = append(keep.hot, p)
+				keep.side = append(keep.side, s)
 			}
 		}
 		if changed {
 			if ch.own {
-				clear(ch.recs[len(keep):]) // compacted in place: unpin the tail
+				clear(ch.side[len(keep.side):]) // compacted in place: unpin the tail
 			}
-			ch = chunk{recs: keep, own: true}
+			ch = chunk{records: keep, own: true}
 		}
-		if len(ch.recs) > 0 {
+		if len(ch.hot) > 0 {
 			c.dir[out] = ch
 			out++
 		}
@@ -1255,10 +1343,10 @@ func (c *Classifier) Stats() Stats {
 func (c *Classifier) Entries() []*Entry {
 	sn := c.snap.Load()
 	out := make([]*Entry, 0, sn.nEntry)
-	for _, ps := range sn.chunks {
-		for k := range ps {
+	for _, ch := range sn.chunks {
+		for _, s := range ch.side {
 			start := len(out)
-			ps[k].g.each(func(e *Entry) bool { out = append(out, snapshotEntry(e)); return true })
+			s.g.each(func(e *Entry) bool { out = append(out, snapshotEntry(e)); return true })
 			within := out[start:]
 			sort.Slice(within, func(i, j int) bool { return within[i].Key.Key() < within[j].Key.Key() })
 		}
@@ -1283,9 +1371,9 @@ func snapshotEntry(e *Entry) *Entry {
 func (c *Classifier) Masks() []bitvec.Vec {
 	sn := c.snap.Load()
 	out := make([]bitvec.Vec, 0, sn.masks)
-	for _, ps := range sn.chunks {
-		for k := range ps {
-			out = append(out, ps[k].g.mask.Clone())
+	for _, ch := range sn.chunks {
+		for _, s := range ch.side {
+			out = append(out, s.g.mask.Clone())
 		}
 	}
 	return out
@@ -1297,9 +1385,9 @@ func (c *Classifier) Masks() []bitvec.Vec {
 func (c *Classifier) Dump(w io.Writer, l *bitvec.Layout) {
 	sn := c.snap.Load()
 	pos := 0
-	for _, ps := range sn.chunks {
-		for k := range ps {
-			g := ps[k].g
+	for _, ch := range sn.chunks {
+		for _, s := range ch.side {
+			g := s.g
 			pos++
 			fmt.Fprintf(w, "mask %d/%d: %s (%d entries, %d hits)\n",
 				pos, sn.masks, g.mask.Format(l), g.n, atomic.LoadUint64(g.hits))
@@ -1323,13 +1411,13 @@ func (c *Classifier) ProbePosition(mask bitvec.Vec) int {
 	sn := c.snap.Load()
 	mk := mask.Key()
 	base := 0
-	for _, ps := range sn.chunks {
-		for k := range ps {
-			if ps[k].g.maskKey == mk {
+	for _, ch := range sn.chunks {
+		for k, s := range ch.side {
+			if s.g.maskKey == mk {
 				return base + k + 1
 			}
 		}
-		base += len(ps)
+		base += len(ch.side)
 	}
 	return 0
 }
