@@ -164,12 +164,12 @@ func TestAsyncBoundedDrops(t *testing.T) {
 	}
 }
 
-// TestAsyncHandlersParallel exercises the concurrent mode under -race:
-// handler goroutines resolve the upcalls while the workers' bursts wait on
-// their tickets, and every packet is fully accounted.
+// TestAsyncHandlersParallel exercises the concurrent dispatch under -race:
+// the workers' bursts run in parallel, each draining its own misses through
+// SubmitSync and so popping and resolving the others' upcalls too, and
+// every packet is fully accounted.
 func TestAsyncHandlersParallel(t *testing.T) {
-	pool := newAsyncPool(t, 4, false, upcall.Options{Handlers: 2})
-	defer pool.Close()
+	pool := newAsyncPool(t, 4, false, upcall.Options{})
 	ref, err := vswitch.New(vswitch.Config{
 		Table:            flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{}),
 		DisableMicroflow: true,

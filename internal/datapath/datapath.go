@@ -54,14 +54,12 @@ type Config struct {
 	DisableEMC bool
 	// Upcall enables the asynchronous slow path: a full-scan megaflow
 	// miss is submitted to the per-port upcall queues (source = ingress
-	// vport) instead of classified inline in the worker. With
-	// Options.Handlers > 0 the pool starts that many handler goroutines
-	// at New — stop them with Close — and workers block on their bursts'
-	// tickets; with Handlers == 0 each admitted upcall is drained
-	// synchronously through the same machinery, the deterministic drive
-	// mode that is verdict-for-verdict equivalent to the inline pipeline
-	// when queues are unbounded and no quota is set. nil keeps the inline
-	// slow path.
+	// vport) instead of classified inline in the worker. Each admitted
+	// upcall is drained synchronously through the upcall machinery
+	// (ProcessBatchDeferredPorts leaves it queued instead), the
+	// deterministic drive mode that is verdict-for-verdict equivalent to
+	// the inline pipeline when queues are unbounded and no quota is set.
+	// nil keeps the inline slow path.
 	Upcall *upcall.Options
 	// Ports is the number of ingress vports feeding the pool; <= 0
 	// selects Workers (one vport per worker, the legacy shape, which
@@ -143,14 +141,13 @@ type PortStats struct {
 // other (the parallelism lives inside ProcessBatch, where the workers of
 // one dispatch run concurrently against the shared switch).
 type Pool struct {
-	sw       *vswitch.Switch
-	batch    int
-	ports    int
-	workers  []*worker
-	assign   []int // per-header worker index of the latest dispatch
-	up       *upcall.Subsystem
-	handlers bool // async mode runs handler goroutines (vs drive mode)
-	tm       *poolMetrics
+	sw      *vswitch.Switch
+	batch   int
+	ports   int
+	workers []*worker
+	assign  []int // per-header worker index of the latest dispatch
+	up      *upcall.Subsystem
+	tm      *poolMetrics
 }
 
 // poolMetrics is the pool's registry wiring: push counters sharded by
@@ -222,14 +219,6 @@ type worker struct {
 	missIdx    []int
 	missPorts  []int
 	verdicts   []vswitch.Verdict
-	tickets    []pendingTicket
-}
-
-// pendingTicket is one in-flight upcall of the current burst: the ticket
-// plus the miss's position in the burst's miss slice.
-type pendingTicket struct {
-	t   upcall.Ticket
-	idx int
 }
 
 // New builds a pool over the shared switch.
@@ -261,10 +250,6 @@ func New(cfg Config) (*Pool, error) {
 			return nil, err
 		}
 		p.up = up
-		if cfg.Upcall.Handlers > 0 {
-			p.handlers = true
-			up.Start()
-		}
 	}
 	return p, nil
 }
@@ -273,11 +258,12 @@ func New(cfg Config) (*Pool, error) {
 // pools.
 func (p *Pool) Upcalls() *upcall.Subsystem { return p.up }
 
-// Close stops the upcall handler goroutines after draining their backlog.
-// It is a no-op for inline or drive-mode pools.
+// Close resolves every upcall still queued — fire-and-forget dispatches
+// leave theirs for a later drain — so no pending upcall outlives the pool.
+// It is a no-op for inline pools.
 func (p *Pool) Close() {
 	if p.up != nil {
-		p.up.Stop()
+		p.up.DrainAll()
 	}
 }
 
@@ -365,8 +351,8 @@ func (p *Pool) ProcessBatchSerialPorts(ports []int, hs []bitvec.Vec, now int64, 
 // ProcessBatchDeferredPorts is the fire-and-forget dispatch of the
 // asynchronous slow path: like ProcessBatchSerialPorts, but a miss's upcall
 // is only submitted, never waited for. The corresponding verdicts report
-// PathUpcallPending (queued; the decision arrives when a handler or a
-// later HandleN drains it) or PathUpcallDrop (refused at admission). The
+// PathUpcallPending (queued; the decision arrives when a later HandleN
+// drains it) or PathUpcallDrop (refused at admission). The
 // dataplane simulator drives this mode and drains with the modelled
 // per-second handler budget via Upcalls().HandleN. On an inline pool it
 // falls back to ProcessBatchSerialPorts.
@@ -449,9 +435,8 @@ func (w *worker) run(p *Pool, now int64, out []vswitch.Verdict, deferred bool) {
 // batched path for the misses, then EMC priming — the emc_processing /
 // fast_path_processing split of OVS's dpif-netdev. With an upcall
 // subsystem configured, full-scan misses become upcalls instead of inline
-// slow-path calls: drive mode (no handler goroutines) drains each one
-// synchronously, handler mode submits and waits for the burst's tickets,
-// and deferred mode submits without waiting.
+// slow-path calls: each is drained synchronously, or, in deferred mode,
+// submitted without waiting.
 func (w *worker) burst(p *Pool, hs []bitvec.Vec, idx, ports []int, now int64, out []vswitch.Verdict, deferred bool) {
 	if p.tm != nil {
 		// Snapshot-diff telemetry: one struct copy before, a few padded
@@ -498,13 +483,9 @@ func (w *worker) burstRun(p *Pool, hs []bitvec.Vec, idx, ports []int, now int64,
 	if p.up == nil {
 		p.sw.ProcessBatchOn(w.mfc, missHs, now, w.verdicts, nil)
 	} else {
-		w.tickets = w.tickets[:0]
 		p.sw.ProcessBatchOn(w.mfc, missHs, now, w.verdicts, func(i, probes int) vswitch.Verdict {
-			return w.miss(p, missHs[i], missPorts[i], now, i, probes, deferred)
+			return w.miss(p, missHs[i], missPorts[i], now, probes, deferred)
 		})
-		for _, pt := range w.tickets {
-			w.verdicts[pt.idx] = pt.t.Wait()
-		}
 	}
 	for i, v := range w.verdicts[:len(missHs)] {
 		out[missIdx[i]] = v
@@ -535,29 +516,16 @@ func (w *worker) burstRun(p *Pool, hs []bitvec.Vec, idx, ports []int, now int64,
 }
 
 // miss turns one full-scan megaflow miss from ingress vport port into an
-// upcall, in the mode the dispatch selected. The upcall is admitted
-// against the port's queue and quota. The verdicts it returns for admitted
-// upcalls in handler/deferred mode are placeholders: handler mode
-// overwrites them when the burst's tickets resolve, deferred mode leaves
-// them pending.
-func (w *worker) miss(p *Pool, h bitvec.Vec, port int, now int64, i, probes int, deferred bool) vswitch.Verdict {
-	if !deferred && !p.handlers {
-		// Drive mode: submit and drain synchronously.
-		v, o := p.up.SubmitSync(port, h, now)
-		if o.Dropped() {
-			w.stats.UpcallDrops++
-			w.portStats[port].UpcallDrops++
-			if o == upcall.DroppedBreaker {
-				w.stats.UpcallShed++
-				w.portStats[port].UpcallShed++
-			}
-			return vswitch.Verdict{Action: flowtable.Drop, Path: vswitch.PathUpcallDrop, Probes: probes}
-		}
-		w.stats.Upcalls++
-		w.portStats[port].Upcalls++
-		return v
+// upcall, admitted against the port's queue and quota, and drains it
+// synchronously — or, deferred, returns a pending placeholder.
+func (w *worker) miss(p *Pool, h bitvec.Vec, port int, now int64, probes int, deferred bool) vswitch.Verdict {
+	v := vswitch.Verdict{Path: vswitch.PathUpcallPending, Probes: probes}
+	var o upcall.Outcome
+	if deferred {
+		_, o = p.up.Submit(port, h, now)
+	} else {
+		v, o = p.up.SubmitSync(port, h, now)
 	}
-	t, o := p.up.Submit(port, h, now)
 	if o.Dropped() {
 		w.stats.UpcallDrops++
 		w.portStats[port].UpcallDrops++
@@ -569,10 +537,7 @@ func (w *worker) miss(p *Pool, h bitvec.Vec, port int, now int64, i, probes int,
 	}
 	w.stats.Upcalls++
 	w.portStats[port].Upcalls++
-	if !deferred {
-		w.tickets = append(w.tickets, pendingTicket{t: t, idx: i})
-	}
-	return vswitch.Verdict{Path: vswitch.PathUpcallPending, Probes: probes}
+	return v
 }
 
 func (w *worker) tally(v vswitch.Verdict, port int) {

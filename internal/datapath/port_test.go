@@ -110,10 +110,9 @@ func TestVictimPortKeepsQuota(t *testing.T) {
 
 // TestPortSubmitsParallel exercises concurrent per-port submission under
 // -race: four workers submit from eight ports into the port-keyed queues
-// while handler goroutines drain in batches.
+// and drain them concurrently.
 func TestPortSubmitsParallel(t *testing.T) {
-	pool := newPortPool(t, 4, 8, &upcall.Options{Handlers: 2})
-	defer pool.Close()
+	pool := newPortPool(t, 4, 8, &upcall.Options{})
 	tbl := pool.Switch().FlowTable()
 	tr, err := core.CoLocated(tbl, core.CoLocatedOptions{Noise: true, Seed: 31})
 	if err != nil {

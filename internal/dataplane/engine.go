@@ -118,9 +118,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	pcfg := datapath.Config{Switch: cfg.Switch, Workers: cfg.Workers, Ports: cfg.Ports,
 		Metrics: hub.Reg, DisableEMC: true}
 	if cfg.Upcall != nil {
-		if cfg.Upcall.Handlers != 0 {
-			return nil, fmt.Errorf("dataplane: Upcall.Handlers is %d; the engine owns the drain, leave it 0", cfg.Upcall.Handlers)
-		}
 		pcfg.Upcall = cfg.Upcall.options(hub)
 		e.handledPerSec = cfg.Upcall.HandledPerSec
 	}

@@ -53,22 +53,22 @@ type ReplayReport struct {
 // record cannot ask for gigabytes of them.
 const maxReplayPorts = 1 << 16
 
-// buildReplayPipeline assembles the switch, pool and replayer for one
-// run over records whose highest in_port is maxPort.
-func buildReplayPipeline(cfg ReplayConfig, maxPort int) (*vswitch.Switch, *datapath.Pool, *trace.Replayer, error) {
+// buildReplayPipeline assembles the switch and the replayer (over its
+// pool) for one run over records whose highest in_port is maxPort.
+func buildReplayPipeline(cfg ReplayConfig, maxPort int) (*vswitch.Switch, *trace.Replayer, error) {
 	ports := cfg.Ports
 	switch {
 	case maxPort >= maxReplayPorts:
-		return nil, nil, nil, fmt.Errorf("dataplane: trace names in_port %d, limit is %d", maxPort, maxReplayPorts-1)
+		return nil, nil, fmt.Errorf("dataplane: trace names in_port %d, limit is %d", maxPort, maxReplayPorts-1)
 	case ports <= 0:
 		ports = maxPort + 1
 	case ports <= maxPort:
-		return nil, nil, nil, fmt.Errorf("dataplane: %d ports do not cover the trace's in_port %d", ports, maxPort)
+		return nil, nil, fmt.Errorf("dataplane: %d ports do not cover the trace's in_port %d", ports, maxPort)
 	}
 	tbl := flowtable.UseCaseACL(flowtable.SipSpDp, flowtable.ACLParams{})
 	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -77,10 +77,10 @@ func buildReplayPipeline(cfg ReplayConfig, maxPort int) (*vswitch.Switch, *datap
 	pool, err := datapath.New(datapath.Config{
 		Switch: sw, Workers: workers, Ports: ports})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	rr := &trace.Replayer{Pool: pool, Serial: workers == 1, TickSwitch: cfg.TickSwitch}
-	return sw, pool, rr, nil
+	return sw, rr, nil
 }
 
 func replayReport(sw *vswitch.Switch, res trace.Result) *ReplayReport {
@@ -95,11 +95,10 @@ func replayReport(sw *vswitch.Switch, res trace.Result) *ReplayReport {
 
 // RunReplay replays rd through a freshly built pipeline.
 func RunReplay(cfg ReplayConfig, rd *trace.Reader) (*ReplayReport, error) {
-	sw, pool, rr, err := buildReplayPipeline(cfg, rd.MaxPort())
+	sw, rr, err := buildReplayPipeline(cfg, rd.MaxPort())
 	if err != nil {
 		return nil, err
 	}
-	defer pool.Close()
 	return replayReport(sw, rr.Run(rd)), nil
 }
 
@@ -111,11 +110,10 @@ func RunReplayRecords(cfg ReplayConfig, ticks []int64, ports []int, keys []bitve
 	if len(ports) > 0 {
 		maxPort = slices.Max(ports)
 	}
-	sw, pool, rr, err := buildReplayPipeline(cfg, maxPort)
+	sw, rr, err := buildReplayPipeline(cfg, maxPort)
 	if err != nil {
 		return nil, err
 	}
-	defer pool.Close()
 	return replayReport(sw, rr.RunRecords(ticks, ports, keys)), nil
 }
 

@@ -23,8 +23,8 @@ import (
 type UpcallParams struct {
 	// Options are the subsystem knobs, keyed by ingress vport (QueueCap,
 	// QuotaPerSource, ModelledHandlers, StallTimeoutSec, DisableSupervisor,
-	// Breaker, ...). Handlers must stay 0: the engine owns the drain
-	// (HandleNAt), so runs are deterministic. QuotaPerSource is ignored
+	// Breaker, ...). The engine owns the drain (HandleNAt), so runs are
+	// deterministic. QuotaPerSource is ignored
 	// when Revalidator.Adapt is set: the controller owns the quota and
 	// re-tunes it within [MinQuota, BaseQuota] every sweep, so
 	// Adapt.BaseQuota is authoritative.

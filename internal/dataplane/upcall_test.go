@@ -288,15 +288,6 @@ func TestEngineStepRejectsBadPorts(t *testing.T) {
 	}
 }
 
-// TestEngineRejectsHandlerGoroutines: the engine owns the per-second drain,
-// so upcall.Options.Handlers is not the caller's to set.
-func TestEngineRejectsHandlerGoroutines(t *testing.T) {
-	sc := asyncScenario(t, &UpcallParams{Options: upcall.Options{Handlers: 1}})
-	if _, err := NewEngine(EngineConfig{Switch: sc.Switch, NIC: sc.NIC, Upcall: sc.Upcall}); err == nil {
-		t.Error("NewEngine accepted Upcall.Handlers = 1")
-	}
-}
-
 // TestRegistryEqualsStats: after the supervised chaos run every upcall
 // metric family reads exactly the Stats() field it is documented to export —
 // the families are views, not second counters — and the run is eventful
@@ -327,7 +318,6 @@ func TestRegistryEqualsStats(t *testing.T) {
 		{"tse_upcall_breaker_shed_total", st.BreakerShed},
 		{"tse_upcall_handled_total", st.Handled},
 		{"tse_upcall_requeued_total", st.Requeued},
-		{"tse_upcall_orphan_failed_total", st.OrphanFailed},
 		{"tse_upcall_pending_reaped_total", st.PendingReaped},
 		{"tse_handler_panics_total", st.HandlerPanics},
 		{"tse_handler_stalls_total", st.StallsDetected},

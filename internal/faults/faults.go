@@ -10,16 +10,9 @@
 // optional hook: a nil plan costs one pointer comparison on the paths it
 // guards, and every query method is nil-receiver-safe.
 //
-// Two consumers with different fault mechanics share the schedule:
-//
-//   - Drive mode (the deterministic simulator) asks in virtual ticks:
-//     HandlerPanicAt / HandlerStallAt model a handler dying or freezing as
-//     lost service capacity plus orphaned in-flight upcalls, applied by
-//     Subsystem.HandleNAt.
-//   - Goroutine mode asks for a gate: HandlerGate returns a channel the
-//     injected handler blocks on (a real wedged goroutine), released by
-//     Release — the shape the Stop-timeout and supervisor stall tests
-//     need.
+// Handler faults are asked for in virtual ticks: HandlerPanicAt /
+// HandlerStallAt model a handler dying or freezing as lost service
+// capacity plus orphaned in-flight upcalls, applied by Subsystem.HandleNAt.
 //
 // Panic and stall events are consumed once (a handler dies once per
 // event); window faults (revalidator stall, install error) hold for their
@@ -38,14 +31,11 @@ import (
 type Kind int
 
 const (
-	// HandlerPanic kills one handler: goroutine mode panics inside the
-	// handle path (the supervisor recovers and respawns), drive mode
-	// orphans the handler's current burst and removes its service share
-	// for the tick.
+	// HandlerPanic kills one handler: it orphans the handler's current
+	// burst and removes its service share for the tick.
 	HandlerPanic Kind = iota
-	// HandlerStall freezes one handler for Duration ticks (drive mode) or
-	// until Release (goroutine mode, via HandlerGate) without killing it —
-	// the failure only heartbeat/stall detection can see.
+	// HandlerStall freezes one handler for Duration ticks without killing
+	// it — the failure only stall detection can see.
 	HandlerStall
 	// RevalidatorStall suppresses revalidator sweeps for the event window:
 	// no expiry, no revalidation, no quota retune, no pending reap.
@@ -104,9 +94,9 @@ func (k Kind) String() string {
 	}
 }
 
-// Forever marks a stall that never ends on its own (goroutine mode: until
-// Release; drive mode: until the supervisor's stall detection replaces the
-// handler — or never, under the unsupervised ablation).
+// Forever marks a stall that never ends on its own: it lasts until the
+// supervisor's stall detection replaces the handler — or forever, under
+// the unsupervised ablation.
 const Forever int64 = -1
 
 // Event is one scheduled fault.
@@ -166,13 +156,12 @@ type scheduled struct {
 }
 
 // Plan is a deterministic fault schedule. It is safe for concurrent use
-// (goroutine-mode handlers query it from several goroutines); a Plan holds
+// (concurrent submitters query its delivery faults); a Plan holds
 // per-event consumed state, so one Plan drives exactly one run.
 type Plan struct {
 	mu     sync.Mutex
 	seed   int64
 	events []scheduled
-	gates  []chan struct{}
 }
 
 // NewPlan builds a plan from explicit events.
@@ -269,49 +258,13 @@ func (p *Plan) HandlerPanicAt(handler int, now int64) bool {
 
 // HandlerStallAt consumes a due HandlerStall event targeting handler and
 // returns the virtual tick the stall ends at (exclusive;
-// math.MaxInt64 for Forever). The drive-mode fault model uses this; the
-// goroutine mode uses HandlerGate instead.
+// math.MaxInt64 for Forever).
 func (p *Plan) HandlerStallAt(handler int, now int64) (until int64, ok bool) {
 	e, ok := p.consume(HandlerStall, handler, now)
 	if !ok {
 		return 0, false
 	}
 	return e.end(), true
-}
-
-// HandlerGate consumes a due HandlerStall event targeting handler and
-// returns a channel the handler must block on — a real wedged goroutine,
-// released only by Release. nil means no stall is due. Goroutine-mode
-// injection point (Duration is ignored; virtual ticks do not advance for a
-// blocked goroutine).
-func (p *Plan) HandlerGate(handler int, now int64) <-chan struct{} {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.consumeLocked(HandlerStall, handler, now); !ok {
-		return nil
-	}
-	gate := make(chan struct{})
-	p.gates = append(p.gates, gate)
-	return gate
-}
-
-// Release opens every gate handed out by HandlerGate, unwedging stalled
-// goroutine-mode handlers (test teardown; zombies abandoned by the
-// supervisor or Stop exit through it).
-func (p *Plan) Release() {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	gates := p.gates
-	p.gates = nil
-	p.mu.Unlock()
-	for _, g := range gates {
-		close(g)
-	}
 }
 
 // RevalidatorStalledAt reports whether a RevalidatorStall window covers

@@ -18,16 +18,12 @@ func TestNilPlanNoOps(t *testing.T) {
 	if _, ok := p.HandlerStallAt(0, 10); ok {
 		t.Error("nil plan reported a stall")
 	}
-	if p.HandlerGate(0, 10) != nil {
-		t.Error("nil plan handed out a gate")
-	}
 	if p.RevalidatorStalledAt(10) || p.InstallErrorAt(10) {
 		t.Error("nil plan reported an active window")
 	}
 	if p.DeliverDelayAt(0, 10) != 0 || p.DeliverDuplicateAt(0, 10) {
 		t.Error("nil plan reported a delivery fault")
 	}
-	p.Release()
 	if p.Events() != nil || p.Seed() != 0 {
 		t.Error("nil plan reported events or a seed")
 	}
@@ -75,26 +71,6 @@ func TestStallForever(t *testing.T) {
 	if !ok || until != math.MaxInt64 {
 		t.Errorf("forever stall = (%d, %v), want (MaxInt64, true) for any handler", until, ok)
 	}
-}
-
-// TestGateRelease: goroutine-mode stalls hand out a gate that blocks until
-// Release.
-func TestGateRelease(t *testing.T) {
-	p := faults.NewPlan(faults.Event{Tick: 2, Kind: faults.HandlerStall, Handler: 0})
-	g := p.HandlerGate(0, 2)
-	if g == nil {
-		t.Fatal("no gate for a due stall")
-	}
-	if p.HandlerGate(0, 3) != nil {
-		t.Error("gate handed out twice for one event")
-	}
-	select {
-	case <-g:
-		t.Fatal("gate open before Release")
-	default:
-	}
-	p.Release()
-	<-g // must be closed now; deadlock = failure
 }
 
 // TestWindows: revalidator-stall and install-error windows hold for
@@ -254,7 +230,6 @@ func TestRandomNodeFaults(t *testing.T) {
 // one-shot kinds fire once and window kinds hold.
 func TestQueriesShareTargetingAndOneShot(t *testing.T) {
 	stallAt := func(p *faults.Plan, id int, now int64) bool { _, ok := p.HandlerStallAt(id, now); return ok }
-	gate := func(p *faults.Plan, id int, now int64) bool { return p.HandlerGate(id, now) != nil }
 	delay := func(p *faults.Plan, id int, now int64) bool { return p.DeliverDelayAt(id, now) > 0 }
 	for _, tc := range []struct {
 		name    string
@@ -265,7 +240,6 @@ func TestQueriesShareTargetingAndOneShot(t *testing.T) {
 	}{
 		{"panic", faults.HandlerPanic, func(e *faults.Event) *int { return &e.Handler }, (*faults.Plan).HandlerPanicAt, true},
 		{"stall", faults.HandlerStall, func(e *faults.Event) *int { return &e.Handler }, stallAt, true},
-		{"gate", faults.HandlerStall, func(e *faults.Event) *int { return &e.Handler }, gate, true},
 		{"crash", faults.NodeCrash, func(e *faults.Event) *int { return &e.Node }, (*faults.Plan).NodeCrashAt, true},
 		{"delay", faults.DeliverDelay, func(e *faults.Event) *int { return &e.Source }, delay, false},
 		{"duplicate", faults.DeliverDuplicate, func(e *faults.Event) *int { return &e.Source }, (*faults.Plan).DeliverDuplicateAt, false},
@@ -275,7 +249,6 @@ func TestQueriesShareTargetingAndOneShot(t *testing.T) {
 		ev := faults.Event{Tick: 5, Kind: tc.kind, Handler: -1, Source: -1, Node: -1}
 		*tc.target(&ev) = 2
 		p := faults.NewPlan(ev)
-		defer p.Release()
 		if tc.ask(p, 2, 4) {
 			t.Errorf("%s: fired before its tick", tc.name)
 		}
@@ -289,10 +262,8 @@ func TestQueriesShareTargetingAndOneShot(t *testing.T) {
 			t.Errorf("%s: second query = %v, one-shot = %v", tc.name, again, tc.oneShot)
 		}
 		*tc.target(&ev) = -1
-		if anyone := faults.NewPlan(ev); !tc.ask(anyone, 7, 5) {
+		if !tc.ask(faults.NewPlan(ev), 7, 5) {
 			t.Errorf("%s: target -1 did not match id 7", tc.name)
-		} else {
-			anyone.Release()
 		}
 	}
 }

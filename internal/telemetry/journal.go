@@ -18,8 +18,6 @@ const (
 	EvHandlerStall
 	// EvHandlerRestart: a handler slot was respawned (actor = slot).
 	EvHandlerRestart
-	// EvHandlerAbandoned: Stop gave up on a wedged handler (actor = slot).
-	EvHandlerAbandoned
 	// EvOrphanRequeue: a dead handler's in-flight items went back to the
 	// head of their queues (actor = handler slot, value = item count).
 	EvOrphanRequeue
@@ -92,8 +90,6 @@ func (k EventKind) String() string {
 		return "handler-stall"
 	case EvHandlerRestart:
 		return "handler-restart"
-	case EvHandlerAbandoned:
-		return "handler-abandoned"
 	case EvOrphanRequeue:
 		return "orphan-requeue"
 	case EvPendingReaped:
@@ -143,7 +139,7 @@ func (k EventKind) String() string {
 // meaningless and -1).
 func (k EventKind) actorNoun() string {
 	switch k {
-	case EvHandlerPanic, EvHandlerStall, EvHandlerRestart, EvHandlerAbandoned, EvOrphanRequeue:
+	case EvHandlerPanic, EvHandlerStall, EvHandlerRestart, EvOrphanRequeue:
 		return "handler"
 	case EvBreakerTrip, EvBreakerHalfOpen, EvBreakerClose, EvQuotaRetune, EvACLSwap:
 		return "port"

@@ -374,15 +374,13 @@ func TestOrphanPressureSurfaced(t *testing.T) {
 }
 
 // TestLatencyHistConcurrent is the satellite -race test: Observe runs
-// inside the handler goroutines (under the subsystem's lock) while readers
+// inside concurrent SubmitSync drains (under the subsystem's lock) while readers
 // concurrently snapshot the cumulative histograms and compute
 // Delta/Quantile/Mean on their copies — the sampler's access pattern. The
 // race detector proves snapshot-then-fold needs no further locking.
 func TestLatencyHistConcurrent(t *testing.T) {
 	sw := newSwitch(t, flowtable.SipDp)
-	sub := newSub(t, sw, 2, upcall.Options{Handlers: 2, QueueCap: 1024})
-	sub.Start()
-	defer sub.Stop()
+	sub := newSub(t, sw, 2, upcall.Options{QueueCap: 1024})
 
 	const perSrc = 200
 	var wg sync.WaitGroup
@@ -392,9 +390,9 @@ func TestLatencyHistConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perSrc; i++ {
 				h := header(0x0b000000+uint32(src)<<16+uint32(i), uint16(41000+i))
-				tk, out := sub.Submit(src, h, int64(i%7))
-				if out == upcall.Enqueued || out == upcall.Coalesced {
-					tk.Wait()
+				if _, out := sub.SubmitSync(src, h, int64(i%7)); out.Dropped() {
+					t.Errorf("source %d submit %d dropped: %v", src, i, out)
+					return
 				}
 			}
 		}(src)

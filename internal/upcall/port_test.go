@@ -164,18 +164,17 @@ func TestHandlerDrainPublishesOnce(t *testing.T) {
 }
 
 // TestConcurrentPortSubmits is the satellite -race requirement: concurrent
-// submitters on distinct ports, handler goroutines draining in batches,
-// and an adaptive revalidator re-tuning quotas mid-flight.
+// submitters on distinct ports, a drainer handling in batches, and an
+// adaptive revalidator re-tuning quotas mid-flight.
 func TestConcurrentPortSubmits(t *testing.T) {
 	sw := newSwitch(t, flowtable.SipDp)
-	sub := newSub(t, sw, 4, upcall.Options{Handlers: 2, QuotaPerSource: 1 << 20})
+	sub := newSub(t, sw, 4, upcall.Options{QuotaPerSource: 1 << 20})
 	rv, err := upcall.NewRevalidator(upcall.RevalidatorConfig{
 		Switch: sw, Subsystem: sub,
 		Adapt: &upcall.AdaptiveQuota{BaseQuota: 1 << 20, TargetFootprint: 64}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub.Start()
 	var wg sync.WaitGroup
 	for port := 0; port < 4; port++ {
 		wg.Add(1)
@@ -197,12 +196,27 @@ func TestConcurrentPortSubmits(t *testing.T) {
 			rv.Sweep(now)
 		}
 	}()
+	stop := make(chan struct{})
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				sub.HandleN(upcall.DefaultHandlerBurst)
+			}
+		}
+	}()
 	wg.Wait()
 	<-done
-	sub.Stop()
+	close(stop)
+	<-drained
+	sub.DrainAll()
 	st := sub.Stats()
 	if st.Backlog != 0 || st.PendingFlows != 0 {
-		t.Errorf("backlog=%d pending=%d after Stop", st.Backlog, st.PendingFlows)
+		t.Errorf("backlog=%d pending=%d after the final drain", st.Backlog, st.PendingFlows)
 	}
 	per := sub.PerSource()
 	var enq, dedup uint64

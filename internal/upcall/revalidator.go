@@ -228,7 +228,7 @@ type RevalidatorConfig struct {
 	Adapt *AdaptiveQuota
 	// PendingAgeSec is the orphaned-pending-entry reap horizon: each sweep
 	// fails pending-table entries (Subsystem.ReapPending) that have no
-	// queued upcall and no live handler behind them and are at least this
+	// queued or delayed upcall behind them and are at least this
 	// old. 0 selects three idle timeouts (a leaked entry outlives the
 	// megaflows it should have installed, but not by much); negative
 	// disables the reaper (the chaos ablation that lets the wedge show).
@@ -518,14 +518,6 @@ func (r *Revalidator) DeleteMegaflows(pred func(*tss.Entry) bool) int {
 	}
 	r.record(res)
 	return res.Suppressed
-}
-
-// Run sweeps on every virtual-time tick received until ticks closes — the
-// goroutine mode a deployment runs next to the handler goroutines.
-func (r *Revalidator) Run(ticks <-chan int64) {
-	for now := range ticks {
-		r.Tick(now)
-	}
 }
 
 // Stats returns a snapshot of the revalidator counters.

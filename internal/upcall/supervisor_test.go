@@ -2,130 +2,12 @@ package upcall_test
 
 import (
 	"testing"
-	"time"
 
 	"tse/internal/faults"
 	"tse/internal/flowtable"
 	"tse/internal/upcall"
 	"tse/internal/vswitch"
 )
-
-// waitFor polls cond until it holds or the deadline passes — the wall-clock
-// glue the goroutine-mode supervisor tests need.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
-}
-
-// TestSupervisorPanicRespawn: an injected handler panic kills only that
-// handler — its orphaned burst is requeued, the slot respawned, and the
-// waiter still gets a real verdict.
-func TestSupervisorPanicRespawn(t *testing.T) {
-	sw := newSwitch(t, flowtable.SipDp)
-	plan := faults.NewPlan(faults.Event{Tick: 0, Kind: faults.HandlerPanic, Handler: -1})
-	sub := newSub(t, sw, 1, upcall.Options{Handlers: 1, Injector: plan})
-	sub.Start()
-	defer sub.Stop()
-
-	tk, out := sub.Submit(0, header(0x0a000101, 40100), 0)
-	if out != upcall.Enqueued {
-		t.Fatalf("submit outcome %v, want Enqueued", out)
-	}
-	v := tk.Wait()
-	if v.Path != vswitch.PathSlow || v.Action != flowtable.Allow {
-		t.Fatalf("verdict after panic %+v, want slow-path allow from the respawned handler", v)
-	}
-	waitFor(t, "restart counters", func() bool {
-		st := sub.Stats()
-		return st.HandlerPanics == 1 && st.HandlerRestarts == 1
-	})
-	st := sub.Stats()
-	if st.Requeued != 1 {
-		t.Errorf("requeued = %d, want 1 (the orphaned burst)", st.Requeued)
-	}
-	if st.PendingFlows != 0 {
-		t.Errorf("pending = %d after resolution, want 0", st.PendingFlows)
-	}
-}
-
-// TestSupervisorStallDetection: a handler wedged mid-handle (a real blocked
-// goroutine) is declared dead after StallTimeout, its burst requeued, and a
-// fresh generation spawned — the waiter resolves without the zombie ever
-// unblocking.
-func TestSupervisorStallDetection(t *testing.T) {
-	sw := newSwitch(t, flowtable.SipDp)
-	plan := faults.NewPlan(faults.Event{Tick: 0, Kind: faults.HandlerStall, Handler: -1})
-	sub := newSub(t, sw, 1, upcall.Options{
-		Handlers:     1,
-		Injector:     plan,
-		StallTimeout: 20 * time.Millisecond,
-	})
-	sub.Start()
-	defer sub.Stop()
-	defer plan.Release() // unwedge the zombie before Stop joins (LIFO)
-
-	tk, _ := sub.Submit(0, header(0x0a000102, 40101), 0)
-	v := tk.Wait() // resolves only if the supervisor replaces the wedged handler
-	if v.Path != vswitch.PathSlow || v.Action != flowtable.Allow {
-		t.Fatalf("verdict after stall %+v, want slow-path allow", v)
-	}
-	st := sub.Stats()
-	if st.StallsDetected < 1 || st.HandlerRestarts < 1 {
-		t.Errorf("stalls=%d restarts=%d, want >= 1 each", st.StallsDetected, st.HandlerRestarts)
-	}
-	if st.Requeued < 1 {
-		t.Errorf("requeued = %d, want >= 1", st.Requeued)
-	}
-}
-
-// TestStopBoundedDrain is the satellite regression: Stop returns within
-// StopTimeout even with a handler wedged mid-handle forever, abandoning and
-// counting it, and failing its in-flight upcall so the waiter unblocks.
-func TestStopBoundedDrain(t *testing.T) {
-	sw := newSwitch(t, flowtable.SipDp)
-	plan := faults.NewPlan(faults.Event{Tick: 0, Kind: faults.HandlerStall, Handler: -1, Duration: faults.Forever})
-	defer plan.Release()
-	sub := newSub(t, sw, 1, upcall.Options{
-		Handlers:    1,
-		Injector:    plan,
-		StopTimeout: 50 * time.Millisecond,
-		// No StallTimeout: nothing rescues the handler before Stop.
-	})
-	sub.Start()
-
-	tk, _ := sub.Submit(0, header(0x0a000103, 40102), 0)
-	waitFor(t, "handler to pop the burst", func() bool { return sub.Stats().Backlog == 0 })
-
-	start := time.Now()
-	sub.Stop()
-	if took := time.Since(start); took > 2*time.Second {
-		t.Fatalf("Stop took %v with a wedged handler, want ~StopTimeout", took)
-	}
-	st := sub.Stats()
-	if st.HandlersAbandoned != 1 {
-		t.Errorf("abandoned = %d, want 1", st.HandlersAbandoned)
-	}
-	v, ok := tk.Resolved()
-	if !ok {
-		t.Fatal("ticket unresolved after bounded Stop: waiter leaked")
-	}
-	if v.Path != vswitch.PathUpcallDrop || v.Action != flowtable.Drop {
-		t.Errorf("orphan verdict %+v, want upcall-drop", v)
-	}
-	if st.OrphanFailed != 1 {
-		t.Errorf("orphan-failed = %d, want 1", st.OrphanFailed)
-	}
-	if st.PendingFlows != 0 {
-		t.Errorf("pending = %d after Stop, want 0 (no leak)", st.PendingFlows)
-	}
-}
 
 // TestDriveModePanic: the drive-mode fault model orphans the dying
 // handler's burst and halves the tick's service budget, restoring it the
@@ -304,8 +186,8 @@ func TestDeliveryFaults(t *testing.T) {
 	if h := sub.HandleNAt(10, 2); h != 1 {
 		t.Fatalf("handled %d at maturity, want 1", h)
 	}
-	if v := tk.Wait(); v.Path != vswitch.PathSlow {
-		t.Fatalf("delayed verdict %+v, want slow-path", v)
+	if v, ok := tk.Resolved(); !ok || v.Path != vswitch.PathSlow {
+		t.Fatalf("delayed verdict %+v (resolved %v), want slow-path", v, ok)
 	}
 	if st := sub.Stats(); st.Delayed != 1 {
 		t.Errorf("Delayed = %d, want 1", st.Delayed)
@@ -322,8 +204,8 @@ func TestDeliveryFaults(t *testing.T) {
 	if h := sub.HandleNAt(10, 5); h != 2 {
 		t.Fatalf("handled %d, want both delivered copies", h)
 	}
-	if v := tk2.Wait(); v.Path != vswitch.PathSlow {
-		t.Fatalf("duplicated verdict %+v, want slow-path", v)
+	if v, ok := tk2.Resolved(); !ok || v.Path != vswitch.PathSlow {
+		t.Fatalf("duplicated verdict %+v (resolved %v), want slow-path", v, ok)
 	}
 	if got := sw.Counters().Installs - installs; got != 2 {
 		t.Errorf("duplicate delivery paid %d installs, want 2 (the second a refresh)", got)

@@ -26,22 +26,22 @@
 //     (the TSE attacker's receive queue) from monopolising the handlers —
 //     a first-class mitigation knob alongside MFCGuard.
 //
-//   - Handler goroutines. Start launches handlers that drain the queues
-//     round-robin and run the flow-table classification; they call
-//     vswitch.HandleMiss and are then the single writers installing into
-//     the tss.Classifier, preserving the concurrent-reader/single-writer
-//     design of the megaflow cache.
+//   - Handler drains. HandleNAt pops the queues round-robin in bursts and
+//     resolves each burst through vswitch.HandleMissBatch; SubmitSync
+//     drains synchronously until its own upcall resolves. The drains are
+//     the handlers: they run the flow-table classification and install
+//     into the tss.Classifier through its writer lock, preserving the
+//     concurrent-reader/single-writer design of the megaflow cache.
 //
 //   - A revalidator (revalidator.go) that periodically dumps the megaflow
 //     cache, expires idle entries, and re-checks the survivors against the
 //     current flow table.
 //
-//   - A supervisor (supervisor.go): handlers crash and stall, so the
-//     subsystem recovers panics, heartbeats every handler, declares one
-//     dead after StallTimeout, respawns it, and returns its orphaned
-//     in-flight upcalls to the queues (or fails them with an error
-//     verdict) instead of leaking pending entries. Stop's drain is
-//     bounded by StopTimeout so a wedged handler cannot hang shutdown.
+//   - A modelled supervisor (supervisor.go): handlers crash and stall on
+//     the fault schedule, so the subsystem models each death against the
+//     virtual clock, detects a stall after StallTimeoutSec, respawns the
+//     slot, and returns its orphaned in-flight upcalls to the queues
+//     instead of leaking pending entries.
 //
 //   - An SLO circuit breaker (breaker.go): when a source's backlog
 //     residence p99 violates Breaker.SLOSec for TripAfter consecutive
@@ -53,19 +53,19 @@
 // panics/stalls, delayed or duplicated delivery); a nil plan costs one
 // pointer comparison per Submit/drain.
 //
-// Drive mode: with Handlers == 0 the subsystem runs no goroutines; the
-// datapath drains each admitted upcall synchronously (SubmitSync), which
-// still exercises the queue/pending/quota machinery but stays
-// deterministic — with unbounded queues and no quota it is
-// verdict-for-verdict equivalent to the inline slow path (the datapath
-// equivalence tests assert this).
+// The subsystem starts no goroutines. The datapath either drains
+// each admitted upcall synchronously (SubmitSync), which still exercises
+// the queue/pending/quota machinery but stays deterministic — with
+// unbounded queues and no quota it is verdict-for-verdict equivalent to
+// the inline slow path (the datapath equivalence tests assert this) — or
+// submits without waiting and leaves the drain to the simulator's
+// per-second HandleNAt budget.
 package upcall
 
 import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"tse/internal/bitvec"
 	"tse/internal/faults"
@@ -79,10 +79,6 @@ type Options struct {
 	// QueueCap bounds each per-source queue; 0 means unbounded (the
 	// deterministic drive mode of the equivalence tests).
 	QueueCap int
-	// Handlers is the number of handler goroutines Start launches; <= 0
-	// selects 1. The datapath pool calls Start only when its async
-	// configuration asks for handler threads.
-	Handlers int
 	// QuotaPerSource is the OVS-style upcall rate limit: the number of
 	// upcalls each source may admit per virtual second; 0 disables the
 	// quota. Deduplicated misses consume no quota. Sources are ingress
@@ -99,28 +95,16 @@ type Options struct {
 	// once per burst instead of once per megaflow. <= 0 selects
 	// DefaultHandlerBurst.
 	HandlerBurst int
-	// StallTimeout (goroutine mode) is the wall-clock horizon after which
-	// the supervisor declares a busy handler stalled, abandons it, and
-	// respawns its slot; 0 disables stall detection (panic recovery stays
-	// on).
-	StallTimeout time.Duration
-	// StopTimeout bounds Stop's drain: past it, Stop abandons handlers
-	// still wedged mid-handle (counting them in Stats.HandlersAbandoned)
-	// and returns anyway. <= 0 selects DefaultStopTimeout.
-	StopTimeout time.Duration
-	// StallTimeoutSec (drive mode) is the virtual-tick stall-detection
-	// horizon of the modelled supervisor; <= 0 selects
-	// DefaultStallTimeoutSec.
+	// StallTimeoutSec is the virtual-tick stall-detection horizon of the
+	// modelled supervisor; <= 0 selects DefaultStallTimeoutSec.
 	StallTimeoutSec int64
-	// ModelledHandlers is the drive-mode handler count the fault model
-	// spreads service capacity across (a dead handler removes its 1/N
-	// share of the per-tick drain budget); <= 0 selects 1. Independent of
-	// Handlers so drive-mode runs stay goroutine-free.
+	// ModelledHandlers is the handler count the fault model spreads service
+	// capacity across (a dead handler removes its 1/N share of the
+	// per-tick drain budget); <= 0 selects 1.
 	ModelledHandlers int
-	// DisableSupervisor is the chaos ablation: panics are still survived
-	// (recovered) but the dead handler is never respawned and its orphaned
-	// in-flight upcalls are dropped on the floor — the pending-table wedge
-	// the supervisor exists to prevent.
+	// DisableSupervisor is the chaos ablation: a dead handler is never
+	// respawned and its orphaned in-flight upcalls are dropped on the
+	// floor — the pending-table wedge the supervisor exists to prevent.
 	DisableSupervisor bool
 	// Breaker configures the per-source SLO circuit breaker; the zero
 	// value (SLOSec == 0) disables it.
@@ -149,12 +133,7 @@ type Options struct {
 // datapath's NETDEV_MAX_BURST-sized receive bursts.
 const DefaultHandlerBurst = 32
 
-// DefaultStopTimeout bounds Stop's handler drain: generous, because a
-// healthy backlog drain is seconds at worst and only a truly wedged
-// handler should ever be abandoned.
-const DefaultStopTimeout = 30 * time.Second
-
-// DefaultStallTimeoutSec is the drive-mode stall-detection horizon: one
+// DefaultStallTimeoutSec is the stall-detection horizon: one
 // virtual second, i.e. the modelled supervisor notices a frozen handler at
 // the next per-second drain.
 const DefaultStallTimeoutSec int64 = 1
@@ -222,17 +201,14 @@ type Stats struct {
 	// virtual seconds each handled upcall sat queued between admission and
 	// handler pop (see LatencyHist).
 	Residence LatencyHist
-	// HandlerPanics counts handler deaths by panic; StallsDetected counts
-	// handlers the supervisor declared dead after StallTimeout;
-	// HandlerRestarts counts respawns (after either); HandlersAbandoned
-	// counts wedged handlers a timed-out Stop gave up waiting for.
-	HandlerPanics, StallsDetected, HandlerRestarts, HandlersAbandoned uint64
+	// HandlerPanics counts modelled handler deaths by panic; StallsDetected
+	// counts handlers the supervisor declared dead after StallTimeoutSec;
+	// HandlerRestarts counts respawns (after either).
+	HandlerPanics, StallsDetected, HandlerRestarts uint64
 	// Requeued counts orphaned in-flight upcalls returned to their queues
-	// by the supervisor; OrphanFailed counts orphans resolved with the
-	// error verdict instead (a timed-out Stop);
-	// PendingReaped counts aged-out pending entries swept by the
-	// revalidator's orphan reaper.
-	Requeued, OrphanFailed, PendingReaped uint64
+	// by the supervisor; PendingReaped counts aged-out pending entries
+	// swept by the revalidator's orphan reaper.
+	Requeued, PendingReaped uint64
 	// Delayed and Duplicated count fault-injected deliveries (upcalls held
 	// in limbo / enqueued twice).
 	Delayed, Duplicated uint64
@@ -243,12 +219,10 @@ type Stats struct {
 }
 
 // pendingFlow is one in-flight upcall: the cell every waiter of the flow
-// shares. verdict is written exactly once, before done is closed; resolved
-// (guarded by Subsystem.mu) makes resolution idempotent, so a zombie
-// handler or a fault-duplicated delivery resolving the flow a second time
-// is a no-op instead of a double-close.
+// shares. Its fields are guarded by Subsystem.mu; verdict is written once,
+// when resolved is set, and resolved makes resolution idempotent, so a
+// fault-duplicated delivery resolving the flow a second time is a no-op.
 type pendingFlow struct {
-	done     chan struct{}
 	verdict  vswitch.Verdict
 	born     int64 // virtual time of admission (orphan-reap age base)
 	queued   int   // queued item copies referencing this flow
@@ -296,35 +270,31 @@ type SourceStats struct {
 
 // Ticket is a handle on a submitted upcall. The zero Ticket (returned for
 // admission drops) is invalid.
-type Ticket struct{ p *pendingFlow }
-
-// Wait blocks until a handler resolves the upcall, then returns its
-// verdict.
-func (t Ticket) Wait() vswitch.Verdict {
-	<-t.p.done
-	return t.p.verdict
+type Ticket struct {
+	u *Subsystem
+	p *pendingFlow
 }
 
 // Resolved returns the verdict without blocking; ok is false while the
 // upcall is still queued or being handled.
 func (t Ticket) Resolved() (v vswitch.Verdict, ok bool) {
-	select {
-	case <-t.p.done:
-		return t.p.verdict, true
-	default:
-		return vswitch.Verdict{}, false
-	}
+	t.u.mu.Lock()
+	defer t.u.mu.Unlock()
+	return t.p.verdict, t.p.resolved
 }
 
 // Subsystem is the upcall machinery for one switch. It is safe for
-// concurrent use: any number of sources may Submit while handlers drain.
+// concurrent use: any number of sources may Submit and SubmitSync while
+// another caller drains.
 type Subsystem struct {
 	sw   *vswitch.Switch
 	opts Options
 
-	mu       sync.Mutex
-	cond     *sync.Cond // signalled on enqueue; handlers wait here
-	queues   [][]item   // per-source FIFO, heads[i] is the pop position
+	mu sync.Mutex
+	// resolved is broadcast on every resolution; a SubmitSync whose upcall
+	// another caller's drain popped waits here.
+	resolved *sync.Cond
+	queues   [][]item // per-source FIFO, heads[i] is the pop position
 	heads    []int
 	pending  map[flowKey]*pendingFlow
 	limbo    []limboItem // fault-delayed deliveries, nil unless injected
@@ -336,19 +306,8 @@ type Subsystem struct {
 	depth    int   // total queued items
 	clock    int64 // latest virtual time observed (Submit / HandleNAt)
 	stats    Stats
-	stopped  bool
-	started  bool
 
-	// Goroutine-mode supervisor state (supervisor.go). wg is recreated per
-	// Start so a timed-out Stop's lingering waiter cannot collide with a
-	// later generation of handlers.
-	wg       *sync.WaitGroup
-	runs     []*handlerRun
-	inflight map[*handlerRun][]item // popped-but-unresolved bursts by owner
-	supStop  chan struct{}
-	gen      uint64
-
-	// Drive-mode fault model (supervisor.go).
+	// Modelled handler fault state (supervisor.go).
 	driveH []driveHandler
 
 	// Per-source circuit breakers (breaker.go); nil when disabled.
@@ -384,8 +343,6 @@ func (u *Subsystem) registerMetrics(reg *telemetry.Registry) {
 			func(s Stats) uint64 { return s.Handled }},
 		{"tse_upcall_requeued_total", "Orphaned in-flight upcalls returned to their queues by the supervisor.",
 			func(s Stats) uint64 { return s.Requeued }},
-		{"tse_upcall_orphan_failed_total", "Orphaned upcalls resolved with the error verdict.",
-			func(s Stats) uint64 { return s.OrphanFailed }},
 		{"tse_upcall_pending_reaped_total", "Aged-out pending-table entries failed by the orphan reaper.",
 			func(s Stats) uint64 { return s.PendingReaped }},
 		{"tse_handler_panics_total", "Handler deaths by panic.",
@@ -438,7 +395,7 @@ func New(sw *vswitch.Switch, sources int, opts Options) (*Subsystem, error) {
 		quota:    make([]int, sources),
 		srcStats: make([]SourceStats, sources),
 	}
-	u.cond = sync.NewCond(&u.mu)
+	u.resolved = sync.NewCond(&u.mu)
 	for i := range u.tokenAt {
 		u.tokenAt[i] = math.MinInt64 // force a refill on the first Submit
 		u.quota[i] = -1              // no override: Options.QuotaPerSource
@@ -515,7 +472,7 @@ func (u *Subsystem) Submit(src int, h bitvec.Vec, now int64) (Ticket, Outcome) {
 	if p, ok := u.pending[key]; ok {
 		u.stats.Deduped++
 		u.srcStats[src].Deduped++
-		return Ticket{p}, Coalesced
+		return Ticket{u, p}, Coalesced
 	}
 	// Breaker before the queue bound: an open breaker means queued work is
 	// already missing its SLO, so new submissions are shed without
@@ -546,7 +503,7 @@ func (u *Subsystem) Submit(src int, h bitvec.Vec, now int64) (Ticket, Outcome) {
 		}
 		u.tokens[src]--
 	}
-	p := &pendingFlow{done: make(chan struct{}), born: now, queued: 1}
+	p := &pendingFlow{born: now, queued: 1}
 	u.pending[key] = p
 	// Clone: the caller's header buffer may be reused before a handler
 	// gets to the upcall.
@@ -564,7 +521,7 @@ func (u *Subsystem) Submit(src int, h bitvec.Vec, now int64) (Ticket, Outcome) {
 			// residence when the upcall is finally popped.
 			u.limbo = append(u.limbo, limboItem{it: it, readyAt: now + d})
 			u.stats.Delayed++
-			return Ticket{p}, Enqueued
+			return Ticket{u, p}, Enqueued
 		}
 	}
 	u.enqueueLocked(it)
@@ -576,12 +533,12 @@ func (u *Subsystem) Submit(src int, h bitvec.Vec, now int64) (Ticket, Outcome) {
 		u.enqueueLocked(it)
 		u.stats.Duplicated++
 	}
-	return Ticket{p}, Enqueued
+	return Ticket{u, p}, Enqueued
 }
 
-// enqueueLocked appends one upcall to its source queue and wakes a
-// handler. Callers hold u.mu and account Enqueued themselves (requeued
-// orphans and fault duplicates are not new admissions).
+// enqueueLocked appends one upcall to its source queue. Callers hold u.mu
+// and account Enqueued themselves (requeued orphans and fault duplicates
+// are not new admissions).
 func (u *Subsystem) enqueueLocked(it item) {
 	if it.span != nil && it.span.Admit < 0 {
 		// First time the upcall becomes visible to handlers (later than
@@ -593,7 +550,6 @@ func (u *Subsystem) enqueueLocked(it item) {
 	if u.depth > u.stats.MaxBacklog {
 		u.stats.MaxBacklog = u.depth
 	}
-	u.cond.Signal()
 }
 
 // matureLocked moves limbo items whose delivery delay has elapsed into
@@ -639,12 +595,12 @@ func (u *Subsystem) matureEarliest() bool {
 	return true
 }
 
-// SubmitSync is the drive-mode slow path: it submits the miss and, when
-// admitted, synchronously drains upcalls (the source's own queue first)
-// until the ticket resolves. The upcall still traverses the full
-// queue/pending/quota machinery, so drive-mode runs exercise the same code
-// the handler goroutines do while staying deterministic. An admission drop
-// returns ok == false via the outcome; the verdict is then zero.
+// SubmitSync is the synchronous slow path: it submits the miss and, when
+// admitted, drains upcalls (the source's own queue first) until the ticket
+// resolves. The upcall still traverses the full queue/pending/quota
+// machinery, so runs exercise the same code HandleNAt's drains do while
+// staying deterministic. An admission drop is reported by the outcome; the
+// verdict is then zero.
 func (u *Subsystem) SubmitSync(src int, h bitvec.Vec, now int64) (vswitch.Verdict, Outcome) {
 	t, out := u.Submit(src, h, now)
 	if out.Dropped() {
@@ -666,8 +622,14 @@ func (u *Subsystem) SubmitSync(src int, h bitvec.Vec, now int64) (vswitch.Verdic
 			continue
 		}
 		// Nothing queued anywhere, yet the ticket is unresolved: a
-		// concurrent handler owns the upcall mid-flight; wait for it.
-		return t.Wait(), out
+		// concurrent caller's drain popped the upcall and is resolving it.
+		u.mu.Lock()
+		for !t.p.resolved {
+			u.resolved.Wait()
+		}
+		v := t.p.verdict
+		u.mu.Unlock()
+		return v, out
 	}
 }
 
@@ -764,8 +726,8 @@ func (u *Subsystem) Stats() Stats {
 // comes from vswitch.HandleMissFrom — classification plus megaflow
 // install, attributed to the miss's ingress port — stamped with the miss's
 // own virtual time, exactly as the inline pipeline stamps it. The pending
-// entry is then retired and every waiter released. This is the drive-mode
-// (SubmitSync) path; handler drains batch through handleBatch instead.
+// entry is then retired and every waiter released. This is SubmitSync's
+// path; HandleN's drains batch through handleBatch instead.
 func (u *Subsystem) handle(it item) {
 	v := u.sw.HandleMissFrom(it.src, it.h, it.now)
 	u.resolve(it, v)
@@ -796,18 +758,15 @@ func (u *Subsystem) handleBatch(items []item) {
 
 // resolve retires one handled upcall's pending entry and releases its
 // waiters. Resolution is idempotent: the first resolver wins, and a
-// zombie handler (abandoned after a stall) or a fault-duplicated delivery
-// resolving the same flow again is a no-op.
+// fault-duplicated delivery or a reaped entry resolving the same flow
+// again is a no-op.
 func (u *Subsystem) resolve(it item, v vswitch.Verdict) {
 	u.mu.Lock()
+	defer u.mu.Unlock()
 	if it.p.resolved {
-		u.mu.Unlock()
 		return
 	}
-	it.p.resolved = true
-	if u.pending[it.key] == it.p {
-		delete(u.pending, it.key)
-	}
+	u.resolveLocked(it.key, it.p, v)
 	u.stats.Handled++
 	if it.span != nil {
 		// The burst's megaflows were installed and its one COW snapshot
@@ -816,25 +775,27 @@ func (u *Subsystem) resolve(it item, v vswitch.Verdict) {
 		it.span.Install = u.clock
 		it.span.Publish = u.clock
 	}
-	u.mu.Unlock()
-	it.p.verdict = v
-	close(it.p.done)
 }
 
-// orphanVerdict is the error verdict an abandoned upcall resolves with
-// when nobody will ever classify it (a timed-out Stop or the
-// revalidator's pending reaper): the packet is dropped on the upcall
-// path, the same loss mode as an admission refusal.
-func orphanVerdict() vswitch.Verdict {
-	return vswitch.Verdict{Action: flowtable.Drop, Path: vswitch.PathUpcallDrop}
+// resolveLocked settles pending flow p with verdict v: its table entry is
+// retired (unless a newer upcall of the flow already took the key) and
+// every waiter released. Callers hold u.mu and have checked p.resolved.
+func (u *Subsystem) resolveLocked(k flowKey, p *pendingFlow, v vswitch.Verdict) {
+	p.resolved = true
+	p.verdict = v
+	if u.pending[k] == p {
+		delete(u.pending, k)
+	}
+	u.resolved.Broadcast()
 }
 
 // ReapPending sweeps the pending table for orphaned entries — flows whose
-// upcall is neither queued nor in limbo nor owned by a live handler (the
-// handler died between pop and resolve, unsupervised) — and fails every
-// entry older than age with the orphan verdict, releasing its waiters.
-// It returns the number reaped. The revalidator calls this on its Tick
-// cadence so a leaked entry cannot outlive the sweep horizon.
+// upcall is neither queued nor in limbo (a modelled handler died between
+// pop and resolve, unsupervised) — and fails every entry older than age
+// with the error verdict, releasing its waiters: the packet is dropped on
+// the upcall path, the same loss mode as an admission refusal. It returns
+// the number reaped. The revalidator calls this on its Tick cadence so a
+// leaked entry cannot outlive the sweep horizon.
 func (u *Subsystem) ReapPending(now, age int64) int {
 	if age <= 0 {
 		return 0
@@ -844,23 +805,12 @@ func (u *Subsystem) ReapPending(now, age int64) int {
 	if now > u.clock {
 		u.clock = now
 	}
-	// Entries owned by a live goroutine-mode handler are mid-resolve, not
-	// orphaned, no matter their age.
-	owned := make(map[*pendingFlow]bool)
-	for _, items := range u.inflight {
-		for _, it := range items {
-			owned[it.p] = true
-		}
-	}
 	n := 0
 	for k, p := range u.pending {
-		if p.resolved || p.queued > 0 || owned[p] || now-p.born < age {
+		if p.resolved || p.queued > 0 || now-p.born < age {
 			continue
 		}
-		p.resolved = true
-		delete(u.pending, k)
-		p.verdict = orphanVerdict()
-		close(p.done)
+		u.resolveLocked(k, p, vswitch.Verdict{Action: flowtable.Drop, Path: vswitch.PathUpcallDrop})
 		u.stats.PendingReaped++
 		n++
 	}

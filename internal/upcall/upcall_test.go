@@ -84,7 +84,7 @@ func TestDedupBurst(t *testing.T) {
 	if got := sw.MFC().EntryCount(); got != 1 {
 		t.Errorf("MFC holds %d entries, want 1", got)
 	}
-	first := tickets[0].Wait()
+	first, _ := tickets[0].Resolved()
 	for i, tk := range tickets {
 		v, ok := tk.Resolved()
 		if !ok {
@@ -383,15 +383,15 @@ func TestRevalidatorRevalidatesAfterSwap(t *testing.T) {
 	}
 }
 
-// TestConcurrentHandlersRevalidatorReaders runs the full asynchronous
-// deployment under -race: four submitting sources, four handler
-// goroutines installing megaflows, a revalidator goroutine sweeping on a
-// tick channel, a mid-run table swap, and reader goroutines running
-// LookupBatch against the shared classifier throughout.
+// TestConcurrentHandlersRevalidatorReaders runs the full slow path under
+// -race: four sources each draining upcalls through SubmitSync (so four
+// concurrent handlers installing megaflows and popping each other's
+// queues), a revalidator goroutine sweeping on a tick channel, a mid-run
+// table swap, and reader goroutines running LookupBatch against the
+// shared classifier throughout.
 func TestConcurrentHandlersRevalidatorReaders(t *testing.T) {
 	sw := newSwitch(t, flowtable.SipDp)
-	sub := newSub(t, sw, 4, upcall.Options{Handlers: 4})
-	sub.Start()
+	sub := newSub(t, sw, 4, upcall.Options{})
 	rv, err := upcall.NewRevalidator(upcall.RevalidatorConfig{Switch: sw})
 	if err != nil {
 		t.Fatal(err)
@@ -400,7 +400,9 @@ func TestConcurrentHandlersRevalidatorReaders(t *testing.T) {
 	rvDone := make(chan struct{})
 	go func() {
 		defer close(rvDone)
-		rv.Run(ticks)
+		for now := range ticks {
+			rv.Tick(now)
+		}
 	}()
 
 	tr, err := core.CoLocated(sw.FlowTable(), core.CoLocatedOptions{Noise: true, Seed: 5})
@@ -463,36 +465,13 @@ func TestConcurrentHandlersRevalidatorReaders(t *testing.T) {
 	readers.Wait()
 	close(ticks)
 	<-rvDone
-	sub.Stop()
 
 	st := sub.Stats()
 	if st.Backlog != 0 || st.PendingFlows != 0 {
-		t.Errorf("backlog=%d pending=%d after Stop, want 0/0", st.Backlog, st.PendingFlows)
+		t.Errorf("backlog=%d pending=%d after the drains, want 0/0", st.Backlog, st.PendingFlows)
 	}
 	if st.Handled != st.Enqueued {
 		t.Errorf("handled %d of %d enqueued upcalls", st.Handled, st.Enqueued)
-	}
-}
-
-// TestStopDrainsBacklog: handlers finish queued work before exiting, so
-// no ticket is abandoned.
-func TestStopDrainsBacklog(t *testing.T) {
-	sw := newSwitch(t, flowtable.SipDp)
-	sub := newSub(t, sw, 1, upcall.Options{Handlers: 1})
-	var tickets []upcall.Ticket
-	for i := 0; i < 16; i++ {
-		tk, out := sub.Submit(0, header(0x0a000070+uint32(i), uint16(40500+i)), 0)
-		if out != upcall.Enqueued {
-			t.Fatalf("submit %d: %v", i, out)
-		}
-		tickets = append(tickets, tk)
-	}
-	sub.Start()
-	sub.Stop()
-	for i, tk := range tickets {
-		if _, ok := tk.Resolved(); !ok {
-			t.Fatalf("ticket %d abandoned by Stop", i)
-		}
 	}
 }
 
