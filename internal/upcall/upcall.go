@@ -610,10 +610,7 @@ func (u *Subsystem) SubmitSync(src int, h bitvec.Vec, now int64) (vswitch.Verdic
 		if v, ok := t.Resolved(); ok {
 			return v, out
 		}
-		if u.handleNext(src) {
-			continue
-		}
-		if u.handleAny() {
+		if u.handleOne(src) {
 			continue
 		}
 		if u.matureEarliest() {
@@ -820,24 +817,14 @@ func (u *Subsystem) ReapPending(now, age int64) int {
 	return n
 }
 
-// handleNext pops and handles the oldest upcall of source src, reporting
-// whether there was one.
-func (u *Subsystem) handleNext(src int) bool {
+// handleOne pops and handles one upcall — the oldest of source src, else
+// the next one round-robin — reporting whether there was one.
+func (u *Subsystem) handleOne(src int) bool {
 	u.mu.Lock()
 	it, ok := u.popLocked(src)
-	u.mu.Unlock()
 	if !ok {
-		return false
+		it, ok = u.popAnyLocked()
 	}
-	u.handle(it)
-	return true
-}
-
-// handleAny pops and handles one upcall from any queue (round-robin),
-// reporting whether there was one.
-func (u *Subsystem) handleAny() bool {
-	u.mu.Lock()
-	it, ok := u.popAnyLocked()
 	u.mu.Unlock()
 	if !ok {
 		return false

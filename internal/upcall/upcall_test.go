@@ -295,6 +295,27 @@ func TestSubmitSyncMatchesInline(t *testing.T) {
 	}
 }
 
+// TestSubmitSyncAllocs pins the heap allocations of one SubmitSync round
+// trip — admit, queue, pop, classify, resolve — on the stationary shape
+// BenchmarkRoundtripSuppressed measures (a monitor-deleted megaflow, so
+// nothing installs). A per-upcall allocation added to or removed from the
+// slow path moves the pin; change it only on purpose.
+func TestSubmitSyncAllocs(t *testing.T) {
+	sw := newSwitch(t, flowtable.SipDp)
+	sub := newSub(t, sw, 1, upcall.Options{})
+	h := header(0x0a000002, 40001)
+	sw.Process(h, 0)
+	sw.DeleteMegaflows(func(*tss.Entry) bool { return true })
+	allocs := testing.AllocsPerRun(200, func() {
+		if v, out := sub.SubmitSync(0, h, 0); out != upcall.Enqueued || v.Path != vswitch.PathSlow {
+			t.Fatalf("round trip %v / %+v, want an enqueued slow-path verdict", out, v)
+		}
+	})
+	if allocs != 10 {
+		t.Errorf("SubmitSync round trip allocates %v times, pinned at 10", allocs)
+	}
+}
+
 // TestRevalidatorExpiresIdle: the revalidator's sweep applies the same
 // idle horizon Switch.Tick does.
 func TestRevalidatorExpiresIdle(t *testing.T) {
