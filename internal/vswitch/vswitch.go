@@ -380,8 +380,8 @@ func (s *Switch) ProcessBatchOn(hd *tss.Handle, hs []bitvec.Vec, now int64, out 
 // classifies h against the flow table, installs the resulting megaflow,
 // and primes the microflow cache. This is the reusable miss-to-install
 // step: the synchronous pipeline reaches it inline through
-// Process/ProcessBatch, and the upcall subsystem's handler goroutines call
-// it when they drain a queued flow miss — the megaflow install then goes
+// Process/ProcessBatch, and the upcall subsystem's drains call it when they
+// handle a queued flow miss — the megaflow install then goes
 // through the classifier's writer mutex and publishes the next lock-free
 // snapshot; concurrent readers keep scanning the previous one.
 //
