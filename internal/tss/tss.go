@@ -269,13 +269,14 @@ func buildStageOff(sp *bitvec.SparseMask, bounds []int) []uint8 {
 // (mask, words, stage offsets, hit counter) and copying what a writer
 // mutates in place: Bloom filters, counts, the page directory, and the
 // slot pages — a one-page table at once, since a write follows every
-// clone, a larger one page by page as set first writes each. copied is
-// the classifier's Stats.SlotsCopied.
-func (g *group) clone(copied *uint64) *group {
+// clone, a larger one page by page as set first writes each. copied and
+// dir are the classifier's Stats.SlotsCopied and DirCopied.
+func (g *group) clone(copied, dir *uint64) *group {
 	ng := *g
 	ng.frozen = false
 	ng.filters = append([]stageFilter(nil), g.filters...)
 	ng.pages = append([][]slot(nil), g.pages...)
+	*dir += uint64(len(ng.pages))
 	if len(ng.pages) == 1 {
 		ng.pages[0] = append([]slot(nil), ng.pages[0]...)
 		*copied += uint64(len(ng.pages[0]))
@@ -557,13 +558,14 @@ type Stats struct {
 	// it by exactly one — the amortisation the batched slow path exists
 	// for.
 	Publishes uint64
-	// ProbesCopied, SlotsCopied and OverlapCompared are the writer's work
-	// ledger, counted under the writer lock and never on the lookup path:
-	// probe records copied into published snapshots, group slots copied by
-	// copy-on-write clones, and entries passed to the full bitvec.Overlap
-	// by the insert-time overlap check. Unlike timings they repeat
-	// exactly, so tests pin them.
-	ProbesCopied, SlotsCopied, OverlapCompared uint64
+	// ProbesCopied, SlotsCopied, DirCopied and OverlapCompared are the
+	// writer's work ledger, counted under the writer lock and never on the
+	// lookup path: probe records copied into published snapshots, group
+	// slots copied by copy-on-write clones, slot-table directory entries
+	// copied by those clones and their first writes, and entries passed to
+	// the full bitvec.Overlap by the insert-time overlap check. Unlike
+	// timings they repeat exactly, so tests pin them.
+	ProbesCopied, SlotsCopied, DirCopied, OverlapCompared uint64
 }
 
 // Options configures a Classifier.
@@ -636,8 +638,8 @@ type Classifier struct {
 	shards   []*statShard
 
 	// Writer-side counters, under mu.
-	inserted, deleted, published               uint64
-	probesCopied, slotsCopied, overlapCompared uint64
+	inserted, deleted, published                          uint64
+	probesCopied, slotsCopied, dirCopied, overlapCompared uint64
 }
 
 // snapshot is one immutable published scan state: the probe mirror's chunk
@@ -1329,7 +1331,8 @@ func (c *Classifier) Stats() Stats {
 	c.shardsMu.Unlock()
 	c.mu.Lock()
 	s.Inserted, s.Deleted, s.Publishes = c.inserted, c.deleted, c.published
-	s.ProbesCopied, s.SlotsCopied, s.OverlapCompared = c.probesCopied, c.slotsCopied, c.overlapCompared
+	s.ProbesCopied, s.SlotsCopied, s.DirCopied = c.probesCopied, c.slotsCopied, c.dirCopied
+	s.OverlapCompared = c.overlapCompared
 	c.mu.Unlock()
 	return s
 }
