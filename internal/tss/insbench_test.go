@@ -54,3 +54,24 @@ func BenchmarkInsertBatchAtManyMasks(b *testing.B) {
 		c.InsertBatch(es, 0)
 	}
 }
+
+// BenchmarkInsertIntoLargeGroup measures one install plus publish into
+// TestWorkLedgerPins's 12 k-entry exact-match group, flow_setup's shape:
+// the group is frozen by the previous publish, so every op clones it and
+// copies what the write touches. Installs are idempotent refreshes
+// round-robin over the installed entries, so the group stays at 12 k
+// entries for any b.N.
+func BenchmarkInsertIntoLargeGroup(b *testing.B) {
+	l := bitvec.IPv4Tuple
+	c := New(l, Options{})
+	es := exactEntries(l, 12000)
+	mustInsertBatch(b, c, es, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := es[i%len(es)]
+		if err := c.Insert(&Entry{Key: e.Key, Mask: e.Mask, Action: flowtable.Drop}, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -242,6 +242,30 @@ func TestScanCountPins(t *testing.T) {
 	}
 }
 
+// TestGroupFootprint guards the one-page groups an attack spawns by the
+// thousand: a group stays in its 288-byte size class, and an Insert that
+// creates a new one-entry group makes a fixed number of allocations. A
+// slot-table layout that made small groups pay for large ones fails here.
+func TestGroupFootprint(t *testing.T) {
+	if n := unsafe.Sizeof(group{}); n > 288 {
+		t.Errorf("group is %d bytes, want <= 288", n)
+	}
+	l := bitvec.IPv4Tuple
+	es := attackEntries(l, 4096+301)
+	c := New(l, Options{})
+	mustInsertBatch(t, c, es[:4096], 0)
+	next := 4096
+	allocs := testing.AllocsPerRun(300, func() {
+		if err := c.Insert(es[next], 1); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if allocs != 15 {
+		t.Errorf("Insert of a new one-entry group: %v allocations, want 15", allocs)
+	}
+}
+
 // TestScanRecordLayout guards the hot scan record: at most 24 bytes, and
 // nothing in it the garbage collector would have to scan.
 func TestScanRecordLayout(t *testing.T) {
