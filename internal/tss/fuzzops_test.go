@@ -144,7 +144,7 @@ type frozenView struct {
 
 var (
 	fuzzAttack = attackEntries(bitvec.IPv4Tuple, 32*16*16)
-	fuzzExact  = exactEntries(bitvec.IPv4Tuple, 256)
+	fuzzExact  = exactEntries(bitvec.IPv4Tuple, 1000)
 )
 
 // fresh copies a template entry: the classifier keeps the pointer it is
@@ -163,9 +163,11 @@ func fresh(e *Entry, a flowtable.Action) *Entry {
 // stage-skip count must also equal refScan's group-by-group decision over
 // the same snapshot, so a probe record that drifts from its group fails
 // here. The base population (260–459 attack
-// masks plus a 50–249-entry exact-match group) spans several probe-mirror
-// chunks and group slot pages, so splits, page copies and compaction
-// across those boundaries are all on the path.
+// masks plus a 50–249-entry exact-match group, or an 800–999-entry one
+// whose slot table has a two-level directory when bit 2 of the first byte
+// is set) spans several probe-mirror chunks, group slot pages and
+// directory leaves, so splits, page and leaf copies and compaction across
+// those boundaries are all on the path.
 func FuzzClassifierOps(f *testing.F) {
 	f.Add([]byte{0, 0, 0})
 	f.Add([]byte{1, 200, 255, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
@@ -184,7 +186,11 @@ func FuzzClassifierOps(f *testing.F) {
 		for _, e := range fuzzAttack[:260+in.next()%200] {
 			base = append(base, fresh(e, flowtable.Drop))
 		}
-		for _, e := range fuzzExact[:50+in.next()%200] {
+		exact := 50 + in.next()%200
+		if cfg&4 != 0 {
+			exact += 750
+		}
+		for _, e := range fuzzExact[:exact] {
 			base = append(base, fresh(e, flowtable.Allow))
 		}
 		mustInsertBatch(t, c, base, 0)

@@ -126,13 +126,13 @@ func TestWorkLedgerPins(t *testing.T) {
 			ledger{publishes: 1, probesCopied: 210, slotsCopied: 0, dirCopied: 0, overlapCompared: 255}},
 		{"install into a 12k-entry group", exactGroup, func(c *Classifier) error {
 			return c.Insert(exactEntries(l, 12001)[12000], 100)
-		}, ledger{publishes: 1, probesCopied: 1, slotsCopied: 64, dirCopied: 256, overlapCompared: 0}},
+		}, ledger{publishes: 1, probesCopied: 1, slotsCopied: 64, dirCopied: 32, overlapCompared: 0}},
 		{"expire 4096 of a 12k-entry group", exactGroup, func(c *Classifier) error {
 			if n := c.ExpireIdle(105, 10); n != 4096 {
 				return fmt.Errorf("expired %d, want 4096", n)
 			}
 			return nil
-		}, ledger{publishes: 1, probesCopied: 1, slotsCopied: 16384, dirCopied: 256, overlapCompared: 0}},
+		}, ledger{publishes: 1, probesCopied: 1, slotsCopied: 16384, dirCopied: 272, overlapCompared: 0}},
 		{"expire 4096 one-entry attack groups", attackGroups, func(c *Classifier) error {
 			if n := c.ExpireIdle(105, 10); n != 4096 {
 				return fmt.Errorf("expired %d, want 4096", n)

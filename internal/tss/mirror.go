@@ -230,7 +230,7 @@ func (c *Classifier) thawLocked(g *group) *group {
 	if !g.frozen {
 		return g
 	}
-	ng := g.clone(&c.slotsCopied, &c.dirCopied)
+	ng := g.clone(&c.copies)
 	c.byMask[ng.maskKey] = ng
 	c.thawed = append(c.thawed, ng)
 	return ng

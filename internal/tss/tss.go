@@ -148,27 +148,31 @@ func (f *stageFilter) has(h uint64) bool { return f[(h>>6)&3]>>(h&63)&1 == 1 }
 // published (frozen == true), writers clone the group before mutating it,
 // so concurrent readers always scan a consistent slot table. The table is
 // paged so a clone costs what it writes, not what the group holds: the
-// clone copies the page directory and then each page only when it first
-// writes it (see set). The hits counter is shared across clones through a
-// pointer so no hit accounting is lost when a group is copied.
+// clone copies the top of the page directory and then each leaf and page
+// only when it first writes it (see set). The hits counter is shared
+// across clones through a pointer so no hit accounting is lost when a
+// group is copied.
 type group struct {
 	// pages and sparse lead the struct so a lookup probe's loads stay
-	// within the group's first cache lines.
-	pages    [][]slot          // slot i is pages[i>>pageShift][i&pageMask]
+	// within the group's first cache lines. A two-level table keeps pages
+	// nil and its directory in leaves, at the end (see at).
+	pages    [][]slot          // flat table: slot i is pages[i>>pageShift][i&pageMask]
 	sparse   bitvec.SparseMask // inline nonzero-word view of mask
 	sparseOK bool              // mask fits inline; else use mask/words
 	frozen   bool              // published in a snapshot; clone to mutate
 	slotBits uint8             // the table has 1<<slotBits slots
+	n        int32             // entries
 	solo     *Entry            // the sole entry while n == 1, else nil
 	soloFP   uint64            // solo's fingerprint
 
-	// own and cow are a multi-page clone's writer-side page ownership: bit
-	// p of own is set once page p is the clone's own copy, and cow is the
-	// classifier's Stats.SlotsCopied counter, charged per page copied. Both
-	// are nil for a group that owns every page (new, regrown, or a
+	// own and cow are a multi-page clone's writer-side ownership: bit p of
+	// own is set once page p is the clone's own copy and, in a two-level
+	// table of P pages, bit P+l once leaf l is; cow is the classifier's
+	// copy ledger, charged per page and per directory entry copied. Both
+	// are nil for a group that owns its whole table (new, regrown, or a
 	// one-page clone).
 	own []uint64
-	cow *uint64
+	cow *copyLedger
 
 	// stageOff are the staged-lookup slot offsets: stage s covers sparse
 	// slots [stageOff[s], stageOff[s+1]). nil (or a single effective
@@ -181,10 +185,16 @@ type group struct {
 	mask    bitvec.Vec
 	maskKey string
 	hash    uint64
-	words   []int // nonzero word indices of mask, in order
-	n       int
+	words   []int   // nonzero word indices of mask, in order
 	hits    *uint64 // shared across copy-on-write clones
+
+	leaves [][][]slot // two-level table: leaves of leafPages pages, else nil
 }
+
+// copyLedger is the classifier's count of what copy-on-write clones copy:
+// slots (Stats.SlotsCopied) and slot-table directory entries
+// (Stats.DirCopied).
+type copyLedger struct{ slots, dir uint64 }
 
 // slot is one open-addressing cell: the key's fingerprint (keyHash) for a
 // cheap first-pass reject, plus the entry. e == nil marks the cell empty.
@@ -193,30 +203,48 @@ type slot struct {
 	e  *Entry
 }
 
-// Slot tables are paged: slot i lives at pages[i>>pageShift][i&pageMask],
+// Slot tables are paged: slot i lives in page i>>pageShift at i&pageMask,
 // with the same global linear probing and backward-shift delete as one flat
 // array. A table of pageSlots slots or fewer is a single page of its own
 // length, so the one-entry groups an attack spawns by the thousand keep
-// their minSlotBits-slot tables; a 16 k-slot exact-match group is 256
-// pages, and a clone copies its directory plus the one or two pages an
-// install writes instead of all 256 kB.
+// their minSlotBits-slot tables. A table of up to leafPages pages keeps a
+// flat page directory. A larger one splits its directory into leaves of
+// leafPages pages under a top level: a 16 k-slot exact-match group is 16
+// leaves of 16 pages, and a clone copies the 16-entry top level plus the
+// leaf and the page an install writes, instead of a 256-entry directory
+// and all 256 kB.
 const (
 	pageShift   = 6
 	pageSlots   = 1 << pageShift
 	pageMask    = pageSlots - 1
+	leafShift   = 4
+	leafPages   = 1 << leafShift
+	leafMask    = leafPages - 1
 	minSlotBits = 3 // keeps even one-entry groups probe-cheap without resizing on every early insert
 )
 
-// makePages allocates an empty table of n slots, n a power of two.
-func makePages(n int) [][]slot {
+// alloc gives the group an empty table of 1<<bits slots, which it owns
+// whole: one page, a flat directory of up to leafPages pages, or leaves of
+// leafPages pages.
+func (g *group) alloc(bits uint8) {
+	g.slotBits, g.pages, g.leaves, g.own, g.cow = bits, nil, nil, nil, nil
+	n := 1 << bits
 	if n <= pageSlots {
-		return [][]slot{make([]slot, n)}
+		g.pages = [][]slot{make([]slot, n)}
+		return
 	}
 	pages := make([][]slot, n>>pageShift)
 	for p := range pages {
 		pages[p] = make([]slot, pageSlots)
 	}
-	return pages
+	if len(pages) <= leafPages {
+		g.pages = pages
+		return
+	}
+	g.leaves = make([][][]slot, len(pages)>>leafShift)
+	for l := range g.leaves {
+		g.leaves[l] = pages[l<<leafShift : (l+1)<<leafShift : (l+1)<<leafShift]
+	}
 }
 
 // newGroup builds an empty group for the (already cloned) mask. stages is
@@ -224,14 +252,13 @@ func makePages(n int) [][]slot {
 // off).
 func newGroup(mask bitvec.Vec, maskKey string, stages []int) *group {
 	g := &group{
-		mask:     mask,
-		maskKey:  maskKey,
-		hash:     mask.Hash(),
-		words:    mask.NonzeroWords(),
-		pages:    makePages(1 << minSlotBits),
-		slotBits: minSlotBits,
-		hits:     new(uint64),
+		mask:    mask,
+		maskKey: maskKey,
+		hash:    mask.Hash(),
+		words:   mask.NonzeroWords(),
+		hits:    new(uint64),
 	}
+	g.alloc(minSlotBits)
 	g.sparse, g.sparseOK = bitvec.NewSparseMask(mask)
 	if g.sparseOK && len(stages) > 1 {
 		g.stageOff = buildStageOff(&g.sparse, stages)
@@ -267,23 +294,30 @@ func buildStageOff(sp *bitvec.SparseMask, bounds []int) []uint8 {
 
 // clone returns a mutable copy of the group sharing the immutable pieces
 // (mask, words, stage offsets, hit counter) and copying what a writer
-// mutates in place: Bloom filters, counts, the page directory, and the
-// slot pages — a one-page table at once, since a write follows every
-// clone, a larger one page by page as set first writes each. copied and
-// dir are the classifier's Stats.SlotsCopied and DirCopied.
-func (g *group) clone(copied, dir *uint64) *group {
+// mutates in place: Bloom filters, counts, the top of the page directory
+// (the flat directory, or the top level of a two-level one), and the slot
+// pages — a one-page table at once, since a write follows every clone, a
+// larger one leaf and page at a time as set first writes each. cl is the
+// classifier's copy ledger.
+func (g *group) clone(cl *copyLedger) *group {
 	ng := *g
 	ng.frozen = false
 	ng.filters = append([]stageFilter(nil), g.filters...)
-	ng.pages = append([][]slot(nil), g.pages...)
-	*dir += uint64(len(ng.pages))
-	if len(ng.pages) == 1 {
-		ng.pages[0] = append([]slot(nil), ng.pages[0]...)
-		*copied += uint64(len(ng.pages[0]))
-		ng.own, ng.cow = nil, nil
-	} else {
-		ng.own = make([]uint64, (len(ng.pages)+63)/64)
-		ng.cow = copied
+	ng.own, ng.cow = nil, nil
+	switch {
+	case g.leaves != nil:
+		ng.leaves = append([][][]slot(nil), g.leaves...)
+		cl.dir += uint64(len(ng.leaves))
+		bits := len(ng.leaves)<<leafShift + len(ng.leaves)
+		ng.own, ng.cow = make([]uint64, (bits+63)/64), cl
+	case len(g.pages) == 1:
+		ng.pages = [][]slot{append([]slot(nil), g.pages[0]...)}
+		cl.dir++
+		cl.slots += uint64(len(ng.pages[0]))
+	default:
+		ng.pages = append([][]slot(nil), g.pages...)
+		cl.dir += uint64(len(ng.pages))
+		ng.own, ng.cow = make([]uint64, (len(ng.pages)+63)/64), cl
 	}
 	return &ng
 }
@@ -292,18 +326,59 @@ func (g *group) clone(copied, dir *uint64) *group {
 func (g *group) slotMask() uint64 { return 1<<g.slotBits - 1 }
 
 // at returns slot i.
-func (g *group) at(i uint64) slot { return g.pages[i>>pageShift][i&pageMask] }
+func (g *group) at(i uint64) slot {
+	if g.pages != nil {
+		return g.pages[i>>pageShift][i&pageMask]
+	}
+	return g.leaves[i>>(pageShift+leafShift)][i>>pageShift&leafMask][i&pageMask]
+}
 
-// set stores s at slot i, first copying i's page if the group is a clone
-// that still shares it with its frozen original.
+// set stores s at slot i. In a clone that still shares them with its
+// frozen original, it first copies i's leaf (two-level tables) and then
+// i's page.
 func (g *group) set(i uint64, s slot) {
 	p := i >> pageShift
-	if g.own != nil && g.own[p/64]>>(p%64)&1 == 0 {
-		g.pages[p] = append([]slot(nil), g.pages[p]...)
-		g.own[p/64] |= 1 << (p % 64)
-		*g.cow += uint64(len(g.pages[p]))
+	dir, k := g.pages, p
+	if g.leaves != nil {
+		l := p >> leafShift
+		if g.own != nil && g.claim(uint64(len(g.leaves))<<leafShift+l) {
+			g.leaves[l] = append([][]slot(nil), g.leaves[l]...)
+			g.cow.dir += leafPages
+		}
+		dir, k = g.leaves[l], p&leafMask
 	}
-	g.pages[p][i&pageMask] = s
+	if g.own != nil && g.claim(p) {
+		dir[k] = append([]slot(nil), dir[k]...)
+		g.cow.slots += pageSlots
+	}
+	dir[k][i&pageMask] = s
+}
+
+// claim sets bit b of the ownership bitmap and reports whether it was
+// clear: whether the clone must copy that page or leaf first.
+func (g *group) claim(b uint64) bool {
+	w, bit := b/64, uint64(1)<<(b%64)
+	if g.own[w]&bit != 0 {
+		return false
+	}
+	g.own[w] |= bit
+	return true
+}
+
+// allPages yields the table's pages in slot order.
+func (g *group) allPages(yield func([]slot) bool) {
+	for _, pg := range g.pages {
+		if !yield(pg) {
+			return
+		}
+	}
+	for _, leaf := range g.leaves {
+		for _, pg := range leaf {
+			if !yield(pg) {
+				return
+			}
+		}
+	}
 }
 
 // hashHeader returns the fingerprint of h under the group's mask,
@@ -399,11 +474,9 @@ func (g *group) find(k bitvec.Vec) *Entry {
 // table past 3/4 load and folding the entry into the stage filters.
 func (g *group) put(e *Entry) {
 	if (g.n+1)*4 > 3<<g.slotBits {
-		old := g.pages
-		g.slotBits++
-		g.pages = makePages(1 << g.slotBits)
-		g.own, g.cow = nil, nil
-		for _, pg := range old {
+		old := *g
+		g.alloc(g.slotBits + 1)
+		for pg := range old.allPages {
 			for _, s := range pg {
 				if s.e != nil {
 					g.insertSlot(s.fp, s.e)
@@ -511,7 +584,7 @@ func (g *group) settle() {
 	for s := range g.filters {
 		g.filters[s] = stageFilter{}
 	}
-	for _, pg := range g.pages {
+	for pg := range g.allPages {
 		for _, s := range pg {
 			if s.e == nil {
 				continue
@@ -526,7 +599,7 @@ func (g *group) settle() {
 
 // each calls f for every entry; f returning false stops the walk.
 func (g *group) each(f func(*Entry) bool) {
-	for _, pg := range g.pages {
+	for pg := range g.allPages {
 		for _, s := range pg {
 			if s.e != nil && !f(s.e) {
 				return
@@ -638,8 +711,9 @@ type Classifier struct {
 	shards   []*statShard
 
 	// Writer-side counters, under mu.
-	inserted, deleted, published                          uint64
-	probesCopied, slotsCopied, dirCopied, overlapCompared uint64
+	inserted, deleted, published  uint64
+	probesCopied, overlapCompared uint64
+	copies                        copyLedger
 }
 
 // snapshot is one immutable published scan state: the probe mirror's chunk
@@ -1260,7 +1334,7 @@ func (c *Classifier) DeleteWhere(pred func(*Entry) bool) int {
 					}
 				}
 				removed += gone
-				if gone == g.n {
+				if gone == int(g.n) {
 					delete(c.byMask, g.maskKey)
 					c.masks--
 					continue
@@ -1331,7 +1405,7 @@ func (c *Classifier) Stats() Stats {
 	c.shardsMu.Unlock()
 	c.mu.Lock()
 	s.Inserted, s.Deleted, s.Publishes = c.inserted, c.deleted, c.published
-	s.ProbesCopied, s.SlotsCopied, s.DirCopied = c.probesCopied, c.slotsCopied, c.dirCopied
+	s.ProbesCopied, s.SlotsCopied, s.DirCopied = c.probesCopied, c.copies.slots, c.copies.dir
 	s.OverlapCompared = c.overlapCompared
 	c.mu.Unlock()
 	return s
