@@ -51,20 +51,36 @@ func (s Strategy) String() string {
 type Generator struct {
 	table    *flowtable.Table
 	layout   *bitvec.Layout
-	strategy []Strategy // per field index
+	strategy []Strategy    // per field index
+	fields   [][]fieldWord // per field index: its bits, word by word
+}
+
+// fieldWord is the part of one header field that lies in one Vec word.
+type fieldWord struct {
+	w    int    // word index
+	mask uint64 // the field's bits in that word
 }
 
 // NewGenerator builds a generator for the table. strategies maps field
 // names to a Strategy; missing fields default to StrategyWildcard.
 func NewGenerator(table *flowtable.Table, strategies map[string]Strategy) (*Generator, error) {
 	l := table.Layout()
-	g := &Generator{table: table, layout: l, strategy: make([]Strategy, l.NumFields())}
+	g := &Generator{table: table, layout: l, strategy: make([]Strategy, l.NumFields()),
+		fields: make([][]fieldWord, l.NumFields())}
 	for name, st := range strategies {
 		i, ok := l.FieldIndex(name)
 		if !ok {
 			return nil, fmt.Errorf("vswitch: strategy for unknown field %q", name)
 		}
 		g.strategy[i] = st
+	}
+	for f := range g.fields {
+		fm := bitvec.FieldMask(l, f)
+		for w, m := range fm {
+			if m != 0 {
+				g.fields[f] = append(g.fields[f], fieldWord{w: w, mask: m})
+			}
+		}
 	}
 	return g, nil
 }
@@ -73,53 +89,51 @@ func NewGenerator(table *flowtable.Table, strategies map[string]Strategy) (*Gene
 // established that h reaches the slow path (i.e. the table classifies it).
 // If no rule matches, Generate returns an exact-match drop entry, which is
 // always safe.
+//
+// The walk runs a word at a time. A field's MSB-first bits ascend with
+// the global bit index, so the first bit where h disagrees with rule r in
+// field f is the lowest set bit of (h XOR r.Key) AND r.Mask within the
+// field, taken word by word in field order; the rule's field bits up to
+// and including it are unwildcarded. A field under StrategyExact that the
+// rule constrains is unwildcarded whole. The rule that matches h
+// disagrees nowhere, so its constrained bits are unwildcarded in full.
 func (g *Generator) Generate(h bitvec.Vec) *tss.Entry {
 	l := g.layout
 	mask := bitvec.NewVec(l)
 	var matched *flowtable.Rule
 
 	for _, r := range g.table.Rules() {
-		if r.Matches(h) {
-			// Unwildcard the matched rule's own bits: the fast path must
-			// re-verify this match. (Fields under StrategyExact widen to
-			// the whole field, preserving Inv(2) trivially.)
-			for f := 0; f < l.NumFields(); f++ {
-				if !fieldConstrained(l, r.Mask, f) {
-					continue
-				}
-				if g.strategy[f] == StrategyExact {
-					orFieldMask(l, mask, f)
-					continue
-				}
-				orConstrained(l, mask, r.Mask, f)
-			}
-			matched = r
-			break
-		}
-		// Prove the mismatch: for every field the rule constrains and on
-		// which h disagrees, unwildcard per strategy. OVS's staged lookup
-		// consults each constrained field, which is what yields the
-		// multiplicative (Cartesian-product) mask growth of Theorem 4.2.
-		for f := 0; f < l.NumFields(); f++ {
-			if !fieldConstrained(l, r.Mask, f) {
-				continue
-			}
+		// OVS's staged lookup consults each constrained field, which is
+		// what yields the multiplicative (Cartesian-product) mask growth
+		// of Theorem 4.2.
+		for f, fws := range g.fields {
 			if g.strategy[f] == StrategyExact {
-				orFieldMask(l, mask, f)
+				var constrained uint64
+				for _, fw := range fws {
+					constrained |= r.Mask[fw.w] & fw.mask
+				}
+				if constrained != 0 {
+					for _, fw := range fws {
+						mask[fw.w] |= fw.mask
+					}
+				}
 				continue
 			}
-			// MSB-first scan over the rule's constrained bits: unwildcard
-			// through the first differing bit (Fig. 3's construction).
-			w := l.Field(f).Width
-			for i := 0; i < w; i++ {
-				if !r.Mask.FieldBit(l, f, i) {
-					continue
-				}
-				mask.SetFieldBit(l, f, i)
-				if h.FieldBit(l, f, i) != r.Key.FieldBit(l, f, i) {
+			// Unwildcard through the first differing bit (Fig. 3's
+			// construction).
+			for _, fw := range fws {
+				rm := r.Mask[fw.w] & fw.mask
+				if d := (h[fw.w] ^ r.Key[fw.w]) & rm; d != 0 {
+					low := d & -d
+					mask[fw.w] |= rm & (low | (low - 1))
 					break
 				}
+				mask[fw.w] |= rm
 			}
+		}
+		if r.Matches(h) {
+			matched = r
+			break
 		}
 	}
 
@@ -135,33 +149,4 @@ func (g *Generator) Generate(h bitvec.Vec) *tss.Entry {
 		e.Key = h.Clone()
 	}
 	return e
-}
-
-// fieldConstrained reports whether mask has any bit set within field f.
-func fieldConstrained(l *bitvec.Layout, mask bitvec.Vec, f int) bool {
-	w := l.Field(f).Width
-	for i := 0; i < w; i++ {
-		if mask.FieldBit(l, f, i) {
-			return true
-		}
-	}
-	return false
-}
-
-// orConstrained sets in dst every bit of field f that src has set.
-func orConstrained(l *bitvec.Layout, dst, src bitvec.Vec, f int) {
-	w := l.Field(f).Width
-	for i := 0; i < w; i++ {
-		if src.FieldBit(l, f, i) {
-			dst.SetFieldBit(l, f, i)
-		}
-	}
-}
-
-// orFieldMask sets all bits of field f in dst.
-func orFieldMask(l *bitvec.Layout, dst bitvec.Vec, f int) {
-	w := l.Field(f).Width
-	for i := 0; i < w; i++ {
-		dst.SetFieldBit(l, f, i)
-	}
 }
