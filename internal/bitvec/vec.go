@@ -1,6 +1,7 @@
 package bitvec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"strings"
@@ -28,13 +29,17 @@ func (v Vec) Clone() Vec {
 // Key returns a string usable as a map key. Two Vecs of the same length
 // have equal Keys iff they are bit-for-bit equal.
 func (v Vec) Key() string {
-	b := make([]byte, len(v)*8)
-	for i, w := range v {
-		for j := 0; j < 8; j++ {
-			b[i*8+j] = byte(w >> (8 * j))
-		}
+	return string(v.AppendKey(make([]byte, 0, len(v)*8)))
+}
+
+// AppendKey appends v's Key bytes to b and returns the extended buffer. A
+// map indexed by Key can be read through a reused buffer without
+// allocating: m[string(v.AppendKey(buf[:0]))].
+func (v Vec) AppendKey(b []byte) []byte {
+	for _, w := range v {
+		b = binary.LittleEndian.AppendUint64(b, w)
 	}
-	return string(b)
+	return b
 }
 
 // Bit reports whether global bit index b is set.

@@ -305,6 +305,37 @@ func TestKeyUniqueness(t *testing.T) {
 	}
 }
 
+// TestAppendKey pins Key's byte layout (each word little-endian, in word
+// order), checks AppendKey produces the same bytes after any prefix, and
+// checks a map read through a reused AppendKey buffer does not allocate.
+func TestAppendKey(t *testing.T) {
+	v := Vec{0x0807060504030201, 0x100f0e0d0c0b0a09}
+	want := "\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c\x0d\x0e\x0f\x10"
+	if got := v.Key(); got != want {
+		t.Errorf("Key = %q, want %q", got, want)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, l := range []*Layout{HYP, IPv4Tuple, IPv6Tuple} {
+		v := NewVec(l)
+		for i := range v {
+			v[i] = rng.Uint64()
+		}
+		if got := string(v.AppendKey([]byte("pre"))); got != "pre"+v.Key() {
+			t.Errorf("%s: AppendKey = %q, want %q", l, got, "pre"+v.Key())
+		}
+	}
+	m := map[string]int{v.Key(): 1}
+	buf := make([]byte, 0, 64)
+	if allocs := testing.AllocsPerRun(100, func() {
+		buf = v.AppendKey(buf[:0])
+		if m[string(buf)] != 1 {
+			t.Fatal("lookup through AppendKey missed")
+		}
+	}); allocs != 0 {
+		t.Errorf("map read through AppendKey: %v allocations, want 0", allocs)
+	}
+}
+
 func TestHashSpread(t *testing.T) {
 	l := IPv4Tuple
 	seen := make(map[uint64]bool)

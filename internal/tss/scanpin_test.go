@@ -261,8 +261,8 @@ func TestGroupFootprint(t *testing.T) {
 		}
 		next++
 	})
-	if allocs != 15 {
-		t.Errorf("Insert of a new one-entry group: %v allocations, want 15", allocs)
+	if allocs != 14 {
+		t.Errorf("Insert of a new one-entry group: %v allocations, want 14", allocs)
 	}
 }
 

@@ -698,6 +698,7 @@ type Classifier struct {
 	masks  int      // records in dir: |M|
 	thawed []*group // groups created/cloned since the last publish
 	byMask map[string]*group
+	keyBuf []byte // scratch for byMask lookups: a mask's Key bytes
 	nEntry int
 	opts   Options
 	stages []int // staged-lookup word boundaries; nil = staging off
@@ -1120,8 +1121,8 @@ func (c *Classifier) insertLocked(e *Entry, now int64) error {
 	if !e.Key.SubsetOf(e.Mask) {
 		return fmt.Errorf("tss: entry key has bits outside its mask")
 	}
-	mk := e.Mask.Key()
-	g := c.byMask[mk]
+	c.keyBuf = e.Mask.AppendKey(c.keyBuf[:0])
+	g := c.byMask[string(c.keyBuf)]
 	if g != nil {
 		if old := g.find(e.Key); old != nil {
 			// Same key and mask: refresh by swapping in the new entry.
@@ -1144,6 +1145,7 @@ func (c *Classifier) insertLocked(e *Entry, now int64) error {
 	}
 	e.LastUsed = now
 	if g == nil {
+		mk := string(c.keyBuf)
 		g = newGroup(e.Mask.Clone(), mk, c.stages)
 		c.byMask[mk] = g
 		c.thawed = append(c.thawed, g)
@@ -1260,7 +1262,8 @@ func (c *Classifier) resortLocked() {
 func (c *Classifier) Delete(key, mask bitvec.Vec) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	g, ok := c.byMask[mask.Key()]
+	c.keyBuf = mask.AppendKey(c.keyBuf[:0])
+	g, ok := c.byMask[string(c.keyBuf)]
 	if !ok {
 		return false
 	}
