@@ -38,13 +38,15 @@
 // under the attack the writer runs once per flood packet. The scan order
 // lives in a probe mirror of 256-record chunks (mirror.go): a publish
 // copies the chunk directory plus the chunks written since the last one.
-// A group's slot table is paged in 64-slot pages: a copy-on-write clone
-// copies the page directory and only the pages it writes. The insert-time
-// overlap check streams the mirror and rejects a one-entry group on its
-// inlined first mask word before any call, confirming survivors exactly.
+// A group's slot table is paged in 64-slot pages, and a large table's
+// page directory is split into 16-page leaves: a copy-on-write clone
+// copies the top of the directory and only the leaves and pages it
+// writes. The insert-time overlap check streams the mirror and rejects a
+// one-entry group on its inlined first mask word before any call,
+// confirming survivors exactly.
 // A sweep (DeleteWhere) compacts the mirror in one pass and rebuilds each
-// touched group's stage filters once. Stats.ProbesCopied, SlotsCopied and
-// OverlapCompared count that work exactly.
+// touched group's stage filters once. Stats.ProbesCopied, SlotsCopied,
+// DirCopied and OverlapCompared count that work exactly.
 package tss
 
 import (
