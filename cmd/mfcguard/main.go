@@ -22,6 +22,7 @@ import (
 	"tse/internal/core"
 	"tse/internal/flowtable"
 	"tse/internal/mitigation"
+	"tse/internal/tss"
 	"tse/internal/upcall"
 	"tse/internal/vswitch"
 )
@@ -47,7 +48,7 @@ func run() error {
 		return err
 	}
 	tbl := flowtable.UseCaseACL(u, flowtable.ACLParams{})
-	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true})
+	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true, Scan: tss.ScanLinear})
 	if err != nil {
 		return err
 	}

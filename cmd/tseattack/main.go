@@ -23,6 +23,7 @@ import (
 	"tse/internal/packet"
 	"tse/internal/pcap"
 	"tse/internal/telemetry"
+	"tse/internal/tss"
 	"tse/internal/vswitch"
 )
 
@@ -49,7 +50,7 @@ func run() error {
 		return err
 	}
 	tbl := flowtable.UseCaseACL(u, flowtable.ACLParams{})
-	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true})
+	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true, Scan: tss.ScanLinear})
 	if err != nil {
 		return err
 	}

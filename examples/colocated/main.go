@@ -15,6 +15,7 @@ import (
 	"tse/internal/core"
 	"tse/internal/dataplane"
 	"tse/internal/flowtable"
+	"tse/internal/tss"
 	"tse/internal/vswitch"
 )
 
@@ -23,7 +24,7 @@ func main() {
 		flowtable.Dp, flowtable.SpDp, flowtable.SipDp, flowtable.SipSpDp,
 	} {
 		acl := flowtable.UseCaseACL(use, flowtable.ACLParams{})
-		sw, err := vswitch.New(vswitch.Config{Table: acl, DisableMicroflow: true})
+		sw, err := vswitch.New(vswitch.Config{Table: acl, DisableMicroflow: true, Scan: tss.ScanLinear})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -15,12 +15,13 @@ import (
 	"tse/internal/dataplane"
 	"tse/internal/flowtable"
 	"tse/internal/mitigation"
+	"tse/internal/tss"
 	"tse/internal/vswitch"
 )
 
 func main() {
 	acl := flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{})
-	sw, err := vswitch.New(vswitch.Config{Table: acl, DisableMicroflow: true})
+	sw, err := vswitch.New(vswitch.Config{Table: acl, DisableMicroflow: true, Scan: tss.ScanLinear})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 
 	"tse/internal/bitvec"
 	"tse/internal/flowtable"
+	"tse/internal/tss"
 	"tse/internal/vswitch"
 )
 
@@ -22,7 +23,7 @@ func main() {
 	fmt.Println("Tenant ACL (Fig. 6):")
 	fmt.Println(acl)
 
-	sw, err := vswitch.New(vswitch.Config{Table: acl})
+	sw, err := vswitch.New(vswitch.Config{Table: acl, Scan: tss.ScanLinear})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		c := tss.New(l, tss.Options{DisableOverlapCheck: true})
+		c := tss.New(l, tss.Options{DisableOverlapCheck: true, Scan: tss.ScanLinear})
 		for _, e := range entries {
 			if err := c.Insert(e, 0); err != nil {
 				log.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"tse/internal/mitigation"
 	"tse/internal/packet"
 	"tse/internal/pcap"
+	"tse/internal/tss"
 	"tse/internal/vswitch"
 )
 
@@ -59,8 +60,9 @@ func TestEndToEndAttackAndMitigation(t *testing.T) {
 		t.Fatalf("pcap holds %d records, want %d", len(recs), tr.Len())
 	}
 
-	// 3. Replay against the switch (tseattack), with a primed victim.
-	sw, err := vswitch.New(vswitch.Config{Table: acl, DisableMicroflow: true})
+	// 3. Replay against the switch (tseattack, which prices the linear
+	// scan), with a primed victim.
+	sw, err := vswitch.New(vswitch.Config{Table: acl, DisableMicroflow: true, Scan: tss.ScanLinear})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 
 	"tse/internal/bitvec"
 	"tse/internal/flowtable"
+	"tse/internal/tss"
 	"tse/internal/vswitch"
 )
 
@@ -152,7 +153,7 @@ func NewHypervisor(cms CMS) (*Hypervisor, error) {
 	// With no tenants everything is dropped.
 	tbl.MustAdd(&flowtable.Rule{Name: "default-deny", Priority: -1,
 		Action: flowtable.Drop, Key: bitvec.NewVec(l), Mask: bitvec.NewVec(l)})
-	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true})
+	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true, Scan: tss.ScanLinear})
 	if err != nil {
 		return nil, err
 	}

@@ -525,6 +525,7 @@ func (w *worker) miss(p *Pool, h bitvec.Vec, port int, now int64, probes int, de
 		_, o = p.up.Submit(port, h, now)
 	} else {
 		v, o = p.up.SubmitSync(port, h, now)
+		v.Probes = probes // what this lookup spent, not the handler's recount
 	}
 	if o.Dropped() {
 		w.stats.UpcallDrops++

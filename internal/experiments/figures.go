@@ -11,6 +11,7 @@ import (
 	"tse/internal/dataplane"
 	"tse/internal/flowtable"
 	"tse/internal/mitigation"
+	"tse/internal/tss"
 	"tse/internal/vswitch"
 )
 
@@ -172,7 +173,7 @@ func runFig9b(w io.Writer) error {
 			return err
 		}
 		curves[i] = curve
-		sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true})
+		sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true, Scan: tss.ScanLinear})
 		if err != nil {
 			return err
 		}

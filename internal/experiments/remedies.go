@@ -8,6 +8,7 @@ import (
 	"tse/internal/core"
 	"tse/internal/dataplane"
 	"tse/internal/flowtable"
+	"tse/internal/tss"
 	"tse/internal/vswitch"
 )
 
@@ -40,13 +41,13 @@ func runRemedies(w io.Writer) error {
 	}
 	rows := []row{
 		{"baseline (MFC on, GRO OFF)",
-			vswitch.Config{Table: flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{}), DisableMicroflow: true},
+			vswitch.Config{Table: flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{}), DisableMicroflow: true, Scan: tss.ScanLinear},
 			dataplane.TCPGroOff},
 		{"remedy: MFC off (iii)",
 			vswitch.Config{Table: flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{}), DisableMicroflow: true, DisableMegaflow: true},
 			dataplane.TCPGroOff},
 		{"remedy: jumbo frames / GRO ON",
-			vswitch.Config{Table: flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{}), DisableMicroflow: true},
+			vswitch.Config{Table: flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{}), DisableMicroflow: true, Scan: tss.ScanLinear},
 			dataplane.TCPGroOn},
 	}
 	fmt.Fprintf(w, "%-30s %8s %14s %16s\n", "configuration", "masks", "victim cost", "victim Gbps")

@@ -13,6 +13,7 @@ import (
 	"tse/internal/core"
 	"tse/internal/flowtable"
 	"tse/internal/mitigation"
+	"tse/internal/tss"
 	"tse/internal/vswitch"
 )
 
@@ -90,7 +91,7 @@ func runConstructions(w io.Writer) error {
 	}
 	for _, c := range cases {
 		sw, err := vswitch.New(vswitch.Config{Table: c.table, DisableMicroflow: true,
-			Strategy: c.strategy})
+			Strategy: c.strategy, Scan: tss.ScanLinear})
 		if err != nil {
 			return err
 		}
@@ -129,7 +130,7 @@ func runMaskCounts(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true})
+		sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true, Scan: tss.ScanLinear})
 		if err != nil {
 			return err
 		}
@@ -157,7 +158,7 @@ func runIPv6(w io.Writer) error {
 		Key: bitvec.NewVec(l), Mask: bitvec.NewVec(l)})
 
 	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true,
-		Strategy: map[string]vswitch.Strategy{"ip6_src": vswitch.StrategyExact}})
+		Strategy: map[string]vswitch.Strategy{"ip6_src": vswitch.StrategyExact}, Scan: tss.ScanLinear})
 	if err != nil {
 		return err
 	}
@@ -198,7 +199,7 @@ func runAlt(w io.Writer) error {
 
 	// TSS under attack, for contrast.
 	sw, err := vswitch.New(vswitch.Config{Table: flowtable.UseCaseACL(flowtable.SipSpDp, flowtable.ACLParams{}),
-		DisableMicroflow: true})
+		DisableMicroflow: true, Scan: tss.ScanLinear})
 	if err != nil {
 		return err
 	}
@@ -248,7 +249,7 @@ func runAlt(w io.Writer) error {
 
 func runGuard(w io.Writer) error {
 	tbl := flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{})
-	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true})
+	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true, Scan: tss.ScanLinear})
 	if err != nil {
 		return err
 	}

@@ -15,7 +15,8 @@ import (
 func attackedSwitch(t *testing.T) (*vswitch.Switch, bitvec.Vec) {
 	t.Helper()
 	tbl := flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{})
-	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true})
+	// The linear scan: the victim's cost is its mask's scan position.
+	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true, Scan: tss.ScanLinear})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,16 +8,17 @@ import (
 	"tse/internal/flowtable"
 )
 
-// exactCacheWithMasks builds a classifier holding one entry under each of
-// nMasks distinct prefix masks of the 16-bit toy field, plus the header
+// exactCacheWithMasks builds a classifier with the given scan holding one
+// entry under each of nMasks distinct prefix masks of the 16-bit toy
+// field, plus the header
 // that hits entry i.
-func exactCacheWithMasks(t testing.TB, nMasks int) (*Classifier, []bitvec.Vec) {
+func exactCacheWithMasks(t testing.TB, nMasks int, scan Scan) (*Classifier, []bitvec.Vec) {
 	t.Helper()
 	l := bitvec.MustLayout(bitvec.Field{Name: "F", Width: 16})
 	if nMasks > 15 {
 		t.Fatalf("at most 15 distinct non-trivial prefix masks, got %d", nMasks)
 	}
-	c := New(l, Options{})
+	c := New(l, Options{Scan: scan})
 	hs := make([]bitvec.Vec, nMasks)
 	for i := 0; i < nMasks; i++ {
 		plen := i + 1
@@ -42,8 +43,8 @@ func exactCacheWithMasks(t testing.TB, nMasks int) (*Classifier, []bitvec.Vec) {
 // return what per-packet Lookup returns on a twin classifier — entries,
 // probe counts, stats, and per-entry hit counters all identical.
 func TestLookupBatchEquivalentToSerial(t *testing.T) {
-	serial, hs := exactCacheWithMasks(t, 12)
-	batched, _ := exactCacheWithMasks(t, 12)
+	serial, hs := exactCacheWithMasks(t, 12, ScanPruned)
+	batched, _ := exactCacheWithMasks(t, 12, ScanPruned)
 
 	// Repeat the headers a few times in a mixed order.
 	var trace []bitvec.Vec
@@ -82,7 +83,7 @@ func TestLookupBatchEquivalentToSerial(t *testing.T) {
 // TestLookupBatchStopsAtMiss: the batch consumes up to and including the
 // first miss, leaving the rest for the caller's upcall handling.
 func TestLookupBatchStopsAtMiss(t *testing.T) {
-	c, hs := exactCacheWithMasks(t, 8)
+	c, hs := exactCacheWithMasks(t, 8, ScanLinear)
 	// The all-zero header misses every group: each group's only key has a
 	// bit set inside its own mask prefix.
 	miss := bitvec.NewVec(c.Layout())
@@ -96,7 +97,7 @@ func TestLookupBatchStopsAtMiss(t *testing.T) {
 		t.Fatalf("unexpected hit pattern: %+v", out[:3])
 	}
 	if out[2].Probes != c.MaskCount() {
-		t.Errorf("miss probed %d masks, want the full scan of %d",
+		t.Errorf("miss probed %d masks, want the full linear scan of %d",
 			out[2].Probes, c.MaskCount())
 	}
 	// Remainder processes cleanly.
@@ -106,7 +107,7 @@ func TestLookupBatchStopsAtMiss(t *testing.T) {
 }
 
 func TestLookupBatchEmpty(t *testing.T) {
-	c, _ := exactCacheWithMasks(t, 3)
+	c, _ := exactCacheWithMasks(t, 3, ScanPruned)
 	if n := c.LookupBatch(nil, 0, nil); n != 0 {
 		t.Errorf("empty batch consumed %d", n)
 	}
@@ -116,7 +117,7 @@ func TestLookupBatchEmpty(t *testing.T) {
 // the same hit-only burst: the batch amortises the reader-lock round trip
 // over 32 packets.
 func BenchmarkLookupBatch(b *testing.B) {
-	c, hs := exactCacheWithMasks(b, 15)
+	c, hs := exactCacheWithMasks(b, 15, ScanPruned)
 	burst := make([]bitvec.Vec, 32)
 	for i := range burst {
 		burst[i] = hs[i%len(hs)]

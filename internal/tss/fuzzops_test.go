@@ -156,13 +156,15 @@ func fresh(e *Entry, a flowtable.Action) *Entry {
 // FuzzClassifierOps is the differential fuzz target for every classifier
 // write path: random sequences of insert, refresh, delete, DeleteWhere and
 // lookup run against refClassifier, asserting equal insert acceptance,
-// equal verdicts by entry identity, equal probe counts, equal mask and
-// entry counts, and snapshot isolation — a snapshot loaded before a run of
-// writes answers exactly as it did, so copy-on-write never mutates
-// anything a reader can still see. Every lookup's verdict, probe count and
-// stage-skip count must also equal refScan's group-by-group decision over
-// the same snapshot, so a probe record that drifts from its group fails
-// here. The base population (260–459 attack
+// equal verdicts by entry identity, equal mask and entry counts, equal
+// probe counts under a linear scan, and snapshot isolation — a snapshot
+// loaded before a run of writes answers exactly as it did, so
+// copy-on-write never mutates anything a reader can still see. The first
+// byte picks the scan: pruned, staged linear or unstaged linear. Every
+// lookup is also checked against its group-by-group reference over the
+// same snapshot (checkScan), so a probe record that drifts from its group
+// fails here, and after every write the pruning index must describe the
+// snapshot exactly (checkPruneIndex). The base population (260–459 attack
 // masks plus a 50–249-entry exact-match group, or an 800–999-entry one
 // whose slot table has a two-level directory when bit 2 of the first byte
 // is set) spans several probe-mirror chunks, group slot pages and
@@ -172,6 +174,8 @@ func FuzzClassifierOps(f *testing.F) {
 	f.Add([]byte{0, 0, 0})
 	f.Add([]byte{1, 200, 255, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte{2, 7, 9, 3, 2, 5, 4, 0, 0, 1, 9, 5, 17, 2, 3, 0, 4, 1, 1})
+	f.Add([]byte{8, 200, 255, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
+	f.Add([]byte{13, 7, 9, 3, 2, 5, 4, 0, 0, 1, 9, 5, 17, 2, 3, 0, 4, 1, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l := bitvec.IPv4Tuple
 		in := opBytes(data)
@@ -180,7 +184,14 @@ func FuzzClassifierOps(f *testing.F) {
 		if cfg&1 == 1 {
 			ref.order = OrderInsertion
 		}
-		c := New(l, Options{Order: ref.order, DisableStagedLookup: cfg&2 != 0})
+		scan := ScanPruned
+		switch {
+		case cfg&2 != 0:
+			scan = ScanUnstaged
+		case cfg&8 != 0:
+			scan = ScanLinear
+		}
+		c := New(l, Options{Order: ref.order, Scan: scan})
 		hd := c.NewHandle()
 		var base []*Entry
 		for _, e := range fuzzAttack[:260+in.next()%200] {
@@ -268,7 +279,8 @@ func FuzzClassifierOps(f *testing.F) {
 		view := freeze()
 		for op := 1; len(in) > 0 && op <= 400; op++ {
 			now := int64(op)
-			switch in.next() % 8 {
+			kind := in.next() % 8
+			switch kind {
 			case 0, 1: // insert
 				e := entry()
 				err := c.Insert(e, now)
@@ -312,9 +324,11 @@ func FuzzClassifierOps(f *testing.F) {
 				view = freeze()
 			default: // lookup
 				h := header()
-				got := lookup(c.snap.Load(), h, now)
+				sn := c.snap.Load()
+				got := lookup(sn, h, now)
 				want, wantProbes := ref.lookup(h)
-				if got.Entry != want || got.OK != (want != nil) || got.Probes != wantProbes {
+				// A pruned lookup's probes are checkScan's to check.
+				if got.Entry != want || got.OK != (want != nil) || !sn.pruned(scan) && got.Probes != wantProbes {
 					t.Fatalf("op %d: lookup %s = (%v, %d probes), reference (%v, %d probes)",
 						op, h.Format(l), got.Entry, got.Probes, want, wantProbes)
 				}
@@ -323,12 +337,18 @@ func FuzzClassifierOps(f *testing.F) {
 				t.Fatalf("op %d: classifier %d entries / %d masks, reference %d / %d",
 					op, c.EntryCount(), c.MaskCount(), len(ref.entries), len(ref.masks))
 			}
+			if kind <= 4 { // a write
+				checkPruneIndex(t, c, c.snap.Load())
+			}
 		}
 		thawCheck(view)
-		// Every installed entry answers its own key, at its scan position.
+		// Every installed entry answers its own key, at its scan position
+		// when the lookup is linear.
 		for _, e := range ref.entries {
-			got := lookup(c.snap.Load(), e.Key, 0)
-			if _, wantProbes := ref.lookup(e.Key); got.Entry != e || got.Probes != wantProbes {
+			sn := c.snap.Load()
+			got := lookup(sn, e.Key, 0)
+			_, wantProbes := ref.lookup(e.Key)
+			if got.Entry != e || !sn.pruned(scan) && got.Probes != wantProbes {
 				t.Fatalf("entry %s: lookup of its key = (%v, %d probes), want itself at %d",
 					e.Format(l), got.Entry, got.Probes, wantProbes)
 			}

@@ -67,7 +67,9 @@ func mustInsertBatch(t testing.TB, c *Classifier, es []*Entry, now int64) {
 }
 
 // ledger is the writer-side work one operation did, read as Stats deltas.
-type ledger struct{ publishes, probesCopied, slotsCopied, dirCopied, overlapCompared uint64 }
+type ledger struct {
+	publishes, probesCopied, slotsCopied, dirCopied, overlapCompared, indexCopied uint64
+}
 
 func ledgerDelta(before, after Stats) ledger {
 	return ledger{
@@ -76,6 +78,7 @@ func ledgerDelta(before, after Stats) ledger {
 		slotsCopied:     after.SlotsCopied - before.SlotsCopied,
 		dirCopied:       after.DirCopied - before.DirCopied,
 		overlapCompared: after.OverlapCompared - before.OverlapCompared,
+		indexCopied:     after.IndexCopied - before.IndexCopied,
 	}
 }
 
@@ -121,24 +124,24 @@ func TestWorkLedgerPins(t *testing.T) {
 		want  ledger
 	}{
 		{"attack install at 1024 masks", ins1024, op1024,
-			ledger{publishes: 1, probesCopied: 253, slotsCopied: 0, dirCopied: 0, overlapCompared: 33}},
+			ledger{publishes: 1, probesCopied: 253, slotsCopied: 0, dirCopied: 0, overlapCompared: 0, indexCopied: 4}},
 		{"attack install at 8192 masks", ins8192, op8192,
-			ledger{publishes: 1, probesCopied: 210, slotsCopied: 0, dirCopied: 0, overlapCompared: 255}},
+			ledger{publishes: 1, probesCopied: 210, slotsCopied: 0, dirCopied: 0, overlapCompared: 0, indexCopied: 4}},
 		{"install into a 12k-entry group", exactGroup, func(c *Classifier) error {
 			return c.Insert(exactEntries(l, 12001)[12000], 100)
-		}, ledger{publishes: 1, probesCopied: 1, slotsCopied: 64, dirCopied: 32, overlapCompared: 0}},
+		}, ledger{publishes: 1, probesCopied: 1, slotsCopied: 64, dirCopied: 32, overlapCompared: 0, indexCopied: 0}},
 		{"expire 4096 of a 12k-entry group", exactGroup, func(c *Classifier) error {
 			if n := c.ExpireIdle(105, 10); n != 4096 {
 				return fmt.Errorf("expired %d, want 4096", n)
 			}
 			return nil
-		}, ledger{publishes: 1, probesCopied: 1, slotsCopied: 16384, dirCopied: 272, overlapCompared: 0}},
+		}, ledger{publishes: 1, probesCopied: 1, slotsCopied: 16384, dirCopied: 272, overlapCompared: 0, indexCopied: 0}},
 		{"expire 4096 one-entry attack groups", attackGroups, func(c *Classifier) error {
 			if n := c.ExpireIdle(105, 10); n != 4096 {
 				return fmt.Errorf("expired %d, want 4096", n)
 			}
 			return nil
-		}, ledger{publishes: 1, probesCopied: 4096, slotsCopied: 0, dirCopied: 0, overlapCompared: 0}},
+		}, ledger{publishes: 1, probesCopied: 4096, slotsCopied: 0, dirCopied: 0, overlapCompared: 0, indexCopied: 562}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -160,6 +163,7 @@ func TestWorkLedgerPins(t *testing.T) {
 				"tse_tss_slots_copied_total":     after.SlotsCopied,
 				"tse_tss_dir_copied_total":       after.DirCopied,
 				"tse_tss_overlap_compared_total": after.OverlapCompared,
+				"tse_tss_index_copied_total":     after.IndexCopied,
 			} {
 				if got := snap.Value(name); got != float64(v) {
 					t.Errorf("%s = %v, Stats says %d", name, got, v)

@@ -52,6 +52,9 @@ func (c *Classifier) AttachMetrics(reg *telemetry.Registry) {
 	reg.CounterFunc("tse_tss_overlap_compared_total",
 		"Entries passed to the full overlap comparison by the insert-time independence check.",
 		stat(func(s Stats) uint64 { return s.OverlapCompared }))
+	reg.CounterFunc("tse_tss_index_copied_total",
+		"Tuple-pruning index nodes copied by writes (tree nodes a snapshot shares, candidate tables rebuilt).",
+		stat(func(s Stats) uint64 { return s.IndexCopied }))
 	reg.GaugeFunc("tse_megaflow_masks",
 		"Installed mask groups |M| — the attack's amplification lever.",
 		func() int64 { return int64(c.MaskCount()) })

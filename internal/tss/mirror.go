@@ -41,7 +41,7 @@ type byHits records
 
 func (r byHits) Len() int { return len(r.hot) }
 func (r byHits) Less(i, j int) bool {
-	return atomic.LoadUint64(r.side[i].g.hits) > atomic.LoadUint64(r.side[j].g.hits)
+	return atomic.LoadUint64(&r.side[i].g.meta.hits) > atomic.LoadUint64(&r.side[j].g.meta.hits)
 }
 func (r byHits) Swap(i, j int) {
 	r.hot[i], r.hot[j] = r.hot[j], r.hot[i]
@@ -66,6 +66,7 @@ type chunk struct {
 // indefinitely).
 func (c *Classifier) publishLocked() {
 	sn := &snapshot{chunks: make([]records, len(c.dir)), masks: c.masks, nEntry: c.nEntry}
+	sn.prune = c.prune.publish()
 	for i := range c.dir {
 		ch := &c.dir[i]
 		if ch.own {
@@ -225,7 +226,8 @@ func (c *Classifier) rechunkLocked(r records) {
 // thawLocked returns a group safe to mutate under the writer lock: g
 // itself if it has never been published, else a clone wired into the mask
 // index in its place (copy-on-write; the published snapshot keeps the
-// frozen original). The caller refreshes g's mirror record afterwards.
+// frozen original), and into the pruning index. The caller refreshes g's
+// mirror record afterwards.
 func (c *Classifier) thawLocked(g *group) *group {
 	if !g.frozen {
 		return g
@@ -233,6 +235,7 @@ func (c *Classifier) thawLocked(g *group) *group {
 	ng := g.clone(&c.copies)
 	c.byMask[ng.maskKey] = ng
 	c.thawed = append(c.thawed, ng)
+	c.prune.replace(ng)
 	return ng
 }
 

@@ -177,7 +177,11 @@ func TestOverlapCheckFindsFirstInScanOrder(t *testing.T) {
 	for _, order := range []MaskOrder{OrderHash, OrderInsertion} {
 		for _, unstaged := range []bool{false, true} {
 			t.Run(fmt.Sprintf("order=%d/unstaged=%v", order, unstaged), func(t *testing.T) {
-				c := New(l, Options{Order: order, DisableStagedLookup: unstaged})
+				scan := ScanPruned
+				if unstaged {
+					scan = ScanUnstaged
+				}
+				c := New(l, Options{Order: order, Scan: scan})
 				mustInsertBatch(t, c, attackEntries(l, 300), 0)
 				// A wildcard-heavy entry overlapping many groups: the ip_dst
 				// bit keeps it a new mask, nothing else is constrained.

@@ -130,10 +130,10 @@ var scanPinCases = []scanPinCase{
 	}},
 }
 
-// build installs the case's families into a staged classifier and returns
-// it with the installed entries.
-func (tc scanPinCase) build(t testing.TB) (*Classifier, []*Entry) {
-	c := New(tc.l, Options{})
+// build installs the case's families into a classifier with the given
+// scan and returns it with the installed entries.
+func (tc scanPinCase) build(t testing.TB, scan Scan) (*Classifier, []*Entry) {
+	c := New(tc.l, Options{Scan: scan})
 	var es []*Entry
 	for _, f := range tc.fams {
 		es = append(es, f.entries(tc.l, tc.src, tc.tag, tc.dp)...)
@@ -190,45 +190,49 @@ func (tc scanPinCase) headers(es []*Entry, seed int64) []bitvec.Vec {
 // scan of the installed entries. Like TestWorkLedgerPins, the counts
 // repeat exactly on any host: a change to how a probe is decided that
 // skips a different set of probes, or probes a different number of masks,
-// fails here.
+// fails here. Each case is pinned under the staged linear scan and under
+// the pruned lookup; the "wide" layout has no field narrow enough to
+// prune, so its pruned lookup walks every group in tree order.
 func TestScanCountPins(t *testing.T) {
-	want := map[string][2]uint64{ // probes, stage skips
-		"ipv4": {1249835, 1125496},
-		"ipv6": {420266, 391192},
-		"wide": {223348, 144603},
+	want := map[string]map[Scan][2]uint64{ // probes, stage skips
+		"ipv4": {ScanLinear: {1249835, 1125496}, ScanPruned: {4439, 22}},
+		"ipv6": {ScanLinear: {420266, 391192}, ScanPruned: {75274, 70690}},
+		"wide": {ScanLinear: {223348, 144603}, ScanPruned: {202496, 114158}},
 	}
 	kinds := map[uint8]int{}
 	wide := 0
 	for _, tc := range scanPinCases {
 		t.Run(tc.name, func(t *testing.T) {
-			c, es := tc.build(t)
-			if c.EntryCount() != len(es) {
-				t.Fatalf("%d entries installed, want %d", c.EntryCount(), len(es))
-			}
-			for _, ch := range c.dir {
-				for k, p := range ch.hot {
-					kinds[p.kind]++
-					if !ch.side[k].g.sparseOK {
-						wide++
+			for _, scan := range []Scan{ScanLinear, ScanPruned} {
+				c, es := tc.build(t, scan)
+				if c.EntryCount() != len(es) {
+					t.Fatalf("%d entries installed, want %d", c.EntryCount(), len(es))
+				}
+				for _, ch := range c.dir {
+					for k, p := range ch.hot {
+						kinds[p.kind]++
+						if !ch.side[k].g.sparseOK {
+							wide++
+						}
 					}
 				}
-			}
-			for i, h := range tc.headers(es, 7) {
-				got, _, ok := c.Lookup(h, 0)
-				var ref *Entry
-				for _, e := range es {
-					if bitvec.Covers(e.Key, e.Mask, h) {
-						ref = e
-						break
+				for i, h := range tc.headers(es, 7) {
+					got, _, ok := c.Lookup(h, 0)
+					var ref *Entry
+					for _, e := range es {
+						if bitvec.Covers(e.Key, e.Mask, h) {
+							ref = e
+							break
+						}
+					}
+					if got != ref || ok != (ref != nil) {
+						t.Fatalf("scan %d, header %d %s: lookup %v, brute force %v", scan, i, h.Format(tc.l), got, ref)
 					}
 				}
-				if got != ref || ok != (ref != nil) {
-					t.Fatalf("header %d %s: lookup %v, brute force %v", i, h.Format(tc.l), got, ref)
+				s := c.Stats()
+				if got := [2]uint64{s.Probes, s.StageSkips}; got != want[tc.name][scan] {
+					t.Errorf("scan %d, %d masks: probes, skips = %v, want %v", scan, c.MaskCount(), got, want[tc.name][scan])
 				}
-			}
-			s := c.Stats()
-			if got := [2]uint64{s.Probes, s.StageSkips}; got != want[tc.name] {
-				t.Errorf("%d masks: probes, skips = %v, want %v", c.MaskCount(), got, want[tc.name])
 			}
 		})
 	}
@@ -244,8 +248,11 @@ func TestScanCountPins(t *testing.T) {
 
 // TestGroupFootprint guards the one-page groups an attack spawns by the
 // thousand: a group stays in its 288-byte size class, and an Insert that
-// creates a new one-entry group makes a fixed number of allocations. A
-// slot-table layout that made small groups pay for large ones fails here.
+// creates a new one-entry group makes a fixed number of allocations,
+// eight of them the pruning index's: the three tree nodes on its path and
+// their child arrays, the group-id table's directory and the published
+// view. A slot-table layout that made small groups pay for large ones
+// fails here.
 func TestGroupFootprint(t *testing.T) {
 	if n := unsafe.Sizeof(group{}); n > 288 {
 		t.Errorf("group is %d bytes, want <= 288", n)
@@ -261,8 +268,8 @@ func TestGroupFootprint(t *testing.T) {
 		}
 		next++
 	})
-	if allocs != 14 {
-		t.Errorf("Insert of a new one-entry group: %v allocations, want 14", allocs)
+	if allocs != 22 {
+		t.Errorf("Insert of a new one-entry group: %v allocations, want 22", allocs)
 	}
 }
 

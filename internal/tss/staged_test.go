@@ -13,8 +13,8 @@ import (
 // and an unstaged classifier (same order option), returning both plus the
 // accepted entries.
 func buildRandomPair(rng *rand.Rand, l *bitvec.Layout, order MaskOrder, n int) (staged, unstaged *Classifier, ref []*Entry) {
-	staged = New(l, Options{Order: order})
-	unstaged = New(l, Options{Order: order, DisableStagedLookup: true})
+	staged = New(l, Options{Order: order, Scan: ScanLinear})
+	unstaged = New(l, Options{Order: order, Scan: ScanUnstaged})
 	for i := 0; i < n; i++ {
 		key, mask := bitvec.NewVec(l), bitvec.NewVec(l)
 		for f := 0; f < l.NumFields(); f++ {
@@ -151,26 +151,10 @@ func refScan(sn *snapshot, h bitvec.Vec, staged bool) (*Entry, int, int) {
 	probes, skips := 0, 0
 	for _, ch := range sn.chunks {
 		for _, s := range ch.side {
-			g := s.g
 			probes++
-			var e *Entry
-			switch {
-			case !staged:
-				e = g.findMasked(h)
-			case g.sparseOK && g.solo != nil:
-				sp := &g.sparse
-				if n := sp.N(); n > 0 && h[sp.WordIndex(0)]&sp.MaskWord(0) != g.solo.Key[sp.WordIndex(0)] {
-					if n > 1 {
-						skips++
-					}
-				} else if sp.EqualKey(g.solo.Key, h) {
-					e = g.solo
-				}
-			default:
-				var skip bool
-				if e, skip = g.findMaskedStaged(h); skip {
-					skips++
-				}
+			e, skip := refProbe(s.g, h, staged)
+			if skip {
+				skips++
 			}
 			if e != nil {
 				return e, probes, skips
@@ -180,29 +164,92 @@ func refScan(sn *snapshot, h bitvec.Vec, staged bool) (*Entry, int, int) {
 	return nil, probes, skips
 }
 
+// refProbe decides one probe of g from the group alone.
+func refProbe(g *group, h bitvec.Vec, staged bool) (*Entry, bool) {
+	switch {
+	case !staged:
+		return g.findMasked(h), false
+	case g.sparseOK && g.solo != nil:
+		sp := &g.sparse
+		if n := sp.N(); n > 0 && h[sp.WordIndex(0)]&sp.MaskWord(0) != g.solo.Key[sp.WordIndex(0)] {
+			return nil, n > 1
+		}
+		if sp.EqualKey(g.solo.Key, h) {
+			return g.solo, false
+		}
+		return nil, false
+	default:
+		return g.findMaskedStaged(h)
+	}
+}
+
+// refPruned is the pruned lookup decided group by group: it probes, with
+// refProbe, every group of sn whose mask class is a candidate for h on
+// every pruned field — computed from the snapshot's candidate tables, not
+// from the tree. It returns the covering entry and the probes and skips
+// of all candidates: a pruned lookup that misses makes exactly those, one
+// that hits at most those.
+func refPruned(x *pruneIndex, sn *snapshot, h bitvec.Vec, staged bool) (*Entry, int, int) {
+	var hit *Entry
+	probes, skips := 0, 0
+	for _, ch := range sn.chunks {
+		for _, s := range ch.side {
+			cls := x.classes(s.g.mask)
+			cand := true
+			for f := range x.fields {
+				cand = cand && sn.prune.cands[f].match(h)>>cls[f]&1 == 1
+			}
+			if !cand {
+				continue
+			}
+			probes++
+			e, skip := refProbe(s.g, h, staged)
+			if skip {
+				skips++
+			}
+			if e != nil {
+				hit = e
+			}
+		}
+	}
+	return hit, probes, skips
+}
+
 // checkScan fails t unless lookupSnap's answer (e, probes, skips) for h
-// over sn equals refScan's.
+// over sn is the reference's: refScan's exactly for a linear scan
+// (ScanPruned's too on a cache of at most linearMasks masks), and for the
+// pruned one refPruned's verdict, with exactly its probes and skips on a
+// miss and at most them on a hit.
 func checkScan(t *testing.T, c *Classifier, sn *snapshot, h bitvec.Vec, e *Entry, probes, skips int) {
 	t.Helper()
+	if sn.pruned(c.opts.Scan) {
+		re, rp, rs := refPruned(c.prune, sn, h, c.staged)
+		if e != re || e == nil && (probes != rp || skips != rs) || e != nil && (probes < 1 || probes > rp || skips > rs) {
+			t.Fatalf("pruned lookup %s = (%v, %d probes, %d skips), candidate groups (%v, %d, %d)",
+				h.Format(c.layout), e, probes, skips, re, rp, rs)
+		}
+		return
+	}
 	if re, rp, rs := refScan(sn, h, c.staged); e != re || probes != rp || skips != rs {
 		t.Fatalf("lookup %s = (%v, %d probes, %d skips), group-by-group scan (%v, %d, %d)",
 			h.Format(c.layout), e, probes, skips, re, rp, rs)
 	}
 }
 
-// FuzzStagedEquivalence cross-checks a staged and an unstaged classifier
-// holding the same attack-shaped entry set on fuzzer-chosen headers, and
-// each of them against refScan. The set is scanPinCases' IPv4 families:
-// one-entry groups of one and two words, multi-entry groups staged on a
-// one-word first stage, and multi-entry one-word groups.
+// FuzzStagedEquivalence cross-checks a staged linear, an unstaged linear
+// and a pruned classifier holding the same attack-shaped entry set on
+// fuzzer-chosen headers, and each of them against its reference scan
+// (checkScan). All three return the same verdict, the two linear scans
+// the same probes, and the pruned one at most as many. The set is
+// scanPinCases' IPv4 families: one-entry groups of one and two words,
+// multi-entry groups staged on a one-word first stage, and multi-entry
+// one-word groups.
 func FuzzStagedEquivalence(f *testing.F) {
 	tc := scanPinCases[0]
 	l := tc.l
-	staged, es := tc.build(f)
-	unstaged := New(l, Options{DisableStagedLookup: true})
-	for _, fam := range tc.fams {
-		mustInsertBatch(f, unstaged, fam.entries(l, tc.src, tc.tag, tc.dp), 0)
-	}
+	staged, es := tc.build(f, ScanLinear)
+	unstaged, _ := tc.build(f, ScanUnstaged)
+	pruned, _ := tc.build(f, ScanPruned)
 	f.Add(uint64(0), uint64(0))
 	f.Add(^uint64(0), ^uint64(0))
 	f.Add(uint64(1)<<63, uint64(3))
@@ -216,8 +263,8 @@ func FuzzStagedEquivalence(f *testing.F) {
 		for b := l.Bits(); b < len(h)*64; b++ {
 			h.ClearBit(b)
 		}
-		var got [2]BatchResult
-		for i, c := range []*Classifier{staged, unstaged} {
+		var got [3]BatchResult
+		for i, c := range []*Classifier{staged, unstaged, pruned} {
 			sn := c.snap.Load()
 			e, probes, skips, ok := c.def.lookupSnap(sn, h, 0)
 			checkScan(t, c, sn, h, e, probes, skips)
@@ -229,6 +276,13 @@ func FuzzStagedEquivalence(f *testing.F) {
 		}
 		if got[0].OK && got[0].Entry.RuleName != got[1].Entry.RuleName {
 			t.Fatalf("staged hit %s, unstaged hit %s", got[0].Entry.Format(l), got[1].Entry.Format(l))
+		}
+		if got[2].OK != got[0].OK || got[2].Probes > got[0].Probes {
+			t.Fatalf("pruned (probes=%d ok=%v) vs linear (probes=%d ok=%v)",
+				got[2].Probes, got[2].OK, got[0].Probes, got[0].OK)
+		}
+		if got[0].OK && got[0].Entry.RuleName != got[2].Entry.RuleName {
+			t.Fatalf("linear hit %s, pruned hit %s", got[0].Entry.Format(l), got[2].Entry.Format(l))
 		}
 	})
 }
@@ -264,7 +318,7 @@ func TestStagedCustomBoundaries(t *testing.T) {
 // probe, so StageSkips is close to Probes.
 func TestStageSkipsCounted(t *testing.T) {
 	l := bitvec.IPv4Tuple
-	c := New(l, Options{DisableOverlapCheck: true})
+	c := New(l, Options{DisableOverlapCheck: true, Scan: ScanLinear})
 	populateDistinctMasks(c, l, 256)
 	miss := bitvec.NewVec(l)
 	sip, _ := l.FieldIndex("ip_src")
@@ -287,7 +341,7 @@ func TestStageSkipsCounted(t *testing.T) {
 	}
 	// A one-word mask has no later stage to skip: rejecting a header on
 	// its only word is a full probe, not a skip.
-	one := New(l, Options{})
+	one := New(l, Options{Scan: ScanLinear})
 	mask := bitvec.PrefixMask(l, sip, 8)
 	if err := one.Insert(&Entry{Key: bitvec.NewVec(l), Mask: mask, Action: flowtable.Drop}, 0); err != nil {
 		t.Fatal(err)

@@ -20,6 +20,15 @@
 // how the slow path's megaflow generation lets an adversary do that, and
 // package core for the attack itself.
 //
+// Observation 1 is what the linear scan (ScanLinear, ScanUnstaged) pays,
+// and the paper's cost model prices its probes. The default lookup
+// (ScanPruned) is the tuple pruning of the same TSS paper, which OVS's
+// prefix tries also implement (§7): a per-field index of the installed
+// prefix lengths and values leaves a header only the few groups that
+// could match it, so an attack-inflated cache costs a lookup a handful of
+// probes instead of thousands (prune.go). The pruned lookup returns the
+// entry the linear scan returns; only its probe count differs.
+//
 // # Concurrency: copy-on-write snapshots
 //
 // The classifier's read path is lock-free. The scan state (mask order,
@@ -27,7 +36,8 @@
 // published through an atomic pointer, the Go equivalent of OVS's RCU
 // cmap/pvector in dpcls: readers load the current snapshot and scan it
 // without synchronisation, writers build the next snapshot under a mutex
-// and publish it atomically. A retired snapshot lives until its last
+// and publish it atomically. The snapshot also carries the pruning index,
+// which a write changes by copying the tree nodes on its path. A retired snapshot lives until its last
 // in-flight reader drops it; the garbage collector plays the role of the
 // RCU grace period. Hit counters are sharded per reader handle so parallel
 // PMD workers never contend on a shared counter cache line.
@@ -41,12 +51,12 @@
 // A group's slot table is paged in 64-slot pages, and a large table's
 // page directory is split into 16-page leaves: a copy-on-write clone
 // copies the top of the directory and only the leaves and pages it
-// writes. The insert-time overlap check streams the mirror and rejects a
-// one-entry group on its inlined first mask word before any call,
-// confirming survivors exactly.
-// A sweep (DeleteWhere) compacts the mirror in one pass and rebuilds each
-// touched group's stage filters once. Stats.ProbesCopied, SlotsCopied,
-// DirCopied and OverlapCompared count that work exactly.
+// writes. The insert-time overlap check walks the pruning index, which
+// leaves only the groups whose per-field values agree with the new entry,
+// and confirms those survivors exactly. A sweep (DeleteWhere) compacts the
+// mirror in one pass and rebuilds each touched group's stage filters
+// once. Stats.ProbesCopied, SlotsCopied, DirCopied, OverlapCompared and
+// IndexCopied count that work exactly.
 package tss
 
 import (
@@ -60,7 +70,8 @@ import (
 	"tse/internal/flowtable"
 )
 
-// MaskOrder selects the order in which Lookup scans the mask list. The
+// MaskOrder selects the order in which the linear scans (ScanLinear,
+// ScanUnstaged) walk the mask list; the pruned lookup ignores it. The
 // paper's measurements (§5.4: "the flow completion time only increases half
 // as high as the number of MFC masks") correspond to the victim's mask
 // sitting at a uniformly random position in the scan, which OrderHash
@@ -78,6 +89,27 @@ const (
 	// OrderHitCount scans masks most-hit-first, re-sorted lazily. Models
 	// the OVS userspace classifier's pvector priority optimisation.
 	OrderHitCount
+)
+
+// Scan selects the lookup's probe strategy.
+type Scan int
+
+const (
+	// ScanPruned probes only the groups the tuple-pruning index leaves as
+	// candidates (prune.go), in index order; Order does not apply. Probes
+	// and StageSkips count the groups actually probed. A cache of at most
+	// linearMasks masks is scanned as under ScanLinear, which costs less
+	// than the index walk at that size. Default.
+	ScanPruned Scan = iota
+	// ScanLinear is Algorithm 1: every mask in Order, first hit wins, each
+	// probe with the staged early bail. A miss costs |M| probes — the
+	// Observation 1 cost the paper's cost model prices.
+	ScanLinear
+	// ScanUnstaged is ScanLinear with every probe the full masked
+	// hash+compare, the pre-staging behaviour. OVS has no knob for its
+	// staged lookup (lib/classifier.c); this is the ablation the
+	// equivalence tests and the stagedscan experiment measure against.
+	ScanUnstaged
 )
 
 // Entry is one megaflow: a disjoint key-mask pair with a cached action.
@@ -187,10 +219,17 @@ type group struct {
 	mask    bitvec.Vec
 	maskKey string
 	hash    uint64
-	words   []int   // nonzero word indices of mask, in order
-	hits    *uint64 // shared across copy-on-write clones
+	words   []int      // nonzero word indices of mask, in order
+	meta    *groupMeta // shared across copy-on-write clones
 
 	leaves [][][]slot // two-level table: leaves of leafPages pages, else nil
+}
+
+// groupMeta is what a group's copy-on-write clones share: the hit counter
+// and the group's id in the pruning index.
+type groupMeta struct {
+	hits uint64
+	id   uint32
 }
 
 // copyLedger is the classifier's count of what copy-on-write clones copy:
@@ -258,7 +297,7 @@ func newGroup(mask bitvec.Vec, maskKey string, stages []int) *group {
 		maskKey: maskKey,
 		hash:    mask.Hash(),
 		words:   mask.NonzeroWords(),
-		hits:    new(uint64),
+		meta:    new(groupMeta),
 	}
 	g.alloc(minSlotBits)
 	g.sparse, g.sparseOK = bitvec.NewSparseMask(mask)
@@ -633,32 +672,32 @@ type Stats struct {
 	// it by exactly one — the amortisation the batched slow path exists
 	// for.
 	Publishes uint64
-	// ProbesCopied, SlotsCopied, DirCopied and OverlapCompared are the
-	// writer's work ledger, counted under the writer lock and never on the
-	// lookup path: probe records copied into published snapshots, group
-	// slots copied by copy-on-write clones, slot-table directory entries
-	// copied by those clones and their first writes, and entries passed to
-	// the full bitvec.Overlap by the insert-time overlap check. Unlike
-	// timings they repeat exactly, so tests pin them.
-	ProbesCopied, SlotsCopied, DirCopied, OverlapCompared uint64
+	// ProbesCopied, SlotsCopied, DirCopied, OverlapCompared and
+	// IndexCopied are the writer's work ledger, counted under the writer
+	// lock and never on the lookup path: probe records copied into
+	// published snapshots, group slots copied by copy-on-write clones,
+	// slot-table directory entries copied by those clones and their first
+	// writes, entries passed to the full bitvec.Overlap by the insert-time
+	// overlap check, and pruning-index nodes copied by writes (a tree node
+	// a snapshot shares, or a field's candidate table rebuilt at publish).
+	// Unlike timings they repeat exactly, so tests pin them.
+	ProbesCopied, SlotsCopied, DirCopied, OverlapCompared, IndexCopied uint64
 }
 
 // Options configures a Classifier.
 type Options struct {
 	// Order selects the mask scan order (default OrderHash).
 	Order MaskOrder
-	// DisableOverlapCheck skips the O(|C|) independence verification on
-	// Insert. The vswitch megaflow generator guarantees disjointness by
+	// DisableOverlapCheck skips the independence verification on Insert.
+	// The vswitch megaflow generator guarantees disjointness by
 	// construction, so its pipeline may disable the check; tests and
-	// direct users keep it on.
+	// direct users keep it on. Over overlapping entries a linear scan
+	// returns the first covering entry in Order, the pruned lookup one of
+	// the covering entries.
 	DisableOverlapCheck bool
-	// DisableStagedLookup turns off the staged per-probe early bail and
-	// makes every probe the full masked hash+compare, the pre-staging
-	// behaviour. The OVS counterpart is the classifier's staged lookup
-	// (lib/classifier.c): OVS has no knob for it, but disabling it here
-	// is what the staged-vs-unstaged ablation and the equivalence tests
-	// measure against.
-	DisableStagedLookup bool
+	// Scan selects how a lookup finds the groups it probes (default
+	// ScanPruned).
+	Scan Scan
 	// Stages overrides the staged-lookup word boundaries (ascending,
 	// final element = layout words). nil derives them from the layout's
 	// field names (metadata → L2 → L3 → L4, bitvec.Layout.StageBoundaries),
@@ -705,6 +744,7 @@ type Classifier struct {
 	opts   Options
 	stages []int // staged-lookup word boundaries; nil = staging off
 	staged bool
+	prune  *pruneIndex
 
 	snap  atomic.Pointer[snapshot]
 	dirty atomic.Bool // OrderHitCount needs re-sort
@@ -728,6 +768,7 @@ type snapshot struct {
 	chunks []records
 	masks  int
 	nEntry int
+	prune  *pruneView
 }
 
 // Probe record kinds: what the scan can decide about a group from its
@@ -802,12 +843,13 @@ func New(l *bitvec.Layout, opts Options) *Classifier {
 		layout: l,
 		byMask: make(map[string]*group),
 		opts:   opts,
+		prune:  newPruneIndex(l),
 	}
 	bounds := opts.Stages
 	if bounds == nil {
 		bounds = l.StageBoundaries()
 	}
-	if !opts.DisableStagedLookup && len(bounds) > 1 {
+	if opts.Scan != ScanUnstaged && len(bounds) > 1 {
 		c.stages = bounds
 		c.staged = true
 	}
@@ -819,7 +861,8 @@ func New(l *bitvec.Layout, opts Options) *Classifier {
 // Layout returns the classifier's header layout.
 func (c *Classifier) Layout() *bitvec.Layout { return c.layout }
 
-// Staged reports whether the staged per-probe early bail is active.
+// Staged reports whether the staged per-probe early bail is active (every
+// scan but ScanUnstaged, on a layout with more than one stage).
 func (c *Classifier) Staged() bool { return c.staged }
 
 // NewHandle returns a reader handle with a private statistics shard.
@@ -849,20 +892,23 @@ func (hd *Handle) Lookup(h bitvec.Vec, now int64) (*Entry, int, bool) {
 	return e, probes, ok
 }
 
-// lookupSnap runs Algorithm 1 over one snapshot: for M ∈ M, look up
-// (h AND M) in H_M; first hit wins. Each probe runs fused over the mask's
-// nonzero words (no scratch vector, no allocation), with the staged early
-// bail skipping most of that work for non-matching masks. Hit accounting
-// is atomic so any number of readers may run concurrently; scan
-// statistics go to the handle's private shard.
+// lookupSnap classifies h over one snapshot: the pruned lookup, or
+// Algorithm 1 — for M ∈ M, look up (h AND M) in H_M; first hit wins. Each
+// probe runs fused over the mask's nonzero words (no scratch vector, no
+// allocation), with the staged early bail skipping most of that work for
+// non-matching masks. Hit accounting is atomic so any number of readers
+// may run concurrently; scan statistics go to the handle's private shard.
 func (hd *Handle) lookupSnap(sn *snapshot, h bitvec.Vec, now int64) (*Entry, int, int, bool) {
 	c := hd.c
 	var e *Entry
 	var g *group
 	probes, skips := 0, 0
-	if c.staged {
+	switch {
+	case sn.pruned(c.opts.Scan):
+		e, g, probes, skips = sn.scanPruned(h, c.staged)
+	case c.staged:
 		e, g, probes, skips = sn.scanStaged(h)
-	} else {
+	default:
 		e, g, probes = sn.scanUnstaged(h)
 	}
 	sh := hd.sh
@@ -872,7 +918,7 @@ func (hd *Handle) lookupSnap(sn *snapshot, h bitvec.Vec, now int64) (*Entry, int
 	} else {
 		atomic.AddUint64(&e.Hits, 1)
 		atomic.StoreInt64(&e.LastUsed, now)
-		atomic.AddUint64(g.hits, 1)
+		atomic.AddUint64(&g.meta.hits, 1)
 		if c.opts.Order == OrderHitCount {
 			c.dirty.Store(true)
 		}
@@ -957,26 +1003,46 @@ func (sn *snapshot) scanStaged(h bitvec.Vec) (*Entry, *group, int, int) {
 	return nil, nil, base, skips
 }
 
-// scanUnstaged is the scan with staging off (Options.DisableStagedLookup):
-// every probe is the full masked hash through the group. A one-entry group
-// decides on its fingerprint; only a match (or a 2^-64 collision) touches
-// the entry itself.
+// scanUnstaged is the scan with staging off (ScanUnstaged): every probe is
+// the full masked hash through the group.
 func (sn *snapshot) scanUnstaged(h bitvec.Vec) (*Entry, *group, int) {
 	probes := 0
 	for _, ch := range sn.chunks {
 		for _, s := range ch.side {
 			probes++
-			g := s.g
-			if g.sparseOK && g.solo != nil {
-				if g.sparse.Hash(h) == g.soloFP && g.sparse.EqualKey(g.solo.Key, h) {
-					return g.solo, g, probes
-				}
-			} else if e := g.findMasked(h); e != nil {
-				return e, g, probes
+			if e, _ := s.g.probe(h, false); e != nil {
+				return e, s.g, probes
 			}
 		}
 	}
 	return nil, nil, probes
+}
+
+// probe decides one group for header h from the group itself, as the
+// linear scans decide its record. Staged, a one-entry inline group is
+// rejected on its first nonzero mask word (a skip when the mask has more)
+// and any other group takes findMaskedStaged. Unstaged, a one-entry group
+// decides on its fingerprint, so only a match (or a 2^-64 collision)
+// touches the entry, and any other group takes findMasked.
+func (g *group) probe(h bitvec.Vec, staged bool) (e *Entry, skipped bool) {
+	if !g.sparseOK || g.solo == nil {
+		if staged {
+			return g.findMaskedStaged(h)
+		}
+		return g.findMasked(h), false
+	}
+	sp := &g.sparse
+	if staged {
+		if n := sp.N(); n > 0 && h[sp.WordIndex(0)]&sp.MaskWord(0) != g.solo.Key[sp.WordIndex(0)] {
+			return nil, n > 1
+		}
+	} else if sp.Hash(h) != g.soloFP {
+		return nil, false
+	}
+	if sp.EqualKey(g.solo.Key, h) {
+		return g.solo, false
+	}
+	return nil, false
 }
 
 // BatchResult is one per-header outcome of LookupBatch.
@@ -1057,7 +1123,8 @@ func (c *Classifier) maybeResort() {
 // ErrOverlap is returned by Insert when the new entry would violate the
 // independence invariant Inv(2).
 type ErrOverlap struct {
-	// Existing is the conflicting entry already in the cache.
+	// Existing is a conflicting entry already in the cache, from the first
+	// conflicting mask group in linear-scan order.
 	Existing *Entry
 }
 
@@ -1146,6 +1213,10 @@ func (c *Classifier) insertLocked(e *Entry, now int64) error {
 		}
 	}
 	e.LastUsed = now
+	var cls [maxLevels]uint8
+	if c.prune.active {
+		cls = c.prune.classes(e.Mask)
+	}
 	if g == nil {
 		mk := string(c.keyBuf)
 		g = newGroup(e.Mask.Clone(), mk, c.stages)
@@ -1153,62 +1224,63 @@ func (c *Classifier) insertLocked(e *Entry, now int64) error {
 		c.thawed = append(c.thawed, g)
 		g.put(e)
 		c.placeLocked(g)
+		c.prune.add(g, &cls)
 	} else {
 		g, ci, k := c.mutableLocked(g)
 		g.put(e)
 		c.setProbeLocked(ci, k, g)
+	}
+	c.prune.addEntry(e.Key, &cls)
+	if !c.prune.active && c.masks > linearMasks {
+		c.prune.activate(c.dir)
 	}
 	c.nEntry++
 	c.inserted++
 	return nil
 }
 
-// findOverlapLocked returns the first existing entry, in scan order, that
-// overlaps e, or nil. It streams the writer-side probe mirror's hot array
-// the way scanStaged streams a snapshot: a one-entry inline group is
-// rejected on its inlined first mask word alone — the two entries disagree
-// on a bit both masks constrain — in a loop that calls nothing, which
-// decides nearly every group of an attack-inflated cache. Survivors count
-// in OverlapCompared and are confirmed exactly: a one- or two-word group
-// from its record (its mask constrains no other word), a wider one with
-// the full bitvec.Overlap.
+// findOverlapLocked returns an existing entry overlapping e from the
+// earliest such group in scan order, or nil. It walks the pruning tree
+// with e's overlap candidates (pruneIndex.overlapCands): a group whose
+// classes hold no value agreeing with e on the bits both masks constrain
+// cannot hold an overlapping entry. A cache too small to have built the
+// index is checked group by group. Every group checked is confirmed
+// exactly (groupOverlapLocked), so OverlapCompared counts the index's
+// survivors.
 func (c *Classifier) findOverlapLocked(e *Entry) *Entry {
-	for _, ch := range c.dir {
-		hot, side := ch.hot, ch.side
-		for k := 0; k < len(hot); k++ {
-			p := &hot[k]
-			for p.kind <= kindSoloN && (e.Key[p.idx0]^p.kw0)&e.Mask[p.idx0]&p.mw0 != 0 {
-				if k++; k == len(hot) {
-					break
-				}
-				p = &hot[k]
-			}
-			if k == len(hot) {
-				break
-			}
-			s := &side[k]
-			switch p.kind {
-			case kindSolo1:
-				c.overlapCompared++
-				return s.g.solo
-			case kindSolo2:
-				c.overlapCompared++
-				if (e.Key[p.idx1]^s.w[1])&e.Mask[p.idx1]&s.w[0] == 0 {
-					return s.g.solo
-				}
-			case kindSoloN:
-				c.overlapCompared++
-				if ex := s.g.solo; bitvec.Overlap(e.Key, e.Mask, ex.Key, ex.Mask) {
-					return ex
-				}
-			default:
-				if ex := c.groupOverlapLocked(s.g, e); ex != nil {
-					return ex
-				}
-			}
+	var first *group
+	var found *Entry
+	check := func(g *group) {
+		if ex := c.groupOverlapLocked(g, e); ex != nil && (first == nil || c.scansBeforeLocked(g, first)) {
+			first, found = g, ex
 		}
 	}
-	return nil
+	if !c.prune.active {
+		for _, ch := range c.dir {
+			for _, s := range ch.side {
+				check(s.g)
+			}
+		}
+		return found
+	}
+	v := &c.prune.view
+	cand := c.prune.overlapCands(e.Key, e.Mask)
+	v.each(v.root, 0, &cand, func(id uint32) bool {
+		check(v.groups.at(id))
+		return true
+	})
+	return found
+}
+
+// scansBeforeLocked reports whether the linear scan reaches group a before
+// group b.
+func (c *Classifier) scansBeforeLocked(a, b *group) bool {
+	if c.opts.Order == OrderHash {
+		return hashBefore(a, b.hash, b.maskKey)
+	}
+	ai, ak := c.locateLocked(a)
+	bi, bk := c.locateLocked(b)
+	return ai < bi || ai == bi && ak < bk
 }
 
 // groupOverlapLocked returns an entry of g overlapping e, or nil.
@@ -1274,11 +1346,14 @@ func (c *Classifier) Delete(key, mask bitvec.Vec) bool {
 	}
 	c.nEntry--
 	c.deleted++
+	cls := c.prune.classes(mask)
+	c.prune.removeEntry(key, &cls)
 	if g.n == 1 {
 		// The group empties: drop it without cloning it first.
 		ci, k := c.locateLocked(g)
 		delete(c.byMask, g.maskKey)
 		c.removeProbeLocked(ci, k)
+		c.prune.remove(g, &cls)
 	} else {
 		g, ci, k := c.mutableLocked(g)
 		g.remove(key)
@@ -1312,26 +1387,24 @@ func (c *Classifier) DeleteWhere(pred func(*Entry) bool) int {
 		changed := false
 		for k := range ch.hot {
 			p, s := ch.hot[k], ch.side[k]
-			// gone counts the entries of the record's group that pred
+			// victims are the keys of the record's group that pred
 			// selects. A one-entry group is its solo entry, so the
 			// attack-shaped bulk of a sweep never walks a slot table.
 			g := s.g
-			gone := 0
+			victims = victims[:0]
 			if g.solo != nil {
 				if pred(g.solo) {
-					gone = 1
+					victims = append(victims, g.solo.Key)
 				}
 			} else {
-				victims = victims[:0]
 				g.each(func(e *Entry) bool {
 					if pred(e) {
 						victims = append(victims, e.Key)
 					}
 					return true
 				})
-				gone = len(victims)
 			}
-			if gone > 0 {
+			if gone := len(victims); gone > 0 {
 				if !changed {
 					changed = true
 					if keep = ch.head(k); !ch.own {
@@ -1339,9 +1412,14 @@ func (c *Classifier) DeleteWhere(pred func(*Entry) bool) int {
 					}
 				}
 				removed += gone
+				cls := c.prune.classes(g.mask)
+				for _, key := range victims {
+					c.prune.removeEntry(key, &cls)
+				}
 				if gone == int(g.n) {
 					delete(c.byMask, g.maskKey)
 					c.masks--
+					c.prune.remove(g, &cls)
 					continue
 				}
 				g = c.thawLocked(g)
@@ -1389,6 +1467,23 @@ func (c *Classifier) MaskCount() int {
 	return c.snap.Load().masks
 }
 
+// MissProbes returns the probes a lookup of h that misses spends on the
+// current snapshot: |M| for a linear scan, the candidate groups the
+// pruning index leaves for a pruned one. The slow path stamps it on
+// verdicts whose lookup it did not see. Lock-free; records no statistics.
+func (c *Classifier) MissProbes(h bitvec.Vec) int {
+	sn := c.snap.Load()
+	if !sn.pruned(c.opts.Scan) {
+		return sn.masks
+	}
+	v := sn.prune
+	var cand [maxLevels]uint64
+	v.candidates(h, &cand)
+	n := 0
+	v.each(v.root, 0, &cand, func(uint32) bool { n++; return true })
+	return n
+}
+
 // EntryCount returns |C|, the number of installed megaflows. Lock-free
 // snapshot read.
 func (c *Classifier) EntryCount() int {
@@ -1411,7 +1506,7 @@ func (c *Classifier) Stats() Stats {
 	c.mu.Lock()
 	s.Inserted, s.Deleted, s.Publishes = c.inserted, c.deleted, c.published
 	s.ProbesCopied, s.SlotsCopied, s.DirCopied = c.probesCopied, c.copies.slots, c.copies.dir
-	s.OverlapCompared = c.overlapCompared
+	s.OverlapCompared, s.IndexCopied = c.overlapCompared, c.prune.copied
 	c.mu.Unlock()
 	return s
 }
@@ -1472,7 +1567,7 @@ func (c *Classifier) Dump(w io.Writer, l *bitvec.Layout) {
 			g := s.g
 			pos++
 			fmt.Fprintf(w, "mask %d/%d: %s (%d entries, %d hits)\n",
-				pos, sn.masks, g.mask.Format(l), g.n, atomic.LoadUint64(g.hits))
+				pos, sn.masks, g.mask.Format(l), g.n, atomic.LoadUint64(&g.meta.hits))
 			var es []*Entry
 			g.each(func(e *Entry) bool { es = append(es, snapshotEntry(e)); return true })
 			sort.Slice(es, func(a, b int) bool { return es[a].Key.Key() < es[b].Key.Key() })
@@ -1484,10 +1579,11 @@ func (c *Classifier) Dump(w io.Writer, l *bitvec.Layout) {
 	}
 }
 
-// ProbePosition returns the 1-based scan position of the given mask, or 0
-// if the mask is not present. A lookup hitting an entry under this mask
-// costs exactly this many probes; the dataplane simulator uses it to price
-// the victim's traffic.
+// ProbePosition returns the 1-based linear-scan position of the given
+// mask, or 0 if the mask is not present. A linear-scan lookup (ScanLinear,
+// ScanUnstaged) hitting an entry under this mask costs exactly this many
+// probes; the dataplane simulator uses it to price the victim's traffic.
+// A pruned lookup's probes do not depend on it.
 func (c *Classifier) ProbePosition(mask bitvec.Vec) int {
 	c.maybeResort()
 	sn := c.snap.Load()

@@ -98,9 +98,10 @@ func TestLookupEarlyExit(t *testing.T) {
 	if probes < 1 || probes > 3 {
 		t.Errorf("hit probes = %d, want 1..3", probes)
 	}
-	// A full miss costs |M| probes. (Empty a fresh classifier of the
-	// covering entries so a miss is possible: use a single entry.)
-	c2 := New(bitvec.HYP, Options{})
+	// A full miss of the linear scan costs |M| probes. (Empty a fresh
+	// classifier of the covering entries so a miss is possible: use a
+	// single entry.)
+	c2 := New(bitvec.HYP, Options{Scan: ScanLinear})
 	if err := c2.Insert(entry(bitvec.HYP, "001", flowtable.Allow), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -596,13 +597,14 @@ func TestEntryFormat(t *testing.T) {
 	}
 }
 
-// Observation 1: lookup cost grows linearly with |M|. We verify the probe
-// count (the algorithmic quantity) exactly; wall-clock linearity is
-// exercised by BenchmarkLookupMasks below and the top-level Fig. 9a bench.
+// Observation 1: the linear scan's lookup cost grows linearly with |M|. We
+// verify the probe count (the algorithmic quantity) exactly; wall-clock
+// linearity is exercised by BenchmarkLookupMasks below and the top-level
+// Fig. 9a bench.
 func TestObservation1ProbesLinear(t *testing.T) {
 	l := bitvec.IPv4Tuple
 	for _, masks := range []int{1, 4, 16, 64} {
-		c := New(l, Options{DisableOverlapCheck: true})
+		c := New(l, Options{DisableOverlapCheck: true, Scan: ScanLinear})
 		populateDistinctMasks(c, l, masks)
 		h := bitvec.NewVec(l)
 		h.SetField(l, 0, 0xffffffff) // matches nothing installed

@@ -269,11 +269,12 @@ func TestSubmitSyncMatchesInline(t *testing.T) {
 		// Fast path on swB, with the miss routed through the subsystem —
 		// the seam the async datapath uses.
 		got := swB.ProcessBatchFunc(tr.Headers[i:i+1], 0, scratch[:],
-			func(_, _ int) vswitch.Verdict {
+			func(_, probes int) vswitch.Verdict {
 				v, out := sub.SubmitSync(0, h, 0)
 				if out.Dropped() {
 					t.Fatalf("packet %d dropped by an unbounded subsystem: %v", i, out)
 				}
+				v.Probes = probes // as the datapath stamps the miss's own probes
 				return v
 			})[0]
 		if got != want {

@@ -66,9 +66,10 @@ type Verdict struct {
 	OutPort int
 	// Path records which cache layer decided.
 	Path Path
-	// Probes is the number of MFC mask probes spent (0 on a microflow
-	// hit; |M| on a slow-path fallthrough). This is the cost driver of
-	// the paper's Observation 1.
+	// Probes is the number of MFC mask probes spent: 0 on a microflow
+	// hit, and on a slow-path fallthrough the probes its missing lookup
+	// spent (|M| under tss.ScanLinear). This is the cost driver of the
+	// paper's Observation 1.
 	Probes int
 	// Rule names the flow-table rule responsible for the decision.
 	Rule string
@@ -94,6 +95,9 @@ type Config struct {
 	IdleTimeout int64
 	// Order selects the MFC mask scan order (see tss.MaskOrder).
 	Order tss.MaskOrder
+	// Scan selects the MFC lookup (see tss.Scan): the default prunes;
+	// tss.ScanLinear is the paper's O(|M|) scan the cost model prices.
+	Scan tss.Scan
 	// RevalidatorQuirk reproduces the undocumented OVS behaviour the
 	// paper found while building MFCGuard (§8): once a megaflow is
 	// deleted by the monitor, the slow path never re-installs it, so
@@ -197,7 +201,7 @@ func New(cfg Config) (*Switch, error) {
 	s := &Switch{
 		cfg:     cfg,
 		layout:  l,
-		mfc:     tss.New(l, tss.Options{Order: cfg.Order}),
+		mfc:     tss.New(l, tss.Options{Order: cfg.Order, Scan: cfg.Scan}),
 		deleted: make(map[string]bool),
 	}
 	s.tg.Store(&tableGen{table: cfg.Table, gen: gen})
@@ -244,15 +248,15 @@ func (s *Switch) mfcLookup(hd *tss.Handle, h bitvec.Vec, now int64) (*tss.Entry,
 	return s.mfc.Lookup(h, now)
 }
 
-// processFunc is Process with the slow path factored out: on a full-scan
-// miss it calls miss(i, probes) — i is the caller's index, probes the |M|
-// scan already spent — instead of classifying inline. miss == nil selects
-// the inline HandleMiss. Verdicts returned by a non-nil miss are recorded
-// verbatim and not counted here (see ProcessBatchFunc). hd optionally
-// routes MFC probes through a per-worker classifier handle.
+// processFunc is Process with the slow path factored out: on a megaflow
+// miss it calls miss(i, probes) — i is the caller's index, probes what the
+// missing lookup spent — instead of classifying inline. miss == nil
+// selects the inline slow path. Verdicts returned by a non-nil miss are
+// recorded verbatim and not counted here (see ProcessBatchFunc). hd
+// optionally routes MFC probes through a per-worker classifier handle.
 func (s *Switch) processFunc(hd *tss.Handle, i int, h bitvec.Vec, now int64, miss func(i, probes int) Verdict) Verdict {
 	if miss == nil {
-		miss = func(_, _ int) Verdict { return s.HandleMiss(h, now) }
+		miss = func(_, probes int) Verdict { return s.handleMiss(0, h, now, probes) }
 	}
 	// Layer 1: microflow cache.
 	if s.ufc != nil {
@@ -265,7 +269,8 @@ func (s *Switch) processFunc(hd *tss.Handle, i int, h bitvec.Vec, now int64, mis
 	if s.cfg.DisableMegaflow {
 		return miss(i, 0)
 	}
-	if e, probes, ok := s.mfcLookup(hd, h, now); ok {
+	e, probes, ok := s.mfcLookup(hd, h, now)
+	if ok {
 		v := Verdict{Action: e.Action, OutPort: e.OutPort, Path: PathMegaflow, Probes: probes, Rule: e.RuleName}
 		if s.ufc != nil {
 			// The cache clones internally (reusing evicted storage), so no
@@ -276,7 +281,7 @@ func (s *Switch) processFunc(hd *tss.Handle, i int, h bitvec.Vec, now int64, mis
 		return v
 	}
 	// Layer 3: slow path.
-	return miss(i, s.mfc.MaskCount())
+	return miss(i, probes)
 }
 
 // ProcessBatch classifies a batch of headers at virtual time now and
@@ -300,8 +305,8 @@ func (s *Switch) ProcessBatch(hs []bitvec.Vec, now int64, out []Verdict) []Verdi
 }
 
 // ProcessBatchFunc is ProcessBatch with the slow path factored out: when
-// miss is non-nil, a full-scan MFC miss on hs[i] calls miss(i, probes)
-// (probes = the |M| scan the miss already paid) instead of classifying
+// miss is non-nil, an MFC miss on hs[i] calls miss(i, probes) (probes =
+// what the missing lookup already paid) instead of classifying
 // inline, and records the returned verdict. This is the seam the upcall
 // subsystem plugs into — the asynchronous datapath turns each miss into a
 // queued upcall here — while miss == nil selects the inline HandleMiss,
@@ -334,7 +339,7 @@ func (s *Switch) ProcessBatchOn(hd *tss.Handle, hs []bitvec.Vec, now int64, out 
 	}
 	inline := miss == nil
 	if inline {
-		miss = func(i, _ int) Verdict { return s.HandleMiss(hs[i], now) }
+		miss = func(i, probes int) Verdict { return s.handleMiss(0, hs[i], now, probes) }
 	}
 	res := s.getBatchResults(len(hs))
 	defer s.putBatchResults(res)
@@ -360,10 +365,10 @@ func (s *Switch) ProcessBatchOn(hd *tss.Handle, hs []bitvec.Vec, now int64, out 
 			}
 		}
 		if missed {
-			// The miss already paid its full scan inside LookupBatch; an
-			// inline HandleMiss re-reads the mask count, classifies, and
-			// installs, exactly as the serial path does after a Lookup
-			// miss, while an upcall handler receives the spent probes.
+			// The miss already paid its lookup inside LookupBatch; the
+			// inline slow path classifies and installs exactly as the
+			// serial path does after a Lookup miss, and both it and an
+			// upcall handler receive the spent probes.
 			out[i+hits] = miss(i+hits, res[n-1].Probes)
 		}
 		i += n
@@ -394,9 +399,17 @@ func (s *Switch) HandleMiss(h bitvec.Vec, now int64) Verdict {
 // HandleMissFrom is HandleMiss for a flow miss that arrived on ingress
 // vport port: the generated megaflow records the port (tss.Entry.Port), so
 // revalidator dumps can aggregate mask footprint and churn per port — the
-// statistic the adaptive per-port upcall quotas feed on.
+// statistic the adaptive per-port upcall quotas feed on. The verdict's
+// Probes is what a missing lookup of h spends on the current cache
+// (tss.Classifier.MissProbes: |M| under tss.ScanLinear); the fast paths
+// pass the probes their lookup actually spent instead.
 func (s *Switch) HandleMissFrom(port int, h bitvec.Vec, now int64) Verdict {
-	probes := s.mfc.MaskCount() // the miss already scanned every mask
+	return s.handleMiss(port, h, now, s.mfc.MissProbes(h))
+}
+
+// handleMiss is HandleMissFrom stamping the verdict with the probes the
+// missing lookup spent.
+func (s *Switch) handleMiss(port int, h bitvec.Vec, now int64, probes int) Verdict {
 	tg := s.tg.Load()
 	gen, genSeq := tg.gen, tg.seq
 	e := gen.Generate(h)
@@ -461,15 +474,15 @@ type Miss struct {
 // Per-miss semantics match a HandleMiss sequence — same verdicts, same
 // counter totals (Slow/Installs/Suppressed/Rejected/Conflicts and the
 // verdict partitions), same EMC priming — with two deliberate batch-grain
-// simplifications: every verdict reports the mask count at burst entry as
-// its Probes (the misses of one burst scanned essentially the same cache),
-// and all installs share the burst timestamp now (OVS likewise stamps at
-// install, not at miss arrival).
+// simplifications: every verdict reports as its Probes what its miss
+// spends on the cache at burst entry (tss.Classifier.MissProbes; the
+// misses of one burst scanned essentially the same cache), and all
+// installs share the burst timestamp now (OVS likewise stamps at install,
+// not at miss arrival).
 func (s *Switch) HandleMissBatch(ms []Miss, now int64) []Verdict {
 	if len(ms) == 0 {
 		return nil
 	}
-	probes := s.mfc.MaskCount()
 	tg := s.tg.Load()
 	gen, genSeq := tg.gen, tg.seq
 	out := make([]Verdict, len(ms))
@@ -479,7 +492,7 @@ func (s *Switch) HandleMissBatch(ms []Miss, now int64) []Verdict {
 		e.Port = m.Port
 		entries[i] = e
 		out[i] = Verdict{Action: e.Action, OutPort: e.OutPort, Path: PathSlow,
-			Probes: probes, Rule: e.RuleName}
+			Probes: s.mfc.MissProbes(m.Header), Rule: e.RuleName}
 	}
 
 	var delta Counters
