@@ -1,6 +1,6 @@
 // Package tse's top-level benchmark suite: one benchmark per evaluation
-// table/figure of the paper plus ablations for the design choices
-// DESIGN.md calls out. Run with:
+// table/figure of the paper plus ablations for the design choices the
+// README's "Hot path anatomy" section describes. Run with:
 //
 //	go test -bench=. -benchmem .
 //
@@ -267,8 +267,9 @@ func BenchmarkAltClassifiers(b *testing.B) {
 }
 
 // BenchmarkAblationOverlapCheck measures the cost of the Inv(2)
-// enforcement on insert (DESIGN.md ablation: the vswitch generator
-// guarantees disjointness, so the check is optional on its path).
+// enforcement on insert (tss.Options.DisableOverlapCheck: the vswitch
+// generator guarantees disjointness, so the check is optional on its
+// path).
 func BenchmarkAblationOverlapCheck(b *testing.B) {
 	for _, check := range []bool{true, false} {
 		b.Run(fmt.Sprintf("check=%v", check), func(b *testing.B) {
@@ -290,20 +291,20 @@ func BenchmarkAblationOverlapCheck(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMaskOrder compares the victim's lookup cost under
-// attack across mask scan orders (DESIGN.md ablation: OVS's hit-count
-// sorting rescues a hot victim flow; hash order models the paper's
-// measured m/2 average).
+// BenchmarkAblationMaskOrder compares the victim's linear-scan lookup
+// cost under attack across mask scan orders (the README's lookup knob
+// table: hash order models the paper's measured m/2 average, insertion
+// order keeps the first-installed victim mask at the front).
 func BenchmarkAblationMaskOrder(b *testing.B) {
 	orders := map[string]tss.MaskOrder{
 		"hash":      tss.OrderHash,
 		"insertion": tss.OrderInsertion,
-		"hitcount":  tss.OrderHitCount,
 	}
 	for name, order := range orders {
 		b.Run(name, func(b *testing.B) {
 			tbl := flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{})
-			sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true, Order: order})
+			sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true,
+				Order: order, Scan: tss.ScanLinear})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -311,10 +312,6 @@ func BenchmarkAblationMaskOrder(b *testing.B) {
 			sw.Process(victim, 0)
 			tr, _ := core.CoLocated(tbl, core.CoLocatedOptions{})
 			core.Replay(sw, tr, 0)
-			// Warm the hit-count order.
-			for i := 0; i < 100; i++ {
-				sw.MFC().Lookup(victim, 0)
-			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -160,7 +160,7 @@ func fresh(e *Entry, a flowtable.Action) *Entry {
 // probe counts under a linear scan, and snapshot isolation — a snapshot
 // loaded before a run of writes answers exactly as it did, so
 // copy-on-write never mutates anything a reader can still see. The first
-// byte picks the scan: pruned, staged linear or unstaged linear. Every
+// byte picks the scan, pruned or linear (bit 3), and the order (bit 0). Every
 // lookup is also checked against its group-by-group reference over the
 // same snapshot (checkScan), so a probe record that drifts from its group
 // fails here, and after every write the pruning index must describe the
@@ -185,10 +185,7 @@ func FuzzClassifierOps(f *testing.F) {
 			ref.order = OrderInsertion
 		}
 		scan := ScanPruned
-		switch {
-		case cfg&2 != 0:
-			scan = ScanUnstaged
-		case cfg&8 != 0:
+		if cfg&8 != 0 {
 			scan = ScanLinear
 		}
 		c := New(l, Options{Order: ref.order, Scan: scan})

@@ -3,7 +3,6 @@ package tss
 import (
 	"slices"
 	"sort"
-	"sync/atomic"
 )
 
 // chunkCap is the capacity of one probe-mirror chunk. The mirror is a
@@ -34,18 +33,6 @@ func (r records) clone(extra int) records {
 		hot:  append(make([]scanProbe, 0, n+extra), r.hot...),
 		side: append(make([]probeSide, 0, n+extra), r.side...),
 	}
-}
-
-// byHits orders records by descending group hit count (OrderHitCount).
-type byHits records
-
-func (r byHits) Len() int { return len(r.hot) }
-func (r byHits) Less(i, j int) bool {
-	return atomic.LoadUint64(&r.side[i].g.meta.hits) > atomic.LoadUint64(&r.side[j].g.meta.hits)
-}
-func (r byHits) Swap(i, j int) {
-	r.hot[i], r.hot[j] = r.hot[j], r.hot[i]
-	r.side[i], r.side[j] = r.side[j], r.side[i]
 }
 
 // chunk is one writer-side piece of the probe mirror, in scan order.
@@ -119,7 +106,7 @@ func (c *Classifier) endLocked() (ci, k int) {
 
 // locateLocked returns the mirror position of g, which must be installed:
 // a binary search under OrderHash, a walk comparing group pointers under
-// the other (ablation) orders.
+// OrderInsertion.
 func (c *Classifier) locateLocked(g *group) (ci, k int) {
 	if c.opts.Order == OrderHash {
 		return c.searchLocked(g.hash, g.maskKey)

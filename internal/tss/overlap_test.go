@@ -170,16 +170,16 @@ func TestOverlapCheckExact(t *testing.T) {
 
 // TestOverlapCheckFindsFirstInScanOrder: when several groups overlap the
 // new entry, Existing comes from the earliest in scan order, across every
-// order and with staging on or off.
+// order and under the pruned and the linear scan.
 func TestOverlapCheckFindsFirstInScanOrder(t *testing.T) {
 	l := bitvec.IPv4Tuple
 	dip, _ := l.FieldIndex("ip_dst")
 	for _, order := range []MaskOrder{OrderHash, OrderInsertion} {
-		for _, unstaged := range []bool{false, true} {
-			t.Run(fmt.Sprintf("order=%d/unstaged=%v", order, unstaged), func(t *testing.T) {
+		for _, linear := range []bool{false, true} {
+			t.Run(fmt.Sprintf("order=%d/linear=%v", order, linear), func(t *testing.T) {
 				scan := ScanPruned
-				if unstaged {
-					scan = ScanUnstaged
+				if linear {
+					scan = ScanLinear
 				}
 				c := New(l, Options{Order: order, Scan: scan})
 				mustInsertBatch(t, c, attackEntries(l, 300), 0)

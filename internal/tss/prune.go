@@ -195,7 +195,7 @@ func (v *pruneView) each(n *inode, d int, cand *[maxLevels]uint64, f func(uint32
 // candidate classes per level from the published tables, then a walk of
 // the candidate groups, each probed as the linear scans probe it. Probes
 // and skips count the groups actually probed.
-func (sn *snapshot) scanPruned(h bitvec.Vec, staged bool) (e *Entry, g *group, probes, skips int) {
+func (sn *snapshot) scanPruned(h bitvec.Vec) (e *Entry, g *group, probes, skips int) {
 	v := sn.prune
 	var cand [maxLevels]uint64
 	v.candidates(h, &cand)
@@ -203,7 +203,7 @@ func (sn *snapshot) scanPruned(h bitvec.Vec, staged bool) (e *Entry, g *group, p
 		probes++
 		g = v.groups.at(id)
 		var skip bool
-		if e, skip = g.probe(h, staged); skip {
+		if e, skip = g.probe(h); skip {
 			skips++
 		}
 		return e == nil

@@ -9,12 +9,11 @@ import (
 	"tse/internal/flowtable"
 )
 
-// buildRandomPair grows the same random disjoint entry set into a staged
-// and an unstaged classifier (same order option), returning both plus the
-// accepted entries.
-func buildRandomPair(rng *rand.Rand, l *bitvec.Layout, order MaskOrder, n int) (staged, unstaged *Classifier, ref []*Entry) {
-	staged = New(l, Options{Order: order, Scan: ScanLinear})
-	unstaged = New(l, Options{Order: order, Scan: ScanUnstaged})
+// buildRandom grows a random disjoint entry set into a staged linear-scan
+// classifier under order, returning it with the accepted entries.
+func buildRandom(rng *rand.Rand, l *bitvec.Layout, order MaskOrder, n int) (*Classifier, []*Entry) {
+	c := New(l, Options{Order: order, Scan: ScanLinear})
+	var ref []*Entry
 	for i := 0; i < n; i++ {
 		key, mask := bitvec.NewVec(l), bitvec.NewVec(l)
 		for f := 0; f < l.NumFields(); f++ {
@@ -26,19 +25,12 @@ func buildRandomPair(rng *rand.Rand, l *bitvec.Layout, order MaskOrder, n int) (
 				}
 			}
 		}
-		a := flowtable.Action(rng.Intn(2))
-		e1 := &Entry{Key: key, Mask: mask, Action: a, RuleName: fmt.Sprintf("r%d", i)}
-		e2 := &Entry{Key: key.Clone(), Mask: mask.Clone(), Action: a, RuleName: e1.RuleName}
-		err1 := staged.Insert(e1, 0)
-		err2 := unstaged.Insert(e2, 0)
-		if (err1 == nil) != (err2 == nil) {
-			panic("staged and unstaged classifiers disagree on insert acceptance")
-		}
-		if err1 == nil {
-			ref = append(ref, e1)
+		e := &Entry{Key: key, Mask: mask, Action: flowtable.Action(rng.Intn(2)), RuleName: fmt.Sprintf("r%d", i)}
+		if c.Insert(e, 0) == nil {
+			ref = append(ref, e)
 		}
 	}
-	return staged, unstaged, ref
+	return c, ref
 }
 
 func randomHeader(rng *rand.Rand, l *bitvec.Layout) bitvec.Vec {
@@ -51,22 +43,19 @@ func randomHeader(rng *rand.Rand, l *bitvec.Layout) bitvec.Vec {
 	return h
 }
 
-// TestStagedLookupEquivalence is the staged-vs-unstaged property: for
-// randomized rule/mask/priority sets under all three mask orders, the
-// staged lookup returns the identical entry, the identical probe count,
-// and identical hit accounting as the unstaged full probe. Headers are a
-// mix of uniform random (mostly misses) and per-entry near-matches
-// (guaranteed hits plus single-bit-flip near-misses that stress the stage
-// filters' late stages).
+// TestStagedLookupEquivalence checks the staged linear scan against brute
+// force: for randomized rule/mask sets under both mask orders, a lookup
+// returns the first entry covering the header in ProbePosition order, with
+// that position as its probe count (|M| on a miss), and the hit accounting
+// matches. Headers are a mix of uniform random (mostly misses) and
+// per-entry near-matches (guaranteed hits plus single-bit-flip near-misses
+// that stress the stage filters' late stages).
 func TestStagedLookupEquivalence(t *testing.T) {
 	for _, l := range []*bitvec.Layout{bitvec.IPv4Tuple, bitvec.IPv6Tuple} {
-		for _, order := range []MaskOrder{OrderHash, OrderInsertion, OrderHitCount} {
+		for _, order := range []MaskOrder{OrderHash, OrderInsertion} {
 			t.Run(fmt.Sprintf("%s/order=%d", l, order), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(42 + int64(order)))
-				staged, unstaged, ref := buildRandomPair(rng, l, order, 200)
-				if !staged.Staged() || unstaged.Staged() {
-					t.Fatal("staging flags wrong way round")
-				}
+				c, ref := buildRandom(rng, l, order, 200)
 				var headers []bitvec.Vec
 				for i := 0; i < 400; i++ {
 					headers = append(headers, randomHeader(rng, l))
@@ -93,47 +82,51 @@ func TestStagedLookupEquivalence(t *testing.T) {
 						headers = append(headers, nm)
 					}
 				}
+				hits := map[*Entry]uint64{}
+				var want Stats
 				for i, h := range headers {
-					now := int64(i)
-					e1, p1, ok1 := staged.Lookup(h, now)
-					e2, p2, ok2 := unstaged.Lookup(h, now)
-					if ok1 != ok2 || p1 != p2 {
-						t.Fatalf("header %d: staged (probes=%d ok=%v) vs unstaged (probes=%d ok=%v)",
-							i, p1, ok1, p2, ok2)
-					}
-					if ok1 {
-						if !e1.Key.Equal(e2.Key) || !e1.Mask.Equal(e2.Mask) ||
-							e1.Action != e2.Action || e1.RuleName != e2.RuleName {
-							t.Fatalf("header %d: staged hit %s, unstaged hit %s",
-								i, e1.Format(l), e2.Format(l))
+					var first *Entry
+					pos := c.MaskCount()
+					for _, e := range ref {
+						if !bitvec.Covers(e.Key, e.Mask, h) {
+							continue
+						}
+						if p := c.ProbePosition(e.Mask); first == nil || p < pos {
+							first, pos = e, p
 						}
 					}
+					e, probes, ok := c.Lookup(h, int64(i))
+					if e != first || ok != (first != nil) || probes != pos {
+						t.Fatalf("header %d %s: lookup (%v, %d probes), brute force (%v, %d probes)",
+							i, h.Format(l), e, probes, first, pos)
+					}
+					want.Lookups++
+					want.Probes += uint64(probes)
+					if ok {
+						hits[e]++
+						want.Hits++
+					} else {
+						want.Misses++
+					}
 				}
-				// Hit accounting: scan statistics agree except StageSkips
-				// (which only the staged classifier records)...
-				s1, s2 := staged.Stats(), unstaged.Stats()
-				s1.StageSkips, s2.StageSkips = 0, 0
-				if s1 != s2 {
-					t.Fatalf("stats diverge: staged %+v, unstaged %+v", s1, s2)
+				// Hit accounting: the scan statistics and the dumped
+				// per-entry hit counters agree with the lookups above.
+				s := c.Stats()
+				if got := (Stats{Lookups: s.Lookups, Hits: s.Hits, Misses: s.Misses, Probes: s.Probes}); got != want {
+					t.Fatalf("stats %+v, want %+v", got, want)
 				}
-				// ...and per-entry hit counters agree entry for entry.
-				d1, d2 := staged.Entries(), unstaged.Entries()
-				if len(d1) != len(d2) {
-					t.Fatalf("entry dumps: %d vs %d entries", len(d1), len(d2))
+				byKey := map[string]uint64{}
+				for e, n := range hits {
+					byKey[e.Key.Key()+"|"+e.Mask.Key()] = n
 				}
-				hits1 := map[string]uint64{}
-				for _, e := range d1 {
-					hits1[e.Key.Key()+"|"+e.Mask.Key()] = e.Hits
-				}
-				for _, e := range d2 {
-					if got := hits1[e.Key.Key()+"|"+e.Mask.Key()]; got != e.Hits {
-						t.Fatalf("entry %s: staged hits %d, unstaged %d",
-							e.Format(l), got, e.Hits)
+				for _, e := range c.Entries() {
+					if got := byKey[e.Key.Key()+"|"+e.Mask.Key()]; got != e.Hits {
+						t.Fatalf("entry %s: %d hits dumped, %d looked up", e.Format(l), e.Hits, got)
 					}
 				}
 				// The attack-shaped misses above must actually exercise the
 				// early bail, or this test proves nothing about staging.
-				if staged.Staged() && staged.Stats().StageSkips == 0 && l == bitvec.IPv4Tuple {
+				if s.StageSkips == 0 && l == bitvec.IPv4Tuple {
 					t.Error("staged classifier recorded no stage skips")
 				}
 			})
@@ -145,14 +138,14 @@ func TestStagedLookupEquivalence(t *testing.T) {
 // alone: it walks sn's groups in scan order and decides each probe by
 // dereferencing the group — a one-entry inline-mask group on its first
 // nonzero mask word and then its whole key, any other group through
-// findMaskedStaged (findMasked with staging off). It returns the verdict,
-// the probe count and the stage-skip count.
-func refScan(sn *snapshot, h bitvec.Vec, staged bool) (*Entry, int, int) {
+// findMaskedStaged. It returns the verdict, the probe count and the
+// stage-skip count.
+func refScan(sn *snapshot, h bitvec.Vec) (*Entry, int, int) {
 	probes, skips := 0, 0
 	for _, ch := range sn.chunks {
 		for _, s := range ch.side {
 			probes++
-			e, skip := refProbe(s.g, h, staged)
+			e, skip := refProbe(s.g, h)
 			if skip {
 				skips++
 			}
@@ -165,22 +158,18 @@ func refScan(sn *snapshot, h bitvec.Vec, staged bool) (*Entry, int, int) {
 }
 
 // refProbe decides one probe of g from the group alone.
-func refProbe(g *group, h bitvec.Vec, staged bool) (*Entry, bool) {
-	switch {
-	case !staged:
-		return g.findMasked(h), false
-	case g.sparseOK && g.solo != nil:
-		sp := &g.sparse
-		if n := sp.N(); n > 0 && h[sp.WordIndex(0)]&sp.MaskWord(0) != g.solo.Key[sp.WordIndex(0)] {
-			return nil, n > 1
-		}
-		if sp.EqualKey(g.solo.Key, h) {
-			return g.solo, false
-		}
-		return nil, false
-	default:
+func refProbe(g *group, h bitvec.Vec) (*Entry, bool) {
+	if !g.sparseOK || g.solo == nil {
 		return g.findMaskedStaged(h)
 	}
+	sp := &g.sparse
+	if n := sp.N(); n > 0 && h[sp.WordIndex(0)]&sp.MaskWord(0) != g.solo.Key[sp.WordIndex(0)] {
+		return nil, n > 1
+	}
+	if sp.EqualKey(g.solo.Key, h) {
+		return g.solo, false
+	}
+	return nil, false
 }
 
 // refPruned is the pruned lookup decided group by group: it probes, with
@@ -189,7 +178,7 @@ func refProbe(g *group, h bitvec.Vec, staged bool) (*Entry, bool) {
 // from the tree. It returns the covering entry and the probes and skips
 // of all candidates: a pruned lookup that misses makes exactly those, one
 // that hits at most those.
-func refPruned(x *pruneIndex, sn *snapshot, h bitvec.Vec, staged bool) (*Entry, int, int) {
+func refPruned(x *pruneIndex, sn *snapshot, h bitvec.Vec) (*Entry, int, int) {
 	var hit *Entry
 	probes, skips := 0, 0
 	for _, ch := range sn.chunks {
@@ -203,7 +192,7 @@ func refPruned(x *pruneIndex, sn *snapshot, h bitvec.Vec, staged bool) (*Entry, 
 				continue
 			}
 			probes++
-			e, skip := refProbe(s.g, h, staged)
+			e, skip := refProbe(s.g, h)
 			if skip {
 				skips++
 			}
@@ -223,32 +212,31 @@ func refPruned(x *pruneIndex, sn *snapshot, h bitvec.Vec, staged bool) (*Entry, 
 func checkScan(t *testing.T, c *Classifier, sn *snapshot, h bitvec.Vec, e *Entry, probes, skips int) {
 	t.Helper()
 	if sn.pruned(c.opts.Scan) {
-		re, rp, rs := refPruned(c.prune, sn, h, c.staged)
+		re, rp, rs := refPruned(c.prune, sn, h)
 		if e != re || e == nil && (probes != rp || skips != rs) || e != nil && (probes < 1 || probes > rp || skips > rs) {
 			t.Fatalf("pruned lookup %s = (%v, %d probes, %d skips), candidate groups (%v, %d, %d)",
 				h.Format(c.layout), e, probes, skips, re, rp, rs)
 		}
 		return
 	}
-	if re, rp, rs := refScan(sn, h, c.staged); e != re || probes != rp || skips != rs {
+	if re, rp, rs := refScan(sn, h); e != re || probes != rp || skips != rs {
 		t.Fatalf("lookup %s = (%v, %d probes, %d skips), group-by-group scan (%v, %d, %d)",
 			h.Format(c.layout), e, probes, skips, re, rp, rs)
 	}
 }
 
-// FuzzStagedEquivalence cross-checks a staged linear, an unstaged linear
-// and a pruned classifier holding the same attack-shaped entry set on
-// fuzzer-chosen headers, and each of them against its reference scan
-// (checkScan). All three return the same verdict, the two linear scans
-// the same probes, and the pruned one at most as many. The set is
+// FuzzStagedEquivalence cross-checks a staged linear and a pruned
+// classifier holding the same attack-shaped entry set on fuzzer-chosen
+// headers, and each of them against its reference scan (checkScan). Both
+// return the same verdict, and the pruned one makes at most as many probes
+// as the linear one. The set is
 // scanPinCases' IPv4 families: one-entry groups of one and two words,
 // multi-entry groups staged on a one-word first stage, and multi-entry
 // one-word groups.
 func FuzzStagedEquivalence(f *testing.F) {
 	tc := scanPinCases[0]
 	l := tc.l
-	staged, es := tc.build(f, ScanLinear)
-	unstaged, _ := tc.build(f, ScanUnstaged)
+	linear, es := tc.build(f, ScanLinear)
 	pruned, _ := tc.build(f, ScanPruned)
 	f.Add(uint64(0), uint64(0))
 	f.Add(^uint64(0), ^uint64(0))
@@ -263,54 +251,21 @@ func FuzzStagedEquivalence(f *testing.F) {
 		for b := l.Bits(); b < len(h)*64; b++ {
 			h.ClearBit(b)
 		}
-		var got [3]BatchResult
-		for i, c := range []*Classifier{staged, unstaged, pruned} {
+		var got [2]BatchResult
+		for i, c := range []*Classifier{linear, pruned} {
 			sn := c.snap.Load()
 			e, probes, skips, ok := c.def.lookupSnap(sn, h, 0)
 			checkScan(t, c, sn, h, e, probes, skips)
 			got[i] = BatchResult{Entry: e, Probes: probes, OK: ok}
 		}
-		if got[0].OK != got[1].OK || got[0].Probes != got[1].Probes {
-			t.Fatalf("staged (probes=%d ok=%v) vs unstaged (probes=%d ok=%v)",
-				got[0].Probes, got[0].OK, got[1].Probes, got[1].OK)
+		if got[1].OK != got[0].OK || got[1].Probes > got[0].Probes {
+			t.Fatalf("pruned (probes=%d ok=%v) vs linear (probes=%d ok=%v)",
+				got[1].Probes, got[1].OK, got[0].Probes, got[0].OK)
 		}
 		if got[0].OK && got[0].Entry.RuleName != got[1].Entry.RuleName {
-			t.Fatalf("staged hit %s, unstaged hit %s", got[0].Entry.Format(l), got[1].Entry.Format(l))
-		}
-		if got[2].OK != got[0].OK || got[2].Probes > got[0].Probes {
-			t.Fatalf("pruned (probes=%d ok=%v) vs linear (probes=%d ok=%v)",
-				got[2].Probes, got[2].OK, got[0].Probes, got[0].OK)
-		}
-		if got[0].OK && got[0].Entry.RuleName != got[2].Entry.RuleName {
-			t.Fatalf("linear hit %s, pruned hit %s", got[0].Entry.Format(l), got[2].Entry.Format(l))
+			t.Fatalf("linear hit %s, pruned hit %s", got[0].Entry.Format(l), got[1].Entry.Format(l))
 		}
 	})
-}
-
-// TestStagedCustomBoundaries exercises the Options.Stages override: word-
-// granular stages must classify identically to the derived boundaries.
-func TestStagedCustomBoundaries(t *testing.T) {
-	l := bitvec.IPv4Tuple
-	rng := rand.New(rand.NewSource(9))
-	def := New(l, Options{})
-	custom := New(l, Options{Stages: []int{1, 2}}) // same as derived for IPv4
-	degenerate := New(l, Options{Stages: []int{2}})
-	if !def.Staged() || !custom.Staged() {
-		t.Fatal("staging should be on")
-	}
-	if degenerate.Staged() {
-		t.Error("single-stage override should disable staging")
-	}
-	populateDistinctMasks(def, l, 64)
-	populateDistinctMasks(custom, l, 64)
-	for i := 0; i < 200; i++ {
-		h := randomHeader(rng, l)
-		_, p1, ok1 := def.Lookup(h, 0)
-		_, p2, ok2 := custom.Lookup(h, 0)
-		if p1 != p2 || ok1 != ok2 {
-			t.Fatalf("derived vs custom boundaries diverge: (%d,%v) vs (%d,%v)", p1, ok1, p2, ok2)
-		}
-	}
 }
 
 // TestStageSkipsCounted pins the skip accounting on the attack shape: a
@@ -351,6 +306,60 @@ func TestStageSkipsCounted(t *testing.T) {
 	}
 	if s := one.Stats(); s.Probes != 1 || s.StageSkips != 0 {
 		t.Errorf("one-word mask: %d probes, %d skips; want 1 and 0", s.Probes, s.StageSkips)
+	}
+	// A single-stage layout scans staged too: HYP2's one-word masks carry
+	// no stage filters and never count a skip. More than linearMasks masks
+	// engage the pruning index, so both scans run their own walk over
+	// every header of the layout.
+	h2 := bitvec.HYP2
+	for _, tc := range []struct {
+		scan   Scan
+		probes uint64
+	}{{ScanLinear, 1442}, {ScanPruned, 1139}} {
+		c := New(h2, Options{Scan: tc.scan})
+		rng := rand.New(rand.NewSource(5))
+		var es []*Entry
+		seen := map[string]bool{} // a repeated key and mask would refresh in place
+		for i := 0; i < 200; i++ {
+			key, mask := bitvec.NewVec(h2), bitvec.NewVec(h2)
+			for b := 0; b < h2.Bits(); b++ {
+				if rng.Intn(4) > 0 {
+					mask.SetBit(b)
+					if rng.Intn(2) == 1 {
+						key.SetBit(b)
+					}
+				}
+			}
+			if seen[key.Key()+"|"+mask.Key()] {
+				continue
+			}
+			if e := (&Entry{Key: key, Mask: mask, Action: flowtable.Drop}); c.Insert(e, 0) == nil {
+				seen[key.Key()+"|"+mask.Key()] = true
+				es = append(es, e)
+			}
+		}
+		if c.MaskCount() <= linearMasks {
+			t.Fatalf("HYP2 cache holds %d masks, want more than %d", c.MaskCount(), linearMasks)
+		}
+		for v := uint64(0); v < 1<<h2.Bits(); v++ {
+			h := bitvec.NewVec(h2)
+			h.SetField(h2, 0, v>>4)
+			h.SetField(h2, 1, v&15)
+			var ref *Entry
+			for _, e := range es {
+				if bitvec.Covers(e.Key, e.Mask, h) {
+					ref = e
+					break
+				}
+			}
+			if got, _, ok := c.Lookup(h, 0); got != ref || ok != (ref != nil) {
+				t.Fatalf("scan %d, HYP2 header %s: lookup %v, brute force %v", tc.scan, h.Format(h2), got, ref)
+			}
+		}
+		if s := c.Stats(); s.Probes != tc.probes || s.StageSkips != 0 {
+			t.Errorf("scan %d, HYP2, %d masks: %d probes, %d skips; want %d and 0",
+				tc.scan, c.MaskCount(), s.Probes, s.StageSkips, tc.probes)
+		}
 	}
 }
 

@@ -20,8 +20,8 @@
 // how the slow path's megaflow generation lets an adversary do that, and
 // package core for the attack itself.
 //
-// Observation 1 is what the linear scan (ScanLinear, ScanUnstaged) pays,
-// and the paper's cost model prices its probes. The default lookup
+// Observation 1 is what the linear scan (ScanLinear) pays, and the
+// paper's cost model prices its probes. The default lookup
 // (ScanPruned) is the tuple pruning of the same TSS paper, which OVS's
 // prefix tries also implement (§7): a per-field index of the installed
 // prefix lengths and values leaves a header only the few groups that
@@ -70,13 +70,13 @@ import (
 	"tse/internal/flowtable"
 )
 
-// MaskOrder selects the order in which the linear scans (ScanLinear,
-// ScanUnstaged) walk the mask list; the pruned lookup ignores it. The
-// paper's measurements (§5.4: "the flow completion time only increases half
-// as high as the number of MFC masks") correspond to the victim's mask
-// sitting at a uniformly random position in the scan, which OrderHash
-// models deterministically. OrderInsertion and OrderHitCount exist for
-// ablation (OVS's userspace dpcls sorts its subtables by hit count).
+// MaskOrder selects the order in which the linear scan (ScanLinear) walks
+// the mask list; the pruned lookup ignores it. The paper's measurements
+// (§5.4: "the flow completion time only increases half as high as the
+// number of MFC masks") correspond to the victim's mask sitting at a
+// uniformly random position in the scan, which OrderHash models
+// deterministically. OrderInsertion is the kernel datapath's order, which
+// Fig. 8c's scenario runs under.
 type MaskOrder int
 
 const (
@@ -86,9 +86,6 @@ const (
 	OrderHash MaskOrder = iota
 	// OrderInsertion scans masks oldest-first.
 	OrderInsertion
-	// OrderHitCount scans masks most-hit-first, re-sorted lazily. Models
-	// the OVS userspace classifier's pvector priority optimisation.
-	OrderHitCount
 )
 
 // Scan selects the lookup's probe strategy.
@@ -105,11 +102,6 @@ const (
 	// probe with the staged early bail. A miss costs |M| probes — the
 	// Observation 1 cost the paper's cost model prices.
 	ScanLinear
-	// ScanUnstaged is ScanLinear with every probe the full masked
-	// hash+compare, the pre-staging behaviour. OVS has no knob for its
-	// staged lookup (lib/classifier.c); this is the ablation the
-	// equivalence tests and the stagedscan experiment measure against.
-	ScanUnstaged
 )
 
 // Entry is one megaflow: a disjoint key-mask pair with a cached action.
@@ -197,7 +189,6 @@ type group struct {
 	slotBits uint8             // the table has 1<<slotBits slots
 	n        int32             // entries
 	solo     *Entry            // the sole entry while n == 1, else nil
-	soloFP   uint64            // solo's fingerprint
 
 	// own and cow are a multi-page clone's writer-side ownership: bit p of
 	// own is set once page p is the clone's own copy and, in a two-level
@@ -210,7 +201,7 @@ type group struct {
 
 	// stageOff are the staged-lookup slot offsets: stage s covers sparse
 	// slots [stageOff[s], stageOff[s+1]). nil (or a single effective
-	// stage) means the group probes unstaged. filters[s] is the Bloom
+	// stage) means the group probes full width. filters[s] is the Bloom
 	// filter of entry hashes accumulated through stage s (checked after
 	// every stage but the last, which the slot table itself decides).
 	stageOff []uint8
@@ -289,8 +280,8 @@ func (g *group) alloc(bits uint8) {
 }
 
 // newGroup builds an empty group for the (already cloned) mask. stages is
-// the classifier's staged-lookup word boundary list (nil when staging is
-// off).
+// the classifier's staged-lookup word boundary list (nil on a single-stage
+// layout).
 func newGroup(mask bitvec.Vec, maskKey string, stages []int) *group {
 	g := &group{
 		mask:    mask,
@@ -445,7 +436,7 @@ func (g *group) equalKey(key, h bitvec.Vec) bool {
 func keyHash(v bitvec.Vec) uint64 { return bitvec.KeyHash(v) }
 
 // findMasked returns the entry matching header h under the group's mask
-// (the one whose key equals h AND mask), or nil. This is the unstaged
+// (the one whose key equals h AND mask), or nil. This is the full-width
 // probe: hash and compare run fused over the mask's nonzero words only, so
 // no scratch vector and no allocation.
 func (g *group) findMasked(h bitvec.Vec) *Entry {
@@ -529,7 +520,7 @@ func (g *group) put(e *Entry) {
 	g.insertSlot(fp, e)
 	g.n++
 	if g.n == 1 {
-		g.solo, g.soloFP = e, fp
+		g.solo = e
 	} else {
 		g.solo = nil
 	}
@@ -631,7 +622,7 @@ func (g *group) settle() {
 				continue
 			}
 			if g.n == 1 {
-				g.solo, g.soloFP = s.e, s.fp
+				g.solo = s.e
 			}
 			g.addToFilters(s.e)
 		}
@@ -698,11 +689,6 @@ type Options struct {
 	// Scan selects how a lookup finds the groups it probes (default
 	// ScanPruned).
 	Scan Scan
-	// Stages overrides the staged-lookup word boundaries (ascending,
-	// final element = layout words). nil derives them from the layout's
-	// field names (metadata → L2 → L3 → L4, bitvec.Layout.StageBoundaries),
-	// which is what OVS's flow-struct offsets hard-code.
-	Stages []int
 }
 
 // statShard is one reader handle's private counter block, padded to a
@@ -742,12 +728,10 @@ type Classifier struct {
 	keyBuf []byte // scratch for byMask lookups: a mask's Key bytes
 	nEntry int
 	opts   Options
-	stages []int // staged-lookup word boundaries; nil = staging off
-	staged bool
+	stages []int // staged-lookup word boundaries; nil on a single-stage layout
 	prune  *pruneIndex
 
-	snap  atomic.Pointer[snapshot]
-	dirty atomic.Bool // OrderHitCount needs re-sort
+	snap atomic.Pointer[snapshot]
 
 	def      *Handle
 	shardsMu sync.Mutex
@@ -845,13 +829,10 @@ func New(l *bitvec.Layout, opts Options) *Classifier {
 		opts:   opts,
 		prune:  newPruneIndex(l),
 	}
-	bounds := opts.Stages
-	if bounds == nil {
-		bounds = l.StageBoundaries()
-	}
-	if opts.Scan != ScanUnstaged && len(bounds) > 1 {
+	// The stage boundaries are the layout's (metadata → L2 → L3 → L4),
+	// which is what OVS's flow-struct offsets hard-code.
+	if bounds := l.StageBoundaries(); len(bounds) > 1 {
 		c.stages = bounds
-		c.staged = true
 	}
 	c.def = c.NewHandle()
 	c.publishLocked()
@@ -860,10 +841,6 @@ func New(l *bitvec.Layout, opts Options) *Classifier {
 
 // Layout returns the classifier's header layout.
 func (c *Classifier) Layout() *bitvec.Layout { return c.layout }
-
-// Staged reports whether the staged per-probe early bail is active (every
-// scan but ScanUnstaged, on a layout with more than one stage).
-func (c *Classifier) Staged() bool { return c.staged }
 
 // NewHandle returns a reader handle with a private statistics shard.
 // Handles are cheap and never expire; create one per worker goroutine.
@@ -886,9 +863,7 @@ func (c *Classifier) Lookup(h bitvec.Vec, now int64) (*Entry, int, bool) {
 
 // Lookup is Classifier.Lookup recording statistics in the handle's shard.
 func (hd *Handle) Lookup(h bitvec.Vec, now int64) (*Entry, int, bool) {
-	c := hd.c
-	c.maybeResort()
-	e, probes, _, ok := hd.lookupSnap(c.snap.Load(), h, now)
+	e, probes, _, ok := hd.lookupSnap(hd.c.snap.Load(), h, now)
 	return e, probes, ok
 }
 
@@ -899,17 +874,13 @@ func (hd *Handle) Lookup(h bitvec.Vec, now int64) (*Entry, int, bool) {
 // non-matching masks. Hit accounting is atomic so any number of readers
 // may run concurrently; scan statistics go to the handle's private shard.
 func (hd *Handle) lookupSnap(sn *snapshot, h bitvec.Vec, now int64) (*Entry, int, int, bool) {
-	c := hd.c
 	var e *Entry
 	var g *group
-	probes, skips := 0, 0
-	switch {
-	case sn.pruned(c.opts.Scan):
-		e, g, probes, skips = sn.scanPruned(h, c.staged)
-	case c.staged:
+	var probes, skips int
+	if sn.pruned(hd.c.opts.Scan) {
+		e, g, probes, skips = sn.scanPruned(h)
+	} else {
 		e, g, probes, skips = sn.scanStaged(h)
-	default:
-		e, g, probes = sn.scanUnstaged(h)
 	}
 	sh := hd.sh
 	atomic.AddUint64(&sh.lookups, 1)
@@ -919,9 +890,6 @@ func (hd *Handle) lookupSnap(sn *snapshot, h bitvec.Vec, now int64) (*Entry, int
 		atomic.AddUint64(&e.Hits, 1)
 		atomic.StoreInt64(&e.LastUsed, now)
 		atomic.AddUint64(&g.meta.hits, 1)
-		if c.opts.Order == OrderHitCount {
-			c.dirty.Store(true)
-		}
 		atomic.AddUint64(&sh.hits, 1)
 	}
 	atomic.AddUint64(&sh.probes, uint64(probes))
@@ -1003,41 +971,17 @@ func (sn *snapshot) scanStaged(h bitvec.Vec) (*Entry, *group, int, int) {
 	return nil, nil, base, skips
 }
 
-// scanUnstaged is the scan with staging off (ScanUnstaged): every probe is
-// the full masked hash through the group.
-func (sn *snapshot) scanUnstaged(h bitvec.Vec) (*Entry, *group, int) {
-	probes := 0
-	for _, ch := range sn.chunks {
-		for _, s := range ch.side {
-			probes++
-			if e, _ := s.g.probe(h, false); e != nil {
-				return e, s.g, probes
-			}
-		}
-	}
-	return nil, nil, probes
-}
-
 // probe decides one group for header h from the group itself, as the
-// linear scans decide its record. Staged, a one-entry inline group is
-// rejected on its first nonzero mask word (a skip when the mask has more)
-// and any other group takes findMaskedStaged. Unstaged, a one-entry group
-// decides on its fingerprint, so only a match (or a 2^-64 collision)
-// touches the entry, and any other group takes findMasked.
-func (g *group) probe(h bitvec.Vec, staged bool) (e *Entry, skipped bool) {
+// linear scan decides its record: a one-entry inline group is rejected on
+// its first nonzero mask word (a skip when the mask has more), and any
+// other group takes findMaskedStaged.
+func (g *group) probe(h bitvec.Vec) (e *Entry, skipped bool) {
 	if !g.sparseOK || g.solo == nil {
-		if staged {
-			return g.findMaskedStaged(h)
-		}
-		return g.findMasked(h), false
+		return g.findMaskedStaged(h)
 	}
 	sp := &g.sparse
-	if staged {
-		if n := sp.N(); n > 0 && h[sp.WordIndex(0)]&sp.MaskWord(0) != g.solo.Key[sp.WordIndex(0)] {
-			return nil, n > 1
-		}
-	} else if sp.Hash(h) != g.soloFP {
-		return nil, false
+	if n := sp.N(); n > 0 && h[sp.WordIndex(0)]&sp.MaskWord(0) != g.solo.Key[sp.WordIndex(0)] {
+		return nil, n > 1
 	}
 	if sp.EqualKey(g.solo.Key, h) {
 		return g.solo, false
@@ -1064,10 +1008,6 @@ type BatchResult struct {
 // exactly equivalent, header for header, to the same sequence of Lookup
 // calls: the caller resolves the miss (out[n-1].OK == false) and re-enters
 // with the remainder of the batch.
-//
-// Under OrderHitCount the scan order re-sorts at batch boundaries rather
-// than between every pair of packets (as OVS's pvector does); OrderHash and
-// OrderInsertion are unaffected.
 func (c *Classifier) LookupBatch(hs []bitvec.Vec, now int64, out []BatchResult) int {
 	return c.def.LookupBatch(hs, now, out)
 }
@@ -1078,9 +1018,7 @@ func (hd *Handle) LookupBatch(hs []bitvec.Vec, now int64, out []BatchResult) int
 	if len(hs) == 0 {
 		return 0
 	}
-	c := hd.c
-	c.maybeResort()
-	sn := c.snap.Load()
+	sn := hd.c.snap.Load()
 	n := 0
 	for _, h := range hs {
 		e, probes, _, ok := hd.lookupSnap(sn, h, now)
@@ -1104,19 +1042,6 @@ func (hd *Handle) Stats() Stats {
 		Misses:     atomic.LoadUint64(&hd.sh.misses),
 		Probes:     atomic.LoadUint64(&hd.sh.probes),
 		StageSkips: atomic.LoadUint64(&hd.sh.stageSkips),
-	}
-}
-
-// maybeResort restores hit-count order before a read-path scan. At most
-// one reader performs the re-sort (TryLock); everyone else proceeds with
-// the current snapshot, so the read path never blocks on the writer lock.
-// OrderHash and OrderInsertion never enter it.
-func (c *Classifier) maybeResort() {
-	if c.opts.Order == OrderHitCount && c.dirty.Load() {
-		if c.mu.TryLock() {
-			c.resortLocked()
-			c.mu.Unlock()
-		}
 	}
 }
 
@@ -1312,23 +1237,6 @@ func (c *Classifier) placeLocked(g *group) {
 		ci, k = c.searchLocked(g.hash, g.maskKey)
 	}
 	c.insertProbeLocked(ci, k, g)
-	if c.opts.Order == OrderHitCount {
-		// Appended for now; the lazy resort restores the hit-count order.
-		c.dirty.Store(true)
-	}
-}
-
-// resortLocked re-sorts the OrderHitCount scan order lazily, rebuilds the
-// probe mirror, and publishes the re-ordered snapshot.
-func (c *Classifier) resortLocked() {
-	if c.opts.Order != OrderHitCount || !c.dirty.Load() {
-		return
-	}
-	recs := c.flattenLocked()
-	sort.Stable(byHits(recs))
-	c.rechunkLocked(recs)
-	c.publishLocked()
-	c.dirty.Store(false)
 }
 
 // Delete removes the entry with exactly the given key and mask. It reports
@@ -1580,12 +1488,11 @@ func (c *Classifier) Dump(w io.Writer, l *bitvec.Layout) {
 }
 
 // ProbePosition returns the 1-based linear-scan position of the given
-// mask, or 0 if the mask is not present. A linear-scan lookup (ScanLinear,
-// ScanUnstaged) hitting an entry under this mask costs exactly this many
-// probes; the dataplane simulator uses it to price the victim's traffic.
-// A pruned lookup's probes do not depend on it.
+// mask, or 0 if the mask is not present. A linear-scan lookup (ScanLinear)
+// hitting an entry under this mask costs exactly this many probes; the
+// dataplane simulator uses it to price the victim's traffic. A pruned
+// lookup's probes do not depend on it.
 func (c *Classifier) ProbePosition(mask bitvec.Vec) int {
-	c.maybeResort()
 	sn := c.snap.Load()
 	mk := mask.Key()
 	base := 0

@@ -323,7 +323,7 @@ func TestSweepThenTickSingleSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw.HandleMiss(header(0x0a000001, 40000), 0)
+	sw.HandleMissFrom(0, header(0x0a000001, 40000), 0)
 
 	rv.Sweep(5)
 	if st := rv.Stats(); st.Sweeps != 1 || st.Dumped != 1 {

@@ -1,6 +1,6 @@
 // Equivalence tests for the batched miss-to-install step: HandleMissBatch
 // must leave the switch in the same state — megaflows, counters, verdict
-// actions — as the equivalent sequence of HandleMiss calls, while paying
+// actions — as the equivalent sequence of HandleMissFrom calls, while paying
 // exactly one classifier snapshot publish per burst.
 package vswitch_test
 
@@ -82,7 +82,7 @@ func TestHandleMissBatchSuppressedAndLimited(t *testing.T) {
 	}
 	// Install then monitor-delete one megaflow: its re-install inside a
 	// burst must be suppressed by the revalidator quirk.
-	sw.HandleMiss(tr.Headers[0], 0)
+	sw.HandleMissFrom(0, tr.Headers[0], 0)
 	if n := sw.DeleteMegaflows(func(*tss.Entry) bool { return true }); n != 1 {
 		t.Fatalf("monitor deletion removed %d entries, want 1", n)
 	}

@@ -252,7 +252,7 @@ func (s *Switch) mfcLookup(hd *tss.Handle, h bitvec.Vec, now int64) (*tss.Entry,
 // miss it calls miss(i, probes) — i is the caller's index, probes what the
 // missing lookup spent — instead of classifying inline. miss == nil
 // selects the inline slow path. Verdicts returned by a non-nil miss are
-// recorded verbatim and not counted here (see ProcessBatchFunc). hd
+// recorded verbatim and not counted here (see ProcessBatchOn). hd
 // optionally routes MFC probes through a per-worker classifier handle.
 func (s *Switch) processFunc(hd *tss.Handle, i int, h bitvec.Vec, now int64, miss func(i, probes int) Verdict) Verdict {
 	if miss == nil {
@@ -297,41 +297,33 @@ func (s *Switch) processFunc(hd *tss.Handle, i int, h bitvec.Vec, now int64, mis
 // flushed once per batch. With the microflow cache enabled the layers are
 // interleaved packet by packet (EMC FIFO eviction order is part of the
 // serial semantics), which is also how OVS's emc_processing walks a burst.
-// OrderHitCount likewise falls back to the serial loop: its scan order
-// re-sorts between consecutive lookups, which a shared-lock batch cannot
-// reproduce.
 func (s *Switch) ProcessBatch(hs []bitvec.Vec, now int64, out []Verdict) []Verdict {
 	return s.ProcessBatchOn(nil, hs, now, out, nil)
 }
 
-// ProcessBatchFunc is ProcessBatch with the slow path factored out: when
-// miss is non-nil, an MFC miss on hs[i] calls miss(i, probes) (probes =
-// what the missing lookup already paid) instead of classifying
-// inline, and records the returned verdict. This is the seam the upcall
-// subsystem plugs into — the asynchronous datapath turns each miss into a
-// queued upcall here — while miss == nil selects the inline HandleMiss,
-// i.e. plain ProcessBatch.
+// ProcessBatchOn is ProcessBatch with the slow path factored out and the
+// megaflow probes routed through a per-worker classifier handle
+// (tss.Classifier.NewHandle). When miss is non-nil, an MFC miss on hs[i]
+// calls miss(i, probes) (probes = what the missing lookup already paid)
+// instead of classifying inline, and records the returned verdict. This is
+// the seam the upcall subsystem plugs into — the asynchronous datapath
+// turns each miss into a queued upcall here — while miss == nil selects
+// the inline slow path (HandleMissFrom). The PMD datapath passes each
+// worker's handle so scan statistics (probes, stage skips) accumulate in
+// per-worker shards instead of contending on shared counter cache lines;
+// hd == nil uses the classifier's default handle.
 //
 // Verdicts returned by a non-nil miss are recorded verbatim and NOT added
-// to the switch counters: an inline handler (HandleMiss) counts itself,
-// and a deferred handler's packet is counted when the upcall is eventually
-// handled — or accounted as an admission drop by the upcall subsystem.
-func (s *Switch) ProcessBatchFunc(hs []bitvec.Vec, now int64, out []Verdict, miss func(i, probes int) Verdict) []Verdict {
-	return s.ProcessBatchOn(nil, hs, now, out, miss)
-}
-
-// ProcessBatchOn is ProcessBatchFunc with the megaflow probes routed
-// through a per-worker classifier handle (tss.Classifier.NewHandle): the
-// PMD datapath passes each worker's handle so scan statistics (probes,
-// stage skips) accumulate in per-worker shards instead of contending on
-// shared counter cache lines. hd == nil uses the classifier's default
-// handle; miss == nil selects the inline slow path.
+// to the switch counters: an inline handler (HandleMissFrom) counts
+// itself, and a deferred handler's packet is counted when the upcall is
+// eventually handled — or accounted as an admission drop by the upcall
+// subsystem.
 func (s *Switch) ProcessBatchOn(hd *tss.Handle, hs []bitvec.Vec, now int64, out []Verdict, miss func(i, probes int) Verdict) []Verdict {
 	if cap(out) < len(hs) {
 		out = make([]Verdict, len(hs))
 	}
 	out = out[:len(hs)]
-	if s.ufc != nil || s.cfg.DisableMegaflow || s.cfg.Order == tss.OrderHitCount {
+	if s.ufc != nil || s.cfg.DisableMegaflow {
 		for i, h := range hs {
 			out[i] = s.processFunc(hd, i, h, now, miss)
 		}
@@ -381,25 +373,19 @@ func (s *Switch) ProcessBatchOn(hd *tss.Handle, hs []bitvec.Vec, now int64, out 
 	return out
 }
 
-// HandleMiss runs the slow path for one header at virtual time now: it
-// classifies h against the flow table, installs the resulting megaflow,
-// and primes the microflow cache. This is the reusable miss-to-install
-// step: the synchronous pipeline reaches it inline through
-// Process/ProcessBatch, and the upcall subsystem's drains call it when they
-// handle a queued flow miss — the megaflow install then goes
-// through the classifier's writer mutex and publishes the next lock-free
-// snapshot; concurrent readers keep scanning the previous one.
+// HandleMissFrom runs the slow path for one header that arrived on ingress
+// vport port at virtual time now: it classifies h against the flow table,
+// installs the resulting megaflow, and primes the microflow cache. This is
+// the reusable miss-to-install step: the synchronous pipeline reaches it
+// inline through Process/ProcessBatch, and the upcall subsystem's drains
+// call it when they handle a queued flow miss — the megaflow install then
+// goes through the classifier's writer mutex and publishes the next
+// lock-free snapshot; concurrent readers keep scanning the previous one.
 //
-// The installed megaflow is attributed to vport 0; the port-aware upcall
-// path uses HandleMissFrom.
-func (s *Switch) HandleMiss(h bitvec.Vec, now int64) Verdict {
-	return s.HandleMissFrom(0, h, now)
-}
-
-// HandleMissFrom is HandleMiss for a flow miss that arrived on ingress
-// vport port: the generated megaflow records the port (tss.Entry.Port), so
-// revalidator dumps can aggregate mask footprint and churn per port — the
-// statistic the adaptive per-port upcall quotas feed on. The verdict's
+// The generated megaflow records the port (tss.Entry.Port; 0 for
+// single-port deployments), so revalidator dumps can aggregate mask
+// footprint and churn per port — the statistic the adaptive per-port
+// upcall quotas feed on. The verdict's
 // Probes is what a missing lookup of h spends on the current cache
 // (tss.Classifier.MissProbes: |M| under tss.ScanLinear); the fast paths
 // pass the probes their lookup actually spent instead.
@@ -471,7 +457,7 @@ type Miss struct {
 // and a group or probe-mirror chunk several installs touch is copied
 // once.
 //
-// Per-miss semantics match a HandleMiss sequence — same verdicts, same
+// Per-miss semantics match a HandleMissFrom sequence — same verdicts, same
 // counter totals (Slow/Installs/Suppressed/Rejected/Conflicts and the
 // verdict partitions), same EMC priming — with two deliberate batch-grain
 // simplifications: every verdict reports as its Probes what its miss
@@ -528,7 +514,7 @@ func (s *Switch) HandleMissBatch(ms []Miss, now int64) []Verdict {
 				delta.Installs++
 				continue
 			}
-			// Same overlap triage as HandleMiss: a benign cross-generation
+			// Same overlap triage as HandleMissFrom: a benign cross-generation
 			// race is counted, anything else is a generator bug.
 			stale := s.tg.Load().seq != genSeq || s.revalPend.Load()
 			if !stale {
@@ -655,7 +641,7 @@ func (s *Switch) SwapTable(tbl *flowtable.Table) error {
 	}
 	// The mutex only serialises concurrent swappers (monotonic seq); the
 	// publication itself is the atomic store. revalPend is raised BEFORE
-	// the new generation is published: a HandleMiss that already observes
+	// the new generation is published: a slow path that already observes
 	// the new seq must also observe the pending flag, or its stale check
 	// would treat a legitimate old-generation overlap as a generator bug
 	// (the old code kept the pair consistent under one mutex section).
@@ -684,7 +670,7 @@ func (s *Switch) NeedsRevalidation() bool {
 // generation seq; it is a no-op if the table has moved on since, so a
 // sweep that raced another swap cannot mark the newer generation settled.
 // Once settled, the megaflow cache is disjoint-by-construction again and
-// an install overlap is treated as a generator bug (see HandleMiss).
+// an install overlap is treated as a generator bug (see HandleMissFrom).
 func (s *Switch) MarkRevalidated(seq uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
