@@ -32,7 +32,8 @@ type NICProfile struct {
 	// of the full masked hash+compare). <= 0 means staging off: skipped
 	// probes cost ProbeCost, preserving the paper-calibrated defaults.
 	// The `stagedscan` experiment fits this constant from the measured
-	// staged-vs-unstaged per-probe ratio of the real classifier.
+	// per-probe ratio of the classifier's staged scan to its staging-off
+	// baseline.
 	SkippedProbeCost float64
 	// MicroflowCost prices an exact-match cache hit.
 	MicroflowCost float64

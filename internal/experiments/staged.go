@@ -103,9 +103,6 @@ func scanUnstaged(recs []soloRecord, h bitvec.Vec) bool {
 	return false
 }
 
-// unstagedHit keeps the timed baseline scans observable.
-var unstagedHit bool
-
 // runStagedScan regenerates the Fig. 9a mask-vs-throughput curve with the
 // staged subtable lookup on and off. The left half of the table is
 // measured (full-miss linear scan, the TSE flood shape of one megaflow per
@@ -146,7 +143,7 @@ func runStagedScan(w io.Writer) error {
 		}
 		p := point{
 			masks:      masks,
-			unstagedNs: measureMissNs(func() { unstagedHit = scanUnstaged(recs, miss) }),
+			unstagedNs: measureMissNs(func() { scanUnstaged(recs, miss) }),
 			stagedNs:   measureMissNs(func() { staged.Lookup(miss, 0) }),
 			prunedNs:   measureMissNs(func() { pruned.Lookup(miss, 0) }),
 		}

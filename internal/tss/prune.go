@@ -193,7 +193,7 @@ func (v *pruneView) each(n *inode, d int, cand *[maxLevels]uint64, f func(uint32
 
 // scanPruned is the pruned lookup over one snapshot: the header's
 // candidate classes per level from the published tables, then a walk of
-// the candidate groups, each probed as the linear scans probe it. Probes
+// the candidate groups, each probed as the linear scan probes it. Probes
 // and skips count the groups actually probed.
 func (sn *snapshot) scanPruned(h bitvec.Vec) (e *Entry, g *group, probes, skips int) {
 	v := sn.prune
