@@ -480,13 +480,9 @@ func (w *worker) burstRun(p *Pool, hs []bitvec.Vec, idx, ports []int, now int64,
 		return
 	}
 	w.verdicts = growVerdicts(w.verdicts, len(missHs))
-	if p.up == nil {
-		p.sw.ProcessBatchOn(w.mfc, missHs, now, w.verdicts, nil)
-	} else {
-		p.sw.ProcessBatchOn(w.mfc, missHs, now, w.verdicts, func(i, probes int) vswitch.Verdict {
-			return w.miss(p, missHs[i], missPorts[i], now, probes, deferred)
-		})
-	}
+	p.sw.ProcessBatchOn(w.mfc, missHs, now, w.verdicts, func(i, probes int) vswitch.Verdict {
+		return w.miss(p, missHs[i], missPorts[i], now, probes, deferred)
+	})
 	for i, v := range w.verdicts[:len(missHs)] {
 		out[missIdx[i]] = v
 		switch v.Path {
@@ -515,10 +511,16 @@ func (w *worker) burstRun(p *Pool, hs []bitvec.Vec, idx, ports []int, now int64,
 	}
 }
 
-// miss turns one full-scan megaflow miss from ingress vport port into an
+// miss resolves one full-scan megaflow miss from ingress vport port.
+// Without an upcall subsystem it runs the slow path inline, the switch's
+// HandleMissBatch with a burst of one; with one it turns the miss into an
 // upcall, admitted against the port's queue and quota, and drains it
 // synchronously — or, deferred, returns a pending placeholder.
 func (w *worker) miss(p *Pool, h bitvec.Vec, port int, now int64, probes int, deferred bool) vswitch.Verdict {
+	if p.up == nil {
+		ms := []vswitch.Miss{{Port: port, Header: h, Probes: probes}}
+		return p.sw.HandleMissBatch(ms, now, make([]vswitch.Verdict, 1))[0]
+	}
 	v := vswitch.Verdict{Path: vswitch.PathUpcallPending, Probes: probes}
 	var o upcall.Outcome
 	if deferred {

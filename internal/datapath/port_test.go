@@ -30,7 +30,9 @@ func newPortPool(t testing.TB, workers, ports int, opts *upcall.Options) *datapa
 }
 
 // TestPortPinnedDispatch: explicit ingress ports steer every packet to the
-// port's pinned worker (port % workers) and split the counters per port.
+// port's pinned worker (port % workers) and split the counters per port,
+// and the megaflows their misses install record the ingress port, inline
+// and through drive-mode upcalls alike.
 func TestPortPinnedDispatch(t *testing.T) {
 	pool := newPortPool(t, 2, 4, nil)
 	flows := benignFlows(32)
@@ -63,6 +65,34 @@ func TestPortPinnedDispatch(t *testing.T) {
 	for i, wi := range pool.Assignments() {
 		if want := pool.WorkerFor(flows[i]); wi != want {
 			t.Fatalf("RSS packet %d on worker %d, want %d", i, wi, want)
+		}
+	}
+
+	// A co-located burst on one port installs megaflows attributed to it.
+	tr, err := core.CoLocated(pool.Switch().FlowTable(), core.CoLocatedOptions{Seed: 31})
+	if err != nil {
+		t.Fatal(err)
+	}
+	burst := tr.Headers[:32]
+	const port = 3
+	onPort := make([]int, len(burst))
+	for i := range onPort {
+		onPort[i] = port
+	}
+	for _, tc := range []struct {
+		name string
+		opts *upcall.Options
+	}{{"inline", nil}, {"drive", &upcall.Options{}}} {
+		pool := newPortPool(t, 2, 4, tc.opts)
+		pool.ProcessBatchSerialPorts(onPort, burst, 0, nil)
+		es := pool.Switch().MFC().Entries()
+		if len(es) == 0 {
+			t.Fatalf("%s: the burst installed no megaflows", tc.name)
+		}
+		for _, e := range es {
+			if e.Port != port {
+				t.Errorf("%s: megaflow %v/%v attributed to port %d, want %d", tc.name, e.Key, e.Mask, e.Port, port)
+			}
 		}
 	}
 }

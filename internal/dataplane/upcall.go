@@ -38,8 +38,9 @@ type UpcallParams struct {
 	// slow-path daemon classifies per virtual second (<= 0 = unlimited —
 	// the whole backlog drains every second). This is the saturation
 	// knob: the paper's testbed saturates ovs-vswitchd towards 50k
-	// upcalls/s (Fig. 9c). Drained upcalls resolve in bursts that share
-	// one megaflow-install transaction (upcall.Options.HandlerBurst).
+	// upcalls/s (Fig. 9c). Drained upcalls resolve through the switch's
+	// one slow path (vswitch.HandleMissBatch) in bursts that share one
+	// megaflow-install transaction (upcall.Options.HandlerBurst).
 	HandledPerSec int
 	// Faults is the optional deterministic fault schedule, threaded into
 	// the upcall subsystem (handler panics/stalls, delivery faults), the
@@ -123,7 +124,7 @@ func (up *UpcallParams) options(hub telemetry.Hub) *upcall.Options {
 func (up *UpcallParams) revalidator(sw *vswitch.Switch, sub *upcall.Subsystem, hub telemetry.Hub) (*upcall.Revalidator, error) {
 	if up.Faults != nil {
 		// Install errors are the switch's side of the fault schedule: a
-		// window during which HandleMissFrom refuses to install megaflows,
+		// window during which the slow path refuses to install megaflows,
 		// so every packet of the affected flows keeps missing.
 		sw.SetInstallFault(up.Faults.InstallErrorAt)
 	}

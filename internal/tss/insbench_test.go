@@ -51,7 +51,7 @@ func BenchmarkInsertBatchAtManyMasks(b *testing.B) {
 			seq++
 			es[j] = &Entry{Key: e.Key, Mask: e.Mask, Action: flowtable.Drop}
 		}
-		c.InsertBatch(es, 0)
+		c.InsertBatch(es, 0, nil)
 	}
 }
 

@@ -47,7 +47,7 @@ func TestInsertBatchPublishesOnce(t *testing.T) {
 	es := batchEntries(l, k)
 
 	before := c.Stats().Publishes
-	for _, err := range c.InsertBatch(es, 5) {
+	for _, err := range c.InsertBatch(es, 5, nil) {
 		if err != nil {
 			t.Fatalf("batch insert failed: %v", err)
 		}
@@ -80,7 +80,7 @@ func TestInsertBatchMatchesSerial(t *testing.T) {
 	populateDistinctMasks(serial, l, 32)
 
 	es := batchEntries(l, 24)
-	for i, err := range batched.InsertBatch(es, 7) {
+	for i, err := range batched.InsertBatch(es, 7, nil) {
 		if err != nil {
 			t.Fatalf("batch entry %d: %v", i, err)
 		}
@@ -132,7 +132,7 @@ func TestInsertBatchPartialFailure(t *testing.T) {
 	bad := &Entry{Key: bitvec.FullMask(l), Mask: bitvec.PrefixMask(l, sip, 8)}
 	es[2] = bad
 
-	errs := c.InsertBatch(es, 0)
+	errs := c.InsertBatch(es, 0, nil)
 	if errs[0] != nil || errs[3] != nil {
 		t.Fatalf("valid entries errored: %v, %v", errs[0], errs[3])
 	}
@@ -158,7 +158,7 @@ func TestInsertBatchRefresh(t *testing.T) {
 	dup := *es[0]
 	dup.RuleName = "refreshed"
 	es = append(es, &dup)
-	for i, err := range c.InsertBatch(es, 0) {
+	for i, err := range c.InsertBatch(es, 0, nil) {
 		if err != nil {
 			t.Fatalf("entry %d: %v", i, err)
 		}

@@ -59,7 +59,7 @@ func exactEntries(l *bitvec.Layout, n int) []*Entry {
 // test on any per-entry error.
 func mustInsertBatch(t testing.TB, c *Classifier, es []*Entry, now int64) {
 	t.Helper()
-	for i, err := range c.InsertBatch(es, now) {
+	for i, err := range c.InsertBatch(es, now, nil) {
 		if err != nil {
 			t.Fatalf("entry %d: %v", i, err)
 		}

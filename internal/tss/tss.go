@@ -1079,17 +1079,20 @@ func (c *Classifier) Insert(e *Entry, now int64) error {
 // commit — the pvector-republish amortisation OVS applies to megaflow
 // install bursts. A publish copies the chunk directory plus the chunks
 // written, so a K-miss burst pays for at most K chunks and one directory
-// rather than K.
+// rather than K. The errors are written into errs when it has sufficient
+// capacity (pass nil to allocate).
 //
 // Entries that fail validation or overlap an existing megaflow get their
 // error recorded and do not block the rest of the batch; the snapshot is
-// published if at least one entry landed. The returned slice is nil when
-// es is empty.
-func (c *Classifier) InsertBatch(es []*Entry, now int64) []error {
-	if len(es) == 0 {
-		return nil
+// published if at least one entry landed. An empty batch takes no lock.
+func (c *Classifier) InsertBatch(es []*Entry, now int64, errs []error) []error {
+	if cap(errs) < len(es) {
+		errs = make([]error, len(es))
 	}
-	errs := make([]error, len(es))
+	errs = errs[:len(es)]
+	if len(es) == 0 {
+		return errs
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ok := 0

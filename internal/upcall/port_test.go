@@ -142,23 +142,37 @@ func TestAdaptiveQuotaFeedback(t *testing.T) {
 
 // TestHandlerDrainPublishesOnce is the acceptance criterion at the upcall
 // layer: a drained K-miss burst installs its megaflows through exactly one
-// classifier snapshot publish.
+// classifier snapshot publish, and each verdict reports the probes its
+// miss spends on the cache at drain entry.
 func TestHandlerDrainPublishesOnce(t *testing.T) {
 	sw := newSwitch(t, flowtable.SipDp)
+	sw.Process(header(0x0a500000, 40000), 0) // a cache for the misses to scan
+	sw.Process(header(0x0a500001, 81), 0)
 	sub := newSub(t, sw, 2, upcall.Options{HandlerBurst: 16})
+	var tickets []upcall.Ticket
+	var probes []int
 	for i := 0; i < 16; i++ {
-		if _, out := sub.Submit(i%2, header(0x0a600000+uint32(i), 47400), 0); out != upcall.Enqueued {
+		h := header(0x0a600000+uint32(i), 47400)
+		tk, out := sub.Submit(i%2, h, 0)
+		if out != upcall.Enqueued {
 			t.Fatalf("submit %d: %v", i, out)
 		}
+		tickets = append(tickets, tk)
+		probes = append(probes, sw.MFC().MissProbes(h))
 	}
-	before := sw.MFC().Stats().Publishes
+	before, installs := sw.MFC().Stats().Publishes, sw.Counters().Installs
 	if n := sub.HandleN(16); n != 16 {
 		t.Fatalf("handled %d, want 16", n)
+	}
+	for i, tk := range tickets {
+		if v, ok := tk.Resolved(); !ok || v.Probes != probes[i] {
+			t.Errorf("upcall %d: verdict %+v (resolved %v), want probes %d (MissProbes at drain entry)", i, v, ok, probes[i])
+		}
 	}
 	if pubs := sw.MFC().Stats().Publishes - before; pubs != 1 {
 		t.Errorf("16-miss drain published %d snapshots, want exactly 1", pubs)
 	}
-	if got := sw.Counters().Installs; got != 16 {
+	if got := sw.Counters().Installs - installs; got != 16 {
 		t.Errorf("installs = %d, want 16", got)
 	}
 }

@@ -26,12 +26,13 @@
 //     (the TSE attacker's receive queue) from monopolising the handlers —
 //     a first-class mitigation knob alongside MFCGuard.
 //
-//   - Handler drains. HandleNAt pops the queues round-robin in bursts and
-//     resolves each burst through vswitch.HandleMissBatch; SubmitSync
-//     drains synchronously until its own upcall resolves. The drains are
-//     the handlers: they run the flow-table classification and install
-//     into the tss.Classifier through its writer lock, preserving the
-//     concurrent-reader/single-writer design of the megaflow cache.
+//   - Handler drains. HandleNAt pops the queues round-robin in bursts;
+//     SubmitSync pops one upcall at a time until its own resolves. Either
+//     way each popped burst, of one upcall or of HandlerBurst, resolves
+//     through the switch's one slow path, vswitch.HandleMissBatch. The
+//     drains are the handlers: they run the flow-table classification and
+//     install into the tss.Classifier through its writer lock, preserving
+//     the concurrent-reader/single-writer design of the megaflow cache.
 //
 //   - A revalidator (revalidator.go) that periodically dumps the megaflow
 //     cache, expires idle entries, and re-checks the survivors against the
@@ -88,12 +89,13 @@ type Options struct {
 	// overrides the value per source — the seam the adaptive controller
 	// (AdaptiveQuota, driven by the revalidator) tunes at runtime.
 	QuotaPerSource int
-	// HandlerBurst is the number of queued upcalls a handler drains and
-	// resolves as one batch: the burst shares one flow-table classification
-	// pass and ONE megaflow-install transaction (vswitch.HandleMissBatch →
-	// tss.InsertBatch), so the classifier's copy-on-write publish is paid
-	// once per burst instead of once per megaflow. <= 0 selects
-	// DefaultHandlerBurst.
+	// HandlerBurst is the number of queued upcalls a HandleN drain pops
+	// and resolves as one batch: the burst shares one flow-table
+	// classification pass and ONE megaflow-install transaction
+	// (vswitch.HandleMissBatch → tss.InsertBatch), so the classifier's
+	// copy-on-write publish is paid once per burst instead of once per
+	// megaflow. SubmitSync's drains resolve bursts of one through the same
+	// path. <= 0 selects DefaultHandlerBurst.
 	HandlerBurst int
 	// StallTimeoutSec is the virtual-tick stall-detection horizon of the
 	// modelled supervisor; <= 0 selects DefaultStallTimeoutSec.
@@ -646,6 +648,8 @@ func (u *Subsystem) HandleN(max int) int {
 	n := 0
 	burst := u.burstSize()
 	items := make([]item, 0, burst)
+	ms := make([]vswitch.Miss, burst)
+	vs := make([]vswitch.Verdict, burst)
 	for n < max {
 		size := burst
 		if left := max - n; left < size {
@@ -657,7 +661,7 @@ func (u *Subsystem) HandleN(max int) int {
 		if len(items) == 0 {
 			break
 		}
-		u.handleBatch(items)
+		u.handleBatch(items, ms, vs)
 		n += len(items)
 	}
 	return n
@@ -719,37 +723,22 @@ func (u *Subsystem) Stats() Stats {
 	return st
 }
 
-// handle resolves one upcall: the handler-side slow path. The verdict
-// comes from vswitch.HandleMissFrom — classification plus megaflow
-// install, attributed to the miss's ingress port — stamped with the miss's
-// own virtual time, exactly as the inline pipeline stamps it. The pending
-// entry is then retired and every waiter released. This is SubmitSync's
-// path; HandleN's drains batch through handleBatch instead.
-func (u *Subsystem) handle(it item) {
-	v := u.sw.HandleMissFrom(it.src, it.h, it.now)
-	u.resolve(it, v)
-}
-
-// handleBatch resolves one drained burst through the batched slow path:
-// one flow-table classification pass and ONE megaflow-install transaction
-// (single snapshot publish) for the whole burst, stamped at the burst's
-// latest miss time. Every waiter of every flow in the burst is released.
-func (u *Subsystem) handleBatch(items []item) {
-	if len(items) == 1 {
-		u.handle(items[0])
-		return
-	}
+// handleBatch resolves one drained burst — SubmitSync's single upcall or
+// up to HandlerBurst of HandleN's — through vswitch.HandleMissBatch: one
+// flow-table classification pass and ONE megaflow-install transaction
+// (single snapshot publish), stamped at the burst's latest miss time. Each
+// megaflow is attributed to its upcall's ingress port, and each verdict
+// carries as its Probes what its miss spends on the cache at burst entry
+// (tss.Classifier.MissProbes). Every waiter of every flow in the burst is
+// released. ms and vs are the caller's scratch, at least as long as items.
+func (u *Subsystem) handleBatch(items []item, ms []vswitch.Miss, vs []vswitch.Verdict) {
 	now := items[0].now
-	ms := make([]vswitch.Miss, len(items))
 	for i, it := range items {
-		if it.now > now {
-			now = it.now
-		}
-		ms[i] = vswitch.Miss{Port: it.src, Header: it.h}
+		now = max(now, it.now)
+		ms[i] = vswitch.Miss{Port: it.src, Header: it.h, Probes: u.sw.MFC().MissProbes(it.h)}
 	}
-	vs := u.sw.HandleMissBatch(ms, now)
-	for i, it := range items {
-		u.resolve(it, vs[i])
+	for i, v := range u.sw.HandleMissBatch(ms[:len(items)], now, vs) {
+		u.resolve(items[i], v)
 	}
 }
 
@@ -829,7 +818,9 @@ func (u *Subsystem) handleOne(src int) bool {
 	if !ok {
 		return false
 	}
-	u.handle(it)
+	var ms [1]vswitch.Miss
+	var vs [1]vswitch.Verdict
+	u.handleBatch([]item{it}, ms[:], vs[:])
 	return true
 }
 

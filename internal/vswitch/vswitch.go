@@ -68,8 +68,8 @@ type Verdict struct {
 	Path Path
 	// Probes is the number of MFC mask probes spent: 0 on a microflow
 	// hit, and on a slow-path fallthrough the probes its missing lookup
-	// spent (|M| under tss.ScanLinear). This is the cost driver of the
-	// paper's Observation 1.
+	// spent (|M| under tss.ScanLinear; see Miss.Probes). This is the cost
+	// driver of the paper's Observation 1.
 	Probes int
 	// Rule names the flow-table rule responsible for the decision.
 	Rule string
@@ -251,12 +251,15 @@ func (s *Switch) mfcLookup(hd *tss.Handle, h bitvec.Vec, now int64) (*tss.Entry,
 // processFunc is Process with the slow path factored out: on a megaflow
 // miss it calls miss(i, probes) — i is the caller's index, probes what the
 // missing lookup spent — instead of classifying inline. miss == nil
-// selects the inline slow path. Verdicts returned by a non-nil miss are
-// recorded verbatim and not counted here (see ProcessBatchOn). hd
-// optionally routes MFC probes through a per-worker classifier handle.
+// selects the inline slow path, HandleMissBatch with a burst of one.
+// Verdicts returned by a non-nil miss are recorded verbatim and not
+// counted here (see ProcessBatchOn). hd optionally routes MFC probes
+// through a per-worker classifier handle.
 func (s *Switch) processFunc(hd *tss.Handle, i int, h bitvec.Vec, now int64, miss func(i, probes int) Verdict) Verdict {
 	if miss == nil {
-		miss = func(_, probes int) Verdict { return s.handleMiss(0, h, now, probes) }
+		miss = func(_, probes int) Verdict {
+			return s.HandleMissBatch([]Miss{{Header: h, Probes: probes}}, now, make([]Verdict, 1))[0]
+		}
 	}
 	// Layer 1: microflow cache.
 	if s.ufc != nil {
@@ -308,13 +311,14 @@ func (s *Switch) ProcessBatch(hs []bitvec.Vec, now int64, out []Verdict) []Verdi
 // instead of classifying inline, and records the returned verdict. This is
 // the seam the upcall subsystem plugs into — the asynchronous datapath
 // turns each miss into a queued upcall here — while miss == nil selects
-// the inline slow path (HandleMissFrom). The PMD datapath passes each
-// worker's handle so scan statistics (probes, stage skips) accumulate in
-// per-worker shards instead of contending on shared counter cache lines;
-// hd == nil uses the classifier's default handle.
+// the inline slow path: HandleMissBatch with a burst of one, attributed to
+// ingress port 0. The PMD datapath passes each worker's handle so scan
+// statistics (probes, stage skips) accumulate in per-worker shards instead
+// of contending on shared counter cache lines; hd == nil uses the
+// classifier's default handle.
 //
 // Verdicts returned by a non-nil miss are recorded verbatim and NOT added
-// to the switch counters: an inline handler (HandleMissFrom) counts
+// to the switch counters: a miss resolved through HandleMissBatch counts
 // itself, and a deferred handler's packet is counted when the upcall is
 // eventually handled — or accounted as an admission drop by the upcall
 // subsystem.
@@ -329,9 +333,10 @@ func (s *Switch) ProcessBatchOn(hd *tss.Handle, hs []bitvec.Vec, now int64, out 
 		}
 		return out
 	}
-	inline := miss == nil
-	if inline {
-		miss = func(i, probes int) Verdict { return s.handleMiss(0, hs[i], now, probes) }
+	if miss == nil {
+		miss = func(i, probes int) Verdict {
+			return s.HandleMissBatch([]Miss{{Header: hs[i], Probes: probes}}, now, make([]Verdict, 1))[0]
+		}
 	}
 	res := s.getBatchResults(len(hs))
 	defer s.putBatchResults(res)
@@ -374,121 +379,72 @@ func (s *Switch) ProcessBatchOn(hd *tss.Handle, hs []bitvec.Vec, now int64, out 
 }
 
 // HandleMissFrom runs the slow path for one header that arrived on ingress
-// vport port at virtual time now: it classifies h against the flow table,
-// installs the resulting megaflow, and primes the microflow cache. This is
-// the reusable miss-to-install step: the synchronous pipeline reaches it
-// inline through Process/ProcessBatch, and the upcall subsystem's drains
-// call it when they handle a queued flow miss — the megaflow install then
-// goes through the classifier's writer mutex and publishes the next
-// lock-free snapshot; concurrent readers keep scanning the previous one.
-//
-// The generated megaflow records the port (tss.Entry.Port; 0 for
-// single-port deployments), so revalidator dumps can aggregate mask
-// footprint and churn per port — the statistic the adaptive per-port
-// upcall quotas feed on. The verdict's
-// Probes is what a missing lookup of h spends on the current cache
-// (tss.Classifier.MissProbes: |M| under tss.ScanLinear); the fast paths
-// pass the probes their lookup actually spent instead.
+// vport port at virtual time now: HandleMissBatch with a burst of one, for
+// a caller that did not see the missing lookup, so the verdict's Probes is
+// what a missing lookup of h spends on the current cache
+// (tss.Classifier.MissProbes: |M| under tss.ScanLinear).
 func (s *Switch) HandleMissFrom(port int, h bitvec.Vec, now int64) Verdict {
-	return s.handleMiss(port, h, now, s.mfc.MissProbes(h))
+	return s.HandleMissBatch([]Miss{{Port: port, Header: h, Probes: s.mfc.MissProbes(h)}}, now, make([]Verdict, 1))[0]
 }
 
-// handleMiss is HandleMissFrom stamping the verdict with the probes the
-// missing lookup spent.
-func (s *Switch) handleMiss(port int, h bitvec.Vec, now int64, probes int) Verdict {
-	tg := s.tg.Load()
-	gen, genSeq := tg.gen, tg.seq
-	e := gen.Generate(h)
-	e.Port = port
-	v := Verdict{Action: e.Action, OutPort: e.OutPort, Path: PathSlow, Probes: probes, Rule: e.RuleName}
-
-	s.mu.Lock()
-	suppressed := s.suppressedLocked(e)
-	s.mu.Unlock()
-
-	switch {
-	case s.cfg.DisableMegaflow:
-		// Remedy (iii): no fast-path caching at all.
-	case suppressed:
-		s.addCounter(func(c *Counters) { c.Suppressed++ })
-	case s.cfg.MaxMegaflows > 0 && s.mfc.EntryCount() >= s.cfg.MaxMegaflows:
-		s.addCounter(func(c *Counters) { c.Rejected++ })
-	case s.installFault != nil && s.installFault(now):
-		s.addCounter(func(c *Counters) { c.InstallErrors++ })
-	default:
-		if err := s.mfc.Insert(e, now); err != nil {
-			// Megaflows generated from one table are disjoint by
-			// construction, so against a reconciled cache an overlap is a
-			// generator bug that must surface loudly. It is instead a
-			// benign race — counted, and reconciled by the next
-			// revalidation sweep — in exactly two situations: this
-			// classification ran under a generation that has since been
-			// swapped away, or the cache still holds old-generation
-			// entries because a SwapTable's revalidation is pending.
-			stale := s.tg.Load().seq != genSeq || s.revalPend.Load()
-			if !stale {
-				panic(fmt.Sprintf("vswitch: generated megaflow overlaps cache: %v", err))
-			}
-			s.addCounter(func(c *Counters) { c.Conflicts++ })
-			break
-		}
-		s.addCounter(func(c *Counters) { c.Installs++ })
-	}
-	if s.ufc != nil {
-		s.ufc.Insert(h, microflow.Result{Action: e.Action, OutPort: e.OutPort})
-	}
-	s.count(v)
-	return v
-}
-
-// Miss is one flow miss of a handler-drain burst: the header plus the
-// ingress vport it arrived on.
+// Miss is one flow miss handed to the slow path.
 type Miss struct {
-	// Port is the ingress vport (megaflow attribution, see HandleMissFrom).
+	// Port is the ingress vport the packet arrived on; the megaflow records
+	// it (tss.Entry.Port; 0 for single-port deployments), so revalidator
+	// dumps can aggregate mask footprint and churn per port — the statistic
+	// the adaptive per-port upcall quotas feed on.
 	Port int
 	// Header is the missed packet's classifier key.
 	Header bitvec.Vec
+	// Probes is what the missing lookup spent, reported as the verdict's
+	// Probes: the inline pipeline passes its lookup's count, and a caller
+	// that did not see the lookup passes tss.Classifier.MissProbes.
+	Probes int
 }
 
-// HandleMissBatch is the batched miss-to-install step: it classifies every
-// miss of a handler-drain burst against the flow table and commits the
-// resulting megaflows through one tss.InsertBatch transaction, so the
-// burst pays exactly one snapshot publish instead of one per megaflow,
-// and a group or probe-mirror chunk several installs touch is copied
-// once.
+// HandleMissBatch is the slow path, the one miss-to-install step every
+// flow miss resolves through: the inline pipeline hands it each miss as a
+// burst of one (Process, ProcessBatch, HandleMissFrom), and the upcall
+// subsystem's handlers hand it the bursts they drain. It classifies every
+// miss against the flow table, commits the resulting megaflows through one
+// tss.InsertBatch transaction, primes the microflow cache and counts each
+// miss as a slow-path packet. The install goes through the classifier's
+// writer mutex and publishes the next lock-free snapshot once per burst,
+// and a group or probe-mirror chunk several installs touch is copied once;
+// concurrent readers keep scanning the previous snapshot.
 //
-// Per-miss semantics match a HandleMissFrom sequence — same verdicts, same
-// counter totals (Slow/Installs/Suppressed/Rejected/Conflicts and the
-// verdict partitions), same EMC priming — with two deliberate batch-grain
-// simplifications: every verdict reports as its Probes what its miss
-// spends on the cache at burst entry (tss.Classifier.MissProbes; the
-// misses of one burst scanned essentially the same cache), and all
+// Per miss, the install is skipped — and counted — when the revalidator
+// quirk suppresses the megaflow, the megaflow limit is reached, or the
+// injected install fault fires; the verdict is delivered regardless. All
 // installs share the burst timestamp now (OVS likewise stamps at install,
-// not at miss arrival).
-func (s *Switch) HandleMissBatch(ms []Miss, now int64) []Verdict {
-	if len(ms) == 0 {
-		return nil
+// not at miss arrival). The verdicts are written into out when it has
+// sufficient capacity (pass nil to allocate).
+func (s *Switch) HandleMissBatch(ms []Miss, now int64, out []Verdict) []Verdict {
+	if cap(out) < len(ms) {
+		out = make([]Verdict, len(ms))
 	}
+	out = out[:len(ms)]
 	tg := s.tg.Load()
 	gen, genSeq := tg.gen, tg.seq
-	out := make([]Verdict, len(ms))
-	entries := make([]*tss.Entry, len(ms))
+	// A handler-sized burst keeps its install scratch on the stack, so a
+	// burst of one allocates no more than its megaflow does.
+	var entryBuf [32]*tss.Entry
+	var errBuf [32]error
+	entries := entryBuf[:0]
 	for i, m := range ms {
 		e := gen.Generate(m.Header)
 		e.Port = m.Port
-		entries[i] = e
+		entries = append(entries, e)
 		out[i] = Verdict{Action: e.Action, OutPort: e.OutPort, Path: PathSlow,
-			Probes: s.mfc.MissProbes(m.Header), Rule: e.RuleName}
+			Probes: m.Probes, Rule: e.RuleName}
 	}
 
 	var delta Counters
 	install := entries[:0] // filtered in place; entries is otherwise dead
-	if s.cfg.DisableMegaflow {
-		install = nil
-	} else {
+	// Remedy (iii), DisableMegaflow, caches nothing at all.
+	if !s.cfg.DisableMegaflow {
 		s.mu.Lock()
 		count := s.mfc.EntryCount()
-		n := 0
 		for _, e := range entries {
 			switch {
 			case s.suppressedLocked(e):
@@ -503,25 +459,27 @@ func (s *Switch) HandleMissBatch(ms []Miss, now int64) []Verdict {
 			default:
 				install = append(install, e)
 				count++
-				n++
 			}
 		}
 		s.mu.Unlock()
 	}
-	if len(install) > 0 {
-		for _, err := range s.mfc.InsertBatch(install, now) {
-			if err == nil {
-				delta.Installs++
-				continue
-			}
-			// Same overlap triage as HandleMissFrom: a benign cross-generation
-			// race is counted, anything else is a generator bug.
-			stale := s.tg.Load().seq != genSeq || s.revalPend.Load()
-			if !stale {
-				panic(fmt.Sprintf("vswitch: generated megaflow overlaps cache: %v", err))
-			}
-			delta.Conflicts++
+	for _, err := range s.mfc.InsertBatch(install, now, errBuf[:0]) {
+		if err == nil {
+			delta.Installs++
+			continue
 		}
+		// Megaflows generated from one table are disjoint by construction,
+		// so against a reconciled cache an overlap is a generator bug that
+		// must surface loudly. It is instead a benign race — counted, and
+		// reconciled by the next revalidation sweep — in exactly two
+		// situations: this classification ran under a generation that has
+		// since been swapped away, or the cache still holds old-generation
+		// entries because a SwapTable's revalidation is pending.
+		stale := s.tg.Load().seq != genSeq || s.revalPend.Load()
+		if !stale {
+			panic(fmt.Sprintf("vswitch: generated megaflow overlaps cache: %v", err))
+		}
+		delta.Conflicts++
 	}
 	for i, m := range ms {
 		if s.ufc != nil {
@@ -670,7 +628,7 @@ func (s *Switch) NeedsRevalidation() bool {
 // generation seq; it is a no-op if the table has moved on since, so a
 // sweep that raced another swap cannot mark the newer generation settled.
 // Once settled, the megaflow cache is disjoint-by-construction again and
-// an install overlap is treated as a generator bug (see HandleMissFrom).
+// an install overlap is treated as a generator bug (see HandleMissBatch).
 func (s *Switch) MarkRevalidated(seq uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
