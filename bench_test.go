@@ -1,14 +1,15 @@
-// Package tse's top-level benchmark suite: one benchmark per evaluation
-// table/figure of the paper plus ablations for the design choices the
-// README's "Hot path anatomy" section describes. Run with:
+// Package tse's top-level benchmark suite times the paper's mechanisms on
+// the real classifier and switch: the Fig. 9a lookup and miss against the
+// attack's mask count, the Fig. 9b and §5.2 trace work, the §8 guard
+// sweep, the Theorem 4.1 trade-off, and ablations for the design choices
+// the README's "Hot path anatomy" section describes. Run with:
 //
 //	go test -bench=. -benchmem .
 //
 // The wall-clock numbers here are the *measured* ground truth behind the
-// dataplane cost model: BenchmarkFig9aLookupVsMasks demonstrates the
-// linear-in-masks lookup cost (Observation 1) on the real classifier, and
-// BenchmarkAltClassifiers shows the recommended alternatives do not share
-// it.
+// dataplane cost model: under ScanLinear, BenchmarkFig9aLookupVsMasks
+// shows the linear-in-masks lookup cost (Observation 1) on the real
+// classifier; under the default ScanPruned it shows this repo's flat one.
 package tse
 
 import (
@@ -16,13 +17,10 @@ import (
 	"fmt"
 	"testing"
 
-	"tse/internal/alt"
 	"tse/internal/analysis"
 	"tse/internal/bitvec"
 	"tse/internal/core"
-	"tse/internal/dataplane"
 	"tse/internal/flowtable"
-	"tse/internal/microflow"
 	"tse/internal/mitigation"
 	"tse/internal/packet"
 	"tse/internal/pcap"
@@ -67,18 +65,28 @@ func attackedSwitch(b *testing.B, u flowtable.UseCase, scan tss.Scan) (*vswitch.
 	return sw, victim
 }
 
+// scans are the two lookups the Fig. 9a benchmarks compare.
+var scans = []struct {
+	name string
+	scan tss.Scan
+}{{"ScanLinear", tss.ScanLinear}, {"ScanPruned", tss.ScanPruned}}
+
 // BenchmarkFig9aLookupVsMasks is the measured basis of Fig. 9a: the
 // victim's per-packet classification cost at each §5.2 use case's mask
-// count. ns/op grows linearly with the masks column (Observation 1).
+// count. Under ScanLinear (Alg. 1) ns/op grows linearly with the masks
+// column (Observation 1); under ScanPruned, the tuple-pruning lookup this
+// switch runs by default, it stays flat.
 func BenchmarkFig9aLookupVsMasks(b *testing.B) {
-	for _, u := range flowtable.UseCases {
-		sw, victim := attackedSwitch(b, u, tss.ScanPruned)
-		b.Run(fmt.Sprintf("%s/masks=%d", u, sw.MFC().MaskCount()), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sw.MFC().Lookup(victim, 0)
-			}
-		})
+	for _, sc := range scans {
+		for _, u := range flowtable.UseCases {
+			sw, victim := attackedSwitch(b, u, sc.scan)
+			b.Run(fmt.Sprintf("%s/%s/masks=%d", sc.name, u, sw.MFC().MaskCount()), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					sw.MFC().Lookup(victim, 0)
+				}
+			})
+		}
 	}
 }
 
@@ -92,10 +100,7 @@ func BenchmarkFig9aLookupVsMasks(b *testing.B) {
 // price. Under ScanLinear the miss scans every mask, the worst case of
 // Alg. 1; ScanPruned probes only the tuple-pruning candidates.
 func BenchmarkFig9aMissVsMasks(b *testing.B) {
-	for _, sc := range []struct {
-		name string
-		scan tss.Scan
-	}{{"ScanLinear", tss.ScanLinear}, {"ScanPruned", tss.ScanPruned}} {
+	for _, sc := range scans {
 		for _, u := range []flowtable.UseCase{flowtable.Dp, flowtable.SipDp, flowtable.SipSpDp} {
 			sw, _ := attackedSwitch(b, u, sc.scan)
 			// A multicast destination on a denied port: a flow of its own.
@@ -120,28 +125,6 @@ func BenchmarkFig9aMissVsMasks(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkFig8Scenarios times the full time-series simulations behind
-// Fig. 8a/8b (one scenario run per iteration).
-func BenchmarkFig8Scenarios(b *testing.B) {
-	builders := map[string]func() (*dataplane.Scenario, error){
-		"fig8a": dataplane.Fig8aScenario,
-		"fig8b": dataplane.Fig8bScenario,
-	}
-	for name, build := range builders {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sc, err := build()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := sc.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
@@ -249,37 +232,6 @@ func BenchmarkSec8GuardSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkAltClassifiers contrasts the recommended classifiers (§1/§7)
-// against the attacked TSS cache on the same probe header. The alt
-// classifiers' cost is flat regardless of attack state.
-func BenchmarkAltClassifiers(b *testing.B) {
-	tbl := flowtable.UseCaseACL(flowtable.SipSpDp, flowtable.ACLParams{})
-	ht, err := alt.NewHTrie(tbl)
-	if err != nil {
-		b.Fatal(err)
-	}
-	hc, err := alt.NewHyperCuts(tbl, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	probe := victimKey()
-	for _, c := range []alt.Classifier{alt.NewLinear(tbl), ht, hc} {
-		b.Run(c.Name(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				c.Lookup(probe)
-			}
-		})
-	}
-	sw, victim := attackedSwitch(b, flowtable.SipSpDp, tss.ScanPruned)
-	b.Run("tss-under-attack", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sw.MFC().Lookup(victim, 0)
-		}
-	})
-}
-
 // BenchmarkAblationOverlapCheck measures the cost of the Inv(2)
 // enforcement on insert (tss.Options.DisableOverlapCheck: the vswitch
 // generator guarantees disjointness, so the check is optional on its
@@ -355,36 +307,6 @@ func BenchmarkAblationMicroflowCache(b *testing.B) {
 				sw.Process(victim, 0)
 			}
 		})
-	}
-}
-
-// BenchmarkMicroflowCacheOps prices the raw exact-match store.
-func BenchmarkMicroflowCacheOps(b *testing.B) {
-	c := microflow.New(0)
-	h := victimKey()
-	c.Insert(h, microflow.Result{})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Lookup(h)
-	}
-}
-
-// BenchmarkPacketPath prices the wire substrate: crafting and parsing one
-// adversarial frame (cmd/tsegen's inner loop).
-func BenchmarkPacketPath(b *testing.B) {
-	l := bitvec.IPv4Tuple
-	h := victimKey()
-	proto, _ := l.FieldIndex("ip_proto")
-	h.SetField(l, proto, packet.ProtoUDP)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		frame, err := packet.Craft(l, h, packet.CraftOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := packet.Parse(frame, packet.ParseOptions{}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

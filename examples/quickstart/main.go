@@ -67,5 +67,5 @@ func main() {
 	}
 	fmt.Println("\nEvery distinct mask above is one probe in *every* future lookup —")
 	fmt.Println("the linear scan the Tuple Space Explosion attack inflates.")
-	fmt.Println("Run examples/colocated to see the attack do exactly that.")
+	fmt.Println("See the attack do exactly that: go run ./cmd/tsebench -fig masks")
 }

@@ -170,8 +170,8 @@ func lineLimited(p NICProfile, gbps float64) NICProfile {
 // RSS, so extra cores absorb the brute-force component; the mask count is
 // global state of the shared megaflow cache, so the linear scan tax on
 // every victim lookup is identical at any core count. Compare workers 1,
-// 4, and 8 (examples/multicore and the `multicore` experiment do) to see
-// throughput recover only up to the probe-cost plateau.
+// 4, and 8 (the `multicore` experiment does) to see throughput recover
+// only up to the probe-cost plateau.
 func MulticoreScenario(workers int) (*Scenario, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("dataplane: multicore scenario needs >= 1 worker, got %d", workers)

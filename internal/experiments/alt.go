@@ -1,36 +1,118 @@
-// Package alt implements the packet classifiers the paper recommends as
-// long-term replacements for TSS (§1, §7): hierarchical tries [31] and a
-// HyperCuts-style decision tree [10], next to a priority linear scan as
-// the correctness baseline.
+package experiments
+
+import (
+	"fmt"
+	"io"
+	"time"
+
+	"tse/internal/bitvec"
+	"tse/internal/core"
+	"tse/internal/flowtable"
+	"tse/internal/tss"
+	"tse/internal/vswitch"
+)
+
+// This file holds the classifiers the paper recommends as long-term
+// replacements for TSS (§1, §7) — hierarchical tries [Gupta & McKeown,
+// 2001] and a HyperCuts-style decision tree [Singh et al., 2003] — next to
+// a priority linear scan, for the `alt` experiment.
 //
 // All three classify against the *rule set itself* rather than a per-flow
 // cache, so adversarial traffic cannot inflate their state or their lookup
 // cost — the structural reason they are "not vulnerable to the TSE attack".
-// The top-level benchmarks contrast their lookup cost under attack with
-// the exploding TSS megaflow cache.
+// Each lookup returns the matched rule (nil on a miss) and the elementary
+// steps it took: node visits plus rule comparisons.
 //
 // The tree classifiers require prefix-form rules: every constrained field
 // matches an MSB-first prefix. The paper's ACLs (exact or fully wildcarded
 // fields) are all prefix-form.
-package alt
 
-import (
-	"fmt"
+// altClassifier is one row of the §7 comparison.
+type altClassifier struct {
+	name   string
+	lookup func(h bitvec.Vec) (*flowtable.Rule, int)
+}
 
-	"tse/internal/bitvec"
-	"tse/internal/flowtable"
-)
+// altClassifiers builds the linear scan, the hierarchical trie and the
+// HyperCuts tree over tbl.
+func altClassifiers(tbl *flowtable.Table) ([]altClassifier, error) {
+	ht, err := newHTrie(tbl)
+	if err != nil {
+		return nil, err
+	}
+	hc, err := newHyperCuts(tbl)
+	if err != nil {
+		return nil, err
+	}
+	linear := func(h bitvec.Vec) (*flowtable.Rule, int) {
+		rules := tbl.Rules()
+		for i, r := range rules {
+			if r.Matches(h) {
+				return r, i + 1
+			}
+		}
+		return nil, len(rules)
+	}
+	return []altClassifier{
+		{"linear", linear},
+		{"hierarchical-trie", ht.lookup},
+		{"hypercuts", hc.lookup},
+	}, nil
+}
 
-// Classifier is a packet classifier over a fixed rule set.
-type Classifier interface {
-	// Name identifies the algorithm.
-	Name() string
-	// Lookup returns the highest-priority rule matching h, or nil.
-	Lookup(h bitvec.Vec) *flowtable.Rule
-	// Cost returns the number of elementary steps (node visits or rule
-	// comparisons) the last Lookup performed. Not safe for concurrent
-	// use; intended for the evaluation harness.
-	Cost() int
+func runAlt(w io.Writer) error {
+	tbl := flowtable.UseCaseACL(flowtable.SipSpDp, flowtable.ACLParams{})
+	classifiers, err := altClassifiers(tbl)
+	if err != nil {
+		return err
+	}
+
+	// TSS under attack, for contrast.
+	sw, err := vswitch.New(vswitch.Config{Table: flowtable.UseCaseACL(flowtable.SipSpDp, flowtable.ACLParams{}),
+		DisableMicroflow: true, Scan: tss.ScanLinear})
+	if err != nil {
+		return err
+	}
+	tr, err := core.CoLocated(tbl, core.CoLocatedOptions{SkipAllowCombos: true})
+	if err != nil {
+		return err
+	}
+
+	probe := bitvec.NewVec(bitvec.IPv4Tuple)
+	probe.SetField(bitvec.IPv4Tuple, 0, 0x12345678)
+	probe.SetField(bitvec.IPv4Tuple, 4, 9999)
+
+	measure := func(f func()) time.Duration {
+		const iters = 2000
+		start := time.Now()
+		for i := 0; i < iters; i++ {
+			f()
+		}
+		return time.Since(start) / iters
+	}
+
+	fmt.Fprintf(w, "%-20s %16s %16s\n", "classifier", "cost pre-attack", "cost under attack")
+	for _, c := range classifiers {
+		_, pre := c.lookup(probe)
+		preT := measure(func() { c.lookup(probe) })
+		// "Attack": classify the whole adversarial trace (no state changes).
+		for _, h := range tr.Headers {
+			c.lookup(h)
+		}
+		_, post := c.lookup(probe)
+		postT := measure(func() { c.lookup(probe) })
+		fmt.Fprintf(w, "%-20s %6d steps %6s %6d steps %6s\n",
+			c.name, pre, preT.Round(time.Nanosecond), post, postT.Round(time.Nanosecond))
+	}
+	// TSS: probes explode with the attack.
+	sw.Process(probe, 0)
+	_, preProbes, _ := sw.MFC().Lookup(probe, 0)
+	core.Replay(sw, tr, 0)
+	_, postProbes, _ := sw.MFC().Lookup(probe, 0)
+	fmt.Fprintf(w, "%-20s %6d probes        %6d probes   (masks: %d)\n",
+		"tss-megaflow-cache", preProbes, postProbes, sw.MFC().MaskCount())
+	fmt.Fprintf(w, "paper: tries/HyperCuts \"seem to be unaffected by the TSE attack\"\n")
+	return nil
 }
 
 // prefixLen returns the MSB-prefix length of field f in mask, and whether
@@ -68,48 +150,16 @@ func checkPrefixForm(tbl *flowtable.Table) error {
 }
 
 // ---------------------------------------------------------------------
-// Linear scan
-// ---------------------------------------------------------------------
-
-// Linear is the priority linear-scan reference classifier.
-type Linear struct {
-	tbl  *flowtable.Table
-	cost int
-}
-
-// NewLinear wraps a flow table.
-func NewLinear(tbl *flowtable.Table) *Linear { return &Linear{tbl: tbl} }
-
-// Name implements Classifier.
-func (c *Linear) Name() string { return "linear" }
-
-// Lookup implements Classifier.
-func (c *Linear) Lookup(h bitvec.Vec) *flowtable.Rule {
-	c.cost = 0
-	for _, r := range c.tbl.Rules() {
-		c.cost++
-		if r.Matches(h) {
-			return r
-		}
-	}
-	return nil
-}
-
-// Cost implements Classifier.
-func (c *Linear) Cost() int { return c.cost }
-
-// ---------------------------------------------------------------------
 // Hierarchical tries
 // ---------------------------------------------------------------------
 
-// HTrie is a hierarchical ("trie of tries") classifier: a binary trie on
+// hTrie is a hierarchical ("trie of tries") classifier: a binary trie on
 // the first field's prefixes whose nodes hang tries over the second field,
 // and so on, with backtracking on lookup [Gupta & McKeown, 2001].
-type HTrie struct {
+type hTrie struct {
 	layout *bitvec.Layout
 	root   *hnode
 	order  map[*flowtable.Rule]int // match order for tie-breaking
-	cost   int
 }
 
 type hnode struct {
@@ -118,13 +168,13 @@ type hnode struct {
 	rules    []*flowtable.Rule // rules terminating here (last field only)
 }
 
-// NewHTrie builds the trie; the table must be prefix-form.
-func NewHTrie(tbl *flowtable.Table) (*HTrie, error) {
+// newHTrie builds the trie; the table must be prefix-form.
+func newHTrie(tbl *flowtable.Table) (*hTrie, error) {
 	if err := checkPrefixForm(tbl); err != nil {
 		return nil, err
 	}
 	l := tbl.Layout()
-	t := &HTrie{layout: l, root: &hnode{}, order: make(map[*flowtable.Rule]int)}
+	t := &hTrie{layout: l, root: &hnode{}, order: make(map[*flowtable.Rule]int)}
 	for i, r := range tbl.Rules() {
 		t.order[r] = i
 		t.insert(r)
@@ -132,7 +182,7 @@ func NewHTrie(tbl *flowtable.Table) (*HTrie, error) {
 	return t, nil
 }
 
-func (t *HTrie) insert(r *flowtable.Rule) {
+func (t *hTrie) insert(r *flowtable.Rule) {
 	l := t.layout
 	node := t.root
 	for f := 0; f < l.NumFields(); f++ {
@@ -157,34 +207,31 @@ func (t *HTrie) insert(r *flowtable.Rule) {
 	node.rules = append(node.rules, r)
 }
 
-// Name implements Classifier.
-func (t *HTrie) Name() string { return "hierarchical-trie" }
-
-// Lookup implements Classifier. It walks the first-field trie along the
-// header bits and, at every visited node, backtracks into the next-field
-// trie — O(W^d) node visits for d fields of width W, independent of any
-// traffic history.
-func (t *HTrie) Lookup(h bitvec.Vec) *flowtable.Rule {
-	t.cost = 0
+// lookup walks the first-field trie along the header bits and, at every
+// visited node, backtracks into the next-field trie — O(W^d) node visits
+// for d fields of width W, independent of any traffic history.
+func (t *hTrie) lookup(h bitvec.Vec) (*flowtable.Rule, int) {
 	var best *flowtable.Rule
-	t.search(t.root, h, 0, &best)
-	return best
+	steps := t.search(t.root, h, 0, &best)
+	return best, steps
 }
 
-// Cost implements Classifier.
-func (t *HTrie) Cost() int { return t.cost }
-
-func (t *HTrie) search(node *hnode, h bitvec.Vec, f int, best **flowtable.Rule) {
+// search visits the trie over field f from node and returns its node
+// visits, keeping the first-ordered terminating rule in best.
+func (t *hTrie) search(node *hnode, h bitvec.Vec, f int, best **flowtable.Rule) int {
 	l := t.layout
 	w := l.Field(f).Width
+	steps := 0
 	for b := 0; node != nil; b++ {
-		t.cost++
+		steps++
 		if f == l.NumFields()-1 {
 			for _, r := range node.rules {
-				t.consider(r, best)
+				if *best == nil || t.order[r] < t.order[*best] {
+					*best = r
+				}
 			}
 		} else if node.next != nil {
-			t.search(node.next, h, f+1, best)
+			steps += t.search(node.next, h, f+1, best)
 		}
 		if b >= w {
 			break
@@ -195,29 +242,19 @@ func (t *HTrie) search(node *hnode, h bitvec.Vec, f int, best **flowtable.Rule) 
 		}
 		node = node.children[bit]
 	}
-}
-
-func (t *HTrie) consider(r *flowtable.Rule, best **flowtable.Rule) {
-	if *best == nil {
-		*best = r
-		return
-	}
-	if t.order[r] < t.order[*best] {
-		*best = r
-	}
+	return steps
 }
 
 // ---------------------------------------------------------------------
 // HyperCuts-style decision tree
 // ---------------------------------------------------------------------
 
-// HyperCuts is a simplified HyperCuts/HiCuts decision tree: internal nodes
-// cut one dimension into equal-width intervals; leaves hold at most binth
-// rules scanned linearly in match order.
-type HyperCuts struct {
+// hyperCuts is a simplified HyperCuts/HiCuts decision tree: internal nodes
+// cut one dimension into hcCuts equal-width intervals; leaves hold at most
+// hcBinth rules scanned linearly in match order.
+type hyperCuts struct {
 	layout *bitvec.Layout
 	root   *hcnode
-	cost   int
 }
 
 type hcnode struct {
@@ -228,15 +265,14 @@ type hcnode struct {
 	children []*hcnode
 }
 
-// DefaultBinth is the default leaf size.
-const DefaultBinth = 4
+const (
+	hcBinth = 4 // leaf size
+	hcCuts  = 4 // intervals per cut (a power of two)
+)
 
-// DefaultCuts is the number of intervals per cut (a power of two).
-const DefaultCuts = 4
-
-// NewHyperCuts builds the tree; the table must be prefix-form and all
+// newHyperCuts builds the tree; the table must be prefix-form and all
 // fields at most 64 bits wide.
-func NewHyperCuts(tbl *flowtable.Table, binth int) (*HyperCuts, error) {
+func newHyperCuts(tbl *flowtable.Table) (*hyperCuts, error) {
 	if err := checkPrefixForm(tbl); err != nil {
 		return nil, err
 	}
@@ -247,15 +283,12 @@ func NewHyperCuts(tbl *flowtable.Table, binth int) (*HyperCuts, error) {
 				l.Field(f).Name, l.Field(f).Width)
 		}
 	}
-	if binth <= 0 {
-		binth = DefaultBinth
-	}
-	hc := &HyperCuts{layout: l}
+	hc := &hyperCuts{layout: l}
 	bounds := make([][2]uint64, l.NumFields())
 	for f := range bounds {
 		bounds[f] = [2]uint64{0, maxVal(l.Field(f).Width)}
 	}
-	hc.root = hc.build(tbl.Rules(), bounds, binth, 0)
+	hc.root = hc.build(tbl.Rules(), bounds, 0)
 	return hc, nil
 }
 
@@ -287,9 +320,9 @@ func ruleRange(l *bitvec.Layout, r *flowtable.Rule, f int) (uint64, uint64) {
 	return val, val + span
 }
 
-func (hc *HyperCuts) build(rules []*flowtable.Rule, bounds [][2]uint64, binth, depth int) *hcnode {
+func (hc *hyperCuts) build(rules []*flowtable.Rule, bounds [][2]uint64, depth int) *hcnode {
 	node := &hcnode{}
-	if len(rules) <= binth || depth > 32 {
+	if len(rules) <= hcBinth || depth > 32 {
 		node.leaf = true
 		node.rules = rules
 		return node
@@ -318,10 +351,10 @@ func (hc *HyperCuts) build(rules []*flowtable.Rule, bounds [][2]uint64, binth, d
 	}
 	lo, hi := bounds[bestDim][0], bounds[bestDim][1]
 	span := hi - lo
-	step := span/DefaultCuts + 1
+	step := span/hcCuts + 1
 	node.dim, node.lo, node.hi = bestDim, lo, hi
 	progress := false
-	for c := 0; c < DefaultCuts; c++ {
+	for c := 0; c < hcCuts; c++ {
 		clo := lo + uint64(c)*step
 		if clo > hi {
 			break
@@ -343,7 +376,7 @@ func (hc *HyperCuts) build(rules []*flowtable.Rule, bounds [][2]uint64, binth, d
 		cb := make([][2]uint64, len(bounds))
 		copy(cb, bounds)
 		cb[bestDim] = [2]uint64{clo, chi}
-		node.children = append(node.children, hc.build(sub, cb, binth, depth+1))
+		node.children = append(node.children, hc.build(sub, cb, depth+1))
 	}
 	if !progress {
 		// No child got smaller: cutting this dimension cannot help.
@@ -354,18 +387,14 @@ func (hc *HyperCuts) build(rules []*flowtable.Rule, bounds [][2]uint64, binth, d
 	return node
 }
 
-// Name implements Classifier.
-func (hc *HyperCuts) Name() string { return "hypercuts" }
-
-// Lookup implements Classifier.
-func (hc *HyperCuts) Lookup(h bitvec.Vec) *flowtable.Rule {
-	hc.cost = 0
+// lookup descends one child per internal node, then scans the leaf.
+func (hc *hyperCuts) lookup(h bitvec.Vec) (*flowtable.Rule, int) {
+	steps := 0
 	node := hc.root
 	for !node.leaf {
-		hc.cost++
+		steps++
 		v := h.FieldUint64(hc.layout, node.dim)
-		span := node.hi - node.lo
-		step := span/DefaultCuts + 1
+		step := (node.hi-node.lo)/hcCuts + 1
 		idx := int((v - node.lo) / step)
 		if idx >= len(node.children) {
 			idx = len(node.children) - 1
@@ -373,13 +402,10 @@ func (hc *HyperCuts) Lookup(h bitvec.Vec) *flowtable.Rule {
 		node = node.children[idx]
 	}
 	for _, r := range node.rules {
-		hc.cost++
+		steps++
 		if r.Matches(h) {
-			return r
+			return r, steps
 		}
 	}
-	return nil
+	return nil, steps
 }
-
-// Cost implements Classifier.
-func (hc *HyperCuts) Cost() int { return hc.cost }

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
-	"tse/internal/alt"
 	"tse/internal/analysis"
 	"tse/internal/bitvec"
 	"tse/internal/cloud"
@@ -182,68 +180,6 @@ func runCMS(w io.Writer) error {
 	}
 	fmt.Fprintf(w, "%-12s %-28s %10d\n", "Calico", "ingress+egress (+ip_dst)", cloud.Calico.MaxMasks(true))
 	fmt.Fprintf(w, "paper (§7): 512 / 512 / 8192; egress ≈ 200 thousand\n")
-	return nil
-}
-
-func runAlt(w io.Writer) error {
-	tbl := flowtable.UseCaseACL(flowtable.SipSpDp, flowtable.ACLParams{})
-	ht, err := alt.NewHTrie(tbl)
-	if err != nil {
-		return err
-	}
-	hc, err := alt.NewHyperCuts(tbl, 0)
-	if err != nil {
-		return err
-	}
-	classifiers := []alt.Classifier{alt.NewLinear(tbl), ht, hc}
-
-	// TSS under attack, for contrast.
-	sw, err := vswitch.New(vswitch.Config{Table: flowtable.UseCaseACL(flowtable.SipSpDp, flowtable.ACLParams{}),
-		DisableMicroflow: true, Scan: tss.ScanLinear})
-	if err != nil {
-		return err
-	}
-	tr, err := core.CoLocated(tbl, core.CoLocatedOptions{SkipAllowCombos: true})
-	if err != nil {
-		return err
-	}
-
-	probe := bitvec.NewVec(bitvec.IPv4Tuple)
-	probe.SetField(bitvec.IPv4Tuple, 0, 0x12345678)
-	probe.SetField(bitvec.IPv4Tuple, 4, 9999)
-
-	measure := func(f func()) time.Duration {
-		const iters = 2000
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			f()
-		}
-		return time.Since(start) / iters
-	}
-
-	fmt.Fprintf(w, "%-20s %16s %16s\n", "classifier", "cost pre-attack", "cost under attack")
-	for _, c := range classifiers {
-		c.Lookup(probe)
-		pre := c.Cost()
-		preT := measure(func() { c.Lookup(probe) })
-		// "Attack": classify the whole adversarial trace (no state changes).
-		for _, h := range tr.Headers {
-			c.Lookup(h)
-		}
-		c.Lookup(probe)
-		post := c.Cost()
-		postT := measure(func() { c.Lookup(probe) })
-		fmt.Fprintf(w, "%-20s %6d steps %6s %6d steps %6s\n",
-			c.Name(), pre, preT.Round(time.Nanosecond), post, postT.Round(time.Nanosecond))
-	}
-	// TSS: probes explode with the attack.
-	sw.Process(probe, 0)
-	_, preProbes, _ := sw.MFC().Lookup(probe, 0)
-	core.Replay(sw, tr, 0)
-	_, postProbes, _ := sw.MFC().Lookup(probe, 0)
-	fmt.Fprintf(w, "%-20s %6d probes        %6d probes   (masks: %d)\n",
-		"tss-megaflow-cache", preProbes, postProbes, sw.MFC().MaskCount())
-	fmt.Fprintf(w, "paper: tries/HyperCuts \"seem to be unaffected by the TSE attack\"\n")
 	return nil
 }
 
