@@ -12,8 +12,8 @@ import (
 )
 
 // This file wires the three Fig. 8 experiments exactly as §5.4–§5.6
-// describe them, so tests, the tsebench harness, and the examples share
-// one definition.
+// describe them, so the tests and the tsebench harness share one
+// definition.
 
 // victimHeader builds the benign flow's classifier key: a TCP connection
 // to the allowed destination port (matching rule #1 of the tenant ACL).
