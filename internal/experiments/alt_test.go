@@ -71,17 +71,25 @@ func randomPrefixTable(l *bitvec.Layout, rng *rand.Rand) *flowtable.Table {
 	return tbl
 }
 
-// TestAltAgreesWithTable: every §7 classifier agrees with the flow table
-// on the paper's toy ACLs (exhaustive), the IPv4 use cases (random
-// headers), random prefix-form tables, a table no header matches, and a
-// priority tie the table breaks by insertion order.
-func TestAltAgreesWithTable(t *testing.T) {
-	type row struct {
-		name    string
-		tbl     *flowtable.Table
-		headers []bitvec.Vec
+// agreementRow is one table the §7 classifiers are checked against.
+type agreementRow struct {
+	name    string
+	tbl     *flowtable.Table
+	headers []bitvec.Vec
+}
+
+func checkAgreementRows(t *testing.T, rows []agreementRow) {
+	t.Helper()
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) { checkAgreesWithTable(t, r.tbl, r.headers) })
 	}
-	rows := []row{
+}
+
+// TestAgreementOnPaperACLs: every §7 classifier agrees with the flow table
+// on the paper's toy ACLs (exhaustive) and the IPv4 use cases (random
+// headers).
+func TestAgreementOnPaperACLs(t *testing.T) {
+	rows := []agreementRow{
 		{"Fig1", flowtable.Fig1(), allHeaders(bitvec.HYP)},
 		{"Fig4", flowtable.Fig4(), allHeaders(bitvec.HYP2)},
 	}
@@ -91,13 +99,27 @@ func TestAltAgreesWithTable(t *testing.T) {
 		for i := range hs {
 			hs[i] = randomHeader(bitvec.IPv4Tuple, rng)
 		}
-		rows = append(rows, row{u.String(), flowtable.UseCaseACL(u, flowtable.ACLParams{}), hs})
+		rows = append(rows, agreementRow{u.String(), flowtable.UseCaseACL(u, flowtable.ACLParams{}), hs})
 	}
-	rng = rand.New(rand.NewSource(23))
+	checkAgreementRows(t, rows)
+}
+
+// TestAgreementOnRandomPrefixTables: every §7 classifier agrees with the
+// flow table on random prefix-form tables, exhaustively.
+func TestAgreementOnRandomPrefixTables(t *testing.T) {
+	var rows []agreementRow
+	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 25; trial++ {
-		rows = append(rows, row{fmt.Sprintf("prefix-%02d", trial),
+		rows = append(rows, agreementRow{fmt.Sprintf("prefix-%02d", trial),
 			randomPrefixTable(bitvec.HYP2, rng), allHeaders(bitvec.HYP2)})
 	}
+	checkAgreementRows(t, rows)
+}
+
+// TestAltAgreesWithTable: every §7 classifier agrees with the flow table
+// on a table no header matches and on a priority tie the table breaks by
+// insertion order.
+func TestAltAgreesWithTable(t *testing.T) {
 	l := bitvec.HYP
 	noMatch := flowtable.New(l)
 	k, m := bitvec.MustPattern(l, "111")
@@ -107,13 +129,10 @@ func TestAltAgreesWithTable(t *testing.T) {
 		Key: bitvec.NewVec(l), Mask: bitvec.NewVec(l)})
 	tie.MustAdd(&flowtable.Rule{Name: "second", Priority: 5, Action: flowtable.Drop,
 		Key: bitvec.NewVec(l), Mask: bitvec.NewVec(l)})
-	rows = append(rows,
-		row{"no-match", noMatch, []bitvec.Vec{bitvec.NewVec(l)}}, // 000 matches nothing
-		row{"tie-break", tie, []bitvec.Vec{bitvec.NewVec(l)}})
-
-	for _, r := range rows {
-		t.Run(r.name, func(t *testing.T) { checkAgreesWithTable(t, r.tbl, r.headers) })
-	}
+	checkAgreementRows(t, []agreementRow{
+		{"no-match", noMatch, []bitvec.Vec{bitvec.NewVec(l)}}, // 000 matches nothing
+		{"tie-break", tie, []bitvec.Vec{bitvec.NewVec(l)}},
+	})
 }
 
 // TestCostIndependentOfAttackTraffic is the §1/§7 claim: the alternative
