@@ -164,7 +164,10 @@ func fresh(e *Entry, a flowtable.Action) *Entry {
 // lookup is also checked against its group-by-group reference over the
 // same snapshot (checkScan), so a probe record that drifts from its group
 // fails here, and after every write the pruning index must describe the
-// snapshot exactly (checkPruneIndex). The base population (260–459 attack
+// snapshot exactly (checkPruneIndex) and the whole-table readers must list
+// exactly the reference's masks and entries (checkTables); a DeleteWhere
+// must call its predicate exactly once per live entry, whether it walks
+// the probe mirror or the pruning index's id table. The base population (260–459 attack
 // masks plus a 50–249-entry exact-match group, or an 800–999-entry one
 // whose slot table has a two-level directory when bit 2 of the first byte
 // is set) spans several probe-mirror chunks, group slot pages and
@@ -256,6 +259,47 @@ func FuzzClassifierOps(f *testing.F) {
 			checkScan(t, c, sn, h, e, probes, skips)
 			return BatchResult{Entry: e, Probes: probes, OK: ok}
 		}
+		// checkTables fails unless Masks and Entries list the reference's
+		// masks, and group by group its entries ordered by key, in scan
+		// order: creation order while a probe mirror keeps OrderInsertion,
+		// else (hash, mask key) order, which is also the order of a pruned
+		// snapshot's id table.
+		checkTables := func(op int) {
+			masks := slices.Clone(ref.masks)
+			if ref.order == OrderHash || c.snap.Load().pruned {
+				sort.Slice(masks, func(i, j int) bool {
+					if masks[i].hash != masks[j].hash {
+						return masks[i].hash < masks[j].hash
+					}
+					return masks[i].key < masks[j].key
+				})
+			}
+			byMask := map[string][]*Entry{}
+			for _, e := range ref.entries {
+				byMask[e.Mask.Key()] = append(byMask[e.Mask.Key()], e)
+			}
+			var want []*Entry
+			for _, m := range masks {
+				es := byMask[m.key]
+				sort.Slice(es, func(i, j int) bool { return es[i].Key.Key() < es[j].Key.Key() })
+				want = append(want, es...)
+			}
+			gotMasks, got := c.Masks(), c.Entries()
+			if len(gotMasks) != len(masks) || len(got) != len(want) {
+				t.Fatalf("op %d: Masks lists %d, Entries %d; reference %d masks, %d entries",
+					op, len(gotMasks), len(got), len(masks), len(want))
+			}
+			for i, m := range masks {
+				if !gotMasks[i].Equal(m.mask) {
+					t.Fatalf("op %d: Masks()[%d] = %s, reference %s", op, i, gotMasks[i].Format(l), m.mask.Format(l))
+				}
+			}
+			for i, e := range want {
+				if g := got[i]; !g.Key.Equal(e.Key) || !g.Mask.Equal(e.Mask) || g.Action != e.Action || g.RuleName != e.RuleName {
+					t.Fatalf("op %d: Entries()[%d] = %s, reference %s", op, i, g.Format(l), e.Format(l))
+				}
+			}
+		}
 		freeze := func() *frozenView {
 			v := &frozenView{sn: c.snap.Load()}
 			for i := 0; i < 12; i++ {
@@ -313,8 +357,19 @@ func FuzzClassifierOps(f *testing.F) {
 				mod := uint64(2 + in.next()%13)
 				rem := uint64(in.next()) % mod
 				pred := func(e *Entry) bool { return keyHash(e.Key)%mod == rem }
-				if got, want := c.DeleteWhere(pred), ref.deleteWhere(pred); got != want {
+				live := slices.Clone(ref.entries)
+				calls := map[*Entry]int{}
+				got := c.DeleteWhere(func(e *Entry) bool { calls[e]++; return pred(e) })
+				if want := ref.deleteWhere(pred); got != want {
 					t.Fatalf("op %d: DeleteWhere removed %d, reference %d", op, got, want)
+				}
+				for _, e := range live {
+					if calls[e] != 1 {
+						t.Fatalf("op %d: DeleteWhere asked about %s %d times", op, e.Format(l), calls[e])
+					}
+				}
+				if len(calls) != len(live) {
+					t.Fatalf("op %d: DeleteWhere asked about %d entries, %d live", op, len(calls), len(live))
 				}
 			case 5: // the snapshot taken before the last writes still answers the same
 				thawCheck(view)
@@ -325,7 +380,7 @@ func FuzzClassifierOps(f *testing.F) {
 				got := lookup(sn, h, now)
 				want, wantProbes := ref.lookup(h)
 				// A pruned lookup's probes are checkScan's to check.
-				if got.Entry != want || got.OK != (want != nil) || !sn.pruned(scan) && got.Probes != wantProbes {
+				if got.Entry != want || got.OK != (want != nil) || !sn.pruned && got.Probes != wantProbes {
 					t.Fatalf("op %d: lookup %s = (%v, %d probes), reference (%v, %d probes)",
 						op, h.Format(l), got.Entry, got.Probes, want, wantProbes)
 				}
@@ -336,6 +391,7 @@ func FuzzClassifierOps(f *testing.F) {
 			}
 			if kind <= 4 { // a write
 				checkPruneIndex(t, c, c.snap.Load())
+				checkTables(op)
 			}
 		}
 		thawCheck(view)
@@ -345,7 +401,7 @@ func FuzzClassifierOps(f *testing.F) {
 			sn := c.snap.Load()
 			got := lookup(sn, e.Key, 0)
 			_, wantProbes := ref.lookup(e.Key)
-			if got.Entry != e || !sn.pruned(scan) && got.Probes != wantProbes {
+			if got.Entry != e || !sn.pruned && got.Probes != wantProbes {
 				t.Fatalf("entry %s: lookup of its key = (%v, %d probes), want itself at %d",
 					e.Format(l), got.Entry, got.Probes, wantProbes)
 			}

@@ -89,12 +89,15 @@ func ledgerDelta(before, after Stats) ledger {
 // entries (flow_setup's tick; fig8a/fig8c/saturation's recovery). Counts
 // repeat exactly on any host, so a change that makes a write copy or
 // compare more than it did fails here with no timing spread to hide in.
+// The attack operations copy no probe records under the default scan,
+// which keeps no probe mirror at that size; their ScanLinear rows keep
+// the mirror's bill, the one the paper's linear-scan model pays, in view.
 func TestWorkLedgerPins(t *testing.T) {
 	l := bitvec.IPv4Tuple
-	attackInstall := func(masks int) (func(t *testing.T) *Classifier, func(*Classifier) error) {
+	attackInstall := func(masks int, scan Scan) (func(t *testing.T) *Classifier, func(*Classifier) error) {
 		es := attackEntries(l, masks)
 		return func(t *testing.T) *Classifier {
-				c := New(l, Options{})
+				c := New(l, Options{Scan: scan})
 				mustInsertBatch(t, c, es[:masks-1], 0)
 				return c
 			}, func(c *Classifier) error {
@@ -108,15 +111,25 @@ func TestWorkLedgerPins(t *testing.T) {
 		mustInsertBatch(t, c, es[4096:12000], 100)
 		return c
 	}
-	attackGroups := func(t *testing.T) *Classifier {
-		c := New(l, Options{})
-		es := attackEntries(l, 8192)
-		mustInsertBatch(t, c, es[:4096], 0)
-		mustInsertBatch(t, c, es[4096:], 100)
-		return c
+	attackGroups := func(scan Scan) func(t *testing.T) *Classifier {
+		return func(t *testing.T) *Classifier {
+			c := New(l, Options{Scan: scan})
+			es := attackEntries(l, 8192)
+			mustInsertBatch(t, c, es[:4096], 0)
+			mustInsertBatch(t, c, es[4096:], 100)
+			return c
+		}
 	}
-	ins1024, op1024 := attackInstall(1024)
-	ins8192, op8192 := attackInstall(8192)
+	expire4096 := func(c *Classifier) error {
+		if n := c.ExpireIdle(105, 10); n != 4096 {
+			return fmt.Errorf("expired %d, want 4096", n)
+		}
+		return nil
+	}
+	ins1024, op1024 := attackInstall(1024, ScanPruned)
+	ins8192, op8192 := attackInstall(8192, ScanPruned)
+	lin1024, linOp1024 := attackInstall(1024, ScanLinear)
+	lin8192, linOp8192 := attackInstall(8192, ScanLinear)
 	cases := []struct {
 		name  string
 		build func(t *testing.T) *Classifier
@@ -124,8 +137,12 @@ func TestWorkLedgerPins(t *testing.T) {
 		want  ledger
 	}{
 		{"attack install at 1024 masks", ins1024, op1024,
-			ledger{publishes: 1, probesCopied: 253, slotsCopied: 0, dirCopied: 0, overlapCompared: 0, indexCopied: 4}},
+			ledger{publishes: 1, probesCopied: 0, slotsCopied: 0, dirCopied: 0, overlapCompared: 0, indexCopied: 4}},
 		{"attack install at 8192 masks", ins8192, op8192,
+			ledger{publishes: 1, probesCopied: 0, slotsCopied: 0, dirCopied: 0, overlapCompared: 0, indexCopied: 4}},
+		{"attack install at 1024 masks under ScanLinear", lin1024, linOp1024,
+			ledger{publishes: 1, probesCopied: 253, slotsCopied: 0, dirCopied: 0, overlapCompared: 0, indexCopied: 4}},
+		{"attack install at 8192 masks under ScanLinear", lin8192, linOp8192,
 			ledger{publishes: 1, probesCopied: 210, slotsCopied: 0, dirCopied: 0, overlapCompared: 0, indexCopied: 4}},
 		{"install into a 12k-entry group", exactGroup, func(c *Classifier) error {
 			return c.Insert(exactEntries(l, 12001)[12000], 100)
@@ -136,12 +153,10 @@ func TestWorkLedgerPins(t *testing.T) {
 			}
 			return nil
 		}, ledger{publishes: 1, probesCopied: 1, slotsCopied: 16384, dirCopied: 272, overlapCompared: 0, indexCopied: 0}},
-		{"expire 4096 one-entry attack groups", attackGroups, func(c *Classifier) error {
-			if n := c.ExpireIdle(105, 10); n != 4096 {
-				return fmt.Errorf("expired %d, want 4096", n)
-			}
-			return nil
-		}, ledger{publishes: 1, probesCopied: 4096, slotsCopied: 0, dirCopied: 0, overlapCompared: 0, indexCopied: 562}},
+		{"expire 4096 one-entry attack groups", attackGroups(ScanPruned), expire4096,
+			ledger{publishes: 1, probesCopied: 0, slotsCopied: 0, dirCopied: 0, overlapCompared: 0, indexCopied: 562}},
+		{"expire 4096 one-entry attack groups under ScanLinear", attackGroups(ScanLinear), expire4096,
+			ledger{publishes: 1, probesCopied: 4096, slotsCopied: 0, dirCopied: 0, overlapCompared: 0, indexCopied: 562}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,11 +1,15 @@
 package tss
 
 import (
+	"cmp"
 	"slices"
 	"sort"
+	"strings"
 )
 
-// chunkCap is the capacity of one probe-mirror chunk. The mirror is a
+// chunkCap is the capacity of one probe-mirror chunk. The mirror is the
+// linear scan's record list, which the pruned lookup never reads, so
+// ScanPruned drops it once its index is built (mirrored). It is a
 // directory of chunks rather than one flat array so that a publish copies
 // only the chunks a write touched plus the directory (about 33 entries at
 // the attack's 8 209 masks), not all |M| records: 256 records of 24 hot
@@ -44,16 +48,41 @@ type chunk struct {
 	own bool
 }
 
-// publishLocked publishes the writer-side mirror as the next snapshot.
+// mirrored reports whether the writer keeps the probe mirror.
+func (c *Classifier) mirrored() bool { return c.opts.Scan == ScanLinear || !c.prune.active }
+
+// groups returns the snapshot's groups for the whole-table readers: the
+// mirror's, in scan order, or a pruned snapshot's id table sorted by
+// (hash, maskKey), which is OrderHash scan order.
+func (sn *snapshot) groups() []*group {
+	gs := make([]*group, 0, sn.masks)
+	for _, ch := range sn.chunks {
+		for _, s := range ch.side {
+			gs = append(gs, s.g)
+		}
+	}
+	if sn.pruned {
+		for _, ch := range sn.prune.groups {
+			gs = append(gs, ch...)
+		}
+		gs = slices.DeleteFunc(gs, func(g *group) bool { return g == nil })
+		slices.SortFunc(gs, func(a, b *group) int {
+			return cmp.Or(cmp.Compare(a.hash, b.hash), strings.Compare(a.maskKey, b.maskKey))
+		})
+	}
+	return gs
+}
+
+// publishLocked publishes the writer-side state as the next snapshot.
 // Called under the writer lock after every mutation. The snapshot shares
-// every chunk with the mirror; what the publish pays for is the directory
-// plus the chunks written since the last publish (Stats.ProbesCopied),
-// which are frozen here along with the groups touched since then, so later
-// writers copy before mutating (readers may scan this snapshot
-// indefinitely).
+// every mirror chunk; what the publish pays for is the directory plus the
+// chunks written since the last publish (Stats.ProbesCopied), which are
+// frozen here along with the groups touched since then, so later writers
+// copy before mutating (readers may scan this snapshot indefinitely).
+// Without a mirror it publishes the pruning index alone.
 func (c *Classifier) publishLocked() {
 	sn := &snapshot{chunks: make([]records, len(c.dir)), masks: c.masks, nEntry: c.nEntry}
-	sn.prune = c.prune.publish()
+	sn.prune, sn.pruned = c.prune.publish(), !c.mirrored()
 	for i := range c.dir {
 		ch := &c.dir[i]
 		if ch.own {
@@ -132,8 +161,11 @@ func (c *Classifier) writableLocked(ci int) records {
 	return ch.records
 }
 
-// setProbeLocked refreshes the record at (ci, k) from g's current state.
+// setProbeLocked refreshes the mirror record at (ci, k) from g's state.
 func (c *Classifier) setProbeLocked(ci, k int, g *group) {
+	if !c.mirrored() {
+		return
+	}
 	r := c.writableLocked(ci)
 	r.hot[k], r.side[k] = buildProbe(g)
 }
@@ -141,7 +173,6 @@ func (c *Classifier) setProbeLocked(ci, k int, g *group) {
 // insertProbeLocked inserts g's record at (ci, k), splitting a chunk that
 // outgrows chunkCap into two halves.
 func (c *Classifier) insertProbeLocked(ci, k int, g *group) {
-	c.masks++
 	p, s := buildProbe(g)
 	if len(c.dir) == 0 {
 		c.dir = append(c.dir, chunk{records: records{[]scanProbe{p}, []probeSide{s}}, own: true})
@@ -164,7 +195,6 @@ func (c *Classifier) insertProbeLocked(ci, k int, g *group) {
 // removeProbeLocked deletes the record at (ci, k), dropping its chunk if
 // it empties, and repacks a mirror left mostly empty.
 func (c *Classifier) removeProbeLocked(ci, k int) {
-	c.masks--
 	r := c.writableLocked(ci)
 	r.hot = slices.Delete(r.hot, k, k+1)
 	r.side = slices.Delete(r.side, k, k+1)
@@ -226,8 +256,10 @@ func (c *Classifier) thawLocked(g *group) *group {
 	return ng
 }
 
-// mutableLocked is thawLocked plus g's mirror position.
+// mutableLocked is thawLocked plus g's mirror position, if mirrored.
 func (c *Classifier) mutableLocked(g *group) (ng *group, ci, k int) {
-	ci, k = c.locateLocked(g)
+	if c.mirrored() {
+		ci, k = c.locateLocked(g)
+	}
 	return c.thawLocked(g), ci, k
 }

@@ -10,7 +10,8 @@ import (
 )
 
 // firstOverlap is the brute-force overlap check: the first entry, in the
-// classifier's scan order, whose match region intersects e's.
+// classifier's group order (Entries: scan order, or OrderHash order once
+// ScanPruned keeps no probe mirror), whose match region intersects e's.
 func firstOverlap(c *Classifier, e *Entry) *Entry {
 	for _, ex := range c.Entries() {
 		if bitvec.Overlap(e.Key, e.Mask, ex.Key, ex.Mask) {
@@ -170,7 +171,9 @@ func TestOverlapCheckExact(t *testing.T) {
 
 // TestOverlapCheckFindsFirstInScanOrder: when several groups overlap the
 // new entry, Existing comes from the earliest in scan order, across every
-// order and under the pruned and the linear scan.
+// order and under the pruned and the linear scan. The pruned classifier's
+// 300 masks are past linearMasks, so it keeps no probe mirror and reports
+// the earliest in OrderHash order whatever Order says.
 func TestOverlapCheckFindsFirstInScanOrder(t *testing.T) {
 	l := bitvec.IPv4Tuple
 	dip, _ := l.FieldIndex("ip_dst")

@@ -38,7 +38,9 @@ import (
 // the nodes on its path, at most one per level. Published nodes, tables
 // and chunks are immutable; the snapshot carries them (pruneView). The
 // index is built when the cache first holds more than linearMasks masks,
-// below which lookups scan linearly, and maintained from then on.
+// below which lookups scan linearly, and maintained from then on. Under
+// ScanPruned the id table then stands in for the probe mirror, and lookups
+// walk the tree however few masks remain.
 //
 // The insert-time overlap check walks the same tree. Its candidates on
 // field f are the classes with a value agreeing with the new entry's key
@@ -52,10 +54,6 @@ import (
 // one- or two-mask cache (victim_mix, flow_setup) pays nothing for it,
 // reads or writes.
 const linearMasks = 16
-
-// pruned reports whether a lookup under scan walks this snapshot's
-// pruning index.
-func (sn *snapshot) pruned(scan Scan) bool { return scan == ScanPruned && sn.masks > linearMasks }
 
 // maxLevels bounds the pruned fields: every field of at most 63 bits, the
 // first maxLevels of them in layout order.

@@ -10,8 +10,9 @@ import (
 	"tse/internal/flowtable"
 )
 
-// checkPruneIndex fails t unless sn's pruning index describes sn's groups
-// exactly, or is empty while the cache has never outgrown linearMasks:
+// checkPruneIndex fails t unless sn's pruning index describes the writer's
+// groups (byMask, which sn was published from) exactly, or is empty while
+// the cache has never outgrown linearMasks:
 // every field some mask constrains is a tree level; the tree
 // holds every group's id once, under the path of its mask's classes, with
 // no empty node and every bitmap equal to what its node holds; the id
@@ -38,32 +39,33 @@ func checkPruneIndex(t *testing.T, c *Classifier, sn *snapshot) {
 		l uint8
 	}
 	vals := map[class]map[uint64]bool{}
-	for _, ch := range sn.chunks {
-		for _, s := range ch.side {
-			want[s.g] = true
-			cls := x.classes(s.g.mask)
-			for f := range x.fields {
-				if cls[f] != 0 && levels>>f&1 == 0 {
-					t.Fatalf("group %s constrains field %d, not a tree level", s.g.mask.Format(c.layout), f)
-				}
+	if len(c.byMask) != sn.masks {
+		t.Fatalf("writer holds %d groups, snapshot %d masks", len(c.byMask), sn.masks)
+	}
+	for _, g := range c.byMask {
+		want[g] = true
+		cls := x.classes(g.mask)
+		for f := range x.fields {
+			if cls[f] != 0 && levels>>f&1 == 0 {
+				t.Fatalf("group %s constrains field %d, not a tree level", g.mask.Format(c.layout), f)
 			}
-			if v.groups.at(s.g.meta.id) != s.g {
-				t.Fatalf("id %d of group %s names another group", s.g.meta.id, s.g.mask.Format(c.layout))
-			}
-			s.g.each(func(e *Entry) bool {
-				for d, f := range x.fields {
-					if cls[d] == 0 {
-						continue
-					}
-					k := class{d, cls[d]}
-					if vals[k] == nil {
-						vals[k] = map[uint64]bool{}
-					}
-					vals[k][f.get(e.Key)] = true
-				}
-				return true
-			})
 		}
+		if v.groups.at(g.meta.id) != g {
+			t.Fatalf("id %d of group %s names another group", g.meta.id, g.mask.Format(c.layout))
+		}
+		g.each(func(e *Entry) bool {
+			for d, f := range x.fields {
+				if cls[d] == 0 {
+					continue
+				}
+				k := class{d, cls[d]}
+				if vals[k] == nil {
+					vals[k] = map[uint64]bool{}
+				}
+				vals[k][f.get(e.Key)] = true
+			}
+			return true
+		})
 	}
 
 	held := 0

@@ -18,11 +18,24 @@ import (
 //     snapshots are published around it;
 //   - no torn scans: every lookup's probe count is bounded by the mask
 //     high-water mark, and dump readers always observe pairwise-disjoint
-//     entries;
+//     entries and distinct masks;
 //   - counters are monotonic: a sampler never sees Stats go backwards.
+//
+// It runs over both snapshot shapes: ScanPruned's, which past linearMasks
+// masks carry no probe mirror (the dump readers walk the pruning index's
+// id table), and ScanLinear's mirrored ones.
 func TestSnapshotConsistencyUnderWrites(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		scan Scan
+	}{{"ScanPruned", ScanPruned}, {"ScanLinear", ScanLinear}} {
+		t.Run(tc.name, func(t *testing.T) { snapshotConsistencyUnderWrites(t, tc.scan) })
+	}
+}
+
+func snapshotConsistencyUnderWrites(t *testing.T, scan Scan) {
 	l := bitvec.IPv4Tuple
-	c := New(l, Options{DisableOverlapCheck: true})
+	c := New(l, Options{DisableOverlapCheck: true, Scan: scan})
 	sip, _ := l.FieldIndex("ip_src")
 	dip, _ := l.FieldIndex("ip_dst")
 	dp, _ := l.FieldIndex("tp_dst")
@@ -67,6 +80,9 @@ func TestSnapshotConsistencyUnderWrites(t *testing.T) {
 	mustInsertBatch(t, c, stableEs, 0)
 	if c.MaskCount() != stableMasks+1 {
 		t.Fatalf("stable population has %d masks, want %d", c.MaskCount(), stableMasks+1)
+	}
+	if sn := c.snap.Load(); sn.pruned != (scan == ScanPruned) {
+		t.Fatalf("scan %d: snapshot pruned = %v", scan, sn.pruned)
 	}
 	for i, h := range stableHs {
 		if e, _, ok := c.Lookup(h, 0); !ok || e != stableEs[i] {
@@ -186,6 +202,15 @@ func TestSnapshotConsistencyUnderWrites(t *testing.T) {
 			if n != stable {
 				t.Errorf("dump observed %d stable entries, want %d", n, stable)
 				return
+			}
+			ms := c.Masks()
+			seenMask := make(map[string]bool, len(ms))
+			for _, m := range ms {
+				if seenMask[m.Key()] {
+					t.Error("Masks observed a duplicated mask (torn group list)")
+					return
+				}
+				seenMask[m.Key()] = true
 			}
 		}
 	}()

@@ -173,17 +173,20 @@ func refProbe(g *group, h bitvec.Vec) (*Entry, bool) {
 }
 
 // refPruned is the pruned lookup decided group by group: it probes, with
-// refProbe, every group of sn whose mask class is a candidate for h on
-// every pruned field — computed from the snapshot's candidate tables, not
-// from the tree. It returns the covering entry and the probes and skips
+// refProbe, every group of sn's id table whose mask class is a candidate
+// for h on every pruned field — computed from the snapshot's candidate
+// tables, not from the tree. It returns the covering entry and the probes and skips
 // of all candidates: a pruned lookup that misses makes exactly those, one
 // that hits at most those.
 func refPruned(x *pruneIndex, sn *snapshot, h bitvec.Vec) (*Entry, int, int) {
 	var hit *Entry
 	probes, skips := 0, 0
-	for _, ch := range sn.chunks {
-		for _, s := range ch.side {
-			cls := x.classes(s.g.mask)
+	for _, ch := range sn.prune.groups {
+		for _, g := range ch {
+			if g == nil {
+				continue
+			}
+			cls := x.classes(g.mask)
 			cand := true
 			for f := range x.fields {
 				cand = cand && sn.prune.cands[f].match(h)>>cls[f]&1 == 1
@@ -192,7 +195,7 @@ func refPruned(x *pruneIndex, sn *snapshot, h bitvec.Vec) (*Entry, int, int) {
 				continue
 			}
 			probes++
-			e, skip := refProbe(s.g, h)
+			e, skip := refProbe(g, h)
 			if skip {
 				skips++
 			}
@@ -211,7 +214,7 @@ func refPruned(x *pruneIndex, sn *snapshot, h bitvec.Vec) (*Entry, int, int) {
 // miss and at most them on a hit.
 func checkScan(t *testing.T, c *Classifier, sn *snapshot, h bitvec.Vec, e *Entry, probes, skips int) {
 	t.Helper()
-	if sn.pruned(c.opts.Scan) {
+	if sn.pruned {
 		re, rp, rs := refPruned(c.prune, sn, h)
 		if e != re || e == nil && (probes != rp || skips != rs) || e != nil && (probes < 1 || probes > rp || skips > rs) {
 			t.Fatalf("pruned lookup %s = (%v, %d probes, %d skips), candidate groups (%v, %d, %d)",

@@ -45,16 +45,18 @@
 // # Writes cost what they change
 //
 // Every write is priced by what it touches, not by |M| or |C|, because
-// under the attack the writer runs once per flood packet. The scan order
-// lives in a probe mirror of 256-record chunks (mirror.go): a publish
-// copies the chunk directory plus the chunks written since the last one.
-// A group's slot table is paged in 64-slot pages, and a large table's
-// page directory is split into 16-page leaves: a copy-on-write clone
-// copies the top of the directory and only the leaves and pages it
-// writes. The insert-time overlap check walks the pruning index, which
-// leaves only the groups whose per-field values agree with the new entry,
-// and confirms those survivors exactly. A sweep (DeleteWhere) compacts the
-// mirror in one pass and rebuilds each touched group's stage filters
+// under the attack the writer runs once per flood packet. The linear
+// scan's order lives in a probe mirror of 256-record chunks (mirror.go): a
+// publish copies the chunk directory plus the chunks written since the
+// last one. ScanPruned drops the mirror once its index is built, so an
+// install copies no scan structure, as in OVS's dpcls. A group's slot
+// table is paged in 64-slot pages, and a large table's page directory is
+// split into 16-page leaves: a copy-on-write clone copies the top of the
+// directory and only the leaves and pages it writes. The insert-time
+// overlap check walks the pruning index, which leaves only the groups
+// whose per-field values agree with the new entry, and confirms those
+// survivors exactly. A sweep (DeleteWhere) makes one pass over the mirror
+// or the index's id table and rebuilds each touched group's stage filters
 // once. Stats.ProbesCopied, SlotsCopied, DirCopied, OverlapCompared and
 // IndexCopied count that work exactly.
 package tss
@@ -92,11 +94,13 @@ const (
 type Scan int
 
 const (
-	// ScanPruned probes only the groups the tuple-pruning index leaves as
-	// candidates (prune.go), in index order; Order does not apply. Probes
-	// and StageSkips count the groups actually probed. A cache of at most
-	// linearMasks masks is scanned as under ScanLinear, which costs less
-	// than the index walk at that size. Default.
+	// ScanPruned (default) probes only the groups the tuple-pruning index
+	// leaves as candidates (prune.go), in index order; Order does not
+	// apply. Probes and StageSkips count the groups actually probed.
+	// Until the cache first holds more than linearMasks masks it is
+	// scanned as under ScanLinear, which costs less than the index walk at
+	// that size; from then on the index serves every lookup and no probe
+	// mirror is kept.
 	ScanPruned Scan = iota
 	// ScanLinear is Algorithm 1: every mask in Order, first hit wins, each
 	// probe with the staged early bail. A miss costs |M| probes — the
@@ -657,27 +661,30 @@ type Stats struct {
 	StageSkips uint64
 	// Inserted and Deleted count entry lifecycle events.
 	Inserted, Deleted uint64
-	// Publishes counts snapshot publications. Each copies the probe
-	// mirror's chunk directory (O(|M|/256) entries) plus the chunks written
-	// since the previous one (ProbesCopied); a K-entry InsertBatch raises
+	// Publishes counts snapshot publications; a K-entry InsertBatch raises
 	// it by exactly one — the amortisation the batched slow path exists
-	// for.
+	// for. Under ScanLinear (ScanPruned until its index is built) each
+	// copies the probe mirror's chunk directory (O(|M|/256) entries) plus
+	// the chunks written since the previous one (ProbesCopied).
 	Publishes uint64
 	// ProbesCopied, SlotsCopied, DirCopied, OverlapCompared and
 	// IndexCopied are the writer's work ledger, counted under the writer
 	// lock and never on the lookup path: probe records copied into
-	// published snapshots, group slots copied by copy-on-write clones,
-	// slot-table directory entries copied by those clones and their first
-	// writes, entries passed to the full bitvec.Overlap by the insert-time
-	// overlap check, and pruning-index nodes copied by writes (a tree node
-	// a snapshot shares, or a field's candidate table rebuilt at publish).
-	// Unlike timings they repeat exactly, so tests pin them.
+	// published snapshots (ScanLinear only, once the index is built), group
+	// slots copied by copy-on-write clones, slot-table directory entries
+	// copied by those clones and their first writes, entries passed to the
+	// full bitvec.Overlap by the insert-time overlap check, and
+	// pruning-index nodes copied by writes (a tree node a snapshot shares,
+	// or a field's candidate table rebuilt at publish). Unlike timings they
+	// repeat exactly, so tests pin them.
 	ProbesCopied, SlotsCopied, DirCopied, OverlapCompared, IndexCopied uint64
 }
 
 // Options configures a Classifier.
 type Options struct {
-	// Order selects the mask scan order (default OrderHash).
+	// Order selects ScanLinear's mask scan order (default OrderHash), which
+	// the whole-table readers (Entries, Masks, Dump, ProbePosition) follow;
+	// without a probe mirror they list groups in OrderHash order.
 	Order MaskOrder
 	// DisableOverlapCheck skips the independence verification on Insert.
 	// The vswitch megaflow generator guarantees disjointness by
@@ -721,8 +728,8 @@ type Handle struct {
 type Classifier struct {
 	mu     sync.Mutex // serialises writers; readers never take it
 	layout *bitvec.Layout
-	dir    []chunk  // writer-side probe mirror: the authoritative scan order
-	masks  int      // records in dir: |M|
+	dir    []chunk  // writer-side probe mirror in scan order; nil once ScanPruned builds its index
+	masks  int      // |M|
 	thawed []*group // groups created/cloned since the last publish
 	byMask map[string]*group
 	keyBuf []byte // scratch for byMask lookups: a mask's Key bytes
@@ -745,14 +752,16 @@ type Classifier struct {
 
 // snapshot is one immutable published scan state: the probe mirror's chunk
 // directory in scan order (each side record carries its group pointer, so
-// the dump-style readers walk the same chunks). Readers obtained it from
-// the atomic pointer; nothing it references is mutated after publication
+// the dump-style readers walk the same chunks), or, when pruned, no mirror
+// and the pruning index alone (see groups). Readers obtained it from the
+// atomic pointer; nothing it references is mutated after publication
 // (entry and hit counters are updated atomically through shared pointers).
 type snapshot struct {
 	chunks []records
 	masks  int
 	nEntry int
 	prune  *pruneView
+	pruned bool // published with the index active and no mirror: lookups walk the index
 }
 
 // Probe record kinds: what the scan can decide about a group from its
@@ -877,7 +886,7 @@ func (hd *Handle) lookupSnap(sn *snapshot, h bitvec.Vec, now int64) (*Entry, int
 	var e *Entry
 	var g *group
 	var probes, skips int
-	if sn.pruned(hd.c.opts.Scan) {
+	if sn.pruned {
 		e, g, probes, skips = sn.scanPruned(h)
 	} else {
 		e, g, probes, skips = sn.scanStaged(h)
@@ -1049,7 +1058,8 @@ func (hd *Handle) Stats() Stats {
 // independence invariant Inv(2).
 type ErrOverlap struct {
 	// Existing is a conflicting entry already in the cache, from the first
-	// conflicting mask group in linear-scan order.
+	// conflicting mask group in ScanLinear's scan order — OrderHash order
+	// once ScanPruned has dropped the probe mirror, whatever Order says.
 	Existing *Entry
 }
 
@@ -1161,6 +1171,9 @@ func (c *Classifier) insertLocked(e *Entry, now int64) error {
 	c.prune.addEntry(e.Key, &cls)
 	if !c.prune.active && c.masks > linearMasks {
 		c.prune.activate(c.dir)
+		if !c.mirrored() {
+			c.dir = nil
+		}
 	}
 	c.nEntry++
 	c.inserted++
@@ -1201,9 +1214,9 @@ func (c *Classifier) findOverlapLocked(e *Entry) *Entry {
 }
 
 // scansBeforeLocked reports whether the linear scan reaches group a before
-// group b.
+// group b; without a mirror, whether a is first in OrderHash order.
 func (c *Classifier) scansBeforeLocked(a, b *group) bool {
-	if c.opts.Order == OrderHash {
+	if c.opts.Order == OrderHash || !c.mirrored() {
 		return hashBefore(a, b.hash, b.maskKey)
 	}
 	ai, ak := c.locateLocked(a)
@@ -1231,10 +1244,13 @@ func (c *Classifier) groupOverlapLocked(g *group, e *Entry) *Entry {
 	return found
 }
 
-// placeLocked inserts a new group's probe record into the mirror at its
-// scan position: binary-searched into hash order under OrderHash,
-// appended otherwise.
+// placeLocked counts a new group and inserts its probe record into the
+// mirror, if there is one, at its scan position: binary-searched into hash
+// order under OrderHash, appended otherwise.
 func (c *Classifier) placeLocked(g *group) {
+	if c.masks++; !c.mirrored() {
+		return
+	}
 	ci, k := c.endLocked()
 	if c.opts.Order == OrderHash {
 		ci, k = c.searchLocked(g.hash, g.maskKey)
@@ -1261,9 +1277,10 @@ func (c *Classifier) Delete(key, mask bitvec.Vec) bool {
 	c.prune.removeEntry(key, &cls)
 	if g.n == 1 {
 		// The group empties: drop it without cloning it first.
-		ci, k := c.locateLocked(g)
+		if c.masks--; c.mirrored() {
+			c.removeProbeLocked(c.locateLocked(g))
+		}
 		delete(c.byMask, g.maskKey)
-		c.removeProbeLocked(ci, k)
 		c.prune.remove(g, &cls)
 	} else {
 		g, ci, k := c.mutableLocked(g)
@@ -1283,61 +1300,81 @@ func (c *Classifier) Delete(key, mask bitvec.Vec) bool {
 // undisturbed for the duration (the revalidator's dump never stalls the
 // fast path).
 //
-// The sweep is one pass over the probe mirror, O(|M| + |C|): each chunk
-// is compacted as it is walked (copied first only if it changes and a
-// snapshot shares it), a group that loses every entry is dropped without
-// being cloned, and a group that loses some is cloned once.
+// The sweep is one pass, O(|M| + |C|), over the probe mirror or, without
+// one, the pruning index's id table. A group that loses every entry is
+// dropped without being cloned, and a group that loses some is cloned
+// once. The mirror is compacted as it is walked: a chunk is copied first
+// only if it changes and a snapshot shares it.
 func (c *Classifier) DeleteWhere(pred func(*Entry) bool) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	removed := 0
 	var victims []bitvec.Vec
+	// sweep removes g's entries that pred selects and returns what is left
+	// of g and how many went: nil if all of them, else g, thawed and
+	// settled if any went. A one-entry group is its solo entry, so the
+	// attack-shaped bulk of a sweep never walks a slot table.
+	sweep := func(g *group) (*group, int) {
+		victims = victims[:0]
+		if g.solo != nil {
+			if pred(g.solo) {
+				victims = append(victims, g.solo.Key)
+			}
+		} else {
+			g.each(func(e *Entry) bool {
+				if pred(e) {
+					victims = append(victims, e.Key)
+				}
+				return true
+			})
+		}
+		gone := len(victims)
+		if gone == 0 {
+			return g, 0
+		}
+		removed += gone
+		cls := c.prune.classes(g.mask)
+		for _, key := range victims {
+			c.prune.removeEntry(key, &cls)
+		}
+		if gone == int(g.n) {
+			delete(c.byMask, g.maskKey)
+			c.masks--
+			c.prune.remove(g, &cls)
+			return nil, gone
+		}
+		g = c.thawLocked(g)
+		for _, key := range victims {
+			g.remove(key)
+		}
+		g.settle()
+		return g, gone
+	}
+	if !c.mirrored() {
+		// An id's slot is rewritten only while that id is swept, so reading
+		// each through the current table visits every group once.
+		for id := uint32(0); id < c.prune.next; id++ {
+			if g := c.prune.view.groups.at(id); g != nil {
+				sweep(g)
+			}
+		}
+	}
 	out := 0
 	for _, ch := range c.dir {
 		var keep records // the chunk's survivors, once it has changed
 		changed := false
 		for k := range ch.hot {
 			p, s := ch.hot[k], ch.side[k]
-			// victims are the keys of the record's group that pred
-			// selects. A one-entry group is its solo entry, so the
-			// attack-shaped bulk of a sweep never walks a slot table.
-			g := s.g
-			victims = victims[:0]
-			if g.solo != nil {
-				if pred(g.solo) {
-					victims = append(victims, g.solo.Key)
-				}
-			} else {
-				g.each(func(e *Entry) bool {
-					if pred(e) {
-						victims = append(victims, e.Key)
-					}
-					return true
-				})
-			}
-			if gone := len(victims); gone > 0 {
+			if g, gone := sweep(s.g); gone > 0 {
 				if !changed {
 					changed = true
 					if keep = ch.head(k); !ch.own {
 						keep = keep.clone(0)
 					}
 				}
-				removed += gone
-				cls := c.prune.classes(g.mask)
-				for _, key := range victims {
-					c.prune.removeEntry(key, &cls)
-				}
-				if gone == int(g.n) {
-					delete(c.byMask, g.maskKey)
-					c.masks--
-					c.prune.remove(g, &cls)
+				if g == nil {
 					continue
 				}
-				g = c.thawLocked(g)
-				for _, key := range victims {
-					g.remove(key)
-				}
-				g.settle()
 				p, s = buildProbe(g)
 			}
 			if changed {
@@ -1384,7 +1421,7 @@ func (c *Classifier) MaskCount() int {
 // verdicts whose lookup it did not see. Lock-free; records no statistics.
 func (c *Classifier) MissProbes(h bitvec.Vec) int {
 	sn := c.snap.Load()
-	if !sn.pruned(c.opts.Scan) {
+	if !sn.pruned {
 		return sn.masks
 	}
 	v := sn.prune
@@ -1423,21 +1460,19 @@ func (c *Classifier) Stats() Stats {
 }
 
 // Entries returns a snapshot of all entries, mask-group by mask-group in
-// the current scan order. This is the equivalent of `ovs-dpctl dump-flows`
-// that MFCGuard's monitor consumes. The returned entries are copies:
+// the snapshot's group order (see Options.Order). This is the equivalent
+// of `ovs-dpctl dump-flows` that MFCGuard's monitor consumes. The returned entries are copies:
 // mutating them does not affect the cache. The dump is lock-free — it
 // walks the published snapshot, so it can run at any cadence without
 // stalling packet processing.
 func (c *Classifier) Entries() []*Entry {
 	sn := c.snap.Load()
 	out := make([]*Entry, 0, sn.nEntry)
-	for _, ch := range sn.chunks {
-		for _, s := range ch.side {
-			start := len(out)
-			s.g.each(func(e *Entry) bool { out = append(out, snapshotEntry(e)); return true })
-			within := out[start:]
-			sort.Slice(within, func(i, j int) bool { return within[i].Key.Key() < within[j].Key.Key() })
-		}
+	for _, g := range sn.groups() {
+		start := len(out)
+		g.each(func(e *Entry) bool { out = append(out, snapshotEntry(e)); return true })
+		within := out[start:]
+		sort.Slice(within, func(i, j int) bool { return within[i].Key.Key() < within[j].Key.Key() })
 	}
 	return out
 }
@@ -1455,57 +1490,46 @@ func snapshotEntry(e *Entry) *Entry {
 	}
 }
 
-// Masks returns a snapshot of the distinct masks in scan order.
+// Masks returns a snapshot of the distinct masks in the snapshot's group
+// order.
 func (c *Classifier) Masks() []bitvec.Vec {
 	sn := c.snap.Load()
 	out := make([]bitvec.Vec, 0, sn.masks)
-	for _, ch := range sn.chunks {
-		for _, s := range ch.side {
-			out = append(out, s.g.mask.Clone())
-		}
+	for _, g := range sn.groups() {
+		out = append(out, g.mask.Clone())
 	}
 	return out
 }
 
-// Dump writes a human-readable cache listing in scan order, one mask group
-// per stanza — the `ovs-dpctl dump-flows` equivalent for interactive
-// debugging and the CLI tools.
+// Dump writes a human-readable cache listing in the snapshot's group
+// order, one mask group per stanza — the `ovs-dpctl dump-flows` equivalent
+// for interactive debugging and the CLI tools.
 func (c *Classifier) Dump(w io.Writer, l *bitvec.Layout) {
 	sn := c.snap.Load()
-	pos := 0
-	for _, ch := range sn.chunks {
-		for _, s := range ch.side {
-			g := s.g
-			pos++
-			fmt.Fprintf(w, "mask %d/%d: %s (%d entries, %d hits)\n",
-				pos, sn.masks, g.mask.Format(l), g.n, atomic.LoadUint64(&g.meta.hits))
-			var es []*Entry
-			g.each(func(e *Entry) bool { es = append(es, snapshotEntry(e)); return true })
-			sort.Slice(es, func(a, b int) bool { return es[a].Key.Key() < es[b].Key.Key() })
-			for _, e := range es {
-				fmt.Fprintf(w, "  %s hits=%d last=%d rule=%s\n",
-					bitvec.FormatMasked(l, e.Key, e.Mask), e.Hits, e.LastUsed, e.RuleName)
-			}
+	for i, g := range sn.groups() {
+		fmt.Fprintf(w, "mask %d/%d: %s (%d entries, %d hits)\n",
+			i+1, sn.masks, g.mask.Format(l), g.n, atomic.LoadUint64(&g.meta.hits))
+		var es []*Entry
+		g.each(func(e *Entry) bool { es = append(es, snapshotEntry(e)); return true })
+		sort.Slice(es, func(a, b int) bool { return es[a].Key.Key() < es[b].Key.Key() })
+		for _, e := range es {
+			fmt.Fprintf(w, "  %s hits=%d last=%d rule=%s\n",
+				bitvec.FormatMasked(l, e.Key, e.Mask), e.Hits, e.LastUsed, e.RuleName)
 		}
 	}
 }
 
-// ProbePosition returns the 1-based linear-scan position of the given
-// mask, or 0 if the mask is not present. A linear-scan lookup (ScanLinear)
-// hitting an entry under this mask costs exactly this many probes; the
-// dataplane simulator uses it to price the victim's traffic. A pruned
-// lookup's probes do not depend on it.
+// ProbePosition returns the 1-based position of the given mask in the
+// snapshot's group order, or 0 if the mask is not present. A linear-scan
+// lookup (ScanLinear) hitting an entry under this mask costs exactly this
+// many probes; the dataplane simulator uses it to price the victim's
+// traffic. A pruned lookup's probes do not depend on it.
 func (c *Classifier) ProbePosition(mask bitvec.Vec) int {
-	sn := c.snap.Load()
 	mk := mask.Key()
-	base := 0
-	for _, ch := range sn.chunks {
-		for k, s := range ch.side {
-			if s.g.maskKey == mk {
-				return base + k + 1
-			}
+	for i, g := range c.snap.Load().groups() {
+		if g.maskKey == mk {
+			return i + 1
 		}
-		base += len(ch.side)
 	}
 	return 0
 }
