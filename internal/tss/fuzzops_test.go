@@ -12,7 +12,6 @@ import (
 // refMask is one distinct mask of the reference model with its live entry
 // count and the OrderHash sort key.
 type refMask struct {
-	mask bitvec.Vec
 	key  string
 	hash uint64
 	n    int
@@ -48,7 +47,7 @@ func (r *refClassifier) add(e *Entry) {
 		m.n++
 		return
 	}
-	m := &refMask{mask: e.Mask, key: mk, hash: e.Mask.Hash(), n: 1}
+	m := &refMask{key: mk, hash: e.Mask.Hash(), n: 1}
 	r.masks = append(r.masks, m)
 	r.byKey[mk] = m
 	r.pos = nil
@@ -158,21 +157,23 @@ func fresh(e *Entry, a flowtable.Action) *Entry {
 // lookup run against refClassifier, asserting equal insert acceptance,
 // equal verdicts by entry identity, equal mask and entry counts, equal
 // probe counts under a linear scan, and snapshot isolation — a snapshot
-// loaded before a run of writes answers exactly as it did, so
-// copy-on-write never mutates anything a reader can still see. The first
-// byte picks the scan, pruned or linear (bit 3), and the order (bit 0). Every
-// lookup is also checked against its group-by-group reference over the
-// same snapshot (checkScan), so a probe record that drifts from its group
-// fails here, and after every write the pruning index must describe the
-// snapshot exactly (checkPruneIndex) and the whole-table readers must list
-// exactly the reference's masks and entries (checkTables); a DeleteWhere
-// must call its predicate exactly once per live entry, whether it walks
-// the probe mirror or the pruning index's id table. The base population (260–459 attack
-// masks plus a 50–249-entry exact-match group, or an 800–999-entry one
-// whose slot table has a two-level directory when bit 2 of the first byte
-// is set) spans several probe-mirror chunks, group slot pages and
-// directory leaves, so splits, page and leaf copies and compaction across
-// those boundaries are all on the path.
+// loaded before a run of writes answers exactly as it did, so copy-on-write
+// never mutates anything a reader can still see. The first byte picks the
+// scan, pruned or linear (bit 3), and the order (bit 0). Every lookup is
+// also checked against its group-by-group reference over the same snapshot
+// (checkScan), so a probe record that drifts from its group fails here, and
+// after every write the pruning index must describe the snapshot exactly
+// (checkPruneIndex) and Entries must list exactly the reference's entries
+// (checkTables); a DeleteWhere must call its predicate exactly once per
+// live entry, whether it walks the probe mirror or the pruning index's id
+// table. The base population (260–459 attack masks plus a 50–249-entry
+// exact-match group, or an 800–999-entry one whose slot table has a
+// two-level directory when bit 2 of the first byte is set) spans several
+// probe-mirror chunks, group slot pages and directory leaves, so splits,
+// page and leaf copies and compaction across those boundaries are all on
+// the path. The committed corpus (testdata/fuzz) holds seeds that reach
+// writes and sweeps under both scans and both orders, so the probe mirror's
+// writer is on the path too.
 func FuzzClassifierOps(f *testing.F) {
 	f.Add([]byte{0, 0, 0})
 	f.Add([]byte{1, 200, 255, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
@@ -259,21 +260,17 @@ func FuzzClassifierOps(f *testing.F) {
 			checkScan(t, c, sn, h, e, probes, skips)
 			return BatchResult{Entry: e, Probes: probes, OK: ok}
 		}
-		// checkTables fails unless Masks and Entries list the reference's
-		// masks, and group by group its entries ordered by key, in scan
-		// order: creation order while a probe mirror keeps OrderInsertion,
-		// else (hash, mask key) order, which is also the order of a pruned
-		// snapshot's id table.
+		// checkTables fails unless Entries lists the reference's entries
+		// group by group in (hash, mask key) order, each group's ordered by
+		// key, under every scan and order.
 		checkTables := func(op int) {
 			masks := slices.Clone(ref.masks)
-			if ref.order == OrderHash || c.snap.Load().pruned {
-				sort.Slice(masks, func(i, j int) bool {
-					if masks[i].hash != masks[j].hash {
-						return masks[i].hash < masks[j].hash
-					}
-					return masks[i].key < masks[j].key
-				})
-			}
+			sort.Slice(masks, func(i, j int) bool {
+				if masks[i].hash != masks[j].hash {
+					return masks[i].hash < masks[j].hash
+				}
+				return masks[i].key < masks[j].key
+			})
 			byMask := map[string][]*Entry{}
 			for _, e := range ref.entries {
 				byMask[e.Mask.Key()] = append(byMask[e.Mask.Key()], e)
@@ -284,15 +281,9 @@ func FuzzClassifierOps(f *testing.F) {
 				sort.Slice(es, func(i, j int) bool { return es[i].Key.Key() < es[j].Key.Key() })
 				want = append(want, es...)
 			}
-			gotMasks, got := c.Masks(), c.Entries()
-			if len(gotMasks) != len(masks) || len(got) != len(want) {
-				t.Fatalf("op %d: Masks lists %d, Entries %d; reference %d masks, %d entries",
-					op, len(gotMasks), len(got), len(masks), len(want))
-			}
-			for i, m := range masks {
-				if !gotMasks[i].Equal(m.mask) {
-					t.Fatalf("op %d: Masks()[%d] = %s, reference %s", op, i, gotMasks[i].Format(l), m.mask.Format(l))
-				}
+			got := c.Entries()
+			if len(got) != len(want) {
+				t.Fatalf("op %d: Entries lists %d, reference %d", op, len(got), len(want))
 			}
 			for i, e := range want {
 				if g := got[i]; !g.Key.Equal(e.Key) || !g.Mask.Equal(e.Mask) || g.Action != e.Action || g.RuleName != e.RuleName {

@@ -41,7 +41,7 @@ func (c *Classifier) AttachMetrics(reg *telemetry.Registry) {
 		"Copy-on-write snapshot publications (one per InsertBatch, however large).",
 		stat(func(s Stats) uint64 { return s.Publishes }))
 	reg.CounterFunc("tse_tss_probes_copied_total",
-		"Probe records copied into published snapshots (ScanLinear only; 0 once the pruning index is built).",
+		"Probe records copied into published snapshots (ScanLinear only).",
 		stat(func(s Stats) uint64 { return s.ProbesCopied }))
 	reg.CounterFunc("tse_tss_slots_copied_total",
 		"Mask-group slots copied by copy-on-write clones.",

@@ -1,21 +1,18 @@
 package tss
 
 import (
-	"cmp"
 	"slices"
 	"sort"
-	"strings"
 )
 
 // chunkCap is the capacity of one probe-mirror chunk. The mirror is the
-// linear scan's record list, which the pruned lookup never reads, so
-// ScanPruned drops it once its index is built (mirrored). It is a
-// directory of chunks rather than one flat array so that a publish copies
-// only the chunks a write touched plus the directory (about 33 entries at
-// the attack's 8 209 masks), not all |M| records: 256 records of 24 hot
-// and 40 side bytes keep a chunk's copy at 16 kB, while the scan still
-// runs its call-free inner loop over hundreds of records between chunk
-// boundaries.
+// linear scan's record list, which the pruned lookup never reads, so only
+// ScanLinear keeps it (mirrored). It is a directory of chunks rather than
+// one flat array so that a publish copies only the chunks a write touched
+// plus the directory (about 33 entries at the attack's 8 209 masks), not
+// all |M| records: 256 records of 24 hot and 40 side bytes keep a chunk's
+// copy at 16 kB, while the scan still runs its call-free inner loop over
+// hundreds of records between chunk boundaries.
 const chunkCap = 256
 
 // records is a run of probe records in scan order, held as two parallel
@@ -49,29 +46,7 @@ type chunk struct {
 }
 
 // mirrored reports whether the writer keeps the probe mirror.
-func (c *Classifier) mirrored() bool { return c.opts.Scan == ScanLinear || !c.prune.active }
-
-// groups returns the snapshot's groups for the whole-table readers: the
-// mirror's, in scan order, or a pruned snapshot's id table sorted by
-// (hash, maskKey), which is OrderHash scan order.
-func (sn *snapshot) groups() []*group {
-	gs := make([]*group, 0, sn.masks)
-	for _, ch := range sn.chunks {
-		for _, s := range ch.side {
-			gs = append(gs, s.g)
-		}
-	}
-	if sn.pruned {
-		for _, ch := range sn.prune.groups {
-			gs = append(gs, ch...)
-		}
-		gs = slices.DeleteFunc(gs, func(g *group) bool { return g == nil })
-		slices.SortFunc(gs, func(a, b *group) int {
-			return cmp.Or(cmp.Compare(a.hash, b.hash), strings.Compare(a.maskKey, b.maskKey))
-		})
-	}
-	return gs
-}
+func (c *Classifier) mirrored() bool { return c.opts.Scan == ScanLinear }
 
 // publishLocked publishes the writer-side state as the next snapshot.
 // Called under the writer lock after every mutation. The snapshot shares
@@ -79,7 +54,7 @@ func (sn *snapshot) groups() []*group {
 // chunks written since the last publish (Stats.ProbesCopied), which are
 // frozen here along with the groups touched since then, so later writers
 // copy before mutating (readers may scan this snapshot indefinitely).
-// Without a mirror it publishes the pruning index alone.
+// Without a mirror (ScanPruned) it publishes the pruning index alone.
 func (c *Classifier) publishLocked() {
 	sn := &snapshot{chunks: make([]records, len(c.dir)), masks: c.masks, nEntry: c.nEntry}
 	sn.prune, sn.pruned = c.prune.publish(), !c.mirrored()

@@ -9,9 +9,8 @@ import (
 	"tse/internal/flowtable"
 )
 
-// firstOverlap is the brute-force overlap check: the first entry, in the
-// classifier's group order (Entries: scan order, or OrderHash order once
-// ScanPruned keeps no probe mirror), whose match region intersects e's.
+// firstOverlap is the brute-force overlap check: the first entry, in
+// Entries' OrderHash group order, whose match region intersects e's.
 func firstOverlap(c *Classifier, e *Entry) *Entry {
 	for _, ex := range c.Entries() {
 		if bitvec.Overlap(e.Key, e.Mask, ex.Key, ex.Mask) {
@@ -24,7 +23,7 @@ func firstOverlap(c *Classifier, e *Entry) *Entry {
 // checkOverlapExact inserts e and asserts the classifier's verdict is the
 // brute-force one: rejected iff some installed entry overlaps e, and then
 // with an Existing that overlaps e and sits in the first overlapping mask
-// group of the scan (which entry of a multi-entry group is reported
+// group in OrderHash order (which entry of a multi-entry group is reported
 // depends on slot order). A rejected insert must leave the cache as it was.
 func checkOverlapExact(t *testing.T, c *Classifier, e *Entry) error {
 	t.Helper()
@@ -43,7 +42,7 @@ func checkOverlapExact(t *testing.T, c *Classifier, e *Entry) error {
 			t.Fatalf("reported Existing %s does not overlap %s", ov.Existing.Format(c.Layout()), e.Format(c.Layout()))
 		}
 		if !ov.Existing.Mask.Equal(want.Mask) {
-			t.Fatalf("reported Existing under mask %s, first overlapping group in scan order is %s",
+			t.Fatalf("reported Existing under mask %s, first overlapping group in OrderHash order is %s",
 				ov.Existing.Mask.Format(c.Layout()), want.Mask.Format(c.Layout()))
 		}
 		if c.MaskCount() != masks || c.EntryCount() != entries {
@@ -170,10 +169,8 @@ func TestOverlapCheckExact(t *testing.T) {
 }
 
 // TestOverlapCheckFindsFirstInScanOrder: when several groups overlap the
-// new entry, Existing comes from the earliest in scan order, across every
-// order and under the pruned and the linear scan. The pruned classifier's
-// 300 masks are past linearMasks, so it keeps no probe mirror and reports
-// the earliest in OrderHash order whatever Order says.
+// new entry, Existing comes from the earliest in OrderHash scan order,
+// under every order and under the pruned and the linear scan.
 func TestOverlapCheckFindsFirstInScanOrder(t *testing.T) {
 	l := bitvec.IPv4Tuple
 	dip, _ := l.FieldIndex("ip_dst")

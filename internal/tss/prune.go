@@ -1,8 +1,10 @@
 package tss
 
 import (
+	"cmp"
 	"math/bits"
 	"slices"
+	"strings"
 
 	"tse/internal/bitvec"
 )
@@ -37,23 +39,15 @@ import (
 // tree. The tree changes only when a mask comes or goes, and then copies
 // the nodes on its path, at most one per level. Published nodes, tables
 // and chunks are immutable; the snapshot carries them (pruneView). The
-// index is built when the cache first holds more than linearMasks masks,
-// below which lookups scan linearly, and maintained from then on. Under
-// ScanPruned the id table then stands in for the probe mirror, and lookups
-// walk the tree however few masks remain.
+// index is built in New and kept under both scans: ScanPruned lookups walk
+// the tree from the first mask, the insert-time overlap check walks it
+// under either scan, and the id table is the group directory Entries and
+// DeleteWhere read.
 //
 // The insert-time overlap check walks the same tree. Its candidates on
 // field f are the classes with a value agreeing with the new entry's key
 // on the bits both masks constrain there: min(L, L_e) bits for a prefix
 // mask.
-
-// linearMasks is the largest mask count a ScanPruned lookup scans linearly:
-// over so few masks the staged scan's streamed records cost less than
-// computing candidates and walking the tree. The index itself is
-// built when the cache first holds more masks (pruneIndex.activate), so a
-// one- or two-mask cache (victim_mix, flow_setup) pays nothing for it,
-// reads or writes.
-const linearMasks = 16
 
 // maxLevels bounds the pruned fields: every field of at most 63 bits, the
 // first maxLevels of them in layout order.
@@ -157,6 +151,20 @@ type pruneView struct {
 	groups idTable
 }
 
+// groups returns the snapshot's groups for Entries: the pruning index's id
+// table sorted by (hash, maskKey), which is OrderHash scan order.
+func (sn *snapshot) groups() []*group {
+	gs := make([]*group, 0, sn.masks)
+	for _, ch := range sn.prune.groups {
+		gs = append(gs, ch...)
+	}
+	gs = slices.DeleteFunc(gs, func(g *group) bool { return g == nil })
+	slices.SortFunc(gs, func(a, b *group) int {
+		return cmp.Or(cmp.Compare(a.hash, b.hash), strings.Compare(a.maskKey, b.maskKey))
+	})
+	return gs
+}
+
 // candidates fills cand with header h's candidate classes on every level.
 func (v *pruneView) candidates(h bitvec.Vec, cand *[maxLevels]uint64) {
 	for d, f := range v.levels {
@@ -193,23 +201,19 @@ func (v *pruneView) each(n *inode, d int, cand *[maxLevels]uint64, f func(uint32
 // candidate classes per level from the published tables, then a walk of
 // the candidate groups, each probed as the linear scan probes it. Probes
 // and skips count the groups actually probed.
-func (sn *snapshot) scanPruned(h bitvec.Vec) (e *Entry, g *group, probes, skips int) {
+func (sn *snapshot) scanPruned(h bitvec.Vec) (e *Entry, probes, skips int) {
 	v := sn.prune
 	var cand [maxLevels]uint64
 	v.candidates(h, &cand)
 	v.each(v.root, 0, &cand, func(id uint32) bool {
 		probes++
-		g = v.groups.at(id)
 		var skip bool
-		if e, skip = g.probe(h); skip {
+		if e, skip = v.groups.at(id).probe(h); skip {
 			skips++
 		}
 		return e == nil
 	})
-	if e == nil {
-		g = nil
-	}
-	return e, g, probes, skips
+	return e, probes, skips
 }
 
 // valClass is the writer's count of one (field, length) class: its
@@ -227,13 +231,10 @@ type valCount struct {
 
 // pruneIndex is the writer side of the tuple-pruning index, under the
 // classifier's writer lock. view is what the next publish shares; fields
-// never changes after New. Until active, every write is a no-op and the
-// view is empty.
+// never changes after New.
 type pruneIndex struct {
 	view     pruneView
-	idle     pruneView // what snapshots of an inactive index share
 	fields   []pfield
-	active   bool
 	levelSet uint64 // fields that are tree levels
 	epoch    uint64
 
@@ -273,7 +274,6 @@ func newPruneIndex(l *bitvec.Layout) *pruneIndex {
 	for f, pf := range x.fields {
 		x.view.cands[f] = fieldCands{f: pf, dense: 1}
 	}
-	x.idle = x.view
 	return x
 }
 
@@ -286,12 +286,8 @@ func (x *pruneIndex) classes(mask bitvec.Vec) (cls [maxLevels]uint8) {
 }
 
 // publish rebuilds the stale candidate tables and returns the view the
-// snapshot shares; everything written until then is frozen. Every
-// snapshot of an inactive index shares one empty view.
+// snapshot shares; everything written until then is frozen.
 func (x *pruneIndex) publish() *pruneView {
-	if !x.active {
-		return &x.idle
-	}
 	x.epoch++
 	if x.dirty != 0 {
 		x.view.cands = slices.Clone(x.view.cands)
@@ -317,27 +313,8 @@ func (x *pruneIndex) publish() *pruneView {
 	return &v
 }
 
-// activate builds the index over the groups of the mirror dir, which
-// from then on every write maintains.
-func (x *pruneIndex) activate(dir []chunk) {
-	x.active = true
-	for _, ch := range dir {
-		for _, s := range ch.side {
-			cls := x.classes(s.g.mask)
-			x.add(s.g, &cls)
-			s.g.each(func(e *Entry) bool {
-				x.addEntry(e.Key, &cls)
-				return true
-			})
-		}
-	}
-}
-
 // addEntry counts key's value in each of its mask's classes cls.
 func (x *pruneIndex) addEntry(key bitvec.Vec, cls *[maxLevels]uint8) {
-	if !x.active {
-		return
-	}
 	for f, pf := range x.fields {
 		l := cls[f]
 		if l == 0 {
@@ -376,9 +353,6 @@ func (x *pruneIndex) addEntry(key bitvec.Vec, cls *[maxLevels]uint8) {
 
 // removeEntry uncounts key under its mask's classes cls.
 func (x *pruneIndex) removeEntry(key bitvec.Vec, cls *[maxLevels]uint8) {
-	if !x.active {
-		return
-	}
 	for f, pf := range x.fields {
 		l := cls[f]
 		if l == 0 {
@@ -438,9 +412,6 @@ func (x *pruneIndex) overlapCands(key, mask bitvec.Vec) (cand [maxLevels]uint64)
 // in the tree, first making a level of every field its mask is the first
 // to constrain.
 func (x *pruneIndex) add(g *group, cls *[maxLevels]uint8) {
-	if !x.active {
-		return
-	}
 	var need uint64
 	for f := range x.fields {
 		if cls[f] != 0 {
@@ -456,27 +427,20 @@ func (x *pruneIndex) add(g *group, cls *[maxLevels]uint8) {
 	} else {
 		x.next++
 	}
-	g.meta.id = id
+	g.id = id
 	x.setGroup(id, g)
 	x.setLeaf(cls, id, true)
 }
 
 // replace points g's id at g, a copy-on-write clone of the group there.
-func (x *pruneIndex) replace(g *group) {
-	if x.active {
-		x.setGroup(g.meta.id, g)
-	}
-}
+func (x *pruneIndex) replace(g *group) { x.setGroup(g.id, g) }
 
 // remove drops g, whose mask has classes cls, from the tree and frees its
 // id.
 func (x *pruneIndex) remove(g *group, cls *[maxLevels]uint8) {
-	if !x.active {
-		return
-	}
-	x.setLeaf(cls, g.meta.id, false)
-	x.setGroup(g.meta.id, nil)
-	x.free = append(x.free, g.meta.id)
+	x.setLeaf(cls, g.id, false)
+	x.setGroup(g.id, nil)
+	x.free = append(x.free, g.id)
 }
 
 // setGroup stores g at id, first copying the directory if a snapshot
@@ -521,7 +485,7 @@ func (x *pruneIndex) rebuild(set uint64) {
 		for _, g := range ch {
 			if g != nil {
 				cls := x.classes(g.mask)
-				x.setLeaf(&cls, g.meta.id, true)
+				x.setLeaf(&cls, g.id, true)
 			}
 		}
 	}

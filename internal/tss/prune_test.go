@@ -11,24 +11,16 @@ import (
 )
 
 // checkPruneIndex fails t unless sn's pruning index describes the writer's
-// groups (byMask, which sn was published from) exactly, or is empty while
-// the cache has never outgrown linearMasks:
-// every field some mask constrains is a tree level; the tree
-// holds every group's id once, under the path of its mask's classes, with
-// no empty node and every bitmap equal to what its node holds; the id
-// table maps each id to its group and holds nothing else; and each
-// field's candidate table lists, for every class its entries occupy,
-// either exactly their values or the class as dense, and nothing for a
-// class no entry occupies.
+// groups (byMask, which sn was published from) exactly: every field some
+// mask constrains is a tree level; the tree holds every group's id once,
+// under the path of its mask's classes, with no empty node and every bitmap
+// equal to what its node holds; the id table maps each id to its group and
+// holds nothing else; and each field's candidate table lists, for every
+// class its entries occupy, either exactly their values or the class as
+// dense, and nothing for a class no entry occupies.
 func checkPruneIndex(t *testing.T, c *Classifier, sn *snapshot) {
 	t.Helper()
 	x, v := c.prune, sn.prune
-	if !x.active {
-		if sn.masks > linearMasks || v.root != nil || len(v.groups) != 0 {
-			t.Fatalf("inactive index over %d masks: root %v, %d id chunks", sn.masks, v.root, len(v.groups))
-		}
-		return
-	}
 	want := map[*group]bool{}
 	var levels uint64
 	for _, f := range v.levels {
@@ -50,8 +42,8 @@ func checkPruneIndex(t *testing.T, c *Classifier, sn *snapshot) {
 				t.Fatalf("group %s constrains field %d, not a tree level", g.mask.Format(c.layout), f)
 			}
 		}
-		if v.groups.at(g.meta.id) != g {
-			t.Fatalf("id %d of group %s names another group", g.meta.id, g.mask.Format(c.layout))
+		if v.groups.at(g.id) != g {
+			t.Fatalf("id %d of group %s names another group", g.id, g.mask.Format(c.layout))
 		}
 		g.each(func(e *Entry) bool {
 			for d, f := range x.fields {
@@ -168,15 +160,11 @@ func checkPruneIndex(t *testing.T, c *Classifier, sn *snapshot) {
 // up to denseVals distinct values it lists them, one more turns it dense,
 // deletions keep it dense until it empties, and then it is gone. Lookups
 // stay exact throughout, and the pruned lookup of a class member probes
-// one group however many values the class holds. The class's entries
-// match ip_proto 6; linearMasks background masks over tp_dst match ip_proto
-// 17, so the cache is large enough to prune and stays disjoint, and the
-// index is built only once a mask beyond them arrives.
+// one group however many values the class holds.
 func TestPruneDenseClass(t *testing.T) {
 	l := bitvec.IPv4Tuple
 	sip, _ := l.FieldIndex("ip_src")
 	proto, _ := l.FieldIndex("ip_proto")
-	dp, _ := l.FieldIndex("tp_dst")
 	c := New(l, Options{})
 	mask := bitvec.PrefixMask(l, sip, 32).Or(bitvec.FieldMask(l, proto))
 	var es []*Entry
@@ -186,22 +174,8 @@ func TestPruneDenseClass(t *testing.T) {
 		key.SetField(l, proto, 6)
 		es = append(es, &Entry{Key: key, Mask: mask, Action: flowtable.Drop})
 	}
-	for k := 1; k <= linearMasks; k++ {
-		key := bitvec.NewVec(l)
-		key.SetField(l, proto, 17)
-		key.SetFieldBit(l, dp, k-1)
-		m := bitvec.FieldMask(l, proto).Or(bitvec.PrefixMask(l, dp, k))
-		mustInsertBatch(t, c, []*Entry{{Key: key, Mask: m, Action: flowtable.Allow}}, 0)
-		checkPruneIndex(t, c, c.snap.Load())
-	}
-	if c.prune.active {
-		t.Fatalf("index built at %d masks", c.MaskCount())
-	}
 	other := &Entry{Key: bitvec.NewVec(l), Mask: bitvec.PrefixMask(l, sip, 8).Or(bitvec.FieldMask(l, proto)), Action: flowtable.Allow}
 	mustInsertBatch(t, c, []*Entry{other}, 0)
-	if !c.prune.active {
-		t.Fatalf("index not built at %d masks", c.MaskCount())
-	}
 	checkPruneIndex(t, c, c.snap.Load())
 	d := 0 // ip_src is the first level
 	for i, e := range es {

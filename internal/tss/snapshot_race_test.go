@@ -21,9 +21,9 @@ import (
 //     entries and distinct masks;
 //   - counters are monotonic: a sampler never sees Stats go backwards.
 //
-// It runs over both snapshot shapes: ScanPruned's, which past linearMasks
-// masks carry no probe mirror (the dump readers walk the pruning index's
-// id table), and ScanLinear's mirrored ones.
+// It runs over both snapshot shapes: ScanPruned's, which carry no probe
+// mirror, and ScanLinear's mirrored ones. Under both the dump readers walk
+// the pruning index's id table.
 func TestSnapshotConsistencyUnderWrites(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -203,14 +203,14 @@ func snapshotConsistencyUnderWrites(t *testing.T, scan Scan) {
 				t.Errorf("dump observed %d stable entries, want %d", n, stable)
 				return
 			}
-			ms := c.Masks()
-			seenMask := make(map[string]bool, len(ms))
-			for _, m := range ms {
-				if seenMask[m.Key()] {
-					t.Error("Masks observed a duplicated mask (torn group list)")
+			gs := c.snap.Load().groups()
+			seenMask := make(map[string]bool, len(gs))
+			for _, g := range gs {
+				if seenMask[g.maskKey] {
+					t.Error("groups observed a duplicated mask (torn group list)")
 					return
 				}
-				seenMask[m.Key()] = true
+				seenMask[g.maskKey] = true
 			}
 		}
 	}()

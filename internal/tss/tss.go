@@ -45,25 +45,24 @@
 // # Writes cost what they change
 //
 // Every write is priced by what it touches, not by |M| or |C|, because
-// under the attack the writer runs once per flood packet. The linear
-// scan's order lives in a probe mirror of 256-record chunks (mirror.go): a
-// publish copies the chunk directory plus the chunks written since the
-// last one. ScanPruned drops the mirror once its index is built, so an
-// install copies no scan structure, as in OVS's dpcls. A group's slot
-// table is paged in 64-slot pages, and a large table's page directory is
-// split into 16-page leaves: a copy-on-write clone copies the top of the
-// directory and only the leaves and pages it writes. The insert-time
-// overlap check walks the pruning index, which leaves only the groups
-// whose per-field values agree with the new entry, and confirms those
-// survivors exactly. A sweep (DeleteWhere) makes one pass over the mirror
-// or the index's id table and rebuilds each touched group's stage filters
-// once. Stats.ProbesCopied, SlotsCopied, DirCopied, OverlapCompared and
+// under the attack the writer runs once per flood packet. The linear scan's
+// order lives in a probe mirror of 256-record chunks (mirror.go): a publish
+// copies the chunk directory plus the chunks written since the last one.
+// Only ScanLinear keeps the mirror: under ScanPruned an install copies no
+// scan structure, as in OVS's dpcls. A group's slot table is paged in
+// 64-slot pages, and a large table's page directory is split into 16-page
+// leaves: a copy-on-write clone copies the top of the directory and only
+// the leaves and pages it writes. The insert-time overlap check walks the
+// pruning index, which leaves only the groups whose per-field values agree
+// with the new entry, and confirms those survivors exactly. A sweep
+// (DeleteWhere) makes one pass over the index's id table, or over the
+// mirror it compacts, and rebuilds each touched group's stage filters once.
+// Stats.ProbesCopied, SlotsCopied, DirCopied, OverlapCompared and
 // IndexCopied count that work exactly.
 package tss
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -95,12 +94,9 @@ type Scan int
 
 const (
 	// ScanPruned (default) probes only the groups the tuple-pruning index
-	// leaves as candidates (prune.go), in index order; Order does not
-	// apply. Probes and StageSkips count the groups actually probed.
-	// Until the cache first holds more than linearMasks masks it is
-	// scanned as under ScanLinear, which costs less than the index walk at
-	// that size; from then on the index serves every lookup and no probe
-	// mirror is kept.
+	// leaves as candidates (prune.go), in index order, whatever the cache's
+	// size; Order does not apply and no probe mirror is kept. Probes and
+	// StageSkips count the groups actually probed.
 	ScanPruned Scan = iota
 	// ScanLinear is Algorithm 1: every mask in Order, first hit wins, each
 	// probe with the staged early bail. A miss costs |M| probes — the
@@ -179,9 +175,7 @@ func (f *stageFilter) has(h uint64) bool { return f[(h>>6)&3]>>(h&63)&1 == 1 }
 // so concurrent readers always scan a consistent slot table. The table is
 // paged so a clone costs what it writes, not what the group holds: the
 // clone copies the top of the page directory and then each leaf and page
-// only when it first writes it (see set). The hits counter is shared
-// across clones through a pointer so no hit accounting is lost when a
-// group is copied.
+// only when it first writes it (see set).
 type group struct {
 	// pages and sparse lead the struct so a lookup probe's loads stay
 	// within the group's first cache lines. A two-level table keeps pages
@@ -214,17 +208,10 @@ type group struct {
 	mask    bitvec.Vec
 	maskKey string
 	hash    uint64
-	words   []int      // nonzero word indices of mask, in order
-	meta    *groupMeta // shared across copy-on-write clones
+	words   []int  // nonzero word indices of mask, in order
+	id      uint32 // the group's id in the pruning index; clones keep it
 
 	leaves [][][]slot // two-level table: leaves of leafPages pages, else nil
-}
-
-// groupMeta is what a group's copy-on-write clones share: the hit counter
-// and the group's id in the pruning index.
-type groupMeta struct {
-	hits uint64
-	id   uint32
 }
 
 // copyLedger is the classifier's count of what copy-on-write clones copy:
@@ -292,7 +279,6 @@ func newGroup(mask bitvec.Vec, maskKey string, stages []int) *group {
 		maskKey: maskKey,
 		hash:    mask.Hash(),
 		words:   mask.NonzeroWords(),
-		meta:    new(groupMeta),
 	}
 	g.alloc(minSlotBits)
 	g.sparse, g.sparseOK = bitvec.NewSparseMask(mask)
@@ -329,12 +315,12 @@ func buildStageOff(sp *bitvec.SparseMask, bounds []int) []uint8 {
 }
 
 // clone returns a mutable copy of the group sharing the immutable pieces
-// (mask, words, stage offsets, hit counter) and copying what a writer
-// mutates in place: Bloom filters, counts, the top of the page directory
-// (the flat directory, or the top level of a two-level one), and the slot
-// pages — a one-page table at once, since a write follows every clone, a
-// larger one leaf and page at a time as set first writes each. cl is the
-// classifier's copy ledger.
+// (mask, words, stage offsets) and copying what a writer mutates in place:
+// Bloom filters, counts, the top of the page directory (the flat directory,
+// or the top level of a two-level one), and the slot pages — a one-page
+// table at once, since a write follows every clone, a larger one leaf and
+// page at a time as set first writes each. cl is the classifier's copy
+// ledger.
 func (g *group) clone(cl *copyLedger) *group {
 	ng := *g
 	ng.frozen = false
@@ -663,28 +649,27 @@ type Stats struct {
 	Inserted, Deleted uint64
 	// Publishes counts snapshot publications; a K-entry InsertBatch raises
 	// it by exactly one — the amortisation the batched slow path exists
-	// for. Under ScanLinear (ScanPruned until its index is built) each
-	// copies the probe mirror's chunk directory (O(|M|/256) entries) plus
-	// the chunks written since the previous one (ProbesCopied).
+	// for. Under ScanLinear each also copies the probe mirror's chunk
+	// directory (O(|M|/256) entries) plus the chunks written since the
+	// previous one (ProbesCopied).
 	Publishes uint64
-	// ProbesCopied, SlotsCopied, DirCopied, OverlapCompared and
-	// IndexCopied are the writer's work ledger, counted under the writer
-	// lock and never on the lookup path: probe records copied into
-	// published snapshots (ScanLinear only, once the index is built), group
-	// slots copied by copy-on-write clones, slot-table directory entries
-	// copied by those clones and their first writes, entries passed to the
-	// full bitvec.Overlap by the insert-time overlap check, and
-	// pruning-index nodes copied by writes (a tree node a snapshot shares,
-	// or a field's candidate table rebuilt at publish). Unlike timings they
-	// repeat exactly, so tests pin them.
+	// ProbesCopied, SlotsCopied, DirCopied, OverlapCompared and IndexCopied
+	// are the writer's work ledger, counted under the writer lock and never
+	// on the lookup path: probe records copied into published snapshots
+	// (ScanLinear only), group slots copied by copy-on-write clones,
+	// slot-table directory entries copied by those clones and their first
+	// writes, entries passed to the full bitvec.Overlap by the insert-time
+	// overlap check, and pruning-index nodes copied by writes (a tree node
+	// a snapshot shares, or a field's candidate table rebuilt at publish).
+	// Unlike timings they repeat exactly, so tests pin them.
 	ProbesCopied, SlotsCopied, DirCopied, OverlapCompared, IndexCopied uint64
 }
 
 // Options configures a Classifier.
 type Options struct {
-	// Order selects ScanLinear's mask scan order (default OrderHash), which
-	// the whole-table readers (Entries, Masks, Dump, ProbePosition) follow;
-	// without a probe mirror they list groups in OrderHash order.
+	// Order selects ScanLinear's mask scan order (default OrderHash). It
+	// applies to ScanLinear only: the pruned lookup walks its index, and
+	// Entries lists groups in OrderHash order under either scan.
 	Order MaskOrder
 	// DisableOverlapCheck skips the independence verification on Insert.
 	// The vswitch megaflow generator guarantees disjointness by
@@ -718,17 +703,16 @@ type Handle struct {
 }
 
 // Classifier is a TSS megaflow cache, safe for concurrent use. Readers
-// (Lookup, LookupBatch, Entries, Masks, Dump, MaskCount, EntryCount,
-// ProbePosition) are lock-free: they load the current snapshot from an
-// atomic pointer and never block, so PMD-style datapath workers scale
-// without serialising on a classifier lock. Writers (Insert, Delete,
-// DeleteWhere, ExpireIdle) serialise on a mutex, clone only the mask
-// groups they touch (copy-on-write), and publish the next snapshot
-// atomically.
+// (Lookup, LookupBatch, MissProbes, Entries, MaskCount, EntryCount) are
+// lock-free: they load the current snapshot from an atomic pointer and
+// never block, so PMD-style datapath workers scale without serialising on a
+// classifier lock. Writers (Insert, Delete, DeleteWhere, ExpireIdle)
+// serialise on a mutex, clone only the mask groups they touch
+// (copy-on-write), and publish the next snapshot atomically.
 type Classifier struct {
 	mu     sync.Mutex // serialises writers; readers never take it
 	layout *bitvec.Layout
-	dir    []chunk  // writer-side probe mirror in scan order; nil once ScanPruned builds its index
+	dir    []chunk  // writer-side probe mirror in scan order; ScanLinear only
 	masks  int      // |M|
 	thawed []*group // groups created/cloned since the last publish
 	byMask map[string]*group
@@ -750,18 +734,18 @@ type Classifier struct {
 	copies                        copyLedger
 }
 
-// snapshot is one immutable published scan state: the probe mirror's chunk
-// directory in scan order (each side record carries its group pointer, so
-// the dump-style readers walk the same chunks), or, when pruned, no mirror
-// and the pruning index alone (see groups). Readers obtained it from the
-// atomic pointer; nothing it references is mutated after publication
-// (entry and hit counters are updated atomically through shared pointers).
+// snapshot is one immutable published scan state: the pruning index, whose
+// id table is the group directory Entries reads (see groups), plus under
+// ScanLinear the probe mirror's chunk directory in scan order. Readers
+// obtained it from the atomic pointer; nothing it references is mutated
+// after publication (entry and hit counters are updated atomically through
+// shared pointers).
 type snapshot struct {
 	chunks []records
 	masks  int
 	nEntry int
 	prune  *pruneView
-	pruned bool // published with the index active and no mirror: lookups walk the index
+	pruned bool // ScanPruned: lookups walk the index
 }
 
 // Probe record kinds: what the scan can decide about a group from its
@@ -884,12 +868,11 @@ func (hd *Handle) Lookup(h bitvec.Vec, now int64) (*Entry, int, bool) {
 // may run concurrently; scan statistics go to the handle's private shard.
 func (hd *Handle) lookupSnap(sn *snapshot, h bitvec.Vec, now int64) (*Entry, int, int, bool) {
 	var e *Entry
-	var g *group
 	var probes, skips int
 	if sn.pruned {
-		e, g, probes, skips = sn.scanPruned(h)
+		e, probes, skips = sn.scanPruned(h)
 	} else {
-		e, g, probes, skips = sn.scanStaged(h)
+		e, probes, skips = sn.scanStaged(h)
 	}
 	sh := hd.sh
 	atomic.AddUint64(&sh.lookups, 1)
@@ -898,7 +881,6 @@ func (hd *Handle) lookupSnap(sn *snapshot, h bitvec.Vec, now int64) (*Entry, int
 	} else {
 		atomic.AddUint64(&e.Hits, 1)
 		atomic.StoreInt64(&e.LastUsed, now)
-		atomic.AddUint64(&g.meta.hits, 1)
 		atomic.AddUint64(&sh.hits, 1)
 	}
 	atomic.AddUint64(&sh.probes, uint64(probes))
@@ -907,13 +889,13 @@ func (hd *Handle) lookupSnap(sn *snapshot, h bitvec.Vec, now int64) (*Entry, int
 }
 
 // scanStaged is the staged scan: it returns the first entry matching h in
-// scan order and its group, or nil, with the probes made and the stage
-// skips among them. A record's probe number is its chunk's base plus its
-// index plus one. Every miss is decided from the mirror: a one-entry
-// record on its inline words, a kindFilter record on its stage-0 filter.
-// Only a kindSoloN first-word agreement, a filter pass, a kindGroup record
-// and a hit dereference the group.
-func (sn *snapshot) scanStaged(h bitvec.Vec) (*Entry, *group, int, int) {
+// scan order, or nil, with the probes made and the stage skips among them.
+// A record's probe number is its chunk's base plus its index plus one.
+// Every miss is decided from the mirror: a one-entry record on its inline
+// words, a kindFilter record on its stage-0 filter. Only a kindSoloN
+// first-word agreement, a filter pass, a kindGroup record and a hit
+// dereference the group.
+func (sn *snapshot) scanStaged(h bitvec.Vec) (*Entry, int, int) {
 	skips, base := 0, 0
 	for _, ch := range sn.chunks {
 		hot, side := ch.hot, ch.side
@@ -972,12 +954,12 @@ func (sn *snapshot) scanStaged(h bitvec.Vec) (*Entry, *group, int, int) {
 				}
 			}
 			if e != nil {
-				return e, s.g, base + k + 1, skips
+				return e, base + k + 1, skips
 			}
 		}
 		base += len(hot)
 	}
-	return nil, nil, base, skips
+	return nil, base, skips
 }
 
 // probe decides one group for header h from the group itself, as the
@@ -1057,9 +1039,9 @@ func (hd *Handle) Stats() Stats {
 // ErrOverlap is returned by Insert when the new entry would violate the
 // independence invariant Inv(2).
 type ErrOverlap struct {
-	// Existing is a conflicting entry already in the cache, from the first
-	// conflicting mask group in ScanLinear's scan order — OrderHash order
-	// once ScanPruned has dropped the probe mirror, whatever Order says.
+	// Existing is a conflicting entry already in the cache, from the
+	// conflicting mask group first in OrderHash order, whatever the scan
+	// and Order.
 	Existing *Entry
 }
 
@@ -1151,10 +1133,7 @@ func (c *Classifier) insertLocked(e *Entry, now int64) error {
 		}
 	}
 	e.LastUsed = now
-	var cls [maxLevels]uint8
-	if c.prune.active {
-		cls = c.prune.classes(e.Mask)
-	}
+	cls := c.prune.classes(e.Mask)
 	if g == nil {
 		mk := string(c.keyBuf)
 		g = newGroup(e.Mask.Clone(), mk, c.stages)
@@ -1169,59 +1148,31 @@ func (c *Classifier) insertLocked(e *Entry, now int64) error {
 		c.setProbeLocked(ci, k, g)
 	}
 	c.prune.addEntry(e.Key, &cls)
-	if !c.prune.active && c.masks > linearMasks {
-		c.prune.activate(c.dir)
-		if !c.mirrored() {
-			c.dir = nil
-		}
-	}
 	c.nEntry++
 	c.inserted++
 	return nil
 }
 
 // findOverlapLocked returns an existing entry overlapping e from the
-// earliest such group in scan order, or nil. It walks the pruning tree
+// first such group in OrderHash order, or nil. It walks the pruning tree
 // with e's overlap candidates (pruneIndex.overlapCands): a group whose
 // classes hold no value agreeing with e on the bits both masks constrain
-// cannot hold an overlapping entry. A cache too small to have built the
-// index is checked group by group. Every group checked is confirmed
+// cannot hold an overlapping entry. Every group checked is confirmed
 // exactly (groupOverlapLocked), so OverlapCompared counts the index's
 // survivors.
 func (c *Classifier) findOverlapLocked(e *Entry) *Entry {
 	var first *group
 	var found *Entry
-	check := func(g *group) {
-		if ex := c.groupOverlapLocked(g, e); ex != nil && (first == nil || c.scansBeforeLocked(g, first)) {
-			first, found = g, ex
-		}
-	}
-	if !c.prune.active {
-		for _, ch := range c.dir {
-			for _, s := range ch.side {
-				check(s.g)
-			}
-		}
-		return found
-	}
 	v := &c.prune.view
 	cand := c.prune.overlapCands(e.Key, e.Mask)
 	v.each(v.root, 0, &cand, func(id uint32) bool {
-		check(v.groups.at(id))
+		g := v.groups.at(id)
+		if ex := c.groupOverlapLocked(g, e); ex != nil && (first == nil || hashBefore(g, first.hash, first.maskKey)) {
+			first, found = g, ex
+		}
 		return true
 	})
 	return found
-}
-
-// scansBeforeLocked reports whether the linear scan reaches group a before
-// group b; without a mirror, whether a is first in OrderHash order.
-func (c *Classifier) scansBeforeLocked(a, b *group) bool {
-	if c.opts.Order == OrderHash || !c.mirrored() {
-		return hashBefore(a, b.hash, b.maskKey)
-	}
-	ai, ak := c.locateLocked(a)
-	bi, bk := c.locateLocked(b)
-	return ai < bi || ai == bi && ak < bk
 }
 
 // groupOverlapLocked returns an entry of g overlapping e, or nil.
@@ -1300,11 +1251,11 @@ func (c *Classifier) Delete(key, mask bitvec.Vec) bool {
 // undisturbed for the duration (the revalidator's dump never stalls the
 // fast path).
 //
-// The sweep is one pass, O(|M| + |C|), over the probe mirror or, without
-// one, the pruning index's id table. A group that loses every entry is
-// dropped without being cloned, and a group that loses some is cloned
-// once. The mirror is compacted as it is walked: a chunk is copied first
-// only if it changes and a snapshot shares it.
+// The sweep is one pass, O(|M| + |C|), over the pruning index's id table
+// or, under ScanLinear, the probe mirror. A group that loses every entry is
+// dropped without being cloned, and a group that loses some is cloned once.
+// The mirror is compacted as it is walked: a chunk is copied first only if
+// it changes and a snapshot shares it.
 func (c *Classifier) DeleteWhere(pred func(*Entry) bool) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1460,11 +1411,11 @@ func (c *Classifier) Stats() Stats {
 }
 
 // Entries returns a snapshot of all entries, mask-group by mask-group in
-// the snapshot's group order (see Options.Order). This is the equivalent
-// of `ovs-dpctl dump-flows` that MFCGuard's monitor consumes. The returned entries are copies:
-// mutating them does not affect the cache. The dump is lock-free — it
-// walks the published snapshot, so it can run at any cadence without
-// stalling packet processing.
+// OrderHash order, each group's entries sorted by key. This is the
+// equivalent of `ovs-dpctl dump-flows` that MFCGuard's monitor consumes.
+// The returned entries are copies: mutating them does not affect the cache.
+// The dump is lock-free — it walks the published snapshot, so it can run at
+// any cadence without stalling packet processing.
 func (c *Classifier) Entries() []*Entry {
 	sn := c.snap.Load()
 	out := make([]*Entry, 0, sn.nEntry)
@@ -1488,48 +1439,4 @@ func snapshotEntry(e *Entry) *Entry {
 		LastUsed: atomic.LoadInt64(&e.LastUsed),
 		Hits:     atomic.LoadUint64(&e.Hits),
 	}
-}
-
-// Masks returns a snapshot of the distinct masks in the snapshot's group
-// order.
-func (c *Classifier) Masks() []bitvec.Vec {
-	sn := c.snap.Load()
-	out := make([]bitvec.Vec, 0, sn.masks)
-	for _, g := range sn.groups() {
-		out = append(out, g.mask.Clone())
-	}
-	return out
-}
-
-// Dump writes a human-readable cache listing in the snapshot's group
-// order, one mask group per stanza — the `ovs-dpctl dump-flows` equivalent
-// for interactive debugging and the CLI tools.
-func (c *Classifier) Dump(w io.Writer, l *bitvec.Layout) {
-	sn := c.snap.Load()
-	for i, g := range sn.groups() {
-		fmt.Fprintf(w, "mask %d/%d: %s (%d entries, %d hits)\n",
-			i+1, sn.masks, g.mask.Format(l), g.n, atomic.LoadUint64(&g.meta.hits))
-		var es []*Entry
-		g.each(func(e *Entry) bool { es = append(es, snapshotEntry(e)); return true })
-		sort.Slice(es, func(a, b int) bool { return es[a].Key.Key() < es[b].Key.Key() })
-		for _, e := range es {
-			fmt.Fprintf(w, "  %s hits=%d last=%d rule=%s\n",
-				bitvec.FormatMasked(l, e.Key, e.Mask), e.Hits, e.LastUsed, e.RuleName)
-		}
-	}
-}
-
-// ProbePosition returns the 1-based position of the given mask in the
-// snapshot's group order, or 0 if the mask is not present. A linear-scan
-// lookup (ScanLinear) hitting an entry under this mask costs exactly this
-// many probes; the dataplane simulator uses it to price the victim's
-// traffic. A pruned lookup's probes do not depend on it.
-func (c *Classifier) ProbePosition(mask bitvec.Vec) int {
-	mk := mask.Key()
-	for i, g := range c.snap.Load().groups() {
-		if g.maskKey == mk {
-			return i + 1
-		}
-	}
-	return 0
 }

@@ -1,9 +1,11 @@
 package tss
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -271,49 +273,74 @@ func TestStats(t *testing.T) {
 func TestEntriesAndMasksSnapshot(t *testing.T) {
 	c := New(bitvec.HYP, Options{})
 	loadFig3(t, c)
-	if got := len(c.Entries()); got != 4 {
-		t.Errorf("Entries() len = %d, want 4", got)
+	es := c.Entries()
+	if len(es) != 4 {
+		t.Errorf("Entries() len = %d, want 4", len(es))
 	}
-	if got := len(c.Masks()); got != 3 {
-		t.Errorf("Masks() len = %d, want 3", got)
+	// Mutating the snapshot's keys and masks must not affect the classifier.
+	for _, e := range es {
+		e.Key.SetBit(0)
+		e.Mask.SetBit(0)
 	}
-	// Mutating the snapshot must not affect the classifier.
-	c.Masks()[0].SetBit(0)
 	if c.MaskCount() != 3 {
 		t.Error("snapshot aliased internal state")
 	}
-}
-
-func TestProbePosition(t *testing.T) {
-	c := New(bitvec.HYP, Options{})
-	loadFig3(t, c)
-	seen := map[int]bool{}
-	for _, m := range c.Masks() {
-		pos := c.ProbePosition(m)
-		if pos < 1 || pos > 3 || seen[pos] {
-			t.Fatalf("bad probe position %d", pos)
-		}
-		seen[pos] = true
-	}
-	if got := c.ProbePosition(bitvec.PrefixMask(bitvec.HYP, 0, 2).Or(bitvec.NewVec(bitvec.HYP))); got != 0 {
-		// PrefixMask(2) = 110 which IS in Fig. 3... use an absent mask.
-		_ = got
-	}
-	absent := bitvec.NewVec(bitvec.HYP)
-	absent.SetFieldBit(bitvec.HYP, 0, 2) // 001 mask — absent
-	if got := c.ProbePosition(absent); got != 0 {
-		t.Errorf("absent mask position = %d, want 0", got)
+	if e, _, ok := c.Lookup(hyp(1), 0); !ok || e.Action != flowtable.Allow {
+		t.Error("snapshot aliased an entry's key or mask")
 	}
 }
 
+// TestMaskOrderInsertion: ScanLinear's probe mirror holds the masks
+// oldest-first under OrderInsertion and in (hash, mask key) order under
+// OrderHash, and a hit costs its mask's position in that order. The masks
+// go in in an order that differs from their hash order, so the two
+// orders are told apart.
 func TestMaskOrderInsertion(t *testing.T) {
-	c := New(bitvec.HYP, Options{Order: OrderInsertion})
-	loadFig3(t, c)
-	masks := c.Masks()
-	want := []string{"111", "100", "110"} // insertion order of Fig. 3
-	for i, m := range masks {
-		if got := m.Format(bitvec.HYP); got != want[i] {
-			t.Errorf("mask[%d] = %s, want %s", i, got, want[i])
+	pats := []string{"1**", "01*", "001", "000"}
+	var masks []bitvec.Vec // distinct, oldest first
+	for _, pat := range pats[:3] {
+		_, m := bitvec.MustPattern(bitvec.HYP, pat)
+		masks = append(masks, m)
+	}
+	format := func(ms []bitvec.Vec) (out []string) {
+		for _, m := range ms {
+			out = append(out, m.Format(bitvec.HYP))
+		}
+		return out
+	}
+	inserted := format(masks)
+	slices.SortFunc(masks, func(a, b bitvec.Vec) int {
+		return cmp.Or(cmp.Compare(a.Hash(), b.Hash()), strings.Compare(a.Key(), b.Key()))
+	})
+	hashed := format(masks)
+	if slices.Equal(hashed, inserted) {
+		t.Fatalf("insertion order %v is the hash order: the test tells nothing apart", inserted)
+	}
+	for _, tc := range []struct {
+		order MaskOrder
+		want  []string
+	}{{OrderInsertion, inserted}, {OrderHash, hashed}} {
+		c := New(bitvec.HYP, Options{Order: tc.order, Scan: ScanLinear})
+		for _, pat := range pats {
+			if err := c.Insert(entry(bitvec.HYP, pat, flowtable.Drop), 0); err != nil {
+				t.Fatalf("insert %s: %v", pat, err)
+			}
+		}
+		var got []string
+		for _, ch := range c.snap.Load().chunks {
+			for _, s := range ch.side {
+				got = append(got, s.g.mask.Format(bitvec.HYP))
+			}
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("order %d: mirror holds %v, want %v", tc.order, got, tc.want)
+		}
+		for _, pat := range pats {
+			k, m := bitvec.MustPattern(bitvec.HYP, pat)
+			_, probes, ok := c.Lookup(k, 0)
+			if want := slices.Index(tc.want, m.Format(bitvec.HYP)) + 1; !ok || probes != want {
+				t.Errorf("order %d: lookup of %s = %d probes (hit %v), want %d", tc.order, pat, probes, ok, want)
+			}
 		}
 	}
 }
@@ -389,14 +416,14 @@ func FuzzHashMasked(f *testing.F) {
 }
 
 func TestHashOrderDeterministic(t *testing.T) {
-	build := func() []bitvec.Vec {
+	build := func() []*Entry {
 		c := New(bitvec.HYP, Options{})
 		loadFig3(t, c)
-		return c.Masks()
+		return c.Entries()
 	}
 	a, b := build(), build()
 	for i := range a {
-		if !a[i].Equal(b[i]) {
+		if !a[i].Mask.Equal(b[i].Mask) || !a[i].Key.Equal(b[i].Key) {
 			t.Fatal("OrderHash scan order not deterministic")
 		}
 	}
@@ -496,20 +523,6 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if s := c.Stats(); s.Lookups != 8000 {
 		t.Errorf("lookups = %d, want 8000", s.Lookups)
-	}
-}
-
-func TestDump(t *testing.T) {
-	c := New(bitvec.HYP, Options{})
-	loadFig3(t, c)
-	c.Lookup(hyp(4), 7)
-	var buf strings.Builder
-	c.Dump(&buf, bitvec.HYP)
-	out := buf.String()
-	for _, needle := range []string{"mask 1/3", "mask 3/3", "hits=1", "last=7", "001"} {
-		if !strings.Contains(out, needle) {
-			t.Errorf("dump missing %q:\n%s", needle, out)
-		}
 	}
 }
 

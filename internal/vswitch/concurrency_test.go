@@ -90,7 +90,6 @@ func TestSwitchConcurrentProcess(t *testing.T) {
 				// Snapshot readers.
 				sw.Counters()
 				sw.MFC().Entries()
-				sw.MFC().Masks()
 				sw.MFC().Stats()
 				sw.MFC().MaskCount()
 			}
