@@ -69,10 +69,11 @@ func TestWorkerForRSS(t *testing.T) {
 	p := newPool(t, 4, false)
 	trace := attackMix(t, p.Switch().FlowTable())
 	seen := make([]int, p.Workers())
+	workerFor := func(h bitvec.Vec) int { return p.PortWorker(p.PortOf(h)) }
 	for _, h := range trace {
-		w := p.WorkerFor(h)
-		if again := p.WorkerFor(h); again != w {
-			t.Fatalf("WorkerFor not stable: %d then %d", w, again)
+		w := workerFor(h)
+		if again := workerFor(h); again != w {
+			t.Fatalf("RSS worker not stable: %d then %d", w, again)
 		}
 		seen[w]++
 	}
@@ -82,16 +83,16 @@ func TestWorkerForRSS(t *testing.T) {
 				w, len(trace))
 		}
 	}
-	// Assignments mirrors WorkerFor for the latest dispatch.
+	// Assignments mirrors the RSS worker for the latest dispatch.
 	p.ProcessBatchSerialPorts(nil, trace, 0, nil)
 	assign := p.Assignments()
 	if len(assign) != len(trace) {
 		t.Fatalf("Assignments length %d, want %d", len(assign), len(trace))
 	}
 	for i, h := range trace {
-		if assign[i] != p.WorkerFor(h) {
-			t.Fatalf("packet %d: Assignments says worker %d, WorkerFor says %d",
-				i, assign[i], p.WorkerFor(h))
+		if assign[i] != workerFor(h) {
+			t.Fatalf("packet %d: Assignments says worker %d, RSS says %d",
+				i, assign[i], workerFor(h))
 		}
 	}
 }
@@ -256,25 +257,5 @@ func TestPoolWithConcurrentMonitor(t *testing.T) {
 	wg.Wait()
 	if got, want := pool.Totals().Packets, uint64(3*len(trace)); got != want {
 		t.Errorf("pool processed %d packets, want %d", got, want)
-	}
-}
-
-// TestFlushEMC checks table swaps can invalidate the per-worker caches.
-func TestFlushEMC(t *testing.T) {
-	pool := newPool(t, 2, false)
-	trace := benignFlows(8)
-	pool.ProcessBatchSerialPorts(nil, trace, 0, nil)
-	populated := 0
-	for i := 0; i < pool.Workers(); i++ {
-		populated += pool.EMC(i).Len()
-	}
-	if populated != len(trace) {
-		t.Fatalf("EMCs hold %d entries, want %d", populated, len(trace))
-	}
-	pool.FlushEMC()
-	for i := 0; i < pool.Workers(); i++ {
-		if n := pool.EMC(i).Len(); n != 0 {
-			t.Errorf("worker %d EMC holds %d entries after flush", i, n)
-		}
 	}
 }

@@ -63,7 +63,7 @@ func TestPortPinnedDispatch(t *testing.T) {
 	// Without explicit ports dispatch is RSS-derived and flow-sticky.
 	pool.ProcessBatchSerialPorts(nil, flows, 1, nil)
 	for i, wi := range pool.Assignments() {
-		if want := pool.WorkerFor(flows[i]); wi != want {
+		if want := pool.PortWorker(pool.PortOf(flows[i])); wi != want {
 			t.Fatalf("RSS packet %d on worker %d, want %d", i, wi, want)
 		}
 	}

@@ -18,6 +18,17 @@
 // given entry slot — refreshes and evict-and-replace cycles reuse the
 // stored key storage, which is what keeps an EMC thrashed by high-entropy
 // attack traffic from turning into Go allocator churn.
+//
+// Insert always inserts; what to offer it is the owner's policy. A PMD
+// worker of internal/datapath offers one decided EMC miss in 100, drawn
+// per worker (OVS's emc-insert-inv-prob), so a miss stream the cache
+// cannot hold stops paying an insert and an eviction per packet; the
+// switch-level cache of internal/vswitch offers every miss. Both owners key
+// their cache to the switch's table generation (vswitch.Switch.CacheGen):
+// a cache that sees the generation move is flushed before its next lookup,
+// and nothing is inserted while a table swap awaits revalidation, so no
+// entry outlives the table that decided it or a megaflow the revalidator
+// deletes.
 package microflow
 
 import (
@@ -250,15 +261,4 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// HitRate returns hits/(hits+misses), or 0 before any lookup.
-func (c *Cache) HitRate() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	total := c.stats.Hits + c.stats.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.stats.Hits) / float64(total)
 }

@@ -261,20 +261,24 @@ func BenchmarkEMCLookup(b *testing.B) {
 	})
 }
 
+// TestFlushAndHitRate: the hit rate read from Stats counts each lookup
+// once, and Flush empties the cache without resetting the counters.
 func TestFlushAndHitRate(t *testing.T) {
 	c := New(4)
 	c.Insert(hyp(1), Result{})
 	c.Lookup(hyp(1))
 	c.Lookup(hyp(2))
-	if hr := c.HitRate(); hr != 0.5 {
-		t.Errorf("HitRate = %v, want 0.5", hr)
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("Stats = %+v, want 1 hit and 1 miss (hit rate 0.5)", st)
 	}
 	c.Flush()
 	if c.Len() != 0 {
 		t.Error("Flush did not empty cache")
 	}
-	empty := New(4)
-	if empty.HitRate() != 0 {
-		t.Error("HitRate on fresh cache should be 0")
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("Stats after Flush = %+v, want the counters kept", st)
+	}
+	if st := New(4).Stats(); st != (Stats{}) {
+		t.Errorf("Stats on fresh cache = %+v, want zero", st)
 	}
 }

@@ -41,7 +41,7 @@ func exactCacheWithMasks(t testing.TB, nMasks int, scan Scan) (*Classifier, []bi
 
 // TestLookupBatchEquivalentToSerial: a batch over a hit-only sequence must
 // return what per-packet Lookup returns on a twin classifier — entries,
-// probe counts, stats, and per-entry hit counters all identical.
+// probe counts, stats, and per-entry LastUsed stamps all identical.
 func TestLookupBatchEquivalentToSerial(t *testing.T) {
 	serial, hs := exactCacheWithMasks(t, 12, ScanPruned)
 	batched, _ := exactCacheWithMasks(t, 12, ScanPruned)
@@ -53,20 +53,26 @@ func TestLookupBatchEquivalentToSerial(t *testing.T) {
 			trace = append(trace, hs[(i*7+r)%len(hs)])
 		}
 	}
+	// Two batches at two virtual times: the first batch's stamps must be
+	// overwritten exactly where the second batch hits.
+	half := len(trace) / 2
 	out := make([]BatchResult, len(trace))
-	n := batched.LookupBatch(trace, 5, out)
-	if n != len(trace) {
-		t.Fatalf("hit-only batch consumed %d of %d", n, len(trace))
-	}
-	for i, h := range trace {
-		e, probes, ok := serial.Lookup(h, 5)
-		if ok != out[i].OK || probes != out[i].Probes {
-			t.Fatalf("packet %d: batch (probes=%d ok=%v) != serial (probes=%d ok=%v)",
-				i, out[i].Probes, out[i].OK, probes, ok)
+	for k, part := range [][]bitvec.Vec{trace[:half], trace[half : half+len(hs)/2]} {
+		now := int64(5 + k)
+		n := batched.LookupBatch(part, now, out)
+		if n != len(part) {
+			t.Fatalf("hit-only batch consumed %d of %d", n, len(part))
 		}
-		if e.RuleName != out[i].Entry.RuleName {
-			t.Fatalf("packet %d: batch rule %q != serial %q",
-				i, out[i].Entry.RuleName, e.RuleName)
+		for i, h := range part {
+			e, probes, ok := serial.Lookup(h, now)
+			if ok != out[i].OK || probes != out[i].Probes {
+				t.Fatalf("packet %d: batch (probes=%d ok=%v) != serial (probes=%d ok=%v)",
+					i, out[i].Probes, out[i].OK, probes, ok)
+			}
+			if e.RuleName != out[i].Entry.RuleName {
+				t.Fatalf("packet %d: batch rule %q != serial %q",
+					i, out[i].Entry.RuleName, e.RuleName)
+			}
 		}
 	}
 	if ss, bs := serial.Stats(), batched.Stats(); ss != bs {
@@ -74,9 +80,53 @@ func TestLookupBatchEquivalentToSerial(t *testing.T) {
 	}
 	se, be := serial.Entries(), batched.Entries()
 	for i := range se {
-		if se[i].Hits != be[i].Hits {
-			t.Errorf("entry %d hits: serial %d, batch %d", i, se[i].Hits, be[i].Hits)
+		if se[i].LastUsed != be[i].LastUsed {
+			t.Errorf("entry %d last used: serial %d, batch %d", i, se[i].LastUsed, be[i].LastUsed)
 		}
+	}
+}
+
+// TestLookupBatchStatsEqualSerial: LookupBatch publishes its counters once
+// per batch, and the totals a handle reports afterwards are exactly what
+// the same headers sent one by one through Lookup leave, misses included,
+// under both scans.
+func TestLookupBatchStatsEqualSerial(t *testing.T) {
+	for _, scan := range []Scan{ScanPruned, ScanLinear} {
+		t.Run(fmt.Sprintf("linear=%v", scan == ScanLinear), func(t *testing.T) {
+			serial, hs := exactCacheWithMasks(t, 12, scan)
+			batched, _ := exactCacheWithMasks(t, 12, scan)
+			miss := bitvec.NewVec(serial.Layout())
+			var trace []bitvec.Vec
+			for i := 0; i < 100; i++ {
+				if i%9 == 4 {
+					trace = append(trace, miss)
+					continue
+				}
+				trace = append(trace, hs[(i*5)%len(hs)])
+			}
+			sh, bh := serial.NewHandle(), batched.NewHandle()
+			for _, h := range trace {
+				sh.Lookup(h, 3)
+			}
+			out := make([]BatchResult, len(trace))
+			batches := 0
+			for rest := trace; len(rest) > 0; batches++ {
+				rest = rest[bh.LookupBatch(rest, 3, out):]
+			}
+			if batches < 2 {
+				t.Fatalf("trace ran as %d batch(es); misses should split it", batches)
+			}
+			ss, bs := sh.Stats(), bh.Stats()
+			if ss != bs {
+				t.Errorf("handle stats diverge: serial %+v, batch %+v", ss, bs)
+			}
+			if bs.Lookups != uint64(len(trace)) || bs.Misses == 0 || bs.Probes == 0 {
+				t.Errorf("batch handle stats %+v over %d headers", bs, len(trace))
+			}
+			if st, bt := serial.Stats(), batched.Stats(); st != bt {
+				t.Errorf("classifier stats diverge: serial %+v, batch %+v", st, bt)
+			}
+		})
 	}
 }
 

@@ -86,7 +86,7 @@ func TestStagedLookupEquivalence(t *testing.T) {
 						headers = append(headers, nm)
 					}
 				}
-				hits := map[*Entry]uint64{}
+				lastUsed := map[*Entry]int64{}
 				var want Stats
 				for i, h := range headers {
 					first, pos := r.lookup(h)
@@ -98,25 +98,26 @@ func TestStagedLookupEquivalence(t *testing.T) {
 					want.Lookups++
 					want.Probes += uint64(probes)
 					if ok {
-						hits[e]++
+						lastUsed[e] = int64(i)
 						want.Hits++
 					} else {
 						want.Misses++
 					}
 				}
 				// Hit accounting: the scan statistics and the dumped
-				// per-entry hit counters agree with the lookups above.
+				// per-entry LastUsed stamps agree with the lookups above
+				// (an entry no lookup hit keeps its install time, 0).
 				s := c.Stats()
 				if got := (Stats{Lookups: s.Lookups, Hits: s.Hits, Misses: s.Misses, Probes: s.Probes}); got != want {
 					t.Fatalf("stats %+v, want %+v", got, want)
 				}
-				byKey := map[string]uint64{}
-				for e, n := range hits {
-					byKey[e.Key.Key()+"|"+e.Mask.Key()] = n
+				byKey := map[string]int64{}
+				for e, now := range lastUsed {
+					byKey[e.Key.Key()+"|"+e.Mask.Key()] = now
 				}
 				for _, e := range c.Entries() {
-					if got := byKey[e.Key.Key()+"|"+e.Mask.Key()]; got != e.Hits {
-						t.Fatalf("entry %s: %d hits dumped, %d looked up", e.Format(l), e.Hits, got)
+					if want := byKey[e.Key.Key()+"|"+e.Mask.Key()]; e.LastUsed != want {
+						t.Fatalf("entry %s: last used %d dumped, %d looked up", e.Format(l), e.LastUsed, want)
 					}
 				}
 				// The attack-shaped misses above must actually exercise the

@@ -39,8 +39,9 @@
 // and publish it atomically. The snapshot also carries the pruning index,
 // which a write changes by copying the tree nodes on its path. A retired snapshot lives until its last
 // in-flight reader drops it; the garbage collector plays the role of the
-// RCU grace period. Hit counters are sharded per reader handle so parallel
-// PMD workers never contend on a shared counter cache line.
+// RCU grace period. Lookup statistics are sharded per reader handle so
+// parallel PMD workers never contend on a shared counter cache line, and
+// LookupBatch publishes a whole batch's counts with one add per counter.
 //
 // # Writes cost what they change
 //
@@ -122,15 +123,13 @@ type Entry struct {
 	// the one flooding the slow path.
 	Port int
 	// LastUsed is the virtual time of the last hit or the install time.
-	// The simulator advances virtual time in seconds.
-	LastUsed int64
-	// Hits counts lookups served by this entry.
-	Hits uint64
-	// LastUsed and Hits are updated atomically by concurrent lookups; the
+	// The simulator advances virtual time in seconds. Concurrent lookups
+	// update it atomically, storing only when the time has moved; the
 	// other fields are never mutated once the entry is inserted (refresh
 	// installs swap the whole entry), so lookups may read them lock-free.
-	// Entry pointers are shared between successive snapshots, so the
-	// counters survive copy-on-write group clones.
+	// Entry pointers are shared between successive snapshots, so the stamp
+	// survives copy-on-write group clones.
+	LastUsed int64
 }
 
 // Format renders the entry figure-style: "01*|1111 -> deny".
@@ -144,9 +143,6 @@ func (e *Entry) Format(l *bitvec.Layout) string {
 // accessor; the copies returned by Entries carry plain values and may be
 // read directly.
 func (e *Entry) LastUsedAt() int64 { return atomic.LoadInt64(&e.LastUsed) }
-
-// HitCount atomically reads a live entry's hit counter (see LastUsedAt).
-func (e *Entry) HitCount() uint64 { return atomic.LoadUint64(&e.Hits) }
 
 // stageFilter is a 256-bit Bloom filter over the partial stage hashes of a
 // group's entries: one bit per possible low byte of the running stage
@@ -685,11 +681,27 @@ type Options struct {
 
 // statShard is one reader handle's private counter block, padded to a
 // cache line so parallel workers never false-share. Updates are atomic
-// (Stats aggregates shards while readers run) but uncontended: each
-// handle owns its shard.
+// (Stats aggregates shards while readers run, and the classifier's default
+// handle is shared) but rare: LookupBatch adds a whole batch at once.
 type statShard struct {
 	lookups, hits, misses, probes, stageSkips uint64
 	_                                         [3]uint64 // pad to 64 bytes
+}
+
+// add publishes lookups lookups, hits of them hits, with the probes and
+// stage skips they spent: one atomic add per counter that moved.
+func (sh *statShard) add(lookups, hits, probes, skips uint64) {
+	atomic.AddUint64(&sh.lookups, lookups)
+	if hits > 0 {
+		atomic.AddUint64(&sh.hits, hits)
+	}
+	if lookups > hits {
+		atomic.AddUint64(&sh.misses, lookups-hits)
+	}
+	atomic.AddUint64(&sh.probes, probes)
+	if skips > 0 {
+		atomic.AddUint64(&sh.stageSkips, skips)
+	}
 }
 
 // Handle is a per-reader view of the classifier: same lock-free lookups,
@@ -854,38 +866,42 @@ func (c *Classifier) Lookup(h bitvec.Vec, now int64) (*Entry, int, bool) {
 	return c.def.Lookup(h, now)
 }
 
-// Lookup is Classifier.Lookup recording statistics in the handle's shard.
+// Lookup is Classifier.Lookup recording statistics in the handle's shard:
+// a batch of one.
 func (hd *Handle) Lookup(h bitvec.Vec, now int64) (*Entry, int, bool) {
 	e, probes, _, ok := hd.lookupSnap(hd.c.snap.Load(), h, now)
 	return e, probes, ok
 }
 
-// lookupSnap classifies h over one snapshot: the pruned lookup, or
-// Algorithm 1 — for M ∈ M, look up (h AND M) in H_M; first hit wins. Each
-// probe runs fused over the mask's nonzero words (no scratch vector, no
-// allocation), with the staged early bail skipping most of that work for
-// non-matching masks. Hit accounting is atomic so any number of readers
-// may run concurrently; scan statistics go to the handle's private shard.
+// lookupSnap is sn.lookup with its statistics added to the handle's shard.
 func (hd *Handle) lookupSnap(sn *snapshot, h bitvec.Vec, now int64) (*Entry, int, int, bool) {
-	var e *Entry
-	var probes, skips int
+	e, probes, skips := sn.lookup(h, now)
+	var hit uint64
+	if e != nil {
+		hit = 1
+	}
+	hd.sh.add(1, hit, uint64(probes), uint64(skips))
+	return e, probes, skips, e != nil
+}
+
+// lookup classifies h over one snapshot: the pruned lookup, or Algorithm 1
+// — for M ∈ M, look up (h AND M) in H_M; first hit wins. Each probe runs
+// fused over the mask's nonzero words (no scratch vector, no allocation),
+// with the staged early bail skipping most of that work for non-matching
+// masks. A hit stamps the entry's LastUsed with now, atomically and only
+// when the stamp moves, so any number of readers may run concurrently
+// without writing a shared line per packet. It records no statistics; the
+// caller adds them to its handle's shard.
+func (sn *snapshot) lookup(h bitvec.Vec, now int64) (e *Entry, probes, skips int) {
 	if sn.pruned {
 		e, probes, skips = sn.scanPruned(h)
 	} else {
 		e, probes, skips = sn.scanStaged(h)
 	}
-	sh := hd.sh
-	atomic.AddUint64(&sh.lookups, 1)
-	if e == nil {
-		atomic.AddUint64(&sh.misses, 1)
-	} else {
-		atomic.AddUint64(&e.Hits, 1)
+	if e != nil && atomic.LoadInt64(&e.LastUsed) != now {
 		atomic.StoreInt64(&e.LastUsed, now)
-		atomic.AddUint64(&sh.hits, 1)
 	}
-	atomic.AddUint64(&sh.probes, uint64(probes))
-	atomic.AddUint64(&sh.stageSkips, uint64(skips))
-	return e, probes, skips, e != nil
+	return e, probes, skips
 }
 
 // scanStaged is the staged scan: it returns the first entry matching h in
@@ -1004,21 +1020,29 @@ func (c *Classifier) LookupBatch(hs []bitvec.Vec, now int64, out []BatchResult) 
 }
 
 // LookupBatch is Classifier.LookupBatch recording statistics in the
-// handle's shard.
+// handle's shard. The batch's lookups, hits, misses, probes and stage
+// skips are summed in locals and published once, at the end, with one
+// atomic add per counter (OVS's per-batch flow statistics), so Stats
+// reads the same totals as per-packet Lookup calls would leave.
 func (hd *Handle) LookupBatch(hs []bitvec.Vec, now int64, out []BatchResult) int {
 	if len(hs) == 0 {
 		return 0
 	}
 	sn := hd.c.snap.Load()
-	n := 0
+	n, hits := 0, 0
+	var probes, skips uint64
 	for _, h := range hs {
-		e, probes, _, ok := hd.lookupSnap(sn, h, now)
-		out[n] = BatchResult{Entry: e, Probes: probes, OK: ok}
+		e, p, s := sn.lookup(h, now)
+		out[n] = BatchResult{Entry: e, Probes: p, OK: e != nil}
 		n++
-		if !ok {
+		probes += uint64(p)
+		skips += uint64(s)
+		if e == nil {
 			break
 		}
+		hits++
 	}
+	hd.sh.add(uint64(n), uint64(hits), probes, skips)
 	return n
 }
 
@@ -1118,9 +1142,8 @@ func (c *Classifier) insertLocked(e *Entry, now int64) error {
 			// Decision fields of a published entry are never mutated in
 			// place — concurrent lookups may still hold the old pointer
 			// lock-free — so the entry itself is replaced in a cloned
-			// group, carrying the hit count forward.
+			// group.
 			e.LastUsed = now
-			e.Hits = atomic.LoadUint64(&old.Hits)
 			g, ci, k := c.mutableLocked(g)
 			g.replace(old, e)
 			c.setProbeLocked(ci, k, g)
@@ -1428,7 +1451,7 @@ func (c *Classifier) Entries() []*Entry {
 	return out
 }
 
-// snapshotEntry copies an entry with atomic reads of its hot counters.
+// snapshotEntry copies an entry with an atomic read of its LastUsed stamp.
 // Key and Mask are cloned so callers can scribble on the snapshot without
 // corrupting the live cache.
 func snapshotEntry(e *Entry) *Entry {
@@ -1437,6 +1460,5 @@ func snapshotEntry(e *Entry) *Entry {
 		Action: e.Action, OutPort: e.OutPort, RuleName: e.RuleName,
 		Port:     e.Port,
 		LastUsed: atomic.LoadInt64(&e.LastUsed),
-		Hits:     atomic.LoadUint64(&e.Hits),
 	}
 }

@@ -145,7 +145,7 @@ func TestProcessBatchEquivalentToSerial(t *testing.T) {
 				for i := range se {
 					if !se[i].Key.Equal(be[i].Key) || !se[i].Mask.Equal(be[i].Mask) ||
 						se[i].Action != be[i].Action || se[i].RuleName != be[i].RuleName ||
-						se[i].Hits != be[i].Hits {
+						se[i].LastUsed != be[i].LastUsed {
 						t.Fatalf("MFC entry %d diverges: serial %+v, batch %+v",
 							i, se[i], be[i])
 					}

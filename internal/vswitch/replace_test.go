@@ -100,3 +100,57 @@ func TestReplaceTablePreservesScanPosition(t *testing.T) {
 		t.Errorf("victim probes = %d, want 1 (insertion order, installed first)", probes)
 	}
 }
+
+// catchAll is a one-rule table over l that applies a to every header.
+func catchAll(l *bitvec.Layout, a flowtable.Action) *flowtable.Table {
+	tbl := flowtable.New(l)
+	tbl.MustAdd(&flowtable.Rule{Name: a.String(), Key: bitvec.NewVec(l), Mask: bitvec.NewVec(l), Action: a})
+	return tbl
+}
+
+// TestTableSwapFlushesMicroflow: the switch's microflow cache is keyed to
+// the table generation. After ReplaceTable, Process answers from the new
+// table, not from a verdict the cache memoised under the old one; and
+// while a SwapTable awaits revalidation, a stale megaflow hit is served but
+// never cached, so it is gone once the revalidator deletes the megaflow.
+func TestTableSwapFlushesMicroflow(t *testing.T) {
+	allow, deny := catchAll(bitvec.HYP, flowtable.Allow), catchAll(bitvec.HYP, flowtable.Drop)
+	s := newSwitch(t, Config{Table: allow})
+	h := hyp(5)
+	s.Process(h, 0)
+	if v := s.Process(h, 0); v.Path != PathMicroflow || v.Action != flowtable.Allow {
+		t.Fatalf("before the swap: %+v, want a microflow allow", v)
+	}
+
+	if _, err := s.ReplaceTable(deny); err != nil {
+		t.Fatal(err)
+	}
+	if v := s.Process(h, 1); v.Action != deny.Lookup(h).Action || v.Path != PathSlow {
+		t.Fatalf("after ReplaceTable: %+v, want the new table's %v from the slow path", v, deny.Lookup(h).Action)
+	}
+	if v := s.Process(h, 1); v.Path != PathMicroflow || v.Action != flowtable.Drop {
+		t.Fatalf("second packet after ReplaceTable: %+v, want a microflow deny", v)
+	}
+
+	// A swap without revalidation: the stale deny megaflow still answers
+	// until the revalidator runs, but the microflow cache must not keep it.
+	if err := s.SwapTable(allow); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if v := s.Process(h, 2); v.Path != PathMegaflow || v.Action != flowtable.Drop {
+			t.Fatalf("pending packet %d: %+v, want the stale megaflow deny", i, v)
+		}
+	}
+	seq, gen := s.GenSeq(), s.Generator()
+	s.SweepMegaflows(func(e *tss.Entry) SweepDecision {
+		if !Revalidate(gen, e) {
+			return SweepInvalidate
+		}
+		return SweepKeep
+	})
+	s.MarkRevalidated(seq)
+	if v := s.Process(h, 3); v.Action != allow.Lookup(h).Action || v.Path != PathSlow {
+		t.Fatalf("after revalidation: %+v, want the new table's %v from the slow path", v, allow.Lookup(h).Action)
+	}
+}

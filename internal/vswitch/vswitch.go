@@ -139,6 +139,7 @@ type Switch struct {
 	revalPend atomic.Bool              // cache not yet reconciled with gen
 	mfc       *tss.Classifier
 	ufc       *microflow.Cache
+	ufcSeq    atomic.Uint64   // the table generation ufc's entries belong to
 	deleted   map[string]bool // quirk: suppressed (key,mask) pairs
 	counters  Counters
 	batchPool sync.Pool // *[]tss.BatchResult scratch for ProcessBatch
@@ -223,9 +224,6 @@ func (s *Switch) FlowTable() *flowtable.Table {
 	return s.tg.Load().table
 }
 
-// MicroflowCache returns the exact-match cache, or nil if disabled.
-func (s *Switch) MicroflowCache() *microflow.Cache { return s.ufc }
-
 // Generator returns the megaflow generator (for white-box tests and the
 // revalidator's regenerate check; lock-free generation read).
 func (s *Switch) Generator() *Generator {
@@ -262,7 +260,9 @@ func (s *Switch) processFunc(hd *tss.Handle, i int, h bitvec.Vec, now int64, mis
 		}
 	}
 	// Layer 1: microflow cache.
+	insert := false
 	if s.ufc != nil {
+		insert = s.syncUFC()
 		if r, ok := s.ufc.Lookup(h); ok {
 			s.count(Verdict{Action: r.Action, OutPort: r.OutPort, Path: PathMicroflow})
 			return Verdict{Action: r.Action, OutPort: r.OutPort, Path: PathMicroflow}
@@ -275,7 +275,7 @@ func (s *Switch) processFunc(hd *tss.Handle, i int, h bitvec.Vec, now int64, mis
 	e, probes, ok := s.mfcLookup(hd, h, now)
 	if ok {
 		v := Verdict{Action: e.Action, OutPort: e.OutPort, Path: PathMegaflow, Probes: probes, Rule: e.RuleName}
-		if s.ufc != nil {
+		if insert {
 			// The cache clones internally (reusing evicted storage), so no
 			// caller-side Clone allocation here.
 			s.ufc.Insert(h, microflow.Result{Action: e.Action, OutPort: e.OutPort})
@@ -426,6 +426,7 @@ func (s *Switch) HandleMissBatch(ms []Miss, now int64, out []Verdict) []Verdict 
 	out = out[:len(ms)]
 	tg := s.tg.Load()
 	gen, genSeq := tg.gen, tg.seq
+	insertUFC := s.ufc != nil && s.syncUFC()
 	// A handler-sized burst keeps its install scratch on the stack, so a
 	// burst of one allocates no more than its megaflow does.
 	var entryBuf [32]*tss.Entry
@@ -482,7 +483,7 @@ func (s *Switch) HandleMissBatch(ms []Miss, now int64, out []Verdict) []Verdict 
 		delta.Conflicts++
 	}
 	for i, m := range ms {
-		if s.ufc != nil {
+		if insertUFC {
 			s.ufc.Insert(m.Header, microflow.Result{Action: out[i].Action, OutPort: out[i].OutPort})
 		}
 		delta.Slow++
@@ -622,6 +623,30 @@ func (s *Switch) GenSeq() uint64 {
 // current table would not regenerate.
 func (s *Switch) NeedsRevalidation() bool {
 	return s.revalPend.Load()
+}
+
+// CacheGen is what an exact-match cache in front of the switch keys its
+// entries to: the table generation seq (GenSeq), and whether a verdict
+// decided from now on may be inserted. A cache that sees seq move since
+// its last lookup flushes first, so no verdict of a swapped-away table is
+// served; and nothing may be inserted while a swap awaits revalidation,
+// when a megaflow hit may be one the revalidator is about to delete. The
+// sequence is read before the pending flag (SwapTable raises the flag
+// first), so a new generation is never seen without its flag.
+func (s *Switch) CacheGen() (seq uint64, insert bool) {
+	seq = s.GenSeq()
+	return seq, !s.NeedsRevalidation()
+}
+
+// syncUFC applies CacheGen to the switch's own microflow cache and
+// reports whether a verdict the caller reaches may be inserted.
+func (s *Switch) syncUFC() bool {
+	seq, insert := s.CacheGen()
+	if s.ufcSeq.Load() != seq {
+		s.ufc.Flush()
+		s.ufcSeq.Store(seq)
+	}
+	return insert
 }
 
 // MarkRevalidated records that a full revalidation sweep ran against

@@ -176,11 +176,13 @@ func TestPipelinePaths(t *testing.T) {
 func TestMicroflowDisabled(t *testing.T) {
 	s := newSwitch(t, Config{Table: flowtable.Fig1(), DisableMicroflow: true})
 	s.Process(hyp(1), 0)
-	if v := s.Process(hyp(1), 0); v.Path != PathMegaflow {
-		t.Errorf("with UFC disabled second packet path = %v, want megaflow", v.Path)
+	for i := 0; i < 3; i++ {
+		if v := s.Process(hyp(1), 0); v.Path != PathMegaflow {
+			t.Errorf("with UFC disabled repeat packet %d path = %v, want megaflow", i, v.Path)
+		}
 	}
-	if s.MicroflowCache() != nil {
-		t.Error("MicroflowCache() should be nil when disabled")
+	if c := s.Counters(); c.Microflow != 0 {
+		t.Errorf("with UFC disabled %d microflow hits counted", c.Microflow)
 	}
 }
 
