@@ -52,16 +52,6 @@ func newEMCPool(t testing.TB, tbl *flowtable.Table, workers, emcCap int, opts *u
 	return p
 }
 
-// emcInserts is how many verdicts the pool's EMCs took in: each insert
-// of a header not yet cached either fills a free entry or evicts one.
-func emcInserts(p *datapath.Pool) uint64 {
-	var n uint64
-	for i := 0; i < p.Workers(); i++ {
-		n += uint64(p.EMC(i).Len()) + p.EMC(i).Stats().Evictions
-	}
-	return n
-}
-
 // TestEMCInsertDeterministic: the insertion draw is seeded from the worker
 // index, so two fresh pools fed the same stream end with identical worker
 // counters, EMC counters included, and identical verdicts.
@@ -109,8 +99,9 @@ func TestEMCInsertCountPinned(t *testing.T) {
 	if st := p.EMC(0).Stats(); st.Misses != 10000 || st.Hits != 0 {
 		t.Fatalf("EMC stats %+v, want 10000 misses and no hit", st)
 	}
+	// Each insert of a header not yet cached fills a free entry or evicts.
 	const pinned = 107
-	if got := emcInserts(p); got != pinned {
+	if got := uint64(p.EMC(0).Len()) + p.EMC(0).Stats().Evictions; got != pinned {
 		t.Errorf("10000 misses inserted %d verdicts, pinned %d", got, pinned)
 	}
 }
