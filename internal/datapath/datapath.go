@@ -12,10 +12,11 @@
 //     prepass first, then the shared megaflow classifier via the batched
 //     switch path.
 //   - Probabilistic EMC insertion: a verdict the EMC missed is inserted
-//     for one miss in emcInsertInvProb (OVS's emc-insert-inv-prob, default
-//     100), so a miss stream that cannot hit the EMC — the normal state of
-//     §2.2's "often exhausted" cache, and TSE's noise-padded traces — no
-//     longer pays an insert and an eviction per packet.
+//     for one miss in 100 (OVS's emc-insert-inv-prob default; the policy
+//     of a microflow.New cache), so a miss stream that cannot hit the EMC
+//     — the normal state of §2.2's "often exhausted" cache, and TSE's
+//     noise-padded traces — no longer pays an insert and an eviction per
+//     packet.
 //
 // The megaflow cache and slow path stay shared across workers (as in OVS,
 // where dpcls subtables are per-port but the TSE attack's mask explosion
@@ -40,13 +41,6 @@ import (
 
 // DefaultBatchSize is the per-worker burst size, OVS's NETDEV_MAX_BURST.
 const DefaultBatchSize = 32
-
-// emcInsertInvProb is the inverse probability with which a worker inserts
-// an EMC miss's verdict: one miss in 100, OVS's emc-insert-inv-prob
-// default. It is a fixed policy, not a knob. A flow that keeps sending
-// still lands in the EMC after ~100 packets on average, while a stream of
-// flows too many for the EMC stops evicting it on every miss.
-const emcInsertInvProb = 100
 
 // Config assembles a worker pool.
 type Config struct {
@@ -214,13 +208,8 @@ func (m *poolMetrics) record(shard int, before, after WorkerStats) {
 // buffers. Only its own goroutine (or the serial driver) touches it during
 // a dispatch.
 type worker struct {
-	id  int
-	emc *microflow.Cache
-	// emcSeq is the switch's table generation (GenSeq) the EMC's entries
-	// were decided under; emcDraw is the xorshift64 state of the insertion
-	// draw, seeded from the worker index so a fresh pool repeats exactly.
-	emcSeq    uint64
-	emcDraw   uint64
+	id        int
+	emc       *microflow.Cache
 	mfc       *tss.Handle
 	stats     WorkerStats
 	portStats []PortStats // indexed by port id; ports are worker-pinned
@@ -255,7 +244,6 @@ func New(cfg Config) (*Pool, error) {
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		w := &worker{id: i, mfc: cfg.Switch.MFC().NewHandle(),
-			emcDraw:   uint64(i+1) * 0x9e3779b97f4a7c15, // odd multiplier: never 0
 			portStats: make([]PortStats, cfg.Ports)}
 		if !cfg.DisableEMC {
 			w.emc = microflow.New(cfg.EMCCapacity)
@@ -448,13 +436,14 @@ func (w *worker) run(p *Pool, now int64, out []vswitch.Verdict, deferred bool) {
 // slow-path calls: each is drained synchronously, or, in deferred mode,
 // submitted without waiting.
 //
-// The EMC follows two rules (burstRun). Priming is probabilistic: a
-// decided miss is inserted only when the worker's draw succeeds, one in
-// emcInsertInvProb. And the cache is keyed to the switch's table
-// generation (vswitch.Switch.CacheGen): a burst that sees it move flushes
-// the EMC before its lookup, and no verdict is inserted while a swap
-// awaits revalidation, so an EMC entry never outlives a megaflow the
-// revalidator deletes.
+// The EMC follows two rules (burstRun), both the microflow cache's own.
+// Priming is probabilistic: every decided miss is offered, and the cache
+// admits one offer in 100 by its seeded draw. And the cache is keyed to
+// the switch's table generation (vswitch.Switch.CacheGen, through
+// microflow.Cache.Sync): a burst that sees it move flushes the EMC before
+// its lookup, and no verdict is inserted while a swap awaits
+// revalidation, so an EMC entry never outlives a megaflow the revalidator
+// deletes.
 func (w *worker) burst(p *Pool, hs []bitvec.Vec, idx, ports []int, now int64, out []vswitch.Verdict, deferred bool) {
 	if p.tm != nil {
 		// Snapshot-diff telemetry: one struct copy before, a few padded
@@ -468,23 +457,19 @@ func (w *worker) burst(p *Pool, hs []bitvec.Vec, idx, ports []int, now int64, ou
 	w.burstRun(p, hs, idx, ports, now, out, deferred)
 }
 
-// burstRun is burst without the telemetry diff: a generation check, the
-// EMC prepass, the batched megaflow path, and EMC priming of one miss in
-// emcInsertInvProb (none while a table swap awaits revalidation).
+// burstRun is burst without the telemetry diff: the EMC's generation
+// sync, the EMC prepass, the batched megaflow path, and the offer of every
+// decided miss to the EMC, which admits one in 100 (none while a table
+// swap awaits revalidation).
 func (w *worker) burstRun(p *Pool, hs []bitvec.Vec, idx, ports []int, now int64, out []vswitch.Verdict, deferred bool) {
 	w.stats.Packets += uint64(len(hs))
 	for _, port := range ports {
 		w.portStats[port].Packets++
 	}
 	missHs, missIdx, missPorts := hs, idx, ports
-	insert := false
+	var gen microflow.Gen
 	if w.emc != nil {
-		var seq uint64
-		seq, insert = p.sw.CacheGen()
-		if seq != w.emcSeq {
-			w.emc.Flush()
-			w.emcSeq = seq
-		}
+		gen = w.emc.Sync(p.sw.CacheGen())
 		w.emcRes = growRes(w.emcRes, len(hs))
 		w.emcOK = growOK(w.emcOK, len(hs))
 		w.emc.LookupBatch(hs, w.emcRes, w.emcOK)
@@ -531,25 +516,12 @@ func (w *worker) burstRun(p *Pool, hs []bitvec.Vec, idx, ports []int, now int64,
 		}
 		w.stats.Probes += uint64(v.Probes)
 		w.tally(v, missPorts[i])
-		if insert && w.drawInsert() {
+		if w.emc != nil {
 			// The EMC clones internally; no per-packet Clone here.
-			w.emc.Insert(missHs[i],
+			w.emc.InsertAt(gen, missHs[i],
 				microflow.Result{Action: v.Action, OutPort: v.OutPort})
 		}
 	}
-}
-
-// drawInsert advances the worker's xorshift64 state and reports whether
-// this EMC miss is the one in emcInsertInvProb that is inserted. A draw,
-// not a miss counter: a counter can lock in phase with a periodic miss
-// stream (an attack/victim interleave) and never admit the victim flow.
-func (w *worker) drawInsert() bool {
-	x := w.emcDraw
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	w.emcDraw = x
-	return x>>32 < (1<<32)/emcInsertInvProb
 }
 
 // miss resolves one full-scan megaflow miss from ingress vport port.

@@ -52,8 +52,8 @@ func newEMCPool(t testing.TB, tbl *flowtable.Table, workers, emcCap int, opts *u
 	return p
 }
 
-// TestEMCInsertDeterministic: the insertion draw is seeded from the worker
-// index, so two fresh pools fed the same stream end with identical worker
+// TestEMCInsertDeterministic: every EMC's insertion draw starts from the
+// same seed, so two fresh pools fed the same stream end with identical worker
 // counters, EMC counters included, and identical verdicts.
 func TestEMCInsertDeterministic(t *testing.T) {
 	tbl := flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{})

@@ -19,20 +19,27 @@
 // stored key storage, which is what keeps an EMC thrashed by high-entropy
 // attack traffic from turning into Go allocator churn.
 //
-// Insert always inserts; what to offer it is the owner's policy. A PMD
-// worker of internal/datapath offers one decided EMC miss in 100, drawn
-// per worker (OVS's emc-insert-inv-prob), so a miss stream the cache
-// cannot hold stops paying an insert and an eviction per packet; the
-// switch-level cache of internal/vswitch offers every miss. Both owners key
-// their cache to the switch's table generation (vswitch.Switch.CacheGen):
-// a cache that sees the generation move is flushed before its next lookup,
-// and nothing is inserted while a table swap awaits revalidation, so no
-// entry outlives the table that decided it or a megaflow the revalidator
-// deletes.
+// Which offered headers Insert admits is the cache's policy, fixed at
+// construction. A cache built by New is an EMC as a PMD worker of
+// internal/datapath owns it: Insert admits one offered header in
+// insertInvProb (OVS's emc-insert-inv-prob), drawn from the cache's own
+// seeded xorshift64 state, so a miss stream the cache cannot hold stops
+// paying an insert and an eviction per packet, and a fresh cache fed the
+// same offers admits the same ones. A cache built by NewInsertAll admits
+// every header: the switch-level microflow cache of internal/vswitch.
+//
+// The cache also keeps the table-generation rule its owners share: Sync,
+// called before a lookup with the switch's vswitch.Switch.CacheGen,
+// flushes entries of an older generation, and InsertAt drops a verdict
+// decided under a generation the cache has left, or while a table swap
+// awaited revalidation. So no entry outlives the table that decided it or
+// a megaflow the revalidator deletes, also when several goroutines share
+// the cache.
 package microflow
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"tse/internal/bitvec"
 	"tse/internal/flowtable"
@@ -40,6 +47,15 @@ import (
 
 // DefaultCapacity mirrors the "couple of hundred entries" of §2.2.
 const DefaultCapacity = 256
+
+// insertInvProb is the inverse probability with which a cache built by New
+// admits an offered header: one in 100, OVS's emc-insert-inv-prob default.
+// A flow that keeps sending still lands in the cache after ~100 packets on
+// average. It is a fixed policy, not a knob.
+const insertInvProb = 100
+
+// drawSeed seeds the insertion draw of every cache built by New.
+const drawSeed = 0x9e3779b97f4a7c15
 
 // Result caches the decision for one exact header.
 type Result struct {
@@ -54,8 +70,8 @@ type Stats struct {
 	// Hits and Misses count Lookup outcomes (LookupBatch counts each
 	// header individually).
 	Hits, Misses uint64
-	// Evictions counts entries displaced by FIFO replacement; Flush does
-	// not count as eviction.
+	// Evictions counts entries displaced by FIFO replacement; a flush
+	// (Sync) does not count as eviction.
 	Evictions uint64
 }
 
@@ -76,11 +92,34 @@ type Cache struct {
 	head  int      // fifo read position (oldest entry)
 	n     int      // live entries
 	stats Stats
+	// gen is the table generation the entries were decided under
+	// (Sync). It is written under mu but read without it, so a Sync that
+	// finds it current takes no lock.
+	gen atomic.Uint64
+	// draw is the xorshift64 state of the insertion draw, 0 in a cache
+	// that admits every header. It is atomic, not under mu, so an offer
+	// the draw refuses (99 in 100) takes no lock.
+	draw atomic.Uint64
 }
 
-// New creates a cache with the given capacity; cap <= 0 selects
-// DefaultCapacity.
+// Gen is the table generation a verdict is decided under, as Sync hands it
+// out to InsertAt.
+type Gen struct {
+	seq  uint64
+	open bool
+}
+
+// New creates an EMC with the given capacity whose Insert admits one
+// offered header in insertInvProb; cap <= 0 selects DefaultCapacity.
 func New(cap int) *Cache {
+	c := NewInsertAll(cap)
+	c.draw.Store(drawSeed)
+	return c
+}
+
+// NewInsertAll creates a cache with the given capacity whose Insert admits
+// every header; cap <= 0 selects DefaultCapacity.
+func NewInsertAll(cap int) *Cache {
 	if cap <= 0 {
 		cap = DefaultCapacity
 	}
@@ -151,14 +190,75 @@ func (c *Cache) LookupBatch(hs []bitvec.Vec, res []Result, ok []bool) {
 	}
 }
 
-// Insert caches the result for header h, evicting the oldest entry if the
-// cache is full. Inserting an existing header refreshes its value without
-// moving it in the eviction order. The header is cloned into the cache (the
-// caller keeps ownership of h); a first-time insert allocates the clone,
-// while an evict-and-replace reuses the evicted entry's key storage.
-func (c *Cache) Insert(h bitvec.Vec, r Result) {
+// Sync keys the cache to table generation seq before a lookup; owners
+// pass their switch's CacheGen. Entries decided under an older generation
+// are flushed first. A seq older than the cache's comes from a caller that
+// raced a newer one and changes nothing: its inserts are dropped. The
+// returned Gen is what InsertAt takes for the verdicts decided from now
+// on; while open is false (a table swap awaits revalidation, so a megaflow
+// hit may be one the revalidator deletes) it admits none.
+func (c *Cache) Sync(seq uint64, open bool) Gen {
+	if seq > c.gen.Load() {
+		c.mu.Lock()
+		if seq > c.gen.Load() {
+			c.flushLocked()
+			c.gen.Store(seq)
+		}
+		c.mu.Unlock()
+	}
+	return Gen{seq: seq, open: open}
+}
+
+// InsertAt is Insert for a verdict decided under g: it is dropped unless
+// g is open and the cache is still keyed to its generation.
+func (c *Cache) InsertAt(g Gen, h bitvec.Vec, r Result) {
+	if !g.open || !c.admit() {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if g.seq == c.gen.Load() {
+		c.insertLocked(h, r)
+	}
+}
+
+// Insert offers the result for header h to the cache, with no generation
+// check. A cache built by New admits it only when its draw succeeds, one
+// offer in insertInvProb; one built by NewInsertAll always does. An
+// admitted header evicts the oldest entry if the cache is full; one
+// already cached has its value refreshed without moving in the eviction
+// order. The header is cloned into the cache (the caller keeps ownership
+// of h); a first-time insert allocates the clone, while an
+// evict-and-replace reuses the evicted entry's key storage.
+func (c *Cache) Insert(h bitvec.Vec, r Result) {
+	if !c.admit() {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.insertLocked(h, r)
+}
+
+// admit applies the insertion policy to one offer: a cache with a draw
+// state advances it and admits one offer in insertInvProb. A draw, not an
+// offer counter: a counter can lock in phase with a periodic miss stream
+// (an attack/victim interleave) and never admit the victim flow. Offers
+// from one goroutine draw a fixed sequence; concurrent offers may draw the
+// same value, which leaves the odds as they are.
+func (c *Cache) admit() bool {
+	x := c.draw.Load()
+	if x == 0 {
+		return true
+	}
+	x ^= x << 13
+	x ^= x >> 7
+	x ^= x << 17
+	c.draw.Store(x)
+	return x>>32 < (1<<32)/insertInvProb
+}
+
+// insertLocked caches the result for header h.
+func (c *Cache) insertLocked(h bitvec.Vec, r Result) {
 	fp := bitvec.KeyHash(h)
 	if ei := c.findLocked(h, fp); ei >= 0 {
 		c.ents[ei].res = r
@@ -242,13 +342,11 @@ func (c *Cache) Len() int {
 	return c.n
 }
 
-// Flush empties the cache, resetting the hash table, the dense entry
-// storage, and the FIFO eviction state together so post-flush inserts
+// flushLocked empties the cache, resetting the hash table, the dense
+// entry storage, and the FIFO eviction state together so later inserts
 // rebuild the insertion order from scratch. Activity counters (hits,
 // misses, evictions) are cumulative and survive a flush.
-func (c *Cache) Flush() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func (c *Cache) flushLocked() {
 	for i := range c.slots {
 		c.slots[i] = -1
 	}

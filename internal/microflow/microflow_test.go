@@ -14,7 +14,7 @@ func hyp(v uint64) bitvec.Vec {
 }
 
 func TestLookupInsert(t *testing.T) {
-	c := New(4)
+	c := NewInsertAll(4)
 	if _, ok := c.Lookup(hyp(1)); ok {
 		t.Fatal("empty cache hit")
 	}
@@ -29,7 +29,7 @@ func TestLookupInsert(t *testing.T) {
 }
 
 func TestFIFOEviction(t *testing.T) {
-	c := New(2)
+	c := NewInsertAll(2)
 	c.Insert(hyp(0), Result{})
 	c.Insert(hyp(1), Result{})
 	c.Insert(hyp(2), Result{}) // evicts hyp(0)
@@ -45,7 +45,7 @@ func TestFIFOEviction(t *testing.T) {
 }
 
 func TestRefreshDoesNotGrow(t *testing.T) {
-	c := New(2)
+	c := NewInsertAll(2)
 	c.Insert(hyp(0), Result{Action: flowtable.Drop})
 	c.Insert(hyp(0), Result{Action: flowtable.Allow})
 	if c.Len() != 1 {
@@ -57,7 +57,7 @@ func TestRefreshDoesNotGrow(t *testing.T) {
 }
 
 func TestDefaultCapacity(t *testing.T) {
-	c := New(0)
+	c := NewInsertAll(0)
 	for v := uint64(0); v < DefaultCapacity+10; v++ {
 		h := bitvec.NewVec(bitvec.IPv4Tuple)
 		h.SetField(bitvec.IPv4Tuple, 0, v)
@@ -134,7 +134,7 @@ func TestStatsAndEvictionOrder(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := New(3)
+			c := NewInsertAll(3)
 			tc.run(c)
 			s := c.Stats()
 			if s.Evictions != tc.want.Evictions {
@@ -160,15 +160,15 @@ func TestStatsAndEvictionOrder(t *testing.T) {
 	}
 }
 
-// TestFlushResetsEvictionState: after a flush, the FIFO restarts from
-// scratch — eviction order is the post-flush insertion order, unaffected
-// by pre-flush history.
+// TestFlushResetsEvictionState: after a flush (Sync to a newer
+// generation), the FIFO restarts from scratch — eviction order is the
+// post-flush insertion order, unaffected by pre-flush history.
 func TestFlushResetsEvictionState(t *testing.T) {
-	c := New(2)
+	c := NewInsertAll(2)
 	c.Insert(hyp(0), Result{})
 	c.Insert(hyp(1), Result{})
 	c.Insert(hyp(2), Result{}) // evicts 0
-	c.Flush()
+	c.Sync(1, true)
 	if c.Len() != 0 {
 		t.Fatalf("Len = %d after flush", c.Len())
 	}
@@ -185,13 +185,13 @@ func TestFlushResetsEvictionState(t *testing.T) {
 	}
 	// Counters are cumulative across the flush: evictions 1 (pre) + 1 (post).
 	if s := c.Stats(); s.Evictions != 2 {
-		t.Errorf("Evictions = %d, want 2 (cumulative across Flush)", s.Evictions)
+		t.Errorf("Evictions = %d, want 2 (cumulative across the flush)", s.Evictions)
 	}
 }
 
 // TestInsertClones: the cache must not alias the caller's header slice.
 func TestInsertClones(t *testing.T) {
-	c := New(4)
+	c := NewInsertAll(4)
 	h := hyp(3)
 	c.Insert(h, Result{Action: flowtable.Allow})
 	h.SetField(bitvec.HYP, 0, 5) // scribble on the caller's copy
@@ -206,7 +206,7 @@ func TestInsertClones(t *testing.T) {
 // TestLookupZeroAlloc asserts the EMC hot path never allocates — the
 // tentpole invariant of the zero-allocation fast path.
 func TestLookupZeroAlloc(t *testing.T) {
-	c := New(8)
+	c := NewInsertAll(8)
 	hit := hyp(1)
 	miss := hyp(2)
 	c.Insert(hit, Result{Action: flowtable.Allow})
@@ -224,7 +224,7 @@ func TestLookupZeroAlloc(t *testing.T) {
 	}
 	// Evict-and-replace reuses the evicted entry's key storage: steady-state
 	// insert churn on a full cache is allocation-free too.
-	full := New(2)
+	full := NewInsertAll(2)
 	full.Insert(hyp(0), Result{})
 	full.Insert(hyp(1), Result{})
 	next := uint64(2)
@@ -240,7 +240,7 @@ func TestLookupZeroAlloc(t *testing.T) {
 
 // BenchmarkEMCLookup prices the exact-match hot path (hit and miss).
 func BenchmarkEMCLookup(b *testing.B) {
-	c := New(0)
+	c := NewInsertAll(0)
 	l := bitvec.IPv4Tuple
 	hit := bitvec.NewVec(l)
 	hit.SetField(l, 0, 0x0a000001)
@@ -262,23 +262,94 @@ func BenchmarkEMCLookup(b *testing.B) {
 }
 
 // TestFlushAndHitRate: the hit rate read from Stats counts each lookup
-// once, and Flush empties the cache without resetting the counters.
+// once, and a flush (Sync to a newer generation) empties the cache without
+// resetting the counters.
 func TestFlushAndHitRate(t *testing.T) {
-	c := New(4)
+	c := NewInsertAll(4)
 	c.Insert(hyp(1), Result{})
 	c.Lookup(hyp(1))
 	c.Lookup(hyp(2))
 	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
 		t.Errorf("Stats = %+v, want 1 hit and 1 miss (hit rate 0.5)", st)
 	}
-	c.Flush()
+	c.Sync(1, true)
 	if c.Len() != 0 {
-		t.Error("Flush did not empty cache")
+		t.Error("the flush did not empty cache")
 	}
 	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
-		t.Errorf("Stats after Flush = %+v, want the counters kept", st)
+		t.Errorf("Stats after the flush = %+v, want the counters kept", st)
 	}
-	if st := New(4).Stats(); st != (Stats{}) {
+	if st := NewInsertAll(4).Stats(); st != (Stats{}) {
 		t.Errorf("Stats on fresh cache = %+v, want zero", st)
+	}
+}
+
+// ipv4(i) is the i-th of a stream of distinct IPv4 5-tuple headers.
+func ipv4(i int) bitvec.Vec {
+	l := bitvec.IPv4Tuple
+	h := bitvec.NewVec(l)
+	h.SetField(l, 0, 0x0b000000+uint64(i))
+	return h
+}
+
+// TestNewInsertsOneInHundred: a cache built by New admits about one offer
+// in 100. The draw is seeded, so the count of 10 000 distinct offers is
+// pinned (a changed pin is a changed policy or seed), and a second fresh
+// cache admits exactly the same headers.
+func TestNewInsertsOneInHundred(t *testing.T) {
+	a, b := New(0), New(0)
+	for i := 0; i < 10000; i++ {
+		a.Insert(ipv4(i), Result{})
+		b.Insert(ipv4(i), Result{})
+	}
+	// Each admitted header fills a free entry or evicts one.
+	const pinned = 107
+	if got := uint64(a.Len()) + a.Stats().Evictions; got != pinned {
+		t.Errorf("10000 offers admitted %d headers, pinned %d", got, pinned)
+	}
+	for i := 0; i < 10000; i++ {
+		_, okA := a.Lookup(ipv4(i))
+		_, okB := b.Lookup(ipv4(i))
+		if okA != okB {
+			t.Fatalf("header %d: cached %v in one fresh cache, %v in the other", i, okA, okB)
+		}
+	}
+}
+
+// TestSyncAndInsertAt: Sync flushes entries of an older generation;
+// InsertAt drops a verdict of a generation the cache has left, and every
+// verdict of a closed one; a lagging Sync neither flushes nor reopens an
+// older generation.
+func TestSyncAndInsertAt(t *testing.T) {
+	c := NewInsertAll(4)
+	g0 := c.Sync(0, true)
+	c.InsertAt(g0, hyp(1), Result{})
+	if c.Len() != 1 {
+		t.Fatalf("Len = %d after an insert at the current generation, want 1", c.Len())
+	}
+	g1 := c.Sync(1, true)
+	if c.Len() != 0 {
+		t.Fatalf("Len = %d after the generation moved, want 0", c.Len())
+	}
+	c.InsertAt(g0, hyp(2), Result{})
+	if _, ok := c.Lookup(hyp(2)); ok {
+		t.Error("a verdict of the left generation was inserted")
+	}
+	c.InsertAt(g1, hyp(3), Result{})
+	lag := c.Sync(0, true)
+	if _, ok := c.Lookup(hyp(3)); !ok {
+		t.Error("a lagging Sync flushed the newer generation's entries")
+	}
+	c.InsertAt(lag, hyp(4), Result{})
+	if _, ok := c.Lookup(hyp(4)); ok {
+		t.Error("a lagging Sync's verdict was inserted")
+	}
+	closed := c.Sync(1, false)
+	c.InsertAt(closed, hyp(5), Result{})
+	if _, ok := c.Lookup(hyp(5)); ok {
+		t.Error("a verdict of a closed generation was inserted")
+	}
+	if c.Len() != 1 {
+		t.Errorf("Len = %d, want 1 (hyp(3))", c.Len())
 	}
 }

@@ -1,6 +1,7 @@
 package vswitch
 
 import (
+	"sync"
 	"testing"
 
 	"tse/internal/bitvec"
@@ -152,5 +153,54 @@ func TestTableSwapFlushesMicroflow(t *testing.T) {
 	s.MarkRevalidated(seq)
 	if v := s.Process(h, 3); v.Action != allow.Lookup(h).Action || v.Path != PathSlow {
 		t.Fatalf("after revalidation: %+v, want the new table's %v from the slow path", v, allow.Lookup(h).Action)
+	}
+}
+
+// TestTableSwapConcurrentProcess: ReplaceTable racing concurrent Process
+// callers, with and without the megaflow layer. Every verdict a caller
+// inserts into the shared microflow cache is tied to the generation it was
+// decided under, and a slow path classified under a swapped-away table
+// installs its megaflow before the swap, where the inline revalidation
+// sweep deletes it. So once the swaps stop, every header answers with the
+// last table's action, from whichever layer.
+func TestTableSwapConcurrentProcess(t *testing.T) {
+	allow, deny := catchAll(bitvec.HYP, flowtable.Allow), catchAll(bitvec.HYP, flowtable.Drop)
+	for _, disableMegaflow := range []bool{false, true} {
+		s := newSwitch(t, Config{Table: allow, DisableMegaflow: disableMegaflow})
+		const callers, swaps = 4, 300
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for i := c; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					s.Process(hyp(uint64(i%8)), 0)
+				}
+			}(c)
+		}
+		last := allow
+		for i := 0; i < swaps; i++ {
+			last = []*flowtable.Table{deny, allow}[i%2]
+			if _, err := s.ReplaceTable(last); err != nil {
+				t.Fatal(err)
+			}
+		}
+		close(stop)
+		wg.Wait()
+		for v := uint64(0); v < 8; v++ {
+			want := last.Lookup(hyp(v)).Action
+			for k := 0; k < 2; k++ {
+				if got := s.Process(hyp(v), 1); got.Action != want {
+					t.Fatalf("DisableMegaflow %v, header %d packet %d after the swaps: %+v, want the last table's %v",
+						disableMegaflow, v, k, got, want)
+				}
+			}
+		}
 	}
 }

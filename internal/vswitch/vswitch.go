@@ -137,9 +137,13 @@ type Switch struct {
 	layout    *bitvec.Layout
 	tg        atomic.Pointer[tableGen] // current slow-path generation
 	revalPend atomic.Bool              // cache not yet reconciled with gen
+	// swapMu is held shared by a slow path from loading the generation
+	// to installing its megaflows, and exclusively by a swap publishing
+	// the next generation: an install classified under a swapped-away
+	// table lands before the swap, where its revalidation sweep finds it.
+	swapMu    sync.RWMutex
 	mfc       *tss.Classifier
 	ufc       *microflow.Cache
-	ufcSeq    atomic.Uint64   // the table generation ufc's entries belong to
 	deleted   map[string]bool // quirk: suppressed (key,mask) pairs
 	counters  Counters
 	batchPool sync.Pool // *[]tss.BatchResult scratch for ProcessBatch
@@ -207,7 +211,7 @@ func New(cfg Config) (*Switch, error) {
 	}
 	s.tg.Store(&tableGen{table: cfg.Table, gen: gen})
 	if !cfg.DisableMicroflow {
-		s.ufc = microflow.New(cfg.MicroflowCapacity)
+		s.ufc = microflow.NewInsertAll(cfg.MicroflowCapacity)
 	}
 	return s, nil
 }
@@ -260,9 +264,9 @@ func (s *Switch) processFunc(hd *tss.Handle, i int, h bitvec.Vec, now int64, mis
 		}
 	}
 	// Layer 1: microflow cache.
-	insert := false
+	var gen microflow.Gen
 	if s.ufc != nil {
-		insert = s.syncUFC()
+		gen = s.ufc.Sync(s.CacheGen())
 		if r, ok := s.ufc.Lookup(h); ok {
 			s.count(Verdict{Action: r.Action, OutPort: r.OutPort, Path: PathMicroflow})
 			return Verdict{Action: r.Action, OutPort: r.OutPort, Path: PathMicroflow}
@@ -275,10 +279,10 @@ func (s *Switch) processFunc(hd *tss.Handle, i int, h bitvec.Vec, now int64, mis
 	e, probes, ok := s.mfcLookup(hd, h, now)
 	if ok {
 		v := Verdict{Action: e.Action, OutPort: e.OutPort, Path: PathMegaflow, Probes: probes, Rule: e.RuleName}
-		if insert {
+		if s.ufc != nil {
 			// The cache clones internally (reusing evicted storage), so no
 			// caller-side Clone allocation here.
-			s.ufc.Insert(h, microflow.Result{Action: e.Action, OutPort: e.OutPort})
+			s.ufc.InsertAt(gen, h, microflow.Result{Action: e.Action, OutPort: e.OutPort})
 		}
 		s.count(v)
 		return v
@@ -424,9 +428,16 @@ func (s *Switch) HandleMissBatch(ms []Miss, now int64, out []Verdict) []Verdict 
 		out = make([]Verdict, len(ms))
 	}
 	out = out[:len(ms)]
+	// The microflow cache is synced before the generation is loaded, so a
+	// swap in between makes the verdicts newer than their cache
+	// generation, never older: the next Sync flushes them.
+	var ufcGen microflow.Gen
+	if s.ufc != nil {
+		ufcGen = s.ufc.Sync(s.CacheGen())
+	}
+	s.swapMu.RLock()
 	tg := s.tg.Load()
 	gen, genSeq := tg.gen, tg.seq
-	insertUFC := s.ufc != nil && s.syncUFC()
 	// A handler-sized burst keeps its install scratch on the stack, so a
 	// burst of one allocates no more than its megaflow does.
 	var entryBuf [32]*tss.Entry
@@ -464,7 +475,9 @@ func (s *Switch) HandleMissBatch(ms []Miss, now int64, out []Verdict) []Verdict 
 		}
 		s.mu.Unlock()
 	}
-	for _, err := range s.mfc.InsertBatch(install, now, errBuf[:0]) {
+	errs := s.mfc.InsertBatch(install, now, errBuf[:0])
+	s.swapMu.RUnlock()
+	for _, err := range errs {
 		if err == nil {
 			delta.Installs++
 			continue
@@ -483,8 +496,8 @@ func (s *Switch) HandleMissBatch(ms []Miss, now int64, out []Verdict) []Verdict 
 		delta.Conflicts++
 	}
 	for i, m := range ms {
-		if insertUFC {
-			s.ufc.Insert(m.Header, microflow.Result{Action: out[i].Action, OutPort: out[i].OutPort})
+		if s.ufc != nil {
+			s.ufc.InsertAt(ufcGen, m.Header, microflow.Result{Action: out[i].Action, OutPort: out[i].OutPort})
 		}
 		delta.Slow++
 		if out[i].Action == flowtable.Drop {
@@ -598,16 +611,20 @@ func (s *Switch) SwapTable(tbl *flowtable.Table) error {
 	if err != nil {
 		return err
 	}
-	// The mutex only serialises concurrent swappers (monotonic seq); the
-	// publication itself is the atomic store. revalPend is raised BEFORE
-	// the new generation is published: a slow path that already observes
-	// the new seq must also observe the pending flag, or its stale check
-	// would treat a legitimate old-generation overlap as a generator bug
-	// (the old code kept the pair consistent under one mutex section).
+	// swapMu waits out the slow paths still installing under the old
+	// generation (see HandleMissBatch). The mutex serialises concurrent
+	// swappers (monotonic seq) and MarkRevalidated; the publication
+	// itself is the atomic store. revalPend is raised BEFORE the new
+	// generation is published: a slow path that already observes the new
+	// seq must also observe the pending flag, or its stale check would
+	// treat a legitimate old-generation overlap as a generator bug (the
+	// old code kept the pair consistent under one mutex section).
+	s.swapMu.Lock()
 	s.mu.Lock()
 	s.revalPend.Store(true)
 	s.tg.Store(&tableGen{table: tbl, gen: gen, seq: s.tg.Load().seq + 1})
 	s.mu.Unlock()
+	s.swapMu.Unlock()
 	return nil
 }
 
@@ -626,27 +643,17 @@ func (s *Switch) NeedsRevalidation() bool {
 }
 
 // CacheGen is what an exact-match cache in front of the switch keys its
-// entries to: the table generation seq (GenSeq), and whether a verdict
-// decided from now on may be inserted. A cache that sees seq move since
-// its last lookup flushes first, so no verdict of a swapped-away table is
-// served; and nothing may be inserted while a swap awaits revalidation,
-// when a megaflow hit may be one the revalidator is about to delete. The
-// sequence is read before the pending flag (SwapTable raises the flag
-// first), so a new generation is never seen without its flag.
+// entries to, through microflow.Cache.Sync: the table generation seq
+// (GenSeq), and whether a verdict decided from now on may be inserted. A
+// cache that sees seq move since its last lookup flushes first, so no
+// verdict of a swapped-away table is served; and nothing may be inserted
+// while a swap awaits revalidation, when a megaflow hit may be one the
+// revalidator is about to delete. The sequence is read before the pending
+// flag (SwapTable raises the flag first), so a new generation is never
+// seen without its flag.
 func (s *Switch) CacheGen() (seq uint64, insert bool) {
 	seq = s.GenSeq()
 	return seq, !s.NeedsRevalidation()
-}
-
-// syncUFC applies CacheGen to the switch's own microflow cache and
-// reports whether a verdict the caller reaches may be inserted.
-func (s *Switch) syncUFC() bool {
-	seq, insert := s.CacheGen()
-	if s.ufcSeq.Load() != seq {
-		s.ufc.Flush()
-		s.ufcSeq.Store(seq)
-	}
-	return insert
 }
 
 // MarkRevalidated records that a full revalidation sweep ran against
