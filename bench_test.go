@@ -200,8 +200,7 @@ func BenchmarkSec52AttackReplay(b *testing.B) {
 // (cheaply, without re-running the attack) before each timed sweep.
 func BenchmarkSec8GuardSweep(b *testing.B) {
 	tbl := flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{})
-	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true,
-		NoRevalidatorQuirk: true})
+	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -211,8 +210,7 @@ func BenchmarkSec8GuardSweep(b *testing.B) {
 	}
 	core.Replay(sw, tr, 0)
 	snapshot := sw.MFC().Entries()
-	g, err := mitigation.New(mitigation.Config{Switch: sw, MaskThreshold: 100,
-		IntervalSec: 1})
+	g, err := mitigation.New(mitigation.Config{Switch: sw, MaskThreshold: 100})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -226,7 +224,7 @@ func BenchmarkSec8GuardSweep(b *testing.B) {
 			}
 		}
 		b.StartTimer()
-		if deleted := g.Tick(int64(i+1), 15); deleted == 0 {
+		if deleted := g.Tick(int64(i+1)*mitigation.IntervalSec, 15); deleted == 0 {
 			b.Fatal("sweep deleted nothing")
 		}
 	}

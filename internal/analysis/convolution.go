@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"math"
 
 	"tse/internal/bitvec"
 	"tse/internal/flowtable"
@@ -223,22 +222,4 @@ func indexOfField(fields []int, f int) int {
 		}
 	}
 	return -1
-}
-
-// Theorem42MaskCount returns the number of distinct deny masks of the
-// multi-field construction: Π k_i (the theorem's time bound).
-func Theorem42MaskCount(ks []int) int { return Theorem42Time(ks) }
-
-// GeometricMeanBound is the inner inequality of the Theorem 4.1 proof:
-// Σ 2^{b_i} subject to Σ b_i = w is minimal when all b_i = w/k, giving
-// k·2^{w/k}. Exposed for the property tests.
-func GeometricMeanBound(bs []int) (sum, bound float64) {
-	w := 0
-	for _, b := range bs {
-		sum += math.Exp2(float64(b))
-		w += b
-	}
-	k := float64(len(bs))
-	bound = k * math.Exp2(float64(w)/k)
-	return sum, bound
 }

@@ -167,14 +167,6 @@ func (v Vec) AndNot(o Vec) Vec {
 	return r
 }
 
-// AndInto computes v AND o into dst (which must have the same length),
-// avoiding allocation on the classifier's hot lookup path.
-func (v Vec) AndInto(o, dst Vec) {
-	for i := range v {
-		dst[i] = v[i] & o[i]
-	}
-}
-
 // Equal reports bit-for-bit equality.
 func (v Vec) Equal(o Vec) bool {
 	if len(v) != len(o) {
@@ -182,16 +174,6 @@ func (v Vec) Equal(o Vec) bool {
 	}
 	for i := range v {
 		if v[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// IsZero reports whether no bit is set.
-func (v Vec) IsZero() bool {
-	for _, w := range v {
-		if w != 0 {
 			return false
 		}
 	}
@@ -508,19 +490,6 @@ func Overlap(k1, m1, k2, m2 Vec) bool {
 		}
 	}
 	return true
-}
-
-// CoverageCount returns the number of distinct headers matched by a
-// key/mask pair over the layout: 2^(wildcarded bits). Returns the count as
-// a float64 to avoid overflow on wide layouts (e.g. IPv6's 296 bits).
-func CoverageCount(l *Layout, mask Vec) float64 {
-	wild := l.Bits() - mask.OnesCount()
-	// 2^wild; exact for wild < 53 which covers all interpretation needs.
-	out := 1.0
-	for i := 0; i < wild; i++ {
-		out *= 2
-	}
-	return out
 }
 
 // ParsePattern parses a figure-style pattern such as "001", "1**", or

@@ -273,11 +273,6 @@ func TestBitwiseOps(t *testing.T) {
 	if got := a.AndNot(b).FieldUint64(l, 0); got != 0b100 {
 		t.Errorf("AndNot = %03b", got)
 	}
-	dst := NewVec(l)
-	a.AndInto(b, dst)
-	if !dst.Equal(a.And(b)) {
-		t.Error("AndInto disagrees with And")
-	}
 }
 
 func TestCloneIndependence(t *testing.T) {
@@ -455,18 +450,6 @@ func TestParsePatternErrors(t *testing.T) {
 	}
 }
 
-func TestCoverageCount(t *testing.T) {
-	l := HYP
-	_, m := MustPattern(l, "1**")
-	if got := CoverageCount(l, m); got != 4 {
-		t.Errorf("CoverageCount(1**) = %v, want 4 (paper §3.2)", got)
-	}
-	_, m2 := MustPattern(l, "111")
-	if got := CoverageCount(l, m2); got != 1 {
-		t.Errorf("CoverageCount(exact) = %v, want 1", got)
-	}
-}
-
 func TestFormatWideField(t *testing.T) {
 	l := IPv6Tuple
 	v := NewVec(l)
@@ -537,15 +520,6 @@ func BenchmarkCovers(b *testing.B) {
 		if !Covers(key, mask, h) {
 			b.Fatal("must cover")
 		}
-	}
-}
-
-func BenchmarkAndInto(b *testing.B) {
-	l := IPv6Tuple
-	h, m, dst := NewVec(l), NewVec(l), NewVec(l)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.AndInto(m, dst)
 	}
 }
 

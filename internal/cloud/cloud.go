@@ -200,20 +200,6 @@ func (h *Hypervisor) AddTenant(t *Tenant) error {
 	return h.recompile()
 }
 
-// RemoveTenant deletes a tenant and recompiles the shared table.
-func (h *Hypervisor) RemoveTenant(name string) error {
-	for i, t := range h.tenants {
-		if t.Name == name {
-			h.tenants = append(h.tenants[:i], h.tenants[i+1:]...)
-			return h.recompile()
-		}
-	}
-	return fmt.Errorf("cloud: no tenant %q", name)
-}
-
-// Tenants returns the installed tenants.
-func (h *Hypervisor) Tenants() []*Tenant { return h.tenants }
-
 // recompile rebuilds the shared flow table: each tenant rule is AND-ed
 // with an exact match on the tenant's destination IP, and a global
 // DefaultDeny backstops everything.

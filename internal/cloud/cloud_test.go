@@ -164,24 +164,8 @@ func TestAddTenantValidation(t *testing.T) {
 	if err := h.AddTenant(&Tenant{Name: "c", IP: 3}); err == nil {
 		t.Error("tenant without ACL accepted")
 	}
-	if len(h.Tenants()) != 1 {
-		t.Errorf("tenant count = %d, want 1", len(h.Tenants()))
-	}
-}
-
-func TestRemoveTenant(t *testing.T) {
-	h, _ := NewHypervisor(OpenStack)
-	h.AddTenant(&Tenant{Name: "a", IP: 0xc0a80002, ACL: tenantACL(flowtable.SipDp)})
-	if err := h.RemoveTenant("nope"); err == nil {
-		t.Error("removing unknown tenant succeeded")
-	}
-	if err := h.RemoveTenant("a"); err != nil {
-		t.Fatal(err)
-	}
-	// After removal the tenant's traffic is denied.
-	v := h.Switch().Process(header(0x08080808, 0xc0a80002, 6, 50000, 80), 0)
-	if v.Action != flowtable.Drop {
-		t.Errorf("traffic to removed tenant: %v, want deny", v.Action)
+	if len(h.tenants) != 1 {
+		t.Errorf("tenant count = %d, want 1", len(h.tenants))
 	}
 }
 

@@ -92,10 +92,9 @@ type Config struct {
 	Nodes, WorkersPerNode int
 	// CMS is the management-system profile every node enforces.
 	CMS cloud.CMS
-	// NIC selects the cost profile; BudgetPerCore overrides the
-	// calibrated per-core CPU budget when > 0.
-	NIC           dataplane.NICProfile
-	BudgetPerCore float64
+	// NIC selects the cost profile, with its calibrated per-core CPU
+	// budget.
+	NIC dataplane.NICProfile
 	// Workloads are placed in order at construction.
 	Workloads []*Workload
 	// DurationSec is the experiment length.
@@ -300,13 +299,12 @@ func (f *Fabric) newNode(id int) (*Node, error) {
 	reg := telemetry.NewRegistry(1)
 	sw := hv.Switch()
 	eng, err := dataplane.NewEngine(dataplane.EngineConfig{
-		Switch:        sw,
-		NIC:           f.cfg.NIC,
-		PerCoreBudget: f.cfg.BudgetPerCore,
-		Workers:       f.cfg.WorkersPerNode,
-		Ports:         len(f.cfg.Workloads) + 1,
-		Upcall:        &up,
-		Telemetry:     &telemetry.Hub{Reg: reg},
+		Switch:    sw,
+		NIC:       f.cfg.NIC,
+		Workers:   f.cfg.WorkersPerNode,
+		Ports:     len(f.cfg.Workloads) + 1,
+		Upcall:    &up,
+		Telemetry: &telemetry.Hub{Reg: reg},
 	})
 	if err != nil {
 		return nil, err
@@ -673,25 +671,11 @@ func (f *Fabric) Samples() []FleetSample {
 	return append([]FleetSample(nil), f.samples...)
 }
 
-// NodeStates returns the failure detector's current view of every node.
-func (f *Fabric) NodeStates() []HealthState {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]HealthState(nil), f.health...)
-}
-
 // DeadAt returns the tick each node was declared dead at (-1 if alive).
 func (f *Fabric) DeadAt() []int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return append([]int64(nil), f.deadAt...)
-}
-
-// TargetGen returns the controller's current ACL generation.
-func (f *Fabric) TargetGen() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.ctrl.target
 }
 
 // MaxConvergeSec returns the longest churn-to-convergence duration of any

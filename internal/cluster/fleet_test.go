@@ -249,27 +249,30 @@ func TestFleetConcurrentReaders(t *testing.T) {
 							return
 						default:
 						}
-						_ = f.NodeStates()
 						_ = f.Samples()
-						_ = f.TargetGen()
 						_ = f.DeadAt()
 						_ = f.MaxConvergeSec()
 					}
 				}()
 			}
-			if _, err := f.Run(); err != nil {
+			samples, err := f.Run()
+			if err != nil {
 				t.Error(err)
 			}
 			close(done)
 			rg.Wait()
+			if len(samples) == 0 {
+				t.Error("run produced no samples")
+				return
+			}
 
-			states := f.NodeStates()
-			if states[1] != Dead {
-				t.Errorf("node 1 ended %v, want dead", states[1])
+			nodes := samples[len(samples)-1].Nodes
+			if nodes[1].State != Dead {
+				t.Errorf("node 1 ended %v, want dead", nodes[1].State)
 			}
 			for _, id := range []int{0, 2, 3} {
-				if states[id] != Healthy {
-					t.Errorf("node %d ended %v, want healthy", id, states[id])
+				if nodes[id].State != Healthy {
+					t.Errorf("node %d ended %v, want healthy", id, nodes[id].State)
 				}
 			}
 		}()

@@ -138,8 +138,6 @@ func FleetChaosConfig(mode FleetMode, journal *telemetry.Journal) (Config, error
 			cfg.DisableRetry = true
 			cfg.Upcall.DisableSupervisor = true
 			cfg.Upcall.Revalidator.PendingAgeSec = -1
-		} else {
-			cfg.Upcall.StallTimeoutSec = 1
 		}
 	default:
 		return Config{}, fmt.Errorf("cluster: unknown fleet mode %q", mode)

@@ -266,9 +266,6 @@ type ReplayStats struct {
 	EntriesBefore, EntriesAfter int
 }
 
-// NewMasks returns the number of masks the replay spawned.
-func (r ReplayStats) NewMasks() int { return r.MasksAfter - r.MasksBefore }
-
 // Replay drives every trace header through the switch at virtual time now,
 // populating the MFC exactly as the attack would.
 func Replay(sw *vswitch.Switch, tr *Trace, now int64) ReplayStats {

@@ -39,7 +39,7 @@ func TestCoLocatedFig1Trace(t *testing.T) {
 	if st.MasksAfter != 3 || st.EntriesAfter != 4 {
 		t.Errorf("replay produced %d masks / %d entries, want 3/4", st.MasksAfter, st.EntriesAfter)
 	}
-	if st.NewMasks() != 3 || st.Packets != 4 {
+	if st.MasksAfter-st.MasksBefore != 3 || st.Packets != 4 {
 		t.Errorf("stats = %+v", st)
 	}
 }

@@ -186,7 +186,7 @@ func TestAsyncHandlersParallel(t *testing.T) {
 	const rounds = 3
 	var out []vswitch.Verdict
 	for r := 0; r < rounds; r++ {
-		out = pool.ProcessBatch(trace, int64(r), out)
+		out = pool.ProcessBatchPorts(nil, trace, int64(r), out)
 		for i, v := range out {
 			if want := wantAction[trace[i].Key()]; v.Action != want {
 				t.Fatalf("round %d packet %d: action %v, want %v", r, i, v.Action, want)
@@ -226,14 +226,13 @@ func TestTotalsAggregateEMCStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := datapath.New(datapath.Config{
-		Switch: sw, Workers: 2, EMCCapacity: 8})
+	pool, err := datapath.New(datapath.Config{Switch: sw, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2048 flows twice: about 41 of the 4096 misses are inserted, into 2x8
-	// EMC slots, so the EMCs churn.
-	flows := benignFlows(2048)
+	// 40000 flows twice: about 800 of the 80000 misses are inserted, into
+	// 2x256 EMC slots, so the EMCs churn.
+	flows := benignFlows(40000)
 	pool.ProcessBatchSerialPorts(nil, flows, 0, nil)
 	pool.ProcessBatchSerialPorts(nil, flows, 1, nil)
 
@@ -242,7 +241,7 @@ func TestTotalsAggregateEMCStats(t *testing.T) {
 		t.Error("aggregated EMC misses is zero after a cold pass")
 	}
 	if tot.EMC.Evictions == 0 {
-		t.Error("aggregated EMC evictions is zero despite ~41 inserts into 16 slots")
+		t.Error("aggregated EMC evictions is zero despite ~800 inserts into 512 slots")
 	}
 	var hits, misses, evicts uint64
 	for i, ws := range pool.Stats() {

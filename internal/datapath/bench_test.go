@@ -51,11 +51,11 @@ func BenchmarkDatapathWorkers(b *testing.B) {
 					b.Fatal(err)
 				}
 				// Warm: install the megaflows (and prime the EMCs once).
-				out := pool.ProcessBatch(trace, 0, nil)
+				out := pool.ProcessBatchPorts(nil, trace, 0, nil)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					out = pool.ProcessBatch(trace, 1, out)
+					out = pool.ProcessBatchPorts(nil, trace, 1, out)
 				}
 				b.StopTimer()
 				pps := float64(b.N) * float64(len(trace)) / b.Elapsed().Seconds()

@@ -51,10 +51,9 @@ type Config struct {
 	Switch *vswitch.Switch
 	// Workers is the number of PMD workers; <= 0 selects 1.
 	Workers int
-	// EMCCapacity sizes each worker's private exact-match cache; <= 0
-	// selects the microflow default ("a couple of hundred entries").
-	EMCCapacity int
-	// DisableEMC removes the per-worker exact-match layer. The dataplane
+	// DisableEMC removes the per-worker exact-match layer, which otherwise
+	// holds microflow.DefaultCapacity entries ("a couple of hundred
+	// entries", §2.2) per worker. The dataplane
 	// simulator uses this: its per-second victim probes would otherwise
 	// always hit the EMC and never observe the megaflow scan cost.
 	DisableEMC bool
@@ -74,8 +73,8 @@ type Config struct {
 	// p % Workers, OVS's rxq-to-PMD assignment — and the upcall
 	// subsystem's queues and admission quotas are keyed by port, the
 	// granularity OVS rate-limits at. Callers name each packet's ingress
-	// port via the ProcessBatch*Ports entry points; ProcessBatch, or a nil
-	// ports slice, derives a port from the RSS hash.
+	// port via the ProcessBatch*Ports entry points; a nil ports slice
+	// derives a port from the RSS hash.
 	Ports int
 	// Metrics, when non-nil, registers the pool's tse_pmd_* counter
 	// families. Each worker flushes one burst's deltas into its own
@@ -144,7 +143,7 @@ type PortStats struct {
 
 // Pool is a set of PMD workers sharing one switch. A pool is driven by a
 // single dispatcher: methods must not be called concurrently with each
-// other (the parallelism lives inside ProcessBatch, where the workers of
+// other (the parallelism lives inside ProcessBatchPorts, where the workers of
 // one dispatch run concurrently against the shared switch).
 type Pool struct {
 	sw      *vswitch.Switch
@@ -246,7 +245,7 @@ func New(cfg Config) (*Pool, error) {
 		w := &worker{id: i, mfc: cfg.Switch.MFC().NewHandle(),
 			portStats: make([]PortStats, cfg.Ports)}
 		if !cfg.DisableEMC {
-			w.emc = microflow.New(cfg.EMCCapacity)
+			w.emc = microflow.New(microflow.DefaultCapacity)
 		}
 		p.workers = append(p.workers, w)
 	}
@@ -294,25 +293,19 @@ func (p *Pool) PortOf(h bitvec.Vec) int {
 	return int(h.Hash() % uint64(p.ports))
 }
 
-// ProcessBatch dispatches a batch of headers across the workers by RSS
-// hash and runs the workers concurrently against the shared switch,
-// returning one verdict per header in input order (writing into out when
-// it has sufficient capacity; pass nil to allocate).
+// ProcessBatchPorts dispatches a batch of headers across the workers and
+// runs the workers concurrently against the shared switch, returning one
+// verdict per header in input order (writing into out when it has
+// sufficient capacity; pass nil to allocate). ports[i] is the vport hs[i]
+// arrived on (nil derives ports from the RSS hash). Packets run on their
+// port's pinned worker, per-port counters accrue, and — in async mode —
+// upcalls are admitted against the port's own queue and quota.
 //
 // Verdicts are deterministic per worker stream, but when concurrent
 // slow-path installs interleave, the Probes field of megaflow hits can
 // vary run to run (a mask installed by another core shifts scan
 // positions). Use ProcessBatchSerialPorts where bit-exact reproducibility
 // matters, e.g. the paper-figure simulations.
-func (p *Pool) ProcessBatch(hs []bitvec.Vec, now int64, out []vswitch.Verdict) []vswitch.Verdict {
-	return p.ProcessBatchPorts(nil, hs, now, out)
-}
-
-// ProcessBatchPorts is ProcessBatch with each packet's ingress vport named
-// explicitly: ports[i] is the vport hs[i] arrived on (nil derives ports
-// from the RSS hash). Packets run on their port's pinned worker, per-port
-// counters accrue, and — in async mode — upcalls are admitted against the
-// port's own queue and quota.
 func (p *Pool) ProcessBatchPorts(ports []int, hs []bitvec.Vec, now int64, out []vswitch.Verdict) []vswitch.Verdict {
 	out = p.shard(ports, hs, out)
 	var wg sync.WaitGroup
@@ -609,11 +602,6 @@ func (p *Pool) Totals() WorkerStats {
 	return t
 }
 
-// PortStats returns the pool-wide per-vport ledger, indexed by port id.
-func (p *Pool) PortStats() []PortStats {
-	return p.Totals().Ports
-}
-
 // snapshot copies the worker's counters with the live EMC stats, the
 // classifier handle's stage-skip count, and the per-port split attached.
 func (w *worker) snapshot() WorkerStats {
@@ -625,9 +613,6 @@ func (w *worker) snapshot() WorkerStats {
 	s.Ports = append([]PortStats(nil), w.portStats...)
 	return s
 }
-
-// EMC returns worker i's private exact-match cache (nil when disabled).
-func (p *Pool) EMC(i int) *microflow.Cache { return p.workers[i].emc }
 
 func growRes(s []microflow.Result, n int) []microflow.Result {
 	if cap(s) < n {

@@ -199,7 +199,7 @@ func TestPoolParallel(t *testing.T) {
 	const rounds = 3
 	var out []vswitch.Verdict
 	for r := 0; r < rounds; r++ {
-		out = pool.ProcessBatch(trace, int64(r), out)
+		out = pool.ProcessBatchPorts(nil, trace, int64(r), out)
 		for i, v := range out {
 			if want := wantAction[trace[i].Key()]; v.Action != want {
 				t.Fatalf("round %d packet %d: action %v, want %v", r, i, v.Action, want)
@@ -251,7 +251,7 @@ func TestPoolWithConcurrentMonitor(t *testing.T) {
 	}()
 	var out []vswitch.Verdict
 	for r := 0; r < 3; r++ {
-		out = pool.ProcessBatch(trace, int64(r), out)
+		out = pool.ProcessBatchPorts(nil, trace, int64(r), out)
 	}
 	close(stop)
 	wg.Wait()

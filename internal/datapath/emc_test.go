@@ -37,15 +37,15 @@ func noiseFlow(i int) bitvec.Vec {
 	return h
 }
 
-// newEMCPool builds a pool with per-worker EMCs of emcCap entries (0: the
-// default) over tbl, inline or, with opts, through the upcall subsystem.
-func newEMCPool(t testing.TB, tbl *flowtable.Table, workers, emcCap int, opts *upcall.Options) *datapath.Pool {
+// newEMCPool builds a pool with per-worker EMCs over tbl, inline or, with
+// opts, through the upcall subsystem.
+func newEMCPool(t testing.TB, tbl *flowtable.Table, workers int, opts *upcall.Options) *datapath.Pool {
 	t.Helper()
 	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := datapath.New(datapath.Config{Switch: sw, Workers: workers, EMCCapacity: emcCap, Upcall: opts})
+	p, err := datapath.New(datapath.Config{Switch: sw, Workers: workers, Upcall: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +57,12 @@ func newEMCPool(t testing.TB, tbl *flowtable.Table, workers, emcCap int, opts *u
 // counters, EMC counters included, and identical verdicts.
 func TestEMCInsertDeterministic(t *testing.T) {
 	tbl := flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{})
-	a, b := newEMCPool(t, tbl, 2, 16, nil), newEMCPool(t, tbl, 2, 16, nil)
+	a, b := newEMCPool(t, tbl, 2, nil), newEMCPool(t, tbl, 2, nil)
 	victims := benignFlows(64)
 	rng := rand.New(rand.NewSource(5))
-	stream := make([]bitvec.Vec, 20000)
+	// About 75 000 noise misses admit some 375 verdicts per worker: more
+	// than the 256 entries of each EMC, so the stream evicts.
+	stream := make([]bitvec.Vec, 150000)
 	for i := range stream {
 		if rng.Intn(2) == 0 {
 			stream[i] = victims[rng.Intn(len(victims))]
@@ -90,7 +92,7 @@ func TestEMCInsertDeterministic(t *testing.T) {
 // in 100 of them. The draw repeats exactly, so the count is pinned; a
 // changed pin is a changed policy or seed.
 func TestEMCInsertCountPinned(t *testing.T) {
-	p := newEMCPool(t, flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{}), 1, 0, nil)
+	p := newEMCPool(t, flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{}), 1, nil)
 	stream := make([]bitvec.Vec, 10000)
 	for i := range stream {
 		stream[i] = noiseFlow(i)
@@ -110,7 +112,7 @@ func TestEMCInsertCountPinned(t *testing.T) {
 // EMC hit fraction of 1.0 within a pinned number of rounds, and stays
 // there.
 func TestEMCVictimConvergence(t *testing.T) {
-	p := newEMCPool(t, flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{}), 1, 0, nil)
+	p := newEMCPool(t, flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{}), 1, nil)
 	victims := benignFlows(64)
 	const pinnedRounds = 620 // 39 680 packets
 	var out []vswitch.Verdict
@@ -142,7 +144,7 @@ func TestEMCVictimConvergence(t *testing.T) {
 // victims for good; the draw cannot.
 func TestEMCInsertNoPhaseLock(t *testing.T) {
 	for _, period := range []int{2, 4, 100} {
-		p := newEMCPool(t, flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{}), 1, 0, nil)
+		p := newEMCPool(t, flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{}), 1, nil)
 		victims := benignFlows(4)
 		admitted := make([]bool, len(victims))
 		left, noise := len(victims), 0
@@ -209,7 +211,7 @@ func TestTableSwapFlushesEMC(t *testing.T) {
 	}
 
 	t.Run("serial-replace", func(t *testing.T) {
-		p := newEMCPool(t, allow, 2, 0, nil)
+		p := newEMCPool(t, allow, 2, nil)
 		warmEMC(t, p, flows, 0)
 		if _, err := p.Switch().ReplaceTable(deny); err != nil {
 			t.Fatal(err)
@@ -218,7 +220,7 @@ func TestTableSwapFlushesEMC(t *testing.T) {
 	})
 
 	t.Run("async-swap", func(t *testing.T) {
-		p := newEMCPool(t, allow, 2, 0, &upcall.Options{})
+		p := newEMCPool(t, allow, 2, &upcall.Options{})
 		defer p.Close()
 		rv, err := upcall.NewRevalidator(upcall.RevalidatorConfig{Switch: p.Switch(), Subsystem: p.Upcalls()})
 		if err != nil {
@@ -231,12 +233,12 @@ func TestTableSwapFlushesEMC(t *testing.T) {
 		// Until the revalidator runs, the old megaflow still answers; the
 		// EMCs must serve none of it afterwards.
 		for r := 0; r < 300; r++ {
-			p.ProcessBatch(flows, 1, nil)
+			p.ProcessBatchPorts(nil, flows, 1, nil)
 		}
 		rv.Tick(2)
 		if p.Switch().NeedsRevalidation() {
 			t.Fatal("the revalidator did not settle the swap")
 		}
-		check(t, p.ProcessBatch(flows, 3, nil), "after the revalidator sweep")
+		check(t, p.ProcessBatchPorts(nil, flows, 3, nil), "after the revalidator sweep")
 	})
 }

@@ -47,7 +47,7 @@ func TestPortPinnedDispatch(t *testing.T) {
 				i, ports[i], wi, want)
 		}
 	}
-	ps := pool.PortStats()
+	ps := pool.Totals().Ports
 	if len(ps) != 4 {
 		t.Fatalf("PortStats has %d ports, want 4", len(ps))
 	}
@@ -121,7 +121,7 @@ func TestVictimPortKeepsQuota(t *testing.T) {
 		}
 		pool := newPortPool(t, 1, 2, &upcall.Options{QuotaPerSource: 4})
 		out := pool.ProcessBatchDeferredPorts(ports, hs, 0, nil)
-		if pool.PortStats()[0].UpcallDrops == 0 {
+		if pool.Totals().Ports[0].UpcallDrops == 0 {
 			t.Errorf("victim on port %d: flooding port recorded no drops", victimPort)
 		}
 		// Own vport: the victim's bucket is untouched by the flood. Shared

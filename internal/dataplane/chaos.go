@@ -31,7 +31,7 @@ const (
 	ChaosUnsupervised ChaosMode = "unsupervised"
 	// ChaosSupervised injects the same schedule with the supervisor, the
 	// reaper and the SLO breaker on: panics respawn, stalls are detected
-	// within StallTimeoutSec, orphans are requeued, aged pending entries
+	// within one virtual second, orphans are requeued, aged pending entries
 	// are reaped, and overloaded ports shed at admission instead of
 	// queueing past the SLO.
 	ChaosSupervised ChaosMode = "supervised"
@@ -51,7 +51,7 @@ const (
 //     t=29 duplicated — the delivery faults dedup and idempotent resolve
 //     must absorb.
 //   - t=30..33: handler 1 wedges for 4 ticks; supervised runs detect the
-//     stall after StallTimeoutSec and respawn.
+//     stall after one virtual second and respawn.
 //
 // Every event lands inside the flood window so recovery is measured under
 // sustained attack, not in the quiet tail.
@@ -83,18 +83,14 @@ func ChaosScenario(mode ChaosMode) (*Scenario, error) {
 	up.ModelledHandlers = 2
 	switch mode {
 	case ChaosFaultFree:
-		up.StallTimeoutSec = 1
-		up.Breaker.SLOSec = 2
-		up.Breaker.TripAfter = 3
+		up.BreakerSLOSec = 2
 	case ChaosUnsupervised:
 		up.Faults = chaosPlan()
 		up.DisableSupervisor = true
 		up.Revalidator.PendingAgeSec = -1 // reaper off: let the leak show
 	case ChaosSupervised:
 		up.Faults = chaosPlan()
-		up.StallTimeoutSec = 1
-		up.Breaker.SLOSec = 2
-		up.Breaker.TripAfter = 3
+		up.BreakerSLOSec = 2
 	default:
 		return nil, fmt.Errorf("dataplane: unknown chaos mode %q", mode)
 	}

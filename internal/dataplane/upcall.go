@@ -22,17 +22,17 @@ import (
 // telemetry hub and the fault plan.
 type UpcallParams struct {
 	// Options are the subsystem knobs, keyed by ingress vport (QueueCap,
-	// QuotaPerSource, ModelledHandlers, StallTimeoutSec, DisableSupervisor,
-	// Breaker, ...). The engine owns the drain (HandleNAt), so runs are
-	// deterministic. QuotaPerSource is ignored
-	// when Revalidator.Adapt is set: the controller owns the quota and
-	// re-tunes it within [MinQuota, BaseQuota] every sweep, so
-	// Adapt.BaseQuota is authoritative.
+	// QuotaPerSource, ModelledHandlers, DisableSupervisor, BreakerSLOSec,
+	// ...). The engine owns the drain (HandleNAt), so runs are
+	// deterministic. QuotaPerSource is ignored when Revalidator.Adapt is
+	// set: the controller owns the quota and re-tunes it within
+	// [MinQuota, BaseQuota] every sweep, so Adapt.BaseQuota is
+	// authoritative.
 	upcall.Options
 	// Revalidator are the knobs of the loop that replaces the inline
 	// Switch.Tick idle expiry and additionally re-checks entries against
 	// the current flow table, so mid-run ACL injections take effect at its
-	// cadence (IntervalSec, Adapt, PendingAgeSec, ...).
+	// once-a-second cadence (Adapt, PendingAgeSec, ...).
 	Revalidator upcall.RevalidatorConfig
 	// HandledPerSec is the handler service rate: how many upcalls the
 	// slow-path daemon classifies per virtual second (<= 0 = unlimited —
@@ -40,7 +40,7 @@ type UpcallParams struct {
 	// knob: the paper's testbed saturates ovs-vswitchd towards 50k
 	// upcalls/s (Fig. 9c). Drained upcalls resolve through the switch's
 	// one slow path (vswitch.HandleMissBatch) in bursts that share one
-	// megaflow-install transaction (upcall.Options.HandlerBurst).
+	// megaflow-install transaction (upcall.HandlerBurst).
 	HandledPerSec int
 	// Faults is the optional deterministic fault schedule, threaded into
 	// the upcall subsystem (handler panics/stalls, delivery faults), the

@@ -11,7 +11,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 )
 
 // Experiment is one reproducible table or figure.
@@ -43,16 +42,6 @@ func ByID(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// IDs returns the sorted experiment handles.
-func IDs() []string {
-	ids := make([]string, len(registry))
-	for i, e := range registry {
-		ids[i] = e.ID
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // RunAll executes every experiment, separated by banners.

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+
+	"tse/internal/analysis"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -27,9 +31,6 @@ func TestRegistryComplete(t *testing.T) {
 	if _, ok := ByID("nope"); ok {
 		t.Error("ByID found a ghost")
 	}
-	if len(IDs()) != len(want) {
-		t.Error("IDs() length mismatch")
-	}
 }
 
 // TestLightExperimentsProduceOutput runs the fast experiments end to end
@@ -40,7 +41,7 @@ func TestLightExperimentsProduceOutput(t *testing.T) {
 		"cms":           {"OpenStack", "8192", "262144"},
 		"fig9a":         {"masks", "8200", "FCT"},
 		"fig9c":         {"CPU", "250.0"},
-		"theorems":      {"Theorem 4.1", "8192"},
+		"theorems":      {"Theorem 4.1", "8192", "Theorem 4.2, fields of 6 and 4 bits", "(3,2)"},
 		"guard":         {"victim lookup probes", "->"},
 		"ipv6":          {"entries", "handful"},
 		"bandwidth":     {"SipSpDp", "kbps"},
@@ -63,7 +64,32 @@ func TestLightExperimentsProduceOutput(t *testing.T) {
 					t.Errorf("output missing %q:\n%s", needle, out)
 				}
 			}
+			if id == "theorems" {
+				checkTheorem42Rows(t, out)
+			}
 		})
+	}
+}
+
+// checkTheorem42Rows asserts that every multi-field construction row of
+// the theorems experiment builds exactly Theorem42Time(ks) deny masks and
+// prints that bound beside them.
+func checkTheorem42Rows(t *testing.T, out string) {
+	t.Helper()
+	rows := regexp.MustCompile(`(?m)^\s*\((\d+),(\d+)\)\s+(\d+)\s+(\d+)\s`).FindAllStringSubmatch(out, -1)
+	if len(rows) == 0 {
+		t.Fatalf("no multi-field construction rows in:\n%s", out)
+	}
+	for _, r := range rows {
+		var v [4]int
+		for i := range v {
+			v[i], _ = strconv.Atoi(r[i+1])
+		}
+		want := analysis.Theorem42Time([]int{v[0], v[1]})
+		if v[2] != want || v[3] != want {
+			t.Errorf("ks=(%d,%d): constructed %d masks, printed time %d, want Theorem42Time = %d",
+				v[0], v[1], v[2], v[3], want)
+		}
 	}
 }
 

@@ -199,6 +199,27 @@ func runFig9b(w io.Writer) error {
 		fmt.Fprintln(w)
 	}
 	fmt.Fprintf(w, "paper @50k packets: Dp ≈ 16, SipDp ≈ 122, SipSpDp ≈ 581 masks\n")
+
+	// The curve's n→∞ limit, and the §11.3 count-by-wildcards entry
+	// expectation that upper-bounds it.
+	n := fig9bPacketCounts[len(fig9bPacketCounts)-1]
+	fmt.Fprintf(w, "%-8s %12s %18s\n", "", "masks(n→∞)", fmt.Sprintf("E[entries]@%d", n))
+	for _, u := range uses {
+		limit, err := analysis.MaxAttainableMasks(flowtable.UseCaseACL(u, flowtable.ACLParams{}))
+		if err != nil {
+			return err
+		}
+		var widths []int
+		for _, name := range flowtable.TargetFields(u) {
+			i, _ := bitvec.IPv4Tuple.FieldIndex(name)
+			widths = append(widths, bitvec.IPv4Tuple.Field(i).Width)
+		}
+		entries, err := analysis.ExpectedEntriesCk(widths, n)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "%-8s %12d %18.1f\n", u, limit, entries)
+	}
 	return nil
 }
 

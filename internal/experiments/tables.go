@@ -235,5 +235,28 @@ func runTheorems(w io.Writer) error {
 	fmt.Fprintf(w, "Theorem 4.2, SipSpDp at the wildcarding extreme: time=%d masks, space=%.0f entries\n",
 		analysis.Theorem42Time([]int{32, 16, 16}),
 		analysis.Theorem42Space([]int{32, 16, 16}, []int{32, 16, 16}))
+
+	// The multi-field construction on a small two-field layout, whose deny
+	// masks and entries meet the Theorem 4.2 bounds.
+	widths := []int{6, 4}
+	l2 := bitvec.MustLayout(bitvec.Field{Name: "A", Width: widths[0]}, bitvec.Field{Name: "B", Width: widths[1]})
+	fmt.Fprintf(w, "Theorem 4.2, fields of %d and %d bits: deny masks / entries constructed vs time / space bound\n",
+		widths[0], widths[1])
+	fmt.Fprintf(w, "%8s %8s %8s %10s %10s\n", "ks", "masks", "time", "entries", "space")
+	for _, ks := range [][]int{{1, 1}, {2, 2}, {3, 2}, {6, 4}} {
+		entries, err := analysis.KMaskConstructionMulti(l2, []int{0, 1}, []uint64{0b101010, 0b0110}, ks)
+		if err != nil {
+			return err
+		}
+		masks, deny := map[string]bool{}, 0
+		for _, e := range entries {
+			if e.Action == flowtable.Drop {
+				masks[e.Mask.Key()] = true
+				deny++
+			}
+		}
+		fmt.Fprintf(w, "%8s %8d %8d %10d %10.0f\n", fmt.Sprintf("(%d,%d)", ks[0], ks[1]),
+			len(masks), analysis.Theorem42Time(ks), deny, analysis.Theorem42Space(widths, ks))
+	}
 	return nil
 }

@@ -38,10 +38,9 @@ func Fig4() *Table {
 
 // ACLParams parameterises the Fig. 6-style tenant ACL. Zero value gives
 // the paper's literal example: allow dst port 80, allow source
-// 10.0.0.1, allow src port 12345, default deny.
+// 10.0.0.1, allow src port 12345, default deny. Rule #2's source address
+// is always the paper's 10.0.0.1.
 type ACLParams struct {
-	// SrcIP is the allowed source address of rule #2 (default 10.0.0.1).
-	SrcIP uint32
 	// SrcPort is the allowed transport source port of rule #3
 	// (default 12345).
 	SrcPort uint16
@@ -51,9 +50,6 @@ type ACLParams struct {
 }
 
 func (p ACLParams) withDefaults() ACLParams {
-	if p.SrcIP == 0 {
-		p.SrcIP = 0x0a000001 // 10.0.0.1
-	}
 	if p.SrcPort == 0 {
 		p.SrcPort = 12345
 	}
@@ -135,7 +131,7 @@ func UseCaseACL(u UseCase, p ACLParams) *Table {
 	if u == SipDp || u == SipSpDp {
 		// Rule #2: 10.0.0.1 * * -> allow.
 		t.MustAdd(&Rule{Name: "#2", Priority: 30, Action: Allow,
-			Key: fieldVal(l, sip, uint64(p.SrcIP)), Mask: bitvec.FieldMask(l, sip)})
+			Key: fieldVal(l, sip, 0x0a000001), Mask: bitvec.FieldMask(l, sip)})
 	}
 	if u == SpDp || u == SipSpDp {
 		// Rule #3: * 12345 * -> allow.

@@ -6,8 +6,7 @@
 //
 // Rules may overlap; the highest-priority matching rule wins, with earlier
 // insertion breaking priority ties (matching OpenFlow semantics). A table
-// whose rules are pairwise disjoint is order-independent (§2.1); the
-// IsOrderIndependent method checks this.
+// whose rules are pairwise disjoint is order-independent (§2.1).
 package flowtable
 
 import (
@@ -125,16 +124,6 @@ func (t *Table) MustAdd(r *Rule) {
 	}
 }
 
-// AddPattern installs a rule given a figure-style pattern ("001|1111",
-// '*' wildcards). Convenience for tests and the paper's example ACLs.
-func (t *Table) AddPattern(name, pattern string, prio int, action Action) error {
-	key, mask, err := bitvec.ParsePattern(t.layout, pattern)
-	if err != nil {
-		return err
-	}
-	return t.Add(&Rule{Name: name, Priority: prio, Key: key, Mask: mask, Action: action})
-}
-
 // Lookup returns the highest-priority rule matching h, or nil if none
 // matches. A table with a DefaultDeny catch-all never returns nil.
 func (t *Table) Lookup(h bitvec.Vec) *Rule {
@@ -144,36 +133,6 @@ func (t *Table) Lookup(h bitvec.Vec) *Rule {
 		}
 	}
 	return nil
-}
-
-// IsOrderIndependent reports whether all rules are pairwise disjoint, in
-// which case priorities are irrelevant (§2.1).
-func (t *Table) IsOrderIndependent() bool {
-	for i := 0; i < len(t.rules); i++ {
-		for j := i + 1; j < len(t.rules); j++ {
-			a, b := t.rules[i], t.rules[j]
-			if bitvec.Overlap(a.Key, a.Mask, b.Key, b.Mask) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Overlapping returns every pair of overlapping rules, useful in
-// diagnostics and tests (e.g. verifying the Fig. 6 ACL's rules #1 and #2
-// overlap as discussed in §2.1).
-func (t *Table) Overlapping() [][2]*Rule {
-	var out [][2]*Rule
-	for i := 0; i < len(t.rules); i++ {
-		for j := i + 1; j < len(t.rules); j++ {
-			a, b := t.rules[i], t.rules[j]
-			if bitvec.Overlap(a.Key, a.Mask, b.Key, b.Mask) {
-				out = append(out, [2]*Rule{a, b})
-			}
-		}
-	}
-	return out
 }
 
 // String renders the whole table figure-style, one rule per line.

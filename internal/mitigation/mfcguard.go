@@ -23,9 +23,9 @@ import (
 	"tse/internal/vswitch"
 )
 
-// DefaultIntervalSec is Alg. 2's sweep cadence ("runs every 10 seconds
-// according to the MFC eviction policy").
-const DefaultIntervalSec = 10
+// IntervalSec is Alg. 2's sweep cadence ("runs every 10 seconds according
+// to the MFC eviction policy").
+const IntervalSec = 10
 
 // Sweeper is the megaflow-deletion backend the guard sweeps through. Both
 // *vswitch.Switch (direct monitor deletions) and *upcall.Revalidator
@@ -47,8 +47,6 @@ type Config struct {
 	// CPUThreshold is c_th in percent: once the projected slow-path load
 	// reaches it, the sweep stops deleting (Alg. 2 lines 9–12).
 	CPUThreshold float64
-	// IntervalSec overrides the sweep cadence; <= 0 selects the default.
-	IntervalSec int64
 	// DeleteAllDrops selects the paper's evaluated variant, which wipes
 	// every drop entry rather than only those matching a TSE pattern
 	// ("we evaluated the efficiency of MFCGuard in all use cases (by
@@ -85,9 +83,6 @@ func New(cfg Config) (*Guard, error) {
 	if cfg.CPUThreshold <= 0 {
 		cfg.CPUThreshold = 100
 	}
-	if cfg.IntervalSec <= 0 {
-		cfg.IntervalSec = DefaultIntervalSec
-	}
 	if cfg.Sweeper == nil {
 		cfg.Sweeper = cfg.Switch
 	}
@@ -103,7 +98,7 @@ func (g *Guard) Stats() Stats { return g.stats }
 // megaflows deleted in this sweep (0 when the cadence or threshold did not
 // trigger).
 func (g *Guard) Tick(now int64, cpuPct float64) int {
-	if g.ran && now-g.lastRun < g.cfg.IntervalSec {
+	if g.ran && now-g.lastRun < IntervalSec {
 		return 0
 	}
 	g.lastRun = now

@@ -36,31 +36,6 @@ func (p *Packet) FlowKey4() (bitvec.Vec, error) {
 	return h, nil
 }
 
-// FlowKey6 extracts the IPv6 5-tuple classifier key (layout
-// bitvec.IPv6Tuple).
-func (p *Packet) FlowKey6() (bitvec.Vec, error) {
-	if p.V6 == nil {
-		return nil, fmt.Errorf("packet: not IPv6")
-	}
-	l := bitvec.IPv6Tuple
-	h := bitvec.NewVec(l)
-	src, _ := l.FieldIndex("ip6_src")
-	dst, _ := l.FieldIndex("ip6_dst")
-	h.SetFieldBytes(l, src, p.V6.Src[:])
-	h.SetFieldBytes(l, dst, p.V6.Dst[:])
-	proto, _ := l.FieldIndex("ip_proto")
-	h.SetField(l, proto, uint64(p.V6.NextHeader))
-	sp, dp, err := p.ports()
-	if err != nil {
-		return nil, err
-	}
-	spi, _ := l.FieldIndex("tp_src")
-	dpi, _ := l.FieldIndex("tp_dst")
-	h.SetField(l, spi, uint64(sp))
-	h.SetField(l, dpi, uint64(dp))
-	return h, nil
-}
-
 func (p *Packet) ports() (uint16, uint16, error) {
 	switch {
 	case p.TCP != nil:
@@ -80,8 +55,6 @@ type CraftOptions struct {
 	// TTL overrides the IPv4 TTL / IPv6 hop limit (64 if zero). The
 	// adversarial traces vary it as microflow-cache noise (§5.2).
 	TTL byte
-	// SrcMAC and DstMAC fill the Ethernet header.
-	SrcMAC, DstMAC [6]byte
 }
 
 // Craft builds a complete wire frame realizing a classifier key over the
@@ -94,7 +67,6 @@ func Craft(l *bitvec.Layout, h bitvec.Vec, opts CraftOptions) ([]byte, error) {
 		ttl = 64
 	}
 	p := &Packet{Payload: opts.Payload}
-	p.Eth.Src, p.Eth.Dst = opts.SrcMAC, opts.DstMAC
 
 	var proto uint64
 	var sp, dp uint64

@@ -5,17 +5,28 @@ import (
 	"testing"
 )
 
-// TestParseNeverPanicsOnGarbage throws random bytes at the frame parser:
-// any outcome must be an error or a partially decoded packet, never a
-// panic — the receive path faces attacker-controlled bytes by definition.
-func TestParseNeverPanicsOnGarbage(t *testing.T) {
+// FuzzParse throws arbitrary bytes at the frame parser and the flow-key
+// extraction behind it: any outcome must be an error or a partially
+// decoded packet, never a panic — the receive path faces
+// attacker-controlled bytes by definition. The seed corpus holds valid
+// TCP and UDP frames and 5000 seeded random frames, half of them biased
+// towards plausible EtherTypes and IP headers so the IP parsers are
+// exercised, not just the Ethernet length check.
+//
+//	go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 20s ./internal/packet
+func FuzzParse(f *testing.F) {
+	for _, proto := range []byte{ProtoTCP, ProtoUDP} {
+		frame, err := sampleV4(proto).Serialize()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
 	rng := rand.New(rand.NewSource(321))
 	for trial := 0; trial < 5000; trial++ {
 		n := rng.Intn(120)
 		frame := make([]byte, n)
 		rng.Read(frame)
-		// Bias half the corpus towards plausible EtherTypes so the IP
-		// parsers are exercised, not just the Ethernet length check.
 		if n >= 14 {
 			switch trial % 4 {
 			case 0:
@@ -25,24 +36,23 @@ func TestParseNeverPanicsOnGarbage(t *testing.T) {
 			case 2:
 				frame[12], frame[13] = 0x08, 0x06
 			}
-			// And bias the IP version/IHL nibbles towards validity.
 			if trial%8 < 4 && n > 14 {
 				frame[14] = 0x45
 			}
 		}
+		f.Add(frame)
+	}
+	f.Fuzz(func(t *testing.T, frame []byte) {
 		for _, opts := range []ParseOptions{{}, {VerifyChecksums: true}} {
 			p, err := Parse(frame, opts)
 			if err == nil && p == nil {
 				t.Fatal("nil packet without error")
 			}
-			if p != nil && p.Eth.EtherType == EtherTypeARP {
-				ParseARP(p) // must not panic either
-			}
-			if p != nil && p.V4 != nil && p.V4.Protocol == ProtoICMP {
-				ParseICMPv4(p)
+			if err == nil && p.V4 != nil {
+				p.FlowKey4() // must not panic either
 			}
 		}
-	}
+	})
 }
 
 // TestParseMutatedValidFrames mutates every byte of a valid frame in turn:

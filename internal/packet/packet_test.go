@@ -1,8 +1,10 @@
 package packet
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"tse/internal/bitvec"
 )
@@ -168,9 +170,6 @@ func TestFlowKey4(t *testing.T) {
 			t.Errorf("%s = %#x, want %#x", name, got, v)
 		}
 	}
-	if _, err := p.FlowKey6(); err == nil {
-		t.Error("FlowKey6 on IPv4 packet succeeded")
-	}
 }
 
 // TestCraftParseRoundTrip is the key property: crafting a frame from a
@@ -209,7 +208,7 @@ func TestCraftParseRoundTrip(t *testing.T) {
 			if l == bitvec.IPv4Tuple {
 				got, err = p.FlowKey4()
 			} else {
-				got, err = p.FlowKey6()
+				got, err = flowKey6(p)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -219,6 +218,29 @@ func TestCraftParseRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// flowKey6 reads the IPv6 5-tuple (layout bitvec.IPv6Tuple) back out of a
+// parsed packet, the IPv6 twin of FlowKey4 that no ingest path needs.
+func flowKey6(p *Packet) (bitvec.Vec, error) {
+	if p.V6 == nil {
+		return nil, fmt.Errorf("packet: not IPv6")
+	}
+	sp, dp, err := p.ports()
+	if err != nil {
+		return nil, err
+	}
+	l := bitvec.IPv6Tuple
+	h := bitvec.NewVec(l)
+	for name, b := range map[string][]byte{"ip6_src": p.V6.Src[:], "ip6_dst": p.V6.Dst[:]} {
+		i, _ := l.FieldIndex(name)
+		h.SetFieldBytes(l, i, b)
+	}
+	for name, v := range map[string]uint64{"ip_proto": uint64(p.V6.NextHeader), "tp_src": uint64(sp), "tp_dst": uint64(dp)} {
+		i, _ := l.FieldIndex(name)
+		h.SetField(l, i, v)
+	}
+	return h, nil
 }
 
 func TestCraftDefaultsToUDP(t *testing.T) {
@@ -280,5 +302,50 @@ func BenchmarkSerializeParse(b *testing.B) {
 		if _, err := Parse(frame, ParseOptions{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// Checksum properties (RFC 1071): appending the checksum to the data
+// yields a verifying sum of zero, for arbitrary inputs.
+func TestChecksumVerifiesQuick(t *testing.T) {
+	f := func(data []byte) bool {
+		if len(data)%2 == 1 {
+			data = append(data, 0)
+		}
+		ck := Checksum(data)
+		withCk := append(append([]byte(nil), data...), byte(ck>>8), byte(ck))
+		return Checksum(withCk) == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Serialize/Parse round-trip property over random UDP packets.
+func TestSerializeParseRoundTripQuick(t *testing.T) {
+	f := func(src, dst [4]byte, sp, dp uint16, payload []byte) bool {
+		if len(payload) > 1400 {
+			payload = payload[:1400]
+		}
+		p := &Packet{
+			V4:      &IPv4{TTL: 64, Src: src, Dst: dst},
+			UDP:     &UDP{SrcPort: sp, DstPort: dp},
+			Payload: payload,
+		}
+		frame, err := p.Serialize()
+		if err != nil {
+			return false
+		}
+		got, err := Parse(frame, ParseOptions{VerifyChecksums: true})
+		if err != nil || got.UDP == nil {
+			return false
+		}
+		if got.UDP.SrcPort != sp || got.UDP.DstPort != dp || got.V4.Src != src {
+			return false
+		}
+		return string(got.Payload) == string(payload)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }

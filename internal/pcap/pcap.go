@@ -27,6 +27,9 @@ const DefaultSnapLen = 65535
 const (
 	globalHeaderLen = 24
 	recordHeaderLen = 16
+	// maxRecordLen bounds a record's captured length whatever snapshot
+	// length the file's header claims: libpcap's MAXIMUM_SNAPLEN.
+	maxRecordLen = 262144
 )
 
 // Record is one captured packet.
@@ -100,7 +103,6 @@ type Reader struct {
 	r       io.Reader
 	order   binary.ByteOrder
 	snapLen uint32
-	link    uint32
 }
 
 // NewReader parses the global header and returns a Reader.
@@ -123,15 +125,8 @@ func NewReader(r io.Reader) (*Reader, error) {
 		return nil, fmt.Errorf("pcap: unsupported version %d", major)
 	}
 	rd.snapLen = rd.order.Uint32(hdr[16:])
-	rd.link = rd.order.Uint32(hdr[20:])
 	return rd, nil
 }
-
-// LinkType returns the capture's link type.
-func (r *Reader) LinkType() uint32 { return r.link }
-
-// SnapLen returns the capture's snapshot length.
-func (r *Reader) SnapLen() uint32 { return r.snapLen }
 
 // Next returns the next record, or io.EOF at end of stream.
 func (r *Reader) Next() (Record, error) {
@@ -148,7 +143,7 @@ func (r *Reader) Next() (Record, error) {
 		OrigLen: r.order.Uint32(hdr[12:]),
 	}
 	incl := r.order.Uint32(hdr[8:])
-	if incl > r.snapLen+65536 {
+	if incl > maxRecordLen || uint64(incl) > uint64(r.snapLen)+65536 {
 		return Record{}, fmt.Errorf("pcap: implausible record length %d", incl)
 	}
 	rec.Data = make([]byte, incl)

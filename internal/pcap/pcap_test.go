@@ -25,12 +25,13 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	hdr := buf.Bytes()[:globalHeaderLen]
+	if link, snap := binary.LittleEndian.Uint32(hdr[20:]), binary.LittleEndian.Uint32(hdr[16:]); link != LinkTypeEthernet || snap != DefaultSnapLen {
+		t.Errorf("header: link=%d snap=%d", link, snap)
+	}
 	r, err := NewReader(&buf)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if r.LinkType() != LinkTypeEthernet || r.SnapLen() != DefaultSnapLen {
-		t.Errorf("header: link=%d snap=%d", r.LinkType(), r.SnapLen())
 	}
 	got, err := r.ReadAll()
 	if err != nil {

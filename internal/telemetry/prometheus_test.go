@@ -13,7 +13,7 @@ func TestPrometheusGolden(t *testing.T) {
 	r := NewRegistry(2)
 	c := r.Counter("tse_upcall_enqueued_total", "Upcalls admitted to a queue.")
 	c.Add(0, 41)
-	c.Inc(1)
+	c.Add(1, 1)
 	g := r.Gauge("tse_backlog", "Queued upcalls right now.")
 	g.Set(7)
 	h := r.Histogram("tse_residence_seconds", "Backlog residence.", []int64{0, 2})

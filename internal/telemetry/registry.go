@@ -62,9 +62,6 @@ type Counter struct {
 // one atomic add on a private cache line.
 func (c *Counter) Add(shard int, n uint64) { c.cells[shard&c.mask].n.Add(n) }
 
-// Inc increments the counter by one on the caller's shard.
-func (c *Counter) Inc(shard int) { c.Add(shard, 1) }
-
 // Value sums the shards (or calls the pull closure).
 func (c *Counter) Value() uint64 {
 	if c.fn != nil {

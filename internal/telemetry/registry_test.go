@@ -10,10 +10,10 @@ import (
 func TestCounterSharded(t *testing.T) {
 	r := NewRegistry(4)
 	c := r.Counter("c", "")
-	c.Inc(0)
+	c.Add(0, 1)
 	c.Add(1, 2)
 	c.Add(3, 3)
-	c.Inc(7) // masked down into range
+	c.Add(7, 1) // masked down into range
 	if got := c.Value(); got != 7 {
 		t.Fatalf("Value = %d, want 7", got)
 	}
@@ -99,8 +99,8 @@ func TestHotPathAllocs(t *testing.T) {
 	c := r.Counter("c", "")
 	g := r.Gauge("g", "")
 	h := r.Histogram("h", "", []int64{0, 1, 2, 4, 8})
-	if n := testing.AllocsPerRun(1000, func() { c.Inc(1) }); n != 0 {
-		t.Errorf("Counter.Inc allocates %.1f/op, want 0", n)
+	if n := testing.AllocsPerRun(1000, func() { c.Add(1, 1) }); n != 0 {
+		t.Errorf("Counter.Add allocates %.1f/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() { c.Add(3, 2) }); n != 0 {
 		t.Errorf("Counter.Add allocates %.1f/op, want 0", n)
@@ -140,7 +140,7 @@ func TestConcurrentIncrementSnapshot(t *testing.T) {
 		go func(shard int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				c.Inc(shard)
+				c.Add(shard, 1)
 				h.Observe(shard, int64(i%4))
 			}
 		}(w)

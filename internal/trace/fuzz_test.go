@@ -3,17 +3,27 @@ package trace
 import (
 	"encoding/binary"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"tse/internal/bitvec"
 )
 
-// TestReaderNeverPanicsOnGarbage feeds random byte images to the
-// reader (the trace-format mirror of internal/pcap's fuzz test): every
-// outcome must be a clean error or well-formed records, never a panic
-// or an out-of-bounds decode. Half the trials start from a valid magic
-// so header and record parsing are actually reached.
-func TestReaderNeverPanicsOnGarbage(t *testing.T) {
+// FuzzReader feeds arbitrary byte images to the reader (the trace-format
+// twin of internal/pcap's FuzzReader): every outcome must be a clean
+// error or well-formed records, never a panic or an out-of-bounds
+// decode. The seed corpus holds the committed golden trace and 2000
+// seeded random images, half of them behind a valid magic so header and
+// record parsing are actually reached.
+//
+//	go test -run '^$' -fuzz '^FuzzReader$' -fuzztime 20s ./internal/trace
+func FuzzReader(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden_victim_mix.trace"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
 	rng := rand.New(rand.NewSource(123))
 	for trial := 0; trial < 2000; trial++ {
 		n := rng.Intn(400)
@@ -28,9 +38,12 @@ func TestReaderNeverPanicsOnGarbage(t *testing.T) {
 				binary.LittleEndian.PutUint32(data[12:], uint32(1+rng.Intn(64)))
 			}
 		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewReader(data)
 		if err != nil {
-			continue
+			return
 		}
 		b := NewBatch(r.Words(), 16)
 		for i := 0; i < 10; i++ {
@@ -38,7 +51,7 @@ func TestReaderNeverPanicsOnGarbage(t *testing.T) {
 				break
 			}
 		}
-	}
+	})
 }
 
 // TestReaderRejectsCorruptHeaders spot-checks each header validation:

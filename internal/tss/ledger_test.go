@@ -125,7 +125,7 @@ func TestWorkLedgerPins(t *testing.T) {
 		}
 	}
 	expire4096 := func(c *Classifier) error {
-		if n := c.ExpireIdle(105, 10); n != 4096 {
+		if n := expireIdle(c, 105, 10); n != 4096 {
 			return fmt.Errorf("expired %d, want 4096", n)
 		}
 		return nil
@@ -152,7 +152,7 @@ func TestWorkLedgerPins(t *testing.T) {
 			return c.Insert(exactEntries(l, 12001)[12000], 100)
 		}, ledger{publishes: 1, probesCopied: 0, slotsCopied: 64, dirCopied: 32, overlapCompared: 0, indexCopied: 2}},
 		{"expire 4096 of a 12k-entry group", exactGroup, func(c *Classifier) error {
-			if n := c.ExpireIdle(105, 10); n != 4096 {
+			if n := expireIdle(c, 105, 10); n != 4096 {
 				return fmt.Errorf("expired %d, want 4096", n)
 			}
 			return nil
@@ -207,7 +207,7 @@ func BenchmarkExpireIdleGroups(b *testing.B) {
 				b.StopTimer()
 				mustInsertBatch(b, c, es, 0)
 				b.StartTimer()
-				if got := c.ExpireIdle(10, 10); got != n {
+				if got := expireIdle(c, 10, 10); got != n {
 					b.Fatalf("expired %d, want %d", got, n)
 				}
 			}

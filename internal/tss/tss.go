@@ -718,7 +718,7 @@ type Handle struct {
 // (Lookup, LookupBatch, MissProbes, Entries, MaskCount, EntryCount) are
 // lock-free: they load the current snapshot from an atomic pointer and
 // never block, so PMD-style datapath workers scale without serialising on a
-// classifier lock. Writers (Insert, Delete, DeleteWhere, ExpireIdle)
+// classifier lock. Writers (Insert, InsertBatch, Delete, DeleteWhere)
 // serialise on a mutex, clone only the mask groups they touch
 // (copy-on-write), and publish the next snapshot atomically.
 type Classifier struct {
@@ -1374,13 +1374,6 @@ func (c *Classifier) DeleteWhere(pred func(*Entry) bool) int {
 	c.deleted += uint64(removed)
 	c.publishLocked()
 	return removed
-}
-
-// ExpireIdle evicts entries not used since now-timeout (OVS's 10-second
-// megaflow idle timeout drives the recovery delay visible in Fig. 8a) and
-// returns the number evicted.
-func (c *Classifier) ExpireIdle(now, timeout int64) int {
-	return c.DeleteWhere(func(e *Entry) bool { return now-e.LastUsedAt() >= timeout })
 }
 
 // MaskCount returns |M|, the number of distinct masks — the quantity the

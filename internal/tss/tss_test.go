@@ -235,12 +235,18 @@ func TestDeleteWhere(t *testing.T) {
 	}
 }
 
+// expireIdle evicts the entries not used since now-timeout, the predicate
+// the switch's idle sweep hands DeleteWhere, and returns how many went.
+func expireIdle(c *Classifier, now, timeout int64) int {
+	return c.DeleteWhere(func(e *Entry) bool { return now-e.LastUsedAt() >= timeout })
+}
+
 func TestExpireIdle(t *testing.T) {
 	c := New(bitvec.HYP, Options{})
 	loadFig3(t, c)
 	// Touch the allow entry at t=100; the deny entries stay at t=0.
 	c.Lookup(hyp(1), 100)
-	evicted := c.ExpireIdle(105, 10)
+	evicted := expireIdle(c, 105, 10)
 	if evicted != 3 {
 		t.Errorf("evicted %d, want 3 (10s idle timeout)", evicted)
 	}
@@ -248,7 +254,7 @@ func TestExpireIdle(t *testing.T) {
 		t.Errorf("entries = %d, want 1", c.EntryCount())
 	}
 	// The fresh entry expires once it has been idle 10s.
-	if n := c.ExpireIdle(110, 10); n != 1 {
+	if n := expireIdle(c, 110, 10); n != 1 {
 		t.Errorf("second expiry = %d, want 1", n)
 	}
 }

@@ -4,18 +4,18 @@ package upcall
 // quota. The quota tunes *how much* a source may submit; the breaker
 // decides *whether* submitting is useful at all. When a source's
 // backlog-residence p99 (the per-port LatencyHist the adaptive controller
-// already reads) violates Breaker.SLOSec for TripAfter consecutive
-// intervals, queued work is already missing its flow-setup SLO — so the
-// source trips open and new submissions fast-fail (shed) instead of
-// joining a queue whose wait already exceeds the deadline. After
-// CooldownSec the breaker goes half-open and admits a per-tick trickle of
-// probes; if their residence meets the SLO it closes, if not it re-opens.
+// already reads) violates Options.BreakerSLOSec for breakerTripAfter
+// consecutive intervals, queued work is already missing its flow-setup
+// SLO — so the source trips open and new submissions fast-fail (shed)
+// instead of joining a queue whose wait already exceeds the deadline.
+// After breakerCooldownSec the breaker goes half-open and admits a
+// per-tick trickle of breakerProbes probes; if their residence meets the
+// SLO it closes, if not it re-opens.
 //
-// The signal plumbing is the AdaptiveQuota's: per-interval histogram
-// deltas off SourceStats.Residence, optionally EWMA-smoothed with the same
-// alpha discipline (seed on first sample, then exponential decay), with
-// the TripAfter streak playing the hysteresis role so a single noisy
-// interval cannot flap the breaker.
+// The signal is the AdaptiveQuota's: per-interval histogram deltas off
+// SourceStats.Residence, compared raw, with the breakerTripAfter streak
+// playing the hysteresis role so a single noisy interval cannot flap the
+// breaker.
 
 import (
 	"fmt"
@@ -31,7 +31,7 @@ const (
 	BreakerClosed BreakerPhase = iota
 	// BreakerOpen: every submission is shed with DroppedBreaker.
 	BreakerOpen
-	// BreakerHalfOpen: a per-tick trickle of HalfOpenProbes submissions is
+	// BreakerHalfOpen: a per-tick trickle of breakerProbes submissions is
 	// admitted to test whether the backlog recovered.
 	BreakerHalfOpen
 )
@@ -50,61 +50,17 @@ func (p BreakerPhase) String() string {
 	}
 }
 
-// Default breaker knobs.
+// The breaker's fixed shape.
 const (
-	// DefaultTripAfter is the consecutive SLO-violating intervals required
+	// breakerTripAfter is the consecutive SLO-violating intervals required
 	// to trip: the flap-immunity streak.
-	DefaultTripAfter = 3
-	// DefaultCooldownSec is how long an open breaker sheds before
-	// probing (half-open).
-	DefaultCooldownSec int64 = 3
-	// DefaultHalfOpenProbes is the per-tick probe trickle while half-open.
-	DefaultHalfOpenProbes = 2
+	breakerTripAfter = 3
+	// breakerCooldownSec is how long an open breaker sheds before probing
+	// (half-open).
+	breakerCooldownSec int64 = 3
+	// breakerProbes is the per-tick probe trickle while half-open.
+	breakerProbes = 2
 )
-
-// Breaker configures the per-source SLO circuit breaker. The zero value
-// (SLOSec == 0) disables it.
-type Breaker struct {
-	// SLOSec is the backlog-residence p99 SLO in virtual seconds; an
-	// interval whose p99 exceeds it is a violation. <= 0 disables the
-	// breaker.
-	SLOSec int64
-	// TripAfter is the number of consecutive violating intervals that
-	// trips the breaker open; <= 0 selects DefaultTripAfter.
-	TripAfter int
-	// CooldownSec is how long the breaker stays open before going
-	// half-open; <= 0 selects DefaultCooldownSec.
-	CooldownSec int64
-	// HalfOpenProbes is the per-tick admission trickle while half-open;
-	// <= 0 selects DefaultHalfOpenProbes.
-	HalfOpenProbes int
-	// EWMAAlpha, when > 0, smooths the p99 signal with the adaptive
-	// controller's EWMA discipline (DefaultEWMAAlpha matches it) before
-	// the SLO comparison; 0 compares raw interval p99s, leaving TripAfter
-	// as the only hysteresis.
-	EWMAAlpha float64
-}
-
-func (b Breaker) tripAfter() int {
-	if b.TripAfter > 0 {
-		return b.TripAfter
-	}
-	return DefaultTripAfter
-}
-
-func (b Breaker) cooldown() int64 {
-	if b.CooldownSec > 0 {
-		return b.CooldownSec
-	}
-	return DefaultCooldownSec
-}
-
-func (b Breaker) probes() int {
-	if b.HalfOpenProbes > 0 {
-		return b.HalfOpenProbes
-	}
-	return DefaultHalfOpenProbes
-}
 
 // BreakerState is one source's breaker position, advanced once per
 // interval by Next.
@@ -115,29 +71,16 @@ type BreakerState struct {
 	Phase     BreakerPhase
 	BadStreak int
 	OpenedAt  int64
-	// EWMAP99 and Seeded carry the smoothed signal when EWMAAlpha > 0.
-	EWMAP99 float64
-	Seeded  bool
 }
 
-// Next advances one source's breaker by one interval. now is the interval
-// tick; p99 is the interval's backlog-residence p99 in virtual seconds,
-// with a negative value meaning no upcalls were handled this interval (no
-// signal: a closed breaker stays closed, a half-open breaker keeps
-// probing). It reports whether the breaker tripped open or closed from
-// half-open this interval.
-func (b Breaker) Next(st *BreakerState, now int64, p99 int64) (tripped, closed bool) {
-	sig := float64(p99)
-	if p99 >= 0 && b.EWMAAlpha > 0 {
-		if !st.Seeded {
-			st.Seeded = true
-			st.EWMAP99 = float64(p99)
-		} else {
-			st.EWMAP99 = b.EWMAAlpha*float64(p99) + (1-b.EWMAAlpha)*st.EWMAP99
-		}
-		sig = st.EWMAP99
-	}
-	over := p99 >= 0 && sig > float64(b.SLOSec)
+// Next advances one source's breaker by one interval against the
+// residence SLO sloSec. now is the interval tick; p99 is the interval's
+// backlog-residence p99 in virtual seconds, with a negative value meaning
+// no upcalls were handled this interval (no signal: a closed breaker stays
+// closed, a half-open breaker keeps probing). It reports whether the
+// breaker tripped open or closed from half-open this interval.
+func (st *BreakerState) Next(sloSec, now, p99 int64) (tripped, closed bool) {
+	over := p99 >= 0 && p99 > sloSec
 	switch st.Phase {
 	case BreakerClosed:
 		if !over {
@@ -145,14 +88,14 @@ func (b Breaker) Next(st *BreakerState, now int64, p99 int64) (tripped, closed b
 			break
 		}
 		st.BadStreak++
-		if st.BadStreak >= b.tripAfter() {
+		if st.BadStreak >= breakerTripAfter {
 			st.Phase = BreakerOpen
 			st.OpenedAt = now
 			st.BadStreak = 0
 			return true, false
 		}
 	case BreakerOpen:
-		if now-st.OpenedAt >= b.cooldown() {
+		if now-st.OpenedAt >= breakerCooldownSec {
 			st.Phase = BreakerHalfOpen
 		}
 	case BreakerHalfOpen:
@@ -193,7 +136,7 @@ func (u *Subsystem) breakerAdmitLocked(src int, now int64) bool {
 	default: // half-open: admit the probe trickle, shed the rest
 		if bp.probeAt != now {
 			bp.probeAt = now
-			bp.probes = u.opts.Breaker.probes()
+			bp.probes = breakerProbes
 		}
 		if bp.probes <= 0 {
 			return false
@@ -221,7 +164,7 @@ func (u *Subsystem) TickBreakers(now int64) {
 		delta := u.srcStats[src].Residence.Delta(bp.prev)
 		bp.prev = u.srcStats[src].Residence
 		before := bp.st.Phase
-		tripped, closed := u.opts.Breaker.Next(&bp.st, now, delta.P99())
+		tripped, closed := bp.st.Next(u.opts.BreakerSLOSec, now, delta.P99())
 		if tripped {
 			u.stats.BreakerTrips++
 		}

@@ -7,10 +7,14 @@ import (
 	"tse/internal/upcall"
 )
 
-// step advances the breaker one interval and fails on an unexpected phase.
-func step(t *testing.T, b upcall.Breaker, st *upcall.BreakerState, now, p99 int64, want upcall.BreakerPhase) (tripped, closed bool) {
+// The breaker's fixed shape: it trips after three violating intervals,
+// sheds for 3 s, then admits two probes a tick while half-open.
+
+// step advances the breaker one interval against a 2 s SLO and fails on an
+// unexpected phase.
+func step(t *testing.T, st *upcall.BreakerState, now, p99 int64, want upcall.BreakerPhase) (tripped, closed bool) {
 	t.Helper()
-	tripped, closed = b.Next(st, now, p99)
+	tripped, closed = st.Next(2, now, p99)
 	if st.Phase != want {
 		t.Fatalf("t=%d p99=%d: phase %v, want %v", now, p99, st.Phase, want)
 	}
@@ -18,39 +22,38 @@ func step(t *testing.T, b upcall.Breaker, st *upcall.BreakerState, now, p99 int6
 }
 
 // TestBreakerLifecycle walks the satellite's full transition chain:
-// closed → (TripAfter violations) → open → (cooldown) → half-open →
+// closed → (three violations) → open → (cooldown) → half-open →
 // (healthy probe) → closed.
 func TestBreakerLifecycle(t *testing.T) {
-	b := upcall.Breaker{SLOSec: 2, TripAfter: 3, CooldownSec: 2, HalfOpenProbes: 1}
 	var st upcall.BreakerState
 
-	step(t, b, &st, 0, 5, upcall.BreakerClosed) // streak 1
-	step(t, b, &st, 1, 5, upcall.BreakerClosed) // streak 2
-	tripped, _ := step(t, b, &st, 2, 5, upcall.BreakerOpen)
+	step(t, &st, 0, 5, upcall.BreakerClosed) // streak 1
+	step(t, &st, 1, 5, upcall.BreakerClosed) // streak 2
+	tripped, _ := step(t, &st, 2, 5, upcall.BreakerOpen)
 	if !tripped {
 		t.Fatal("third violation did not report a trip")
 	}
-	step(t, b, &st, 3, 5, upcall.BreakerOpen)     // cooling (1 < 2)
-	step(t, b, &st, 4, 5, upcall.BreakerHalfOpen) // cooldown over
-	_, closed := step(t, b, &st, 5, 1, upcall.BreakerClosed)
+	step(t, &st, 3, 5, upcall.BreakerOpen)     // cooling (1 < 3)
+	step(t, &st, 4, 5, upcall.BreakerOpen)     // cooling (2 < 3)
+	step(t, &st, 5, 5, upcall.BreakerHalfOpen) // cooldown over
+	_, closed := step(t, &st, 6, 1, upcall.BreakerClosed)
 	if !closed {
 		t.Fatal("healthy probe did not report a close")
 	}
 	// Recovered for good: violations must accumulate afresh.
-	step(t, b, &st, 6, 5, upcall.BreakerClosed)
+	step(t, &st, 7, 5, upcall.BreakerClosed)
 	if st.BadStreak != 1 {
 		t.Errorf("streak after recovery = %d, want a fresh 1", st.BadStreak)
 	}
 }
 
 // TestBreakerFlapImmunity: a good (or signal-less) interval inside the
-// streak resets it, so a noisy p99 cannot trip the breaker — the TripAfter
-// hysteresis of the satellite.
+// streak resets it, so a noisy p99 cannot trip the breaker — the
+// three-interval hysteresis of the satellite.
 func TestBreakerFlapImmunity(t *testing.T) {
-	b := upcall.Breaker{SLOSec: 2, TripAfter: 3}
 	var st upcall.BreakerState
 	for now, p99 := range []int64{5, 5, 1, 5, 5, 1} {
-		if tripped, _ := b.Next(&st, int64(now), p99); tripped {
+		if tripped, _ := st.Next(2, int64(now), p99); tripped {
 			t.Fatalf("breaker tripped at t=%d under an alternating signal", now)
 		}
 	}
@@ -59,9 +62,9 @@ func TestBreakerFlapImmunity(t *testing.T) {
 	}
 	// No-signal intervals (p99 < 0) are not violations either.
 	st = upcall.BreakerState{}
-	b.Next(&st, 0, 5)
-	b.Next(&st, 1, 5)
-	b.Next(&st, 2, -1)
+	st.Next(2, 0, 5)
+	st.Next(2, 1, 5)
+	st.Next(2, 2, -1)
 	if st.BadStreak != 0 {
 		t.Errorf("streak after a no-signal interval = %d, want 0", st.BadStreak)
 	}
@@ -71,36 +74,20 @@ func TestBreakerFlapImmunity(t *testing.T) {
 // breaker back to open with a fresh cooldown; no-signal intervals keep it
 // probing.
 func TestBreakerHalfOpenReopens(t *testing.T) {
-	b := upcall.Breaker{SLOSec: 2, TripAfter: 1, CooldownSec: 2}
 	var st upcall.BreakerState
-	step(t, b, &st, 0, 9, upcall.BreakerOpen)
-	step(t, b, &st, 2, 9, upcall.BreakerHalfOpen)
-	step(t, b, &st, 3, -1, upcall.BreakerHalfOpen) // no probe signal: keep probing
-	step(t, b, &st, 4, 9, upcall.BreakerOpen)      // probes still violating
-	if st.OpenedAt != 4 {
-		t.Fatalf("re-open did not restart the cooldown (OpenedAt=%d, want 4)", st.OpenedAt)
+	step(t, &st, 0, 9, upcall.BreakerClosed)
+	step(t, &st, 1, 9, upcall.BreakerClosed)
+	step(t, &st, 2, 9, upcall.BreakerOpen)
+	step(t, &st, 5, 9, upcall.BreakerHalfOpen)
+	step(t, &st, 6, -1, upcall.BreakerHalfOpen) // no probe signal: keep probing
+	step(t, &st, 7, 9, upcall.BreakerOpen)      // probes still violating
+	if st.OpenedAt != 7 {
+		t.Fatalf("re-open did not restart the cooldown (OpenedAt=%d, want 7)", st.OpenedAt)
 	}
-	step(t, b, &st, 5, 1, upcall.BreakerOpen) // healthy but still cooling
-	step(t, b, &st, 6, 1, upcall.BreakerHalfOpen)
-	step(t, b, &st, 7, 1, upcall.BreakerClosed)
-}
-
-// TestBreakerEWMASmoothing: with the adaptive controller's alpha, one
-// spike is absorbed by the smoothed signal instead of counting as a
-// violation.
-func TestBreakerEWMASmoothing(t *testing.T) {
-	b := upcall.Breaker{SLOSec: 2, TripAfter: 1, EWMAAlpha: 0.2}
-	var st upcall.BreakerState
-	b.Next(&st, 0, 0) // seeds the EWMA at 0
-	if tripped, _ := b.Next(&st, 1, 9); tripped {
-		t.Fatal("smoothed breaker tripped on a single spike (EWMA 1.8 <= SLO 2)")
-	}
-	raw := upcall.Breaker{SLOSec: 2, TripAfter: 1}
-	var rawSt upcall.BreakerState
-	raw.Next(&rawSt, 0, 0)
-	if tripped, _ := raw.Next(&rawSt, 1, 9); !tripped {
-		t.Fatal("raw breaker did not trip on the same spike")
-	}
+	step(t, &st, 8, 1, upcall.BreakerOpen) // healthy but still cooling
+	step(t, &st, 9, 1, upcall.BreakerOpen)
+	step(t, &st, 10, 1, upcall.BreakerHalfOpen)
+	step(t, &st, 11, 1, upcall.BreakerClosed)
 }
 
 // TestBreakerAdmission drives the breaker through the subsystem: standing
@@ -109,20 +96,17 @@ func TestBreakerEWMASmoothing(t *testing.T) {
 // and a healthy probe closes it again.
 func TestBreakerAdmission(t *testing.T) {
 	sw := newSwitch(t, flowtable.SipDp)
-	sub := newSub(t, sw, 1, upcall.Options{
-		Breaker: upcall.Breaker{SLOSec: 1, TripAfter: 2, CooldownSec: 2, HalfOpenProbes: 1},
-	})
+	sub := newSub(t, sw, 1, upcall.Options{BreakerSLOSec: 1})
 	if ph := sub.BreakerPhases(); len(ph) != 1 || ph[0] != upcall.BreakerClosed {
 		t.Fatalf("initial phases %v, want [closed]", ph)
 	}
 
-	// Two intervals whose handled upcalls sat 2 s in the queue: trip.
-	sub.Submit(0, header(0x0a000160, 40160), 0)
-	sub.HandleNAt(10, 2)
-	sub.TickBreakers(2) // p99 2 > SLO 1: streak 1
-	sub.Submit(0, header(0x0a000161, 40161), 2)
-	sub.HandleNAt(10, 4)
-	sub.TickBreakers(4) // streak 2: trips
+	// Three intervals whose handled upcalls sat 2 s in the queue: trip.
+	for i, now := range []int64{0, 2, 4} {
+		sub.Submit(0, header(0x0a000160+uint32(i), 40160+uint16(i)), now)
+		sub.HandleNAt(10, now+2)
+		sub.TickBreakers(now + 2) // p99 2 > SLO 1: streak i+1
+	}
 	st := sub.Stats()
 	if st.BreakerTrips != 1 {
 		t.Fatalf("trips = %d, want 1", st.BreakerTrips)
@@ -132,7 +116,7 @@ func TestBreakerAdmission(t *testing.T) {
 	}
 
 	// Open: submissions fast-fail.
-	if _, out := sub.Submit(0, header(0x0a000162, 40162), 4); out != upcall.DroppedBreaker {
+	if _, out := sub.Submit(0, header(0x0a000170, 40170), 6); out != upcall.DroppedBreaker {
 		t.Fatalf("open-breaker outcome %v, want DroppedBreaker", out)
 	}
 	if !upcall.DroppedBreaker.Dropped() {
@@ -142,29 +126,35 @@ func TestBreakerAdmission(t *testing.T) {
 		t.Errorf("shed = %d, want 1", st.BreakerShed)
 	}
 
-	// Cooldown elapses: half-open admits exactly HalfOpenProbes per tick.
-	sub.TickBreakers(5)
-	sub.TickBreakers(6)
+	// Cooldown elapses: half-open admits exactly two probes per tick.
+	sub.TickBreakers(7)
+	sub.TickBreakers(8)
+	if ph := sub.BreakerPhases(); ph[0] != upcall.BreakerOpen {
+		t.Fatalf("phase %v inside the cooldown, want open", ph[0])
+	}
+	sub.TickBreakers(9)
 	if ph := sub.BreakerPhases(); ph[0] != upcall.BreakerHalfOpen {
 		t.Fatalf("phase %v after cooldown, want half-open", ph[0])
 	}
-	if _, out := sub.Submit(0, header(0x0a000163, 40163), 6); out != upcall.Enqueued {
-		t.Fatalf("probe outcome %v, want Enqueued", out)
+	for i := uint32(0); i < 2; i++ {
+		if _, out := sub.Submit(0, header(0x0a000171+i, 40171+uint16(i)), 9); out != upcall.Enqueued {
+			t.Fatalf("probe %d outcome %v, want Enqueued", i, out)
+		}
 	}
-	if _, out := sub.Submit(0, header(0x0a000164, 40164), 6); out != upcall.DroppedBreaker {
-		t.Fatalf("second same-tick submission outcome %v, want shed past the probe budget", out)
+	if _, out := sub.Submit(0, header(0x0a000173, 40173), 9); out != upcall.DroppedBreaker {
+		t.Fatalf("third same-tick submission outcome %v, want shed past the probe budget", out)
 	}
 
-	// The probe is served promptly: the breaker closes.
-	sub.HandleNAt(10, 6)
-	sub.TickBreakers(7)
+	// The probes are served promptly: the breaker closes.
+	sub.HandleNAt(10, 9)
+	sub.TickBreakers(10)
 	if ph := sub.BreakerPhases(); ph[0] != upcall.BreakerClosed {
 		t.Fatalf("phase %v after healthy probe, want closed", ph[0])
 	}
 	if st := sub.Stats(); st.BreakerCloses != 1 {
 		t.Errorf("closes = %d, want 1", st.BreakerCloses)
 	}
-	if _, out := sub.Submit(0, header(0x0a000165, 40165), 7); out != upcall.Enqueued {
+	if _, out := sub.Submit(0, header(0x0a000174, 40174), 10); out != upcall.Enqueued {
 		t.Errorf("post-recovery outcome %v, want Enqueued", out)
 	}
 }

@@ -109,16 +109,3 @@ func (h LatencyHist) Delta(prev LatencyHist) LatencyHist {
 	}
 	return d
 }
-
-// Merge adds other's observations into h (per-port histograms folding into
-// a switch-wide one).
-func (h *LatencyHist) Merge(other LatencyHist) {
-	for b := range h.Buckets {
-		h.Buckets[b] += other.Buckets[b]
-	}
-	h.Count += other.Count
-	h.Sum += other.Sum
-	if other.MaxSec > h.MaxSec {
-		h.MaxSec = other.MaxSec
-	}
-}

@@ -60,14 +60,6 @@ func TestLatencyHistBasics(t *testing.T) {
 	if d.Count != 2 || d.Buckets[2] != 2 || d.Mean() != 2 {
 		t.Errorf("delta count=%d bucket2=%d mean=%v, want 2/2/2", d.Count, d.Buckets[2], d.Mean())
 	}
-
-	// Merge folds per-port histograms into an aggregate.
-	var m upcall.LatencyHist
-	m.Merge(h)
-	m.Merge(o)
-	if m.Count != h.Count+o.Count || m.MaxSec != o.MaxSec {
-		t.Errorf("merge count=%d max=%d", m.Count, m.MaxSec)
-	}
 }
 
 // TestResidenceStamping drives the end-to-end latency path: an upcall
@@ -315,11 +307,11 @@ func TestDeleteMegaflowsFeedsPressure(t *testing.T) {
 }
 
 // TestSweepThenTickSingleSweep is the cadence-skew satellite fix: a direct
-// Sweep(now) counts as the interval's run, so a Tick in the same interval
-// must not dump (and with adaptive quotas, re-tune) a second time.
+// Sweep(now) counts as the tick's run, so a Tick at the same tick must not
+// dump (and with adaptive quotas, re-tune) a second time.
 func TestSweepThenTickSingleSweep(t *testing.T) {
 	sw := newSwitch(t, flowtable.SipDp)
-	rv, err := upcall.NewRevalidator(upcall.RevalidatorConfig{Switch: sw, IntervalSec: 2})
+	rv, err := upcall.NewRevalidator(upcall.RevalidatorConfig{Switch: sw})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,14 +321,13 @@ func TestSweepThenTickSingleSweep(t *testing.T) {
 	if st := rv.Stats(); st.Sweeps != 1 || st.Dumped != 1 {
 		t.Fatalf("after direct sweep: %+v", st)
 	}
-	// Same interval: the direct sweep already ran it.
+	// Same tick: the direct sweep already ran it.
 	rv.Tick(5)
-	rv.Tick(6)
 	if st := rv.Stats(); st.Sweeps != 1 {
 		t.Errorf("tick inside interval re-swept: %+v", st)
 	}
 	// Cadence elapsed: the next tick sweeps again.
-	rv.Tick(7)
+	rv.Tick(6)
 	if st := rv.Stats(); st.Sweeps != 2 || st.Dumped != 2 {
 		t.Errorf("tick after interval did not sweep: %+v", st)
 	}

@@ -148,7 +148,7 @@ func TestHandlerDrainPublishesOnce(t *testing.T) {
 	sw := newSwitch(t, flowtable.SipDp)
 	sw.Process(header(0x0a500000, 40000), 0) // a cache for the misses to scan
 	sw.Process(header(0x0a500001, 81), 0)
-	sub := newSub(t, sw, 2, upcall.Options{HandlerBurst: 16})
+	sub := newSub(t, sw, 2, upcall.Options{})
 	var tickets []upcall.Ticket
 	var probes []int
 	for i := 0; i < 16; i++ {
@@ -219,7 +219,7 @@ func TestConcurrentPortSubmits(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				sub.HandleN(upcall.DefaultHandlerBurst)
+				sub.HandleN(upcall.HandlerBurst)
 			}
 		}
 	}()

@@ -187,8 +187,7 @@ type Revalidator struct {
 	sw         *vswitch.Switch
 	sub        *Subsystem
 	adapt      *AdaptiveQuota
-	interval   int64
-	timeout    int64
+	timeout    int64 // the switch's megaflow idle horizon
 	pendingAge int64
 	inj        *faults.Plan
 	journal    *telemetry.Journal
@@ -214,13 +213,6 @@ type Revalidator struct {
 type RevalidatorConfig struct {
 	// Switch is the device whose megaflow cache is maintained.
 	Switch *vswitch.Switch
-	// IntervalSec is the sweep cadence in virtual seconds; <= 0 selects 1
-	// (OVS revalidators wake sub-second; the simulator's clock is
-	// one-second grained).
-	IntervalSec int64
-	// IdleTimeout overrides the switch's megaflow idle horizon for
-	// expiry; <= 0 keeps the switch's configured timeout.
-	IdleTimeout int64
 	// Subsystem, with Adapt, receives per-port quota updates derived from
 	// each sweep's dump statistics. Ports are the subsystem's sources.
 	Subsystem *Subsystem
@@ -271,13 +263,7 @@ func NewRevalidator(cfg RevalidatorConfig) (*Revalidator, error) {
 	if cfg.Switch == nil {
 		return nil, fmt.Errorf("upcall: revalidator needs a switch")
 	}
-	if cfg.IntervalSec <= 0 {
-		cfg.IntervalSec = 1
-	}
-	timeout := cfg.IdleTimeout
-	if timeout <= 0 {
-		timeout = cfg.Switch.IdleTimeout()
-	}
+	timeout := cfg.Switch.IdleTimeout()
 	if cfg.Adapt != nil {
 		if cfg.Subsystem == nil {
 			return nil, fmt.Errorf("upcall: adaptive quotas need a subsystem to tune")
@@ -302,8 +288,7 @@ func NewRevalidator(cfg RevalidatorConfig) (*Revalidator, error) {
 	case pendingAge == 0:
 		pendingAge = 3 * timeout
 	}
-	rv := &Revalidator{sw: cfg.Switch, sub: cfg.Subsystem, adapt: cfg.Adapt,
-		interval: cfg.IntervalSec, timeout: timeout,
+	rv := &Revalidator{sw: cfg.Switch, sub: cfg.Subsystem, adapt: cfg.Adapt, timeout: timeout,
 		pendingAge: pendingAge, inj: cfg.Injector, journal: cfg.Journal}
 	if reg := cfg.Metrics; reg != nil {
 		stat := func(get func(RevalidatorStats) uint64) func() uint64 {
@@ -331,13 +316,15 @@ func NewRevalidator(cfg RevalidatorConfig) (*Revalidator, error) {
 	return rv, nil
 }
 
-// Tick runs a sweep at virtual time now if the cadence has elapsed,
-// returning the sweep result (zero when the cadence did not trigger). An
-// injected revalidator stall suppresses the sweep without advancing the
-// cadence, so the first un-stalled tick sweeps immediately (catch-up).
+// Tick runs a sweep at virtual time now unless one already ran at this
+// tick, returning the sweep result (zero when none ran): the cadence is
+// one sweep per virtual second (OVS revalidators wake sub-second; the
+// simulator's clock is one-second grained). An injected revalidator stall
+// suppresses the sweep without advancing the cadence, so the first
+// un-stalled tick sweeps immediately (catch-up).
 func (r *Revalidator) Tick(now int64) vswitch.SweepResult {
 	r.mu.Lock()
-	if r.ran && now-r.lastRun < r.interval {
+	if r.ran && now <= r.lastRun {
 		r.mu.Unlock()
 		return vswitch.SweepResult{}
 	}

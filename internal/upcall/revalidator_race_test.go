@@ -19,11 +19,11 @@ import (
 // revalidator's dump counters stay monotonic. Run with -race.
 func TestRevalidatorSweepDuringReads(t *testing.T) {
 	tbl := flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{})
-	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true})
+	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true, IdleTimeout: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := upcall.NewRevalidator(upcall.RevalidatorConfig{Switch: sw, IdleTimeout: 1 << 30})
+	r, err := upcall.NewRevalidator(upcall.RevalidatorConfig{Switch: sw})
 	if err != nil {
 		t.Fatal(err)
 	}

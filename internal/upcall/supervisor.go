@@ -6,7 +6,7 @@ package upcall
 // are modelled against the virtual clock. A scheduled
 // panic orphans one round-robin burst and removes the handler's
 // 1/ModelledHandlers service share for a tick; a scheduled stall removes the
-// share until the stall ends or the supervisor's StallTimeoutSec detection
+// share until the stall ends or the supervisor's stallTimeoutSec detection
 // fires, whichever is first. Orphans go back to their queues (or, under
 // DisableSupervisor, are dropped for the revalidator's reaper). This keeps
 // chaos runs bit-for-bit deterministic.
@@ -68,7 +68,7 @@ type driveHandler struct {
 // by the surviving service capacity (alive/ModelledHandlers). A scheduled
 // panic orphans one round-robin burst (the dying handler's in-flight work)
 // and costs its share for the current tick; a scheduled stall costs the
-// share until the stall ends or — supervised — StallTimeoutSec elapses and
+// share until the stall ends or — supervised — stallTimeoutSec elapses and
 // the slot is respawned. Callers hold u.mu.
 func (u *Subsystem) driveFaultsLocked(max int, now int64) int {
 	h := u.opts.ModelledHandlers
@@ -78,16 +78,12 @@ func (u *Subsystem) driveFaultsLocked(max int, now int64) int {
 	if u.driveH == nil {
 		u.driveH = make([]driveHandler, h)
 	}
-	stallTO := u.opts.StallTimeoutSec
-	if stallTO <= 0 {
-		stallTO = DefaultStallTimeoutSec
-	}
 	inj := u.opts.Injector
 	alive := 0
 	for slot := range u.driveH {
 		d := &u.driveH[slot]
 		if until, ok := inj.HandlerStallAt(slot, now); ok {
-			if detect := now + stallTO; !u.opts.DisableSupervisor && detect < until {
+			if detect := now + stallTimeoutSec; !u.opts.DisableSupervisor && detect < until {
 				// The stall outlasts the detection horizon: the supervisor
 				// declares the handler dead at detect and respawns it.
 				d.deadUntil, d.detectAt = detect, detect
@@ -99,7 +95,7 @@ func (u *Subsystem) driveFaultsLocked(max int, now int64) int {
 		}
 		if inj.HandlerPanicAt(slot, now) {
 			// The dying handler's in-flight work is one round-robin burst.
-			burst := u.popBurstLocked(nil, u.burstSize())
+			burst := u.popBurstLocked(nil, HandlerBurst)
 			if !u.handlerDownLocked(slot, telemetry.EvHandlerPanic, now, burst) {
 				d.deadUntil = math.MaxInt64 // never respawned
 			} else if now+1 > d.deadUntil {

@@ -44,11 +44,12 @@ func TestDriveModePanic(t *testing.T) {
 }
 
 // TestDriveModeStallDetection: a modelled stall suspends the handler's
-// share until StallTimeoutSec elapses; detection respawns it and counts.
+// share until the 1 s detection horizon elapses; detection respawns it
+// and counts.
 func TestDriveModeStallDetection(t *testing.T) {
 	sw := newSwitch(t, flowtable.SipDp)
 	plan := faults.NewPlan(faults.Event{Tick: 3, Kind: faults.HandlerStall, Handler: 0, Duration: 10})
-	sub := newSub(t, sw, 1, upcall.Options{ModelledHandlers: 2, StallTimeoutSec: 1, Injector: plan})
+	sub := newSub(t, sw, 1, upcall.Options{ModelledHandlers: 2, Injector: plan})
 	for i := 0; i < 8; i++ {
 		sub.Submit(0, header(0x0a000120+uint32(i), uint16(40120+i)), 3)
 	}
@@ -145,7 +146,7 @@ func TestRevalidatorStallWindow(t *testing.T) {
 	sw := newSwitch(t, flowtable.SipDp)
 	plan := faults.NewPlan(faults.Event{Tick: 1, Kind: faults.RevalidatorStall, Duration: 2})
 	rv, err := upcall.NewRevalidator(upcall.RevalidatorConfig{
-		Switch: sw, IntervalSec: 1, Injector: plan,
+		Switch: sw, Injector: plan,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -40,15 +40,16 @@
 //
 //   - A modelled supervisor (supervisor.go): handlers crash and stall on
 //     the fault schedule, so the subsystem models each death against the
-//     virtual clock, detects a stall after StallTimeoutSec, respawns the
+//     virtual clock, detects a stall after one virtual second, respawns the
 //     slot, and returns its orphaned in-flight upcalls to the queues
 //     instead of leaking pending entries.
 //
 //   - An SLO circuit breaker (breaker.go): when a source's backlog
-//     residence p99 violates Breaker.SLOSec for TripAfter consecutive
+//     residence p99 violates BreakerSLOSec for three consecutive
 //     intervals, the source trips open and new submissions fast-fail
 //     (shed) instead of queueing behind work that will miss its SLO
-//     anyway; half-open probes a trickle and closes on recovery.
+//     anyway; after 3 s half-open probes a trickle of two a tick and
+//     closes on recovery.
 //
 // Faults are injected through an optional faults.Plan hook (handler
 // panics/stalls, delayed or duplicated delivery); a nil plan costs one
@@ -89,17 +90,6 @@ type Options struct {
 	// overrides the value per source — the seam the adaptive controller
 	// (AdaptiveQuota, driven by the revalidator) tunes at runtime.
 	QuotaPerSource int
-	// HandlerBurst is the number of queued upcalls a HandleN drain pops
-	// and resolves as one batch: the burst shares one flow-table
-	// classification pass and ONE megaflow-install transaction
-	// (vswitch.HandleMissBatch → tss.InsertBatch), so the classifier's
-	// copy-on-write publish is paid once per burst instead of once per
-	// megaflow. SubmitSync's drains resolve bursts of one through the same
-	// path. <= 0 selects DefaultHandlerBurst.
-	HandlerBurst int
-	// StallTimeoutSec is the virtual-tick stall-detection horizon of the
-	// modelled supervisor; <= 0 selects DefaultStallTimeoutSec.
-	StallTimeoutSec int64
 	// ModelledHandlers is the handler count the fault model spreads service
 	// capacity across (a dead handler removes its 1/N share of the
 	// per-tick drain budget); <= 0 selects 1.
@@ -108,9 +98,10 @@ type Options struct {
 	// respawned and its orphaned in-flight upcalls are dropped on the
 	// floor — the pending-table wedge the supervisor exists to prevent.
 	DisableSupervisor bool
-	// Breaker configures the per-source SLO circuit breaker; the zero
-	// value (SLOSec == 0) disables it.
-	Breaker Breaker
+	// BreakerSLOSec is the backlog-residence p99 SLO of the per-source
+	// circuit breaker (breaker.go), in virtual seconds: an interval whose
+	// p99 exceeds it is a violation. <= 0 disables the breaker.
+	BreakerSLOSec int64
 	// Injector is the optional fault-injection schedule; nil (the normal
 	// case) injects nothing and costs one pointer comparison on the paths
 	// it guards.
@@ -131,14 +122,19 @@ type Options struct {
 	Tracer *telemetry.Tracer
 }
 
-// DefaultHandlerBurst is the handler drain burst size, matching the
-// datapath's NETDEV_MAX_BURST-sized receive bursts.
-const DefaultHandlerBurst = 32
+// HandlerBurst is the number of queued upcalls a HandleN drain pops and
+// resolves as one batch, matching the datapath's NETDEV_MAX_BURST-sized
+// receive bursts: the burst shares one flow-table classification pass and
+// ONE megaflow-install transaction (vswitch.HandleMissBatch →
+// tss.InsertBatch), so the classifier's copy-on-write publish is paid once
+// per burst instead of once per megaflow. SubmitSync's drains resolve
+// bursts of one through the same path.
+const HandlerBurst = 32
 
-// DefaultStallTimeoutSec is the stall-detection horizon: one
-// virtual second, i.e. the modelled supervisor notices a frozen handler at
-// the next per-second drain.
-const DefaultStallTimeoutSec int64 = 1
+// stallTimeoutSec is the modelled supervisor's stall-detection horizon:
+// one virtual second, i.e. it notices a frozen handler at the next
+// per-second drain.
+const stallTimeoutSec int64 = 1
 
 // Outcome classifies what Submit did with one flow miss.
 type Outcome int
@@ -204,7 +200,7 @@ type Stats struct {
 	// handler pop (see LatencyHist).
 	Residence LatencyHist
 	// HandlerPanics counts modelled handler deaths by panic; StallsDetected
-	// counts handlers the supervisor declared dead after StallTimeoutSec;
+	// counts handlers the supervisor declared dead after stallTimeoutSec;
 	// HandlerRestarts counts respawns (after either).
 	HandlerPanics, StallsDetected, HandlerRestarts uint64
 	// Requeued counts orphaned in-flight upcalls returned to their queues
@@ -402,7 +398,7 @@ func New(sw *vswitch.Switch, sources int, opts Options) (*Subsystem, error) {
 		u.tokenAt[i] = math.MinInt64 // force a refill on the first Submit
 		u.quota[i] = -1              // no override: Options.QuotaPerSource
 	}
-	if opts.Breaker.SLOSec > 0 {
+	if opts.BreakerSLOSec > 0 {
 		u.brk = make([]breakerPort, sources)
 	}
 	if opts.Metrics != nil {
@@ -639,14 +635,14 @@ func (u *Subsystem) SubmitSync(src int, h bitvec.Vec, now int64) (vswitch.Verdic
 // second with the modelled handler service rate; math.MaxInt drains
 // everything.
 //
-// Draining proceeds in bursts of Options.HandlerBurst: the round-robin pop
+// Draining proceeds in bursts of HandlerBurst: the round-robin pop
 // order is unchanged (fairness is decided at pop time, item by item), but
 // each burst is resolved through one vswitch.HandleMissBatch, so a K-item
 // burst installs its megaflows in one classifier transaction with one
 // snapshot publish.
 func (u *Subsystem) HandleN(max int) int {
 	n := 0
-	burst := u.burstSize()
+	burst := HandlerBurst
 	items := make([]item, 0, burst)
 	ms := make([]vswitch.Miss, burst)
 	vs := make([]vswitch.Verdict, burst)
@@ -687,14 +683,6 @@ func (u *Subsystem) HandleNAt(max int, now int64) int {
 	}
 	u.mu.Unlock()
 	return u.HandleN(max)
-}
-
-// burstSize resolves the configured handler drain burst.
-func (u *Subsystem) burstSize() int {
-	if u.opts.HandlerBurst > 0 {
-		return u.opts.HandlerBurst
-	}
-	return DefaultHandlerBurst
 }
 
 // popBurstLocked pops up to max queued upcalls round-robin into items.

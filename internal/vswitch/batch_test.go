@@ -83,8 +83,6 @@ func TestProcessBatchEquivalentToSerial(t *testing.T) {
 		"with-emc": func() vswitch.Config {
 			return vswitch.Config{
 				Table: flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{}),
-				// A tiny EMC keeps FIFO eviction busy during the trace.
-				MicroflowCapacity: 32,
 			}
 		},
 		"megaflow-limit": func() vswitch.Config {
@@ -121,7 +119,7 @@ func TestProcessBatchEquivalentToSerial(t *testing.T) {
 						now := int64(sub / 100)
 						subEnd := min(end, (sub/100+1)*100)
 						got = append(got,
-							batched.ProcessBatch(trace[sub:subEnd], now, nil)...)
+							batched.ProcessBatchOn(nil, trace[sub:subEnd], now, nil, nil)...)
 						sub = subEnd
 					}
 				}
@@ -172,13 +170,13 @@ func TestProcessBatchQuirkSuppression(t *testing.T) {
 	for _, h := range warm {
 		serial.Process(h, 0)
 	}
-	batched.ProcessBatch(warm, 0, nil)
+	batched.ProcessBatchOn(nil, warm, 0, nil, nil)
 	serial.DeleteMegaflows(func(*tss.Entry) bool { return true })
 	batched.DeleteMegaflows(func(*tss.Entry) bool { return true })
 
 	for i, h := range rest {
 		want := serial.Process(h, 1)
-		got := batched.ProcessBatch(rest[i:i+1], 1, nil)[0]
+		got := batched.ProcessBatchOn(nil, rest[i:i+1], 1, nil, nil)[0]
 		if got != want {
 			t.Fatalf("post-quirk packet %d: batch %+v != serial %+v", i, got, want)
 		}

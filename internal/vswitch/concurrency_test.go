@@ -20,7 +20,7 @@ import (
 
 func TestSwitchConcurrentProcess(t *testing.T) {
 	tbl := flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{})
-	sw, err := vswitch.New(vswitch.Config{Table: tbl, MicroflowCapacity: 64})
+	sw, err := vswitch.New(vswitch.Config{Table: tbl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestSwitchConcurrentProcess(t *testing.T) {
 					if end > len(tr.Headers) {
 						end = len(tr.Headers)
 					}
-					sw.ProcessBatch(tr.Headers[i:end], int64(i), out)
+					sw.ProcessBatchOn(nil, tr.Headers[i:end], int64(i), out, nil)
 				}
 			}
 		}(g)
@@ -79,7 +79,6 @@ func TestSwitchConcurrentProcess(t *testing.T) {
 				})
 			case 1:
 				sw.Tick(int64(i))
-				sw.Reinject()
 			case 2:
 				// Revalidation against the same table: entries survive.
 				if _, err := sw.ReplaceTable(tbl); err != nil {
@@ -150,7 +149,7 @@ func TestSwitchConcurrentSwapAndSweep(t *testing.T) {
 				}
 				if r%2 == 1 {
 					end := (i * 32) % (len(tr.Headers) - 32)
-					sw.ProcessBatch(tr.Headers[end:end+32], int64(i%5), out)
+					sw.ProcessBatchOn(nil, tr.Headers[end:end+32], int64(i%5), out, nil)
 				}
 			}
 		}(r)

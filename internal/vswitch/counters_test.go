@@ -72,30 +72,6 @@ func TestCountersAccounting(t *testing.T) {
 			want: Counters{Slow: 3, Allowed: 3, Installs: 1, Suppressed: 2},
 		},
 		{
-			name: "reinject-clears-quirk",
-			cfg:  Config{Table: flowtable.Fig1(), DisableMicroflow: true},
-			run: func(t *testing.T, s *Switch) {
-				s.Process(hyp(0b001), 0)
-				s.DeleteMegaflows(func(*tss.Entry) bool { return true })
-				s.Process(hyp(0b001), 0) // suppressed
-				s.Reinject()             // manual re-injection (§8)
-				s.Process(hyp(0b001), 0) // slow, re-installs
-				s.Process(hyp(0b001), 0) // megaflow hit again
-			},
-			want: Counters{Slow: 3, Megaflow: 1, Allowed: 4, Installs: 2, Suppressed: 1},
-		},
-		{
-			name: "quirk-disabled-reinstalls",
-			cfg:  Config{Table: flowtable.Fig1(), DisableMicroflow: true, NoRevalidatorQuirk: true},
-			run: func(t *testing.T, s *Switch) {
-				s.Process(hyp(0b001), 0)
-				s.DeleteMegaflows(func(*tss.Entry) bool { return true })
-				s.Process(hyp(0b001), 0) // slow, but re-installs freely
-				s.Process(hyp(0b001), 0) // megaflow hit
-			},
-			want: Counters{Slow: 2, Megaflow: 1, Allowed: 3, Installs: 2},
-		},
-		{
 			name: "max-megaflows-rejects",
 			cfg:  Config{Table: flowtable.Fig1(), DisableMicroflow: true, MaxMegaflows: 1},
 			run: func(t *testing.T, s *Switch) {

@@ -46,7 +46,7 @@ func TestDisableMegaflowKeepsMicroflow(t *testing.T) {
 func TestMicroflowExhaustionByNoise(t *testing.T) {
 	l := bitvec.IPv4Tuple
 	tbl := flowtable.UseCaseACL(flowtable.Dp, flowtable.ACLParams{})
-	s, err := New(Config{Table: tbl, MicroflowCapacity: 64})
+	s, err := New(Config{Table: tbl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,10 +58,10 @@ func TestMicroflowExhaustionByNoise(t *testing.T) {
 	if v := s.Process(victim, 0); v.Path != PathMicroflow {
 		t.Fatal("victim not served by microflow cache initially")
 	}
-	// 100 distinct attack headers overflow the 64-entry cache.
+	// 300 distinct attack headers overflow the 256-entry cache.
 	atk := bitvec.NewVec(l)
 	atk.SetField(l, dp, 81)
-	for i := uint64(0); i < 100; i++ {
+	for i := uint64(0); i < 300; i++ {
 		atk.SetField(l, sip, i)
 		s.Process(atk, 0)
 	}

@@ -84,11 +84,9 @@ type Config struct {
 	// not present default to StrategyWildcard. §5.4: OVS uses exact
 	// matching for IPv6 addresses, which StrategyExact reproduces.
 	Strategy map[string]Strategy
-	// MicroflowCapacity sizes the exact-match cache; <= 0 selects the
-	// default, and DisableMicroflow removes the layer entirely (the OVS
-	// kernel datapath of the paper's testbed has no separate EMC).
-	MicroflowCapacity int
-	// DisableMicroflow removes the microflow layer.
+	// DisableMicroflow removes the exact-match cache, which otherwise holds
+	// microflow.DefaultCapacity entries (the OVS kernel datapath of the
+	// paper's testbed has no separate EMC).
 	DisableMicroflow bool
 	// IdleTimeout is the megaflow idle eviction horizon in virtual
 	// seconds; <= 0 selects the OVS default of 10 s (§5.4, Fig. 8a).
@@ -98,12 +96,6 @@ type Config struct {
 	// Scan selects the MFC lookup (see tss.Scan): the default prunes;
 	// tss.ScanLinear is the paper's O(|M|) scan the cost model prices.
 	Scan tss.Scan
-	// RevalidatorQuirk reproduces the undocumented OVS behaviour the
-	// paper found while building MFCGuard (§8): once a megaflow is
-	// deleted by the monitor, the slow path never re-installs it, so
-	// matching packets are processed in the slow path forever. On by
-	// default (set NoRevalidatorQuirk to disable).
-	NoRevalidatorQuirk bool
 	// MaxMegaflows bounds the MFC size; 0 means unbounded. OVS's default
 	// flow limit (200k) is far above anything the paper's scenarios
 	// reach, but the IPv6 exact-match blow-up (§5.4) hits it.
@@ -146,7 +138,7 @@ type Switch struct {
 	ufc       *microflow.Cache
 	deleted   map[string]bool // quirk: suppressed (key,mask) pairs
 	counters  Counters
-	batchPool sync.Pool // *[]tss.BatchResult scratch for ProcessBatch
+	batchPool sync.Pool // *[]tss.BatchResult scratch for ProcessBatchOn
 
 	// installFault, when non-nil, is consulted per attempted megaflow
 	// install; true fails the install (Counters.InstallErrors) while the
@@ -211,7 +203,7 @@ func New(cfg Config) (*Switch, error) {
 	}
 	s.tg.Store(&tableGen{table: cfg.Table, gen: gen})
 	if !cfg.DisableMicroflow {
-		s.ufc = microflow.NewInsertAll(cfg.MicroflowCapacity)
+		s.ufc = microflow.NewInsertAll(microflow.DefaultCapacity)
 	}
 	return s, nil
 }
@@ -291,12 +283,14 @@ func (s *Switch) processFunc(hd *tss.Handle, i int, h bitvec.Vec, now int64, mis
 	return miss(i, probes)
 }
 
-// ProcessBatch classifies a batch of headers at virtual time now and
+// ProcessBatchOn classifies a batch of headers at virtual time now and
 // returns one verdict per header, writing into out when it has sufficient
-// capacity (pass nil to allocate). It is exactly equivalent, verdict for
-// verdict and counter for counter, to calling Process on each header in
-// order — the equivalence tests in batch_test.go enforce this, because the
-// paper-figure reproductions depend on batch and serial runs agreeing.
+// capacity (pass nil to allocate). With miss == nil (the inline slow path:
+// HandleMissBatch with a burst of one, attributed to ingress port 0) it is
+// exactly equivalent, verdict for verdict and counter for counter, to
+// calling Process on each header in order — the equivalence tests in
+// batch_test.go enforce this, because the paper-figure reproductions
+// depend on batch and serial runs agreeing.
 //
 // In the PMD configuration (no microflow cache), the megaflow scan is
 // batched: runs of consecutive MFC hits are classified under a single
@@ -304,22 +298,16 @@ func (s *Switch) processFunc(hd *tss.Handle, i int, h bitvec.Vec, now int64, mis
 // flushed once per batch. With the microflow cache enabled the layers are
 // interleaved packet by packet (EMC FIFO eviction order is part of the
 // serial semantics), which is also how OVS's emc_processing walks a burst.
-func (s *Switch) ProcessBatch(hs []bitvec.Vec, now int64, out []Verdict) []Verdict {
-	return s.ProcessBatchOn(nil, hs, now, out, nil)
-}
-
-// ProcessBatchOn is ProcessBatch with the slow path factored out and the
-// megaflow probes routed through a per-worker classifier handle
-// (tss.Classifier.NewHandle). When miss is non-nil, an MFC miss on hs[i]
-// calls miss(i, probes) (probes = what the missing lookup already paid)
-// instead of classifying inline, and records the returned verdict. This is
-// the seam the upcall subsystem plugs into — the asynchronous datapath
-// turns each miss into a queued upcall here — while miss == nil selects
-// the inline slow path: HandleMissBatch with a burst of one, attributed to
-// ingress port 0. The PMD datapath passes each worker's handle so scan
-// statistics (probes, stage skips) accumulate in per-worker shards instead
-// of contending on shared counter cache lines; hd == nil uses the
-// classifier's default handle.
+//
+// When miss is non-nil, an MFC miss on hs[i] calls miss(i, probes)
+// (probes = what the missing lookup already paid) instead of classifying
+// inline, and records the returned verdict. This is the seam the upcall
+// subsystem plugs into — the asynchronous datapath turns each miss into a
+// queued upcall here. hd routes the megaflow probes through a per-worker
+// classifier handle (tss.Classifier.NewHandle): the PMD datapath passes
+// each worker's handle so scan statistics (probes, stage skips) accumulate
+// in per-worker shards instead of contending on shared counter cache
+// lines; hd == nil uses the classifier's default handle.
 //
 // Verdicts returned by a non-nil miss are recorded verbatim and NOT added
 // to the switch counters: a miss resolved through HandleMissBatch counts
@@ -408,7 +396,7 @@ type Miss struct {
 
 // HandleMissBatch is the slow path, the one miss-to-install step every
 // flow miss resolves through: the inline pipeline hands it each miss as a
-// burst of one (Process, ProcessBatch, HandleMissFrom), and the upcall
+// burst of one (Process, ProcessBatchOn, HandleMissFrom), and the upcall
 // subsystem's handlers hand it the bursts they drain. It classifies every
 // miss against the flow table, commits the resulting megaflows through one
 // tss.InsertBatch transaction, primes the microflow cache and counts each
@@ -557,10 +545,10 @@ func (r SweepResult) Deleted() int { return r.Expired + r.Invalidated + r.Suppre
 // entries in the quirk ledger, so a long sweep (a revalidator re-checking
 // a TSE-inflated cache regenerates every entry) never stalls packet
 // processing on s.mu — concurrent lookups block only on the classifier's
-// own reader/writer lock, exactly as the pre-sweep ExpireIdle did. A miss
-// classified between an entry's deletion and its ledger write can slip in
-// one reinstall; that window exists for any monitor deletion racing the
-// slow path, and the next sweep reconverges.
+// own reader/writer lock. A miss classified between an entry's deletion
+// and its ledger write can slip in one reinstall; that window exists for
+// any monitor deletion racing the slow path, and the next sweep
+// reconverges.
 func (s *Switch) SweepMegaflows(decide func(*tss.Entry) SweepDecision) SweepResult {
 	var res SweepResult
 	var suppressed []string
@@ -575,9 +563,7 @@ func (s *Switch) SweepMegaflows(decide func(*tss.Entry) SweepDecision) SweepResu
 			return true
 		case SweepSuppress:
 			res.Suppressed++
-			if !s.cfg.NoRevalidatorQuirk {
-				suppressed = append(suppressed, entryID(e))
-			}
+			suppressed = append(suppressed, entryID(e))
 			return true
 		}
 		return false
@@ -718,14 +704,6 @@ func (s *Switch) DeleteMegaflows(pred func(*tss.Entry) bool) int {
 	return res.Suppressed
 }
 
-// Reinject clears the quirk suppression markers, modelling the manual
-// megaflow re-injection the paper notes is possible (§8).
-func (s *Switch) Reinject() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.deleted = make(map[string]bool)
-}
-
 // IdleTimeout returns the configured megaflow idle eviction horizon.
 func (s *Switch) IdleTimeout() int64 { return s.cfg.IdleTimeout }
 
@@ -784,7 +762,7 @@ func (s *Switch) lookupBatch(hd *tss.Handle, hs []bitvec.Vec, now int64, out []t
 	return s.mfc.LookupBatch(hs, now, out)
 }
 
-// getBatchResults fetches a scratch slice for ProcessBatch, keeping the
+// getBatchResults fetches a scratch slice for ProcessBatchOn, keeping the
 // per-burst hot path allocation-free.
 func (s *Switch) getBatchResults(n int) []tss.BatchResult {
 	if v := s.batchPool.Get(); v != nil {
@@ -803,8 +781,11 @@ func (s *Switch) putBatchResults(res []tss.BatchResult) {
 func entryID(e *tss.Entry) string { return e.Key.Key() + "|" + e.Mask.Key() }
 
 // suppressedLocked reports whether the quirk ledger forbids installing e.
-// An empty ledger — every run without monitor deletions — answers without
+// The ledger reproduces the undocumented OVS behaviour the paper found
+// while building MFCGuard (§8): once the monitor deletes a megaflow, the
+// slow path never re-installs it, so matching packets are processed in
+// the slow path forever. An empty ledger — every run without monitor deletions — answers without
 // building the entry's ledger key. Caller holds s.mu.
 func (s *Switch) suppressedLocked(e *tss.Entry) bool {
-	return !s.cfg.NoRevalidatorQuirk && len(s.deleted) > 0 && s.deleted[entryID(e)]
+	return len(s.deleted) > 0 && s.deleted[entryID(e)]
 }

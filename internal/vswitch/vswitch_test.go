@@ -220,23 +220,6 @@ func TestRevalidatorQuirk(t *testing.T) {
 	if c := s.Counters(); c.Suppressed != 3 {
 		t.Errorf("suppressed = %d, want 3", c.Suppressed)
 	}
-	// Manual re-injection clears the suppression.
-	s.Reinject()
-	s.Process(hyp(5), 10)
-	if v := s.Process(hyp(5), 10); v.Path != PathMegaflow {
-		t.Errorf("after Reinject path = %v, want megaflow", v.Path)
-	}
-}
-
-func TestNoRevalidatorQuirk(t *testing.T) {
-	s := newSwitch(t, Config{Table: flowtable.Fig1(), DisableMicroflow: true,
-		NoRevalidatorQuirk: true})
-	s.Process(hyp(5), 0)
-	s.DeleteMegaflows(func(e *tss.Entry) bool { return true })
-	s.Process(hyp(5), 1) // slow path, re-installs
-	if v := s.Process(hyp(5), 1); v.Path != PathMegaflow {
-		t.Errorf("without quirk path = %v, want megaflow (re-installed)", v.Path)
-	}
 }
 
 func TestMaxMegaflows(t *testing.T) {
