@@ -116,12 +116,15 @@ func recvName(fd *ast.FuncDecl) string {
 //     no identifier outside its own declaration spells, and
 //   - an exported field of a struct type named *Config, *Options or
 //     *Params that no keyed composite literal, assignment, increment or
-//     address-of (flag.IntVar(&cfg.F, ...)) writes.
+//     address-of (flag.IntVar(&cfg.F, ...)) writes; an assignment that
+//     only defaults the field, "if c.F <= 0 { c.F = d }", does not count.
 //
 // The check matches names, not types: a dead method shares the fate of a
 // live one with the same name elsewhere, and a dead field that of any
 // written field or literal key with its name. So it can miss dead code,
-// but it never flags code that product code uses.
+// but it never flags a function product code names or a field product
+// code sets (unkeyed struct literals aside, which vet already rejects
+// across packages).
 func TestNoUncalledExports(t *testing.T) {
 	fset, files := parseProduct(t)
 

@@ -53,9 +53,9 @@ type Config struct {
 	Workers int
 	// DisableEMC removes the per-worker exact-match layer, which otherwise
 	// holds microflow.DefaultCapacity entries ("a couple of hundred
-	// entries", §2.2) per worker. The dataplane
-	// simulator uses this: its per-second victim probes would otherwise
-	// always hit the EMC and never observe the megaflow scan cost.
+	// entries", §2.2) per worker. The dataplane simulator uses this: its
+	// per-second victim probes would otherwise always hit the EMC and
+	// never observe the megaflow scan cost.
 	DisableEMC bool
 	// Upcall enables the asynchronous slow path: a full-scan megaflow
 	// miss is submitted to the per-port upcall queues (source = ingress
@@ -143,8 +143,8 @@ type PortStats struct {
 
 // Pool is a set of PMD workers sharing one switch. A pool is driven by a
 // single dispatcher: methods must not be called concurrently with each
-// other (the parallelism lives inside ProcessBatchPorts, where the workers of
-// one dispatch run concurrently against the shared switch).
+// other (the parallelism lives inside ProcessBatchPorts, where the workers
+// of one dispatch run concurrently against the shared switch).
 type Pool struct {
 	sw      *vswitch.Switch
 	batch   int

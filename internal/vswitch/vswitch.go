@@ -784,8 +784,9 @@ func entryID(e *tss.Entry) string { return e.Key.Key() + "|" + e.Mask.Key() }
 // The ledger reproduces the undocumented OVS behaviour the paper found
 // while building MFCGuard (§8): once the monitor deletes a megaflow, the
 // slow path never re-installs it, so matching packets are processed in
-// the slow path forever. An empty ledger — every run without monitor deletions — answers without
-// building the entry's ledger key. Caller holds s.mu.
+// the slow path forever. An empty ledger — every run without monitor
+// deletions — answers without building the entry's ledger key. Caller
+// holds s.mu.
 func (s *Switch) suppressedLocked(e *tss.Entry) bool {
 	return len(s.deleted) > 0 && s.deleted[entryID(e)]
 }
