@@ -112,7 +112,8 @@ func TestHeavyExperiments(t *testing.T) {
 }
 
 // TestEngineExperimentGoldens pins the printed output of every experiment
-// the per-second engine drives, byte for byte, against
+// the per-second engine drives, and of remedies (whose MFC-off row prices
+// §8 remedy (iii) without a switch), byte for byte, against
 // testdata/<id>.golden (captured with `tsebench -fig <id>`). The runs are
 // virtual-time and deterministic, so any diff is a behaviour change.
 func TestEngineExperimentGoldens(t *testing.T) {
@@ -122,6 +123,7 @@ func TestEngineExperimentGoldens(t *testing.T) {
 	}{
 		{"fig8a", false}, {"fig8b", false}, {"multicore", false},
 		{"portfairness", false}, {"chaos", false}, {"fleetchaos", false},
+		{"remedies", false},
 		{"fig8c", true}, {"saturation", true},
 	}
 	for _, c := range cases {
