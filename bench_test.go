@@ -20,6 +20,7 @@ import (
 	"tse/internal/analysis"
 	"tse/internal/bitvec"
 	"tse/internal/core"
+	"tse/internal/datapath"
 	"tse/internal/flowtable"
 	"tse/internal/mitigation"
 	"tse/internal/packet"
@@ -49,7 +50,7 @@ func victimKey() bitvec.Vec {
 func attackedSwitch(b *testing.B, u flowtable.UseCase, scan tss.Scan) (*vswitch.Switch, bitvec.Vec) {
 	b.Helper()
 	tbl := flowtable.UseCaseACL(u, flowtable.ACLParams{})
-	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true, Scan: scan})
+	sw, err := vswitch.New(vswitch.Config{Table: tbl, Scan: scan})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func BenchmarkSec52AttackReplay(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				sw, err := vswitch.New(vswitch.Config{
-					Table: flowtable.UseCaseACL(u, flowtable.ACLParams{}), DisableMicroflow: true})
+					Table: flowtable.UseCaseACL(u, flowtable.ACLParams{})})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -200,7 +201,7 @@ func BenchmarkSec52AttackReplay(b *testing.B) {
 // (cheaply, without re-running the attack) before each timed sweep.
 func BenchmarkSec8GuardSweep(b *testing.B) {
 	tbl := flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{})
-	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true})
+	sw, err := vswitch.New(vswitch.Config{Table: tbl})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -267,8 +268,7 @@ func BenchmarkAblationMaskOrder(b *testing.B) {
 	for name, order := range orders {
 		b.Run(name, func(b *testing.B) {
 			tbl := flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{})
-			sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true,
-				Order: order, Scan: tss.ScanLinear})
+			sw, err := vswitch.New(vswitch.Config{Table: tbl, Order: order, Scan: tss.ScanLinear})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -286,23 +286,36 @@ func BenchmarkAblationMaskOrder(b *testing.B) {
 }
 
 // BenchmarkAblationMicroflowCache measures what the exact-match layer
-// buys for a repeated flow (§2.2's fast-path hierarchy).
+// buys for a repeated flow under attack (§2.2's fast-path hierarchy): a
+// one-worker pool's EMC, with the victim warmed into it, against the same
+// pool without one, whose victim packets pay the megaflow scan.
 func BenchmarkAblationMicroflowCache(b *testing.B) {
 	for _, enabled := range []bool{true, false} {
-		b.Run(fmt.Sprintf("ufc=%v", enabled), func(b *testing.B) {
+		b.Run(fmt.Sprintf("emc=%v", enabled), func(b *testing.B) {
 			tbl := flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{})
-			sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: !enabled})
+			sw, err := vswitch.New(vswitch.Config{Table: tbl})
 			if err != nil {
 				b.Fatal(err)
 			}
-			victim := victimKey()
-			sw.Process(victim, 0)
+			pool, err := datapath.New(datapath.Config{Switch: sw, Workers: 1, DisableEMC: !enabled})
+			if err != nil {
+				b.Fatal(err)
+			}
+			victim := []bitvec.Vec{victimKey()}
+			sw.Process(victim[0], 0)
 			tr, _ := core.CoLocated(tbl, core.CoLocatedOptions{})
 			core.Replay(sw, tr, 0)
+			out := pool.ProcessBatchSerialPorts(nil, victim, 0, nil)
+			for i := 0; enabled && out[0].Path != vswitch.PathMicroflow; i++ {
+				if i == 100000 {
+					b.Fatal("the victim never entered the EMC")
+				}
+				out = pool.ProcessBatchSerialPorts(nil, victim, 0, out)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sw.Process(victim, 0)
+				pool.ProcessBatchSerialPorts(nil, victim, 0, out)
 			}
 		})
 	}
@@ -357,23 +370,28 @@ func BenchmarkTheorem41Tradeoff(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDisableMegaflow prices §8 remedy (iii): every packet of
-// a repeated flow pays the slow path when the MFC is off.
+// BenchmarkAblationDisableMegaflow prices §8 remedy (iii): with the MFC
+// off, every packet of a repeated flow pays the slow path's flow-table
+// walk (Generator.Generate) instead of a megaflow hit (Process).
 func BenchmarkAblationDisableMegaflow(b *testing.B) {
 	for _, disabled := range []bool{false, true} {
 		b.Run(fmt.Sprintf("mfcOff=%v", disabled), func(b *testing.B) {
 			tbl := flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{})
-			sw, err := vswitch.New(vswitch.Config{Table: tbl,
-				DisableMicroflow: true, DisableMegaflow: disabled})
+			sw, err := vswitch.New(vswitch.Config{Table: tbl})
 			if err != nil {
 				b.Fatal(err)
 			}
 			victim := victimKey()
 			sw.Process(victim, 0)
+			gen := sw.Generator()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sw.Process(victim, 0)
+				if disabled {
+					gen.Generate(victim)
+				} else {
+					sw.Process(victim, 0)
+				}
 			}
 		})
 	}

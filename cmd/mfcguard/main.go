@@ -48,7 +48,7 @@ func run() error {
 		return err
 	}
 	tbl := flowtable.UseCaseACL(u, flowtable.ACLParams{})
-	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true, Scan: tss.ScanLinear})
+	sw, err := vswitch.New(vswitch.Config{Table: tbl, Scan: tss.ScanLinear})
 	if err != nil {
 		return err
 	}

@@ -50,7 +50,7 @@ func run() error {
 		return err
 	}
 	tbl := flowtable.UseCaseACL(u, flowtable.ACLParams{})
-	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true, Scan: tss.ScanLinear})
+	sw, err := vswitch.New(vswitch.Config{Table: tbl, Scan: tss.ScanLinear})
 	if err != nil {
 		return err
 	}
@@ -113,8 +113,8 @@ func run() error {
 
 	fmt.Printf("replayed %d packets (%d parse errors) against the %s ACL\n", replayed, parseErrs, u)
 	fmt.Printf("MFC: %d masks, %d entries\n", masks, entries)
-	fmt.Printf("paths: slow=%d megaflow=%d microflow=%d  verdicts: allow=%d deny=%d\n",
-		c.Slow, c.Megaflow, c.Microflow, c.Allowed, c.Dropped)
+	fmt.Printf("paths: slow=%d megaflow=%d  verdicts: allow=%d deny=%d\n",
+		c.Slow, c.Megaflow, c.Allowed, c.Dropped)
 	fmt.Printf("victim lookup probes: %d -> %d\n", probesBefore, probesAfter)
 	fmt.Printf("modelled victim throughput (per NIC configuration):\n")
 	for _, p := range dataplane.Profiles {

@@ -286,3 +286,51 @@ func TestNoUncalledExports(t *testing.T) {
 		}
 	}
 }
+
+// TestDisableMicroflowOnlyInBench: vswitch.Config.DisableMicroflow is
+// ignored and stays only because bench/workloads.go still sets it. No other
+// Go file, test files included, may set it, so the field can be deleted
+// together with that one line.
+func TestDisableMicroflowOnlyInBench(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			hidden := path != "." && strings.HasPrefix(d.Name(), ".")
+			if path == "bench" || d.Name() == "testdata" || hidden {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			var key ast.Node
+			switch x := n.(type) {
+			case *ast.KeyValueExpr:
+				if k, ok := x.Key.(*ast.Ident); ok && k.Name == "DisableMicroflow" {
+					key = k
+				}
+			case *ast.SelectorExpr:
+				if x.Sel.Name == "DisableMicroflow" {
+					key = x
+				}
+			}
+			if key != nil {
+				t.Errorf("%s: sets or reads vswitch.Config.DisableMicroflow, which is ignored", fset.Position(key.Pos()))
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

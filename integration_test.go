@@ -62,7 +62,7 @@ func TestEndToEndAttackAndMitigation(t *testing.T) {
 
 	// 3. Replay against the switch (tseattack, which prices the linear
 	// scan), with a primed victim.
-	sw, err := vswitch.New(vswitch.Config{Table: acl, DisableMicroflow: true, Scan: tss.ScanLinear})
+	sw, err := vswitch.New(vswitch.Config{Table: acl, Scan: tss.ScanLinear})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestEndToEndAttackAndMitigation(t *testing.T) {
 func TestEndToEndSemanticSoundness(t *testing.T) {
 	acl := flowtable.UseCaseACL(flowtable.SipSpDp, flowtable.ACLParams{})
 	ref := flowtable.UseCaseACL(flowtable.SipSpDp, flowtable.ACLParams{})
-	sw, err := vswitch.New(vswitch.Config{Table: acl}) // microflow ON
+	sw, err := vswitch.New(vswitch.Config{Table: acl})
 	if err != nil {
 		t.Fatal(err)
 	}

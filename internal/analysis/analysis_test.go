@@ -216,7 +216,7 @@ func TestExpectedVsMeasuredMasks(t *testing.T) {
 		total := 0
 		for r := 0; r < runs; r++ {
 			tblr := flowtable.UseCaseACL(use, flowtable.ACLParams{})
-			sw, err := vswitch.New(vswitch.Config{Table: tblr, DisableMicroflow: true})
+			sw, err := vswitch.New(vswitch.Config{Table: tblr})
 			if err != nil {
 				t.Fatal(err)
 			}

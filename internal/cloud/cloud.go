@@ -153,7 +153,7 @@ func NewHypervisor(cms CMS) (*Hypervisor, error) {
 	// With no tenants everything is dropped.
 	tbl.MustAdd(&flowtable.Rule{Name: "default-deny", Priority: -1,
 		Action: flowtable.Drop, Key: bitvec.NewVec(l), Mask: bitvec.NewVec(l)})
-	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true, Scan: tss.ScanLinear})
+	sw, err := vswitch.New(vswitch.Config{Table: tbl, Scan: tss.ScanLinear})
 	if err != nil {
 		return nil, err
 	}

@@ -42,7 +42,7 @@ func TestCoLocatedIPv6Wildcarding(t *testing.T) {
 	if want := 128*16 + 1; tr.Len() != want {
 		t.Fatalf("trace length = %d, want %d", tr.Len(), want)
 	}
-	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true})
+	sw, err := vswitch.New(vswitch.Config{Table: tbl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestCoLocatedIPv6FullProduct(t *testing.T) {
 	if want := 129 * 17; tr.Len() != want {
 		t.Fatalf("trace length = %d, want %d", tr.Len(), want)
 	}
-	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true})
+	sw, err := vswitch.New(vswitch.Config{Table: tbl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestCoLocatedIPv6ExactStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true,
+	sw, err := vswitch.New(vswitch.Config{Table: tbl,
 		Strategy: map[string]vswitch.Strategy{"ip6_src": vswitch.StrategyExact}})
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestGeneralIPv6(t *testing.T) {
 	if len(distinct) < 495 {
 		t.Errorf("only %d distinct headers of 500", len(distinct))
 	}
-	sw, err := vswitch.New(vswitch.Config{Table: ipv6ACL(t), DisableMicroflow: true})
+	sw, err := vswitch.New(vswitch.Config{Table: ipv6ACL(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 
 func newSwitch(t *testing.T, tbl *flowtable.Table) *vswitch.Switch {
 	t.Helper()
-	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true})
+	sw, err := vswitch.New(vswitch.Config{Table: tbl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestCoLocatedNoiseSpawnsSameMasks(t *testing.T) {
 	if stP.MasksAfter != stN.MasksAfter {
 		t.Errorf("noise changed mask count: %d vs %d", stP.MasksAfter, stN.MasksAfter)
 	}
-	// Noise must actually vary the headers (entropy for the UFC).
+	// Noise must actually vary the headers (entropy for the EMC).
 	distinct := make(map[string]bool)
 	for _, h := range noisy.Headers {
 		distinct[h.Key()] = true

@@ -17,7 +17,7 @@ import (
 func newAsyncPool(t testing.TB, workers int, disableEMC bool, opts upcall.Options) *datapath.Pool {
 	t.Helper()
 	tbl := flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{})
-	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true})
+	sw, err := vswitch.New(vswitch.Config{Table: tbl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +171,7 @@ func TestAsyncBoundedDrops(t *testing.T) {
 func TestAsyncHandlersParallel(t *testing.T) {
 	pool := newAsyncPool(t, 4, false, upcall.Options{})
 	ref, err := vswitch.New(vswitch.Config{
-		Table:            flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{}),
-		DisableMicroflow: true,
+		Table: flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +221,7 @@ func TestAsyncHandlersParallel(t *testing.T) {
 // without the caller poking each worker.
 func TestTotalsAggregateEMCStats(t *testing.T) {
 	tbl := flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{})
-	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true})
+	sw, err := vswitch.New(vswitch.Config{Table: tbl})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func BenchmarkDatapathWorkers(b *testing.B) {
 		trace := traffic[kind]
 		for _, workers := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("%s/workers=%d", kind, workers), func(b *testing.B) {
-				sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true})
+				sw, err := vswitch.New(vswitch.Config{Table: tbl})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -3,8 +3,8 @@
 // (dpif-netdev) that the paper's testbeds run on (§2.2):
 //
 //   - N poll-mode-driver (PMD) workers, one per simulated core, each
-//     owning a private exact-match cache (EMC) — vswitch's microflow layer
-//     exists once per PMD thread in OVS, not once per switch.
+//     owning a private exact-match cache (EMC) — the exact-match layer
+//     exists once per PMD thread in OVS, and the switch has none.
 //   - RSS-style dispatch: the NIC hashes each packet's flow key and steers
 //     it to a fixed worker, so one flow's packets always hit the same EMC.
 //   - Batch processing: each worker drains its share of a dispatch in
@@ -44,10 +44,9 @@ const DefaultBatchSize = 32
 
 // Config assembles a worker pool.
 type Config struct {
-	// Switch is the shared device: megaflow cache plus slow path. Build it
-	// with DisableMicroflow — the exact-match layer belongs to the workers
-	// here, one private cache per PMD (§2.2). A switch-level microflow
-	// cache is not an error, just redundant work in front of the pool.
+	// Switch is the shared device: megaflow cache plus slow path. The
+	// exact-match layer belongs to the workers, one private cache per PMD
+	// (§2.2).
 	Switch *vswitch.Switch
 	// Workers is the number of PMD workers; <= 0 selects 1.
 	Workers int

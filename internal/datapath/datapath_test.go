@@ -51,7 +51,7 @@ func attackMix(t testing.TB, tbl *flowtable.Table) []bitvec.Vec {
 func newPool(t testing.TB, workers int, disableEMC bool) *datapath.Pool {
 	t.Helper()
 	tbl := flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{})
-	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true})
+	sw, err := vswitch.New(vswitch.Config{Table: tbl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +124,7 @@ func TestPoolMatchesSerialSwitch(t *testing.T) {
 		t.Run(fmt.Sprintf("emc=%v", emc), func(t *testing.T) {
 			pool := newPool(t, 4, !emc)
 			ref, err := vswitch.New(vswitch.Config{
-				Table:            flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{}),
-				DisableMicroflow: true,
+				Table: flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{}),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -184,8 +183,7 @@ func TestPoolMatchesSerialSwitch(t *testing.T) {
 func TestPoolParallel(t *testing.T) {
 	pool := newPool(t, 4, false)
 	ref, err := vswitch.New(vswitch.Config{
-		Table:            flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{}),
-		DisableMicroflow: true,
+		Table: flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{}),
 	})
 	if err != nil {
 		t.Fatal(err)

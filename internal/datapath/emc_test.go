@@ -41,7 +41,7 @@ func noiseFlow(i int) bitvec.Vec {
 // opts, through the upcall subsystem.
 func newEMCPool(t testing.TB, tbl *flowtable.Table, workers int, opts *upcall.Options) *datapath.Pool {
 	t.Helper()
-	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true})
+	sw, err := vswitch.New(vswitch.Config{Table: tbl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,6 +173,41 @@ func TestEMCInsertNoPhaseLock(t *testing.T) {
 			t.Errorf("period %d: %d of %d victim flows never hit the EMC (admitted %v)",
 				period, left, len(victims), admitted)
 		}
+	}
+}
+
+// TestEMCExhaustionByNoise shows why both TSE variants pad their traces
+// with noise (§5.2, §6.1): distinct attack headers churn the bounded EMC
+// until the victim's entry is evicted and its packets pay the (inflated)
+// megaflow scan. The insertion probability itself blunts the padding: at
+// one insert in 100, 300 noise headers admit about 3 entries and evict
+// nothing: the 256-entry EMC takes some 24 000 distinct noise headers to
+// lose the victim. The draw is seeded, so the count is pinned.
+func TestEMCExhaustionByNoise(t *testing.T) {
+	l := bitvec.IPv4Tuple
+	p := newEMCPool(t, flowtable.UseCaseACL(flowtable.Dp, flowtable.ACLParams{}), 1, nil)
+	dp, _ := l.FieldIndex("tp_dst")
+	sip, _ := l.FieldIndex("ip_src")
+	victim := bitvec.NewVec(l)
+	victim.SetField(l, dp, 80)
+	warmEMC(t, p, []bitvec.Vec{victim}, 0)
+
+	atk := bitvec.NewVec(l)
+	atk.SetField(l, dp, 81)
+	const pinned = 24146
+	var out []vswitch.Verdict
+	n := 0
+	for ; n < 100000; n++ {
+		atk.SetField(l, sip, uint64(n))
+		p.ProcessBatchSerialPorts(nil, []bitvec.Vec{atk}, 0, nil)
+		out = p.ProcessBatchSerialPorts(nil, []bitvec.Vec{victim}, 0, out)
+		if out[0].Path != vswitch.PathMicroflow {
+			n++
+			break
+		}
+	}
+	if n != pinned {
+		t.Errorf("the victim left the EMC after %d noise headers, pinned %d", n, pinned)
 	}
 }
 

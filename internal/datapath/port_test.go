@@ -17,7 +17,7 @@ import (
 func newPortPool(t testing.TB, workers, ports int, opts *upcall.Options) *datapath.Pool {
 	t.Helper()
 	tbl := flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{})
-	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true})
+	sw, err := vswitch.New(vswitch.Config{Table: tbl})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,8 +90,7 @@ type Engine struct {
 // and revalidator) the engine steps. Per-worker EMCs are disabled: the
 // engine prices each victim flow from one probe packet per second, which
 // with an EMC in front would always be an exact-match hit and never
-// observe the megaflow scan cost the attack inflates (the same reason the
-// Fig. 8 scenarios disable the switch-level microflow cache).
+// observe the megaflow scan cost the attack inflates.
 func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if cfg.Switch == nil {
 		return nil, fmt.Errorf("dataplane: engine needs a switch")

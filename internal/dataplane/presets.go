@@ -39,7 +39,7 @@ func victimHeader(srcIP uint32, srcPort, dstPort uint16) bitvec.Vec {
 // and the 10 s recovery delay after t2 caused by the MFC idle timeout.
 func Fig8aScenario() (*Scenario, error) {
 	tbl := flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{})
-	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true, Scan: tss.ScanLinear})
+	sw, err := vswitch.New(vswitch.Config{Table: tbl, Scan: tss.ScanLinear})
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +73,7 @@ func Fig8aScenario() (*Scenario, error) {
 // attack barely harms long-lasting flows.
 func Fig8bScenario() (*Scenario, error) {
 	tbl := flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{})
-	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true, Scan: tss.ScanLinear})
+	sw, err := vswitch.New(vswitch.Config{Table: tbl, Scan: tss.ScanLinear})
 	if err != nil {
 		return nil, err
 	}
@@ -120,8 +120,7 @@ func Fig8cScenario() (*Scenario, error) {
 	// masks in insertion order, so the long-running victim keeps a cheap
 	// scan position and the damage comes from CPU exhaustion (in contrast
 	// to the mask-position damage of Fig. 8a).
-	sw, err := vswitch.New(vswitch.Config{Table: benign, DisableMicroflow: true,
-		Order: tss.OrderInsertion, Scan: tss.ScanLinear})
+	sw, err := vswitch.New(vswitch.Config{Table: benign, Order: tss.OrderInsertion, Scan: tss.ScanLinear})
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +176,7 @@ func MulticoreScenario(workers int) (*Scenario, error) {
 		return nil, fmt.Errorf("dataplane: multicore scenario needs >= 1 worker, got %d", workers)
 	}
 	tbl := flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{})
-	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true, Scan: tss.ScanLinear})
+	sw, err := vswitch.New(vswitch.Config{Table: tbl, Scan: tss.ScanLinear})
 	if err != nil {
 		return nil, err
 	}
@@ -223,7 +222,7 @@ func SaturationScenario(workers int, bounded bool) (*Scenario, error) {
 		return nil, fmt.Errorf("dataplane: saturation scenario needs >= 1 worker, got %d", workers)
 	}
 	tbl := flowtable.UseCaseACL(flowtable.SipSpDp, flowtable.ACLParams{})
-	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true, Scan: tss.ScanLinear})
+	sw, err := vswitch.New(vswitch.Config{Table: tbl, Scan: tss.ScanLinear})
 	if err != nil {
 		return nil, err
 	}
@@ -338,7 +337,7 @@ func churnACL() *flowtable.Table {
 func PortFairnessScenario(mode PortFairnessMode) (*Scenario, error) {
 	plain := flowtable.UseCaseACL(flowtable.SipSpDp, flowtable.ACLParams{})
 	churned := churnACL()
-	sw, err := vswitch.New(vswitch.Config{Table: plain, DisableMicroflow: true, Scan: tss.ScanLinear})
+	sw, err := vswitch.New(vswitch.Config{Table: plain, Scan: tss.ScanLinear})
 	if err != nil {
 		return nil, err
 	}

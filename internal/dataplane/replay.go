@@ -66,7 +66,7 @@ func buildReplayPipeline(cfg ReplayConfig, maxPort int) (*vswitch.Switch, *trace
 		return nil, nil, fmt.Errorf("dataplane: %d ports do not cover the trace's in_port %d", ports, maxPort)
 	}
 	tbl := flowtable.UseCaseACL(flowtable.SipSpDp, flowtable.ACLParams{})
-	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true})
+	sw, err := vswitch.New(vswitch.Config{Table: tbl})
 	if err != nil {
 		return nil, nil, err
 	}

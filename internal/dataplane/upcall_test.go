@@ -17,7 +17,7 @@ import (
 func asyncScenario(t *testing.T, up *UpcallParams) *Scenario {
 	t.Helper()
 	tbl := flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{})
-	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true})
+	sw, err := vswitch.New(vswitch.Config{Table: tbl})
 	if err != nil {
 		t.Fatal(err)
 	}

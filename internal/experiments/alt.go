@@ -68,8 +68,7 @@ func runAlt(w io.Writer) error {
 	}
 
 	// TSS under attack, for contrast.
-	sw, err := vswitch.New(vswitch.Config{Table: flowtable.UseCaseACL(flowtable.SipSpDp, flowtable.ACLParams{}),
-		DisableMicroflow: true, Scan: tss.ScanLinear})
+	sw, err := vswitch.New(vswitch.Config{Table: flowtable.UseCaseACL(flowtable.SipSpDp, flowtable.ACLParams{}), Scan: tss.ScanLinear})
 	if err != nil {
 		return err
 	}

@@ -173,7 +173,7 @@ func runFig9b(w io.Writer) error {
 			return err
 		}
 		curves[i] = curve
-		sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true, Scan: tss.ScanLinear})
+		sw, err := vswitch.New(vswitch.Config{Table: tbl, Scan: tss.ScanLinear})
 		if err != nil {
 			return err
 		}

@@ -88,8 +88,7 @@ func runConstructions(w io.Writer) error {
 		{"Fig. 5 (two headers, Fig. 4 ACL)", flowtable.Fig4(), nil, allHYP2},
 	}
 	for _, c := range cases {
-		sw, err := vswitch.New(vswitch.Config{Table: c.table, DisableMicroflow: true,
-			Strategy: c.strategy, Scan: tss.ScanLinear})
+		sw, err := vswitch.New(vswitch.Config{Table: c.table, Strategy: c.strategy, Scan: tss.ScanLinear})
 		if err != nil {
 			return err
 		}
@@ -128,7 +127,7 @@ func runMaskCounts(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true, Scan: tss.ScanLinear})
+		sw, err := vswitch.New(vswitch.Config{Table: tbl, Scan: tss.ScanLinear})
 		if err != nil {
 			return err
 		}
@@ -155,7 +154,7 @@ func runIPv6(w io.Writer) error {
 	tbl.MustAdd(&flowtable.Rule{Name: "#4", Priority: 0, Action: flowtable.Drop,
 		Key: bitvec.NewVec(l), Mask: bitvec.NewVec(l)})
 
-	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true,
+	sw, err := vswitch.New(vswitch.Config{Table: tbl,
 		Strategy: map[string]vswitch.Strategy{"ip6_src": vswitch.StrategyExact}, Scan: tss.ScanLinear})
 	if err != nil {
 		return err
@@ -185,7 +184,7 @@ func runCMS(w io.Writer) error {
 
 func runGuard(w io.Writer) error {
 	tbl := flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{})
-	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true, Scan: tss.ScanLinear})
+	sw, err := vswitch.New(vswitch.Config{Table: tbl, Scan: tss.ScanLinear})
 	if err != nil {
 		return err
 	}

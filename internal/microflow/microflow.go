@@ -19,22 +19,19 @@
 // stored key storage, which is what keeps an EMC thrashed by high-entropy
 // attack traffic from turning into Go allocator churn.
 //
-// Which offered headers Insert admits is the cache's policy, fixed at
-// construction. A cache built by New is an EMC as a PMD worker of
-// internal/datapath owns it: Insert admits one offered header in
+// The cache is an EMC as a PMD worker of internal/datapath owns it, with
+// OVS's one insertion policy: Insert admits one offered header in
 // insertInvProb (OVS's emc-insert-inv-prob), drawn from the cache's own
 // seeded xorshift64 state, so a miss stream the cache cannot hold stops
 // paying an insert and an eviction per packet, and a fresh cache fed the
-// same offers admits the same ones. A cache built by NewInsertAll admits
-// every header: the switch-level microflow cache of internal/vswitch.
+// same offers admits the same ones.
 //
-// The cache also keeps the table-generation rule its owners share: Sync,
+// The cache also keeps the table-generation rule of its owner: Sync,
 // called before a lookup with the switch's vswitch.Switch.CacheGen,
 // flushes entries of an older generation, and InsertAt drops a verdict
 // decided under a generation the cache has left, or while a table swap
 // awaited revalidation. So no entry outlives the table that decided it or
-// a megaflow the revalidator deletes, also when several goroutines share
-// the cache.
+// a megaflow the revalidator deletes.
 package microflow
 
 import (
@@ -48,13 +45,13 @@ import (
 // DefaultCapacity mirrors the "couple of hundred entries" of §2.2.
 const DefaultCapacity = 256
 
-// insertInvProb is the inverse probability with which a cache built by New
-// admits an offered header: one in 100, OVS's emc-insert-inv-prob default.
+// insertInvProb is the inverse probability with which a cache admits an
+// offered header: one in 100, OVS's emc-insert-inv-prob default.
 // A flow that keeps sending still lands in the cache after ~100 packets on
 // average. It is a fixed policy, not a knob.
 const insertInvProb = 100
 
-// drawSeed seeds the insertion draw of every cache built by New.
+// drawSeed seeds the insertion draw of every cache.
 const drawSeed = 0x9e3779b97f4a7c15
 
 // Result caches the decision for one exact header.
@@ -96,9 +93,9 @@ type Cache struct {
 	// (Sync). It is written under mu but read without it, so a Sync that
 	// finds it current takes no lock.
 	gen atomic.Uint64
-	// draw is the xorshift64 state of the insertion draw, 0 in a cache
-	// that admits every header. It is atomic, not under mu, so an offer
-	// the draw refuses (99 in 100) takes no lock.
+	// draw is the xorshift64 state of the insertion draw, never 0. It is
+	// atomic, not under mu, so an offer the draw refuses (99 in 100) takes
+	// no lock.
 	draw atomic.Uint64
 }
 
@@ -112,14 +109,6 @@ type Gen struct {
 // New creates an EMC with the given capacity whose Insert admits one
 // offered header in insertInvProb; cap <= 0 selects DefaultCapacity.
 func New(cap int) *Cache {
-	c := NewInsertAll(cap)
-	c.draw.Store(drawSeed)
-	return c
-}
-
-// NewInsertAll creates a cache with the given capacity whose Insert admits
-// every header; cap <= 0 selects DefaultCapacity.
-func NewInsertAll(cap int) *Cache {
 	if cap <= 0 {
 		cap = DefaultCapacity
 	}
@@ -139,6 +128,7 @@ func NewInsertAll(cap int) *Cache {
 	for i := range c.slots {
 		c.slots[i] = -1
 	}
+	c.draw.Store(drawSeed)
 	return c
 }
 
@@ -223,9 +213,8 @@ func (c *Cache) InsertAt(g Gen, h bitvec.Vec, r Result) {
 }
 
 // Insert offers the result for header h to the cache, with no generation
-// check. A cache built by New admits it only when its draw succeeds, one
-// offer in insertInvProb; one built by NewInsertAll always does. An
-// admitted header evicts the oldest entry if the cache is full; one
+// check. The cache admits it only when its draw succeeds, one offer in
+// insertInvProb. An admitted header evicts the oldest entry if the cache is full; one
 // already cached has its value refreshed without moving in the eviction
 // order. The header is cloned into the cache (the caller keeps ownership
 // of h); a first-time insert allocates the clone, while an
@@ -239,17 +228,14 @@ func (c *Cache) Insert(h bitvec.Vec, r Result) {
 	c.insertLocked(h, r)
 }
 
-// admit applies the insertion policy to one offer: a cache with a draw
-// state advances it and admits one offer in insertInvProb. A draw, not an
+// admit applies the insertion policy to one offer: it advances the draw
+// state and admits one offer in insertInvProb. A draw, not an
 // offer counter: a counter can lock in phase with a periodic miss stream
 // (an attack/victim interleave) and never admit the victim flow. Offers
 // from one goroutine draw a fixed sequence; concurrent offers may draw the
 // same value, which leaves the odds as they are.
 func (c *Cache) admit() bool {
 	x := c.draw.Load()
-	if x == 0 {
-		return true
-	}
 	x ^= x << 13
 	x ^= x >> 7
 	x ^= x << 17

@@ -13,12 +13,20 @@ func hyp(v uint64) bitvec.Vec {
 	return h
 }
 
+// put caches r for h past the insertion draw, for the tests of the store
+// itself: lookup, refresh, FIFO eviction, flush and key storage.
+func put(c *Cache, h bitvec.Vec, r Result) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.insertLocked(h, r)
+}
+
 func TestLookupInsert(t *testing.T) {
-	c := NewInsertAll(4)
+	c := New(4)
 	if _, ok := c.Lookup(hyp(1)); ok {
 		t.Fatal("empty cache hit")
 	}
-	c.Insert(hyp(1), Result{Action: flowtable.Allow, OutPort: 3})
+	put(c, hyp(1), Result{Action: flowtable.Allow, OutPort: 3})
 	r, ok := c.Lookup(hyp(1))
 	if !ok || r.Action != flowtable.Allow || r.OutPort != 3 {
 		t.Fatalf("lookup = %+v ok=%v", r, ok)
@@ -29,10 +37,10 @@ func TestLookupInsert(t *testing.T) {
 }
 
 func TestFIFOEviction(t *testing.T) {
-	c := NewInsertAll(2)
-	c.Insert(hyp(0), Result{})
-	c.Insert(hyp(1), Result{})
-	c.Insert(hyp(2), Result{}) // evicts hyp(0)
+	c := New(2)
+	put(c, hyp(0), Result{})
+	put(c, hyp(1), Result{})
+	put(c, hyp(2), Result{}) // evicts hyp(0)
 	if _, ok := c.Lookup(hyp(0)); ok {
 		t.Error("oldest entry not evicted")
 	}
@@ -45,9 +53,9 @@ func TestFIFOEviction(t *testing.T) {
 }
 
 func TestRefreshDoesNotGrow(t *testing.T) {
-	c := NewInsertAll(2)
-	c.Insert(hyp(0), Result{Action: flowtable.Drop})
-	c.Insert(hyp(0), Result{Action: flowtable.Allow})
+	c := New(2)
+	put(c, hyp(0), Result{Action: flowtable.Drop})
+	put(c, hyp(0), Result{Action: flowtable.Allow})
 	if c.Len() != 1 {
 		t.Errorf("Len = %d after refresh, want 1", c.Len())
 	}
@@ -57,11 +65,11 @@ func TestRefreshDoesNotGrow(t *testing.T) {
 }
 
 func TestDefaultCapacity(t *testing.T) {
-	c := NewInsertAll(0)
+	c := New(0)
 	for v := uint64(0); v < DefaultCapacity+10; v++ {
 		h := bitvec.NewVec(bitvec.IPv4Tuple)
 		h.SetField(bitvec.IPv4Tuple, 0, v)
-		c.Insert(h, Result{})
+		put(c, h, Result{})
 	}
 	if c.Len() != DefaultCapacity {
 		t.Errorf("Len = %d, want %d", c.Len(), DefaultCapacity)
@@ -86,7 +94,7 @@ func TestStatsAndEvictionOrder(t *testing.T) {
 			name: "misses then hits",
 			run: func(c *Cache) {
 				c.Lookup(hyp(1)) // miss
-				c.Insert(hyp(1), Result{})
+				put(c, hyp(1), Result{})
 				c.Lookup(hyp(1)) // hit
 				c.Lookup(hyp(2)) // miss
 			},
@@ -96,11 +104,11 @@ func TestStatsAndEvictionOrder(t *testing.T) {
 		{
 			name: "fifo eviction oldest first",
 			run: func(c *Cache) {
-				c.Insert(hyp(0), Result{})
-				c.Insert(hyp(1), Result{})
-				c.Insert(hyp(2), Result{})
-				c.Insert(hyp(3), Result{}) // evicts 0
-				c.Insert(hyp(4), Result{}) // evicts 1
+				put(c, hyp(0), Result{})
+				put(c, hyp(1), Result{})
+				put(c, hyp(2), Result{})
+				put(c, hyp(3), Result{}) // evicts 0
+				put(c, hyp(4), Result{}) // evicts 1
 			},
 			want:    Stats{Evictions: 2},
 			wantLen: 3, present: []uint64{2, 3, 4}, absent: []uint64{0, 1},
@@ -108,12 +116,12 @@ func TestStatsAndEvictionOrder(t *testing.T) {
 		{
 			name: "refresh does not reorder the fifo",
 			run: func(c *Cache) {
-				c.Insert(hyp(0), Result{})
-				c.Insert(hyp(1), Result{})
-				c.Insert(hyp(2), Result{})
+				put(c, hyp(0), Result{})
+				put(c, hyp(1), Result{})
+				put(c, hyp(2), Result{})
 				// Refresh the oldest: it must stay oldest.
-				c.Insert(hyp(0), Result{Action: flowtable.Allow})
-				c.Insert(hyp(3), Result{}) // must evict 0, not 1
+				put(c, hyp(0), Result{Action: flowtable.Allow})
+				put(c, hyp(3), Result{}) // must evict 0, not 1
 			},
 			want:    Stats{Evictions: 1},
 			wantLen: 3, present: []uint64{1, 2, 3}, absent: []uint64{0},
@@ -121,12 +129,12 @@ func TestStatsAndEvictionOrder(t *testing.T) {
 		{
 			name: "reinsert after eviction goes to the back",
 			run: func(c *Cache) {
-				c.Insert(hyp(0), Result{})
-				c.Insert(hyp(1), Result{})
-				c.Insert(hyp(2), Result{})
-				c.Insert(hyp(3), Result{}) // evicts 0
-				c.Insert(hyp(0), Result{}) // evicts 1; 0 is newest again
-				c.Insert(hyp(4), Result{}) // evicts 2
+				put(c, hyp(0), Result{})
+				put(c, hyp(1), Result{})
+				put(c, hyp(2), Result{})
+				put(c, hyp(3), Result{}) // evicts 0
+				put(c, hyp(0), Result{}) // evicts 1; 0 is newest again
+				put(c, hyp(4), Result{}) // evicts 2
 			},
 			want:    Stats{Evictions: 3},
 			wantLen: 3, present: []uint64{3, 0, 4}, absent: []uint64{1, 2},
@@ -134,7 +142,7 @@ func TestStatsAndEvictionOrder(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := NewInsertAll(3)
+			c := New(3)
 			tc.run(c)
 			s := c.Stats()
 			if s.Evictions != tc.want.Evictions {
@@ -164,17 +172,17 @@ func TestStatsAndEvictionOrder(t *testing.T) {
 // generation), the FIFO restarts from scratch — eviction order is the
 // post-flush insertion order, unaffected by pre-flush history.
 func TestFlushResetsEvictionState(t *testing.T) {
-	c := NewInsertAll(2)
-	c.Insert(hyp(0), Result{})
-	c.Insert(hyp(1), Result{})
-	c.Insert(hyp(2), Result{}) // evicts 0
+	c := New(2)
+	put(c, hyp(0), Result{})
+	put(c, hyp(1), Result{})
+	put(c, hyp(2), Result{}) // evicts 0
 	c.Sync(1, true)
 	if c.Len() != 0 {
 		t.Fatalf("Len = %d after flush", c.Len())
 	}
-	c.Insert(hyp(5), Result{})
-	c.Insert(hyp(6), Result{})
-	c.Insert(hyp(7), Result{}) // must evict 5, the post-flush oldest
+	put(c, hyp(5), Result{})
+	put(c, hyp(6), Result{})
+	put(c, hyp(7), Result{}) // must evict 5, the post-flush oldest
 	if _, ok := c.Lookup(hyp(5)); ok {
 		t.Error("post-flush oldest entry not evicted first")
 	}
@@ -191,9 +199,9 @@ func TestFlushResetsEvictionState(t *testing.T) {
 
 // TestInsertClones: the cache must not alias the caller's header slice.
 func TestInsertClones(t *testing.T) {
-	c := NewInsertAll(4)
+	c := New(4)
 	h := hyp(3)
-	c.Insert(h, Result{Action: flowtable.Allow})
+	put(c, h, Result{Action: flowtable.Allow})
 	h.SetField(bitvec.HYP, 0, 5) // scribble on the caller's copy
 	if _, ok := c.Lookup(hyp(3)); !ok {
 		t.Error("cache aliased the caller's header")
@@ -206,10 +214,10 @@ func TestInsertClones(t *testing.T) {
 // TestLookupZeroAlloc asserts the EMC hot path never allocates — the
 // tentpole invariant of the zero-allocation fast path.
 func TestLookupZeroAlloc(t *testing.T) {
-	c := NewInsertAll(8)
+	c := New(8)
 	hit := hyp(1)
 	miss := hyp(2)
-	c.Insert(hit, Result{Action: flowtable.Allow})
+	put(c, hit, Result{Action: flowtable.Allow})
 	if a := testing.AllocsPerRun(200, func() { c.Lookup(hit) }); a != 0 {
 		t.Errorf("Lookup(hit) allocates %v/op, want 0", a)
 	}
@@ -224,29 +232,29 @@ func TestLookupZeroAlloc(t *testing.T) {
 	}
 	// Evict-and-replace reuses the evicted entry's key storage: steady-state
 	// insert churn on a full cache is allocation-free too.
-	full := NewInsertAll(2)
-	full.Insert(hyp(0), Result{})
-	full.Insert(hyp(1), Result{})
+	full := New(2)
+	put(full, hyp(0), Result{})
+	put(full, hyp(1), Result{})
 	next := uint64(2)
 	h := bitvec.NewVec(bitvec.HYP)
 	if a := testing.AllocsPerRun(200, func() {
 		h.SetField(bitvec.HYP, 0, next%8)
 		next++
-		full.Insert(h, Result{})
+		put(full, h, Result{})
 	}); a != 0 {
-		t.Errorf("steady-state Insert allocates %v/op, want 0", a)
+		t.Errorf("steady-state insert allocates %v/op, want 0", a)
 	}
 }
 
 // BenchmarkEMCLookup prices the exact-match hot path (hit and miss).
 func BenchmarkEMCLookup(b *testing.B) {
-	c := NewInsertAll(0)
+	c := New(0)
 	l := bitvec.IPv4Tuple
 	hit := bitvec.NewVec(l)
 	hit.SetField(l, 0, 0x0a000001)
 	miss := bitvec.NewVec(l)
 	miss.SetField(l, 0, 0x0a000002)
-	c.Insert(hit, Result{Action: flowtable.Allow})
+	put(c, hit, Result{Action: flowtable.Allow})
 	b.Run("hit", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -265,8 +273,8 @@ func BenchmarkEMCLookup(b *testing.B) {
 // once, and a flush (Sync to a newer generation) empties the cache without
 // resetting the counters.
 func TestFlushAndHitRate(t *testing.T) {
-	c := NewInsertAll(4)
-	c.Insert(hyp(1), Result{})
+	c := New(4)
+	put(c, hyp(1), Result{})
 	c.Lookup(hyp(1))
 	c.Lookup(hyp(2))
 	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
@@ -279,7 +287,7 @@ func TestFlushAndHitRate(t *testing.T) {
 	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
 		t.Errorf("Stats after the flush = %+v, want the counters kept", st)
 	}
-	if st := NewInsertAll(4).Stats(); st != (Stats{}) {
+	if st := New(4).Stats(); st != (Stats{}) {
 		t.Errorf("Stats on fresh cache = %+v, want zero", st)
 	}
 }
@@ -319,11 +327,17 @@ func TestNewInsertsOneInHundred(t *testing.T) {
 // TestSyncAndInsertAt: Sync flushes entries of an older generation;
 // InsertAt drops a verdict of a generation the cache has left, and every
 // verdict of a closed one; a lagging Sync neither flushes nor reopens an
-// older generation.
+// older generation. Each verdict is offered often enough for the draw to
+// admit it about ten times, so one InsertAt keeps is surely cached.
 func TestSyncAndInsertAt(t *testing.T) {
-	c := NewInsertAll(4)
+	c := New(4)
+	offerAt := func(g Gen, h bitvec.Vec) {
+		for i := 0; i < 10*insertInvProb; i++ {
+			c.InsertAt(g, h, Result{})
+		}
+	}
 	g0 := c.Sync(0, true)
-	c.InsertAt(g0, hyp(1), Result{})
+	offerAt(g0, hyp(1))
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d after an insert at the current generation, want 1", c.Len())
 	}
@@ -331,21 +345,21 @@ func TestSyncAndInsertAt(t *testing.T) {
 	if c.Len() != 0 {
 		t.Fatalf("Len = %d after the generation moved, want 0", c.Len())
 	}
-	c.InsertAt(g0, hyp(2), Result{})
+	offerAt(g0, hyp(2))
 	if _, ok := c.Lookup(hyp(2)); ok {
 		t.Error("a verdict of the left generation was inserted")
 	}
-	c.InsertAt(g1, hyp(3), Result{})
+	offerAt(g1, hyp(3))
 	lag := c.Sync(0, true)
 	if _, ok := c.Lookup(hyp(3)); !ok {
 		t.Error("a lagging Sync flushed the newer generation's entries")
 	}
-	c.InsertAt(lag, hyp(4), Result{})
+	offerAt(lag, hyp(4))
 	if _, ok := c.Lookup(hyp(4)); ok {
 		t.Error("a lagging Sync's verdict was inserted")
 	}
 	closed := c.Sync(1, false)
-	c.InsertAt(closed, hyp(5), Result{})
+	offerAt(closed, hyp(5))
 	if _, ok := c.Lookup(hyp(5)); ok {
 		t.Error("a verdict of a closed generation was inserted")
 	}

@@ -16,7 +16,7 @@ func attackedSwitch(t *testing.T) (*vswitch.Switch, bitvec.Vec) {
 	t.Helper()
 	tbl := flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{})
 	// The linear scan: the victim's cost is its mask's scan position.
-	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true, Scan: tss.ScanLinear})
+	sw, err := vswitch.New(vswitch.Config{Table: tbl, Scan: tss.ScanLinear})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestDeletedEntriesNeverRespawn(t *testing.T) {
 
 func TestGuardBelowThresholdDoesNothing(t *testing.T) {
 	tbl := flowtable.UseCaseACL(flowtable.Dp, flowtable.ACLParams{})
-	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true})
+	sw, err := vswitch.New(vswitch.Config{Table: tbl})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,12 +29,11 @@ func mixOptions(t *testing.T, seconds, attackPps int) SynthOptions {
 }
 
 // newReplayPool builds the pool the replay tests drive: SipSpDp ACL,
-// switch-level microflow off (the EMC lives per worker), inline slow
-// path, 4 vports.
+// per-worker EMCs, inline slow path, 4 vports.
 func newReplayPool(t testing.TB) *datapath.Pool {
 	t.Helper()
 	tbl := flowtable.UseCaseACL(flowtable.SipSpDp, flowtable.ACLParams{})
-	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true})
+	sw, err := vswitch.New(vswitch.Config{Table: tbl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +189,7 @@ func TestReplayFromDisk(t *testing.T) {
 // with multiple workers and ports.
 func TestReplayerConcurrentMode(t *testing.T) {
 	tbl := flowtable.UseCaseACL(flowtable.SipSpDp, flowtable.ACLParams{})
-	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true})
+	sw, err := vswitch.New(vswitch.Config{Table: tbl})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 // revalidator's dump counters stay monotonic. Run with -race.
 func TestRevalidatorSweepDuringReads(t *testing.T) {
 	tbl := flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{})
-	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true, IdleTimeout: 1 << 30})
+	sw, err := vswitch.New(vswitch.Config{Table: tbl, IdleTimeout: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}

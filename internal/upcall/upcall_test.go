@@ -14,11 +14,11 @@ import (
 )
 
 // newSwitch builds the PMD-configuration switch the upcall subsystem
-// fronts: slow path + megaflow cache, no switch-level microflow layer.
+// fronts: slow path + megaflow cache.
 func newSwitch(t testing.TB, use flowtable.UseCase) *vswitch.Switch {
 	t.Helper()
 	tbl := flowtable.UseCaseACL(use, flowtable.ACLParams{})
-	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true})
+	sw, err := vswitch.New(vswitch.Config{Table: tbl})
 	if err != nil {
 		t.Fatal(err)
 	}

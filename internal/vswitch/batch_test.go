@@ -1,4 +1,4 @@
-// Equivalence tests for the batched datapath: ProcessBatch must produce,
+// Equivalence tests for the batched datapath: ProcessBatchOn must produce,
 // verdict for verdict and counter for counter, exactly what serial Process
 // produces on the same packet sequence. The paper-figure reproductions in
 // internal/experiments replay traces through whichever path the scenario
@@ -17,8 +17,8 @@ import (
 )
 
 // mixedTrace builds an adversarial SipDp trace interleaved with repeated
-// benign victim packets, so every cache layer (EMC hit, megaflow hit, slow
-// path, and re-visits of installed flows) is exercised.
+// benign victim packets, so both paths (megaflow hit and slow path, with
+// re-visits of installed flows) are exercised.
 func mixedTrace(t *testing.T, tbl *flowtable.Table) []bitvec.Vec {
 	t.Helper()
 	tr, err := core.CoLocated(tbl, core.CoLocatedOptions{Noise: true, Seed: 11})
@@ -76,27 +76,19 @@ func TestProcessBatchEquivalentToSerial(t *testing.T) {
 	configs := map[string]func() vswitch.Config{
 		"pmd-no-emc": func() vswitch.Config {
 			return vswitch.Config{
-				Table:            flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{}),
-				DisableMicroflow: true,
+				Table: flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{}),
 			}
 		},
-		"with-emc": func() vswitch.Config {
+		"scan-linear": func() vswitch.Config {
 			return vswitch.Config{
 				Table: flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{}),
+				Scan:  tss.ScanLinear,
 			}
 		},
 		"megaflow-limit": func() vswitch.Config {
 			return vswitch.Config{
-				Table:            flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{}),
-				DisableMicroflow: true,
-				MaxMegaflows:     20,
-			}
-		},
-		"no-megaflow": func() vswitch.Config {
-			return vswitch.Config{
-				Table:            flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{}),
-				DisableMicroflow: true,
-				DisableMegaflow:  true,
+				Table:        flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{}),
+				MaxMegaflows: 20,
 			}
 		},
 	}
@@ -158,7 +150,7 @@ func TestProcessBatchEquivalentToSerial(t *testing.T) {
 // deletion, neither path ever re-installs, and suppression counters agree.
 func TestProcessBatchQuirkSuppression(t *testing.T) {
 	cfg := func() vswitch.Config {
-		return vswitch.Config{Table: flowtable.Fig6(), DisableMicroflow: true}
+		return vswitch.Config{Table: flowtable.Fig6()}
 	}
 	serial, batched := newPair(t, cfg)
 	trace := mixedTrace(t, serial.FlowTable())

@@ -100,7 +100,7 @@ func TestSwitchConcurrentProcess(t *testing.T) {
 
 	total := uint64(goroutines * rounds * len(tr.Headers))
 	c := sw.Counters()
-	if got := c.Microflow + c.Megaflow + c.Slow; got != total {
+	if got := c.Megaflow + c.Slow; got != total {
 		t.Errorf("path counters sum to %d, want %d (lost updates)", got, total)
 	}
 	if got := c.Dropped + c.Allowed; got != total {
@@ -122,7 +122,7 @@ func TestSwitchConcurrentProcess(t *testing.T) {
 // classifier's counters stay monotonic throughout. Run with -race.
 func TestSwitchConcurrentSwapAndSweep(t *testing.T) {
 	tbl := flowtable.UseCaseACL(flowtable.SipDp, flowtable.ACLParams{})
-	sw, err := vswitch.New(vswitch.Config{Table: tbl, DisableMicroflow: true})
+	sw, err := vswitch.New(vswitch.Config{Table: tbl})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 	"tse/internal/tss"
 )
 
-// TestCountersAccounting drives every counter branch — the three deciding
+// TestCountersAccounting drives every counter branch — the two deciding
 // paths, the drop/allow partition, installs, the revalidator-quirk
 // suppression, and the MaxMegaflows rejection — with explicit expected
 // totals. The Fig. 1 ACL allows 001 and denies everything else.
@@ -19,36 +19,27 @@ func TestCountersAccounting(t *testing.T) {
 		want Counters
 	}{
 		{
-			name: "slow-then-microflow",
+			name: "slow-then-megaflow",
 			cfg:  Config{Table: flowtable.Fig1()},
 			run: func(t *testing.T, s *Switch) {
-				s.Process(hyp(0b001), 0) // slow path, installs, primes EMC
-				s.Process(hyp(0b001), 0) // exact-match hit
-			},
-			want: Counters{Slow: 1, Microflow: 1, Allowed: 2, Installs: 1},
-		},
-		{
-			name: "slow-then-megaflow",
-			cfg:  Config{Table: flowtable.Fig1(), DisableMicroflow: true},
-			run: func(t *testing.T, s *Switch) {
 				s.Process(hyp(0b001), 0)
-				s.Process(hyp(0b001), 0) // no EMC: megaflow hit
+				s.Process(hyp(0b001), 0) // megaflow hit
 			},
 			want: Counters{Slow: 1, Megaflow: 1, Allowed: 2, Installs: 1},
 		},
 		{
-			name: "megaflow-hit-primes-microflow",
+			name: "megaflow-covers-sibling-header",
 			cfg:  Config{Table: flowtable.Fig1()},
 			run: func(t *testing.T, s *Switch) {
 				s.Process(hyp(0b101), 0) // slow: installs 1** deny megaflow
 				s.Process(hyp(0b111), 0) // different header, same megaflow
-				s.Process(hyp(0b111), 0) // now cached exactly
+				s.Process(hyp(0b111), 0)
 			},
-			want: Counters{Slow: 1, Megaflow: 1, Microflow: 1, Dropped: 3, Installs: 1},
+			want: Counters{Slow: 1, Megaflow: 2, Dropped: 3, Installs: 1},
 		},
 		{
 			name: "drop-allow-partition",
-			cfg:  Config{Table: flowtable.Fig1(), DisableMicroflow: true},
+			cfg:  Config{Table: flowtable.Fig1()},
 			run: func(t *testing.T, s *Switch) {
 				for _, v := range []uint64{0b001, 0b101, 0b011, 0b000, 0b001} {
 					s.Process(hyp(v), 0)
@@ -58,7 +49,7 @@ func TestCountersAccounting(t *testing.T) {
 		},
 		{
 			name: "revalidator-quirk-suppresses-reinstall",
-			cfg:  Config{Table: flowtable.Fig1(), DisableMicroflow: true},
+			cfg:  Config{Table: flowtable.Fig1()},
 			run: func(t *testing.T, s *Switch) {
 				s.Process(hyp(0b001), 0)
 				if n := s.DeleteMegaflows(func(*tss.Entry) bool { return true }); n != 1 {
@@ -73,22 +64,13 @@ func TestCountersAccounting(t *testing.T) {
 		},
 		{
 			name: "max-megaflows-rejects",
-			cfg:  Config{Table: flowtable.Fig1(), DisableMicroflow: true, MaxMegaflows: 1},
+			cfg:  Config{Table: flowtable.Fig1(), MaxMegaflows: 1},
 			run: func(t *testing.T, s *Switch) {
 				s.Process(hyp(0b001), 0) // installs the only allowed entry
 				s.Process(hyp(0b101), 0) // cache full: rejected
 				s.Process(hyp(0b101), 0) // still uncached, still slow
 			},
 			want: Counters{Slow: 3, Allowed: 1, Dropped: 2, Installs: 1, Rejected: 2},
-		},
-		{
-			name: "disable-megaflow-never-installs",
-			cfg:  Config{Table: flowtable.Fig1(), DisableMicroflow: true, DisableMegaflow: true},
-			run: func(t *testing.T, s *Switch) {
-				s.Process(hyp(0b001), 0)
-				s.Process(hyp(0b001), 0)
-			},
-			want: Counters{Slow: 2, Allowed: 2},
 		},
 	}
 	for _, tc := range cases {

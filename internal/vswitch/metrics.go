@@ -14,9 +14,6 @@ func (s *Switch) AttachMetrics(reg *telemetry.Registry) {
 	ctr := func(get func(Counters) uint64) func() uint64 {
 		return func() uint64 { return get(s.Counters()) }
 	}
-	reg.CounterFunc("tse_packets_microflow_total",
-		"Packets decided by the exact-match microflow cache (OVS coverage: emc hits).",
-		ctr(func(c Counters) uint64 { return c.Microflow }))
 	reg.CounterFunc("tse_packets_megaflow_total",
 		"Packets decided by the megaflow cache (OVS coverage: masked_hit).",
 		ctr(func(c Counters) uint64 { return c.Megaflow }))

@@ -17,8 +17,7 @@ import (
 func newMissSwitch(t *testing.T, use flowtable.UseCase, cfg func(*vswitch.Config)) *vswitch.Switch {
 	t.Helper()
 	c := vswitch.Config{
-		Table:            flowtable.UseCaseACL(use, flowtable.ACLParams{}),
-		DisableMicroflow: true,
+		Table: flowtable.UseCaseACL(use, flowtable.ACLParams{}),
 	}
 	if cfg != nil {
 		cfg(&c)

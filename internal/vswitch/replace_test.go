@@ -15,7 +15,7 @@ import (
 func TestReplaceTableRevalidation(t *testing.T) {
 	l := bitvec.IPv4Tuple
 	benign := flowtable.UseCaseACL(flowtable.Baseline, flowtable.ACLParams{})
-	s := newSwitch(t, Config{Table: benign, DisableMicroflow: true})
+	s := newSwitch(t, Config{Table: benign})
 
 	// Victim megaflow: matches rule #1 (dp=80) — identical under both
 	// ACLs, so it must survive.
@@ -71,8 +71,7 @@ func TestReplaceTableValidation(t *testing.T) {
 func TestReplaceTablePreservesScanPosition(t *testing.T) {
 	l := bitvec.IPv4Tuple
 	benign := flowtable.UseCaseACL(flowtable.Baseline, flowtable.ACLParams{})
-	s, err := New(Config{Table: benign, DisableMicroflow: true,
-		Order: tss.OrderInsertion})
+	s, err := New(Config{Table: benign, Order: tss.OrderInsertion})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,97 +108,45 @@ func catchAll(l *bitvec.Layout, a flowtable.Action) *flowtable.Table {
 	return tbl
 }
 
-// TestTableSwapFlushesMicroflow: the switch's microflow cache is keyed to
-// the table generation. After ReplaceTable, Process answers from the new
-// table, not from a verdict the cache memoised under the old one; and
-// while a SwapTable awaits revalidation, a stale megaflow hit is served but
-// never cached, so it is gone once the revalidator deletes the megaflow.
-func TestTableSwapFlushesMicroflow(t *testing.T) {
-	allow, deny := catchAll(bitvec.HYP, flowtable.Allow), catchAll(bitvec.HYP, flowtable.Drop)
-	s := newSwitch(t, Config{Table: allow})
-	h := hyp(5)
-	s.Process(h, 0)
-	if v := s.Process(h, 0); v.Path != PathMicroflow || v.Action != flowtable.Allow {
-		t.Fatalf("before the swap: %+v, want a microflow allow", v)
-	}
-
-	if _, err := s.ReplaceTable(deny); err != nil {
-		t.Fatal(err)
-	}
-	if v := s.Process(h, 1); v.Action != deny.Lookup(h).Action || v.Path != PathSlow {
-		t.Fatalf("after ReplaceTable: %+v, want the new table's %v from the slow path", v, deny.Lookup(h).Action)
-	}
-	if v := s.Process(h, 1); v.Path != PathMicroflow || v.Action != flowtable.Drop {
-		t.Fatalf("second packet after ReplaceTable: %+v, want a microflow deny", v)
-	}
-
-	// A swap without revalidation: the stale deny megaflow still answers
-	// until the revalidator runs, but the microflow cache must not keep it.
-	if err := s.SwapTable(allow); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if v := s.Process(h, 2); v.Path != PathMegaflow || v.Action != flowtable.Drop {
-			t.Fatalf("pending packet %d: %+v, want the stale megaflow deny", i, v)
-		}
-	}
-	seq, gen := s.GenSeq(), s.Generator()
-	s.SweepMegaflows(func(e *tss.Entry) SweepDecision {
-		if !Revalidate(gen, e) {
-			return SweepInvalidate
-		}
-		return SweepKeep
-	})
-	s.MarkRevalidated(seq)
-	if v := s.Process(h, 3); v.Action != allow.Lookup(h).Action || v.Path != PathSlow {
-		t.Fatalf("after revalidation: %+v, want the new table's %v from the slow path", v, allow.Lookup(h).Action)
-	}
-}
-
 // TestTableSwapConcurrentProcess: ReplaceTable racing concurrent Process
-// callers, with and without the megaflow layer. Every verdict a caller
-// inserts into the shared microflow cache is tied to the generation it was
-// decided under, and a slow path classified under a swapped-away table
-// installs its megaflow before the swap, where the inline revalidation
-// sweep deletes it. So once the swaps stop, every header answers with the
-// last table's action, from whichever layer.
+// callers. A slow path classified under a swapped-away table installs its
+// megaflow before the swap, where the inline revalidation sweep deletes
+// it. So once the swaps stop, every header answers with the last table's
+// action.
 func TestTableSwapConcurrentProcess(t *testing.T) {
 	allow, deny := catchAll(bitvec.HYP, flowtable.Allow), catchAll(bitvec.HYP, flowtable.Drop)
-	for _, disableMegaflow := range []bool{false, true} {
-		s := newSwitch(t, Config{Table: allow, DisableMegaflow: disableMegaflow})
-		const callers, swaps = 4, 300
-		var wg sync.WaitGroup
-		stop := make(chan struct{})
-		for c := 0; c < callers; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				for i := c; ; i++ {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					s.Process(hyp(uint64(i%8)), 0)
+	s := newSwitch(t, Config{Table: allow})
+	const callers, swaps = 4, 300
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
 				}
-			}(c)
-		}
-		last := allow
-		for i := 0; i < swaps; i++ {
-			last = []*flowtable.Table{deny, allow}[i%2]
-			if _, err := s.ReplaceTable(last); err != nil {
-				t.Fatal(err)
+				s.Process(hyp(uint64(i%8)), 0)
 			}
+		}(c)
+	}
+	last := allow
+	for i := 0; i < swaps; i++ {
+		last = []*flowtable.Table{deny, allow}[i%2]
+		if _, err := s.ReplaceTable(last); err != nil {
+			t.Fatal(err)
 		}
-		close(stop)
-		wg.Wait()
-		for v := uint64(0); v < 8; v++ {
-			want := last.Lookup(hyp(v)).Action
-			for k := 0; k < 2; k++ {
-				if got := s.Process(hyp(v), 1); got.Action != want {
-					t.Fatalf("DisableMegaflow %v, header %d packet %d after the swaps: %+v, want the last table's %v",
-						disableMegaflow, v, k, got, want)
-				}
+	}
+	close(stop)
+	wg.Wait()
+	for v := uint64(0); v < 8; v++ {
+		want := last.Lookup(hyp(v)).Action
+		for k := 0; k < 2; k++ {
+			if got := s.Process(hyp(v), 1); got.Action != want {
+				t.Fatalf("header %d packet %d after the swaps: %+v, want the last table's %v", v, k, got, want)
 			}
 		}
 	}

@@ -1,7 +1,9 @@
 // Package vswitch implements a software switch in the style of Open
 // vSwitch (§2 of the paper): a slow path holding the authoritative flow
-// table, fronted by the two-layer fast path of a microflow cache and a
-// TSS megaflow cache (MFC), cf. Fig. 10.
+// table, fronted by a TSS megaflow cache (MFC), cf. Fig. 10. The
+// exact-match cache in front of the MFC belongs to each PMD worker of
+// internal/datapath, as in OVS's userspace datapath; the OVS kernel
+// datapath of the paper's testbed has none.
 //
 // Only the first packet of a flow takes the slow path; the decision is
 // then memoised as a megaflow generated by the unwildcarding heuristics in
@@ -16,7 +18,6 @@ import (
 
 	"tse/internal/bitvec"
 	"tse/internal/flowtable"
-	"tse/internal/microflow"
 	"tse/internal/tss"
 )
 
@@ -24,7 +25,8 @@ import (
 type Path int
 
 const (
-	// PathMicroflow is an exact-match cache hit.
+	// PathMicroflow is a hit in a PMD worker's exact-match cache
+	// (internal/datapath); the switch itself never decides on it.
 	PathMicroflow Path = iota
 	// PathMegaflow is a TSS megaflow cache hit.
 	PathMegaflow
@@ -66,10 +68,10 @@ type Verdict struct {
 	OutPort int
 	// Path records which cache layer decided.
 	Path Path
-	// Probes is the number of MFC mask probes spent: 0 on a microflow
-	// hit, and on a slow-path fallthrough the probes its missing lookup
-	// spent (|M| under tss.ScanLinear; see Miss.Probes). This is the cost
-	// driver of the paper's Observation 1.
+	// Probes is the number of MFC mask probes spent: 0 on an EMC hit, and
+	// on a slow-path fallthrough the probes its missing lookup spent (|M|
+	// under tss.ScanLinear; see Miss.Probes). This is the cost driver of
+	// the paper's Observation 1.
 	Probes int
 	// Rule names the flow-table rule responsible for the decision.
 	Rule string
@@ -84,9 +86,9 @@ type Config struct {
 	// not present default to StrategyWildcard. §5.4: OVS uses exact
 	// matching for IPv6 addresses, which StrategyExact reproduces.
 	Strategy map[string]Strategy
-	// DisableMicroflow removes the exact-match cache, which otherwise holds
-	// microflow.DefaultCapacity entries (the OVS kernel datapath of the
-	// paper's testbed has no separate EMC).
+	// DisableMicroflow is ignored: the switch has no exact-match cache.
+	// Only bench/workloads.go still sets it; the field goes together with
+	// microflow.New's capacity parameter.
 	DisableMicroflow bool
 	// IdleTimeout is the megaflow idle eviction horizon in virtual
 	// seconds; <= 0 selects the OVS default of 10 s (§5.4, Fig. 8a).
@@ -100,12 +102,6 @@ type Config struct {
 	// flow limit (200k) is far above anything the paper's scenarios
 	// reach, but the IPv6 exact-match blow-up (§5.4) hits it.
 	MaxMegaflows int
-	// DisableMegaflow switches the MFC completely off: every microflow
-	// miss goes to the slow path. This is immediate remedy (iii) of §8,
-	// which the paper rejects because "MFC has been the biggest
-	// performance improvement so far" — the ablation benchmarks quantify
-	// that cost.
-	DisableMegaflow bool
 }
 
 // DefaultIdleTimeout is OVS's megaflow idle timeout in seconds.
@@ -135,7 +131,6 @@ type Switch struct {
 	// table lands before the swap, where its revalidation sweep finds it.
 	swapMu    sync.RWMutex
 	mfc       *tss.Classifier
-	ufc       *microflow.Cache
 	deleted   map[string]bool // quirk: suppressed (key,mask) pairs
 	counters  Counters
 	batchPool sync.Pool // *[]tss.BatchResult scratch for ProcessBatchOn
@@ -154,8 +149,8 @@ type Switch struct {
 // in upcall.Stats; the install side of the miss-to-install path is counted
 // here).
 type Counters struct {
-	// Microflow, Megaflow, Slow count packets per deciding layer.
-	Microflow, Megaflow, Slow uint64
+	// Megaflow and Slow count packets per deciding layer.
+	Megaflow, Slow uint64
 	// Dropped and Allowed partition all processed packets by verdict.
 	Dropped, Allowed uint64
 	// Installs counts megaflow installations; Suppressed counts installs
@@ -202,9 +197,6 @@ func New(cfg Config) (*Switch, error) {
 		deleted: make(map[string]bool),
 	}
 	s.tg.Store(&tableGen{table: cfg.Table, gen: gen})
-	if !cfg.DisableMicroflow {
-		s.ufc = microflow.NewInsertAll(microflow.DefaultCapacity)
-	}
 	return s, nil
 }
 
@@ -226,61 +218,23 @@ func (s *Switch) Generator() *Generator {
 	return s.tg.Load().gen
 }
 
-// Process classifies one packet header at virtual time now, running the
-// full cache hierarchy.
+// Process classifies one packet header at virtual time now: a megaflow
+// lookup, and on a miss the slow path (HandleMissBatch with a burst of
+// one, attributed to ingress port 0).
 func (s *Switch) Process(h bitvec.Vec, now int64) Verdict {
-	return s.processFunc(nil, 0, h, now, nil)
-}
-
-// mfcLookup probes the megaflow cache through the caller's classifier
-// handle when one is supplied (per-worker statistics shards), else through
-// the classifier's default handle.
-func (s *Switch) mfcLookup(hd *tss.Handle, h bitvec.Vec, now int64) (*tss.Entry, int, bool) {
-	if hd != nil {
-		return hd.Lookup(h, now)
+	e, probes, ok := s.mfc.Lookup(h, now)
+	if !ok {
+		return s.HandleMissBatch([]Miss{{Header: h, Probes: probes}}, now, make([]Verdict, 1))[0]
 	}
-	return s.mfc.Lookup(h, now)
-}
-
-// processFunc is Process with the slow path factored out: on a megaflow
-// miss it calls miss(i, probes) — i is the caller's index, probes what the
-// missing lookup spent — instead of classifying inline. miss == nil
-// selects the inline slow path, HandleMissBatch with a burst of one.
-// Verdicts returned by a non-nil miss are recorded verbatim and not
-// counted here (see ProcessBatchOn). hd optionally routes MFC probes
-// through a per-worker classifier handle.
-func (s *Switch) processFunc(hd *tss.Handle, i int, h bitvec.Vec, now int64, miss func(i, probes int) Verdict) Verdict {
-	if miss == nil {
-		miss = func(_, probes int) Verdict {
-			return s.HandleMissBatch([]Miss{{Header: h, Probes: probes}}, now, make([]Verdict, 1))[0]
+	s.addCounter(func(c *Counters) {
+		c.Megaflow++
+		if e.Action == flowtable.Drop {
+			c.Dropped++
+		} else {
+			c.Allowed++
 		}
-	}
-	// Layer 1: microflow cache.
-	var gen microflow.Gen
-	if s.ufc != nil {
-		gen = s.ufc.Sync(s.CacheGen())
-		if r, ok := s.ufc.Lookup(h); ok {
-			s.count(Verdict{Action: r.Action, OutPort: r.OutPort, Path: PathMicroflow})
-			return Verdict{Action: r.Action, OutPort: r.OutPort, Path: PathMicroflow}
-		}
-	}
-	// Layer 2: megaflow cache (TSS).
-	if s.cfg.DisableMegaflow {
-		return miss(i, 0)
-	}
-	e, probes, ok := s.mfcLookup(hd, h, now)
-	if ok {
-		v := Verdict{Action: e.Action, OutPort: e.OutPort, Path: PathMegaflow, Probes: probes, Rule: e.RuleName}
-		if s.ufc != nil {
-			// The cache clones internally (reusing evicted storage), so no
-			// caller-side Clone allocation here.
-			s.ufc.InsertAt(gen, h, microflow.Result{Action: e.Action, OutPort: e.OutPort})
-		}
-		s.count(v)
-		return v
-	}
-	// Layer 3: slow path.
-	return miss(i, probes)
+	})
+	return Verdict{Action: e.Action, OutPort: e.OutPort, Path: PathMegaflow, Probes: probes, Rule: e.RuleName}
 }
 
 // ProcessBatchOn classifies a batch of headers at virtual time now and
@@ -292,12 +246,9 @@ func (s *Switch) processFunc(hd *tss.Handle, i int, h bitvec.Vec, now int64, mis
 // batch_test.go enforce this, because the paper-figure reproductions
 // depend on batch and serial runs agreeing.
 //
-// In the PMD configuration (no microflow cache), the megaflow scan is
-// batched: runs of consecutive MFC hits are classified under a single
-// reader lock via tss.LookupBatch, and per-packet counter updates are
-// flushed once per batch. With the microflow cache enabled the layers are
-// interleaved packet by packet (EMC FIFO eviction order is part of the
-// serial semantics), which is also how OVS's emc_processing walks a burst.
+// The megaflow scan is batched: runs of consecutive MFC hits are
+// classified under a single reader lock via tss.LookupBatch, and the
+// per-packet counter updates are flushed once per batch.
 //
 // When miss is non-nil, an MFC miss on hs[i] calls miss(i, probes)
 // (probes = what the missing lookup already paid) instead of classifying
@@ -319,12 +270,6 @@ func (s *Switch) ProcessBatchOn(hd *tss.Handle, hs []bitvec.Vec, now int64, out 
 		out = make([]Verdict, len(hs))
 	}
 	out = out[:len(hs)]
-	if s.ufc != nil || s.cfg.DisableMegaflow {
-		for i, h := range hs {
-			out[i] = s.processFunc(hd, i, h, now, miss)
-		}
-		return out
-	}
 	if miss == nil {
 		miss = func(i, probes int) Verdict {
 			return s.HandleMissBatch([]Miss{{Header: hs[i], Probes: probes}}, now, make([]Verdict, 1))[0]
@@ -399,8 +344,7 @@ type Miss struct {
 // burst of one (Process, ProcessBatchOn, HandleMissFrom), and the upcall
 // subsystem's handlers hand it the bursts they drain. It classifies every
 // miss against the flow table, commits the resulting megaflows through one
-// tss.InsertBatch transaction, primes the microflow cache and counts each
-// miss as a slow-path packet. The install goes through the classifier's
+// tss.InsertBatch transaction and counts each miss as a slow-path packet. The install goes through the classifier's
 // writer mutex and publishes the next lock-free snapshot once per burst,
 // and a group or probe-mirror chunk several installs touch is copied once;
 // concurrent readers keep scanning the previous snapshot.
@@ -416,13 +360,6 @@ func (s *Switch) HandleMissBatch(ms []Miss, now int64, out []Verdict) []Verdict 
 		out = make([]Verdict, len(ms))
 	}
 	out = out[:len(ms)]
-	// The microflow cache is synced before the generation is loaded, so a
-	// swap in between makes the verdicts newer than their cache
-	// generation, never older: the next Sync flushes them.
-	var ufcGen microflow.Gen
-	if s.ufc != nil {
-		ufcGen = s.ufc.Sync(s.CacheGen())
-	}
 	s.swapMu.RLock()
 	tg := s.tg.Load()
 	gen, genSeq := tg.gen, tg.seq
@@ -441,28 +378,25 @@ func (s *Switch) HandleMissBatch(ms []Miss, now int64, out []Verdict) []Verdict 
 
 	var delta Counters
 	install := entries[:0] // filtered in place; entries is otherwise dead
-	// Remedy (iii), DisableMegaflow, caches nothing at all.
-	if !s.cfg.DisableMegaflow {
-		s.mu.Lock()
-		count := s.mfc.EntryCount()
-		for _, e := range entries {
-			switch {
-			case s.suppressedLocked(e):
-				delta.Suppressed++
-			case s.cfg.MaxMegaflows > 0 && count >= s.cfg.MaxMegaflows:
-				// Conservative within the burst: a refresh of an existing
-				// (key, mask) would not actually grow the cache, but the
-				// limit check prices every accepted install as new.
-				delta.Rejected++
-			case s.installFault != nil && s.installFault(now):
-				delta.InstallErrors++
-			default:
-				install = append(install, e)
-				count++
-			}
+	s.mu.Lock()
+	count := s.mfc.EntryCount()
+	for _, e := range entries {
+		switch {
+		case s.suppressedLocked(e):
+			delta.Suppressed++
+		case s.cfg.MaxMegaflows > 0 && count >= s.cfg.MaxMegaflows:
+			// Conservative within the burst: a refresh of an existing
+			// (key, mask) would not actually grow the cache, but the
+			// limit check prices every accepted install as new.
+			delta.Rejected++
+		case s.installFault != nil && s.installFault(now):
+			delta.InstallErrors++
+		default:
+			install = append(install, e)
+			count++
 		}
-		s.mu.Unlock()
 	}
+	s.mu.Unlock()
 	errs := s.mfc.InsertBatch(install, now, errBuf[:0])
 	s.swapMu.RUnlock()
 	for _, err := range errs {
@@ -483,12 +417,9 @@ func (s *Switch) HandleMissBatch(ms []Miss, now int64, out []Verdict) []Verdict 
 		}
 		delta.Conflicts++
 	}
-	for i, m := range ms {
-		if s.ufc != nil {
-			s.ufc.InsertAt(ufcGen, m.Header, microflow.Result{Action: out[i].Action, OutPort: out[i].OutPort})
-		}
+	for _, v := range out {
 		delta.Slow++
-		if out[i].Action == flowtable.Drop {
+		if v.Action == flowtable.Drop {
 			delta.Dropped++
 		} else {
 			delta.Allowed++
@@ -727,24 +658,6 @@ func (s *Switch) Counters() Counters {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.counters
-}
-
-func (s *Switch) count(v Verdict) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch v.Path {
-	case PathMicroflow:
-		s.counters.Microflow++
-	case PathMegaflow:
-		s.counters.Megaflow++
-	case PathSlow:
-		s.counters.Slow++
-	}
-	if v.Action == flowtable.Drop {
-		s.counters.Dropped++
-	} else {
-		s.counters.Allowed++
-	}
 }
 
 func (s *Switch) addCounter(f func(*Counters)) {

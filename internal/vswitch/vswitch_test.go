@@ -46,7 +46,7 @@ func TestNewValidation(t *testing.T) {
 // that the MFC ends up exactly as Fig. 3: 4 entries, 3 masks, with the
 // printed patterns of the figure.
 func TestWildcardStrategyFig3(t *testing.T) {
-	s := newSwitch(t, Config{Table: flowtable.Fig1(), DisableMicroflow: true})
+	s := newSwitch(t, Config{Table: flowtable.Fig1()})
 	for _, v := range []uint64{0b001, 0b101, 0b011, 0b000} {
 		s.Process(hyp(v), 0)
 	}
@@ -80,8 +80,7 @@ func TestWildcardStrategyFig3(t *testing.T) {
 // configured with the exact-match strategy and expects Fig. 2: one mask,
 // eight entries.
 func TestExactMatchStrategyFig2(t *testing.T) {
-	s := newSwitch(t, Config{Table: flowtable.Fig1(), DisableMicroflow: true,
-		Strategy: map[string]Strategy{"HYP": StrategyExact}})
+	s := newSwitch(t, Config{Table: flowtable.Fig1(), Strategy: map[string]Strategy{"HYP": StrategyExact}})
 	for v := uint64(0); v < 8; v++ {
 		s.Process(hyp(v), 0)
 	}
@@ -97,7 +96,7 @@ func TestExactMatchStrategyFig2(t *testing.T) {
 // against the Fig. 4 ACL: the paper derives 3*4+1 = 13 distinct masks
 // (§4.2), with allow-rule-#2 entries sharing deny masks.
 func TestMultiFieldConstructionFig5(t *testing.T) {
-	s := newSwitch(t, Config{Table: flowtable.Fig4(), DisableMicroflow: true})
+	s := newSwitch(t, Config{Table: flowtable.Fig4()})
 	for a := uint64(0); a < 8; a++ {
 		for b := uint64(0); b < 16; b++ {
 			s.Process(hyp2(a, b), 0)
@@ -128,7 +127,7 @@ func TestMultiFieldConstructionFig5(t *testing.T) {
 // must agree with the flow table on every header (soundness of caching).
 func TestMFCSemanticEquivalence(t *testing.T) {
 	tbl := flowtable.Fig4()
-	s := newSwitch(t, Config{Table: tbl, DisableMicroflow: true})
+	s := newSwitch(t, Config{Table: tbl})
 	for a := uint64(0); a < 8; a++ {
 		for b := uint64(0); b < 16; b++ {
 			s.Process(hyp2(a, b), 0)
@@ -154,9 +153,9 @@ func TestPipelinePaths(t *testing.T) {
 	if v := s.Process(hyp(1), 0); v.Path != PathSlow || v.Action != flowtable.Allow {
 		t.Errorf("first packet: %+v, want slow-path allow", v)
 	}
-	// Same header again: microflow hit.
-	if v := s.Process(hyp(1), 0); v.Path != PathMicroflow {
-		t.Errorf("second packet path = %v, want microflow", v.Path)
+	// Same header again: megaflow hit.
+	if v := s.Process(hyp(1), 0); v.Path != PathMegaflow {
+		t.Errorf("second packet path = %v, want megaflow", v.Path)
 	}
 	// A different header in the same megaflow region (101 and 111 share
 	// entry 1**) after priming with 101.
@@ -165,7 +164,7 @@ func TestPipelinePaths(t *testing.T) {
 		t.Errorf("megaflow-covered packet: %+v, want megaflow deny", v)
 	}
 	c := s.Counters()
-	if c.Slow != 2 || c.Microflow != 1 || c.Megaflow != 1 {
+	if c.Slow != 2 || c.Megaflow != 2 {
 		t.Errorf("counters = %+v", c)
 	}
 	if c.Allowed != 2 || c.Dropped != 2 {
@@ -173,23 +172,10 @@ func TestPipelinePaths(t *testing.T) {
 	}
 }
 
-func TestMicroflowDisabled(t *testing.T) {
-	s := newSwitch(t, Config{Table: flowtable.Fig1(), DisableMicroflow: true})
-	s.Process(hyp(1), 0)
-	for i := 0; i < 3; i++ {
-		if v := s.Process(hyp(1), 0); v.Path != PathMegaflow {
-			t.Errorf("with UFC disabled repeat packet %d path = %v, want megaflow", i, v.Path)
-		}
-	}
-	if c := s.Counters(); c.Microflow != 0 {
-		t.Errorf("with UFC disabled %d microflow hits counted", c.Microflow)
-	}
-}
-
 func TestIdleTimeoutRecovery(t *testing.T) {
 	// Fig. 8a: attacker entries persist for the 10s idle timeout after
 	// the attack stops, delaying victim recovery.
-	s := newSwitch(t, Config{Table: flowtable.Fig1(), DisableMicroflow: true})
+	s := newSwitch(t, Config{Table: flowtable.Fig1()})
 	s.Process(hyp(5), 100) // attacker megaflow
 	s.Process(hyp(1), 100) // victim megaflow
 	s.Process(hyp(1), 105) // victim keeps its entry warm
@@ -207,7 +193,7 @@ func TestIdleTimeoutRecovery(t *testing.T) {
 func TestRevalidatorQuirk(t *testing.T) {
 	// §8: once MFCGuard deletes an entry, the slow path never re-installs
 	// it; matching packets are classified in the slow path forever.
-	s := newSwitch(t, Config{Table: flowtable.Fig1(), DisableMicroflow: true})
+	s := newSwitch(t, Config{Table: flowtable.Fig1()})
 	s.Process(hyp(5), 0) // installs deny megaflow 1**
 	if n := s.DeleteMegaflows(func(e *tss.Entry) bool { return e.Action == flowtable.Drop }); n != 1 {
 		t.Fatalf("deleted %d, want 1", n)
@@ -223,8 +209,7 @@ func TestRevalidatorQuirk(t *testing.T) {
 }
 
 func TestMaxMegaflows(t *testing.T) {
-	s := newSwitch(t, Config{Table: flowtable.Fig1(), DisableMicroflow: true,
-		MaxMegaflows: 2})
+	s := newSwitch(t, Config{Table: flowtable.Fig1(), MaxMegaflows: 2})
 	for _, v := range []uint64{1, 5, 3, 0} {
 		s.Process(hyp(v), 0)
 	}
@@ -243,7 +228,7 @@ func TestNoMatchDropsWithExactEntry(t *testing.T) {
 	tbl := flowtable.New(l)
 	k, m := bitvec.MustPattern(l, "001")
 	tbl.MustAdd(&flowtable.Rule{Name: "#1", Priority: 1, Action: flowtable.Allow, Key: k, Mask: m})
-	s := newSwitch(t, Config{Table: tbl, DisableMicroflow: true})
+	s := newSwitch(t, Config{Table: tbl})
 	v := s.Process(hyp(6), 0)
 	if v.Action != flowtable.Drop || v.Rule != "<no-match>" {
 		t.Errorf("verdict = %+v, want drop/<no-match>", v)
@@ -275,8 +260,7 @@ func TestIPv6ExactMatchExplosion(t *testing.T) {
 	tbl.MustAdd(&flowtable.Rule{Name: "#4", Priority: 0, Action: flowtable.Drop,
 		Key: bitvec.NewVec(l), Mask: bitvec.NewVec(l)})
 
-	s := newSwitch(t, Config{Table: tbl, DisableMicroflow: true,
-		Strategy: map[string]Strategy{"ip6_src": StrategyExact}})
+	s := newSwitch(t, Config{Table: tbl, Strategy: map[string]Strategy{"ip6_src": StrategyExact}})
 	rng := rand.New(rand.NewSource(1))
 	sip, _ := l.FieldIndex("ip6_src")
 	n := 500
@@ -323,7 +307,7 @@ func TestGeneratorDisjointnessRandom(t *testing.T) {
 		tbl.MustAdd(&flowtable.Rule{Name: "dd", Priority: -1,
 			Action: flowtable.Drop, Key: bitvec.NewVec(l), Mask: bitvec.NewVec(l)})
 
-		s := newSwitch(t, Config{Table: tbl, DisableMicroflow: true})
+		s := newSwitch(t, Config{Table: tbl})
 		for i := 0; i < 300; i++ {
 			h := hyp2(uint64(rng.Intn(8)), uint64(rng.Intn(16)))
 			v := s.Process(h, 0) // panics on Inv(2) violation
