@@ -214,10 +214,10 @@ func (c *Cache) InsertAt(g Gen, h bitvec.Vec, r Result) {
 
 // Insert offers the result for header h to the cache, with no generation
 // check. The cache admits it only when its draw succeeds, one offer in
-// insertInvProb. An admitted header evicts the oldest entry if the cache is full; one
-// already cached has its value refreshed without moving in the eviction
-// order. The header is cloned into the cache (the caller keeps ownership
-// of h); a first-time insert allocates the clone, while an
+// insertInvProb. An admitted header evicts the oldest entry if the cache
+// is full; one already cached has its value refreshed without moving in
+// the eviction order. The header is cloned into the cache (the caller
+// keeps ownership of h); a first-time insert allocates the clone, while an
 // evict-and-replace reuses the evicted entry's key storage.
 func (c *Cache) Insert(h bitvec.Vec, r Result) {
 	if !c.admit() {
@@ -229,9 +229,9 @@ func (c *Cache) Insert(h bitvec.Vec, r Result) {
 }
 
 // admit applies the insertion policy to one offer: it advances the draw
-// state and admits one offer in insertInvProb. A draw, not an
-// offer counter: a counter can lock in phase with a periodic miss stream
-// (an attack/victim interleave) and never admit the victim flow. Offers
+// state and admits one offer in insertInvProb. A draw, not an offer
+// counter: a counter can lock in phase with a periodic miss stream (an
+// attack/victim interleave) and never admit the victim flow. Offers
 // from one goroutine draw a fixed sequence; concurrent offers may draw the
 // same value, which leaves the odds as they are.
 func (c *Cache) admit() bool {
