@@ -171,7 +171,7 @@ func TestPortSubmitsParallel(t *testing.T) {
 		t.Errorf("per-port upcalls sum %d != total %d", perPort, tot.Upcalls)
 	}
 	// Megaflows carry their installing port.
-	seen := make(map[int]bool)
+	seen := make(map[int32]bool)
 	for _, e := range pool.Switch().MFC().Entries() {
 		seen[e.Port] = true
 		if e.Port < 0 || e.Port >= 8 {

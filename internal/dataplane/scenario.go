@@ -257,10 +257,9 @@ func (v *Victim) trackEstablishment(t int, gbps float64) {
 }
 
 // verdictCost prices one attack packet by the cache layer that decided it.
+// The engine's pool runs without an EMC, so no verdict is a microflow hit.
 func verdictCost(v vswitch.Verdict, nic NICProfile) float64 {
 	switch v.Path {
-	case vswitch.PathMicroflow:
-		return nic.MicroflowCost
 	case vswitch.PathMegaflow:
 		return nic.BaseCost + nic.ProbeCost*float64(v.Probes)
 	case vswitch.PathSlow:

@@ -1,0 +1,262 @@
+package tss
+
+import (
+	"sync"
+	"testing"
+	"time"
+
+	"tse/internal/bitvec"
+	"tse/internal/flowtable"
+)
+
+// heldView is a snapshot a reader keeps while the writer moves on, with
+// the entries it held when it was published, by key.
+type heldView struct {
+	sn   *snapshot
+	want map[string]*Entry
+}
+
+// check fails unless the view's lookups over every key of keys and its
+// dump return exactly the entries it held.
+func (v *heldView) check(t *testing.T, keys []bitvec.Vec) bool {
+	t.Helper()
+	for _, k := range keys {
+		if e, _, _ := v.sn.lookup(k, 0); e != v.want[k.Key()] {
+			t.Errorf("snapshot of epoch %d: lookup of %x = %p, held %p", v.sn.epoch, k, e, v.want[k.Key()])
+			return false
+		}
+	}
+	es := v.sn.entries()
+	if len(es) != len(v.want) {
+		t.Errorf("snapshot of epoch %d dumps %d entries, held %d", v.sn.epoch, len(es), len(v.want))
+		return false
+	}
+	for _, e := range es {
+		if v.want[e.Key.Key()] == nil {
+			t.Errorf("snapshot of epoch %d dumps %x, which it did not hold", v.sn.epoch, e.Key)
+			return false
+		}
+	}
+	return true
+}
+
+// TestInPlaceInsertIsolation checks the in-place install against the
+// snapshots it writes under. The group is the exactEntries shape, one
+// exact-match mask, grown to 2048 slots: 32 pages under a two-level
+// directory. Every key is chosen so that it sits in its home cell, which
+// lets the test say which page each install writes and keeps a removal
+// from moving any other entry.
+//
+// The writer then takes the table page by page: it fills page p's empty
+// cells in place, in one batch, and sweeps page p's entries out with
+// DeleteWhere. The sweep clones the group and copies page p, so every
+// snapshot from before it keeps page p full; the next batch fills page
+// p+1, which the clone still shares with those snapshots' groups. After
+// the last page the first snapshot's view of its group has no empty cell,
+// and a lookup of a key it does not hold can end only at the probe's lap
+// bound.
+//
+// Readers hold every snapshot published on the way and, while the writer
+// runs and once more after it, check that each answers every key and dumps
+// exactly the entries it held: an install from a later epoch is never
+// visible to it. Every lookup must return; a hung one fails the test on
+// its deadline.
+func TestInPlaceInsertIsolation(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		scan Scan
+	}{{"ScanPruned", ScanPruned}, {"ScanLinear", ScanLinear}} {
+		t.Run(tc.name, func(t *testing.T) { inPlaceInsertIsolation(t, tc.scan) })
+	}
+}
+
+func inPlaceInsertIsolation(t *testing.T, scan Scan) {
+	const (
+		bits    = 11 // 2048 slots
+		slots   = 1 << bits
+		pages   = slots / pageSlots
+		initial = 800 // above 3/4 of 1024 slots, so the table has doubled to 2048
+	)
+	l := bitvec.IPv4Tuple
+	sip, _ := l.FieldIndex("ip_src")
+	dip, _ := l.FieldIndex("ip_dst")
+	// byHome[i] is an exact key whose home cell in a 2048-slot table is i.
+	byHome := make([]bitvec.Vec, slots)
+	for v, found := uint64(0x0a000000), 0; found < slots; v++ {
+		key := bitvec.NewVec(l)
+		key.SetField(l, sip, v)
+		key.SetField(l, dip, 1)
+		if h := keyHash(key) & (slots - 1); byHome[h] == nil {
+			byHome[h], found = key, found+1
+		}
+	}
+	mk := func(home int) *Entry {
+		return &Entry{Key: byHome[home], Mask: bitvec.FullMask(l), Action: flowtable.Drop, RuleName: "exact"}
+	}
+
+	c := New(l, Options{Scan: scan})
+	live := map[string]*Entry{}
+	home := map[*Entry]int{}
+	var batch []*Entry
+	for i := 0; i < initial; i++ {
+		e := mk(i * slots / initial)
+		batch = append(batch, e)
+		live[e.Key.Key()], home[e] = e, i*slots/initial
+	}
+	mustInsertBatch(t, c, batch, 0)
+	g := c.byMask[string(bitvec.FullMask(l).AppendKey(nil))]
+	if g.slotBits != bits || g.leaves == nil {
+		t.Fatalf("group has %d slot bits, leaves %v; want %d bits under a two-level directory", g.slotBits, g.leaves != nil, bits)
+	}
+	for i := uint64(0); i < slots; i++ {
+		if e := g.at(i).e; e != nil && home[e] != int(i) {
+			t.Fatalf("entry homed at %d sits in cell %d", home[e], i)
+		}
+	}
+
+	var mu sync.Mutex
+	var held []*heldView
+	hold := func() {
+		v := &heldView{sn: c.snap.Load(), want: make(map[string]*Entry, len(live))}
+		for k, e := range live {
+			v.want[k] = e
+		}
+		mu.Lock()
+		held = append(held, v)
+		mu.Unlock()
+	}
+	hold()
+
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for i := r; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				mu.Lock()
+				v := held[i%len(held)]
+				mu.Unlock()
+				if !v.check(t, byHome) {
+					return
+				}
+			}
+		}(r)
+	}
+
+	installed := c.Stats().SlotsCopied
+	for p := 0; p < pages; p++ {
+		batch = batch[:0]
+		for i := p * pageSlots; i < (p+1)*pageSlots; i++ {
+			if live[byHome[i].Key()] == nil {
+				e := mk(i)
+				batch = append(batch, e)
+				live[e.Key.Key()], home[e] = e, i
+			}
+		}
+		mustInsertBatch(t, c, batch, int64(p))
+		if got := c.Stats().SlotsCopied; got != installed {
+			t.Errorf("page %d: filling it in place copied %d slots", p, got-installed)
+		}
+		hold()
+		swept := c.DeleteWhere(func(e *Entry) bool { return home[e]/pageSlots == p })
+		if swept != pageSlots {
+			t.Errorf("page %d: swept %d entries, want %d", p, swept, pageSlots)
+		}
+		for i := p * pageSlots; i < (p+1)*pageSlots; i++ {
+			delete(live, byHome[i].Key())
+		}
+		installed = c.Stats().SlotsCopied
+		hold()
+	}
+	close(done)
+
+	// The first snapshot's group: every cell of its view is now taken.
+	g0 := held[0].sn.prune.groups.at(g.id)
+	empty := 0
+	for i := uint64(0); i < slots; i++ {
+		if g0.at(i).e == nil {
+			empty++
+		}
+	}
+	if empty != 0 {
+		t.Fatalf("the first snapshot's group still has %d empty cells", empty)
+	}
+
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		readers.Wait()
+		for _, v := range held {
+			if !v.check(t, byHome) {
+				return
+			}
+		}
+	}()
+	select {
+	case <-finished:
+	case <-time.After(time.Minute):
+		t.Fatal("a lookup over a held snapshot did not return")
+	}
+}
+
+// TestInPlaceInsertStaleRecord covers the probe mirror's side of an
+// in-place install. A snapshot keeps the chunk it was published with, and
+// a later write elsewhere in the chunk makes the writer copy it, so the
+// old chunk's record of a kindFilter group stops taking the group's new
+// stage-0 bits. The old snapshot's lookup of a later install's key then
+// bails on that record, a skip the group alone would not make; it must
+// still miss, and the current snapshot must hit. checkScan holds both to
+// the group-by-group reference.
+func TestInPlaceInsertStaleRecord(t *testing.T) {
+	l := bitvec.IPv4Tuple
+	sip, _ := l.FieldIndex("ip_src")
+	dp, _ := l.FieldIndex("tp_dst")
+	c := New(l, Options{Scan: ScanLinear})
+	mask := bitvec.PrefixMask(l, sip, 24).Or(bitvec.PrefixMask(l, dp, 16))
+	exact := func(src uint64) *Entry {
+		key := bitvec.NewVec(l)
+		key.SetField(l, sip, src<<8)
+		key.SetField(l, dp, 80)
+		return &Entry{Key: key, Mask: mask, Action: flowtable.Allow}
+	}
+	other := func() *Entry {
+		key := bitvec.NewVec(l)
+		key.SetField(l, dp, 443)
+		return &Entry{Key: key, Mask: bitvec.FieldMask(l, dp), Action: flowtable.Drop}
+	}
+	mustInsertBatch(t, c, []*Entry{exact(1), exact(2), other()}, 0)
+	g := c.byMask[string(mask.AppendKey(nil))]
+	ci, k := c.locateLocked(g)
+	if c.dir[ci].hot[k].kind != kindFilter {
+		t.Fatalf("the two-entry group's record is kind %d, want kindFilter", c.dir[ci].hot[k].kind)
+	}
+	old := c.snap.Load()
+	// A refresh of the other group copies the chunk both records share.
+	if err := c.Insert(other(), 1); err != nil {
+		t.Fatal(err)
+	}
+	y := exact(3)
+	copied := c.Stats().SlotsCopied
+	if err := c.Insert(y, 2); err != nil {
+		t.Fatal(err)
+	}
+	if c.byMask[string(mask.AppendKey(nil))] != g || c.Stats().SlotsCopied != copied {
+		t.Fatal("the install into the two-entry group was not made in place")
+	}
+	if fp := g.sparse.HashRange(y.Key, 0, int(g.stageOff[1])); (*stageFilter)(&old.chunks[ci].side[k].w).has(fp) {
+		t.Fatal("the old record already has the install's stage-0 bit; the test shows nothing")
+	}
+	for _, sn := range []*snapshot{old, c.snap.Load()} {
+		e, probes, skips, _ := c.def.lookupSnap(sn, y.Key, 2)
+		checkScan(t, c, sn, y.Key, e, probes, skips)
+		if want := sn != old; (e == y) != want {
+			t.Errorf("snapshot of epoch %d: lookup of the install's key = %v, want a hit: %v", sn.epoch, e, want)
+		}
+	}
+}

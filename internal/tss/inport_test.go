@@ -40,7 +40,7 @@ func TestInPortMatch(t *testing.T) {
 		key := bitvec.NewVec(l)
 		key.SetField(l, inp, port)
 		key.SetField(l, dp, 80)
-		return &Entry{Key: key, Mask: mask, Action: a, Port: int(port)}
+		return &Entry{Key: key, Mask: mask, Action: a, Port: int32(port)}
 	}
 	if err := c.Insert(mk(1, flowtable.Allow), 0); err != nil {
 		t.Fatal(err)

@@ -31,7 +31,7 @@ func batchEntries(l *bitvec.Layout, n int) []*Entry {
 			key.SetFieldBit(l, dip, k-1)
 		}
 		es = append(es, &Entry{Key: key.And(mask), Mask: mask,
-			Action: flowtable.Allow, RuleName: fmt.Sprintf("batch-%d", j), Port: j % 3})
+			Action: flowtable.Allow, RuleName: fmt.Sprintf("batch-%d", j), Port: int32(j % 3)})
 	}
 	return es
 }

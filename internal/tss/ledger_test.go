@@ -96,6 +96,14 @@ func ledgerDelta(before, after Stats) ledger {
 // linearly: they went from probesCopied 1 (the mirror's one record) to
 // indexCopied 2 (the id table's directory and the chunk holding the
 // group's id) when a cache of 16 masks or fewer came to be pruned too.
+// The install into the 12 k group then read slotsCopied 64, dirCopied 32
+// and indexCopied 2: the clone's 16-entry top directory, the written
+// leaf's 16 entries and page, and the id table's repointing. It reads 0
+// since a new key that keeps a published multi-entry group within its
+// load is written in place. The install that doubles a 12 288-entry group
+// stays copy-on-write: the clone copies its 16-entry top directory before
+// the new table replaces it, and the id table is repointed. The sweeps stay
+// copy-on-write too, and their rows are unchanged.
 func TestWorkLedgerPins(t *testing.T) {
 	l := bitvec.IPv4Tuple
 	attackInstall := func(masks int, scan Scan) (func(t *testing.T) *Classifier, func(*Classifier) error) {
@@ -108,13 +116,16 @@ func TestWorkLedgerPins(t *testing.T) {
 				return c.Insert(es[masks-1], 1)
 			}
 	}
-	exactGroup := func(t *testing.T) *Classifier {
-		c := New(l, Options{})
-		es := exactEntries(l, 12001)
-		mustInsertBatch(t, c, es[:4096], 0)
-		mustInsertBatch(t, c, es[4096:12000], 100)
-		return c
+	exactGroupOf := func(n int) func(t *testing.T) *Classifier {
+		return func(t *testing.T) *Classifier {
+			c := New(l, Options{})
+			es := exactEntries(l, n)
+			mustInsertBatch(t, c, es[:4096], 0)
+			mustInsertBatch(t, c, es[4096:], 100)
+			return c
+		}
 	}
+	exactGroup := exactGroupOf(12000)
 	attackGroups := func(scan Scan) func(t *testing.T) *Classifier {
 		return func(t *testing.T) *Classifier {
 			c := New(l, Options{Scan: scan})
@@ -150,7 +161,10 @@ func TestWorkLedgerPins(t *testing.T) {
 			ledger{publishes: 1, probesCopied: 210, slotsCopied: 0, dirCopied: 0, overlapCompared: 0, indexCopied: 4}},
 		{"install into a 12k-entry group", exactGroup, func(c *Classifier) error {
 			return c.Insert(exactEntries(l, 12001)[12000], 100)
-		}, ledger{publishes: 1, probesCopied: 0, slotsCopied: 64, dirCopied: 32, overlapCompared: 0, indexCopied: 2}},
+		}, ledger{publishes: 1, probesCopied: 0, slotsCopied: 0, dirCopied: 0, overlapCompared: 0, indexCopied: 0}},
+		{"install that doubles a 12288-entry group", exactGroupOf(12288), func(c *Classifier) error {
+			return c.Insert(exactEntries(l, 12289)[12288], 100)
+		}, ledger{publishes: 1, probesCopied: 0, slotsCopied: 0, dirCopied: 16, overlapCompared: 0, indexCopied: 2}},
 		{"expire 4096 of a 12k-entry group", exactGroup, func(c *Classifier) error {
 			if n := expireIdle(c, 105, 10); n != 4096 {
 				return fmt.Errorf("expired %d, want 4096", n)

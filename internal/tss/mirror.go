@@ -3,6 +3,7 @@ package tss
 import (
 	"slices"
 	"sort"
+	"sync/atomic"
 )
 
 // chunkCap is the capacity of one probe-mirror chunk. The mirror is the
@@ -56,7 +57,7 @@ func (c *Classifier) mirrored() bool { return c.opts.Scan == ScanLinear }
 // copy before mutating (readers may scan this snapshot indefinitely).
 // Without a mirror (ScanPruned) it publishes the pruning index alone.
 func (c *Classifier) publishLocked() {
-	sn := &snapshot{chunks: make([]records, len(c.dir)), masks: c.masks, nEntry: c.nEntry}
+	sn := &snapshot{chunks: make([]records, len(c.dir)), masks: c.masks, nEntry: c.nEntry, epoch: clock.Add(1)}
 	sn.prune, sn.pruned = c.prune.publish(), !c.mirrored()
 	for i := range c.dir {
 		ch := &c.dir[i]
@@ -68,6 +69,7 @@ func (c *Classifier) publishLocked() {
 	}
 	for _, g := range c.thawed {
 		g.frozen = true
+		g.own, g.cow = nil, nil
 	}
 	c.thawed = c.thawed[:0]
 	c.published++
@@ -143,6 +145,28 @@ func (c *Classifier) setProbeLocked(ci, k int, g *group) {
 	}
 	r := c.writableLocked(ci)
 	r.hot[k], r.side[k] = buildProbe(g)
+}
+
+// foldProbeLocked brings g's mirror record up to date after an in-place
+// install, in place: the install leaves the record's kind as it was, and
+// only a kindFilter record copies group state, its stage-0 filter, which
+// takes the group's new bits by atomic OR. The chunk is not copied, so the
+// snapshots that share it only gain bits, which costs them skips, not
+// verdicts.
+func (c *Classifier) foldProbeLocked(g *group) {
+	if !c.mirrored() {
+		return
+	}
+	ci, k := c.locateLocked(g)
+	if c.dir[ci].hot[k].kind != kindFilter {
+		return
+	}
+	w := &c.dir[ci].side[k].w
+	for i, f := range g.filters[0] {
+		if w[i] != f {
+			atomic.OrUint64(&w[i], f)
+		}
+	}
 }
 
 // insertProbeLocked inserts g's record at (ci, k), splitting a chunk that

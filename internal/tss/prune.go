@@ -208,7 +208,7 @@ func (sn *snapshot) scanPruned(h bitvec.Vec) (e *Entry, probes, skips int) {
 	v.each(v.root, 0, &cand, func(id uint32) bool {
 		probes++
 		var skip bool
-		if e, skip = v.groups.at(id).probe(h); skip {
+		if e, skip = v.groups.at(id).probe(h, sn.epoch); skip {
 			skips++
 		}
 		return e == nil

@@ -45,7 +45,7 @@ func checkPruneIndex(t *testing.T, c *Classifier, sn *snapshot) {
 		if v.groups.at(g.id) != g {
 			t.Fatalf("id %d of group %s names another group", g.id, g.mask.Format(c.layout))
 		}
-		g.each(func(e *Entry) bool {
+		g.each(allEpochs, func(e *Entry) bool {
 			for d, f := range x.fields {
 				if cls[d] == 0 {
 					continue

@@ -267,9 +267,14 @@ func TestScanCountPins(t *testing.T) {
 // directory (22 allocations with them). Nor is the group's shared hit
 // counter, which had no reader and is gone (19 allocations with it). A
 // slot-table layout that made small groups pay for large ones fails here.
+// An Entry stays 96 bytes, a size class of its own: its install epoch took
+// the word that narrowing Port and OutPort to int32 freed.
 func TestGroupFootprint(t *testing.T) {
 	if n := unsafe.Sizeof(group{}); n > 288 {
 		t.Errorf("group is %d bytes, want <= 288", n)
+	}
+	if n := unsafe.Sizeof(Entry{}); n != 96 {
+		t.Errorf("Entry is %d bytes, want 96", n)
 	}
 	l := bitvec.IPv4Tuple
 	es := attackEntries(l, 4096+301)

@@ -32,14 +32,19 @@
 // # Concurrency: copy-on-write snapshots
 //
 // The classifier's read path is lock-free. The scan state (mask order,
-// per-mask subtables, inlined probe data) lives in an immutable snapshot
-// published through an atomic pointer, the Go equivalent of OVS's RCU
-// cmap/pvector in dpcls: readers load the current snapshot and scan it
-// without synchronisation, writers build the next snapshot under a mutex
-// and publish it atomically. The snapshot also carries the pruning index,
-// which a write changes by copying the tree nodes on its path. A retired snapshot lives until its last
-// in-flight reader drops it; the garbage collector plays the role of the
-// RCU grace period. Lookup statistics are sharded per reader handle so
+// per-mask subtables, inlined probe data) lives in a snapshot published
+// through an atomic pointer, the Go equivalent of OVS's RCU cmap/pvector
+// in dpcls: readers load the current snapshot and scan it without
+// synchronisation, writers build the next snapshot under a mutex and
+// publish it atomically. The snapshot also carries the pruning index,
+// which a write changes by copying the tree nodes on its path. One write
+// is made in place, as OVS's cmap makes it: a new key installed into a
+// published group of two or more entries fills an empty slot of the table
+// that group already has. Every publish carries an epoch, and every entry
+// the epoch it was installed in, so a reader of an older snapshot skips an
+// entry written in place after it and sees exactly its snapshot (see
+// group). A retired snapshot lives until its last in-flight reader drops
+// it; the garbage collector plays the role of the RCU grace period. Lookup statistics are sharded per reader handle so
 // parallel PMD workers never contend on a shared counter cache line, and
 // LookupBatch publishes a whole batch's counts with one add per counter.
 //
@@ -50,10 +55,12 @@
 // order lives in a probe mirror of 256-record chunks (mirror.go): a publish
 // copies the chunk directory plus the chunks written since the last one.
 // Only ScanLinear keeps the mirror: under ScanPruned an install copies no
-// scan structure, as in OVS's dpcls. A group's slot table is paged in
-// 64-slot pages, and a large table's page directory is split into 16-page
-// leaves: a copy-on-write clone copies the top of the directory and only
-// the leaves and pages it writes. The insert-time overlap check walks the
+// scan structure, as in OVS's dpcls. An install into a published
+// multi-entry group copies nothing at all: it writes one slot and the
+// stage filters' bits in place. A group's slot table is paged in 64-slot
+// pages, and a large table's page directory is split into 16-page leaves:
+// a copy-on-write clone copies the top of the directory and only the
+// leaves and pages it writes. The insert-time overlap check walks the
 // pruning index, which leaves only the groups whose per-field values agree
 // with the new entry, and confirms those survivors exactly. A sweep
 // (DeleteWhere) makes one pass over the index's id table, or over the
@@ -67,6 +74,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"tse/internal/bitvec"
 	"tse/internal/flowtable"
@@ -106,28 +114,40 @@ const (
 )
 
 // Entry is one megaflow: a disjoint key-mask pair with a cached action.
+//
+// Insert takes the entry over: it stamps LastUsed and, the first time the
+// entry is installed anywhere, its epoch (see clock). From then on
+// every field but LastUsed is immutable (a refresh installs a new entry in
+// the old one's slot), so lookups read them lock-free. The struct is 96
+// bytes, exactly a Go size class; a field that grows it costs every
+// installed megaflow 16 bytes.
 type Entry struct {
 	// Key and Mask define the match (Key must equal Key AND Mask).
-	Key, Mask bitvec.Vec
+	Key bitvec.Vec
+	// epoch is the stamp of the entry's first install (0 before it):
+	// above every snapshot published before that install, so a snapshot
+	// that finds the entry in a slot written in place after its publish
+	// skips it. It sits beside Key, which a probe that reads it has just
+	// loaded.
+	epoch uint64
+	Mask  bitvec.Vec
 	// Action is the cached slow-path decision.
 	Action flowtable.Action
 	// OutPort is the destination for Forward actions.
-	OutPort int
-	// RuleName records which flow-table rule generated the entry
-	// (diagnostics and MFCGuard pattern matching).
-	RuleName string
+	OutPort int32
 	// Port is the ingress vport whose flow miss installed the entry
 	// (0 for single-port deployments and direct inserts). The revalidator
 	// aggregates its dump statistics by this field to drive per-port
 	// adaptive upcall quotas: a port whose megaflow footprint explodes is
 	// the one flooding the slow path.
-	Port int
+	Port int32
+	// RuleName records which flow-table rule generated the entry
+	// (diagnostics and MFCGuard pattern matching).
+	RuleName string
 	// LastUsed is the virtual time of the last hit or the install time.
 	// The simulator advances virtual time in seconds. Concurrent lookups
-	// update it atomically, storing only when the time has moved; the
-	// other fields are never mutated once the entry is inserted (refresh
-	// installs swap the whole entry), so lookups may read them lock-free.
-	// Entry pointers are shared between successive snapshots, so the stamp
+	// update it atomically, storing only when the time has moved. Entry
+	// pointers are shared between successive snapshots, so the stamp
 	// survives copy-on-write group clones.
 	LastUsed int64
 }
@@ -151,11 +171,15 @@ func (e *Entry) LastUsedAt() int64 { return atomic.LoadInt64(&e.LastUsed) }
 // positives only cost the skipped early-exit; the final slot probe still
 // confirms exactly. OVS's classifier keeps the same structure per subtable
 // ("staged lookup" in lib/classifier.c).
+//
+// An install into a published group ORs its bits into the filter in
+// place, so both sides are atomic: a reader that loads a word before the
+// OR only misses a bit of an entry too new for its snapshot.
 type stageFilter [4]uint64
 
-func (f *stageFilter) add(h uint64) { f[(h>>6)&3] |= 1 << (h & 63) }
+func (f *stageFilter) add(h uint64) { atomic.OrUint64(&f[(h>>6)&3], 1<<(h&63)) }
 
-func (f *stageFilter) has(h uint64) bool { return f[(h>>6)&3]>>(h&63)&1 == 1 }
+func (f *stageFilter) has(h uint64) bool { return atomic.LoadUint64(&f[(h>>6)&3])>>(h&63)&1 == 1 }
 
 // group is one tuple: a mask plus the hash table of keys sharing it,
 // OVS-subtable style. Two precomputations make the lookup probe cheap:
@@ -166,12 +190,22 @@ func (f *stageFilter) has(h uint64) bool { return f[(h>>6)&3]>>(h&63)&1 == 1 }
 // entry pointer, linear probing) rather than a Go map, so a probe is an
 // array walk with no map-runtime calls and no allocation.
 //
-// Groups are copy-on-write: once a snapshot referencing the group has been
-// published (frozen == true), writers clone the group before mutating it,
-// so concurrent readers always scan a consistent slot table. The table is
+// A published group (frozen == true) takes one write in place: the install
+// of a new key into a group of two or more entries that stays within its
+// 3/4 load. It fills an empty slot in the page the group already has and
+// ORs the entry's bits into the stage filters, all atomically (see put
+// and set); a reader of an older snapshot that meets the new entry
+// skips it on its epoch (probeSlots). Every other write is copy-on-write:
+// a new group, the one-entry group's second entry, a refresh, a table
+// doubling and every removal clone the group first, so the snapshots that
+// hold the original keep its entries, slots and positions. The table is
 // paged so a clone costs what it writes, not what the group holds: the
 // clone copies the top of the page directory and then each leaf and page
-// only when it first writes it (see set).
+// only when it first writes it (see set). A clone shares the pages it has
+// not written with its original, so an in-place install into the clone
+// lands in the original's view too; the epoch hides it there, and the
+// original's probes, which may then find no empty slot, are bounded by the
+// table size.
 type group struct {
 	// pages and sparse lead the struct so a lookup probe's loads stay
 	// within the group's first cache lines. A two-level table keeps pages
@@ -189,7 +223,8 @@ type group struct {
 	// table of P pages, bit P+l once leaf l is; cow is the classifier's
 	// copy ledger, charged per page and per directory entry copied. Both
 	// are nil for a group that owns its whole table (new, regrown, or a
-	// one-page clone).
+	// one-page clone) and for a published one, which copies nothing more
+	// (publishLocked drops them).
 	own []uint64
 	cow *copyLedger
 
@@ -217,9 +252,22 @@ type copyLedger struct{ slots, dir uint64 }
 
 // slot is one open-addressing cell: the key's fingerprint (keyHash) for a
 // cheap first-pass reject, plus the entry. e == nil marks the cell empty.
+// A writer filling a cell of a published group stores fp first and e
+// last, and readers load e first, all atomically (set, load), so a reader
+// that sees an entry sees its fingerprint.
 type slot struct {
 	fp uint64
 	e  *Entry
+}
+
+// entryPtr is the address of s.e as atomic.LoadPointer and StorePointer
+// take it.
+func (s *slot) entryPtr() *unsafe.Pointer { return (*unsafe.Pointer)(unsafe.Pointer(&s.e)) }
+
+// load reads the cell as a lock-free reader: an install may be filling it.
+func (s *slot) load() (fp uint64, e *Entry) {
+	e = (*Entry)(atomic.LoadPointer(s.entryPtr()))
+	return atomic.LoadUint64(&s.fp), e
 }
 
 // Slot tables are paged: slot i lives in page i>>pageShift at i&pageMask,
@@ -343,17 +391,21 @@ func (g *group) clone(cl *copyLedger) *group {
 // slotMask is the table's index mask.
 func (g *group) slotMask() uint64 { return 1<<g.slotBits - 1 }
 
-// at returns slot i.
-func (g *group) at(i uint64) slot {
+// cell returns the address of slot i.
+func (g *group) cell(i uint64) *slot {
 	if g.pages != nil {
-		return g.pages[i>>pageShift][i&pageMask]
+		return &g.pages[i>>pageShift][i&pageMask]
 	}
-	return g.leaves[i>>(pageShift+leafShift)][i>>pageShift&leafMask][i&pageMask]
+	return &g.leaves[i>>(pageShift+leafShift)][i>>pageShift&leafMask][i&pageMask]
 }
 
-// set stores s at slot i. In a clone that still shares them with its
-// frozen original, it first copies i's leaf (two-level tables) and then
-// i's page.
+// at returns slot i to the writer, which alone stores slots.
+func (g *group) at(i uint64) slot { return *g.cell(i) }
+
+// set stores s at slot i, fingerprint first and entry last, atomically: in
+// a published group, lock-free readers may be probing the cell. In a clone
+// that still shares them with its frozen original, it first copies i's
+// leaf (two-level tables) and then i's page.
 func (g *group) set(i uint64, s slot) {
 	p := i >> pageShift
 	dir, k := g.pages, p
@@ -369,7 +421,9 @@ func (g *group) set(i uint64, s slot) {
 		dir[k] = append([]slot(nil), dir[k]...)
 		g.cow.slots += pageSlots
 	}
-	dir[k][i&pageMask] = s
+	c := &dir[k][i&pageMask]
+	atomic.StoreUint64(&c.fp, s.fp)
+	atomic.StorePointer(c.entryPtr(), unsafe.Pointer(s.e))
 }
 
 // claim sets bit b of the ownership bitmap and reports whether it was
@@ -422,12 +476,12 @@ func (g *group) equalKey(key, h bitvec.Vec) bool {
 func keyHash(v bitvec.Vec) uint64 { return bitvec.KeyHash(v) }
 
 // findMasked returns the entry matching header h under the group's mask
-// (the one whose key equals h AND mask), or nil. This is the full-width
-// probe: hash and compare run fused over the mask's nonzero words only, so
-// no scratch vector and no allocation.
-func (g *group) findMasked(h bitvec.Vec) *Entry {
+// (the one whose key equals h AND mask) installed by epoch ep, or nil. This
+// is the full-width probe: hash and compare run fused over the mask's
+// nonzero words only, so no scratch vector and no allocation.
+func (g *group) findMasked(h bitvec.Vec, ep uint64) *Entry {
 	fp := g.hashHeader(h)
-	return g.probeSlots(fp, h)
+	return g.probeSlots(fp, h, ep)
 }
 
 // findMaskedStaged is findMasked with the staged early bail: the
@@ -437,17 +491,17 @@ func (g *group) findMasked(h bitvec.Vec) *Entry {
 // partial hash matches no entry bails without touching the remaining
 // stages' header words or the slot table; skipped reports that early exit
 // (the quantity Stats.StageSkips counts).
-func (g *group) findMaskedStaged(h bitvec.Vec) (e *Entry, skipped bool) {
+func (g *group) findMaskedStaged(h bitvec.Vec, ep uint64) (e *Entry, skipped bool) {
 	if len(g.stageOff) < 3 {
-		return g.findMasked(h), false
+		return g.findMasked(h, ep), false
 	}
-	return g.stagesFrom(0, 0, h)
+	return g.stagesFrom(0, 0, h, ep)
 }
 
 // stagesFrom runs a staged probe from stage s on, fp being the running
 // hash through the stages before s. The scan enters it at stage 1 for a
 // kindFilter record whose stage 0 it already decided from the mirror.
-func (g *group) stagesFrom(s int, fp uint64, h bitvec.Vec) (e *Entry, skipped bool) {
+func (g *group) stagesFrom(s int, fp uint64, h bitvec.Vec, ep uint64) (e *Entry, skipped bool) {
 	last := len(g.stageOff) - 1
 	for ; s < last; s++ {
 		fp ^= g.sparse.HashRange(h, int(g.stageOff[s]), int(g.stageOff[s+1]))
@@ -455,19 +509,32 @@ func (g *group) stagesFrom(s int, fp uint64, h bitvec.Vec) (e *Entry, skipped bo
 			return nil, true
 		}
 	}
-	return g.probeSlots(fp, h), false
+	return g.probeSlots(fp, h, ep), false
 }
 
-// probeSlots walks the open-addressing slot array for the fingerprint.
-func (g *group) probeSlots(fp uint64, h bitvec.Vec) *Entry {
+// probeSlots walks the open-addressing slot array for the fingerprint and
+// returns the entry matching h that a reader of epoch ep may see. It is
+// the one probe that can meet an entry installed in place after its
+// snapshot (only multi-entry groups take such installs, and the one-entry
+// fast paths never come here), so it alone compares epochs: it steps past
+// a newer entry and probes on. Linear probing keeps that exact, since an
+// install only fills a cell its snapshot had empty and nothing of that
+// snapshot lies past such a cell on a chain. The walk ends at an empty
+// cell or after one lap of the table: the view of an original whose
+// unwritten pages a clone has since filled in place can have no empty
+// cell left.
+func (g *group) probeSlots(fp uint64, h bitvec.Vec, ep uint64) *Entry {
 	m := g.slotMask()
-	for i := fp & m; ; i = (i + 1) & m {
-		s := g.at(i)
-		if s.e == nil {
+	for i, n := fp&m, m; ; i, n = (i+1)&m, n-1 {
+		sfp, e := g.cell(i).load()
+		if e == nil {
 			return nil
 		}
-		if s.fp == fp && g.equalKey(s.e.Key, h) {
-			return s.e
+		if sfp == fp && g.equalKey(e.Key, h) && e.epoch <= ep {
+			return e
+		}
+		if n == 0 {
+			return nil
 		}
 	}
 }
@@ -488,10 +555,16 @@ func (g *group) find(k bitvec.Vec) *Entry {
 	}
 }
 
+// full reports whether one more entry would take the table past 3/4 load.
+func (g *group) full() bool { return (g.n+1)*4 > 3<<g.slotBits }
+
 // put inserts e (whose key must not already be present), doubling the slot
-// table past 3/4 load and folding the entry into the stage filters.
+// table past 3/4 load and folding the entry into the stage filters. Into a
+// published group of two or more entries that is not full, it is the
+// in-place install: it neither doubles nor touches solo, and it stores
+// only the free cell (set) and the filter bits (stageFilter.add).
 func (g *group) put(e *Entry) {
-	if (g.n+1)*4 > 3<<g.slotBits {
+	if g.full() {
 		old := *g
 		g.alloc(g.slotBits + 1)
 		for pg := range old.allPages {
@@ -507,7 +580,7 @@ func (g *group) put(e *Entry) {
 	g.n++
 	if g.n == 1 {
 		g.solo = e
-	} else {
+	} else if g.solo != nil {
 		g.solo = nil
 	}
 	// Bloom bits only accumulate on insert; settle rebuilds from scratch.
@@ -615,11 +688,16 @@ func (g *group) settle() {
 	}
 }
 
-// each calls f for every entry; f returning false stops the walk.
-func (g *group) each(f func(*Entry) bool) {
+// allEpochs is the epoch of the writer's view: every installed entry.
+const allEpochs = ^uint64(0)
+
+// each calls f for every entry installed by epoch ep, loading each cell as
+// a lock-free reader; f returning false stops the walk. The writer's walk
+// (allEpochs) reads no stamp, so it touches only the lines f does.
+func (g *group) each(ep uint64, f func(*Entry) bool) {
 	for pg := range g.allPages {
-		for _, s := range pg {
-			if s.e != nil && !f(s.e) {
+		for j := range pg {
+			if _, e := pg[j].load(); e != nil && (ep == allEpochs || e.epoch <= ep) && !f(e) {
 				return
 			}
 		}
@@ -757,7 +835,8 @@ type snapshot struct {
 	masks  int
 	nEntry int
 	prune  *pruneView
-	pruned bool // ScanPruned: lookups walk the index
+	pruned bool   // ScanPruned: lookups walk the index
+	epoch  uint64 // the publish epoch: entries stamped later are not in it
 }
 
 // Probe record kinds: what the scan can decide about a group from its
@@ -960,12 +1039,12 @@ func (sn *snapshot) scanStaged(h bitvec.Vec) (*Entry, int, int) {
 					continue
 				}
 				var skip bool
-				if e, skip = s.g.stagesFrom(1, fp, h); skip {
+				if e, skip = s.g.stagesFrom(1, fp, h, sn.epoch); skip {
 					skips++
 				}
 			default:
 				var skip bool
-				if e, skip = s.g.findMaskedStaged(h); skip {
+				if e, skip = s.g.findMaskedStaged(h, sn.epoch); skip {
 					skips++
 				}
 			}
@@ -979,12 +1058,12 @@ func (sn *snapshot) scanStaged(h bitvec.Vec) (*Entry, int, int) {
 }
 
 // probe decides one group for header h from the group itself, as the
-// linear scan decides its record: a one-entry inline group is rejected on
-// its first nonzero mask word (a skip when the mask has more), and any
-// other group takes findMaskedStaged.
-func (g *group) probe(h bitvec.Vec) (e *Entry, skipped bool) {
+// linear scan decides its record, for a reader of epoch ep: a one-entry
+// inline group is rejected on its first nonzero mask word (a skip when the
+// mask has more), and any other group takes findMaskedStaged.
+func (g *group) probe(h bitvec.Vec, ep uint64) (e *Entry, skipped bool) {
 	if !g.sparseOK || g.solo == nil {
-		return g.findMaskedStaged(h)
+		return g.findMaskedStaged(h, ep)
 	}
 	sp := &g.sparse
 	if n := sp.N(); n > 0 && h[sp.WordIndex(0)]&sp.MaskWord(0) != g.solo.Key[sp.WordIndex(0)] {
@@ -1087,15 +1166,18 @@ func (c *Classifier) Insert(e *Entry, now int64) error {
 	return err
 }
 
-// InsertBatch adds a batch of megaflows in one copy-on-write transaction:
-// the per-entry semantics are exactly Insert's (idempotent refresh,
-// overlap rejection, per-entry error in the returned slice, aligned with
-// es), but every group, slot page and probe-mirror chunk the batch touches
-// is copied at most once and the snapshot is published exactly once at
-// commit — the pvector-republish amortisation OVS applies to megaflow
-// install bursts. A publish copies the chunk directory plus the chunks
-// written, so a K-miss burst pays for at most K chunks and one directory
-// rather than K. The errors are written into errs when it has sufficient
+// InsertBatch adds a batch of megaflows in one transaction: the per-entry
+// semantics are exactly Insert's (idempotent refresh, overlap rejection,
+// per-entry error in the returned slice, aligned with es), but every
+// group, slot page and probe-mirror chunk the batch touches is copied at
+// most once and the snapshot is published exactly once at commit — the
+// pvector-republish amortisation OVS applies to megaflow install bursts. A
+// publish copies the chunk directory plus the chunks written, so a K-miss
+// burst pays for at most K chunks and one directory rather than K. A new
+// key into a published group of two or more entries, below its 3/4 load,
+// copies nothing: it is written in place, stamped with an epoch above
+// every snapshot published before, which skip it, so like the rest of the
+// batch it becomes visible at the publish. The errors are written into errs when it has sufficient
 // capacity (pass nil to allocate).
 //
 // Entries that fail validation or overlap an existing megaflow get their
@@ -1144,6 +1226,7 @@ func (c *Classifier) insertLocked(e *Entry, now int64) error {
 			// lock-free — so the entry itself is replaced in a cloned
 			// group.
 			e.LastUsed = now
+			stamp(e)
 			g, ci, k := c.mutableLocked(g)
 			g.replace(old, e)
 			c.setProbeLocked(ci, k, g)
@@ -1156,8 +1239,10 @@ func (c *Classifier) insertLocked(e *Entry, now int64) error {
 		}
 	}
 	e.LastUsed = now
+	first := stamp(e)
 	cls := c.prune.classes(e.Mask)
-	if g == nil {
+	switch {
+	case g == nil:
 		mk := string(c.keyBuf)
 		g = newGroup(e.Mask.Clone(), mk, c.stages)
 		c.byMask[mk] = g
@@ -1165,7 +1250,14 @@ func (c *Classifier) insertLocked(e *Entry, now int64) error {
 		g.put(e)
 		c.placeLocked(g)
 		c.prune.add(g, &cls)
-	} else {
+	case g.frozen && g.n > 1 && !g.full() && first:
+		// In place: e fills a cell that is empty in every snapshot that
+		// can reach g, and those snapshots skip e on its epoch. An entry
+		// installed before keeps its old stamp, which they might not
+		// skip, so it takes the copy-on-write way.
+		g.put(e)
+		c.foldProbeLocked(g)
+	default:
 		g, ci, k := c.mutableLocked(g)
 		g.put(e)
 		c.setProbeLocked(ci, k, g)
@@ -1174,6 +1266,24 @@ func (c *Classifier) insertLocked(e *Entry, now int64) error {
 	c.nEntry++
 	c.inserted++
 	return nil
+}
+
+// clock is the publish epoch, one for every classifier: each publish takes
+// the next tick (publishLocked), and stamp gives an entry the tick after
+// the current one, so the stamp is above every snapshot published before
+// the install and at most every snapshot published after it. A shared
+// clock keeps the stamp valid for an entry later installed into another
+// classifier.
+var clock atomic.Uint64
+
+// stamp gives an entry that no classifier has installed its epoch and
+// reports whether it did; an installed entry keeps the stamp it has.
+func stamp(e *Entry) bool {
+	if e.epoch != 0 {
+		return false
+	}
+	e.epoch = clock.Load() + 1
+	return true
 }
 
 // findOverlapLocked returns an existing entry overlapping e from the
@@ -1204,10 +1314,10 @@ func (c *Classifier) groupOverlapLocked(g *group, e *Entry) *Entry {
 	// group must agree with e on the group mask, so a single masked hash
 	// probe decides.
 	if g.mask.SubsetOf(e.Mask) {
-		return g.findMasked(e.Key)
+		return g.findMasked(e.Key, allEpochs)
 	}
 	var found *Entry
-	g.each(func(ex *Entry) bool {
+	g.each(allEpochs, func(ex *Entry) bool {
 		c.overlapCompared++
 		if bitvec.Overlap(e.Key, e.Mask, ex.Key, ex.Mask) {
 			found = ex
@@ -1295,7 +1405,7 @@ func (c *Classifier) DeleteWhere(pred func(*Entry) bool) int {
 				victims = append(victims, g.solo.Key)
 			}
 		} else {
-			g.each(func(e *Entry) bool {
+			g.each(allEpochs, func(e *Entry) bool {
 				if pred(e) {
 					victims = append(victims, e.Key)
 				}
@@ -1432,12 +1542,16 @@ func (c *Classifier) Stats() Stats {
 // The returned entries are copies: mutating them does not affect the cache.
 // The dump is lock-free — it walks the published snapshot, so it can run at
 // any cadence without stalling packet processing.
-func (c *Classifier) Entries() []*Entry {
-	sn := c.snap.Load()
+func (c *Classifier) Entries() []*Entry { return c.snap.Load().entries() }
+
+// entries lists the snapshot's entries as Entries does: those stamped by
+// its epoch, so a dump of an older snapshot leaves out installs written in
+// place since.
+func (sn *snapshot) entries() []*Entry {
 	out := make([]*Entry, 0, sn.nEntry)
 	for _, g := range sn.groups() {
 		start := len(out)
-		g.each(func(e *Entry) bool { out = append(out, snapshotEntry(e)); return true })
+		g.each(sn.epoch, func(e *Entry) bool { out = append(out, snapshotEntry(e)); return true })
 		within := out[start:]
 		sort.Slice(within, func(i, j int) bool { return within[i].Key.Key() < within[j].Key.Key() })
 	}

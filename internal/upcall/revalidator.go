@@ -377,7 +377,7 @@ func (r *Revalidator) Sweep(now int64) vswitch.SweepResult {
 	}
 	track := func(e *tss.Entry) {
 		if pressure != nil {
-			pressure[e.Port]++
+			pressure[int(e.Port)]++
 		}
 	}
 	var res vswitch.SweepResult
@@ -487,7 +487,7 @@ func (r *Revalidator) DeleteMegaflows(pred func(*tss.Entry) bool) int {
 	res := r.sw.SweepMegaflows(func(e *tss.Entry) vswitch.SweepDecision {
 		if pred(e) {
 			if suppressed != nil {
-				suppressed[e.Port]++
+				suppressed[int(e.Port)]++
 			}
 			return vswitch.SweepSuppress
 		}

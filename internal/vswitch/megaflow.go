@@ -140,7 +140,7 @@ func (g *Generator) Generate(h bitvec.Vec) *tss.Entry {
 	e := &tss.Entry{Key: h.And(mask), Mask: mask, Action: flowtable.Drop, RuleName: "<no-match>"}
 	if matched != nil {
 		e.Action = matched.Action
-		e.OutPort = matched.OutPort
+		e.OutPort = int32(matched.OutPort)
 		e.RuleName = matched.Name
 	} else {
 		// No rule matched: cache an exact drop so the miss is not

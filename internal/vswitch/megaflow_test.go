@@ -78,7 +78,7 @@ func refGenerate(g *Generator, h bitvec.Vec) *tss.Entry {
 	e := &tss.Entry{Key: h.And(mask), Mask: mask, Action: flowtable.Drop, RuleName: "<no-match>"}
 	if matched != nil {
 		e.Action = matched.Action
-		e.OutPort = matched.OutPort
+		e.OutPort = int32(matched.OutPort)
 		e.RuleName = matched.Name
 	} else {
 		e.Mask = bitvec.FullMask(l)

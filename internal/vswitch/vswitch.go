@@ -234,7 +234,7 @@ func (s *Switch) Process(h bitvec.Vec, now int64) Verdict {
 			c.Allowed++
 		}
 	})
-	return Verdict{Action: e.Action, OutPort: e.OutPort, Path: PathMegaflow, Probes: probes, Rule: e.RuleName}
+	return Verdict{Action: e.Action, OutPort: int(e.OutPort), Path: PathMegaflow, Probes: probes, Rule: e.RuleName}
 }
 
 // ProcessBatchOn classifies a batch of headers at virtual time now and
@@ -288,7 +288,7 @@ func (s *Switch) ProcessBatchOn(hd *tss.Handle, hs []bitvec.Vec, now int64, out 
 		}
 		for k := 0; k < hits; k++ {
 			e := res[k].Entry
-			v := Verdict{Action: e.Action, OutPort: e.OutPort, Path: PathMegaflow,
+			v := Verdict{Action: e.Action, OutPort: int(e.OutPort), Path: PathMegaflow,
 				Probes: res[k].Probes, Rule: e.RuleName}
 			out[i+k] = v
 			delta.Megaflow++
@@ -370,9 +370,9 @@ func (s *Switch) HandleMissBatch(ms []Miss, now int64, out []Verdict) []Verdict 
 	entries := entryBuf[:0]
 	for i, m := range ms {
 		e := gen.Generate(m.Header)
-		e.Port = m.Port
+		e.Port = int32(m.Port)
 		entries = append(entries, e)
-		out[i] = Verdict{Action: e.Action, OutPort: e.OutPort, Path: PathSlow,
+		out[i] = Verdict{Action: e.Action, OutPort: int(e.OutPort), Path: PathSlow,
 			Probes: m.Probes, Rule: e.RuleName}
 	}
 
