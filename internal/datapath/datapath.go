@@ -7,10 +7,15 @@
 //     exists once per PMD thread in OVS, and the switch has none.
 //   - RSS-style dispatch: the NIC hashes each packet's flow key and steers
 //     it to a fixed worker, so one flow's packets always hit the same EMC.
+//   - Steering without a copy: as a PMD polls its own rx queues, a worker
+//     reads its packets where the caller left them. A dispatch whose
+//     packets all map to one worker (every dispatch of a one-worker pool)
+//     is that worker's input as it stands; otherwise each worker is handed
+//     the indices of its packets and gathers one burst at a time.
 //   - Batch processing: each worker drains its share of a dispatch in
-//     bursts of BatchSize packets (OVS's NETDEV_MAX_BURST of 32), EMC
-//     prepass first, then the shared megaflow classifier via the batched
-//     switch path.
+//     bursts of DefaultBatchSize packets (OVS's NETDEV_MAX_BURST of 32),
+//     EMC prepass first, then the shared megaflow classifier via the
+//     batched switch path.
 //   - Probabilistic EMC insertion: a verdict the EMC missed is inserted
 //     for one miss in 100 (OVS's emc-insert-inv-prob default; the policy
 //     of a microflow.New cache), so a miss stream that cannot hit the EMC
@@ -149,7 +154,7 @@ type Pool struct {
 	batch   int
 	ports   int
 	workers []*worker
-	assign  []int // per-header worker index of the latest dispatch
+	rss     []int // RSS-derived ports of the latest dispatch without ports
 	up      *upcall.Subsystem
 	tm      *poolMetrics
 }
@@ -204,25 +209,32 @@ func (m *poolMetrics) record(shard int, before, after WorkerStats) {
 // worker is one PMD: a private EMC, a private classifier handle (lock-free
 // snapshot reads with per-worker statistic shards), plus reusable burst
 // buffers. Only its own goroutine (or the serial driver) touches it during
-// a dispatch.
+// a dispatch; it reads the caller's headers and ports and writes only its
+// own packets' verdicts.
 type worker struct {
-	id        int
-	emc       *microflow.Cache
-	mfc       *tss.Handle
-	stats     WorkerStats
-	portStats []PortStats // indexed by port id; ports are worker-pinned
+	id    int
+	emc   *microflow.Cache
+	mfc   *tss.Handle
+	stats WorkerStats // Allowed and Dropped stay 0: snapshot sums portStats
+	// portStats is indexed by port id; ports are worker-pinned.
+	portStats []PortStats
 
-	// Per-dispatch shard and per-burst scratch buffers, reused across
-	// calls to keep the hot path allocation-free.
-	shardHs    []bitvec.Vec
-	shardIdx   []int
-	shardPorts []int
-	emcRes     []microflow.Result
-	emcOK      []bool
-	missHs     []bitvec.Vec
-	missIdx    []int
-	missPorts  []int
-	verdicts   []vswitch.Verdict
+	// The worker's share of the latest dispatch (shard): all of it, or
+	// the indices of its headers.
+	whole bool
+	idx   []int
+
+	// Per-burst scratch buffers, reused across calls to keep the hot path
+	// allocation-free: the gathered burst (gHs, gPorts, gOut), the EMC
+	// prepass results, and the misses with their burst positions.
+	gHs      []bitvec.Vec
+	gPorts   []int
+	gOut     []vswitch.Verdict
+	emcRes   []microflow.Result
+	emcOK    []bool
+	missHs   []bitvec.Vec
+	missIdx  []int
+	verdicts []vswitch.Verdict
 }
 
 // New builds a pool over the shared switch.
@@ -306,16 +318,16 @@ func (p *Pool) PortOf(h bitvec.Vec) int {
 // positions). Use ProcessBatchSerialPorts where bit-exact reproducibility
 // matters, e.g. the paper-figure simulations.
 func (p *Pool) ProcessBatchPorts(ports []int, hs []bitvec.Vec, now int64, out []vswitch.Verdict) []vswitch.Verdict {
-	out = p.shard(ports, hs, out)
+	ports, out = p.shard(ports, hs, out)
 	var wg sync.WaitGroup
 	for _, w := range p.workers {
-		if len(w.shardHs) == 0 {
+		if w.idle() {
 			continue
 		}
 		wg.Add(1)
 		go func(w *worker) {
 			defer wg.Done()
-			w.run(p, now, out, false)
+			w.run(p, hs, ports, now, out, false)
 		}(w)
 	}
 	wg.Wait()
@@ -328,12 +340,11 @@ func (p *Pool) ProcessBatchPorts(ports []int, hs []bitvec.Vec, now int64, out []
 // it does not need (and cannot afford, reproducibility-wise) real
 // concurrency.
 func (p *Pool) ProcessBatchSerialPorts(ports []int, hs []bitvec.Vec, now int64, out []vswitch.Verdict) []vswitch.Verdict {
-	out = p.shard(ports, hs, out)
+	ports, out = p.shard(ports, hs, out)
 	for _, w := range p.workers {
-		if len(w.shardHs) == 0 {
-			continue
+		if !w.idle() {
+			w.run(p, hs, ports, now, out, false)
 		}
-		w.run(p, now, out, false)
 	}
 	return out
 }
@@ -350,21 +361,24 @@ func (p *Pool) ProcessBatchDeferredPorts(ports []int, hs []bitvec.Vec, now int64
 	if p.up == nil {
 		return p.ProcessBatchSerialPorts(ports, hs, now, out)
 	}
-	out = p.shard(ports, hs, out)
+	ports, out = p.shard(ports, hs, out)
 	for _, w := range p.workers {
-		if len(w.shardHs) == 0 {
-			continue
+		if !w.idle() {
+			w.run(p, hs, ports, now, out, true)
 		}
-		w.run(p, now, out, true)
 	}
 	return out
 }
 
-// shard steers each header to its port's worker, filling the per-worker
-// shard buffers, and returns out resized to len(hs). ports names each
+// shard checks a dispatch and divides it among the workers, returning the
+// ports its headers arrived on and out resized to len(hs). ports names each
 // header's ingress vport; nil derives ports from the RSS hash (flow-sticky
-// dispatch, the port-oblivious legacy shape).
-func (p *Pool) shard(ports []int, hs []bitvec.Vec, out []vswitch.Verdict) []vswitch.Verdict {
+// dispatch, the port-oblivious legacy shape) into the pool's scratch. When
+// every header maps to one worker — always on a one-worker pool — that
+// worker takes the whole dispatch and reads hs and ports in place; otherwise
+// shard writes each worker the indices of its headers, and nothing else. It
+// never writes hs or ports.
+func (p *Pool) shard(ports []int, hs []bitvec.Vec, out []vswitch.Verdict) ([]int, []vswitch.Verdict) {
 	if ports != nil && len(ports) != len(hs) {
 		panic("datapath: ports and headers length mismatch")
 	}
@@ -372,61 +386,81 @@ func (p *Pool) shard(ports []int, hs []bitvec.Vec, out []vswitch.Verdict) []vswi
 		out = make([]vswitch.Verdict, len(hs))
 	}
 	out = out[:len(hs)]
-	for _, w := range p.workers {
-		w.shardHs = w.shardHs[:0]
-		w.shardIdx = w.shardIdx[:0]
-		w.shardPorts = w.shardPorts[:0]
-	}
-	if cap(p.assign) < len(hs) {
-		p.assign = make([]int, len(hs))
-	}
-	p.assign = p.assign[:len(hs)]
-	for i, h := range hs {
-		var port int
-		if ports != nil {
-			port = ports[i]
-			if port < 0 || port >= p.ports {
-				panic(fmt.Sprintf("datapath: port %d out of range [0,%d)", port, p.ports))
-			}
-		} else {
-			port = p.PortOf(h)
+	if ports == nil {
+		p.rss = growInts(p.rss, len(hs))
+		for i, h := range hs {
+			p.rss[i] = p.PortOf(h)
 		}
-		wi := p.PortWorker(port)
-		p.assign[i] = wi
-		w := p.workers[wi]
-		w.shardHs = append(w.shardHs, h)
-		w.shardIdx = append(w.shardIdx, i)
-		w.shardPorts = append(w.shardPorts, port)
+		ports = p.rss
 	}
-	return out
+	// one is the worker of the first header; mixed is whether another
+	// header maps elsewhere, which a one-worker pool need not ask.
+	one, mixed := 0, false
+	if len(ports) > 0 {
+		one = p.PortWorker(ports[0])
+	}
+	for _, port := range ports {
+		if port < 0 || port >= p.ports {
+			panic(fmt.Sprintf("datapath: port %d out of range [0,%d)", port, p.ports))
+		}
+		if len(p.workers) > 1 && p.PortWorker(port) != one {
+			mixed = true
+		}
+	}
+	for _, w := range p.workers {
+		w.whole, w.idx = false, w.idx[:0]
+	}
+	if !mixed {
+		p.workers[one].whole = len(hs) > 0
+		return ports, out
+	}
+	for i, port := range ports {
+		w := p.workers[p.PortWorker(port)]
+		w.idx = append(w.idx, i)
+	}
+	return ports, out
 }
 
-// Assignments returns the worker index each header of the most recent
-// dispatch was steered to, in input order.
-// The slice is reused by the next dispatch (a Pool is single-dispatcher);
-// copy it to keep it.
-func (p *Pool) Assignments() []int { return p.assign }
+// idle reports whether the latest shard gave the worker no headers.
+func (w *worker) idle() bool { return !w.whole && len(w.idx) == 0 }
 
-// run drains the worker's shard in bursts. deferred selects the
-// fire-and-forget upcall mode (see ProcessBatchDeferredPorts).
-func (w *worker) run(p *Pool, now int64, out []vswitch.Verdict, deferred bool) {
+// run drains the worker's share of the dispatch (hs, ports, out, the
+// caller's slices) in bursts of at most p.batch. A worker that took the
+// whole dispatch runs each burst on sub-slices of them; otherwise each burst
+// gathers its headers and ports by index into the worker's scratch and
+// scatters the verdicts back. deferred selects the fire-and-forget upcall
+// mode (see ProcessBatchDeferredPorts).
+func (w *worker) run(p *Pool, hs []bitvec.Vec, ports []int, now int64, out []vswitch.Verdict, deferred bool) {
 	batch := p.batch
-	for start := 0; start < len(w.shardHs); start += batch {
-		end := start + batch
-		if end > len(w.shardHs) {
-			end = len(w.shardHs)
+	if w.whole {
+		for start := 0; start < len(hs); start += batch {
+			end := min(start+batch, len(hs))
+			w.burst(p, hs[start:end], ports[start:end], now, out[start:end], deferred)
 		}
-		w.burst(p, w.shardHs[start:end], w.shardIdx[start:end],
-			w.shardPorts[start:end], now, out, deferred)
+		return
+	}
+	for start := 0; start < len(w.idx); start += batch {
+		idx := w.idx[start:min(start+batch, len(w.idx))]
+		w.gHs, w.gPorts = w.gHs[:0], w.gPorts[:0]
+		for _, i := range idx {
+			w.gHs = append(w.gHs, hs[i])
+			w.gPorts = append(w.gPorts, ports[i])
+		}
+		w.gOut = growVerdicts(w.gOut, len(idx))
+		w.burst(p, w.gHs, w.gPorts, now, w.gOut, deferred)
+		for k, i := range idx {
+			out[i] = w.gOut[k]
+		}
 	}
 }
 
 // burst processes one receive burst: EMC prepass, then the shared switch's
 // batched path for the misses, then EMC priming — the emc_processing /
-// fast_path_processing split of OVS's dpif-netdev. With an upcall
-// subsystem configured, full-scan misses become upcalls instead of inline
-// slow-path calls: each is drained synchronously, or, in deferred mode,
-// submitted without waiting.
+// fast_path_processing split of OVS's dpif-netdev. hs, ports and out are
+// parallel: out[i] receives hs[i]'s verdict. With an upcall subsystem
+// configured, full-scan misses become upcalls instead of inline slow-path
+// calls: each is drained synchronously, or, in deferred mode, submitted
+// without waiting.
 //
 // The EMC follows two rules (burstRun), both the microflow cache's own.
 // Priming is probabilistic: every decided miss is offered, and the cache
@@ -436,60 +470,58 @@ func (w *worker) run(p *Pool, now int64, out []vswitch.Verdict, deferred bool) {
 // its lookup, and no verdict is inserted while a swap awaits
 // revalidation, so an EMC entry never outlives a megaflow the revalidator
 // deletes.
-func (w *worker) burst(p *Pool, hs []bitvec.Vec, idx, ports []int, now int64, out []vswitch.Verdict, deferred bool) {
+func (w *worker) burst(p *Pool, hs []bitvec.Vec, ports []int, now int64, out []vswitch.Verdict, deferred bool) {
 	if p.tm != nil {
 		// Snapshot-diff telemetry: one struct copy before, a few padded
 		// atomic adds after, nothing per packet. (The Ports slice header is
 		// copied, not the elements; record only diffs scalar fields.)
 		before := w.stats
-		w.burstRun(p, hs, idx, ports, now, out, deferred)
+		w.burstRun(p, hs, ports, now, out, deferred)
 		p.tm.record(w.id, before, w.stats)
 		return
 	}
-	w.burstRun(p, hs, idx, ports, now, out, deferred)
+	w.burstRun(p, hs, ports, now, out, deferred)
 }
 
 // burstRun is burst without the telemetry diff: the EMC's generation
 // sync, the EMC prepass, the batched megaflow path, and the offer of every
 // decided miss to the EMC, which admits one in 100 (none while a table
-// swap awaits revalidation).
-func (w *worker) burstRun(p *Pool, hs []bitvec.Vec, idx, ports []int, now int64, out []vswitch.Verdict, deferred bool) {
+// swap awaits revalidation). Each packet is tallied once, on its port:
+// Packets as it arrives, Allowed or Dropped when decided.
+func (w *worker) burstRun(p *Pool, hs []bitvec.Vec, ports []int, now int64, out []vswitch.Verdict, deferred bool) {
 	w.stats.Packets += uint64(len(hs))
-	for _, port := range ports {
-		w.portStats[port].Packets++
-	}
-	missHs, missIdx, missPorts := hs, idx, ports
 	var gen microflow.Gen
 	if w.emc != nil {
 		gen = w.emc.Sync(p.sw.CacheGen())
 		w.emcRes = growRes(w.emcRes, len(hs))
 		w.emcOK = growOK(w.emcOK, len(hs))
 		w.emc.LookupBatch(hs, w.emcRes, w.emcOK)
-		w.missHs, w.missIdx, w.missPorts = w.missHs[:0], w.missIdx[:0], w.missPorts[:0]
-		for i := range hs {
-			if w.emcOK[i] {
-				v := vswitch.Verdict{Action: w.emcRes[i].Action,
-					OutPort: w.emcRes[i].OutPort, Path: vswitch.PathMicroflow}
-				out[idx[i]] = v
-				w.stats.EMCHits++
-				w.tally(v, ports[i])
-				continue
-			}
-			w.missHs = append(w.missHs, hs[i])
-			w.missIdx = append(w.missIdx, idx[i])
-			w.missPorts = append(w.missPorts, ports[i])
-		}
-		missHs, missIdx, missPorts = w.missHs, w.missIdx, w.missPorts
 	}
-	if len(missHs) == 0 {
+	w.missHs, w.missIdx = w.missHs[:0], w.missIdx[:0]
+	for i, port := range ports {
+		ps := &w.portStats[port]
+		ps.Packets++
+		if w.emc != nil && w.emcOK[i] {
+			r := w.emcRes[i]
+			out[i] = vswitch.Verdict{Action: r.Action, OutPort: r.OutPort, Path: vswitch.PathMicroflow}
+			w.stats.EMCHits++
+			ps.tally(r.Action)
+			continue
+		}
+		w.missHs = append(w.missHs, hs[i])
+		w.missIdx = append(w.missIdx, i)
+	}
+	if len(w.missHs) == 0 {
 		return
 	}
-	w.verdicts = growVerdicts(w.verdicts, len(missHs))
-	p.sw.ProcessBatchOn(w.mfc, missHs, now, w.verdicts, func(i, probes int) vswitch.Verdict {
-		return w.miss(p, missHs[i], missPorts[i], now, probes, deferred)
+	w.verdicts = growVerdicts(w.verdicts, len(w.missHs))
+	p.sw.ProcessBatchOn(w.mfc, w.missHs, now, w.verdicts, func(k, probes int) vswitch.Verdict {
+		return w.miss(p, w.missHs[k], ports[w.missIdx[k]], now, probes, deferred)
 	})
-	for i, v := range w.verdicts[:len(missHs)] {
-		out[missIdx[i]] = v
+	for k, v := range w.verdicts[:len(w.missHs)] {
+		i := w.missIdx[k]
+		out[i] = v
+		w.stats.Probes += uint64(v.Probes)
 		switch v.Path {
 		case vswitch.PathMegaflow:
 			w.stats.MegaflowHits++
@@ -498,19 +530,16 @@ func (w *worker) burstRun(p *Pool, hs []bitvec.Vec, idx, ports []int, now int64,
 		case vswitch.PathUpcallPending:
 			// Decision deferred: neither verdict partition counts it, and
 			// there is nothing to prime the EMC with.
-			w.stats.Probes += uint64(v.Probes)
 			continue
 		case vswitch.PathUpcallDrop:
 			// Refused at admission: the packet is dropped on the floor.
-			w.stats.Probes += uint64(v.Probes)
-			w.tally(v, missPorts[i])
+			w.portStats[ports[i]].tally(v.Action)
 			continue
 		}
-		w.stats.Probes += uint64(v.Probes)
-		w.tally(v, missPorts[i])
+		w.portStats[ports[i]].tally(v.Action)
 		if w.emc != nil {
 			// The EMC clones internally; no per-packet Clone here.
-			w.emc.InsertAt(gen, missHs[i],
+			w.emc.InsertAt(gen, hs[i],
 				microflow.Result{Action: v.Action, OutPort: v.OutPort})
 		}
 	}
@@ -548,13 +577,12 @@ func (w *worker) miss(p *Pool, h bitvec.Vec, port int, now int64, probes int, de
 	return v
 }
 
-func (w *worker) tally(v vswitch.Verdict, port int) {
-	if v.Action == flowtable.Drop {
-		w.stats.Dropped++
-		w.portStats[port].Dropped++
+// tally counts one decided packet of the port by its action.
+func (ps *PortStats) tally(a flowtable.Action) {
+	if a == flowtable.Drop {
+		ps.Dropped++
 	} else {
-		w.stats.Allowed++
-		w.portStats[port].Allowed++
+		ps.Allowed++
 	}
 }
 
@@ -603,6 +631,8 @@ func (p *Pool) Totals() WorkerStats {
 
 // snapshot copies the worker's counters with the live EMC stats, the
 // classifier handle's stage-skip count, and the per-port split attached.
+// Allowed and Dropped are the sums of the per-port split, the only place
+// a burst counts them.
 func (w *worker) snapshot() WorkerStats {
 	s := w.stats
 	if w.emc != nil {
@@ -610,6 +640,10 @@ func (w *worker) snapshot() WorkerStats {
 	}
 	s.StageSkips = w.mfc.Stats().StageSkips
 	s.Ports = append([]PortStats(nil), w.portStats...)
+	for _, ps := range s.Ports {
+		s.Allowed += ps.Allowed
+		s.Dropped += ps.Dropped
+	}
 	return s
 }
 
@@ -623,6 +657,13 @@ func growRes(s []microflow.Result, n int) []microflow.Result {
 func growOK(s []bool, n int) []bool {
 	if cap(s) < n {
 		return make([]bool, n)
+	}
+	return s[:n]
+}
+
+func growInts(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
 	}
 	return s[:n]
 }

@@ -83,18 +83,6 @@ func TestWorkerForRSS(t *testing.T) {
 				w, len(trace))
 		}
 	}
-	// Assignments mirrors the RSS worker for the latest dispatch.
-	p.ProcessBatchSerialPorts(nil, trace, 0, nil)
-	assign := p.Assignments()
-	if len(assign) != len(trace) {
-		t.Fatalf("Assignments length %d, want %d", len(assign), len(trace))
-	}
-	for i, h := range trace {
-		if assign[i] != workerFor(h) {
-			t.Fatalf("packet %d: Assignments says worker %d, RSS says %d",
-				i, assign[i], workerFor(h))
-		}
-	}
 }
 
 // TestPoolSerialDeterminism: two cold pools over identical switches must

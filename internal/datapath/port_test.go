@@ -40,13 +40,26 @@ func TestPortPinnedDispatch(t *testing.T) {
 	for i := range ports {
 		ports[i] = i % 4
 	}
-	pool.ProcessBatchSerialPorts(ports, flows, 0, nil)
-	for i, wi := range pool.Assignments() {
-		if want := ports[i] % 2; wi != want {
-			t.Fatalf("packet %d on port %d ran on worker %d, want pinned worker %d",
-				i, ports[i], wi, want)
+	// pinned checks that each worker's per-port split holds exactly the
+	// packets of the ports pinned to it: want[port] packets on worker
+	// port % 2, none on the other.
+	pinned := func(label string, want []uint64) {
+		t.Helper()
+		for wi, s := range pool.Stats() {
+			for port, ps := range s.Ports {
+				var n uint64
+				if port%2 == wi {
+					n = want[port]
+				}
+				if ps.Packets != n {
+					t.Errorf("%s: worker %d saw %d packets of port %d, want %d",
+						label, wi, ps.Packets, port, n)
+				}
+			}
 		}
 	}
+	pool.ProcessBatchSerialPorts(ports, flows, 0, nil)
+	pinned("explicit ports", []uint64{8, 8, 8, 8})
 	ps := pool.Totals().Ports
 	if len(ps) != 4 {
 		t.Fatalf("PortStats has %d ports, want 4", len(ps))
@@ -60,13 +73,14 @@ func TestPortPinnedDispatch(t *testing.T) {
 				port, s.Allowed, s.Dropped, s.Packets)
 		}
 	}
-	// Without explicit ports dispatch is RSS-derived and flow-sticky.
-	pool.ProcessBatchSerialPorts(nil, flows, 1, nil)
-	for i, wi := range pool.Assignments() {
-		if want := pool.PortWorker(pool.PortOf(flows[i])); wi != want {
-			t.Fatalf("RSS packet %d on worker %d, want %d", i, wi, want)
-		}
+	// Without explicit ports dispatch derives each port from the RSS hash
+	// and runs it on that port's pinned worker.
+	want := []uint64{8, 8, 8, 8}
+	for _, h := range flows {
+		want[pool.PortOf(h)]++
 	}
+	pool.ProcessBatchSerialPorts(nil, flows, 1, nil)
+	pinned("RSS-derived ports", want)
 
 	// A co-located burst on one port installs megaflows attributed to it.
 	tr, err := core.CoLocated(pool.Switch().FlowTable(), core.CoLocatedOptions{Seed: 31})

@@ -199,9 +199,8 @@ func (e *Engine) Step(t int, floods []Flood, victims []*Victim) (Sample, error) 
 		offered[i] = v.OfferedGbps * 1e9 / 8 / PacketBytes // pps
 	}
 	verdicts := e.dispatch(now)
-	assign := e.pool.Assignments()
 	for k, i := range probed {
-		workerOf[i] = assign[k]
+		workerOf[i] = e.worker(k)
 		costs[i] = victimCost(victims[i], verdicts[k], e.nic)
 		if verdicts[k].Path == vswitch.PathUpcallDrop {
 			// The flow's setup packet was refused at admission: the
@@ -309,10 +308,20 @@ func (e *Engine) replay(f *Flood, n int, now int64, workerAttack []float64) {
 		*f.Cursor++
 	}
 	verdicts := e.dispatch(now)
-	assign := e.pool.Assignments()
 	for k, v := range verdicts {
-		workerAttack[assign[k]] += verdictCost(v, e.nic)
+		workerAttack[e.worker(k)] += verdictCost(v, e.nic)
 	}
+}
+
+// worker returns the worker the pool ran scratch header k on: its port's
+// pinned worker, the port RSS-derived on a port-oblivious engine as
+// dispatch derives it.
+func (e *Engine) worker(k int) int {
+	port := e.ports[k]
+	if !e.portAware {
+		port = e.pool.PortOf(e.batch[k])
+	}
+	return e.pool.PortWorker(port)
 }
 
 // dispatch sends the scratch batch through the pool in deterministic

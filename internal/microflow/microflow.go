@@ -26,6 +26,11 @@
 // paying an insert and an eviction per packet, and a fresh cache fed the
 // same offers admits the same ones.
 //
+// Like the PMD thread that owns an OVS EMC, a cache has one owner that
+// offers it inserts: Insert and InsertAt must come from one goroutine at a
+// time, which alone advances the draw. Lookup, LookupBatch, Sync, Len and
+// Stats take the cache's lock and may come from any goroutine.
+//
 // The cache also keeps the table-generation rule of its owner: Sync,
 // called before a lookup with the switch's vswitch.Switch.CacheGen,
 // flushes entries of an older generation, and InsertAt drops a verdict
@@ -78,7 +83,8 @@ type entry struct {
 	res Result
 }
 
-// Cache is a bounded exact-match store. It is safe for concurrent use.
+// Cache is a bounded exact-match store. Its inserts come from one owner at
+// a time; its lookups, Sync and Stats may come from any goroutine.
 type Cache struct {
 	mu    sync.Mutex
 	cap   int
@@ -93,10 +99,11 @@ type Cache struct {
 	// (Sync). It is written under mu but read without it, so a Sync that
 	// finds it current takes no lock.
 	gen atomic.Uint64
-	// draw is the xorshift64 state of the insertion draw, never 0. It is
-	// atomic, not under mu, so an offer the draw refuses (99 in 100) takes
-	// no lock.
-	draw atomic.Uint64
+	// draw is the xorshift64 state of the insertion draw, never 0. Only
+	// the inserting owner touches it, so it needs neither mu nor an atomic:
+	// an offer the draw refuses (99 in 100) takes no lock and no locked
+	// instruction.
+	draw uint64
 }
 
 // Gen is the table generation a verdict is decided under, as Sync hands it
@@ -124,11 +131,11 @@ func New(cap int) *Cache {
 		fps:   make([]uint64, slots),
 		ents:  make([]entry, 0, cap),
 		fifo:  make([]int32, cap),
+		draw:  drawSeed,
 	}
 	for i := range c.slots {
 		c.slots[i] = -1
 	}
-	c.draw.Store(drawSeed)
 	return c
 }
 
@@ -231,15 +238,14 @@ func (c *Cache) Insert(h bitvec.Vec, r Result) {
 // admit applies the insertion policy to one offer: it advances the draw
 // state and admits one offer in insertInvProb. A draw, not an offer
 // counter: a counter can lock in phase with a periodic miss stream (an
-// attack/victim interleave) and never admit the victim flow. Offers
-// from one goroutine draw a fixed sequence; concurrent offers may draw the
-// same value, which leaves the odds as they are.
+// attack/victim interleave) and never admit the victim flow. The owner's
+// offers draw a fixed sequence.
 func (c *Cache) admit() bool {
-	x := c.draw.Load()
+	x := c.draw
 	x ^= x << 13
 	x ^= x >> 7
 	x ^= x << 17
-	c.draw.Store(x)
+	c.draw = x
 	return x>>32 < (1<<32)/insertInvProb
 }
 

@@ -31,7 +31,7 @@ func BenchmarkDecode(b *testing.B) {
 // pool's 32-packet bursts on a warm EMC to the decode above.
 func BenchmarkDispatchBurst(b *testing.B) {
 	rd := benchReader(b)
-	rr := &Replayer{Pool: newReplayPool(b), Serial: true}
+	rr := &Replayer{Pool: newReplayPool(b, 1), Serial: true}
 	rr.Run(rd) // warm: EMC primed, dispatch buffers grown
 	rd.Reset()
 	batch := NewBatch(rd.Words(), DefaultChunk)

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -29,15 +30,15 @@ func mixOptions(t *testing.T, seconds, attackPps int) SynthOptions {
 }
 
 // newReplayPool builds the pool the replay tests drive: SipSpDp ACL,
-// per-worker EMCs, inline slow path, 4 vports.
-func newReplayPool(t testing.TB) *datapath.Pool {
+// per-worker EMCs, inline slow path, 4 vports over the given workers.
+func newReplayPool(t testing.TB, workers int) *datapath.Pool {
 	t.Helper()
 	tbl := flowtable.UseCaseACL(flowtable.SipSpDp, flowtable.ACLParams{})
 	sw, err := vswitch.New(vswitch.Config{Table: tbl})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := datapath.New(datapath.Config{Switch: sw, Workers: 1, Ports: 4})
+	pool, err := datapath.New(datapath.Config{Switch: sw, Workers: workers, Ports: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func synthSlices(t *testing.T, opts SynthOptions) (ticks []int64, ports []int, k
 func TestReplayMatchesSynthetic(t *testing.T) {
 	opts := mixOptions(t, 3, 500)
 
-	replayPool := newReplayPool(t)
+	replayPool := newReplayPool(t, 1)
 	rd, err := NewReader(synthImage(t, opts))
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +91,7 @@ func TestReplayMatchesSynthetic(t *testing.T) {
 	rr := &Replayer{Pool: replayPool, Chunk: 256, Serial: true, TickSwitch: true}
 	replayRes := rr.Run(rd)
 
-	synthPool := newReplayPool(t)
+	synthPool := newReplayPool(t, 1)
 	ticks, ports, keys := synthSlices(t, opts)
 	sr := &Replayer{Pool: synthPool, Chunk: 256, Serial: true, TickSwitch: true}
 	synthRes := sr.RunRecords(ticks, ports, keys)
@@ -132,27 +133,40 @@ func TestReplayDecodeAllocs(t *testing.T) {
 
 // TestReplayBurstAllocs asserts the full replay step — decode plus
 // dispatch through the pool's 32-packet bursts — is allocation-free on
-// a warm pool (the EMC already primed by a first pass).
+// a warm pool (the EMC already primed by a first pass): on one worker,
+// which reads each dispatch in place, and on two, whose interleaved ports
+// make each worker gather its bursts by index.
 func TestReplayBurstAllocs(t *testing.T) {
-	pool := newReplayPool(t)
-	rd, err := NewReader(synthImage(t, mixOptions(t, 1, 0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr := &Replayer{Pool: pool, Chunk: 256, Serial: true}
-	rr.Run(rd) // warm: EMC primed, buffers grown
-	b := NewBatch(rd.Words(), 256)
-	rd.Reset()
-	allocs := testing.AllocsPerRun(100, func() {
-		n := rd.Next(b)
-		if n == 0 {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			pool := newReplayPool(t, workers)
+			rd, err := NewReader(synthImage(t, mixOptions(t, 1, 0)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rr := &Replayer{Pool: pool, Chunk: 256, Serial: true}
+			rr.Run(rd) // warm: EMC primed, buffers grown
+			b := NewBatch(rd.Words(), 256)
 			rd.Reset()
-			return
-		}
-		rr.Dispatch(b, 0)
-	})
-	if allocs != 0 {
-		t.Fatalf("replay burst allocates %.1f allocs/op, want 0", allocs)
+			allocs := testing.AllocsPerRun(100, func() {
+				n := rd.Next(b)
+				if n == 0 {
+					rd.Reset()
+					return
+				}
+				rr.Dispatch(b, 0)
+			})
+			if allocs != 0 {
+				t.Fatalf("replay burst allocates %.1f allocs/op, want 0", allocs)
+			}
+			if workers > 1 {
+				for w, s := range pool.Stats() {
+					if s.Packets == 0 {
+						t.Fatalf("worker %d ran no packets", w)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -169,14 +183,14 @@ func TestReplayFromDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer diskRd.Close()
-	diskPool := newReplayPool(t)
+	diskPool := newReplayPool(t, 1)
 	diskRes := (&Replayer{Pool: diskPool, Serial: true, TickSwitch: true}).Run(diskRd)
 
 	memRd, err := NewReader(synthImage(t, opts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	memPool := newReplayPool(t)
+	memPool := newReplayPool(t, 1)
 	memRes := (&Replayer{Pool: memPool, Serial: true, TickSwitch: true}).Run(memRd)
 
 	if !reflect.DeepEqual(diskRes.Totals, memRes.Totals) {

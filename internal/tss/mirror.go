@@ -248,17 +248,28 @@ func (c *Classifier) thawLocked(g *group) *group {
 	if !g.frozen {
 		return g
 	}
-	ng := g.clone(&c.copies)
+	return c.adoptLocked(g.clone(&c.copies))
+}
+
+// adoptLocked wires ng, a mutable copy of a published group, into the mask
+// index and the pruning index in the original's place.
+func (c *Classifier) adoptLocked(ng *group) *group {
 	c.byMask[ng.maskKey] = ng
 	c.thawed = append(c.thawed, ng)
 	c.prune.replace(ng)
 	return ng
 }
 
-// mutableLocked is thawLocked plus g's mirror position, if mirrored.
-func (c *Classifier) mutableLocked(g *group) (ng *group, ci, k int) {
+// mutableLocked is thawLocked plus g's mirror position, if mirrored. grow
+// is set by an insert that takes g past 3/4 load: a published g is then
+// copied straight into a doubled table (group.doubled) instead of being
+// cloned for put to regrow.
+func (c *Classifier) mutableLocked(g *group, grow bool) (ng *group, ci, k int) {
 	if c.mirrored() {
 		ci, k = c.locateLocked(g)
+	}
+	if grow && g.frozen {
+		return c.adoptLocked(g.doubled()), ci, k
 	}
 	return c.thawLocked(g), ci, k
 }

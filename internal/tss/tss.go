@@ -196,9 +196,10 @@ func (f *stageFilter) has(h uint64) bool { return atomic.LoadUint64(&f[(h>>6)&3]
 // ORs the entry's bits into the stage filters, all atomically (see put
 // and set); a reader of an older snapshot that meets the new entry
 // skips it on its epoch (probeSlots). Every other write is copy-on-write:
-// a new group, the one-entry group's second entry, a refresh, a table
-// doubling and every removal clone the group first, so the snapshots that
-// hold the original keep its entries, slots and positions. The table is
+// a new group, the one-entry group's second entry, a refresh and every
+// removal clone the group first, and a table doubling copies the entries
+// into a new group (doubled), so the snapshots that hold the original keep
+// its entries, slots and positions. The table is
 // paged so a clone costs what it writes, not what the group holds: the
 // clone copies the top of the page directory and then each leaf and page
 // only when it first writes it (see set). A clone shares the pages it has
@@ -388,6 +389,31 @@ func (g *group) clone(cl *copyLedger) *group {
 	return &ng
 }
 
+// doubled returns a mutable copy of g whose table is twice g's, holding g's
+// entries: what clone and then put's regrow would make, without the copy of
+// a directory the new table replaces. An insert that takes a published
+// group past 3/4 load starts from it.
+func (g *group) doubled() *group {
+	ng := *g
+	ng.frozen = false
+	ng.filters = append([]stageFilter(nil), g.filters...)
+	ng.regrow(g)
+	return &ng
+}
+
+// regrow gives g a table of twice old's slots, which it owns whole, and
+// re-places old's entries in it.
+func (g *group) regrow(old *group) {
+	g.alloc(old.slotBits + 1)
+	for pg := range old.allPages {
+		for _, s := range pg {
+			if s.e != nil {
+				g.insertSlot(s.fp, s.e)
+			}
+		}
+	}
+}
+
 // slotMask is the table's index mask.
 func (g *group) slotMask() uint64 { return 1<<g.slotBits - 1 }
 
@@ -566,14 +592,7 @@ func (g *group) full() bool { return (g.n+1)*4 > 3<<g.slotBits }
 func (g *group) put(e *Entry) {
 	if g.full() {
 		old := *g
-		g.alloc(g.slotBits + 1)
-		for pg := range old.allPages {
-			for _, s := range pg {
-				if s.e != nil {
-					g.insertSlot(s.fp, s.e)
-				}
-			}
-		}
+		g.regrow(&old)
 	}
 	fp := keyHash(e.Key)
 	g.insertSlot(fp, e)
@@ -1227,7 +1246,7 @@ func (c *Classifier) insertLocked(e *Entry, now int64) error {
 			// group.
 			e.LastUsed = now
 			stamp(e)
-			g, ci, k := c.mutableLocked(g)
+			g, ci, k := c.mutableLocked(g, false)
 			g.replace(old, e)
 			c.setProbeLocked(ci, k, g)
 			return nil
@@ -1258,7 +1277,7 @@ func (c *Classifier) insertLocked(e *Entry, now int64) error {
 		g.put(e)
 		c.foldProbeLocked(g)
 	default:
-		g, ci, k := c.mutableLocked(g)
+		g, ci, k := c.mutableLocked(g, g.full())
 		g.put(e)
 		c.setProbeLocked(ci, k, g)
 	}
@@ -1367,7 +1386,7 @@ func (c *Classifier) Delete(key, mask bitvec.Vec) bool {
 		delete(c.byMask, g.maskKey)
 		c.prune.remove(g, &cls)
 	} else {
-		g, ci, k := c.mutableLocked(g)
+		g, ci, k := c.mutableLocked(g, false)
 		g.remove(key)
 		g.settle()
 		c.setProbeLocked(ci, k, g)
