@@ -316,19 +316,27 @@ func (p *Pool) PortOf(h bitvec.Vec) int {
 // slow-path installs interleave, the Probes field of megaflow hits can
 // vary run to run (a mask installed by another core shifts scan
 // positions). Use ProcessBatchSerialPorts where bit-exact reproducibility
-// matters, e.g. the paper-figure simulations.
+// matters, e.g. the paper-figure simulations. A dispatch that one worker
+// takes whole runs on the caller's goroutine: nothing to wait for, and
+// nothing allocated.
 func (p *Pool) ProcessBatchPorts(ports []int, hs []bitvec.Vec, now int64, out []vswitch.Verdict) []vswitch.Verdict {
 	ports, out = p.shard(ports, hs, out)
+	for _, w := range p.workers {
+		if w.whole {
+			w.run(p, hs, ports, now, out, false)
+			return out
+		}
+	}
 	var wg sync.WaitGroup
 	for _, w := range p.workers {
 		if w.idle() {
 			continue
 		}
 		wg.Add(1)
-		go func(w *worker) {
+		go func(w *worker, ports []int, out []vswitch.Verdict) {
 			defer wg.Done()
 			w.run(p, hs, ports, now, out, false)
-		}(w)
+		}(w, ports, out)
 	}
 	wg.Wait()
 	return out

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -135,16 +134,27 @@ func TestReplayDecodeAllocs(t *testing.T) {
 // dispatch through the pool's 32-packet bursts — is allocation-free on
 // a warm pool (the EMC already primed by a first pass): on one worker,
 // which reads each dispatch in place, and on two, whose interleaved ports
-// make each worker gather its bursts by index.
+// make each worker gather its bursts by index. The concurrent one-worker
+// row dispatches through ProcessBatchPorts, which runs a worker that takes
+// the whole dispatch on the caller's goroutine.
 func TestReplayBurstAllocs(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		workers int
+		serial  bool
+	}{
+		{"workers=1", 1, true},
+		{"workers=2", 2, true},
+		{"workers=1/concurrent", 1, false},
+	} {
+		workers := tc.workers
+		t.Run(tc.name, func(t *testing.T) {
 			pool := newReplayPool(t, workers)
 			rd, err := NewReader(synthImage(t, mixOptions(t, 1, 0)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			rr := &Replayer{Pool: pool, Chunk: 256, Serial: true}
+			rr := &Replayer{Pool: pool, Chunk: 256, Serial: tc.serial}
 			rr.Run(rd) // warm: EMC primed, buffers grown
 			b := NewBatch(rd.Words(), 256)
 			rd.Reset()

@@ -137,6 +137,7 @@ func (b *opBytes) next16() int { return b.next()<<8 | b.next() }
 // answered then; after the writes it must answer the same.
 type frozenView struct {
 	sn   *snapshot
+	ref  []candRef // sn's reference candidate tables
 	hs   []bitvec.Vec
 	want []BatchResult
 }
@@ -255,9 +256,9 @@ func FuzzClassifierOps(f *testing.F) {
 		}
 		// lookup scans sn and checks the answer against the group-by-group
 		// reference scan.
-		lookup := func(sn *snapshot, h bitvec.Vec, now int64) BatchResult {
+		lookup := func(sn *snapshot, ref []candRef, h bitvec.Vec, now int64) BatchResult {
 			e, probes, skips, ok := hd.lookupSnap(sn, h, now)
-			checkScan(t, c, sn, h, e, probes, skips)
+			checkScan(t, c, sn, ref, h, e, probes, skips)
 			return BatchResult{Entry: e, Probes: probes, OK: ok}
 		}
 		// checkTables fails unless Entries lists the reference's entries
@@ -292,17 +293,17 @@ func FuzzClassifierOps(f *testing.F) {
 			}
 		}
 		freeze := func() *frozenView {
-			v := &frozenView{sn: c.snap.Load()}
+			v := &frozenView{sn: c.snap.Load(), ref: refCands(c.prune)}
 			for i := 0; i < 12; i++ {
 				h := header()
 				v.hs = append(v.hs, h)
-				v.want = append(v.want, lookup(v.sn, h, 0))
+				v.want = append(v.want, lookup(v.sn, v.ref, h, 0))
 			}
 			return v
 		}
 		thawCheck := func(v *frozenView) {
 			for i, h := range v.hs {
-				if got := lookup(v.sn, h, 0); got != v.want[i] {
+				if got := lookup(v.sn, v.ref, h, 0); got != v.want[i] {
 					t.Fatalf("snapshot answered %+v after writes, %+v before", got, v.want[i])
 				}
 			}
@@ -368,7 +369,7 @@ func FuzzClassifierOps(f *testing.F) {
 			default: // lookup
 				h := header()
 				sn := c.snap.Load()
-				got := lookup(sn, h, now)
+				got := lookup(sn, refCands(c.prune), h, now)
 				want, wantProbes := ref.lookup(h)
 				// A pruned lookup's probes are checkScan's to check.
 				if got.Entry != want || got.OK != (want != nil) || !sn.pruned && got.Probes != wantProbes {
@@ -388,9 +389,10 @@ func FuzzClassifierOps(f *testing.F) {
 		thawCheck(view)
 		// Every installed entry answers its own key, at its scan position
 		// when the lookup is linear.
+		cands := refCands(c.prune)
 		for _, e := range ref.entries {
 			sn := c.snap.Load()
-			got := lookup(sn, e.Key, 0)
+			got := lookup(sn, cands, e.Key, 0)
 			_, wantProbes := ref.lookup(e.Key)
 			if got.Entry != e || !sn.pruned && got.Probes != wantProbes {
 				t.Fatalf("entry %s: lookup of its key = (%v, %d probes), want itself at %d",

@@ -254,7 +254,7 @@ func TestInPlaceInsertStaleRecord(t *testing.T) {
 	}
 	for _, sn := range []*snapshot{old, c.snap.Load()} {
 		e, probes, skips, _ := c.def.lookupSnap(sn, y.Key, 2)
-		checkScan(t, c, sn, y.Key, e, probes, skips)
+		checkScan(t, c, sn, nil, y.Key, e, probes, skips)
 		if want := sn != old; (e == y) != want {
 			t.Errorf("snapshot of epoch %d: lookup of the install's key = %v, want a hit: %v", sn.epoch, e, want)
 		}

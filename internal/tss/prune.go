@@ -18,13 +18,17 @@ import (
 // mask that is not a prefix (always a candidate, so never pruned). The
 // installed entries define a set of (field, length, value) triples; a
 // header's candidate lengths on field f are 0, every dense class, and
-// every length L whose value set holds the header's first L bits of f. A
-// group is probed only when its class is a candidate on every field. The
-// entries of a skipped group all differ from the header on some field's
-// prefix, so none of them can cover it: pruning skips no match, and since
-// entries are disjoint (Inv(2)) the pruned lookup returns the one entry
-// the linear scan returns. If entries did overlap, it would return one of
-// the covering entries, not necessarily the first in scan order.
+// every length L whose value set holds the header's first L bits of f.
+// Each publish turns a changed field's triples into a stride table: its
+// entry for the header's first 8 bits of f is the bitmap of candidate
+// lengths 1..8, so one load answers them all; only lengths past 8 keep a
+// (value, prefix) test each. A group is probed only when its class is a
+// candidate on every field. The entries of a skipped group all differ from
+// the header on some field's prefix, so none of them can cover it: pruning
+// skips no match, and since entries are disjoint (Inv(2)) the pruned
+// lookup returns the one entry the linear scan returns. If entries did
+// overlap, it would return one of the covering entries, not necessarily
+// the first in scan order.
 //
 // The groups sit in a tree with one level per constrained field: a field
 // becomes a level (and the tree is rebuilt) when the first mask with a
@@ -32,7 +36,10 @@ import (
 // mask constrains costs a lookup nothing. An inner node is bitmap-indexed
 // by the class of its level's field: kid k belongs to the k-th set bit of
 // bits. A last-level node lists its groups' ids with their class there. A
-// lookup descends only into the children in bits & candidates[level].
+// lookup descends only into the children in bits & candidates[level]. One
+// iterative walk (walk) serves the lookup, MissProbes and the overlap
+// check: it hands each caller the candidate groups in tree order, and the
+// caller probes them in its own loop.
 //
 // Ids name groups through a chunked table, so the copy-on-write clone an
 // install into an existing group makes rewrites one table entry, not the
@@ -68,17 +75,20 @@ const (
 // pfield locates one pruned field in a Vec: its bits start at bit shift of
 // word word and may run into the next word. get returns the field's raw
 // bits with the field's first (most significant) bit at bit 0, so a
-// prefix of length L is the value's low L bits.
+// prefix of length L is the value's low L bits; raw returns them followed
+// by whatever bits come after the field, which a prefix mask drops.
 type pfield struct {
 	word, shift, width uint8
 }
 
-func (f pfield) get(v bitvec.Vec) uint64 {
+func (f pfield) get(v bitvec.Vec) uint64 { return f.raw(v) & (1<<f.width - 1) }
+
+func (f pfield) raw(v bitvec.Vec) uint64 {
 	x := v[f.word] >> f.shift
-	if int(f.shift)+int(f.width) > 64 {
+	if f.shift+f.width > 64 {
 		x |= v[f.word+1] << (64 - f.shift)
 	}
-	return x & (1<<f.width - 1)
+	return x
 }
 
 // class returns the prefix length of a field mask's raw bits, or 0 when
@@ -93,23 +103,40 @@ func class(m uint64) uint8 {
 // prefixMask returns the raw-bits mask of a class-l prefix.
 func prefixMask(l uint8) uint64 { return 1<<(l&63) - 1 }
 
-// fieldCands is one field's published candidate table: the field, its
-// dense classes (bit L set; bit 0 always) and a (value, prefix mask, class
-// bit) triple for every value of every other class.
+// strideBits is the candidate table's stride: a field's first byte indexes
+// it, so classes 1..8 cost one load together.
+const strideBits = 8
+
+// fieldCands is one field's published candidate table. dense holds class 0
+// and the dense classes, candidates for every header. tab, indexed by the
+// byte that starts at the field, holds every class 1..strideBits with a
+// value equal to the first L bits of a header with that byte (a field
+// narrower than a byte repeats its entries for every value of the bits
+// after it). long holds a (value, prefix mask, class bit) triple for every
+// value of every listed class longer than strideBits. They are rebuilt
+// only when the field's class values change.
 type fieldCands struct {
 	f     pfield
 	dense uint64
-	vals  []lenVal
+	tab   *[1 << strideBits]uint16
+	long  []lenVal
 }
 
 type lenVal struct {
 	v, m, bit uint64
 }
 
-// match returns the candidate classes of header h on the table's field.
+// noShort is the stride table of a field with no listed class up to
+// strideBits.
+var noShort [1 << strideBits]uint16
+
+// match returns the candidate classes of header h on the table's field:
+// the dense ones, one load for the classes up to strideBits, then one
+// XOR-and-mask per long triple.
 func (fc *fieldCands) match(h bitvec.Vec) uint64 {
-	k, c := fc.f.get(h), fc.dense
-	for _, p := range fc.vals {
+	k := fc.f.raw(h)
+	c := fc.dense | uint64(fc.tab[uint8(k)])
+	for _, p := range fc.long {
 		if (k^p.v)&p.m == 0 {
 			c |= p.bit
 		}
@@ -172,29 +199,66 @@ func (v *pruneView) candidates(h bitvec.Vec, cand *[maxLevels]uint64) {
 	}
 }
 
-// each calls f with the id of every group under n whose class is in cand
-// on every level, in tree order, until f returns false, and reports
-// whether it was stopped.
-func (v *pruneView) each(n *inode, d int, cand *[maxLevels]uint64, f func(uint32) bool) bool {
-	if n == nil {
-		return false
+// walk is the one walk of the pruning tree, shared by the pruned lookup,
+// MissProbes and the insert-time overlap check. With cand filled, first and
+// then next return, in tree order, every group whose class is in cand on
+// every level. The path is an explicit stack: per inner level, the node
+// and its candidate kids not yet visited. A leaf none of whose classes is
+// a candidate is skipped without reading its refs.
+type walk struct {
+	cand    [maxLevels]uint64
+	node    [maxLevels]*inode
+	rest    [maxLevels]uint64
+	refs    []leafRef // the current leaf's refs not yet visited
+	v       *pruneView
+	d, last int
+}
+
+// first starts the walk over v's tree and returns its first group, or nil.
+func (w *walk) first(v *pruneView) *group {
+	w.v, w.last, w.d = v, len(v.levels)-1, -1
+	switch n := v.root; {
+	case n == nil || n.bits&w.cand[0] == 0:
+	case w.last == 0:
+		w.refs = n.refs
+	default:
+		w.node[0], w.rest[0], w.d = n, n.bits&w.cand[0], 0
 	}
-	c := cand[d]
-	if d == len(v.levels)-1 {
-		for _, r := range n.refs {
-			if c>>r.cls&1 != 0 && !f(r.id) {
-				return true
+	return w.next()
+}
+
+// next returns the walk's next group, or nil once it is done.
+func (w *walk) next() *group {
+	c, d, refs := w.cand[w.last], w.d, w.refs
+	for {
+		for i, r := range refs {
+			if c>>r.cls&1 != 0 {
+				w.refs, w.d = refs[i+1:], d
+				return w.v.groups.at(r.id)
 			}
 		}
-		return false
-	}
-	for m := n.bits & c; m != 0; m &= m - 1 {
-		b := bits.TrailingZeros64(m)
-		if v.each(n.kids[bits.OnesCount64(n.bits&(1<<b-1))], d+1, cand, f) {
-			return true
+		for {
+			if d < 0 {
+				w.refs, w.d = nil, d
+				return nil
+			}
+			m := w.rest[d]
+			if m == 0 {
+				d--
+				continue
+			}
+			w.rest[d] = m & (m - 1)
+			n := w.node[d]
+			kid := n.kids[bits.OnesCount64(n.bits&(m&-m-1))]
+			if d+1 < w.last {
+				d++
+				w.node[d], w.rest[d] = kid, kid.bits&w.cand[d]
+			} else if kid.bits&c != 0 {
+				refs = kid.refs
+				break
+			}
 		}
 	}
-	return false
 }
 
 // scanPruned is the pruned lookup over one snapshot: the header's
@@ -202,17 +266,18 @@ func (v *pruneView) each(n *inode, d int, cand *[maxLevels]uint64, f func(uint32
 // the candidate groups, each probed as the linear scan probes it. Probes
 // and skips count the groups actually probed.
 func (sn *snapshot) scanPruned(h bitvec.Vec) (e *Entry, probes, skips int) {
-	v := sn.prune
-	var cand [maxLevels]uint64
-	v.candidates(h, &cand)
-	v.each(v.root, 0, &cand, func(id uint32) bool {
+	var w walk
+	sn.prune.candidates(h, &w.cand)
+	for g := w.first(sn.prune); g != nil; g = w.next() {
 		probes++
 		var skip bool
-		if e, skip = v.groups.at(id).probe(h, sn.epoch); skip {
+		if e, skip = g.probe(h, sn.epoch); skip {
 			skips++
 		}
-		return e == nil
-	})
+		if e != nil {
+			break
+		}
+	}
 	return e, probes, skips
 }
 
@@ -272,7 +337,7 @@ func newPruneIndex(l *bitvec.Layout) *pruneIndex {
 	x.view.levels = []uint8{0}
 	x.view.cands = make([]fieldCands, len(x.fields))
 	for f, pf := range x.fields {
-		x.view.cands[f] = fieldCands{f: pf, dense: 1}
+		x.view.cands[f] = fieldCands{f: pf, dense: 1, tab: &noShort}
 	}
 	return x
 }
@@ -293,15 +358,23 @@ func (x *pruneIndex) publish() *pruneView {
 		x.view.cands = slices.Clone(x.view.cands)
 		for m := x.dirty; m != 0; m &= m - 1 {
 			f := bits.TrailingZeros64(m)
-			fc := fieldCands{f: x.fields[f], dense: 1}
+			fc := fieldCands{f: x.fields[f], dense: 1, tab: new([1 << strideBits]uint16)}
 			for p := x.present[f]; p != 0; p &= p - 1 {
 				l := uint8(bits.TrailingZeros64(p))
 				vc := &x.vals[f][l]
-				if vc.vals == nil {
+				switch {
+				case vc.vals == nil:
 					fc.dense |= 1 << l
-				}
-				for _, v := range vc.vals {
-					fc.vals = append(fc.vals, lenVal{v: v.v, m: prefixMask(l), bit: 1 << l})
+				case l <= strideBits:
+					for _, v := range vc.vals {
+						for i := v.v; i < uint64(len(fc.tab)); i += 1 << l {
+							fc.tab[i] |= 1 << l
+						}
+					}
+				default:
+					for _, v := range vc.vals {
+						fc.long = append(fc.long, lenVal{v: v.v, m: prefixMask(l), bit: 1 << l})
+					}
 				}
 			}
 			x.view.cands[f] = fc

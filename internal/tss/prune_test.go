@@ -118,17 +118,12 @@ func checkPruneIndex(t *testing.T, c *Classifier, sn *snapshot) {
 		t.Fatalf("tree holds %d groups, %d of the snapshot's %d missing", seen, len(want), sn.masks)
 	}
 
+	ref := refCands(x)
 	for d := range x.fields {
-		fc := v.cands[d]
-		if fc.dense&1 == 0 {
-			t.Fatalf("level %d: class 0 is not a candidate", d)
-		}
+		fr := ref[d]
 		listed := map[class]map[uint64]bool{}
-		for _, p := range fc.vals {
+		for _, p := range fr.vals {
 			l := uint8(bits.TrailingZeros64(p.bit))
-			if p.bit != 1<<l || p.m != prefixMask(l) {
-				t.Fatalf("level %d: value %x lists class bit %x, mask %x", d, p.v, p.bit, p.m)
-			}
 			k := class{d, l}
 			if listed[k] == nil {
 				listed[k] = map[uint64]bool{}
@@ -137,7 +132,7 @@ func checkPruneIndex(t *testing.T, c *Classifier, sn *snapshot) {
 		}
 		for l := uint8(1); l < 64; l++ {
 			k := class{d, l}
-			dense := fc.dense>>l&1 == 1
+			dense := fr.dense>>l&1 == 1
 			switch {
 			case vals[k] == nil && (dense || listed[k] != nil):
 				t.Fatalf("level %d: empty class %d still listed", d, l)
@@ -151,6 +146,257 @@ func checkPruneIndex(t *testing.T, c *Classifier, sn *snapshot) {
 						t.Fatalf("level %d class %d: value %x missing", d, l, v)
 					}
 				}
+			}
+		}
+		checkCandTable(t, d, &v.cands[d], &fr)
+	}
+}
+
+// candRef is the reference candidate table of one pruned field, as
+// publish built it before the stride table: class 0 and the dense classes
+// in dense, and a (value, prefix mask, class bit) triple for every value of
+// every other class.
+type candRef struct {
+	f     pfield
+	dense uint64
+	vals  []lenVal
+}
+
+// refCands builds every pruned field's reference table from the writer's
+// counts. Between writes they are what the last publish saw, so the result
+// describes the current snapshot.
+func refCands(x *pruneIndex) []candRef {
+	ref := make([]candRef, len(x.fields))
+	for f, pf := range x.fields {
+		fr := candRef{f: pf, dense: 1}
+		for p := x.present[f]; p != 0; p &= p - 1 {
+			l := uint8(bits.TrailingZeros64(p))
+			vc := &x.vals[f][l]
+			if vc.vals == nil {
+				fr.dense |= 1 << l
+			}
+			for _, v := range vc.vals {
+				fr.vals = append(fr.vals, lenVal{v: v.v, m: prefixMask(l), bit: 1 << l})
+			}
+		}
+		ref[f] = fr
+	}
+	return ref
+}
+
+// matchRef returns the candidate classes of h on the reference table's
+// field: one XOR-and-mask per (value, class) triple.
+func (fr *candRef) matchRef(h bitvec.Vec) uint64 {
+	k, c := fr.f.get(h), fr.dense
+	for _, p := range fr.vals {
+		if (k^p.v)&p.m == 0 {
+			c |= p.bit
+		}
+	}
+	return c
+}
+
+// checkCandTable fails t unless published table fc encodes reference fr
+// exactly: the same class 0 and dense classes, each stride entry the short
+// classes whose value the index agrees with, and long fr's triples of the
+// classes past the stride, in fr's order.
+func checkCandTable(t *testing.T, d int, fc *fieldCands, fr *candRef) {
+	t.Helper()
+	if fc.dense != fr.dense {
+		t.Fatalf("level %d: dense classes %b, reference %b", d, fc.dense, fr.dense)
+	}
+	var long []lenVal
+	for _, p := range fr.vals {
+		if p.bit > 1<<strideBits {
+			long = append(long, p)
+		}
+	}
+	if !slices.Equal(fc.long, long) {
+		t.Fatalf("level %d: long triples %x, reference %x", d, fc.long, long)
+	}
+	for i := range fc.tab {
+		var want uint64
+		for _, p := range fr.vals {
+			if p.bit <= 1<<strideBits && (uint64(i)^p.v)&p.m == 0 {
+				want |= p.bit
+			}
+		}
+		if uint64(fc.tab[i]) != want {
+			t.Fatalf("level %d: stride entry %#x = %b, reference %b", d, i, fc.tab[i], want)
+		}
+	}
+}
+
+// FuzzPruneCandidates checks every published candidate table against the
+// reference triple loop (matchRef). Fuzz bytes install and remove entries
+// whose masks are, per field, a prefix of a length clustered around the
+// stride (0, 1, 3, 8, 9, 16, the full width, or any), or a scattered
+// non-prefix; keys repeat one fuzz byte across the field, so a class
+// collects values, turns dense past denseVals and empties again. After
+// every publish the index must describe the writer (checkPruneIndex) and
+// every field's match of random and near-entry headers must equal the
+// reference's. The first byte picks the layout: HYP (one 3-bit field,
+// narrower than the stride), IPv4TuplePort (ip_dst straddles two words) or
+// IPv4Tuple.
+func FuzzPruneCandidates(f *testing.F) {
+	for s := int64(0); s < 6; s++ {
+		seed := make([]byte, 700)
+		rand.New(rand.NewSource(s)).Read(seed)
+		seed[0] = byte(s)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := opBytes(data)
+		l := []*bitvec.Layout{bitvec.HYP, bitvec.IPv4TuplePort, bitvec.IPv4Tuple}[in.next()%3]
+		c := New(l, Options{DisableOverlapCheck: true})
+		rng := rand.New(rand.NewSource(int64(in.next16())))
+		var live []*Entry
+		for op := 0; len(in) > 0 && op < 200; op++ {
+			if sel := in.next(); sel%4 == 3 && len(live) > 0 {
+				i := in.next() % len(live)
+				c.Delete(live[i].Key, live[i].Mask)
+				live = slices.Delete(live, i, i+1)
+			} else {
+				key, mask := bitvec.NewVec(l), bitvec.NewVec(l)
+				for f := 0; f < l.NumFields(); f++ {
+					w := l.Field(f).Width
+					n, v := in.next(), in.next()
+					for b := 0; b < w; b++ {
+						if v>>(b%8)&1 == 1 {
+							key.SetFieldBit(l, f, b)
+						}
+					}
+					if n%8 == 7 {
+						for b := 0; b < w; b++ {
+							if rng.Intn(3) == 0 {
+								mask.SetFieldBit(l, f, b)
+							}
+						}
+						continue
+					}
+					plen := min([]int{0, 1, 3, 8, 9, 16, w, n / 8}[n%8], w)
+					mask = mask.Or(bitvec.PrefixMask(l, f, plen))
+				}
+				e := &Entry{Key: key.And(mask), Mask: mask, Action: flowtable.Drop}
+				if err := c.Insert(e, 0); err != nil {
+					t.Fatal(err)
+				}
+				live = append(live, e)
+			}
+			sn := c.snap.Load()
+			checkPruneIndex(t, c, sn)
+			ref := refCands(c.prune)
+			for i := 0; i < 16; i++ {
+				h := bitvec.NewVec(l)
+				if len(live) > 0 && i%2 == 0 {
+					copy(h, live[rng.Intn(len(live))].Key)
+					h.ClearBit(rng.Intn(l.Bits()))
+				} else {
+					for f := 0; f < l.NumFields(); f++ {
+						h.SetField(l, f, rng.Uint64())
+					}
+				}
+				for f := range ref {
+					if got, want := sn.prune.cands[f].match(h), ref[f].matchRef(h); got != want {
+						t.Fatalf("op %d: field %d candidates of %s = %b, reference %b", op, f, h.Format(l), got, want)
+					}
+				}
+			}
+		}
+	})
+}
+
+// refWalk appends to ids, in tree order (depth first, classes ascending),
+// the id of every group under n whose class is in cand on every level: the
+// recursive walk that walk replaced, kept as its reference.
+func refWalk(v *pruneView, n *inode, d int, cand *[maxLevels]uint64, ids []uint32) []uint32 {
+	if n == nil {
+		return ids
+	}
+	if d == len(v.levels)-1 {
+		for _, r := range n.refs {
+			if cand[d]>>r.cls&1 != 0 {
+				ids = append(ids, r.id)
+			}
+		}
+		return ids
+	}
+	for m := n.bits & cand[d]; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		ids = refWalk(v, n.kids[bits.OnesCount64(n.bits&(1<<b-1))], d+1, cand, ids)
+	}
+	return ids
+}
+
+// TestWalkOrder checks that walk hands out exactly the candidate groups of
+// the recursive reference, in the same order, so a pruned lookup's probe
+// count on a hit is the one it always was. Trees of one level (HYP), three
+// (the attack family) and six (random masks over every IPv4TuplePort field)
+// are walked with header candidates and with random candidate bitmaps.
+func TestWalkOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, tc := range []struct {
+		name   string
+		levels int
+		build  func() *Classifier
+	}{
+		{"HYP", 1, func() *Classifier {
+			c := New(bitvec.HYP, Options{})
+			f := 0
+			for v := uint64(0); v < 4; v++ {
+				key := bitvec.NewVec(bitvec.HYP)
+				key.SetField(bitvec.HYP, f, v<<1)
+				mustInsertBatch(t, c, []*Entry{{Key: key, Mask: bitvec.PrefixMask(bitvec.HYP, f, 2), Action: flowtable.Drop}}, 0)
+			}
+			return c
+		}},
+		{"attack", 3, func() *Classifier {
+			c := New(bitvec.IPv4Tuple, Options{DisableOverlapCheck: true})
+			mustInsertBatch(t, c, attackEntries(bitvec.IPv4Tuple, 2048), 0)
+			return c
+		}},
+		{"random", 6, func() *Classifier {
+			l := bitvec.IPv4TuplePort
+			c := New(l, Options{DisableOverlapCheck: true})
+			for i := 0; i < 300; i++ {
+				key, mask := bitvec.NewVec(l), bitvec.NewVec(l)
+				for f := 0; f < l.NumFields(); f++ {
+					w := l.Field(f).Width
+					mask = mask.Or(bitvec.PrefixMask(l, f, min([]int{0, 0, 1, 2, 8, 9, w}[rng.Intn(7)], w)))
+					key.SetField(l, f, rng.Uint64())
+				}
+				if err := c.Insert(&Entry{Key: key.And(mask), Mask: mask, Action: flowtable.Drop}, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return c
+		}},
+	} {
+		name, c := tc.name, tc.build()
+		v := c.snap.Load().prune
+		if len(v.levels) != tc.levels {
+			t.Fatalf("%s: %d tree levels, want %d", name, len(v.levels), tc.levels)
+		}
+		for i := 0; i < 2000; i++ {
+			var w walk
+			if i%2 == 0 {
+				h := bitvec.NewVec(c.layout)
+				for f := 0; f < c.layout.NumFields(); f++ {
+					h.SetField(c.layout, f, rng.Uint64()&(1<<rng.Intn(8)-1))
+				}
+				v.candidates(h, &w.cand)
+			} else {
+				for d := range w.cand {
+					w.cand[d] = rng.Uint64() & rng.Uint64() & rng.Uint64()
+				}
+			}
+			want := refWalk(v, v.root, 0, &w.cand, nil)
+			var got []uint32
+			for g := w.first(v); g != nil; g = w.next() {
+				got = append(got, g.id)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: walk visits %v, reference %v", name, got, want)
 			}
 		}
 	}

@@ -195,11 +195,12 @@ func refProbe(g *group, h bitvec.Vec, ep uint64) (*Entry, bool) {
 
 // refPruned is the pruned lookup decided group by group: it probes, with
 // refProbe, every group of sn's id table whose mask class is a candidate
-// for h on every pruned field — computed from the snapshot's candidate
-// tables, not from the tree. It returns the covering entry and the probes and skips
-// of all candidates: a pruned lookup that misses makes exactly those, one
-// that hits at most those.
-func refPruned(x *pruneIndex, sn *snapshot, h bitvec.Vec) (*Entry, int, int) {
+// for h on every pruned field — computed by the reference triple loop over
+// ref, the candidate tables sn was published with, not from the published
+// tables or the tree. It returns the covering entry and the probes and
+// skips of all candidates: a pruned lookup that misses makes exactly
+// those, one that hits at most those.
+func refPruned(x *pruneIndex, ref []candRef, sn *snapshot, h bitvec.Vec) (*Entry, int, int) {
 	var hit *Entry
 	probes, skips := 0, 0
 	for _, ch := range sn.prune.groups {
@@ -210,7 +211,7 @@ func refPruned(x *pruneIndex, sn *snapshot, h bitvec.Vec) (*Entry, int, int) {
 			cls := x.classes(g.mask)
 			cand := true
 			for f := range x.fields {
-				cand = cand && sn.prune.cands[f].match(h)>>cls[f]&1 == 1
+				cand = cand && ref[f].matchRef(h)>>cls[f]&1 == 1
 			}
 			if !cand {
 				continue
@@ -231,11 +232,13 @@ func refPruned(x *pruneIndex, sn *snapshot, h bitvec.Vec) (*Entry, int, int) {
 // checkScan fails t unless lookupSnap's answer (e, probes, skips) for h
 // over sn is the reference's: refScan's exactly for a linear scan, and for
 // the pruned one refPruned's verdict, with exactly its probes and skips on a
-// miss and at most them on a hit.
-func checkScan(t *testing.T, c *Classifier, sn *snapshot, h bitvec.Vec, e *Entry, probes, skips int) {
+// miss and at most them on a hit. ref is the reference candidate tables sn
+// was published with (refCands of the writer right after the publish); a
+// linear scan ignores it.
+func checkScan(t *testing.T, c *Classifier, sn *snapshot, ref []candRef, h bitvec.Vec, e *Entry, probes, skips int) {
 	t.Helper()
 	if sn.pruned {
-		re, rp, rs := refPruned(c.prune, sn, h)
+		re, rp, rs := refPruned(c.prune, ref, sn, h)
 		if e != re || e == nil && (probes != rp || skips != rs) || e != nil && (probes < 1 || probes > rp || skips > rs) {
 			t.Fatalf("pruned lookup %s = (%v, %d probes, %d skips), candidate groups (%v, %d, %d)",
 				h.Format(c.layout), e, probes, skips, re, rp, rs)
@@ -261,6 +264,7 @@ func FuzzStagedEquivalence(f *testing.F) {
 	l := tc.l
 	linear, es := tc.build(f, ScanLinear)
 	pruned, _ := tc.build(f, ScanPruned)
+	ref := refCands(pruned.prune)
 	f.Add(uint64(0), uint64(0))
 	f.Add(^uint64(0), ^uint64(0))
 	f.Add(uint64(1)<<63, uint64(3))
@@ -278,7 +282,7 @@ func FuzzStagedEquivalence(f *testing.F) {
 		for i, c := range []*Classifier{linear, pruned} {
 			sn := c.snap.Load()
 			e, probes, skips, ok := c.def.lookupSnap(sn, h, 0)
-			checkScan(t, c, sn, h, e, probes, skips)
+			checkScan(t, c, sn, ref, h, e, probes, skips)
 			got[i] = BatchResult{Entry: e, Probes: probes, OK: ok}
 		}
 		if got[1].OK != got[0].OK || got[1].Probes > got[0].Probes {

@@ -1315,15 +1315,12 @@ func stamp(e *Entry) bool {
 func (c *Classifier) findOverlapLocked(e *Entry) *Entry {
 	var first *group
 	var found *Entry
-	v := &c.prune.view
-	cand := c.prune.overlapCands(e.Key, e.Mask)
-	v.each(v.root, 0, &cand, func(id uint32) bool {
-		g := v.groups.at(id)
+	w := walk{cand: c.prune.overlapCands(e.Key, e.Mask)}
+	for g := w.first(&c.prune.view); g != nil; g = w.next() {
 		if ex := c.groupOverlapLocked(g, e); ex != nil && (first == nil || hashBefore(g, first.hash, first.maskKey)) {
 			first, found = g, ex
 		}
-		return true
-	})
+	}
 	return found
 }
 
@@ -1520,11 +1517,12 @@ func (c *Classifier) MissProbes(h bitvec.Vec) int {
 	if !sn.pruned {
 		return sn.masks
 	}
-	v := sn.prune
-	var cand [maxLevels]uint64
-	v.candidates(h, &cand)
+	var w walk
+	sn.prune.candidates(h, &w.cand)
 	n := 0
-	v.each(v.root, 0, &cand, func(uint32) bool { n++; return true })
+	for g := w.first(sn.prune); g != nil; g = w.next() {
+		n++
+	}
 	return n
 }
 

@@ -383,6 +383,33 @@ func TestLookupZeroAlloc(t *testing.T) {
 	if a := testing.AllocsPerRun(200, func() { c.LookupBatch(hs, 0, out) }); a != 0 {
 		t.Errorf("LookupBatch allocates %v/op, want 0", a)
 	}
+
+	// The attack shape makes a three-level tree (ip_src, tp_src, tp_dst),
+	// so the pruned walk's explicit stack is three deep; it must stay on
+	// the goroutine's stack under every entry point.
+	atk := New(l, Options{DisableOverlapCheck: true})
+	es := attackEntries(l, 1024)
+	mustInsertBatch(t, atk, es, 0)
+	if n := len(atk.snap.Load().prune.levels); n != 3 {
+		t.Fatalf("attack classifier has %d tree levels, want 3", n)
+	}
+	hs = []bitvec.Vec{es[0].Key, es[1].Key, es[2].Key}
+	if _, _, ok := atk.Lookup(hs[0], 0); !ok {
+		t.Fatal("expected an attack key to hit")
+	}
+	for _, k := range []struct {
+		name string
+		f    func()
+	}{
+		{"Lookup(hit)", func() { atk.Lookup(hs[0], 0) }},
+		{"Lookup(miss)", func() { atk.Lookup(miss, 0) }},
+		{"LookupBatch", func() { atk.LookupBatch(hs, 0, out) }},
+		{"MissProbes", func() { atk.MissProbes(miss) }},
+	} {
+		if a := testing.AllocsPerRun(200, k.f); a != 0 {
+			t.Errorf("attack-shaped %s allocates %v/op, want 0", k.name, a)
+		}
+	}
 }
 
 // FuzzHashMasked cross-checks the fused sparse primitives against their
@@ -602,9 +629,26 @@ func populateDistinctMasks(c *Classifier, l *bitvec.Layout, n int) {
 // BenchmarkLookupMasks times the scan: full misses (the worst case) over
 // 16 to 4 096 masks, and at 8 192 masks hits on the SipSpDp attack family
 // at uniformly random scan positions — the regime of an attack replay,
-// where most lookups end on a match somewhere in the scan.
+// where most lookups end on a match somewhere in the scan. The
+// shape=emc_overflow row is that workload's megaflow cache, hit by its
+// headers: the walk around one probe.
 func BenchmarkLookupMasks(b *testing.B) {
 	l := bitvec.IPv4Tuple
+	b.Run("shape=emc_overflow", func(b *testing.B) {
+		c := New(l, Options{})
+		es, hs := emcOverflowShape(l)
+		mustInsertBatch(b, c, es, 0)
+		for _, h := range hs {
+			if _, probes, ok := c.Lookup(h, 0); !ok || probes != 1 {
+				b.Fatalf("lookup of %s: hit %v in %d probes, want a hit in 1", h.Format(l), ok, probes)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Lookup(hs[i%len(hs)], 0)
+		}
+	})
 	for _, masks := range []int{16, 256, 4096, 8192} {
 		b.Run(fmt.Sprintf("masks=%d", masks), func(b *testing.B) {
 			c := New(l, Options{DisableOverlapCheck: true})
@@ -631,6 +675,50 @@ func BenchmarkLookupMasks(b *testing.B) {
 			}
 		})
 	}
+}
+
+// emcOverflowShape returns the megaflows of the emc_overflow bench
+// workload under the SipDp ACL and 1 024 headers that hit them: 64 deny
+// megaflows, one per (ip_src, tp_dst) prefix pair of lengths 1..8, each
+// differing from the 10.0.0.1:80 allow rule in its prefixes' last bit,
+// plus the tp_dst=80 allow megaflow. Three headers in four are allowed
+// flows out of 10.1.0.0/16; the fourth takes a deny megaflow's key with
+// random bits below its prefixes.
+func emcOverflowShape(l *bitvec.Layout) ([]*Entry, []bitvec.Vec) {
+	sip, _ := l.FieldIndex("ip_src")
+	sp, _ := l.FieldIndex("tp_src")
+	dp, _ := l.FieldIndex("tp_dst")
+	rng := rand.New(rand.NewSource(1))
+	allow := bitvec.NewVec(l)
+	allow.SetField(l, dp, 80)
+	es := []*Entry{{Key: allow, Mask: bitvec.FieldMask(l, dp), Action: flowtable.Allow}}
+	for i := 1; i <= 8; i++ {
+		for j := 1; j <= 8; j++ {
+			key := bitvec.NewVec(l)
+			key.SetField(l, sip, 0x0a000001)
+			key.SetField(l, dp, 80)
+			key.FlipFieldBit(l, sip, i-1)
+			key.FlipFieldBit(l, dp, j-1)
+			mask := bitvec.PrefixMask(l, sip, i).Or(bitvec.PrefixMask(l, dp, j))
+			es = append(es, &Entry{Key: key.And(mask), Mask: mask, Action: flowtable.Drop})
+		}
+	}
+	hs := make([]bitvec.Vec, 1024)
+	for n := range hs {
+		h := bitvec.NewVec(l)
+		if n%4 != 3 {
+			h.SetField(l, sip, uint64(0x0a010000+n))
+			h.SetField(l, dp, 80)
+		} else {
+			e := es[1+rng.Intn(len(es)-1)]
+			for _, f := range []int{sip, dp} {
+				h.SetField(l, f, e.Key.FieldUint64(l, f)|rng.Uint64()&^e.Mask.FieldUint64(l, f))
+			}
+		}
+		h.SetField(l, sp, uint64(1024+rng.Intn(64000)))
+		hs[n] = h
+	}
+	return es, hs
 }
 
 func BenchmarkInsert(b *testing.B) {
