@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -108,6 +109,24 @@ func recvName(fd *ast.FuncDecl) string {
 	}
 }
 
+// externalImports returns the names under which f imports packages from
+// outside the module.
+func externalImports(f *ast.File) map[string]bool {
+	names := map[string]bool{}
+	for _, imp := range f.Imports {
+		path, err := strconv.Unquote(imp.Path.Value)
+		if err != nil || path == "tse" || strings.HasPrefix(path, "tse/") {
+			continue
+		}
+		name := path[strings.LastIndex(path, "/")+1:]
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		names[name] = true
+	}
+	return names
+}
+
 // TestNoUncalledExports guards against exported API that only tests
 // reach. It parses every non-test file under internal/, cmd/, examples/
 // and bench/ and fails on
@@ -120,11 +139,13 @@ func recvName(fd *ast.FuncDecl) string {
 //     only defaults the field, "if c.F <= 0 { c.F = d }", does not count.
 //
 // The check matches names, not types: a dead method shares the fate of a
-// live one with the same name elsewhere, and a dead field that of any
-// written field or literal key with its name. So it can miss dead code,
-// but it never flags a function product code names or a field product
-// code sets (unkeyed struct literals aside, which vet already rejects
-// across packages).
+// live one with the same name elsewhere in the module, and a dead field
+// that of any written field or literal key with its name. So it can miss
+// dead code, but it never flags a function product code names or a field
+// product code sets (unkeyed struct literals aside, which vet already
+// rejects across packages). A selector on a package imported from outside
+// the module (slices.Delete, sort.Search) names that package's function,
+// never one of this module, so it does not count.
 func TestNoUncalledExports(t *testing.T) {
 	fset, files := parseProduct(t)
 
@@ -156,11 +177,18 @@ func TestNoUncalledExports(t *testing.T) {
 	// Assignments that only default a field, "if c.F <= 0 { c.F = d }",
 	// do not count as setting it.
 	defaulting := map[*ast.AssignStmt]bool{}
+	// The selected names of selectors on packages from outside the module.
+	foreign := map[*ast.Ident]bool{}
 	for _, gf := range files {
+		external := externalImports(gf.f)
 		ast.Inspect(gf.f, func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.FuncDecl:
 				declName[x.Name] = true
+			case *ast.SelectorExpr:
+				if pkg, ok := x.X.(*ast.Ident); ok && external[pkg.Name] {
+					foreign[x.Sel] = true
+				}
 			case *ast.IfStmt:
 				read := map[string]bool{}
 				ast.Inspect(x.Cond, func(n ast.Node) bool {
@@ -177,7 +205,7 @@ func TestNoUncalledExports(t *testing.T) {
 					}
 				}
 			case *ast.Ident:
-				if !declName[x] {
+				if !declName[x] && !foreign[x] {
 					idents[x.Name] = append(idents[x.Name], x.Pos())
 				}
 			case *ast.CompositeLit:

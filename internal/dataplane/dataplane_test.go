@@ -114,7 +114,7 @@ func TestPacketCostShape(t *testing.T) {
 	if g.PacketCost(10) >= m.PacketCost(10) {
 		t.Error("coalescing should reduce per-wire-packet cost")
 	}
-	if m.Budget() <= 0 || m.Profile().Name != "TCP GRO OFF" {
+	if m.Budget() <= 0 || m.prof.Name != "TCP GRO OFF" {
 		t.Error("model accessors broken")
 	}
 }

@@ -108,9 +108,6 @@ func NewModel(prof NICProfile) *Model {
 	return &Model{prof: prof, budget: referenceBudget() * prof.BudgetMultiplier}
 }
 
-// Profile returns the model's NIC profile.
-func (m *Model) Profile() NICProfile { return m.prof }
-
 // Budget returns the per-second CPU budget in cost units.
 func (m *Model) Budget() float64 { return m.budget }
 

@@ -168,11 +168,10 @@ func fresh(e *Entry, a flowtable.Action) *Entry {
 // (checkTables); a DeleteWhere must call its predicate exactly once per
 // live entry, whether it walks the probe mirror or the pruning index's id
 // table. The base population (260–459 attack masks plus a 50–249-entry
-// exact-match group, or an 800–999-entry one whose slot table has a
-// two-level directory when bit 2 of the first byte is set) spans several
-// probe-mirror chunks, group slot pages and directory leaves, so splits,
-// page and leaf copies and compaction across those boundaries are all on
-// the path. The committed corpus (testdata/fuzz) holds seeds that reach
+// exact-match group, or, when bit 2 of the first byte is set, a large
+// group of 800–999 entries in a 2048-slot table) spans several
+// probe-mirror chunks, so splits and compaction across chunk boundaries
+// are on the path. The committed corpus (testdata/fuzz) holds seeds that reach
 // writes and sweeps under both scans and both orders, so the probe mirror's
 // writer is on the path too.
 func FuzzClassifierOps(f *testing.F) {
@@ -339,7 +338,7 @@ func FuzzClassifierOps(f *testing.F) {
 					key, mask = e.Key, e.Mask
 				}
 				i := ref.index(key, mask)
-				if got := c.Delete(key, mask); got != (i >= 0) {
+				if got := deleteEntry(c, key, mask); got != (i >= 0) {
 					t.Fatalf("op %d: delete = %v, reference holds it: %v", op, got, i >= 0)
 				}
 				if i >= 0 {

@@ -1,19 +1,24 @@
 package tss
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"tse/internal/bitvec"
 	"tse/internal/flowtable"
 )
 
 // heldView is a snapshot a reader keeps while the writer moves on, with
-// the entries it held when it was published, by key.
+// the entries it held when it was published, by key, and its group's slot
+// table as it was then.
 type heldView struct {
-	sn   *snapshot
-	want map[string]*Entry
+	sn    *snapshot
+	want  map[string]*Entry
+	g     *group
+	slots []slot
 }
 
 // check fails unless the view's lookups over every key of keys and its
@@ -42,19 +47,18 @@ func (v *heldView) check(t *testing.T, keys []bitvec.Vec) bool {
 
 // TestInPlaceInsertIsolation checks the in-place install against the
 // snapshots it writes under. The group is the exactEntries shape, one
-// exact-match mask, grown to 2048 slots: 32 pages under a two-level
-// directory. Every key is chosen so that it sits in its home cell, which
-// lets the test say which page each install writes and keeps a removal
-// from moving any other entry.
+// exact-match mask, grown to 2048 slots. Every key is chosen so that it
+// sits in its home cell, which lets the test say which cells each install
+// writes and keeps a removal from moving any other entry.
 //
-// The writer then takes the table page by page: it fills page p's empty
-// cells in place, in one batch, and sweeps page p's entries out with
-// DeleteWhere. The sweep clones the group and copies page p, so every
-// snapshot from before it keeps page p full; the next batch fills page
-// p+1, which the clone still shares with those snapshots' groups. After
-// the last page the first snapshot's view of its group has no empty cell,
-// and a lookup of a key it does not hold can end only at the probe's lap
-// bound.
+// The writer then takes the table a page of 64 cells at a time: it fills
+// the page's empty cells in place, in one batch, and sweeps the page's
+// entries out with DeleteWhere. The batch writes into the group every
+// snapshot since the last sweep holds; the sweep clones the group, table
+// and all, so every snapshot from before it keeps the page full and no
+// later batch writes into its table. After every sweep each group the
+// writer has replaced shares no storage with the current group's table
+// and holds what it held when the last snapshot holding it was published.
 //
 // Readers hold every snapshot published on the way and, while the writer
 // runs and once more after it, check that each answers every key and dumps
@@ -74,7 +78,8 @@ func inPlaceInsertIsolation(t *testing.T, scan Scan) {
 	const (
 		bits    = 11 // 2048 slots
 		slots   = 1 << bits
-		pages   = slots / pageSlots
+		page    = 64
+		pages   = slots / page
 		initial = 800 // above 3/4 of 1024 slots, so the table has doubled to 2048
 	)
 	l := bitvec.IPv4Tuple
@@ -105,8 +110,8 @@ func inPlaceInsertIsolation(t *testing.T, scan Scan) {
 	}
 	mustInsertBatch(t, c, batch, 0)
 	g := c.byMask[string(bitvec.FullMask(l).AppendKey(nil))]
-	if g.slotBits != bits || g.leaves == nil {
-		t.Fatalf("group has %d slot bits, leaves %v; want %d bits under a two-level directory", g.slotBits, g.leaves != nil, bits)
+	if g.slotBits != bits {
+		t.Fatalf("group has %d slot bits, want %d", g.slotBits, bits)
 	}
 	for i := uint64(0); i < slots; i++ {
 		if e := g.at(i).e; e != nil && home[e] != int(i) {
@@ -121,11 +126,37 @@ func inPlaceInsertIsolation(t *testing.T, scan Scan) {
 		for k, e := range live {
 			v.want[k] = e
 		}
+		if v.g = v.sn.prune.groups.at(g.id); v.g != nil {
+			v.slots = slices.Clone(v.g.slots)
+		}
 		mu.Lock()
 		held = append(held, v)
 		mu.Unlock()
 	}
 	hold()
+	// retired checks every group the writer has replaced: walking back
+	// from the last hold, the first view of each is the last snapshot that
+	// published it. It returns how many there are, or -1 on a failure.
+	retired := func() int {
+		cur := c.byMask[string(bitvec.FullMask(l).AppendKey(nil))]
+		seen := map[*group]bool{}
+		for i := len(held) - 1; i >= 0; i-- {
+			v := held[i]
+			if v.g == nil || v.g == cur || seen[v.g] {
+				continue
+			}
+			seen[v.g] = true
+			if cur != nil && unsafe.SliceData(v.g.slots) == unsafe.SliceData(cur.slots) {
+				t.Errorf("snapshot of epoch %d: its group shares the current group's slot table", v.sn.epoch)
+				return -1
+			}
+			if !slices.Equal(v.g.slots, v.slots) {
+				t.Errorf("snapshot of epoch %d: its group's slot table changed after its last publish", v.sn.epoch)
+				return -1
+			}
+		}
+		return len(seen)
+	}
 
 	done := make(chan struct{})
 	var readers sync.WaitGroup
@@ -152,7 +183,7 @@ func inPlaceInsertIsolation(t *testing.T, scan Scan) {
 	installed := c.Stats().SlotsCopied
 	for p := 0; p < pages; p++ {
 		batch = batch[:0]
-		for i := p * pageSlots; i < (p+1)*pageSlots; i++ {
+		for i := p * page; i < (p+1)*page; i++ {
 			if live[byHome[i].Key()] == nil {
 				e := mk(i)
 				batch = append(batch, e)
@@ -164,29 +195,22 @@ func inPlaceInsertIsolation(t *testing.T, scan Scan) {
 			t.Errorf("page %d: filling it in place copied %d slots", p, got-installed)
 		}
 		hold()
-		swept := c.DeleteWhere(func(e *Entry) bool { return home[e]/pageSlots == p })
-		if swept != pageSlots {
-			t.Errorf("page %d: swept %d entries, want %d", p, swept, pageSlots)
+		swept := c.DeleteWhere(func(e *Entry) bool { return home[e]/page == p })
+		if swept != page {
+			t.Errorf("page %d: swept %d entries, want %d", p, swept, page)
 		}
-		for i := p * pageSlots; i < (p+1)*pageSlots; i++ {
+		for i := p * page; i < (p+1)*page; i++ {
 			delete(live, byHome[i].Key())
 		}
 		installed = c.Stats().SlotsCopied
 		hold()
-	}
-	close(done)
-
-	// The first snapshot's group: every cell of its view is now taken.
-	g0 := held[0].sn.prune.groups.at(g.id)
-	empty := 0
-	for i := uint64(0); i < slots; i++ {
-		if g0.at(i).e == nil {
-			empty++
+		// Readers still run: stop them before the test ends.
+		if n := retired(); n != p+1 {
+			t.Errorf("page %d: %d retired groups checked, want one per sweep, %d", p, n, p+1)
+			break
 		}
 	}
-	if empty != 0 {
-		t.Fatalf("the first snapshot's group still has %d empty cells", empty)
-	}
+	close(done)
 
 	finished := make(chan struct{})
 	go func() {

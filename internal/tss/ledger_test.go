@@ -68,7 +68,7 @@ func mustInsertBatch(t testing.TB, c *Classifier, es []*Entry, now int64) {
 
 // ledger is the writer-side work one operation did, read as Stats deltas.
 type ledger struct {
-	publishes, probesCopied, slotsCopied, dirCopied, overlapCompared, indexCopied uint64
+	publishes, probesCopied, slotsCopied, overlapCompared, indexCopied uint64
 }
 
 func ledgerDelta(before, after Stats) ledger {
@@ -76,7 +76,6 @@ func ledgerDelta(before, after Stats) ledger {
 		publishes:       after.Publishes - before.Publishes,
 		probesCopied:    after.ProbesCopied - before.ProbesCopied,
 		slotsCopied:     after.SlotsCopied - before.SlotsCopied,
-		dirCopied:       after.DirCopied - before.DirCopied,
 		overlapCompared: after.OverlapCompared - before.OverlapCompared,
 		indexCopied:     after.IndexCopied - before.IndexCopied,
 	}
@@ -86,7 +85,8 @@ func ledgerDelta(before, after Stats) ledger {
 // the three operations the benchmark's slow workloads repeat: one attack
 // megaflow install during the ramp (tse_attack), one install into a 12 k
 // exact-match group (flow_setup), and a revalidator sweep expiring 4 096
-// entries (flow_setup's tick; fig8a/fig8c/saturation's recovery). Counts
+// entries (flow_setup's tick; fig8a/fig8c/saturation's recovery), plus a
+// sparse sweep expiring 64 entries of the 12 k group. Counts
 // repeat exactly on any host, so a change that makes a write copy or
 // compare more than it did fails here with no timing spread to hide in.
 // No operation copies probe records under the default scan, which keeps
@@ -96,16 +96,14 @@ func ledgerDelta(before, after Stats) ledger {
 // linearly: they went from probesCopied 1 (the mirror's one record) to
 // indexCopied 2 (the id table's directory and the chunk holding the
 // group's id) when a cache of 16 masks or fewer came to be pruned too.
-// The install into the 12 k group then read slotsCopied 64, dirCopied 32
-// and indexCopied 2: the clone's 16-entry top directory, the written
-// leaf's 16 entries and page, and the id table's repointing. It reads 0
-// since a new key that keeps a published multi-entry group within its
-// load is written in place. The install that doubles a 12 288-entry group
-// stays copy-on-write: it read dirCopied 16 while a clone copied the
-// 16-entry top directory that the doubled table then replaced, and reads 0
-// since the doubled group is built straight from the published one; the id
-// table is still repointed (indexCopied 2). The sweeps stay copy-on-write
-// too, and their rows are unchanged.
+// The install into the 12 k group reads 0: a new key that keeps a
+// published multi-entry group within its load is written in place. The
+// install that doubles a 12 288-entry group builds the doubled group
+// straight from the published one, so it copies no slot; the id table is
+// still repointed (indexCopied 2). A sweep that removes entries from a
+// multi-entry group clones it, and a clone copies its one slot table
+// whole: 16 384 slots for the 12 k group whether the sweep expires 4 096
+// entries or 64.
 func TestWorkLedgerPins(t *testing.T) {
 	l := bitvec.IPv4Tuple
 	attackInstall := func(masks int, scan Scan) (func(t *testing.T) *Classifier, func(*Classifier) error) {
@@ -118,16 +116,18 @@ func TestWorkLedgerPins(t *testing.T) {
 				return c.Insert(es[masks-1], 1)
 			}
 	}
-	exactGroupOf := func(n int) func(t *testing.T) *Classifier {
+	// exactGroupOf installs n exact-match entries, the first idle of them
+	// at time 0 and the rest at 100.
+	exactGroupOf := func(n, idle int) func(t *testing.T) *Classifier {
 		return func(t *testing.T) *Classifier {
 			c := New(l, Options{})
 			es := exactEntries(l, n)
-			mustInsertBatch(t, c, es[:4096], 0)
-			mustInsertBatch(t, c, es[4096:], 100)
+			mustInsertBatch(t, c, es[:idle], 0)
+			mustInsertBatch(t, c, es[idle:], 100)
 			return c
 		}
 	}
-	exactGroup := exactGroupOf(12000)
+	exactGroup := exactGroupOf(12000, 4096)
 	attackGroups := func(scan Scan) func(t *testing.T) *Classifier {
 		return func(t *testing.T) *Classifier {
 			c := New(l, Options{Scan: scan})
@@ -154,29 +154,35 @@ func TestWorkLedgerPins(t *testing.T) {
 		want  ledger
 	}{
 		{"attack install at 1024 masks", ins1024, op1024,
-			ledger{publishes: 1, probesCopied: 0, slotsCopied: 0, dirCopied: 0, overlapCompared: 0, indexCopied: 4}},
+			ledger{publishes: 1, probesCopied: 0, slotsCopied: 0, overlapCompared: 0, indexCopied: 4}},
 		{"attack install at 8192 masks", ins8192, op8192,
-			ledger{publishes: 1, probesCopied: 0, slotsCopied: 0, dirCopied: 0, overlapCompared: 0, indexCopied: 4}},
+			ledger{publishes: 1, probesCopied: 0, slotsCopied: 0, overlapCompared: 0, indexCopied: 4}},
 		{"attack install at 1024 masks under ScanLinear", lin1024, linOp1024,
-			ledger{publishes: 1, probesCopied: 253, slotsCopied: 0, dirCopied: 0, overlapCompared: 0, indexCopied: 4}},
+			ledger{publishes: 1, probesCopied: 253, slotsCopied: 0, overlapCompared: 0, indexCopied: 4}},
 		{"attack install at 8192 masks under ScanLinear", lin8192, linOp8192,
-			ledger{publishes: 1, probesCopied: 210, slotsCopied: 0, dirCopied: 0, overlapCompared: 0, indexCopied: 4}},
+			ledger{publishes: 1, probesCopied: 210, slotsCopied: 0, overlapCompared: 0, indexCopied: 4}},
 		{"install into a 12k-entry group", exactGroup, func(c *Classifier) error {
 			return c.Insert(exactEntries(l, 12001)[12000], 100)
-		}, ledger{publishes: 1, probesCopied: 0, slotsCopied: 0, dirCopied: 0, overlapCompared: 0, indexCopied: 0}},
-		{"install that doubles a 12288-entry group", exactGroupOf(12288), func(c *Classifier) error {
+		}, ledger{publishes: 1, probesCopied: 0, slotsCopied: 0, overlapCompared: 0, indexCopied: 0}},
+		{"install that doubles a 12288-entry group", exactGroupOf(12288, 4096), func(c *Classifier) error {
 			return c.Insert(exactEntries(l, 12289)[12288], 100)
-		}, ledger{publishes: 1, probesCopied: 0, slotsCopied: 0, dirCopied: 0, overlapCompared: 0, indexCopied: 2}},
+		}, ledger{publishes: 1, probesCopied: 0, slotsCopied: 0, overlapCompared: 0, indexCopied: 2}},
 		{"expire 4096 of a 12k-entry group", exactGroup, func(c *Classifier) error {
 			if n := expireIdle(c, 105, 10); n != 4096 {
 				return fmt.Errorf("expired %d, want 4096", n)
 			}
 			return nil
-		}, ledger{publishes: 1, probesCopied: 0, slotsCopied: 16384, dirCopied: 272, overlapCompared: 0, indexCopied: 2}},
+		}, ledger{publishes: 1, probesCopied: 0, slotsCopied: 16384, overlapCompared: 0, indexCopied: 2}},
+		{"expire 64 of a 12k-entry group", exactGroupOf(12000, 64), func(c *Classifier) error {
+			if n := expireIdle(c, 105, 10); n != 64 {
+				return fmt.Errorf("expired %d, want 64", n)
+			}
+			return nil
+		}, ledger{publishes: 1, probesCopied: 0, slotsCopied: 16384, overlapCompared: 0, indexCopied: 2}},
 		{"expire 4096 one-entry attack groups", attackGroups(ScanPruned), expire4096,
-			ledger{publishes: 1, probesCopied: 0, slotsCopied: 0, dirCopied: 0, overlapCompared: 0, indexCopied: 562}},
+			ledger{publishes: 1, probesCopied: 0, slotsCopied: 0, overlapCompared: 0, indexCopied: 562}},
 		{"expire 4096 one-entry attack groups under ScanLinear", attackGroups(ScanLinear), expire4096,
-			ledger{publishes: 1, probesCopied: 4096, slotsCopied: 0, dirCopied: 0, overlapCompared: 0, indexCopied: 562}},
+			ledger{publishes: 1, probesCopied: 4096, slotsCopied: 0, overlapCompared: 0, indexCopied: 562}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -196,7 +202,6 @@ func TestWorkLedgerPins(t *testing.T) {
 			for name, v := range map[string]uint64{
 				"tse_tss_probes_copied_total":    after.ProbesCopied,
 				"tse_tss_slots_copied_total":     after.SlotsCopied,
-				"tse_tss_dir_copied_total":       after.DirCopied,
 				"tse_tss_overlap_compared_total": after.OverlapCompared,
 				"tse_tss_index_copied_total":     after.IndexCopied,
 			} {

@@ -46,9 +46,6 @@ func (c *Classifier) AttachMetrics(reg *telemetry.Registry) {
 	reg.CounterFunc("tse_tss_slots_copied_total",
 		"Mask-group slots copied by copy-on-write clones.",
 		stat(func(s Stats) uint64 { return s.SlotsCopied }))
-	reg.CounterFunc("tse_tss_dir_copied_total",
-		"Slot-table directory entries copied by copy-on-write clones and their first writes.",
-		stat(func(s Stats) uint64 { return s.DirCopied }))
 	reg.CounterFunc("tse_tss_overlap_compared_total",
 		"Entries passed to the full overlap comparison by the insert-time independence check.",
 		stat(func(s Stats) uint64 { return s.OverlapCompared }))

@@ -69,7 +69,6 @@ func (c *Classifier) publishLocked() {
 	}
 	for _, g := range c.thawed {
 		g.frozen = true
-		g.own, g.cow = nil, nil
 	}
 	c.thawed = c.thawed[:0]
 	c.published++
@@ -191,20 +190,6 @@ func (c *Classifier) insertProbeLocked(ci, k int, g *group) {
 	c.dir = slices.Insert(c.dir, ci+1, chunk{records: right, own: true})
 }
 
-// removeProbeLocked deletes the record at (ci, k), dropping its chunk if
-// it empties, and repacks a mirror left mostly empty.
-func (c *Classifier) removeProbeLocked(ci, k int) {
-	r := c.writableLocked(ci)
-	r.hot = slices.Delete(r.hot, k, k+1)
-	r.side = slices.Delete(r.side, k, k+1)
-	if len(r.hot) > 0 {
-		c.dir[ci].records = r
-	} else {
-		c.dir = slices.Delete(c.dir, ci, ci+1)
-	}
-	c.repackLocked()
-}
-
 // repackLocked rebuilds the mirror as full chunks once deletions have left
 // the average chunk under a quarter full, so the directory stays
 // O(|M|/chunkCap) long and scans keep their long call-free runs. Splits
@@ -242,13 +227,15 @@ func (c *Classifier) rechunkLocked(r records) {
 // thawLocked returns a group safe to mutate under the writer lock: g
 // itself if it has never been published, else a clone wired into the mask
 // index in its place (copy-on-write; the published snapshot keeps the
-// frozen original), and into the pruning index. The caller refreshes g's
-// mirror record afterwards.
+// frozen original), and into the pruning index. The clone's copied slots
+// are charged to Stats.SlotsCopied. The caller refreshes g's mirror record
+// afterwards.
 func (c *Classifier) thawLocked(g *group) *group {
 	if !g.frozen {
 		return g
 	}
-	return c.adoptLocked(g.clone(&c.copies))
+	c.slotsCopied += uint64(len(g.slots))
+	return c.adoptLocked(g.clone())
 }
 
 // adoptLocked wires ng, a mutable copy of a published group, into the mask

@@ -96,7 +96,7 @@ func TestModelBasedRandomOps(t *testing.T) {
 					e := randomEntry()
 					key, mask = e.Key, e.Mask
 				}
-				if got, want := c.Delete(key, mask), m.delete(key, mask); got != want {
+				if got, want := deleteEntry(c, key, mask), m.delete(key, mask); got != want {
 					t.Fatalf("op %d: delete disagreement: %v vs %v", op, got, want)
 				}
 			case 2, 3: // lookup
@@ -138,7 +138,7 @@ func TestInsertDeleteRoundTripQuick(t *testing.T) {
 		if c.EntryCount() != 1 || c.MaskCount() != 1 {
 			return false
 		}
-		if !c.Delete(key, mask) {
+		if !deleteEntry(c, key, mask) {
 			return false
 		}
 		return c.EntryCount() == 0 && c.MaskCount() == 0

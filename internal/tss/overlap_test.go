@@ -160,7 +160,7 @@ func TestOverlapCheckExact(t *testing.T) {
 				flipped.Key.SetBit(last)
 			}
 			if checkOverlapExact(t, c, flipped) == nil { // accepted: take it out again
-				if !c.Delete(flipped.Key, flipped.Mask) {
+				if !deleteEntry(c, flipped.Key, flipped.Mask) {
 					t.Fatalf("position %d: accepted entry not deletable", pos)
 				}
 			}

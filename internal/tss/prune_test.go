@@ -254,7 +254,7 @@ func FuzzPruneCandidates(f *testing.F) {
 		for op := 0; len(in) > 0 && op < 200; op++ {
 			if sel := in.next(); sel%4 == 3 && len(live) > 0 {
 				i := in.next() % len(live)
-				c.Delete(live[i].Key, live[i].Mask)
+				deleteEntry(c, live[i].Key, live[i].Mask)
 				live = slices.Delete(live, i, i+1)
 			} else {
 				key, mask := bitvec.NewVec(l), bitvec.NewVec(l)
@@ -439,7 +439,7 @@ func TestPruneDenseClass(t *testing.T) {
 		}
 	}
 	for i, e := range es {
-		if !c.Delete(e.Key, e.Mask) {
+		if !deleteEntry(c, e.Key, e.Mask) {
 			t.Fatal("delete failed")
 		}
 		sn := c.snap.Load()

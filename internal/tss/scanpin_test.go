@@ -257,21 +257,21 @@ func TestScanCountPins(t *testing.T) {
 	}
 }
 
-// TestGroupFootprint guards the one-page groups an attack spawns by the
-// thousand: a group stays in its 288-byte size class, and an Insert that
+// TestGroupFootprint guards the small groups an attack spawns by the
+// thousand: a group stays in its 224-byte size class, and an Insert that
 // creates a new one-entry group makes a fixed number of allocations,
 // eight of them the pruning index's: the three tree nodes on its path and
 // their child arrays, the group-id table's directory and the published
 // view. None is the probe mirror's: ScanPruned keeps no mirror, so the
 // insert copies no chunk's two record arrays and no snapshot chunk
-// directory (22 allocations with them). Nor is the group's shared hit
-// counter, which had no reader and is gone (19 allocations with it). A
+// directory (20 allocations with them). Nor is the group's shared hit
+// counter, which had no reader and is gone (18 allocations with it). A
 // slot-table layout that made small groups pay for large ones fails here.
 // An Entry stays 96 bytes, a size class of its own: its install epoch took
 // the word that narrowing Port and OutPort to int32 freed.
 func TestGroupFootprint(t *testing.T) {
-	if n := unsafe.Sizeof(group{}); n > 288 {
-		t.Errorf("group is %d bytes, want <= 288", n)
+	if n := unsafe.Sizeof(group{}); n > 224 {
+		t.Errorf("group is %d bytes, want <= 224", n)
 	}
 	if n := unsafe.Sizeof(Entry{}); n != 96 {
 		t.Errorf("Entry is %d bytes, want 96", n)
@@ -287,8 +287,8 @@ func TestGroupFootprint(t *testing.T) {
 		}
 		next++
 	})
-	if allocs != 18 {
-		t.Errorf("Insert of a new one-entry group: %v allocations, want 18", allocs)
+	if allocs != 17 {
+		t.Errorf("Insert of a new one-entry group: %v allocations, want 17", allocs)
 	}
 }
 

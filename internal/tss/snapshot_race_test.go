@@ -133,7 +133,7 @@ func snapshotConsistencyUnderWrites(t *testing.T, scan Scan) {
 			}
 			switch i % 5 {
 			case 0:
-				c.Delete(e.Key, e.Mask)
+				deleteEntry(c, e.Key, e.Mask)
 			case 1:
 				c.DeleteWhere(func(e *Entry) bool { return e.RuleName == "churn" })
 			case 2:

@@ -44,9 +44,10 @@
 // the epoch it was installed in, so a reader of an older snapshot skips an
 // entry written in place after it and sees exactly its snapshot (see
 // group). A retired snapshot lives until its last in-flight reader drops
-// it; the garbage collector plays the role of the RCU grace period. Lookup statistics are sharded per reader handle so
-// parallel PMD workers never contend on a shared counter cache line, and
-// LookupBatch publishes a whole batch's counts with one add per counter.
+// it; the garbage collector plays the role of the RCU grace period.
+// Lookup statistics are sharded per reader handle so parallel PMD workers
+// never contend on a shared counter cache line, and LookupBatch publishes
+// a whole batch's counts with one add per counter.
 //
 // # Writes cost what they change
 //
@@ -57,16 +58,15 @@
 // Only ScanLinear keeps the mirror: under ScanPruned an install copies no
 // scan structure, as in OVS's dpcls. An install into a published
 // multi-entry group copies nothing at all: it writes one slot and the
-// stage filters' bits in place. A group's slot table is paged in 64-slot
-// pages, and a large table's page directory is split into 16-page leaves:
-// a copy-on-write clone copies the top of the directory and only the
-// leaves and pages it writes. The insert-time overlap check walks the
-// pruning index, which leaves only the groups whose per-field values agree
-// with the new entry, and confirms those survivors exactly. A sweep
+// stage filters' bits in place. Any other write to a published group
+// copies the group, its one slot table whole, once per publish. The
+// insert-time overlap check walks the pruning index, which leaves only the
+// groups whose per-field values agree with the new entry, and confirms
+// those survivors exactly. A sweep
 // (DeleteWhere) makes one pass over the index's id table, or over the
 // mirror it compacts, and rebuilds each touched group's stage filters once.
-// Stats.ProbesCopied, SlotsCopied, DirCopied, OverlapCompared and
-// IndexCopied count that work exactly.
+// Stats.ProbesCopied, SlotsCopied, OverlapCompared and IndexCopied count
+// that work exactly.
 package tss
 
 import (
@@ -186,48 +186,30 @@ func (f *stageFilter) has(h uint64) bool { return atomic.LoadUint64(&f[(h>>6)&3]
 // words caches the mask's nonzero word indices, so hashing and comparing a
 // header under the mask touches only the words the mask can constrain
 // (miniflow-style sparsity) and never materialises the masked header; and
-// entries live in a power-of-two open-addressing slot table (fingerprint +
-// entry pointer, linear probing) rather than a Go map, so a probe is an
+// entries live in one power-of-two open-addressing slot table (fingerprint
+// + entry pointer, linear probing) rather than a Go map, so a probe is an
 // array walk with no map-runtime calls and no allocation.
 //
 // A published group (frozen == true) takes one write in place: the install
 // of a new key into a group of two or more entries that stays within its
-// 3/4 load. It fills an empty slot in the page the group already has and
-// ORs the entry's bits into the stage filters, all atomically (see put
-// and set); a reader of an older snapshot that meets the new entry
-// skips it on its epoch (probeSlots). Every other write is copy-on-write:
-// a new group, the one-entry group's second entry, a refresh and every
-// removal clone the group first, and a table doubling copies the entries
-// into a new group (doubled), so the snapshots that hold the original keep
-// its entries, slots and positions. The table is
-// paged so a clone costs what it writes, not what the group holds: the
-// clone copies the top of the page directory and then each leaf and page
-// only when it first writes it (see set). A clone shares the pages it has
-// not written with its original, so an in-place install into the clone
-// lands in the original's view too; the epoch hides it there, and the
-// original's probes, which may then find no empty slot, are bounded by the
-// table size.
+// 3/4 load. It fills an empty slot of the group's table and ORs the
+// entry's bits into the stage filters, all atomically (see put and set); a
+// reader of an older snapshot that meets the new entry skips it on its
+// epoch (probeSlots). Every other write is copy-on-write: a new group, the
+// one-entry group's second entry, a refresh and every removal clone the
+// group, table and all, and a table doubling copies the entries into a new
+// group (doubled), so the snapshots that hold the original keep its
+// entries, slots and positions, and no later write reaches them.
 type group struct {
-	// pages and sparse lead the struct so a lookup probe's loads stay
-	// within the group's first cache lines. A two-level table keeps pages
-	// nil and its directory in leaves, at the end (see at).
-	pages    [][]slot          // flat table: slot i is pages[i>>pageShift][i&pageMask]
+	// slots and sparse lead the struct so a lookup probe's loads stay
+	// within the group's first cache lines.
+	slots    []slot            // the open-addressing table, 1<<slotBits cells
 	sparse   bitvec.SparseMask // inline nonzero-word view of mask
 	sparseOK bool              // mask fits inline; else use mask/words
 	frozen   bool              // published in a snapshot; clone to mutate
 	slotBits uint8             // the table has 1<<slotBits slots
 	n        int32             // entries
 	solo     *Entry            // the sole entry while n == 1, else nil
-
-	// own and cow are a multi-page clone's writer-side ownership: bit p of
-	// own is set once page p is the clone's own copy and, in a two-level
-	// table of P pages, bit P+l once leaf l is; cow is the classifier's
-	// copy ledger, charged per page and per directory entry copied. Both
-	// are nil for a group that owns its whole table (new, regrown, or a
-	// one-page clone) and for a published one, which copies nothing more
-	// (publishLocked drops them).
-	own []uint64
-	cow *copyLedger
 
 	// stageOff are the staged-lookup slot offsets: stage s covers sparse
 	// slots [stageOff[s], stageOff[s+1]). nil (or a single effective
@@ -242,14 +224,7 @@ type group struct {
 	hash    uint64
 	words   []int  // nonzero word indices of mask, in order
 	id      uint32 // the group's id in the pruning index; clones keep it
-
-	leaves [][][]slot // two-level table: leaves of leafPages pages, else nil
 }
-
-// copyLedger is the classifier's count of what copy-on-write clones copy:
-// slots (Stats.SlotsCopied) and slot-table directory entries
-// (Stats.DirCopied).
-type copyLedger struct{ slots, dir uint64 }
 
 // slot is one open-addressing cell: the key's fingerprint (keyHash) for a
 // cheap first-pass reject, plus the entry. e == nil marks the cell empty.
@@ -271,48 +246,13 @@ func (s *slot) load() (fp uint64, e *Entry) {
 	return atomic.LoadUint64(&s.fp), e
 }
 
-// Slot tables are paged: slot i lives in page i>>pageShift at i&pageMask,
-// with the same global linear probing and backward-shift delete as one flat
-// array. A table of pageSlots slots or fewer is a single page of its own
-// length, so the one-entry groups an attack spawns by the thousand keep
-// their minSlotBits-slot tables. A table of up to leafPages pages keeps a
-// flat page directory. A larger one splits its directory into leaves of
-// leafPages pages under a top level: a 16 k-slot exact-match group is 16
-// leaves of 16 pages, and a clone copies the 16-entry top level plus the
-// leaf and the page an install writes, instead of a 256-entry directory
-// and all 256 kB.
-const (
-	pageShift   = 6
-	pageSlots   = 1 << pageShift
-	pageMask    = pageSlots - 1
-	leafShift   = 4
-	leafPages   = 1 << leafShift
-	leafMask    = leafPages - 1
-	minSlotBits = 3 // keeps even one-entry groups probe-cheap without resizing on every early insert
-)
+// minSlotBits keeps even one-entry groups probe-cheap without resizing on
+// every early insert.
+const minSlotBits = 3
 
-// alloc gives the group an empty table of 1<<bits slots, which it owns
-// whole: one page, a flat directory of up to leafPages pages, or leaves of
-// leafPages pages.
+// alloc gives the group an empty table of 1<<bits slots.
 func (g *group) alloc(bits uint8) {
-	g.slotBits, g.pages, g.leaves, g.own, g.cow = bits, nil, nil, nil, nil
-	n := 1 << bits
-	if n <= pageSlots {
-		g.pages = [][]slot{make([]slot, n)}
-		return
-	}
-	pages := make([][]slot, n>>pageShift)
-	for p := range pages {
-		pages[p] = make([]slot, pageSlots)
-	}
-	if len(pages) <= leafPages {
-		g.pages = pages
-		return
-	}
-	g.leaves = make([][][]slot, len(pages)>>leafShift)
-	for l := range g.leaves {
-		g.leaves[l] = pages[l<<leafShift : (l+1)<<leafShift : (l+1)<<leafShift]
-	}
+	g.slotBits, g.slots = bits, make([]slot, 1<<bits)
 }
 
 // newGroup builds an empty group for the (already cloned) mask. stages is
@@ -360,39 +300,20 @@ func buildStageOff(sp *bitvec.SparseMask, bounds []int) []uint8 {
 }
 
 // clone returns a mutable copy of the group sharing the immutable pieces
-// (mask, words, stage offsets) and copying what a writer mutates in place:
-// Bloom filters, counts, the top of the page directory (the flat directory,
-// or the top level of a two-level one), and the slot pages — a one-page
-// table at once, since a write follows every clone, a larger one leaf and
-// page at a time as set first writes each. cl is the classifier's copy
-// ledger.
-func (g *group) clone(cl *copyLedger) *group {
+// (mask, words, stage offsets) and copying what a writer mutates: Bloom
+// filters, counts and the slot table.
+func (g *group) clone() *group {
 	ng := *g
 	ng.frozen = false
 	ng.filters = append([]stageFilter(nil), g.filters...)
-	ng.own, ng.cow = nil, nil
-	switch {
-	case g.leaves != nil:
-		ng.leaves = append([][][]slot(nil), g.leaves...)
-		cl.dir += uint64(len(ng.leaves))
-		bits := len(ng.leaves)<<leafShift + len(ng.leaves)
-		ng.own, ng.cow = make([]uint64, (bits+63)/64), cl
-	case len(g.pages) == 1:
-		ng.pages = [][]slot{append([]slot(nil), g.pages[0]...)}
-		cl.dir++
-		cl.slots += uint64(len(ng.pages[0]))
-	default:
-		ng.pages = append([][]slot(nil), g.pages...)
-		cl.dir += uint64(len(ng.pages))
-		ng.own, ng.cow = make([]uint64, (len(ng.pages)+63)/64), cl
-	}
+	ng.slots = append([]slot(nil), g.slots...)
 	return &ng
 }
 
 // doubled returns a mutable copy of g whose table is twice g's, holding g's
 // entries: what clone and then put's regrow would make, without the copy of
-// a directory the new table replaces. An insert that takes a published
-// group past 3/4 load starts from it.
+// a table the new one replaces. An insert that takes a published group past
+// 3/4 load starts from it.
 func (g *group) doubled() *group {
 	ng := *g
 	ng.frozen = false
@@ -401,15 +322,13 @@ func (g *group) doubled() *group {
 	return &ng
 }
 
-// regrow gives g a table of twice old's slots, which it owns whole, and
-// re-places old's entries in it.
+// regrow gives g a table of twice old's slots and re-places old's entries
+// in it.
 func (g *group) regrow(old *group) {
 	g.alloc(old.slotBits + 1)
-	for pg := range old.allPages {
-		for _, s := range pg {
-			if s.e != nil {
-				g.insertSlot(s.fp, s.e)
-			}
+	for _, s := range old.slots {
+		if s.e != nil {
+			g.insertSlot(s.fp, s.e)
 		}
 	}
 }
@@ -417,66 +336,15 @@ func (g *group) regrow(old *group) {
 // slotMask is the table's index mask.
 func (g *group) slotMask() uint64 { return 1<<g.slotBits - 1 }
 
-// cell returns the address of slot i.
-func (g *group) cell(i uint64) *slot {
-	if g.pages != nil {
-		return &g.pages[i>>pageShift][i&pageMask]
-	}
-	return &g.leaves[i>>(pageShift+leafShift)][i>>pageShift&leafMask][i&pageMask]
-}
-
 // at returns slot i to the writer, which alone stores slots.
-func (g *group) at(i uint64) slot { return *g.cell(i) }
+func (g *group) at(i uint64) slot { return g.slots[i] }
 
 // set stores s at slot i, fingerprint first and entry last, atomically: in
-// a published group, lock-free readers may be probing the cell. In a clone
-// that still shares them with its frozen original, it first copies i's
-// leaf (two-level tables) and then i's page.
+// a published group, lock-free readers may be probing the cell.
 func (g *group) set(i uint64, s slot) {
-	p := i >> pageShift
-	dir, k := g.pages, p
-	if g.leaves != nil {
-		l := p >> leafShift
-		if g.own != nil && g.claim(uint64(len(g.leaves))<<leafShift+l) {
-			g.leaves[l] = append([][]slot(nil), g.leaves[l]...)
-			g.cow.dir += leafPages
-		}
-		dir, k = g.leaves[l], p&leafMask
-	}
-	if g.own != nil && g.claim(p) {
-		dir[k] = append([]slot(nil), dir[k]...)
-		g.cow.slots += pageSlots
-	}
-	c := &dir[k][i&pageMask]
+	c := &g.slots[i]
 	atomic.StoreUint64(&c.fp, s.fp)
 	atomic.StorePointer(c.entryPtr(), unsafe.Pointer(s.e))
-}
-
-// claim sets bit b of the ownership bitmap and reports whether it was
-// clear: whether the clone must copy that page or leaf first.
-func (g *group) claim(b uint64) bool {
-	w, bit := b/64, uint64(1)<<(b%64)
-	if g.own[w]&bit != 0 {
-		return false
-	}
-	g.own[w] |= bit
-	return true
-}
-
-// allPages yields the table's pages in slot order.
-func (g *group) allPages(yield func([]slot) bool) {
-	for _, pg := range g.pages {
-		if !yield(pg) {
-			return
-		}
-	}
-	for _, leaf := range g.leaves {
-		for _, pg := range leaf {
-			if !yield(pg) {
-				return
-			}
-		}
-	}
 }
 
 // hashHeader returns the fingerprint of h under the group's mask,
@@ -546,13 +414,12 @@ func (g *group) stagesFrom(s int, fp uint64, h bitvec.Vec, ep uint64) (e *Entry,
 // a newer entry and probes on. Linear probing keeps that exact, since an
 // install only fills a cell its snapshot had empty and nothing of that
 // snapshot lies past such a cell on a chain. The walk ends at an empty
-// cell or after one lap of the table: the view of an original whose
-// unwritten pages a clone has since filled in place can have no empty
-// cell left.
+// cell, which a table kept within 3/4 load always has, or, as a safety
+// bound, after one lap of the table.
 func (g *group) probeSlots(fp uint64, h bitvec.Vec, ep uint64) *Entry {
 	m := g.slotMask()
 	for i, n := fp&m, m; ; i, n = (i+1)&m, n-1 {
-		sfp, e := g.cell(i).load()
+		sfp, e := g.slots[i].load()
 		if e == nil {
 			return nil
 		}
@@ -694,16 +561,14 @@ func (g *group) settle() {
 	for s := range g.filters {
 		g.filters[s] = stageFilter{}
 	}
-	for pg := range g.allPages {
-		for _, s := range pg {
-			if s.e == nil {
-				continue
-			}
-			if g.n == 1 {
-				g.solo = s.e
-			}
-			g.addToFilters(s.e)
+	for _, s := range g.slots {
+		if s.e == nil {
+			continue
 		}
+		if g.n == 1 {
+			g.solo = s.e
+		}
+		g.addToFilters(s.e)
 	}
 }
 
@@ -714,11 +579,9 @@ const allEpochs = ^uint64(0)
 // a lock-free reader; f returning false stops the walk. The writer's walk
 // (allEpochs) reads no stamp, so it touches only the lines f does.
 func (g *group) each(ep uint64, f func(*Entry) bool) {
-	for pg := range g.allPages {
-		for j := range pg {
-			if _, e := pg[j].load(); e != nil && (ep == allEpochs || e.epoch <= ep) && !f(e) {
-				return
-			}
+	for i := range g.slots {
+		if _, e := g.slots[i].load(); e != nil && (ep == allEpochs || e.epoch <= ep) && !f(e) {
+			return
 		}
 	}
 }
@@ -746,16 +609,15 @@ type Stats struct {
 	// directory (O(|M|/256) entries) plus the chunks written since the
 	// previous one (ProbesCopied).
 	Publishes uint64
-	// ProbesCopied, SlotsCopied, DirCopied, OverlapCompared and IndexCopied
-	// are the writer's work ledger, counted under the writer lock and never
-	// on the lookup path: probe records copied into published snapshots
+	// ProbesCopied, SlotsCopied, OverlapCompared and IndexCopied are the
+	// writer's work ledger, counted under the writer lock and never on the
+	// lookup path: probe records copied into published snapshots
 	// (ScanLinear only), group slots copied by copy-on-write clones,
-	// slot-table directory entries copied by those clones and their first
-	// writes, entries passed to the full bitvec.Overlap by the insert-time
-	// overlap check, and pruning-index nodes copied by writes (a tree node
-	// a snapshot shares, or a field's candidate table rebuilt at publish).
+	// entries passed to the full bitvec.Overlap by the insert-time overlap
+	// check, and pruning-index nodes copied by writes (a tree node a
+	// snapshot shares, or a field's candidate table rebuilt at publish).
 	// Unlike timings they repeat exactly, so tests pin them.
-	ProbesCopied, SlotsCopied, DirCopied, OverlapCompared, IndexCopied uint64
+	ProbesCopied, SlotsCopied, OverlapCompared, IndexCopied uint64
 }
 
 // Options configures a Classifier.
@@ -815,7 +677,7 @@ type Handle struct {
 // (Lookup, LookupBatch, MissProbes, Entries, MaskCount, EntryCount) are
 // lock-free: they load the current snapshot from an atomic pointer and
 // never block, so PMD-style datapath workers scale without serialising on a
-// classifier lock. Writers (Insert, InsertBatch, Delete, DeleteWhere)
+// classifier lock. Writers (Insert, InsertBatch, DeleteWhere)
 // serialise on a mutex, clone only the mask groups they touch
 // (copy-on-write), and publish the next snapshot atomically.
 type Classifier struct {
@@ -838,9 +700,8 @@ type Classifier struct {
 	shards   []*statShard
 
 	// Writer-side counters, under mu.
-	inserted, deleted, published  uint64
-	probesCopied, overlapCompared uint64
-	copies                        copyLedger
+	inserted, deleted, published               uint64
+	probesCopied, slotsCopied, overlapCompared uint64
 }
 
 // snapshot is one immutable published scan state: the pruning index, whose
@@ -1188,16 +1049,16 @@ func (c *Classifier) Insert(e *Entry, now int64) error {
 // InsertBatch adds a batch of megaflows in one transaction: the per-entry
 // semantics are exactly Insert's (idempotent refresh, overlap rejection,
 // per-entry error in the returned slice, aligned with es), but every
-// group, slot page and probe-mirror chunk the batch touches is copied at
-// most once and the snapshot is published exactly once at commit — the
+// group and probe-mirror chunk the batch touches is copied at most once
+// and the snapshot is published exactly once at commit — the
 // pvector-republish amortisation OVS applies to megaflow install bursts. A
 // publish copies the chunk directory plus the chunks written, so a K-miss
 // burst pays for at most K chunks and one directory rather than K. A new
 // key into a published group of two or more entries, below its 3/4 load,
 // copies nothing: it is written in place, stamped with an epoch above
 // every snapshot published before, which skip it, so like the rest of the
-// batch it becomes visible at the publish. The errors are written into errs when it has sufficient
-// capacity (pass nil to allocate).
+// batch it becomes visible at the publish. The errors are written into
+// errs when it has sufficient capacity (pass nil to allocate).
 //
 // Entries that fail validation or overlap an existing megaflow get their
 // error recorded and do not block the rest of the batch; the snapshot is
@@ -1358,40 +1219,6 @@ func (c *Classifier) placeLocked(g *group) {
 	c.insertProbeLocked(ci, k, g)
 }
 
-// Delete removes the entry with exactly the given key and mask. It reports
-// whether an entry was removed.
-func (c *Classifier) Delete(key, mask bitvec.Vec) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.keyBuf = mask.AppendKey(c.keyBuf[:0])
-	g, ok := c.byMask[string(c.keyBuf)]
-	if !ok {
-		return false
-	}
-	if g.find(key) == nil {
-		return false
-	}
-	c.nEntry--
-	c.deleted++
-	cls := c.prune.classes(mask)
-	c.prune.removeEntry(key, &cls)
-	if g.n == 1 {
-		// The group empties: drop it without cloning it first.
-		if c.masks--; c.mirrored() {
-			c.removeProbeLocked(c.locateLocked(g))
-		}
-		delete(c.byMask, g.maskKey)
-		c.prune.remove(g, &cls)
-	} else {
-		g, ci, k := c.mutableLocked(g, false)
-		g.remove(key)
-		g.settle()
-		c.setProbeLocked(ci, k, g)
-	}
-	c.publishLocked()
-	return true
-}
-
 // DeleteWhere removes every entry for which pred returns true and returns
 // the number removed. MFCGuard's drop-entry wipe (§8) is built on this,
 // and vswitch.SweepMegaflows routes every megaflow-lifecycle sweep here:
@@ -1547,7 +1374,7 @@ func (c *Classifier) Stats() Stats {
 	c.shardsMu.Unlock()
 	c.mu.Lock()
 	s.Inserted, s.Deleted, s.Publishes = c.inserted, c.deleted, c.published
-	s.ProbesCopied, s.SlotsCopied, s.DirCopied = c.probesCopied, c.copies.slots, c.copies.dir
+	s.ProbesCopied, s.SlotsCopied = c.probesCopied, c.slotsCopied
 	s.OverlapCompared, s.IndexCopied = c.overlapCompared, c.prune.copied
 	c.mu.Unlock()
 	return s

@@ -189,10 +189,10 @@ func TestDelete(t *testing.T) {
 	c := New(bitvec.HYP, Options{})
 	loadFig3(t, c)
 	k, m := bitvec.MustPattern(bitvec.HYP, "1**")
-	if !c.Delete(k, m) {
+	if !deleteEntry(c, k, m) {
 		t.Fatal("delete of existing entry failed")
 	}
-	if c.Delete(k, m) {
+	if deleteEntry(c, k, m) {
 		t.Error("double delete succeeded")
 	}
 	if c.MaskCount() != 2 {
@@ -206,14 +206,14 @@ func TestDelete(t *testing.T) {
 	// Deleting an entry whose mask group retains other entries keeps the
 	// mask: remove 000 (mask 111 also holds 001).
 	k2, m2 := bitvec.MustPattern(bitvec.HYP, "000")
-	if !c.Delete(k2, m2) {
+	if !deleteEntry(c, k2, m2) {
 		t.Fatal("delete 000 failed")
 	}
 	if c.MaskCount() != 2 {
 		t.Errorf("masks = %d, want 2 (mask 111 still has the allow key)", c.MaskCount())
 	}
 	// Deleting with an unknown mask is a no-op.
-	if c.Delete(hyp(0), bitvec.PrefixMask(bitvec.HYP, 0, 2)) {
+	if deleteEntry(c, hyp(0), bitvec.PrefixMask(bitvec.HYP, 0, 2)) {
 		t.Error("delete with unknown mask succeeded")
 	}
 }
@@ -239,6 +239,12 @@ func TestDeleteWhere(t *testing.T) {
 // the switch's idle sweep hands DeleteWhere, and returns how many went.
 func expireIdle(c *Classifier, now, timeout int64) int {
 	return c.DeleteWhere(func(e *Entry) bool { return now-e.LastUsedAt() >= timeout })
+}
+
+// deleteEntry removes the entry with exactly the given key and mask, by a
+// sweep that selects it alone, and reports whether there was one.
+func deleteEntry(c *Classifier, key, mask bitvec.Vec) bool {
+	return c.DeleteWhere(func(e *Entry) bool { return e.Key.Equal(key) && e.Mask.Equal(mask) }) == 1
 }
 
 func TestExpireIdle(t *testing.T) {
