@@ -1,6 +1,8 @@
 package tss
 
 import (
+	"bytes"
+	"cmp"
 	"slices"
 	"sort"
 	"testing"
@@ -29,7 +31,16 @@ type refClassifier struct {
 	masks   []*refMask          // creation order
 	byKey   map[string]*refMask // masks by mask key
 	pos     map[string]int      // 1-based scan position by mask key; nil = recompute
+	live    map[string]*Entry   // entries by entryKey
 }
+
+func newRefClassifier(order MaskOrder) *refClassifier {
+	return &refClassifier{order: order, byKey: map[string]*refMask{}, live: map[string]*Entry{}}
+}
+
+// entryKey is an entry's Key followed by its mask's: the one name of a
+// (key, mask) pair.
+func entryKey(key, mask bitvec.Vec) string { return key.Key() + mask.Key() }
 
 func (r *refClassifier) index(key, mask bitvec.Vec) int {
 	for i, e := range r.entries {
@@ -42,6 +53,7 @@ func (r *refClassifier) index(key, mask bitvec.Vec) int {
 
 func (r *refClassifier) add(e *Entry) {
 	r.entries = append(r.entries, e)
+	r.live[entryKey(e.Key, e.Mask)] = e
 	mk := e.Mask.Key()
 	if m := r.byKey[mk]; m != nil {
 		m.n++
@@ -58,6 +70,7 @@ func (r *refClassifier) add(e *Entry) {
 func (r *refClassifier) insert(e *Entry) bool {
 	if i := r.index(e.Key, e.Mask); i >= 0 {
 		r.entries[i] = e
+		r.live[entryKey(e.Key, e.Mask)] = e
 		return true
 	}
 	for _, ex := range r.entries {
@@ -70,6 +83,7 @@ func (r *refClassifier) insert(e *Entry) bool {
 }
 
 func (r *refClassifier) removeAt(i int) {
+	delete(r.live, entryKey(r.entries[i].Key, r.entries[i].Mask))
 	mk := r.entries[i].Mask.Key()
 	r.entries = append(r.entries[:i], r.entries[i+1:]...)
 	m := r.byKey[mk]
@@ -96,6 +110,16 @@ func (r *refClassifier) deleteWhere(pred func(*Entry) bool) int {
 // lookup returns the covering entry and the probe count TSS must report:
 // the 1-based scan position of its mask, or |M| on a miss.
 func (r *refClassifier) lookup(h bitvec.Vec) (*Entry, int) {
+	for _, e := range r.entries {
+		if bitvec.Covers(e.Key, e.Mask, h) {
+			return e, r.position(e)
+		}
+	}
+	return nil, len(r.masks)
+}
+
+// position returns the 1-based scan position of e's mask.
+func (r *refClassifier) position(e *Entry) int {
 	if r.pos == nil {
 		scan := slices.Clone(r.masks)
 		if r.order == OrderHash {
@@ -111,12 +135,7 @@ func (r *refClassifier) lookup(h bitvec.Vec) (*Entry, int) {
 			r.pos[m.key] = i + 1
 		}
 	}
-	for _, e := range r.entries {
-		if bitvec.Covers(e.Key, e.Mask, h) {
-			return e, r.pos[e.Mask.Key()]
-		}
-	}
-	return nil, len(r.masks)
+	return r.pos[e.Mask.Key()]
 }
 
 // opBytes hands out fuzz input a byte at a time (zeros once exhausted).
@@ -134,12 +153,16 @@ func (b *opBytes) next() int {
 func (b *opBytes) next16() int { return b.next()<<8 | b.next() }
 
 // frozenView is a snapshot loaded before a write sequence and what it
-// answered then; after the writes it must answer the same.
+// answered then: each header's lookup and the candidate groups its walk
+// handed out, and its dump's length. After the writes it must answer the
+// same.
 type frozenView struct {
-	sn   *snapshot
-	ref  []candRef // sn's reference candidate tables
-	hs   []bitvec.Vec
-	want []BatchResult
+	sn      *snapshot
+	ref     *refView // the reference's view of sn
+	hs      []bitvec.Vec
+	want    []BatchResult
+	walks   []int
+	entries int
 }
 
 var (
@@ -158,8 +181,10 @@ func fresh(e *Entry, a flowtable.Action) *Entry {
 // lookup run against refClassifier, asserting equal insert acceptance,
 // equal verdicts by entry identity, equal mask and entry counts, equal
 // probe counts under a linear scan, and snapshot isolation — a snapshot
-// loaded before a run of writes answers exactly as it did, so copy-on-write
-// never mutates anything a reader can still see. The first byte picks the
+// loaded before a run of writes answers exactly as it did (its lookups, the
+// candidate groups its walk hands out, its dump's length), so neither a
+// copy-on-write nor an in-place write changes anything a reader can still
+// see. The first byte picks the
 // scan, pruned or linear (bit 3), and the order (bit 0). Every lookup is
 // also checked against its group-by-group reference over the same snapshot
 // (checkScan), so a probe record that drifts from its group fails here, and
@@ -167,11 +192,12 @@ func fresh(e *Entry, a flowtable.Action) *Entry {
 // (checkPruneIndex) and Entries must list exactly the reference's entries
 // (checkTables); a DeleteWhere must call its predicate exactly once per
 // live entry, whether it walks the probe mirror or the pruning index's id
-// table. The base population (260–459 attack masks plus a 50–249-entry
+// table. The base population (260–299 attack masks plus an 8–63-entry
 // exact-match group, or, when bit 2 of the first byte is set, a large
-// group of 800–999 entries in a 2048-slot table) spans several
-// probe-mirror chunks, so splits and compaction across chunk boundaries
-// are on the path. The committed corpus (testdata/fuzz) holds seeds that reach
+// group of 400–499 entries in a 1024-slot table) spans more than one
+// 256-record probe-mirror chunk, so splits and compaction across chunk
+// boundaries are on the path, and it is kept that small because every
+// write re-checks all of it. The committed corpus (testdata/fuzz) holds seeds that reach
 // writes and sweeps under both scans and both orders, so the probe mirror's
 // writer is on the path too.
 func FuzzClassifierOps(f *testing.F) {
@@ -184,7 +210,7 @@ func FuzzClassifierOps(f *testing.F) {
 		l := bitvec.IPv4Tuple
 		in := opBytes(data)
 		cfg := in.next()
-		ref := &refClassifier{order: OrderHash, byKey: map[string]*refMask{}}
+		ref := newRefClassifier(OrderHash)
 		if cfg&1 == 1 {
 			ref.order = OrderInsertion
 		}
@@ -195,12 +221,13 @@ func FuzzClassifierOps(f *testing.F) {
 		c := New(l, Options{Order: ref.order, Scan: scan})
 		hd := c.NewHandle()
 		var base []*Entry
-		for _, e := range fuzzAttack[:260+in.next()%200] {
+		for _, e := range fuzzAttack[:260+in.next()%40] {
 			base = append(base, fresh(e, flowtable.Drop))
 		}
-		exact := 50 + in.next()%200
+		n := in.next()
+		exact := 8 + n%56
 		if cfg&4 != 0 {
-			exact += 750
+			exact = 400 + n%100
 		}
 		for _, e := range fuzzExact[:exact] {
 			base = append(base, fresh(e, flowtable.Allow))
@@ -255,49 +282,58 @@ func FuzzClassifierOps(f *testing.F) {
 		}
 		// lookup scans sn and checks the answer against the group-by-group
 		// reference scan.
-		lookup := func(sn *snapshot, ref []candRef, h bitvec.Vec, now int64) BatchResult {
+		// viewOf returns the reference's view of sn, the current snapshot,
+		// built once per publish.
+		var rv *refView
+		viewOf := func(sn *snapshot) *refView {
+			if rv == nil || rv.sn != sn {
+				rv = refViewOf(c, sn)
+			}
+			return rv
+		}
+		lookup := func(sn *snapshot, ref *refView, h bitvec.Vec, now int64) BatchResult {
 			e, probes, skips, ok := hd.lookupSnap(sn, h, now)
 			checkScan(t, c, sn, ref, h, e, probes, skips)
 			return BatchResult{Entry: e, Probes: probes, OK: ok}
 		}
 		// checkTables fails unless Entries lists the reference's entries
 		// group by group in (hash, mask key) order, each group's ordered by
-		// key, under every scan and order.
+		// key, under every scan and order: as many as the reference holds,
+		// each strictly after the one before in (mask hash, mask Key, Key)
+		// order, and each one the reference holds, with its action and rule.
+		var kbuf, mbuf, pkbuf, pmbuf []byte
 		checkTables := func(op int) {
-			masks := slices.Clone(ref.masks)
-			sort.Slice(masks, func(i, j int) bool {
-				if masks[i].hash != masks[j].hash {
-					return masks[i].hash < masks[j].hash
-				}
-				return masks[i].key < masks[j].key
-			})
-			byMask := map[string][]*Entry{}
-			for _, e := range ref.entries {
-				byMask[e.Mask.Key()] = append(byMask[e.Mask.Key()], e)
-			}
-			var want []*Entry
-			for _, m := range masks {
-				es := byMask[m.key]
-				sort.Slice(es, func(i, j int) bool { return es[i].Key.Key() < es[j].Key.Key() })
-				want = append(want, es...)
-			}
 			got := c.Entries()
-			if len(got) != len(want) {
-				t.Fatalf("op %d: Entries lists %d, reference %d", op, len(got), len(want))
+			if len(got) != len(ref.entries) {
+				t.Fatalf("op %d: Entries lists %d, reference %d", op, len(got), len(ref.entries))
 			}
-			for i, e := range want {
-				if g := got[i]; !g.Key.Equal(e.Key) || !g.Mask.Equal(e.Mask) || g.Action != e.Action || g.RuleName != e.RuleName {
-					t.Fatalf("op %d: Entries()[%d] = %s, reference %s", op, i, g.Format(l), e.Format(l))
+			for i, g := range got {
+				kbuf, mbuf = g.Key.AppendKey(kbuf[:0]), g.Mask.AppendKey(mbuf[:0])
+				if i > 0 {
+					p := got[i-1]
+					ord := cmp.Or(cmp.Compare(p.Mask.Hash(), g.Mask.Hash()), bytes.Compare(pmbuf, mbuf), bytes.Compare(pkbuf, kbuf))
+					if ord >= 0 {
+						t.Fatalf("op %d: Entries()[%d] = %s does not sort after %s", op, i, g.Format(l), p.Format(l))
+					}
 				}
+				e := ref.live[string(append(kbuf, mbuf...))]
+				if e == nil || g.Action != e.Action || g.RuleName != e.RuleName {
+					t.Fatalf("op %d: Entries()[%d] = %s, reference holds %v", op, i, g.Format(l), e)
+				}
+				pkbuf, kbuf = kbuf, pkbuf
+				pmbuf, mbuf = mbuf, pmbuf
 			}
 		}
 		freeze := func() *frozenView {
-			v := &frozenView{sn: c.snap.Load(), ref: refCands(c.prune)}
+			v := &frozenView{sn: c.snap.Load()}
+			v.ref = viewOf(v.sn)
 			for i := 0; i < 12; i++ {
 				h := header()
 				v.hs = append(v.hs, h)
 				v.want = append(v.want, lookup(v.sn, v.ref, h, 0))
+				v.walks = append(v.walks, v.sn.missProbes(h))
 			}
+			v.entries = len(v.sn.entries())
 			return v
 		}
 		thawCheck := func(v *frozenView) {
@@ -305,6 +341,12 @@ func FuzzClassifierOps(f *testing.F) {
 				if got := lookup(v.sn, v.ref, h, 0); got != v.want[i] {
 					t.Fatalf("snapshot answered %+v after writes, %+v before", got, v.want[i])
 				}
+				if got := v.sn.missProbes(h); got != v.walks[i] {
+					t.Fatalf("snapshot's walk hands out %d candidates after writes, %d before", got, v.walks[i])
+				}
+			}
+			if got := len(v.sn.entries()); got != v.entries {
+				t.Fatalf("snapshot dumps %d entries after writes, %d before", got, v.entries)
 			}
 		}
 
@@ -368,7 +410,7 @@ func FuzzClassifierOps(f *testing.F) {
 			default: // lookup
 				h := header()
 				sn := c.snap.Load()
-				got := lookup(sn, refCands(c.prune), h, now)
+				got := lookup(sn, viewOf(sn), h, now)
 				want, wantProbes := ref.lookup(h)
 				// A pruned lookup's probes are checkScan's to check.
 				if got.Entry != want || got.OK != (want != nil) || !sn.pruned && got.Probes != wantProbes {
@@ -388,11 +430,12 @@ func FuzzClassifierOps(f *testing.F) {
 		thawCheck(view)
 		// Every installed entry answers its own key, at its scan position
 		// when the lookup is linear.
-		cands := refCands(c.prune)
+		sn := c.snap.Load()
 		for _, e := range ref.entries {
-			sn := c.snap.Load()
-			got := lookup(sn, cands, e.Key, 0)
-			_, wantProbes := ref.lookup(e.Key)
+			got := lookup(sn, viewOf(sn), e.Key, 0)
+			// The reference's entries are disjoint, so e is the one its
+			// lookup of e.Key finds, at its mask's scan position.
+			wantProbes := ref.position(e)
 			if got.Entry != e || !sn.pruned && got.Probes != wantProbes {
 				t.Fatalf("entry %s: lookup of its key = (%v, %d probes), want itself at %d",
 					e.Format(l), got.Entry, got.Probes, wantProbes)

@@ -1,6 +1,7 @@
 package tss
 
 import (
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -282,5 +283,182 @@ func TestInPlaceInsertStaleRecord(t *testing.T) {
 		if want := sn != old; (e == y) != want {
 			t.Errorf("snapshot of epoch %d: lookup of the install's key = %v, want a hit: %v", sn.epoch, e, want)
 		}
+	}
+}
+
+// heldIndexView is a snapshot a reader keeps through an attack ramp, with
+// what it answered when it was published: each header's lookup, the
+// number of candidate groups its walk handed out, and its dump's length.
+type heldIndexView struct {
+	sn      *snapshot
+	hs      []bitvec.Vec
+	want    []BatchResult
+	walks   []int
+	entries int
+}
+
+func (v *heldIndexView) answer(i int) (BatchResult, int) {
+	e, probes, _ := v.sn.lookup(v.hs[i], 0)
+	return BatchResult{Entry: e, Probes: probes, OK: e != nil}, v.sn.missProbes(v.hs[i])
+}
+
+// check fails unless the view answers every header as it did; dump also
+// compares its dump's length.
+func (v *heldIndexView) check(t *testing.T, dump bool) bool {
+	t.Helper()
+	for i := range v.hs {
+		if got, walk := v.answer(i); got != v.want[i] || walk != v.walks[i] {
+			t.Errorf("snapshot of epoch %d: header %x answers %+v after %d candidates, held %+v after %d",
+				v.sn.epoch, v.hs[i], got, walk, v.want[i], v.walks[i])
+			return false
+		}
+	}
+	if n := len(v.sn.entries()); dump && n != v.entries {
+		t.Errorf("snapshot of epoch %d dumps %d entries, held %d", v.sn.epoch, n, v.entries)
+		return false
+	}
+	return true
+}
+
+// TestIndexAppendIsolation checks the pruning index's in-place adds
+// against the snapshots they write under. The writer ramps a pruned
+// classifier through the 8 192 attack masks, one Insert per mask, and
+// every 16th install adds a key to one exact-match group, which takes it
+// through its second entry and its doublings: the copies stored over the
+// group's id in place. Every 128 installs it installs again the attack
+// entry it deleted 128 installs before, which keeps the install epoch the
+// older snapshots held it under but takes a new id (or one a removal
+// freed), refreshes the entry it has just installed, and deletes an
+// attack entry and an exact one (a removal, and a clone of the exact
+// group). Halfway it sweeps out one key-hash class. Every
+// 256 installs it holds the snapshot with its answers for keys installed
+// by then, keys still to come and near misses.
+//
+// Readers check the held snapshots while the writer runs, and every one is
+// checked once more after it: each must return the same entry with the
+// same probes for every header, hand out the same number of candidate
+// groups from its walk, and dump as many entries as it held.
+func TestIndexAppendIsolation(t *testing.T) {
+	l := bitvec.IPv4Tuple
+	attack := attackEntries(l, 32*16*16)
+	exact := exactEntries(l, len(attack)/16)
+	sip, _ := l.FieldIndex("ip_src")
+	c := New(l, Options{})
+	rng := rand.New(rand.NewSource(5))
+
+	var mu sync.Mutex
+	var held []*heldIndexView
+	hold := func(installed int) {
+		v := &heldIndexView{sn: c.snap.Load()}
+		for k := 0; k < 24; k++ {
+			var h bitvec.Vec
+			switch k % 4 {
+			case 0: // an attack key installed by now, or since removed
+				h = attack[rng.Intn(installed)].Key.Clone()
+			case 1: // an attack key still to come, once the ramp has any left
+				h = attack[rng.Intn(len(attack))].Key.Clone()
+				if installed < len(attack) {
+					h = attack[installed+rng.Intn(len(attack)-installed)].Key.Clone()
+				}
+			case 2: // an exact key, installed or not
+				h = exact[rng.Intn(len(exact))].Key.Clone()
+			default: // a near miss of an attack key
+				h = attack[rng.Intn(len(attack))].Key.Clone()
+				h.SetFieldBit(l, sip, rng.Intn(32))
+			}
+			v.hs = append(v.hs, h)
+		}
+		for i := range v.hs {
+			got, walk := v.answer(i)
+			v.want, v.walks = append(v.want, got), append(v.walks, walk)
+		}
+		v.entries = len(v.sn.entries())
+		mu.Lock()
+		held = append(held, v)
+		mu.Unlock()
+	}
+
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for i := r; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				mu.Lock()
+				n := len(held)
+				mu.Unlock()
+				if n == 0 {
+					continue
+				}
+				mu.Lock()
+				v := held[i%n]
+				mu.Unlock()
+				if !v.check(t, false) {
+					return
+				}
+			}
+		}(r)
+	}
+
+	mustInsert := func(e *Entry, now int64) {
+		t.Helper()
+		if err := c.Insert(e, now); err != nil {
+			t.Fatalf("insert %s: %v", e.Format(l), err)
+		}
+	}
+	nExact := 0
+	inst := make([]*Entry, len(attack)) // the entry installed for each mask
+	var gone *Entry                     // the attack entry deleted last
+	for i, e := range attack {
+		now := int64(i)
+		inst[i] = fresh(e, flowtable.Drop)
+		mustInsert(inst[i], now)
+		if i%16 == 15 {
+			mustInsert(fresh(exact[nExact], flowtable.Allow), now)
+			nExact++
+		}
+		if i%128 == 127 {
+			if gone != nil {
+				mustInsert(gone, now)
+			}
+			mustInsert(inst[i], now) // a refresh: the same entry again
+			// Either may be gone already, to the sweep or an earlier delete.
+			x := exact[rng.Intn(nExact)]
+			gone = inst[i-rng.Intn(128)]
+			deleteEntry(c, gone.Key, gone.Mask)
+			deleteEntry(c, x.Key, x.Mask)
+		}
+		if i == len(attack)/2 {
+			c.DeleteWhere(func(e *Entry) bool { return keyHash(e.Key)%7 == 0 })
+		}
+		if i%256 == 255 {
+			hold(i + 1)
+		}
+	}
+	close(done)
+
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		readers.Wait()
+		for _, v := range held {
+			if !v.check(t, true) {
+				return
+			}
+		}
+	}()
+	select {
+	case <-finished:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("a lookup over a held snapshot did not return")
+	}
+	if len(held) != len(attack)/256 {
+		t.Fatalf("held %d snapshots, want %d", len(held), len(attack)/256)
 	}
 }

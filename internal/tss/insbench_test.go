@@ -1,6 +1,7 @@
 package tss
 
 import (
+	"runtime"
 	"testing"
 
 	"tse/internal/bitvec"
@@ -8,15 +9,15 @@ import (
 )
 
 // BenchmarkInsertAtManyMasks measures the writer-side cost of one megaflow
-// install into an attack-inflated classifier: the copy-on-write publish
-// copies the probe mirror's chunk directory plus the one chunk the install
-// touched (Stats.ProbesCopied), so this is the per-upcall bill the
-// snapshot design charges the slow path to keep the read path lock-free.
+// install into an attack-inflated classifier under the default scan, which
+// keeps no probe mirror: an idempotent refresh clones its one-entry group,
+// copies the id table's chunk and directory for the clone, and publishes.
+// It is the per-upcall bill of the snapshot design when the flood repeats
+// a megaflow; a new mask's bill is BenchmarkInsertAttackRamp's.
 //
 // Installs are idempotent refreshes round-robin over the 4096 seeded
 // megaflows — the one-entry-per-mask attack shape — so the classifier
-// stays in steady state for any b.N: each op pays one tiny-group clone
-// plus one chunk copy and the publish, which is the quantity under test.
+// stays in steady state for any b.N.
 func BenchmarkInsertAtManyMasks(b *testing.B) {
 	l := bitvec.IPv4Tuple
 	c := New(l, Options{DisableOverlapCheck: true})
@@ -32,9 +33,9 @@ func BenchmarkInsertAtManyMasks(b *testing.B) {
 
 // BenchmarkInsertBatchAtManyMasks is the amortised counterpart: one
 // 32-entry InsertBatch per op — the handler-drain burst shape — so the
-// directory copy and publish are paid once per 32 installs instead of per
-// install. Compare ns/op/32 against BenchmarkInsertAtManyMasks to read the
-// per-install win.
+// id table's directory copy and the publish are paid once per 32 installs
+// instead of per install. Compare ns/op/32 against
+// BenchmarkInsertAtManyMasks to read the per-install win.
 func BenchmarkInsertBatchAtManyMasks(b *testing.B) {
 	const burst = 32
 	l := bitvec.IPv4Tuple
@@ -74,4 +75,43 @@ func BenchmarkInsertIntoLargeGroup(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkInsertAttackRamp prices the install the TSE attack forces once
+// per spoofed packet: the 8 192 attack masks into a fresh classifier, one
+// Insert (and so one publish) per mask, as a pool worker installs its
+// inline miss, with the overlap check on. It reports the ramp's time,
+// bytes and allocations per install, so a cost that grows with |M| shows
+// as a higher mean.
+func BenchmarkInsertAttackRamp(b *testing.B) {
+	l := bitvec.IPv4Tuple
+	tmpl := attackEntries(l, 32*16*16)
+	es := make([]*Entry, len(tmpl))
+	var ms runtime.MemStats
+	var bytes, allocs uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		// An installed entry keeps its stamp: every ramp installs new ones.
+		for k, e := range tmpl {
+			es[k] = fresh(e, flowtable.Drop)
+		}
+		c := New(l, Options{})
+		runtime.ReadMemStats(&ms)
+		bytes, allocs = bytes-ms.TotalAlloc, allocs-ms.Mallocs
+		b.StartTimer()
+		for _, e := range es {
+			if err := c.Insert(e, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&ms)
+		bytes, allocs = bytes+ms.TotalAlloc, allocs+ms.Mallocs
+		b.StartTimer()
+	}
+	n := float64(b.N * len(es))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/install")
+	b.ReportMetric(float64(bytes)/n, "B/install")
+	b.ReportMetric(float64(allocs)/n, "allocs/install")
 }

@@ -2,7 +2,9 @@ package tss
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"tse/internal/bitvec"
@@ -91,31 +93,40 @@ func ledgerDelta(before, after Stats) ledger {
 // compare more than it did fails here with no timing spread to hide in.
 // No operation copies probe records under the default scan, which keeps
 // no probe mirror; the attack operations' ScanLinear rows keep the
-// mirror's bill, the one the paper's linear-scan model pays, in view. The
-// 12k-entry rows are a one-mask cache, which ScanPruned used to scan
-// linearly: they went from probesCopied 1 (the mirror's one record) to
-// indexCopied 2 (the id table's directory and the chunk holding the
-// group's id) when a cache of 16 masks or fewer came to be pruned too.
-// The install into the 12 k group reads 0: a new key that keeps a
-// published multi-entry group within its load is written in place. The
-// install that doubles a 12 288-entry group builds the doubled group
-// straight from the published one, so it copies no slot; the id table is
-// still repointed (indexCopied 2). A sweep that removes entries from a
-// multi-entry group clones it, and a clone copies its one slot table
-// whole: 16 384 slots for the 12 k group whether the sweep expires 4 096
-// entries or 64.
+// mirror's bill, the one the paper's linear-scan model pays, in view.
+//
+// No install copies anything of the pruning index (indexCopied 0). The
+// attack install writes its new group's id into an empty cell of the id
+// table and its ref past the published count of the leaf on its path,
+// where no snapshot looks; it used to copy the table's directory, the root,
+// the level-1 node and the leaf (4). The install into the 12 k group writes
+// one slot in place: a new key that keeps a published multi-entry group
+// within its load. The install that doubles a 12 288-entry group builds the
+// doubled group straight from the published one, so it copies no slot, and
+// stores it over the old one in its id's cell, since every older snapshot
+// skips the one entry it adds (it used to copy the id's chunk and the
+// directory, 2). Removals still copy: a sweep that removes entries from a
+// multi-entry group clones it, a clone copies its one slot table whole
+// (16 384 slots for the 12 k group whether the sweep expires 4 096 entries
+// or 64), and the clone's id is written into a copy of its chunk and of the
+// directory (2). A sweep of 4 096 one-entry attack groups copies the nodes
+// on their paths, their 16 chunks and the directory (562).
+// attackInstall returns TestWorkLedgerPins' attack install: a classifier
+// holding masks-1 attack masks, and the install of the last one.
+func attackInstall(masks int, scan Scan) (func(t *testing.T) *Classifier, func(*Classifier) error) {
+	l := bitvec.IPv4Tuple
+	es := attackEntries(l, masks)
+	return func(t *testing.T) *Classifier {
+			c := New(l, Options{Scan: scan})
+			mustInsertBatch(t, c, es[:masks-1], 0)
+			return c
+		}, func(c *Classifier) error {
+			return c.Insert(es[masks-1], 1)
+		}
+}
+
 func TestWorkLedgerPins(t *testing.T) {
 	l := bitvec.IPv4Tuple
-	attackInstall := func(masks int, scan Scan) (func(t *testing.T) *Classifier, func(*Classifier) error) {
-		es := attackEntries(l, masks)
-		return func(t *testing.T) *Classifier {
-				c := New(l, Options{Scan: scan})
-				mustInsertBatch(t, c, es[:masks-1], 0)
-				return c
-			}, func(c *Classifier) error {
-				return c.Insert(es[masks-1], 1)
-			}
-	}
 	// exactGroupOf installs n exact-match entries, the first idle of them
 	// at time 0 and the rest at 100.
 	exactGroupOf := func(n, idle int) func(t *testing.T) *Classifier {
@@ -154,19 +165,19 @@ func TestWorkLedgerPins(t *testing.T) {
 		want  ledger
 	}{
 		{"attack install at 1024 masks", ins1024, op1024,
-			ledger{publishes: 1, probesCopied: 0, slotsCopied: 0, overlapCompared: 0, indexCopied: 4}},
+			ledger{publishes: 1, probesCopied: 0, slotsCopied: 0, overlapCompared: 0, indexCopied: 0}},
 		{"attack install at 8192 masks", ins8192, op8192,
-			ledger{publishes: 1, probesCopied: 0, slotsCopied: 0, overlapCompared: 0, indexCopied: 4}},
+			ledger{publishes: 1, probesCopied: 0, slotsCopied: 0, overlapCompared: 0, indexCopied: 0}},
 		{"attack install at 1024 masks under ScanLinear", lin1024, linOp1024,
-			ledger{publishes: 1, probesCopied: 253, slotsCopied: 0, overlapCompared: 0, indexCopied: 4}},
+			ledger{publishes: 1, probesCopied: 253, slotsCopied: 0, overlapCompared: 0, indexCopied: 0}},
 		{"attack install at 8192 masks under ScanLinear", lin8192, linOp8192,
-			ledger{publishes: 1, probesCopied: 210, slotsCopied: 0, overlapCompared: 0, indexCopied: 4}},
+			ledger{publishes: 1, probesCopied: 210, slotsCopied: 0, overlapCompared: 0, indexCopied: 0}},
 		{"install into a 12k-entry group", exactGroup, func(c *Classifier) error {
 			return c.Insert(exactEntries(l, 12001)[12000], 100)
 		}, ledger{publishes: 1, probesCopied: 0, slotsCopied: 0, overlapCompared: 0, indexCopied: 0}},
 		{"install that doubles a 12288-entry group", exactGroupOf(12288, 4096), func(c *Classifier) error {
 			return c.Insert(exactEntries(l, 12289)[12288], 100)
-		}, ledger{publishes: 1, probesCopied: 0, slotsCopied: 0, overlapCompared: 0, indexCopied: 2}},
+		}, ledger{publishes: 1, probesCopied: 0, slotsCopied: 0, overlapCompared: 0, indexCopied: 0}},
 		{"expire 4096 of a 12k-entry group", exactGroup, func(c *Classifier) error {
 			if n := expireIdle(c, 105, 10); n != 4096 {
 				return fmt.Errorf("expired %d, want 4096", n)
@@ -210,6 +221,31 @@ func TestWorkLedgerPins(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAttackInstallBytesFlat pins that an attack install allocates as
+// much at 8 192 masks as at 1 024: the two installs' bytes fall in the same
+// power-of-two class. An install that copies something whose size grows
+// with |M| fails here; the id table's directory copy made it 1 344 bytes
+// at 1 024 masks and 2 240 at 8 192, before an install wrote the index in
+// place.
+func TestAttackInstallBytesFlat(t *testing.T) {
+	var b [2]uint64
+	for i, masks := range []int{1024, 8192} {
+		build, op := attackInstall(masks, ScanPruned)
+		c := build(t)
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		if err := op(c); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		b[i] = ms.TotalAlloc - before
+	}
+	if bits.Len64(b[0]) != bits.Len64(b[1]) {
+		t.Errorf("attack install allocates %d bytes at 1024 masks, %d at 8192", b[0], b[1])
 	}
 }
 

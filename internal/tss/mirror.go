@@ -243,20 +243,40 @@ func (c *Classifier) thawLocked(g *group) *group {
 func (c *Classifier) adoptLocked(ng *group) *group {
 	c.byMask[ng.maskKey] = ng
 	c.thawed = append(c.thawed, ng)
-	c.prune.replace(ng)
+	c.prune.setGroup(ng.id, ng, false)
 	return ng
 }
 
-// mutableLocked is thawLocked plus g's mirror position, if mirrored. grow
-// is set by an insert that takes g past 3/4 load: a published g is then
-// copied straight into a doubled table (group.doubled) instead of being
-// cloned for put to regrow.
-func (c *Classifier) mutableLocked(g *group, grow bool) (ng *group, ci, k int) {
+// insertCopyLocked installs e, which no classifier has installed before,
+// into a copy of published g: the one-entry group's second entry, or, when
+// e would take g past 3/4 load, g doubled (group.doubled). The copy holds
+// g's entries and e, which every snapshot that reaches g's id skips on its
+// epoch, so once complete it replaces g in its id's cell in place, without
+// copying the id table, and counts as published from then on: a later
+// write to it in the same batch copies it again or writes in place.
+func (c *Classifier) insertCopyLocked(g *group, e *Entry) {
+	var ci, k int
 	if c.mirrored() {
 		ci, k = c.locateLocked(g)
 	}
-	if grow && g.frozen {
-		return c.adoptLocked(g.doubled()), ci, k
+	var ng *group
+	if g.full() {
+		ng = g.doubled()
+	} else {
+		c.slotsCopied += uint64(len(g.slots))
+		ng = g.clone()
+	}
+	ng.put(e)
+	ng.frozen = true
+	c.byMask[ng.maskKey] = ng
+	c.prune.setGroup(ng.id, ng, true)
+	c.setProbeLocked(ci, k, ng)
+}
+
+// mutableLocked is thawLocked plus g's mirror position, if mirrored.
+func (c *Classifier) mutableLocked(g *group) (ng *group, ci, k int) {
+	if c.mirrored() {
+		ci, k = c.locateLocked(g)
 	}
 	return c.thawLocked(g), ci, k
 }

@@ -5,6 +5,8 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
+	"sync/atomic"
+	"unsafe"
 
 	"tse/internal/bitvec"
 )
@@ -33,23 +35,38 @@ import (
 // The groups sit in a tree with one level per constrained field: a field
 // becomes a level (and the tree is rebuilt) when the first mask with a
 // nonzero class on it is installed, at most once per field, so a field no
-// mask constrains costs a lookup nothing. An inner node is bitmap-indexed
-// by the class of its level's field: kid k belongs to the k-th set bit of
-// bits. A last-level node lists its groups' ids with their class there. A
-// lookup descends only into the children in bits & candidates[level]. One
-// iterative walk (walk) serves the lookup, MissProbes and the overlap
-// check: it hands each caller the candidate groups in tree order, and the
-// caller probes them in its own loop.
+// mask constrains costs a lookup nothing. An inner node indexes its kids
+// by the class of its level's field: kid c holds the groups of class c,
+// and bit c of bits is set while it exists. A last-level node lists its
+// groups' ids with their class there. A lookup descends only into the
+// children in bits & candidates[level]. One iterative walk (walk) serves
+// the lookup, MissProbes and the insert-time overlap check: it hands each
+// caller the candidate groups in tree order, and the caller probes them in
+// its own loop.
 //
-// Ids name groups through a chunked table, so the copy-on-write clone an
-// install into an existing group makes rewrites one table entry, not the
-// tree. The tree changes only when a mask comes or goes, and then copies
-// the nodes on its path, at most one per level. Published nodes, tables
-// and chunks are immutable; the snapshot carries them (pruneView). The
-// index is built in New and kept under both scans: ScanPruned lookups walk
-// the tree from the first mask, the insert-time overlap check walks it
-// under either scan, and the id table is the group directory Entries and
-// DeleteWhere read.
+// Ids name groups through a chunked table, so the clone a write to an
+// existing group makes rewrites one table entry, not the tree. A snapshot
+// holds the index's view by value (pruneView): the tree's root, its levels,
+// the candidate tables and the id table's directory. An install writes the
+// tree and the id table in place, RCU-style, as an append behind a
+// published length [OVS lib/cmap.c; MemC3, Fan et al., NSDI'13]: a new id
+// fills a cell no snapshot lists (each lists only the ids below its next);
+// a new kid fills its empty cell before its bit is set; a new ref lands past
+// its leaf's published count before the count moves, and carries the epoch
+// of its add, which the walk of an older snapshot skips before it loads the
+// group. A copy of a group that only adds an entry (a one-entry group's
+// second, a doubling) replaces the group in its id's cell once complete,
+// since every older snapshot skips that entry on its epoch. So an install
+// copies nothing of the index. Every other write copies what a snapshot
+// could see change, so each snapshot keeps the index it was published with:
+// a removal copies the nodes on its path; a removal, a reused id and any
+// other clone of a published group (a refresh's, a sweep's) copy the id's
+// chunk and the directory; a new level rebuilds the tree, at most once per
+// field; and a publish rebuilds the candidate table of a field whose values
+// changed. The index is built in New and kept under both scans: ScanPruned
+// lookups walk the tree from the first mask, the insert-time overlap check
+// walks it under either scan, and the id table is the group directory
+// Entries and DeleteWhere read.
 //
 // The insert-time overlap check walks the same tree. Its candidates on
 // field f are the classes with a value agreeing with the new entry's key
@@ -66,7 +83,7 @@ const maxLevels = 8
 // pays one counter check per install once dense.
 const denseVals = 8
 
-// The group-id table is a directory of chunks of up to idChunk ids.
+// The group-id table is a directory of chunks of idChunk ids.
 const (
 	idShift = 8
 	idChunk = 1 << idShift
@@ -144,50 +161,108 @@ func (fc *fieldCands) match(h bitvec.Vec) uint64 {
 	return c
 }
 
-// inode is one node of the pruning tree. An inner node holds one kid per
-// set bit of bits, in bit order; a last-level node holds refs, its groups
-// with their class on the last level's field, and bits is the union of
-// those classes. epoch is the writer epoch that allocated it: a node of
-// the current epoch has never been published and is mutated in place.
+// inode is one node of the pruning tree. An inner node has one kid cell
+// per class of its level's field (the field's width plus one), and bits
+// has bit c set while kids[c] holds a node. A last-level node holds refs,
+// its groups with their class on the last level's field, and bits is the
+// union of those classes.
+//
+// Lock-free readers walk nodes the writer adds to. An add stores a new kid
+// into its empty cell and then ORs in its bit, and writes a new ref past
+// the published count (nrefs) before it moves the count, all atomically;
+// the kid or the ref array it publishes is complete before that. A removal
+// never writes a node a snapshot may reach: it copies the nodes on its path
+// (own). epoch is the writer epoch that copied the node for a removal; such
+// a node is reachable only once published, so the removals of its own
+// epoch mutate it in place. A node an add makes has epoch 0, which no write
+// runs in (New publishes first).
 type inode struct {
-	bits  uint64
+	bits  atomic.Uint64
 	epoch uint64
-	kids  []*inode
-	refs  []leafRef
+	kids  []atomic.Pointer[inode]
+	refs  atomic.Pointer[leafRef] // the first cell of the ref array
+	nrefs atomic.Uint32           // refs published
+	capr  uint32                  // the ref array's length; the writer's alone
 }
 
+// leafRef is one group of a last-level node: its id, its class there, and
+// the epoch of the add that placed it, which a walk of a snapshot published
+// before skips.
 type leafRef struct {
-	id  uint32
-	cls uint8
+	epoch uint64
+	id    uint32
+	cls   uint8
 }
+
+// loadRefs returns the node's published refs. The count is loaded first:
+// the array loaded after it is the one the count was published with or a
+// grown copy, and either holds that many refs.
+func (n *inode) loadRefs() []leafRef {
+	k := n.nrefs.Load()
+	return unsafe.Slice(n.refs.Load(), k)
+}
+
+// appendRef adds r past the node's published refs, growing the array by
+// doubling into a copy when it is full, and then publishes it.
+func (n *inode) appendRef(r leafRef) {
+	k := n.nrefs.Load()
+	refs := unsafe.Slice(n.refs.Load(), n.capr)
+	if k == n.capr {
+		refs = append(make([]leafRef, 0, max(2*k, 2)), refs...)
+		refs = refs[:cap(refs)]
+		n.capr = uint32(len(refs))
+		n.refs.Store(&refs[0])
+	}
+	refs[k] = r
+	n.nrefs.Store(k + 1)
+	n.bits.Or(1 << r.cls)
+}
+
+// idCells is one chunk of the group-id table, allocated at its full
+// length. The writer stores into a cell a snapshot lists only to replace a
+// group with a copy that only adds entries, and readers load cells
+// atomically.
+type idCells [idChunk]atomic.Pointer[group]
 
 // idTable is the group-id table: group id sits in chunk id>>idShift at
-// id&(idChunk-1). Ids are handed out in order, so a new one extends the
-// last chunk.
-type idTable [][]*group
+// id&(idChunk-1). New ids are handed out in order, so a new one fills the
+// next empty cell of the last chunk, and a new chunk is appended to the
+// directory.
+type idTable []*idCells
 
-func (t idTable) at(id uint32) *group { return t[id>>idShift][id&(idChunk-1)] }
+func (t idTable) at(id uint32) *group { return t[id>>idShift][id&(idChunk-1)].Load() }
 
-// pruneView is the part of the index a snapshot publishes: the tree, its
-// levels' fields, the candidate tables of every pruned field, and the
-// group-id table.
+// pruneView is the part of the index a snapshot publishes, by value: the
+// tree, its levels' fields, the candidate tables of every pruned field, and
+// the group-id table with the number of ids it had handed out.
 type pruneView struct {
 	root   *inode
 	levels []uint8 // field index of each tree level
 	cands  []fieldCands
 	groups idTable
+	next   uint32 // ids at or past next are not the view's
+}
+
+// list returns the view's groups in id order.
+func (v *pruneView) list(n int) []*group {
+	gs := make([]*group, 0, n)
+	for id := uint32(0); id < v.next; id++ {
+		if g := v.groups.at(id); g != nil {
+			gs = append(gs, g)
+		}
+	}
+	return gs
 }
 
 // groups returns the snapshot's groups for Entries: the pruning index's id
 // table sorted by (hash, maskKey), which is OrderHash scan order.
 func (sn *snapshot) groups() []*group {
-	gs := make([]*group, 0, sn.masks)
-	for _, ch := range sn.prune.groups {
-		gs = append(gs, ch...)
-	}
-	gs = slices.DeleteFunc(gs, func(g *group) bool { return g == nil })
+	gs := sn.prune.list(sn.masks)
 	slices.SortFunc(gs, func(a, b *group) int {
-		return cmp.Or(cmp.Compare(a.hash, b.hash), strings.Compare(a.maskKey, b.maskKey))
+		if a.hash != b.hash {
+			return cmp.Compare(a.hash, b.hash)
+		}
+		return strings.Compare(a.maskKey, b.maskKey)
 	})
 	return gs
 }
@@ -201,38 +276,43 @@ func (v *pruneView) candidates(h bitvec.Vec, cand *[maxLevels]uint64) {
 
 // walk is the one walk of the pruning tree, shared by the pruned lookup,
 // MissProbes and the insert-time overlap check. With cand filled, first and
-// then next return, in tree order, every group whose class is in cand on
-// every level. The path is an explicit stack: per inner level, the node
-// and its candidate kids not yet visited. A leaf none of whose classes is
-// a candidate is skipped without reading its refs.
+// then next return, in tree order, every group of a ref no newer than the
+// walk's epoch whose class is in cand on every level. The path is an
+// explicit stack: per inner level, the node and its candidate kids not yet
+// visited. A leaf none of whose classes is a candidate is skipped without
+// reading its refs.
 type walk struct {
 	cand    [maxLevels]uint64
 	node    [maxLevels]*inode
 	rest    [maxLevels]uint64
 	refs    []leafRef // the current leaf's refs not yet visited
 	v       *pruneView
+	ep      uint64
 	d, last int
 }
 
-// first starts the walk over v's tree and returns its first group, or nil.
-func (w *walk) first(v *pruneView) *group {
-	w.v, w.last, w.d = v, len(v.levels)-1, -1
+// first starts the walk over v's tree for a reader of epoch ep and returns
+// its first group, or nil.
+func (w *walk) first(v *pruneView, ep uint64) *group {
+	w.v, w.ep, w.last, w.d = v, ep, len(v.levels)-1, -1
 	switch n := v.root; {
-	case n == nil || n.bits&w.cand[0] == 0:
+	case n == nil || n.bits.Load()&w.cand[0] == 0:
 	case w.last == 0:
-		w.refs = n.refs
+		w.refs = n.loadRefs()
 	default:
-		w.node[0], w.rest[0], w.d = n, n.bits&w.cand[0], 0
+		w.node[0], w.rest[0], w.d = n, n.bits.Load()&w.cand[0], 0
 	}
 	return w.next()
 }
 
-// next returns the walk's next group, or nil once it is done.
+// next returns the walk's next group, or nil once it is done. A ref newer
+// than the walk's epoch is skipped before its group is loaded, so a reader
+// never meets a group added after its snapshot.
 func (w *walk) next() *group {
 	c, d, refs := w.cand[w.last], w.d, w.refs
 	for {
 		for i, r := range refs {
-			if c>>r.cls&1 != 0 {
+			if c>>r.cls&1 != 0 && r.epoch <= w.ep {
 				w.refs, w.d = refs[i+1:], d
 				return w.v.groups.at(r.id)
 			}
@@ -248,13 +328,12 @@ func (w *walk) next() *group {
 				continue
 			}
 			w.rest[d] = m & (m - 1)
-			n := w.node[d]
-			kid := n.kids[bits.OnesCount64(n.bits&(m&-m-1))]
+			kid := w.node[d].kids[bits.TrailingZeros64(m)].Load()
 			if d+1 < w.last {
 				d++
-				w.node[d], w.rest[d] = kid, kid.bits&w.cand[d]
-			} else if kid.bits&c != 0 {
-				refs = kid.refs
+				w.node[d], w.rest[d] = kid, kid.bits.Load()&w.cand[d]
+			} else if kid.bits.Load()&c != 0 {
+				refs = kid.loadRefs()
 				break
 			}
 		}
@@ -268,7 +347,7 @@ func (w *walk) next() *group {
 func (sn *snapshot) scanPruned(h bitvec.Vec) (e *Entry, probes, skips int) {
 	var w walk
 	sn.prune.candidates(h, &w.cand)
-	for g := w.first(sn.prune); g != nil; g = w.next() {
+	for g := w.first(&sn.prune, sn.epoch); g != nil; g = w.next() {
 		probes++
 		var skip bool
 		if e, skip = g.probe(h, sn.epoch); skip {
@@ -279,6 +358,18 @@ func (sn *snapshot) scanPruned(h bitvec.Vec) (e *Entry, probes, skips int) {
 		}
 	}
 	return e, probes, skips
+}
+
+// missProbes returns the candidate groups of h the snapshot's walk hands
+// out: the probes a pruned lookup of h that misses makes.
+func (sn *snapshot) missProbes(h bitvec.Vec) int {
+	var w walk
+	sn.prune.candidates(h, &w.cand)
+	n := 0
+	for g := w.first(&sn.prune, sn.epoch); g != nil; g = w.next() {
+		n++
+	}
+	return n
 }
 
 // valClass is the writer's count of one (field, length) class: its
@@ -295,17 +386,18 @@ type valCount struct {
 }
 
 // pruneIndex is the writer side of the tuple-pruning index, under the
-// classifier's writer lock. view is what the next publish shares; fields
-// never changes after New.
+// classifier's writer lock. view is what the next publish shares, and its
+// next is the last publish's: an id at or past it is in no snapshot.
+// fields never changes after New.
 type pruneIndex struct {
 	view     pruneView
 	fields   []pfield
 	levelSet uint64 // fields that are tree levels
 	epoch    uint64
 
-	// dirEpoch and chunkEpoch[i] are the epochs that copied the group-id
-	// table's directory and its chunk i. Ids below next not in free name
-	// groups.
+	// dirEpoch and chunkEpoch[i] are the epochs that copied (or made) the
+	// group-id table's directory and its chunk i. Ids below next not in
+	// free name groups.
 	dirEpoch   uint64
 	chunkEpoch []uint64
 	next       uint32
@@ -351,8 +443,8 @@ func (x *pruneIndex) classes(mask bitvec.Vec) (cls [maxLevels]uint8) {
 }
 
 // publish rebuilds the stale candidate tables and returns the view the
-// snapshot shares; everything written until then is frozen.
-func (x *pruneIndex) publish() *pruneView {
+// snapshot shares; the ids handed out until then are the view's.
+func (x *pruneIndex) publish() pruneView {
 	x.epoch++
 	if x.dirty != 0 {
 		x.view.cands = slices.Clone(x.view.cands)
@@ -382,8 +474,8 @@ func (x *pruneIndex) publish() *pruneView {
 		}
 		x.dirty = 0
 	}
-	v := x.view
-	return &v
+	x.view.next = x.next
+	return x.view
 }
 
 // addEntry counts key's value in each of its mask's classes cls.
@@ -483,7 +575,7 @@ func (x *pruneIndex) overlapCands(key, mask bitvec.Vec) (cand [maxLevels]uint64)
 
 // add gives a new group, whose mask has classes cls, an id and places it
 // in the tree, first making a level of every field its mask is the first
-// to constrain.
+// to constrain. Its ref carries the epoch of the next publish.
 func (x *pruneIndex) add(g *group, cls *[maxLevels]uint8) {
 	var need uint64
 	for f := range x.fields {
@@ -501,52 +593,54 @@ func (x *pruneIndex) add(g *group, cls *[maxLevels]uint8) {
 		x.next++
 	}
 	g.id = id
-	x.setGroup(id, g)
-	x.setLeaf(cls, id, true)
+	x.setGroup(id, g, false)
+	x.addLeaf(cls, leafRef{epoch: nextEpoch(), id: id})
 }
-
-// replace points g's id at g, a copy-on-write clone of the group there.
-func (x *pruneIndex) replace(g *group) { x.setGroup(g.id, g) }
 
 // remove drops g, whose mask has classes cls, from the tree and frees its
 // id.
 func (x *pruneIndex) remove(g *group, cls *[maxLevels]uint8) {
-	x.setLeaf(cls, g.id, false)
-	x.setGroup(g.id, nil)
+	x.view.root = x.removeAt(x.view.root, 0, cls, g.id)
+	x.setGroup(g.id, nil, false)
 	x.free = append(x.free, g.id)
 }
 
-// setGroup stores g at id, first copying the directory if a snapshot
-// shares it, and the id's chunk if a snapshot shares the slot. A new id
-// extends its chunk past every published length, in place.
-func (x *pruneIndex) setGroup(id uint32, g *group) {
-	if x.dirEpoch != x.epoch {
-		x.view.groups = append(make(idTable, 0, len(x.view.groups)+1), x.view.groups...)
-		x.dirEpoch = x.epoch
-		x.copied++
-	}
-	i, k := int(id>>idShift), int(id&(idChunk-1))
+// setGroup stores g at id. The cell is written in place when no snapshot
+// lists it (a new id), when its chunk was copied since the last publish,
+// or when inPlace says that g is a copy of the group there that only adds
+// entries stamped after every published snapshot, which skip them;
+// otherwise the chunk is copied first, and with it the directory if a
+// snapshot shares that. A new chunk is appended to the directory, into
+// spare capacity no snapshot reads.
+func (x *pruneIndex) setGroup(id uint32, g *group, inPlace bool) {
+	i := int(id >> idShift)
 	if i == len(x.view.groups) {
-		x.view.groups = append(x.view.groups, nil)
+		if len(x.view.groups) == cap(x.view.groups) {
+			x.dirEpoch = x.epoch // append copies it
+		}
+		x.view.groups = append(x.view.groups, new(idCells))
 		x.chunkEpoch = append(x.chunkEpoch, x.epoch)
 	}
-	ch := x.view.groups[i]
-	switch {
-	case k == len(ch):
-		ch = append(ch, g)
-	case x.chunkEpoch[i] != x.epoch:
-		ch = slices.Clone(ch)
+	if !inPlace && id < x.view.next && x.chunkEpoch[i] != x.epoch {
+		if x.dirEpoch != x.epoch {
+			x.view.groups = append(make(idTable, 0, cap(x.view.groups)), x.view.groups...)
+			x.dirEpoch = x.epoch
+			x.copied++
+		}
+		ch := new(idCells)
+		for k := range ch {
+			ch[k].Store(x.view.groups[i][k].Load())
+		}
+		x.view.groups[i] = ch
 		x.chunkEpoch[i] = x.epoch
 		x.copied++
-		fallthrough
-	default:
-		ch[k] = g
 	}
-	x.view.groups[i] = ch
+	x.view.groups[i][id&(idChunk-1)].Store(g)
 }
 
 // rebuild makes the fields of set the tree's levels, in layout order, and
-// rebuilds the tree over every group.
+// rebuilds the tree over every group. The new tree is reachable only once
+// published, so its refs carry epoch 0.
 func (x *pruneIndex) rebuild(set uint64) {
 	x.levelSet = set
 	x.view.levels = nil
@@ -554,87 +648,107 @@ func (x *pruneIndex) rebuild(set uint64) {
 		x.view.levels = append(x.view.levels, uint8(bits.TrailingZeros64(m)))
 	}
 	x.view.root = nil
-	for _, ch := range x.view.groups {
-		for _, g := range ch {
-			if g != nil {
-				cls := x.classes(g.mask)
-				x.setLeaf(&cls, g.id, true)
-			}
+	for id := uint32(0); id < x.next; id++ {
+		if g := x.view.groups.at(id); g != nil {
+			cls := x.classes(g.mask)
+			x.addLeaf(&cls, leafRef{id: id})
 		}
 	}
 }
 
-// setLeaf adds id under classes cls to the tree, or removes it.
-func (x *pruneIndex) setLeaf(cls *[maxLevels]uint8, id uint32, add bool) {
-	x.view.root = x.setAt(x.view.root, 0, cls, id, add)
+// addLeaf places r in the tree under classes cls, in place: into the leaf
+// on its path, or as a new path from the first level it has no node on.
+func (x *pruneIndex) addLeaf(cls *[maxLevels]uint8, r leafRef) {
+	if x.view.root == nil {
+		x.view.root = x.path(cls, 0, r)
+		return
+	}
+	n, last := x.view.root, len(x.view.levels)-1
+	for d := 0; d < last; d++ {
+		c := cls[x.view.levels[d]]
+		kid := n.kids[c].Load()
+		if kid == nil {
+			n.kids[c].Store(x.path(cls, d+1, r))
+			n.bits.Or(1 << c)
+			return
+		}
+		n = kid
+	}
+	r.cls = cls[x.view.levels[last]]
+	n.appendRef(r)
 }
 
-func (x *pruneIndex) setAt(n *inode, d int, cls *[maxLevels]uint8, id uint32, add bool) *inode {
-	c := cls[x.view.levels[d]]
-	b := uint64(1) << c
+// path returns a new subtree holding r alone, from level d down.
+func (x *pruneIndex) path(cls *[maxLevels]uint8, d int, r leafRef) *inode {
+	f := x.view.levels[d]
+	n := &inode{}
 	if d == len(x.view.levels)-1 {
-		if !add && len(n.refs) == 1 {
+		r.cls = cls[f]
+		n.appendRef(r)
+		return n
+	}
+	c := cls[f]
+	n.kids = make([]atomic.Pointer[inode], x.fields[f].width+1)
+	n.kids[c].Store(x.path(cls, d+1, r))
+	n.bits.Store(1 << c)
+	return n
+}
+
+// removeAt drops id, under classes cls, from the subtree n of level d and
+// returns the subtree left: nil once empty, else n if nothing on the path
+// needed a copy, else a copy (own).
+func (x *pruneIndex) removeAt(n *inode, d int, cls *[maxLevels]uint8, id uint32) *inode {
+	c := cls[x.view.levels[d]]
+	if d == len(x.view.levels)-1 {
+		if n.nrefs.Load() == 1 {
 			return nil
 		}
 		n = x.own(n)
-		if add {
-			n.refs = append(n.refs, leafRef{id: id, cls: c})
-			n.bits |= b
-			return n
+		refs := n.loadRefs()
+		i := slices.IndexFunc(refs, func(r leafRef) bool { return r.id == id })
+		copy(refs[i:], refs[i+1:])
+		n.nrefs.Store(uint32(len(refs) - 1))
+		var b uint64
+		for _, r := range refs[:len(refs)-1] {
+			b |= 1 << r.cls
 		}
-		i := slices.Index(n.refs, leafRef{id: id, cls: c})
-		n.refs = slices.Delete(n.refs, i, i+1)
-		n.bits = 0
-		for _, r := range n.refs {
-			n.bits |= 1 << r.cls
-		}
+		n.bits.Store(b)
 		return n
 	}
-	k := 0
-	var kid *inode
-	if n != nil {
-		k = bits.OnesCount64(n.bits & (b - 1))
-		if n.bits&b != 0 {
-			kid = n.kids[k]
-		}
-	}
-	nk := x.setAt(kid, d+1, cls, id, add)
+	kid := n.kids[c].Load()
+	nk := x.removeAt(kid, d+1, cls, id)
 	switch {
 	case nk == kid:
 		return n // the kid was written in place
-	case nk == nil && n.bits == b:
+	case nk == nil && n.bits.Load() == 1<<c:
 		return nil
 	}
 	n = x.own(n)
-	switch {
-	case nk == nil:
-		n.kids = slices.Delete(n.kids, k, k+1)
-		n.bits &^= b
-	case kid != nil:
-		n.kids[k] = nk
-	default:
-		n.kids = slices.Insert(n.kids, k, nk)
-		n.bits |= b
+	n.kids[c].Store(nk)
+	if nk == nil {
+		n.bits.And(^(uint64(1) << c))
 	}
 	return n
 }
 
-// own returns n if the writer may mutate it, else a copy with room for one
-// more child (a new node for nil).
+// own returns n if the writer may mutate it, else a copy.
 func (x *pruneIndex) own(n *inode) *inode {
-	if n == nil {
-		return &inode{epoch: x.epoch}
-	}
 	if n.epoch == x.epoch {
 		return n
 	}
 	x.copied++
-	nn := &inode{bits: n.bits, epoch: x.epoch}
+	nn := &inode{epoch: x.epoch}
+	nn.bits.Store(n.bits.Load())
 	if n.kids != nil {
-		nn.kids = append(make([]*inode, 0, len(n.kids)+1), n.kids...)
+		nn.kids = make([]atomic.Pointer[inode], len(n.kids))
+		for i := range n.kids {
+			nn.kids[i].Store(n.kids[i].Load())
+		}
+		return nn
 	}
-	if n.refs != nil {
-		nn.refs = append(make([]leafRef, 0, len(n.refs)+1), n.refs...)
-	}
+	refs := slices.Clone(n.loadRefs())
+	nn.refs.Store(&refs[0])
+	nn.nrefs.Store(uint32(len(refs)))
+	nn.capr = uint32(len(refs))
 	return nn
 }

@@ -13,29 +13,34 @@ import (
 // checkPruneIndex fails t unless sn's pruning index describes the writer's
 // groups (byMask, which sn was published from) exactly: every field some
 // mask constrains is a tree level; the tree holds every group's id once,
-// under the path of its mask's classes, with no empty node and every bitmap
-// equal to what its node holds; the id table maps each id to its group and
-// holds nothing else; and each field's candidate table lists, for every
-// class its entries occupy, either exactly their values or the class as
-// dense, and nothing for a class no entry occupies.
+// under the path of its mask's classes, in a ref no newer than sn, with no
+// empty node and every bitmap equal to what its node holds; the id table
+// maps each id to its group, holds nothing else below the view's next and
+// nothing at all past it; and each field's candidate table lists, for
+// every class its entries occupy, either exactly their values or the class
+// as dense, and nothing for a class no entry occupies.
 func checkPruneIndex(t *testing.T, c *Classifier, sn *snapshot) {
 	t.Helper()
 	x, v := c.prune, sn.prune
-	want := map[*group]bool{}
+	want := make([]*group, v.next) // by id, until the tree names it
 	var levels uint64
 	for _, f := range v.levels {
 		levels |= 1 << f
 	}
-	type class struct {
-		d int
-		l uint8
-	}
-	vals := map[class]map[uint64]bool{}
+	// occupied[d] has bit l set while class l of field d holds entries;
+	// vals[d][l] collects the values of a class the reference lists, whose
+	// values are compared. A dense class's are not.
+	ref := refCands(x)
+	var occupied [maxLevels]uint64
+	var vals [maxLevels][64]map[uint64]bool
 	if len(c.byMask) != sn.masks {
 		t.Fatalf("writer holds %d groups, snapshot %d masks", len(c.byMask), sn.masks)
 	}
 	for _, g := range c.byMask {
-		want[g] = true
+		if g.id >= v.next {
+			t.Fatalf("group %s has id %d, past the view's %d", g.mask.Format(c.layout), g.id, v.next)
+		}
+		want[g.id] = g
 		cls := x.classes(g.mask)
 		for f := range x.fields {
 			if cls[f] != 0 && levels>>f&1 == 0 {
@@ -45,30 +50,45 @@ func checkPruneIndex(t *testing.T, c *Classifier, sn *snapshot) {
 		if v.groups.at(g.id) != g {
 			t.Fatalf("id %d of group %s names another group", g.id, g.mask.Format(c.layout))
 		}
+		var listed [maxLevels]int // fields whose class here lists values
+		n := 0
+		for d, l := range cls[:len(x.fields)] {
+			if l == 0 {
+				continue
+			}
+			occupied[d] |= 1 << l
+			if ref[d].dense>>l&1 == 0 {
+				listed[n], n = d, n+1
+				if vals[d][l] == nil {
+					vals[d][l] = map[uint64]bool{}
+				}
+			}
+		}
+		if n == 0 {
+			continue
+		}
+		var last [maxLevels]uint64
+		for _, d := range listed[:n] {
+			last[d] = ^uint64(0)
+		}
 		g.each(allEpochs, func(e *Entry) bool {
-			for d, f := range x.fields {
-				if cls[d] == 0 {
-					continue
+			for _, d := range listed[:n] {
+				if v := x.fields[d].get(e.Key); v != last[d] {
+					vals[d][cls[d]][v], last[d] = true, v
 				}
-				k := class{d, cls[d]}
-				if vals[k] == nil {
-					vals[k] = map[uint64]bool{}
-				}
-				vals[k][f.get(e.Key)] = true
 			}
 			return true
 		})
 	}
 
-	held := 0
-	for _, ch := range v.groups {
-		for _, g := range ch {
-			if g != nil {
-				held++
+	for i, ch := range v.groups {
+		for k := range ch {
+			if id := uint32(i<<idShift + k); ch[k].Load() != nil && id >= v.next {
+				t.Fatalf("id table holds id %d, past the view's %d", id, v.next)
 			}
 		}
 	}
-	if held != sn.masks {
+	if held := len(v.list(0)); held != sn.masks {
 		t.Fatalf("id table holds %d groups, snapshot %d", held, sn.masks)
 	}
 
@@ -77,72 +97,77 @@ func checkPruneIndex(t *testing.T, c *Classifier, sn *snapshot) {
 	walk = func(n *inode, d int, path [maxLevels]uint8) {
 		if d == len(v.levels)-1 {
 			var union uint64
-			if len(n.refs) == 0 {
+			refs := n.loadRefs()
+			if len(refs) == 0 || n.kids != nil {
 				t.Fatal("empty last-level node")
 			}
-			for _, r := range n.refs {
+			for _, r := range refs {
+				if r.epoch > sn.epoch {
+					t.Fatalf("ref of id %d has epoch %d, after its snapshot's %d", r.id, r.epoch, sn.epoch)
+				}
 				path[d] = r.cls
 				union |= 1 << r.cls
-				g := v.groups.at(r.id)
-				if !want[g] {
+				if r.id >= v.next || want[r.id] == nil || want[r.id] != v.groups.at(r.id) {
 					t.Fatalf("tree holds id %d, no group of the snapshot", r.id)
 				}
+				g := want[r.id]
 				cls := x.classes(g.mask)
 				for l, f := range v.levels {
 					if cls[f] != path[l] {
 						t.Fatalf("group %s under path %v, classes %v", g.mask.Format(c.layout), path, cls)
 					}
 				}
-				delete(want, g)
+				want[r.id] = nil
 				seen++
 			}
-			if union != n.bits {
-				t.Fatalf("last-level bits %b, refs' classes %b", n.bits, union)
+			if union != n.bits.Load() {
+				t.Fatalf("last-level bits %b, refs' classes %b", n.bits.Load(), union)
 			}
 			return
 		}
-		if n == nil || n.bits == 0 || len(n.kids) != bits.OnesCount64(n.bits) {
-			t.Fatalf("inner node: bits %b, %d kids", n.bits, len(n.kids))
+		if n == nil || n.bits.Load() == 0 || len(n.kids) != int(x.fields[v.levels[d]].width)+1 || n.nrefs.Load() != 0 {
+			t.Fatalf("inner node: bits %b, %d kid cells, %d refs", n.bits.Load(), len(n.kids), n.nrefs.Load())
 		}
-		k := 0
-		for m := n.bits; m != 0; m &= m - 1 {
-			path[d] = uint8(bits.TrailingZeros64(m))
-			walk(n.kids[k], d+1, path)
-			k++
+		for c := range n.kids {
+			kid := n.kids[c].Load()
+			if (kid != nil) != (n.bits.Load()>>c&1 == 1) {
+				t.Fatalf("inner node: bits %b, kid %d %p", n.bits.Load(), c, kid)
+			}
+			if kid != nil {
+				path[d] = uint8(c)
+				walk(kid, d+1, path)
+			}
 		}
 	}
 	if v.root != nil {
 		walk(v.root, 0, [maxLevels]uint8{})
 	}
-	if len(want) != 0 || seen != sn.masks {
-		t.Fatalf("tree holds %d groups, %d of the snapshot's %d missing", seen, len(want), sn.masks)
+	if seen != sn.masks {
+		t.Fatalf("tree holds %d groups, the snapshot %d", seen, sn.masks)
 	}
 
-	ref := refCands(x)
 	for d := range x.fields {
 		fr := ref[d]
-		listed := map[class]map[uint64]bool{}
+		var listed [64]map[uint64]bool
 		for _, p := range fr.vals {
 			l := uint8(bits.TrailingZeros64(p.bit))
-			k := class{d, l}
-			if listed[k] == nil {
-				listed[k] = map[uint64]bool{}
+			if listed[l] == nil {
+				listed[l] = map[uint64]bool{}
 			}
-			listed[k][p.v] = true
+			listed[l][p.v] = true
 		}
 		for l := uint8(1); l < 64; l++ {
-			k := class{d, l}
-			dense := fr.dense>>l&1 == 1
+			dense, occ := fr.dense>>l&1 == 1, occupied[d]>>l&1 == 1
 			switch {
-			case vals[k] == nil && (dense || listed[k] != nil):
+			case !occ && (dense || listed[l] != nil):
 				t.Fatalf("level %d: empty class %d still listed", d, l)
-			case vals[k] != nil && dense && listed[k] != nil:
+			case occ && dense && listed[l] != nil:
 				t.Fatalf("level %d: dense class %d lists values", d, l)
-			case vals[k] != nil && !dense && len(listed[k]) != len(vals[k]):
-				t.Fatalf("level %d class %d: %d values listed, entries hold %d", d, l, len(listed[k]), len(vals[k]))
-			case vals[k] != nil && !dense:
-				for v := range vals[k] {
-					if !listed[k][v] {
+			case occ && !dense && len(listed[l]) != len(vals[d][l]):
+				t.Fatalf("level %d class %d: %d values listed, entries hold %d", d, l, len(listed[l]), len(vals[d][l]))
+			case occ && !dense:
+				for v := range vals[d][l] {
+					if !listed[l][v] {
 						t.Fatalf("level %d class %d: value %x missing", d, l, v)
 					}
 				}
@@ -205,10 +230,12 @@ func checkCandTable(t *testing.T, d int, fc *fieldCands, fr *candRef) {
 	if fc.dense != fr.dense {
 		t.Fatalf("level %d: dense classes %b, reference %b", d, fc.dense, fr.dense)
 	}
-	var long []lenVal
+	var long, short []lenVal
 	for _, p := range fr.vals {
 		if p.bit > 1<<strideBits {
 			long = append(long, p)
+		} else {
+			short = append(short, p)
 		}
 	}
 	if !slices.Equal(fc.long, long) {
@@ -216,8 +243,8 @@ func checkCandTable(t *testing.T, d int, fc *fieldCands, fr *candRef) {
 	}
 	for i := range fc.tab {
 		var want uint64
-		for _, p := range fr.vals {
-			if p.bit <= 1<<strideBits && (uint64(i)^p.v)&p.m == 0 {
+		for _, p := range short {
+			if (uint64(i)^p.v)&p.m == 0 {
 				want |= p.bit
 			}
 		}
@@ -314,16 +341,15 @@ func refWalk(v *pruneView, n *inode, d int, cand *[maxLevels]uint64, ids []uint3
 		return ids
 	}
 	if d == len(v.levels)-1 {
-		for _, r := range n.refs {
+		for _, r := range n.loadRefs() {
 			if cand[d]>>r.cls&1 != 0 {
 				ids = append(ids, r.id)
 			}
 		}
 		return ids
 	}
-	for m := n.bits & cand[d]; m != 0; m &= m - 1 {
-		b := bits.TrailingZeros64(m)
-		ids = refWalk(v, n.kids[bits.OnesCount64(n.bits&(1<<b-1))], d+1, cand, ids)
+	for m := n.bits.Load() & cand[d]; m != 0; m &= m - 1 {
+		ids = refWalk(v, n.kids[bits.TrailingZeros64(m)].Load(), d+1, cand, ids)
 	}
 	return ids
 }
@@ -373,7 +399,8 @@ func TestWalkOrder(t *testing.T) {
 		}},
 	} {
 		name, c := tc.name, tc.build()
-		v := c.snap.Load().prune
+		sn := c.snap.Load()
+		v := &sn.prune
 		if len(v.levels) != tc.levels {
 			t.Fatalf("%s: %d tree levels, want %d", name, len(v.levels), tc.levels)
 		}
@@ -392,7 +419,7 @@ func TestWalkOrder(t *testing.T) {
 			}
 			want := refWalk(v, v.root, 0, &w.cand, nil)
 			var got []uint32
-			for g := w.first(v); g != nil; g = w.next() {
+			for g := w.first(v, sn.epoch); g != nil; g = w.next() {
 				got = append(got, g.id)
 			}
 			if !slices.Equal(got, want) {

@@ -2,6 +2,7 @@ package tss
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -56,7 +57,7 @@ func TestStagedLookupEquivalence(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/order=%d", l, order), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(42 + int64(order)))
 				c, ref := buildRandom(rng, l, order, 200)
-				r := &refClassifier{order: order, byKey: map[string]*refMask{}}
+				r := newRefClassifier(order)
 				for _, e := range ref {
 					r.add(e)
 				}
@@ -193,31 +194,74 @@ func refProbe(g *group, h bitvec.Vec, ep uint64) (*Entry, bool) {
 	return nil, false
 }
 
+// refView is what the pruned reference knows of one snapshot: the
+// candidate tables it was published with (refCands of the writer right
+// after the publish), the ids it lists, and per field and class the set of
+// those ids' groups of that class, as a bitset over the list. An id the
+// snapshot lists keeps its mask for as long as the snapshot lives (only a
+// copy that adds entries replaces its group in place), so the classes stay
+// valid while the snapshot's cells change.
+type refView struct {
+	sn    *snapshot
+	cands []candRef
+	ids   []uint32
+	sets  [maxLevels][64][]uint64
+}
+
+// refViewOf builds the reference's view of sn, which must be the snapshot
+// the writer has just published.
+func refViewOf(c *Classifier, sn *snapshot) *refView {
+	v := &refView{sn: sn, cands: refCands(c.prune)}
+	for id := uint32(0); id < sn.prune.next; id++ {
+		if g := sn.prune.groups.at(id); g != nil {
+			v.ids = append(v.ids, id)
+		}
+	}
+	words := (len(v.ids) + 63) / 64
+	for i, id := range v.ids {
+		cls := c.prune.classes(sn.prune.groups.at(id).mask)
+		for f := range v.cands {
+			set := &v.sets[f][cls[f]]
+			if *set == nil {
+				*set = make([]uint64, words)
+			}
+			(*set)[i/64] |= 1 << (i % 64)
+		}
+	}
+	return v
+}
+
 // refPruned is the pruned lookup decided group by group: it probes, with
 // refProbe, every group of sn's id table whose mask class is a candidate
 // for h on every pruned field — computed by the reference triple loop over
-// ref, the candidate tables sn was published with, not from the published
-// tables or the tree. It returns the covering entry and the probes and
-// skips of all candidates: a pruned lookup that misses makes exactly
-// those, one that hits at most those.
-func refPruned(x *pruneIndex, ref []candRef, sn *snapshot, h bitvec.Vec) (*Entry, int, int) {
+// ref's candidate tables, the ones sn was published with, not from the
+// published tables or the tree — in id order. It returns the covering
+// entry and the probes and skips of all candidates: a pruned lookup that
+// misses makes exactly those, one that hits at most those.
+func refPruned(ref *refView, sn *snapshot, h bitvec.Vec) (*Entry, int, int) {
 	var hit *Entry
 	probes, skips := 0, 0
-	for _, ch := range sn.prune.groups {
-		for _, g := range ch {
-			if g == nil {
-				continue
+	cand := make([]uint64, (len(ref.ids)+63)/64)
+	for i := range cand {
+		cand[i] = ^uint64(0)
+	}
+	union := make([]uint64, len(cand))
+	for f := range ref.cands {
+		clear(union)
+		for m := ref.cands[f].matchRef(h); m != 0; m &= m - 1 {
+			for i, w := range ref.sets[f][bits.TrailingZeros64(m)] {
+				union[i] |= w
 			}
-			cls := x.classes(g.mask)
-			cand := true
-			for f := range x.fields {
-				cand = cand && ref[f].matchRef(h)>>cls[f]&1 == 1
-			}
-			if !cand {
-				continue
-			}
+		}
+		for i := range cand {
+			cand[i] &= union[i]
+		}
+	}
+	for i, w := range cand {
+		for ; w != 0; w &= w - 1 {
 			probes++
-			e, skip := refProbe(g, h, sn.epoch)
+			id := ref.ids[i*64+bits.TrailingZeros64(w)]
+			e, skip := refProbe(sn.prune.groups.at(id), h, sn.epoch)
 			if skip {
 				skips++
 			}
@@ -232,13 +276,12 @@ func refPruned(x *pruneIndex, ref []candRef, sn *snapshot, h bitvec.Vec) (*Entry
 // checkScan fails t unless lookupSnap's answer (e, probes, skips) for h
 // over sn is the reference's: refScan's exactly for a linear scan, and for
 // the pruned one refPruned's verdict, with exactly its probes and skips on a
-// miss and at most them on a hit. ref is the reference candidate tables sn
-// was published with (refCands of the writer right after the publish); a
-// linear scan ignores it.
-func checkScan(t *testing.T, c *Classifier, sn *snapshot, ref []candRef, h bitvec.Vec, e *Entry, probes, skips int) {
+// miss and at most them on a hit. ref is the reference's view of sn
+// (refViewOf right after the publish); a linear scan ignores it.
+func checkScan(t *testing.T, c *Classifier, sn *snapshot, ref *refView, h bitvec.Vec, e *Entry, probes, skips int) {
 	t.Helper()
 	if sn.pruned {
-		re, rp, rs := refPruned(c.prune, ref, sn, h)
+		re, rp, rs := refPruned(ref, sn, h)
 		if e != re || e == nil && (probes != rp || skips != rs) || e != nil && (probes < 1 || probes > rp || skips > rs) {
 			t.Fatalf("pruned lookup %s = (%v, %d probes, %d skips), candidate groups (%v, %d, %d)",
 				h.Format(c.layout), e, probes, skips, re, rp, rs)
@@ -264,7 +307,7 @@ func FuzzStagedEquivalence(f *testing.F) {
 	l := tc.l
 	linear, es := tc.build(f, ScanLinear)
 	pruned, _ := tc.build(f, ScanPruned)
-	ref := refCands(pruned.prune)
+	ref := refViewOf(pruned, pruned.snap.Load())
 	f.Add(uint64(0), uint64(0))
 	f.Add(^uint64(0), ^uint64(0))
 	f.Add(uint64(1)<<63, uint64(3))

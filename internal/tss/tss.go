@@ -36,13 +36,14 @@
 // through an atomic pointer, the Go equivalent of OVS's RCU cmap/pvector
 // in dpcls: readers load the current snapshot and scan it without
 // synchronisation, writers build the next snapshot under a mutex and
-// publish it atomically. The snapshot also carries the pruning index,
-// which a write changes by copying the tree nodes on its path. One write
-// is made in place, as OVS's cmap makes it: a new key installed into a
-// published group of two or more entries fills an empty slot of the table
-// that group already has. Every publish carries an epoch, and every entry
-// the epoch it was installed in, so a reader of an older snapshot skips an
-// entry written in place after it and sees exactly its snapshot (see
+// publish it atomically. The snapshot also carries the pruning index.
+// Installs are made in place, as OVS's cmap makes them: a new key
+// installed into a published group of two or more entries fills an empty
+// slot of the table that group already has, and a new group's id and tree
+// ref fill cells and spare room of the index that no snapshot reads yet
+// (prune.go). Every publish carries an epoch, and every entry and tree ref
+// the epoch it was installed in, so a reader of an older snapshot skips
+// what was written in place after it and sees exactly its snapshot (see
 // group). A retired snapshot lives until its last in-flight reader drops
 // it; the garbage collector plays the role of the RCU grace period.
 // Lookup statistics are sharded per reader handle so parallel PMD workers
@@ -59,7 +60,8 @@
 // scan structure, as in OVS's dpcls. An install into a published
 // multi-entry group copies nothing at all: it writes one slot and the
 // stage filters' bits in place. Any other write to a published group
-// copies the group, its one slot table whole, once per publish. The
+// copies the group, its one slot table whole. No install copies any of the
+// pruning index; a removal copies the index nodes on its path. The
 // insert-time overlap check walks the pruning index, which leaves only the
 // groups whose per-field values agree with the new entry, and confirms
 // those survivors exactly. A sweep
@@ -70,8 +72,10 @@
 package tss
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -195,11 +199,13 @@ func (f *stageFilter) has(h uint64) bool { return atomic.LoadUint64(&f[(h>>6)&3]
 // 3/4 load. It fills an empty slot of the group's table and ORs the
 // entry's bits into the stage filters, all atomically (see put and set); a
 // reader of an older snapshot that meets the new entry skips it on its
-// epoch (probeSlots). Every other write is copy-on-write: a new group, the
-// one-entry group's second entry, a refresh and every removal clone the
-// group, table and all, and a table doubling copies the entries into a new
-// group (doubled), so the snapshots that hold the original keep its
-// entries, slots and positions, and no later write reaches them.
+// epoch (probeSlots). Every other write is copy-on-write: the one-entry
+// group's second entry, a refresh and every removal clone the group,
+// table and all, and a table doubling copies the entries into a new group
+// (doubled), so the snapshots that hold the original keep its entries,
+// slots and positions, and no later write reaches them. A copy that only
+// adds a new key is published to the pruning index as soon as it is made
+// (insertCopyLocked), so it is frozen from then on.
 type group struct {
 	// slots and sparse lead the struct so a lookup probe's loads stay
 	// within the group's first cache lines.
@@ -614,8 +620,10 @@ type Stats struct {
 	// lookup path: probe records copied into published snapshots
 	// (ScanLinear only), group slots copied by copy-on-write clones,
 	// entries passed to the full bitvec.Overlap by the insert-time overlap
-	// check, and pruning-index nodes copied by writes (a tree node a
-	// snapshot shares, or a field's candidate table rebuilt at publish).
+	// check, and pruning-index pieces copied by writes: a tree node on a
+	// removal's path, an id-table chunk and its directory copied for a
+	// removal, a reused id or a refresh or sweep clone, and a field's
+	// candidate table rebuilt at publish. An install copies none of them.
 	// Unlike timings they repeat exactly, so tests pin them.
 	ProbesCopied, SlotsCopied, OverlapCompared, IndexCopied uint64
 }
@@ -714,7 +722,7 @@ type snapshot struct {
 	chunks []records
 	masks  int
 	nEntry int
-	prune  *pruneView
+	prune  pruneView
 	pruned bool   // ScanPruned: lookups walk the index
 	epoch  uint64 // the publish epoch: entries stamped later are not in it
 }
@@ -1049,16 +1057,19 @@ func (c *Classifier) Insert(e *Entry, now int64) error {
 // InsertBatch adds a batch of megaflows in one transaction: the per-entry
 // semantics are exactly Insert's (idempotent refresh, overlap rejection,
 // per-entry error in the returned slice, aligned with es), but every
-// group and probe-mirror chunk the batch touches is copied at most once
-// and the snapshot is published exactly once at commit — the
-// pvector-republish amortisation OVS applies to megaflow install bursts. A
-// publish copies the chunk directory plus the chunks written, so a K-miss
-// burst pays for at most K chunks and one directory rather than K. A new
-// key into a published group of two or more entries, below its 3/4 load,
-// copies nothing: it is written in place, stamped with an epoch above
-// every snapshot published before, which skip it, so like the rest of the
-// batch it becomes visible at the publish. The errors are written into
-// errs when it has sufficient capacity (pass nil to allocate).
+// probe-mirror chunk the batch touches is copied at most once, as is every
+// group it refreshes, and the snapshot is published exactly once at commit
+// — the pvector-republish amortisation OVS applies to megaflow install
+// bursts. A publish copies the chunk directory plus the chunks written, so
+// a K-miss burst pays for at most K chunks and one directory rather than
+// K. A new key into a published group of two or more entries, below its
+// 3/4 load, copies nothing: it is written in place, stamped with an epoch
+// above every snapshot published before, which skip it, so like the rest
+// of the batch it becomes visible at the publish. A new key that gives a
+// published group its second entry or takes it past its load copies the
+// group, and the copy replaces it in the pruning index at once, so later
+// writes in the batch treat the copy as published. The errors are written
+// into errs when it has sufficient capacity (pass nil to allocate).
 //
 // Entries that fail validation or overlap an existing megaflow get their
 // error recorded and do not block the rest of the batch; the snapshot is
@@ -1087,8 +1098,10 @@ func (c *Classifier) InsertBatch(es []*Entry, now int64, errs []error) []error {
 
 // insertLocked is one entry's insert under the writer lock, with the
 // snapshot publication left to the caller: Insert publishes per call,
-// InsertBatch once per batch. Until that publication the mutated groups
-// stay thawed, so a batch touching one group repeatedly clones it once.
+// InsertBatch once per batch. Until that publication the groups it creates
+// or clones stay thawed, so a batch that writes one group repeatedly clones
+// it once; a copy that only adds an entry (insertCopyLocked) counts as
+// published at once.
 func (c *Classifier) insertLocked(e *Entry, now int64) error {
 	if len(e.Key) != c.layout.Words() || len(e.Mask) != c.layout.Words() {
 		return fmt.Errorf("tss: entry vector length mismatch")
@@ -1107,7 +1120,7 @@ func (c *Classifier) insertLocked(e *Entry, now int64) error {
 			// group.
 			e.LastUsed = now
 			stamp(e)
-			g, ci, k := c.mutableLocked(g, false)
+			g, ci, k := c.mutableLocked(g)
 			g.replace(old, e)
 			c.setProbeLocked(ci, k, g)
 			return nil
@@ -1137,8 +1150,10 @@ func (c *Classifier) insertLocked(e *Entry, now int64) error {
 		// skip, so it takes the copy-on-write way.
 		g.put(e)
 		c.foldProbeLocked(g)
+	case g.frozen && first:
+		c.insertCopyLocked(g, e)
 	default:
-		g, ci, k := c.mutableLocked(g, g.full())
+		g, ci, k := c.mutableLocked(g)
 		g.put(e)
 		c.setProbeLocked(ci, k, g)
 	}
@@ -1156,13 +1171,17 @@ func (c *Classifier) insertLocked(e *Entry, now int64) error {
 // classifier.
 var clock atomic.Uint64
 
+// nextEpoch is the stamp of a write made now: the epoch of the next
+// publish at the latest, above every snapshot published before.
+func nextEpoch() uint64 { return clock.Load() + 1 }
+
 // stamp gives an entry that no classifier has installed its epoch and
 // reports whether it did; an installed entry keeps the stamp it has.
 func stamp(e *Entry) bool {
 	if e.epoch != 0 {
 		return false
 	}
-	e.epoch = clock.Load() + 1
+	e.epoch = nextEpoch()
 	return true
 }
 
@@ -1177,7 +1196,7 @@ func (c *Classifier) findOverlapLocked(e *Entry) *Entry {
 	var first *group
 	var found *Entry
 	w := walk{cand: c.prune.overlapCands(e.Key, e.Mask)}
-	for g := w.first(&c.prune.view); g != nil; g = w.next() {
+	for g := w.first(&c.prune.view, allEpochs); g != nil; g = w.next() {
 		if ex := c.groupOverlapLocked(g, e); ex != nil && (first == nil || hashBefore(g, first.hash, first.maskKey)) {
 			first, found = g, ex
 		}
@@ -1344,13 +1363,7 @@ func (c *Classifier) MissProbes(h bitvec.Vec) int {
 	if !sn.pruned {
 		return sn.masks
 	}
-	var w walk
-	sn.prune.candidates(h, &w.cand)
-	n := 0
-	for g := w.first(sn.prune); g != nil; g = w.next() {
-		n++
-	}
-	return n
+	return sn.missProbes(h)
 }
 
 // EntryCount returns |C|, the number of installed megaflows. Lock-free
@@ -1391,23 +1404,47 @@ func (c *Classifier) Entries() []*Entry { return c.snap.Load().entries() }
 // entries lists the snapshot's entries as Entries does: those stamped by
 // its epoch, so a dump of an older snapshot leaves out installs written in
 // place since.
+// The copies and their key and mask words are carved from two slabs, so a
+// dump of n entries makes a handful of allocations, not 3n.
 func (sn *snapshot) entries() []*Entry {
 	out := make([]*Entry, 0, sn.nEntry)
+	copies := make([]Entry, 0, sn.nEntry)
+	var words []uint64
 	for _, g := range sn.groups() {
 		start := len(out)
-		g.each(sn.epoch, func(e *Entry) bool { out = append(out, snapshotEntry(e)); return true })
-		within := out[start:]
-		sort.Slice(within, func(i, j int) bool { return within[i].Key.Key() < within[j].Key.Key() })
+		g.each(sn.epoch, func(e *Entry) bool {
+			if words == nil {
+				words = make([]uint64, 0, 2*len(e.Key)*sn.nEntry)
+			}
+			i, j := len(words), len(words)+len(e.Key)
+			words = append(append(words, e.Key...), e.Mask...)
+			copies = append(copies, snapshotEntry(e, words[i:j:j], words[j:len(words):len(words)]))
+			out = append(out, &copies[len(copies)-1])
+			return true
+		})
+		slices.SortFunc(out[start:], func(a, b *Entry) int { return compareKeys(a.Key, b.Key) })
 	}
 	return out
 }
 
-// snapshotEntry copies an entry with an atomic read of its LastUsed stamp.
-// Key and Mask are cloned so callers can scribble on the snapshot without
-// corrupting the live cache.
-func snapshotEntry(e *Entry) *Entry {
-	return &Entry{
-		Key: e.Key.Clone(), Mask: e.Mask.Clone(),
+// compareKeys orders two keys of one layout as their Key strings compare,
+// without building them: Key lays each word out little-endian, so a word's
+// bytes compare as its byte-reversed value does.
+func compareKeys(a, b bitvec.Vec) int {
+	for i, w := range a {
+		if w != b[i] {
+			return cmp.Compare(bits.ReverseBytes64(w), bits.ReverseBytes64(b[i]))
+		}
+	}
+	return 0
+}
+
+// snapshotEntry copies an entry with an atomic read of its LastUsed stamp,
+// over key and mask, copies of its Key and Mask, so callers can scribble on
+// the snapshot without corrupting the live cache.
+func snapshotEntry(e *Entry, key, mask bitvec.Vec) Entry {
+	return Entry{
+		Key: key, Mask: mask,
 		Action: e.Action, OutPort: e.OutPort, RuleName: e.RuleName,
 		Port:     e.Port,
 		LastUsed: atomic.LoadInt64(&e.LastUsed),
