@@ -110,7 +110,7 @@ func inPlaceInsertIsolation(t *testing.T, scan Scan) {
 		live[e.Key.Key()], home[e] = e, i*slots/initial
 	}
 	mustInsertBatch(t, c, batch, 0)
-	g := c.byMask[string(bitvec.FullMask(l).AppendKey(nil))]
+	g := c.groupOf(bitvec.FullMask(l))
 	if g.slotBits != bits {
 		t.Fatalf("group has %d slot bits, want %d", g.slotBits, bits)
 	}
@@ -139,7 +139,7 @@ func inPlaceInsertIsolation(t *testing.T, scan Scan) {
 	// from the last hold, the first view of each is the last snapshot that
 	// published it. It returns how many there are, or -1 on a failure.
 	retired := func() int {
-		cur := c.byMask[string(bitvec.FullMask(l).AppendKey(nil))]
+		cur := c.groupOf(bitvec.FullMask(l))
 		seen := map[*group]bool{}
 		for i := len(held) - 1; i >= 0; i-- {
 			v := held[i]
@@ -256,7 +256,7 @@ func TestInPlaceInsertStaleRecord(t *testing.T) {
 		return &Entry{Key: key, Mask: bitvec.FieldMask(l, dp), Action: flowtable.Drop}
 	}
 	mustInsertBatch(t, c, []*Entry{exact(1), exact(2), other()}, 0)
-	g := c.byMask[string(mask.AppendKey(nil))]
+	g := c.groupOf(mask)
 	ci, k := c.locateLocked(g)
 	if c.dir[ci].hot[k].kind != kindFilter {
 		t.Fatalf("the two-entry group's record is kind %d, want kindFilter", c.dir[ci].hot[k].kind)
@@ -271,7 +271,7 @@ func TestInPlaceInsertStaleRecord(t *testing.T) {
 	if err := c.Insert(y, 2); err != nil {
 		t.Fatal(err)
 	}
-	if c.byMask[string(mask.AppendKey(nil))] != g || c.Stats().SlotsCopied != copied {
+	if c.groupOf(mask) != g || c.Stats().SlotsCopied != copied {
 		t.Fatal("the install into the two-entry group was not made in place")
 	}
 	if fp := g.sparse.HashRange(y.Key, 0, int(g.stageOff[1])); (*stageFilter)(&old.chunks[ci].side[k].w).has(fp) {

@@ -4,6 +4,8 @@ import (
 	"slices"
 	"sort"
 	"sync/atomic"
+
+	"tse/internal/bitvec"
 )
 
 // chunkCap is the capacity of one probe-mirror chunk. The mirror is the
@@ -75,29 +77,30 @@ func (c *Classifier) publishLocked() {
 	c.snap.Store(sn)
 }
 
-// hashBefore reports whether g sorts strictly before (hash, maskKey) in
-// OrderHash scan order.
-func hashBefore(g *group, hash uint64, maskKey string) bool {
+// hashBefore reports whether g sorts strictly before (hash, mask) in
+// OrderHash scan order: by mask hash, and two masks of one hash by their
+// words (compareKeys).
+func hashBefore(g *group, hash uint64, mask bitvec.Vec) bool {
 	if g.hash != hash {
 		return g.hash < hash
 	}
-	return g.maskKey < maskKey
+	return compareKeys(g.mask, mask) < 0
 }
 
-// searchLocked returns the OrderHash position of (hash, maskKey): chunk
+// searchLocked returns the OrderHash position of (hash, mask): chunk
 // ci and record k of the first record not ordered before it, or the end
 // of the last chunk. Two binary searches: over the chunks' last records,
 // then within the chunk.
-func (c *Classifier) searchLocked(hash uint64, maskKey string) (ci, k int) {
+func (c *Classifier) searchLocked(hash uint64, mask bitvec.Vec) (ci, k int) {
 	ci = sort.Search(len(c.dir), func(i int) bool {
 		side := c.dir[i].side
-		return !hashBefore(side[len(side)-1].g, hash, maskKey)
+		return !hashBefore(side[len(side)-1].g, hash, mask)
 	})
 	if ci == len(c.dir) {
 		return c.endLocked()
 	}
 	side := c.dir[ci].side
-	return ci, sort.Search(len(side), func(j int) bool { return !hashBefore(side[j].g, hash, maskKey) })
+	return ci, sort.Search(len(side), func(j int) bool { return !hashBefore(side[j].g, hash, mask) })
 }
 
 // endLocked returns the position one past the last record.
@@ -114,7 +117,7 @@ func (c *Classifier) endLocked() (ci, k int) {
 // OrderInsertion.
 func (c *Classifier) locateLocked(g *group) (ci, k int) {
 	if c.opts.Order == OrderHash {
-		return c.searchLocked(g.hash, g.maskKey)
+		return c.searchLocked(g.hash, g.mask)
 	}
 	for ci := range c.dir {
 		for k := range c.dir[ci].side {
@@ -241,7 +244,7 @@ func (c *Classifier) thawLocked(g *group) *group {
 // adoptLocked wires ng, a mutable copy of a published group, into the mask
 // index and the pruning index in the original's place.
 func (c *Classifier) adoptLocked(ng *group) *group {
-	c.byMask[ng.maskKey] = ng
+	c.byMask.set(ng)
 	c.thawed = append(c.thawed, ng)
 	c.prune.setGroup(ng.id, ng, false)
 	return ng
@@ -268,7 +271,7 @@ func (c *Classifier) insertCopyLocked(g *group, e *Entry) {
 	}
 	ng.put(e)
 	ng.frozen = true
-	c.byMask[ng.maskKey] = ng
+	c.byMask.set(ng)
 	c.prune.setGroup(ng.id, ng, true)
 	c.setProbeLocked(ci, k, ng)
 }

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math/bits"
 	"slices"
-	"strings"
 	"sync/atomic"
 	"unsafe"
 
@@ -255,14 +254,14 @@ func (v *pruneView) list(n int) []*group {
 }
 
 // groups returns the snapshot's groups for Entries: the pruning index's id
-// table sorted by (hash, maskKey), which is OrderHash scan order.
+// table sorted by (hash, mask words), which is OrderHash scan order.
 func (sn *snapshot) groups() []*group {
 	gs := sn.prune.list(sn.masks)
 	slices.SortFunc(gs, func(a, b *group) int {
 		if a.hash != b.hash {
 			return cmp.Compare(a.hash, b.hash)
 		}
-		return strings.Compare(a.maskKey, b.maskKey)
+		return compareKeys(a.mask, b.mask)
 	})
 	return gs
 }

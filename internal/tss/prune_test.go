@@ -10,6 +10,18 @@ import (
 	"tse/internal/flowtable"
 )
 
+// groupOf returns the writer's group of mask, or nil.
+func (c *Classifier) groupOf(mask bitvec.Vec) *group { return c.byMask.get(mask, c.hashMask(mask)) }
+
+// list returns every group of the directory, first and ties, each once.
+func (d *maskDir) list() []*group {
+	var gs []*group
+	for h, g := range d.first {
+		gs = append(append(gs, g), d.ties[h]...)
+	}
+	return gs
+}
+
 // checkPruneIndex fails t unless sn's pruning index describes the writer's
 // groups (byMask, which sn was published from) exactly: every field some
 // mask constrains is a tree level; the tree holds every group's id once,
@@ -33,10 +45,11 @@ func checkPruneIndex(t *testing.T, c *Classifier, sn *snapshot) {
 	ref := refCands(x)
 	var occupied [maxLevels]uint64
 	var vals [maxLevels][64]map[uint64]bool
-	if len(c.byMask) != sn.masks {
-		t.Fatalf("writer holds %d groups, snapshot %d masks", len(c.byMask), sn.masks)
+	dir := c.byMask.list()
+	if len(dir) != sn.masks {
+		t.Fatalf("writer holds %d groups, snapshot %d masks", len(dir), sn.masks)
 	}
-	for _, g := range c.byMask {
+	for _, g := range dir {
 		if g.id >= v.next {
 			t.Fatalf("group %s has id %d, past the view's %d", g.mask.Format(c.layout), g.id, v.next)
 		}

@@ -258,23 +258,25 @@ func TestScanCountPins(t *testing.T) {
 }
 
 // TestGroupFootprint guards the small groups an attack spawns by the
-// thousand: a group stays in its 224-byte size class, and an Insert that
+// thousand: a group stays in its 208-byte size class, and an Insert that
 // creates a new one-entry group makes a fixed number of allocations (the
 // integer part of the mean over 300 installs, a few of which double their
-// leaf's ref array), none of them a copy of the pruning index: its id
-// fills an empty cell of the id table and its ref lands in spare room of
-// its leaf. It used to make 17, eight of them the index's (the
-// three tree nodes on its path and their child arrays, the id table's
-// directory, and the published view, which the snapshot now holds by
-// value). None is the probe mirror's: ScanPruned keeps no mirror, so the
-// insert copies no chunk's two record arrays and no snapshot chunk
-// directory. A slot-table layout that made small groups pay for large ones
-// fails here. An Entry stays 96 bytes, a size class of its own: its
-// install epoch took the word that narrowing Port and OutPort to int32
-// freed.
+// leaf's ref array): the group, its mask's copy, its stage offsets and the
+// published snapshot. The group has no slot table and no stage filters
+// until a second entry arrives, no word list (only a mask too wide for the
+// inline sparse view keeps one) and no mask key string (the mask directory
+// files it by its hash); those made 9. None is a copy of the pruning index:
+// its id fills an empty cell of the id table and its ref lands in spare room
+// of its leaf. It used to make 17, eight of them the index's (the three
+// tree nodes on its path and their child arrays, the id table's directory,
+// and the published view, which the snapshot now holds by value). None is
+// the probe mirror's: ScanPruned keeps no mirror, so the insert copies no
+// chunk's two record arrays and no snapshot chunk directory. An Entry stays
+// 96 bytes, a size class of its own: its install epoch took the word that
+// narrowing Port and OutPort to int32 freed.
 func TestGroupFootprint(t *testing.T) {
-	if n := unsafe.Sizeof(group{}); n > 224 {
-		t.Errorf("group is %d bytes, want <= 224", n)
+	if n := unsafe.Sizeof(group{}); n > 208 {
+		t.Errorf("group is %d bytes, want <= 208", n)
 	}
 	if n := unsafe.Sizeof(Entry{}); n != 96 {
 		t.Errorf("Entry is %d bytes, want 96", n)
@@ -290,8 +292,8 @@ func TestGroupFootprint(t *testing.T) {
 		}
 		next++
 	})
-	if allocs != 9 {
-		t.Errorf("Insert of a new one-entry group: %v allocations, want 9", allocs)
+	if allocs != 4 {
+		t.Errorf("Insert of a new one-entry group: %v allocations, want 4", allocs)
 	}
 }
 

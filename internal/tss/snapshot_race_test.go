@@ -206,11 +206,11 @@ func snapshotConsistencyUnderWrites(t *testing.T, scan Scan) {
 			gs := c.snap.Load().groups()
 			seenMask := make(map[string]bool, len(gs))
 			for _, g := range gs {
-				if seenMask[g.maskKey] {
+				if seenMask[g.mask.Key()] {
 					t.Error("groups observed a duplicated mask (torn group list)")
 					return
 				}
-				seenMask[g.maskKey] = true
+				seenMask[g.mask.Key()] = true
 			}
 		}
 	}()

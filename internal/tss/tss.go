@@ -60,7 +60,11 @@
 // scan structure, as in OVS's dpcls. An install into a published
 // multi-entry group copies nothing at all: it writes one slot and the
 // stage filters' bits in place. Any other write to a published group
-// copies the group, its one slot table whole. No install copies any of the
+// copies the group, its one slot table whole. A group of one entry, the
+// attack's one megaflow per mask, is one small object: its entry, no slot
+// table and no stage filters until a second entry's copy builds them. The
+// writer files groups by mask hash (maskDir), so an install builds no
+// string key. No install copies any of the
 // pruning index; a removal copies the index nodes on its path. The
 // insert-time overlap check walks the pruning index, which leaves only the
 // groups whose per-field values agree with the new entry, and confirms
@@ -186,13 +190,23 @@ func (f *stageFilter) add(h uint64) { atomic.OrUint64(&f[(h>>6)&3], 1<<(h&63)) }
 func (f *stageFilter) has(h uint64) bool { return atomic.LoadUint64(&f[(h>>6)&3])>>(h&63)&1 == 1 }
 
 // group is one tuple: a mask plus the hash table of keys sharing it,
-// OVS-subtable style. Two precomputations make the lookup probe cheap:
-// words caches the mask's nonzero word indices, so hashing and comparing a
-// header under the mask touches only the words the mask can constrain
-// (miniflow-style sparsity) and never materialises the masked header; and
-// entries live in one power-of-two open-addressing slot table (fingerprint
-// + entry pointer, linear probing) rather than a Go map, so a probe is an
-// array walk with no map-runtime calls and no allocation.
+// OVS-subtable style. Two precomputations make the lookup probe cheap: the
+// inline sparse view of the mask, so hashing and comparing a header under
+// the mask touches only the words the mask can constrain (miniflow-style
+// sparsity) and never materialises the masked header; and entries live in
+// one power-of-two open-addressing slot table (fingerprint + entry
+// pointer, linear probing) rather than a Go map, so a probe is an array
+// walk with no map-runtime calls and no allocation.
+//
+// A group of one entry, the shape the TSE attack makes by the thousand,
+// is one small object: the entry is solo, and the group has no slot table
+// and no stage filters (slots == nil) until a second entry arrives, since
+// every probe of a one-entry group reads solo alone (probe, buildProbe).
+// The table and the filters are built by the copy or the regrow the second
+// entry's install makes anyway (put, regrow). A mask that does not fit the
+// inline sparse view keeps its table from the start: its probe always
+// walks the table, through words, the mask's nonzero word indices, which
+// only such a group keeps.
 //
 // A published group (frozen == true) takes one write in place: the install
 // of a new key into a group of two or more entries that stays within its
@@ -209,11 +223,11 @@ func (f *stageFilter) has(h uint64) bool { return atomic.LoadUint64(&f[(h>>6)&3]
 type group struct {
 	// slots and sparse lead the struct so a lookup probe's loads stay
 	// within the group's first cache lines.
-	slots    []slot            // the open-addressing table, 1<<slotBits cells
+	slots    []slot            // the open-addressing table, 1<<slotBits cells; nil while solo is the only entry
 	sparse   bitvec.SparseMask // inline nonzero-word view of mask
 	sparseOK bool              // mask fits inline; else use mask/words
 	frozen   bool              // published in a snapshot; clone to mutate
-	slotBits uint8             // the table has 1<<slotBits slots
+	slotBits uint8             // the table has 1<<slotBits slots (0 without one)
 	n        int32             // entries
 	solo     *Entry            // the sole entry while n == 1, else nil
 
@@ -221,15 +235,15 @@ type group struct {
 	// slots [stageOff[s], stageOff[s+1]). nil (or a single effective
 	// stage) means the group probes full width. filters[s] is the Bloom
 	// filter of entry hashes accumulated through stage s (checked after
-	// every stage but the last, which the slot table itself decides).
+	// every stage but the last, which the slot table itself decides); it is
+	// made with the table.
 	stageOff []uint8
 	filters  []stageFilter
 
-	mask    bitvec.Vec
-	maskKey string
-	hash    uint64
-	words   []int  // nonzero word indices of mask, in order
-	id      uint32 // the group's id in the pruning index; clones keep it
+	mask  bitvec.Vec
+	hash  uint64 // hashMask(mask): the mask directory's key and the OrderHash sort key
+	words []int  // nonzero word indices of mask, in order; !sparseOK only
+	id    uint32 // the group's id in the pruning index; clones keep it
 }
 
 // slot is one open-addressing cell: the key's fingerprint (keyHash) for a
@@ -252,7 +266,7 @@ func (s *slot) load() (fp uint64, e *Entry) {
 	return atomic.LoadUint64(&s.fp), e
 }
 
-// minSlotBits keeps even one-entry groups probe-cheap without resizing on
+// minSlotBits keeps even two-entry groups probe-cheap without resizing on
 // every early insert.
 const minSlotBits = 3
 
@@ -261,23 +275,19 @@ func (g *group) alloc(bits uint8) {
 	g.slotBits, g.slots = bits, make([]slot, 1<<bits)
 }
 
-// newGroup builds an empty group for the (already cloned) mask. stages is
-// the classifier's staged-lookup word boundary list (nil on a single-stage
-// layout).
-func newGroup(mask bitvec.Vec, maskKey string, stages []int) *group {
-	g := &group{
-		mask:    mask,
-		maskKey: maskKey,
-		hash:    mask.Hash(),
-		words:   mask.NonzeroWords(),
-	}
-	g.alloc(minSlotBits)
+// newGroup builds an empty group for the (already cloned) mask, whose
+// hash is hash. stages is the classifier's staged-lookup word boundary
+// list (nil on a single-stage layout). A mask that fits the inline sparse
+// view gets no table: its first entry is solo.
+func newGroup(mask bitvec.Vec, hash uint64, stages []int) *group {
+	g := &group{mask: mask, hash: hash}
 	g.sparse, g.sparseOK = bitvec.NewSparseMask(mask)
-	if g.sparseOK && len(stages) > 1 {
+	switch {
+	case !g.sparseOK:
+		g.words = mask.NonzeroWords()
+		g.alloc(minSlotBits)
+	case len(stages) > 1:
 		g.stageOff = buildStageOff(&g.sparse, stages)
-		if n := len(g.stageOff); n > 2 {
-			g.filters = make([]stageFilter, n-2)
-		}
 	}
 	return g
 }
@@ -316,10 +326,11 @@ func (g *group) clone() *group {
 	return &ng
 }
 
-// doubled returns a mutable copy of g whose table is twice g's, holding g's
-// entries: what clone and then put's regrow would make, without the copy of
-// a table the new one replaces. An insert that takes a published group past
-// 3/4 load starts from it.
+// doubled returns a mutable copy of g whose table is twice g's (or the
+// first, for a group without one), holding g's entries: what clone and then
+// put's regrow would make, without the copy of a table the new one
+// replaces. An insert that takes a published group past 3/4 load, or gives
+// a one-entry group its second entry, starts from it.
 func (g *group) doubled() *group {
 	ng := *g
 	ng.frozen = false
@@ -329,8 +340,18 @@ func (g *group) doubled() *group {
 }
 
 // regrow gives g a table of twice old's slots and re-places old's entries
-// in it.
+// in it. A group without a table gets its first, of 1<<minSlotBits slots,
+// holding its solo entry, and its stage filters with it.
 func (g *group) regrow(old *group) {
+	if old.slots == nil {
+		g.alloc(minSlotBits)
+		if n := len(g.stageOff); n > 2 {
+			g.filters = make([]stageFilter, n-2)
+		}
+		g.insertSlot(keyHash(old.solo.Key), old.solo)
+		g.addToFilters(old.solo)
+		return
+	}
 	g.alloc(old.slotBits + 1)
 	for _, s := range old.slots {
 		if s.e != nil {
@@ -441,6 +462,12 @@ func (g *group) probeSlots(fp uint64, h bitvec.Vec, ep uint64) *Entry {
 // find returns the entry in g whose key equals k, or nil (writer-side
 // exact probe; k must already be canonical for the mask).
 func (g *group) find(k bitvec.Vec) *Entry {
+	if g.slots == nil {
+		if g.solo != nil && g.solo.Key.Equal(k) {
+			return g.solo
+		}
+		return nil
+	}
 	fp := keyHash(k)
 	m := g.slotMask()
 	for i := fp & m; ; i = (i + 1) & m {
@@ -454,15 +481,22 @@ func (g *group) find(k bitvec.Vec) *Entry {
 	}
 }
 
-// full reports whether one more entry would take the table past 3/4 load.
-func (g *group) full() bool { return (g.n+1)*4 > 3<<g.slotBits }
+// full reports whether one more entry needs a new table: the group has
+// none, or one more entry would take it past 3/4 load.
+func (g *group) full() bool { return g.slots == nil || (g.n+1)*4 > 3<<g.slotBits }
 
-// put inserts e (whose key must not already be present), doubling the slot
-// table past 3/4 load and folding the entry into the stage filters. Into a
-// published group of two or more entries that is not full, it is the
-// in-place install: it neither doubles nor touches solo, and it stores
-// only the free cell (set) and the filter bits (stageFilter.add).
+// put inserts e (whose key must not already be present). Into an empty
+// group without a table it only makes e solo. Otherwise it builds the
+// first table or doubles a table past 3/4 load (regrow) and folds the entry
+// into the stage filters. Into a published group of two or more entries
+// that is not full, it is the in-place install: it neither doubles nor
+// touches solo, and it stores only the free cell (set) and the filter bits
+// (stageFilter.add).
 func (g *group) put(e *Entry) {
+	if g.slots == nil && g.n == 0 {
+		g.solo, g.n = e, 1
+		return
+	}
 	if g.full() {
 		old := *g
 		g.regrow(&old)
@@ -503,6 +537,12 @@ func (g *group) insertSlot(fp uint64, e *Entry) {
 
 // replace swaps old for e in its slot (same key, so same fingerprint).
 func (g *group) replace(old, e *Entry) {
+	if g.slots == nil {
+		if g.solo == old {
+			g.solo = e
+		}
+		return
+	}
 	m := g.slotMask()
 	for i := keyHash(old.Key) & m; ; i = (i + 1) & m {
 		s := g.at(i)
@@ -583,8 +623,15 @@ const allEpochs = ^uint64(0)
 
 // each calls f for every entry installed by epoch ep, loading each cell as
 // a lock-free reader; f returning false stops the walk. The writer's walk
-// (allEpochs) reads no stamp, so it touches only the lines f does.
+// (allEpochs) reads no stamp, so it touches only the lines f does. A group
+// without a table is its solo entry.
 func (g *group) each(ep uint64, f func(*Entry) bool) {
+	if g.slots == nil {
+		if e := g.solo; e != nil && (ep == allEpochs || e.epoch <= ep) {
+			f(e)
+		}
+		return
+	}
 	for i := range g.slots {
 		if _, e := g.slots[i].load(); e != nil && (ep == allEpochs || e.epoch <= ep) && !f(e) {
 			return
@@ -694,12 +741,21 @@ type Classifier struct {
 	dir    []chunk  // writer-side probe mirror in scan order; ScanLinear only
 	masks  int      // |M|
 	thawed []*group // groups created/cloned since the last publish
-	byMask map[string]*group
-	keyBuf []byte // scratch for byMask lookups: a mask's Key bytes
+	byMask maskDir
 	nEntry int
 	opts   Options
 	stages []int // staged-lookup word boundaries; nil on a single-stage layout
 	prune  *pruneIndex
+
+	// maskHash, when set, replaces bitvec.Vec.Hash as the mask hash
+	// groups are filed and ordered by (hashMask), so tests can plant ties:
+	// two masks may share a hash, and the mask directory and the OrderHash
+	// tie-break then compare their words.
+	maskHash func(bitvec.Vec) uint64
+	// victims is DeleteWhere's buffer of the entries a sweep removes from
+	// one group, kept across sweeps and cleared after each so it pins no
+	// entry.
+	victims []*Entry
 
 	snap atomic.Pointer[snapshot]
 
@@ -710,6 +766,79 @@ type Classifier struct {
 	// Writer-side counters, under mu.
 	inserted, deleted, published               uint64
 	probesCopied, slotsCopied, overlapCompared uint64
+}
+
+// hashMask returns the hash mask's group is filed and ordered by.
+func (c *Classifier) hashMask(mask bitvec.Vec) uint64 {
+	if c.maskHash != nil {
+		return c.maskHash(mask)
+	}
+	return mask.Hash()
+}
+
+// maskDir is the writer's mask directory: the group of each installed
+// mask, filed under the mask's hash (group.hash) and confirmed on its
+// words, so an install finds its mask's group without building a string
+// key. Masks that share a hash with first's mask, which a 64-bit hash
+// makes rare, sit in ties, compared one by one.
+type maskDir struct {
+	first map[uint64]*group
+	ties  map[uint64][]*group
+}
+
+// get returns the group of mask, whose hash is h, or nil.
+func (d *maskDir) get(mask bitvec.Vec, h uint64) *group {
+	g := d.first[h]
+	if g == nil || g.mask.Equal(mask) {
+		return g
+	}
+	for _, t := range d.ties[h] {
+		if t.mask.Equal(mask) {
+			return t
+		}
+	}
+	return nil
+}
+
+// set files g as its mask's group, in place of the one there.
+func (d *maskDir) set(g *group) {
+	f := d.first[g.hash]
+	if f == nil || f.mask.Equal(g.mask) {
+		d.first[g.hash] = g
+		return
+	}
+	ts := d.ties[g.hash]
+	for i, t := range ts {
+		if t.mask.Equal(g.mask) {
+			ts[i] = g
+			return
+		}
+	}
+	if d.ties == nil {
+		d.ties = make(map[uint64][]*group)
+	}
+	d.ties[g.hash] = append(ts, g)
+}
+
+// del drops g's mask from the directory; a tie of its hash, if there is
+// one, takes first's place.
+func (d *maskDir) del(g *group) {
+	ts := d.ties[g.hash]
+	if len(ts) == 0 {
+		delete(d.first, g.hash)
+		return
+	}
+	if i := slices.IndexFunc(ts, func(t *group) bool { return t.mask.Equal(g.mask) }); i >= 0 {
+		ts[i] = ts[len(ts)-1]
+	} else {
+		d.first[g.hash] = ts[len(ts)-1]
+	}
+	ts[len(ts)-1] = nil
+	if ts = ts[:len(ts)-1]; len(ts) == 0 {
+		delete(d.ties, g.hash)
+	} else {
+		d.ties[g.hash] = ts
+	}
 }
 
 // snapshot is one immutable published scan state: the pruning index, whose
@@ -797,7 +926,7 @@ func buildProbe(g *group) (scanProbe, probeSide) {
 func New(l *bitvec.Layout, opts Options) *Classifier {
 	c := &Classifier{
 		layout: l,
-		byMask: make(map[string]*group),
+		byMask: maskDir{first: make(map[uint64]*group)},
 		opts:   opts,
 		prune:  newPruneIndex(l),
 	}
@@ -1109,8 +1238,8 @@ func (c *Classifier) insertLocked(e *Entry, now int64) error {
 	if !e.Key.SubsetOf(e.Mask) {
 		return fmt.Errorf("tss: entry key has bits outside its mask")
 	}
-	c.keyBuf = e.Mask.AppendKey(c.keyBuf[:0])
-	g := c.byMask[string(c.keyBuf)]
+	mh := c.hashMask(e.Mask)
+	g := c.byMask.get(e.Mask, mh)
 	if g != nil {
 		if old := g.find(e.Key); old != nil {
 			// Same key and mask: refresh by swapping in the new entry.
@@ -1136,9 +1265,8 @@ func (c *Classifier) insertLocked(e *Entry, now int64) error {
 	cls := c.prune.classes(e.Mask)
 	switch {
 	case g == nil:
-		mk := string(c.keyBuf)
-		g = newGroup(e.Mask.Clone(), mk, c.stages)
-		c.byMask[mk] = g
+		g = newGroup(e.Mask.Clone(), mh, c.stages)
+		c.byMask.set(g)
 		c.thawed = append(c.thawed, g)
 		g.put(e)
 		c.placeLocked(g)
@@ -1197,7 +1325,7 @@ func (c *Classifier) findOverlapLocked(e *Entry) *Entry {
 	var found *Entry
 	w := walk{cand: c.prune.overlapCands(e.Key, e.Mask)}
 	for g := w.first(&c.prune.view, allEpochs); g != nil; g = w.next() {
-		if ex := c.groupOverlapLocked(g, e); ex != nil && (first == nil || hashBefore(g, first.hash, first.maskKey)) {
+		if ex := c.groupOverlapLocked(g, e); ex != nil && (first == nil || hashBefore(g, first.hash, first.mask)) {
 			first, found = g, ex
 		}
 	}
@@ -1208,8 +1336,15 @@ func (c *Classifier) findOverlapLocked(e *Entry) *Entry {
 func (c *Classifier) groupOverlapLocked(g *group, e *Entry) *Entry {
 	// If the group's mask is a subset of e's mask, an overlap within this
 	// group must agree with e on the group mask, so a single masked hash
-	// probe decides.
+	// probe decides: of the table, or of the solo entry of a group without
+	// one.
 	if g.mask.SubsetOf(e.Mask) {
+		if g.slots == nil {
+			if g.equalKey(g.solo.Key, e.Key) {
+				return g.solo
+			}
+			return nil
+		}
 		return g.findMasked(e.Key, allEpochs)
 	}
 	var found *Entry
@@ -1233,7 +1368,7 @@ func (c *Classifier) placeLocked(g *group) {
 	}
 	ci, k := c.endLocked()
 	if c.opts.Order == OrderHash {
-		ci, k = c.searchLocked(g.hash, g.maskKey)
+		ci, k = c.searchLocked(g.hash, g.mask)
 	}
 	c.insertProbeLocked(ci, k, g)
 }
@@ -1255,7 +1390,7 @@ func (c *Classifier) DeleteWhere(pred func(*Entry) bool) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	removed := 0
-	var victims []bitvec.Vec
+	victims := c.victims[:0]
 	// sweep removes g's entries that pred selects and returns what is left
 	// of g and how many went: nil if all of them, else g, thawed and
 	// settled if any went. A one-entry group is its solo entry, so the
@@ -1264,12 +1399,12 @@ func (c *Classifier) DeleteWhere(pred func(*Entry) bool) int {
 		victims = victims[:0]
 		if g.solo != nil {
 			if pred(g.solo) {
-				victims = append(victims, g.solo.Key)
+				victims = append(victims, g.solo)
 			}
 		} else {
 			g.each(allEpochs, func(e *Entry) bool {
 				if pred(e) {
-					victims = append(victims, e.Key)
+					victims = append(victims, e)
 				}
 				return true
 			})
@@ -1280,18 +1415,18 @@ func (c *Classifier) DeleteWhere(pred func(*Entry) bool) int {
 		}
 		removed += gone
 		cls := c.prune.classes(g.mask)
-		for _, key := range victims {
-			c.prune.removeEntry(key, &cls)
+		for _, e := range victims {
+			c.prune.removeEntry(e.Key, &cls)
 		}
 		if gone == int(g.n) {
-			delete(c.byMask, g.maskKey)
+			c.byMask.del(g)
 			c.masks--
 			c.prune.remove(g, &cls)
 			return nil, gone
 		}
 		g = c.thawLocked(g)
-		for _, key := range victims {
-			g.remove(key)
+		for _, e := range victims {
+			g.remove(e.Key)
 		}
 		g.settle()
 		return g, gone
@@ -1341,6 +1476,8 @@ func (c *Classifier) DeleteWhere(pred func(*Entry) bool) int {
 	}
 	clear(c.dir[out:])
 	c.dir = c.dir[:out]
+	clear(victims[:cap(victims)])
+	c.victims = victims[:0]
 	c.repackLocked()
 	c.nEntry -= removed
 	c.deleted += uint64(removed)

@@ -221,20 +221,25 @@ type Stats struct {
 // when resolved is set, and resolved makes resolution idempotent, so a
 // fault-duplicated delivery resolving the flow a second time is a no-op.
 type pendingFlow struct {
+	h        bitvec.Vec   // the flow's header: one clone, shared by its queued items
+	tie      *pendingFlow // the next pending flow under the same flowKey
 	verdict  vswitch.Verdict
 	born     int64 // virtual time of admission (orphan-reap age base)
 	queued   int   // queued item copies referencing this flow
 	resolved bool
 }
 
-// flowKey identifies one in-flight flow in the pending table: the exact
-// header scoped by its source. Scoping by source mirrors OVS, where the
-// ingress port is part of the flow key — the same header arriving on two
-// vports is two flows, and deduplicating them together would let one
-// port's pending upcall mask another port's distinct miss.
+// flowKey files one in-flight flow in the pending table: the header's
+// fingerprint (bitvec.Vec.Hash) scoped by its source. Scoping by
+// source mirrors OVS, where the ingress port is part of the flow key — the
+// same header arriving on two vports is two flows, and deduplicating them
+// together would let one port's pending upcall mask another port's
+// distinct miss. Two headers of one source may share a fingerprint: the
+// table chains their flows (pendingFlow.tie) and a lookup confirms the
+// header (pendingLocked).
 type flowKey struct {
 	src int
-	key string
+	fp  uint64
 }
 
 // item is one queued upcall.
@@ -294,7 +299,10 @@ type Subsystem struct {
 	resolved *sync.Cond
 	queues   [][]item // per-source FIFO, heads[i] is the pop position
 	heads    []int
+	// pending holds the first flow of each key, and its ties chain from
+	// it; npending counts them all.
 	pending  map[flowKey]*pendingFlow
+	npending int
 	limbo    []limboItem // fault-delayed deliveries, nil unless injected
 	tokens   []int       // per-source quota tokens for the current second
 	tokenAt  []int64     // virtual second the tokens were refilled at
@@ -304,6 +312,10 @@ type Subsystem struct {
 	depth    int   // total queued items
 	clock    int64 // latest virtual time observed (Submit / HandleNAt)
 	stats    Stats
+
+	// headerHash, when set, replaces bitvec.Vec.Hash as the pending
+	// table's header fingerprint, so tests can plant fingerprint ties.
+	headerHash func(bitvec.Vec) uint64
 
 	// Modelled handler fault state (supervisor.go).
 	driveH []driveHandler
@@ -466,8 +478,12 @@ func (u *Subsystem) Submit(src int, h bitvec.Vec, now int64) (Ticket, Outcome) {
 			u.matureLocked()
 		}
 	}
-	key := flowKey{src: src, key: h.Key()}
-	if p, ok := u.pending[key]; ok {
+	fp := h.Hash()
+	if u.headerHash != nil {
+		fp = u.headerHash(h)
+	}
+	key := flowKey{src: src, fp: fp}
+	if p := u.pendingLocked(key, h); p != nil {
 		u.stats.Deduped++
 		u.srcStats[src].Deduped++
 		return Ticket{u, p}, Coalesced
@@ -501,11 +517,12 @@ func (u *Subsystem) Submit(src int, h bitvec.Vec, now int64) (Ticket, Outcome) {
 		}
 		u.tokens[src]--
 	}
-	p := &pendingFlow{born: now, queued: 1}
-	u.pending[key] = p
 	// Clone: the caller's header buffer may be reused before a handler
-	// gets to the upcall.
-	it := item{h: h.Clone(), now: now, src: src, key: key, p: p}
+	// gets to the upcall. The queued item shares the pending cell's clone.
+	p := &pendingFlow{h: h.Clone(), tie: u.pending[key], born: now, queued: 1}
+	u.pending[key] = p
+	u.npending++
+	it := item{h: p.h, now: now, src: src, key: key, p: p}
 	if sp := u.opts.Tracer.Sample(src); sp != nil {
 		sp.Enqueue = now
 		it.span = sp
@@ -707,7 +724,7 @@ func (u *Subsystem) Stats() Stats {
 	defer u.mu.Unlock()
 	st := u.stats
 	st.Backlog = u.depth
-	st.PendingFlows = len(u.pending)
+	st.PendingFlows = u.npending
 	return st
 }
 
@@ -751,15 +768,38 @@ func (u *Subsystem) resolve(it item, v vswitch.Verdict) {
 	}
 }
 
-// resolveLocked settles pending flow p with verdict v: its table entry is
-// retired (unless a newer upcall of the flow already took the key) and
-// every waiter released. Callers hold u.mu and have checked p.resolved.
+// pendingLocked returns the pending flow of header h under key k, or nil:
+// the chain of k's flows, confirmed on the header. Callers hold u.mu.
+func (u *Subsystem) pendingLocked(k flowKey, h bitvec.Vec) *pendingFlow {
+	for p := u.pending[k]; p != nil; p = p.tie {
+		if p.h.Equal(h) {
+			return p
+		}
+	}
+	return nil
+}
+
+// resolveLocked settles pending flow p with verdict v: it leaves the
+// pending table's chain of key k and every waiter is released. Callers
+// hold u.mu and have checked p.resolved, so p is still in the table.
 func (u *Subsystem) resolveLocked(k flowKey, p *pendingFlow, v vswitch.Verdict) {
 	p.resolved = true
 	p.verdict = v
-	if u.pending[k] == p {
+	switch first := u.pending[k]; {
+	case first == p && p.tie == nil:
 		delete(u.pending, k)
+	case first == p:
+		u.pending[k] = p.tie
+	default:
+		for q := first; q != nil; q = q.tie {
+			if q.tie == p {
+				q.tie = p.tie
+				break
+			}
+		}
 	}
+	p.tie = nil
+	u.npending--
 	u.resolved.Broadcast()
 }
 
@@ -780,13 +820,16 @@ func (u *Subsystem) ReapPending(now, age int64) int {
 		u.clock = now
 	}
 	n := 0
-	for k, p := range u.pending {
-		if p.resolved || p.queued > 0 || now-p.born < age {
-			continue
+	for k, first := range u.pending {
+		for p, tie := first, (*pendingFlow)(nil); p != nil; p = tie {
+			tie = p.tie
+			if p.resolved || p.queued > 0 || now-p.born < age {
+				continue
+			}
+			u.resolveLocked(k, p, vswitch.Verdict{Action: flowtable.Drop, Path: vswitch.PathUpcallDrop})
+			u.stats.PendingReaped++
+			n++
 		}
-		u.resolveLocked(k, p, vswitch.Verdict{Action: flowtable.Drop, Path: vswitch.PathUpcallDrop})
-		u.stats.PendingReaped++
-		n++
 	}
 	if n > 0 {
 		u.opts.Journal.Record(now, telemetry.EvPendingReaped, -1, int64(n))

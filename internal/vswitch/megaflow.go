@@ -53,6 +53,7 @@ type Generator struct {
 	layout   *bitvec.Layout
 	strategy []Strategy    // per field index
 	fields   [][]fieldWord // per field index: its bits, word by word
+	full     bitvec.Vec    // the layout's full mask, the no-match drop's
 }
 
 // fieldWord is the part of one header field that lies in one Vec word.
@@ -66,7 +67,7 @@ type fieldWord struct {
 func NewGenerator(table *flowtable.Table, strategies map[string]Strategy) (*Generator, error) {
 	l := table.Layout()
 	g := &Generator{table: table, layout: l, strategy: make([]Strategy, l.NumFields()),
-		fields: make([][]fieldWord, l.NumFields())}
+		fields: make([][]fieldWord, l.NumFields()), full: bitvec.FullMask(l)}
 	for name, st := range strategies {
 		i, ok := l.FieldIndex(name)
 		if !ok {
@@ -97,9 +98,13 @@ func NewGenerator(table *flowtable.Table, strategies map[string]Strategy) (*Gene
 // and including it are unwildcarded. A field under StrategyExact that the
 // rule constrains is unwildcarded whole. The rule that matches h
 // disagrees nowhere, so its constrained bits are unwildcarded in full.
+//
+// The entry's mask and key are carved from one allocation of twice the
+// layout's words, mask first; each is capped at its own length.
 func (g *Generator) Generate(h bitvec.Vec) *tss.Entry {
-	l := g.layout
-	mask := bitvec.NewVec(l)
+	w := g.layout.Words()
+	buf := make(bitvec.Vec, 2*w)
+	mask, key := buf[:w:w], buf[w:]
 	var matched *flowtable.Rule
 
 	for _, r := range g.table.Rules() {
@@ -137,7 +142,7 @@ func (g *Generator) Generate(h bitvec.Vec) *tss.Entry {
 		}
 	}
 
-	e := &tss.Entry{Key: h.And(mask), Mask: mask, Action: flowtable.Drop, RuleName: "<no-match>"}
+	e := &tss.Entry{Key: key, Mask: mask, Action: flowtable.Drop, RuleName: "<no-match>"}
 	if matched != nil {
 		e.Action = matched.Action
 		e.OutPort = int32(matched.OutPort)
@@ -145,8 +150,10 @@ func (g *Generator) Generate(h bitvec.Vec) *tss.Entry {
 	} else {
 		// No rule matched: cache an exact drop so the miss is not
 		// re-classified per packet, without risking over-wide coverage.
-		e.Mask = bitvec.FullMask(l)
-		e.Key = h.Clone()
+		copy(mask, g.full)
+	}
+	for i := range key {
+		key[i] = h[i] & mask[i]
 	}
 	return e
 }

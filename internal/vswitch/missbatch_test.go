@@ -118,8 +118,11 @@ func TestHandleMissBatchSuppressedAndLimited(t *testing.T) {
 // TestMissPathAllocs pins the heap allocations of one miss on each way
 // into the slow path, under both scans. The miss's megaflow was
 // monitor-deleted, so nothing installs: what remains is the megaflow
-// generation and the quirk-ledger check, plus, inline, the burst's lookup
-// scratch. The one path costs a burst of one no more than that.
+// generation (its entry and one block for its key and mask, which were
+// two) and the quirk-ledger check. The inline way costs what
+// HandleMissBatch does: the burst's lookup scratch is pooled whole, where
+// handing the pool the address of a local slice moved one slice header to
+// the heap per call.
 func TestMissPathAllocs(t *testing.T) {
 	for _, scan := range []tss.Scan{tss.ScanLinear, tss.ScanPruned} {
 		sw := newMissSwitch(t, flowtable.SipDp, func(c *vswitch.Config) { c.Scan = scan })
@@ -145,9 +148,9 @@ func TestMissPathAllocs(t *testing.T) {
 			want float64
 			miss func() vswitch.Verdict
 		}{
-			{"ProcessBatchOn", 7, func() vswitch.Verdict { return sw.ProcessBatchOn(nil, hs, 0, out, nil)[0] }},
-			{"HandleMissFrom", 6, func() vswitch.Verdict { return sw.HandleMissFrom(0, h, 0) }},
-			{"HandleMissBatch", 6, func() vswitch.Verdict { return sw.HandleMissBatch(ms, 0, out)[0] }},
+			{"ProcessBatchOn", 5, func() vswitch.Verdict { return sw.ProcessBatchOn(nil, hs, 0, out, nil)[0] }},
+			{"HandleMissFrom", 5, func() vswitch.Verdict { return sw.HandleMissFrom(0, h, 0) }},
+			{"HandleMissBatch", 5, func() vswitch.Verdict { return sw.HandleMissBatch(ms, 0, out)[0] }},
 		} {
 			entries := sw.MFC().EntryCount()
 			allocs := testing.AllocsPerRun(200, func() {
@@ -161,6 +164,34 @@ func TestMissPathAllocs(t *testing.T) {
 			if got := sw.MFC().EntryCount(); got != entries {
 				t.Errorf("scan=%d %s: the suppressed miss changed the cache from %d to %d megaflows", scan, tc.name, entries, got)
 			}
+		}
+	}
+}
+
+// TestHitBurstAllocs pins a burst of megaflow hits through ProcessBatchOn
+// at zero allocations under both scans: the lookup scratch comes from the
+// switch's pool and goes back to it whole.
+func TestHitBurstAllocs(t *testing.T) {
+	for _, scan := range []tss.Scan{tss.ScanLinear, tss.ScanPruned} {
+		sw := newMissSwitch(t, flowtable.SipDp, func(c *vswitch.Config) { c.Scan = scan })
+		tr, err := core.CoLocated(sw.FlowTable(), core.CoLocatedOptions{Seed: 23})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := tr.Headers[:32]
+		for _, h := range hs {
+			sw.Process(h, 0)
+		}
+		out := make([]vswitch.Verdict, len(hs))
+		allocs := testing.AllocsPerRun(200, func() {
+			for i, v := range sw.ProcessBatchOn(nil, hs, 0, out, nil) {
+				if v.Path != vswitch.PathMegaflow {
+					t.Fatalf("header %d: verdict %+v, want a megaflow hit", i, v)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("scan=%d: a burst of %d hits allocates %v times, want 0", scan, len(hs), allocs)
 		}
 	}
 }

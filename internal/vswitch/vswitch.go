@@ -275,8 +275,9 @@ func (s *Switch) ProcessBatchOn(hd *tss.Handle, hs []bitvec.Vec, now int64, out 
 			return s.HandleMissBatch([]Miss{{Header: hs[i], Probes: probes}}, now, make([]Verdict, 1))[0]
 		}
 	}
-	res := s.getBatchResults(len(hs))
-	defer s.putBatchResults(res)
+	rp := s.getBatchResults(len(hs))
+	defer s.batchPool.Put(rp)
+	res := *rp
 	var delta Counters
 	i := 0
 	for i < len(hs) {
@@ -675,19 +676,20 @@ func (s *Switch) lookupBatch(hd *tss.Handle, hs []bitvec.Vec, now int64, out []t
 	return s.mfc.LookupBatch(hs, now, out)
 }
 
-// getBatchResults fetches a scratch slice for ProcessBatchOn, keeping the
-// per-burst hot path allocation-free.
-func (s *Switch) getBatchResults(n int) []tss.BatchResult {
-	if v := s.batchPool.Get(); v != nil {
-		if res := *v.(*[]tss.BatchResult); cap(res) >= n {
-			return res[:n]
-		}
+// getBatchResults fetches a scratch slice of at least n results for
+// ProcessBatchOn, which hands the same pointer back to the pool: the slice
+// header lives in the pooled cell, so a burst allocates nothing once the
+// pool holds one large enough.
+func (s *Switch) getBatchResults(n int) *[]tss.BatchResult {
+	rp, _ := s.batchPool.Get().(*[]tss.BatchResult)
+	if rp == nil {
+		rp = new([]tss.BatchResult)
 	}
-	return make([]tss.BatchResult, n)
-}
-
-func (s *Switch) putBatchResults(res []tss.BatchResult) {
-	s.batchPool.Put(&res)
+	if cap(*rp) < n {
+		*rp = make([]tss.BatchResult, n)
+	}
+	*rp = (*rp)[:n]
+	return rp
 }
 
 // entryID keys a (key, mask) pair for the quirk ledger.
