@@ -22,6 +22,16 @@
 //     — the normal state of §2.2's "often exhausted" cache, and TSE's
 //     noise-padded traces — no longer pays an insert and an eviction per
 //     packet.
+//   - An EMC that steps aside when it cannot hit: a worker whose EMC is
+//     full and hit fewer than 1 in emcHitShareInv (32) of its last
+//     emcWindow (64) probed packets skips the EMC lookup for the next
+//     emcAsideBursts (30) bursts, then probes again. It still syncs the
+//     EMC's generation and offers it every decided verdict on every
+//     burst, so the cache keeps learning the working set and never serves
+//     a stale one. The packets sent past it count as EMCBypassed, never
+//     as EMC misses. OVS leaves this to the operator (emc-insert-inv-prob
+//     0 disables the EMC, judged from pmd-perf-show's hit counts); here it
+//     is a fixed rule, not a Config field.
 //
 // The megaflow cache and slow path stay shared across workers (as in OVS,
 // where dpcls subtables are per-port but the TSE attack's mask explosion
@@ -46,6 +56,25 @@ import (
 
 // DefaultBatchSize is the per-worker burst size, OVS's NETDEV_MAX_BURST.
 const DefaultBatchSize = 32
+
+// The EMC step-aside rule (worker.probeEMC). A probe of a full, thrashed
+// EMC costs its lookup (~30 ns a packet on emc_overflow) and saves a
+// megaflow lookup (~90 ns there, over 65 masks) only for the packets that
+// hit, so it breaks even near a hit share of 1 in 3. The gate steps aside
+// only far below that, under 1 in emcHitShareInv, where the cache holds
+// almost none of the working set; a mix it partly serves keeps its probe.
+// It also asks for a full EMC, so a cold or filling cache is always
+// probed: a working set that fits the EMC never loses it.
+const (
+	// emcWindow is how many probed packets the hit share is judged over.
+	emcWindow = 64
+	// emcHitShareInv: a full EMC hitting fewer than 1 in emcHitShareInv
+	// of a window's packets is stepped aside from.
+	emcHitShareInv = 32
+	// emcAsideBursts is how many bursts skip the EMC lookup before the
+	// worker probes it again, to notice a working set that shrank.
+	emcAsideBursts = 30
+)
 
 // Config assembles a worker pool.
 type Config struct {
@@ -96,6 +125,11 @@ type WorkerStats struct {
 	// SlowPath; packets left pending by ProcessBatchDeferredPorts or refused at
 	// upcall admission are in neither bucket (see Upcalls/UpcallDrops).
 	EMCHits, MegaflowHits, SlowPath uint64
+	// EMCBypassed counts the packets sent past the EMC, unprobed, while
+	// the worker stepped aside from it (probeEMC); they are not in
+	// EMC.Misses, so a worker with an EMC has EMC.Hits + EMC.Misses +
+	// EMCBypassed = Packets.
+	EMCBypassed uint64
 	// Dropped and Allowed partition decided packets by verdict; a packet
 	// whose upcall was refused counts as Dropped (it never reached the
 	// slow path), and a deferred still-pending packet counts as neither.
@@ -163,8 +197,8 @@ type Pool struct {
 // worker id, fed by per-burst deltas of the WorkerStats each worker
 // already maintains.
 type poolMetrics struct {
-	packets, emcHits, megaflowHits, slowpath *telemetry.Counter
-	probes, upcalls, upcallDrops, upcallShed *telemetry.Counter
+	packets, emcHits, emcBypassed, megaflowHits, slowpath *telemetry.Counter
+	probes, upcalls, upcallDrops, upcallShed              *telemetry.Counter
 }
 
 func newPoolMetrics(reg *telemetry.Registry) *poolMetrics {
@@ -173,6 +207,8 @@ func newPoolMetrics(reg *telemetry.Registry) *poolMetrics {
 			"Packets dispatched to PMD workers."),
 		emcHits: reg.Counter("tse_pmd_emc_hits_total",
 			"Packets decided by a worker's private exact-match cache (OVS coverage: exact match hit)."),
+		emcBypassed: reg.Counter("tse_pmd_emc_bypassed_total",
+			"Packets sent past a worker's exact-match cache, unprobed, while the worker stepped aside from a full cache that could not hit."),
 		megaflowHits: reg.Counter("tse_pmd_megaflow_hits_total",
 			"Packets decided by the shared megaflow cache (OVS coverage: masked hit)."),
 		slowpath: reg.Counter("tse_pmd_slowpath_total",
@@ -198,6 +234,7 @@ func (m *poolMetrics) record(shard int, before, after WorkerStats) {
 	}
 	add(m.packets, before.Packets, after.Packets)
 	add(m.emcHits, before.EMCHits, after.EMCHits)
+	add(m.emcBypassed, before.EMCBypassed, after.EMCBypassed)
 	add(m.megaflowHits, before.MegaflowHits, after.MegaflowHits)
 	add(m.slowpath, before.SlowPath, after.SlowPath)
 	add(m.probes, before.Probes, after.Probes)
@@ -218,6 +255,10 @@ type worker struct {
 	stats WorkerStats // Allowed and Dropped stay 0: snapshot sums portStats
 	// portStats is indexed by port id; ports are worker-pinned.
 	portStats []PortStats
+
+	// The EMC step-aside state (probeEMC): bursts left to skip the EMC
+	// lookup, and the probed packets and hits of the current window.
+	emcAside, emcProbed, emcHits int
 
 	// The worker's share of the latest dispatch (shard): all of it, or
 	// the indices of its headers.
@@ -470,14 +511,16 @@ func (w *worker) run(p *Pool, hs []bitvec.Vec, ports []int, now int64, out []vsw
 // calls: each is drained synchronously, or, in deferred mode, submitted
 // without waiting.
 //
-// The EMC follows two rules (burstRun), both the microflow cache's own.
-// Priming is probabilistic: every decided miss is offered, and the cache
-// admits one offer in 100 by its seeded draw. And the cache is keyed to
-// the switch's table generation (vswitch.Switch.CacheGen, through
+// The EMC follows three rules (burstRun). Two are the microflow cache's
+// own. Priming is probabilistic: every decided miss is offered, and the
+// cache admits one offer in 100 by its seeded draw. And the cache is keyed
+// to the switch's table generation (vswitch.Switch.CacheGen, through
 // microflow.Cache.Sync): a burst that sees it move flushes the EMC before
 // its lookup, and no verdict is inserted while a swap awaits
 // revalidation, so an EMC entry never outlives a megaflow the revalidator
-// deletes.
+// deletes. The third is the worker's: it steps aside from a full EMC that
+// hit fewer than 1 in 32 of a 64-packet window, skipping the lookup (not
+// the sync or the offers) for the next 30 bursts (probeEMC).
 func (w *worker) burst(p *Pool, hs []bitvec.Vec, ports []int, now int64, out []vswitch.Verdict, deferred bool) {
 	if p.tm != nil {
 		// Snapshot-diff telemetry: one struct copy before, a few padded
@@ -492,24 +535,24 @@ func (w *worker) burst(p *Pool, hs []bitvec.Vec, ports []int, now int64, out []v
 }
 
 // burstRun is burst without the telemetry diff: the EMC's generation
-// sync, the EMC prepass, the batched megaflow path, and the offer of every
-// decided miss to the EMC, which admits one in 100 (none while a table
-// swap awaits revalidation). Each packet is tallied once, on its port:
-// Packets as it arrives, Allowed or Dropped when decided.
+// sync, the EMC prepass unless the worker stands aside from the EMC, the
+// batched megaflow path, and the offer of every decided miss to the EMC,
+// which admits one in 100 (none while a table swap awaits revalidation).
+// Each packet is tallied once, on its port: Packets as it arrives, Allowed
+// or Dropped when decided.
 func (w *worker) burstRun(p *Pool, hs []bitvec.Vec, ports []int, now int64, out []vswitch.Verdict, deferred bool) {
 	w.stats.Packets += uint64(len(hs))
 	var gen microflow.Gen
+	probed := false
 	if w.emc != nil {
 		gen = w.emc.Sync(p.sw.CacheGen())
-		w.emcRes = growRes(w.emcRes, len(hs))
-		w.emcOK = growOK(w.emcOK, len(hs))
-		w.emc.LookupBatch(hs, w.emcRes, w.emcOK)
+		probed = w.probeEMC(hs)
 	}
 	w.missHs, w.missIdx = w.missHs[:0], w.missIdx[:0]
 	for i, port := range ports {
 		ps := &w.portStats[port]
 		ps.Packets++
-		if w.emc != nil && w.emcOK[i] {
+		if probed && w.emcOK[i] {
 			r := w.emcRes[i]
 			out[i] = vswitch.Verdict{Action: r.Action, OutPort: r.OutPort, Path: vswitch.PathMicroflow}
 			w.stats.EMCHits++
@@ -551,6 +594,32 @@ func (w *worker) burstRun(p *Pool, hs []bitvec.Vec, ports []int, now int64, out 
 				microflow.Result{Action: v.Action, OutPort: v.OutPort})
 		}
 	}
+}
+
+// probeEMC runs the burst's EMC lookup into emcRes and emcOK, unless the
+// worker stands aside from its EMC, and reports whether it ran. A worker
+// steps aside for the next emcAsideBursts bursts when a window of at least
+// emcWindow probed packets ends with the EMC full and fewer than 1 in
+// emcHitShareInv of them hits; the burst after the last skipped one probes
+// again and opens a new window. A skipped burst counts its packets as
+// EMCBypassed.
+func (w *worker) probeEMC(hs []bitvec.Vec) bool {
+	if w.emcAside > 0 {
+		w.emcAside--
+		w.stats.EMCBypassed += uint64(len(hs))
+		return false
+	}
+	w.emcRes = growRes(w.emcRes, len(hs))
+	w.emcOK = growOK(w.emcOK, len(hs))
+	w.emcHits += w.emc.LookupBatch(hs, w.emcRes, w.emcOK)
+	w.emcProbed += len(hs)
+	if w.emcProbed >= emcWindow {
+		if w.emcHits*emcHitShareInv < w.emcProbed && w.emc.Len() == microflow.DefaultCapacity {
+			w.emcAside = emcAsideBursts
+		}
+		w.emcProbed, w.emcHits = 0, 0
+	}
+	return true
 }
 
 // miss resolves one full-scan megaflow miss from ingress vport port.
@@ -613,6 +682,7 @@ func (p *Pool) Totals() WorkerStats {
 		s := w.snapshot()
 		t.Packets += s.Packets
 		t.EMCHits += s.EMCHits
+		t.EMCBypassed += s.EMCBypassed
 		t.MegaflowHits += s.MegaflowHits
 		t.SlowPath += s.SlowPath
 		t.Dropped += s.Dropped

@@ -24,12 +24,19 @@
 // insertInvProb (OVS's emc-insert-inv-prob), drawn from the cache's own
 // seeded xorshift64 state, so a miss stream the cache cannot hold stops
 // paying an insert and an eviction per packet, and a fresh cache fed the
-// same offers admits the same ones.
+// same offers admits the same ones. A cache that cannot hit also stops
+// being probed: its worker steps aside from it while it is full and hits
+// fewer than 1 in 32 of a 64-packet window, for the next 30 bursts (the
+// datapath package doc states the rule). OVS leaves that call to the
+// operator, who sets emc-insert-inv-prob to 0 after reading the EMC hit
+// counts of pmd-perf-show; here it is a fixed rule, not a knob.
 //
-// Like the PMD thread that owns an OVS EMC, a cache has one owner that
-// offers it inserts: Insert and InsertAt must come from one goroutine at a
-// time, which alone advances the draw. Lookup, LookupBatch, Sync, Len and
-// Stats take the cache's lock and may come from any goroutine.
+// A cache has one owner, like the PMD thread that owns an OVS EMC, and
+// takes no lock: every method must come from one goroutine at a time. A
+// datapath worker owns each of its pool's caches and is the only caller
+// during a dispatch; the pool's dispatcher reads Stats and Len only after
+// the dispatch has returned. LookupBatch adds its hits and misses to the
+// counters once per batch and returns the batch's hit count.
 //
 // The cache also keeps the table-generation rule of its owner: Sync,
 // called before a lookup with the switch's vswitch.Switch.CacheGen,
@@ -40,9 +47,6 @@
 package microflow
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"tse/internal/bitvec"
 	"tse/internal/flowtable"
 )
@@ -83,10 +87,9 @@ type entry struct {
 	res Result
 }
 
-// Cache is a bounded exact-match store. Its inserts come from one owner at
-// a time; its lookups, Sync and Stats may come from any goroutine.
+// Cache is a bounded exact-match store with one owner (see the package
+// doc): it takes no lock.
 type Cache struct {
-	mu    sync.Mutex
 	cap   int
 	slots []int32  // open addressing: index into ents, -1 = empty
 	fps   []uint64 // fingerprint per occupied slot, parallel to slots
@@ -95,14 +98,9 @@ type Cache struct {
 	head  int      // fifo read position (oldest entry)
 	n     int      // live entries
 	stats Stats
-	// gen is the table generation the entries were decided under
-	// (Sync). It is written under mu but read without it, so a Sync that
-	// finds it current takes no lock.
-	gen atomic.Uint64
-	// draw is the xorshift64 state of the insertion draw, never 0. Only
-	// the inserting owner touches it, so it needs neither mu nor an atomic:
-	// an offer the draw refuses (99 in 100) takes no lock and no locked
-	// instruction.
+	// gen is the table generation the entries were decided under (Sync).
+	gen uint64
+	// draw is the xorshift64 state of the insertion draw, never 0.
 	draw uint64
 }
 
@@ -139,8 +137,8 @@ func New(cap int) *Cache {
 	return c
 }
 
-// findLocked returns the entry index holding header h, or -1.
-func (c *Cache) findLocked(h bitvec.Vec, fp uint64) int32 {
+// find returns the entry index holding header h, or -1.
+func (c *Cache) find(h bitvec.Vec, fp uint64) int32 {
 	m := uint64(len(c.slots) - 1)
 	for i := fp & m; ; i = (i + 1) & m {
 		ei := c.slots[i]
@@ -156,9 +154,7 @@ func (c *Cache) findLocked(h bitvec.Vec, fp uint64) int32 {
 // Lookup returns the cached result for header h. It performs no
 // allocation.
 func (c *Cache) Lookup(h bitvec.Vec) (Result, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ei := c.findLocked(h, bitvec.KeyHash(h))
+	ei := c.find(h, bitvec.KeyHash(h))
 	if ei < 0 {
 		c.stats.Misses++
 		return Result{}, false
@@ -167,55 +163,48 @@ func (c *Cache) Lookup(h bitvec.Vec) (Result, bool) {
 	return c.ents[ei].res, true
 }
 
-// LookupBatch looks up a batch of headers under a single lock acquisition
-// — the per-packet locking a PMD-style worker amortises across its receive
-// burst. res and ok must be at least as long as hs; res[i], ok[i] receive
-// what Lookup(hs[i]) would return. Hit/miss accounting matches len(hs)
-// individual Lookup calls. It performs no allocation.
-func (c *Cache) LookupBatch(hs []bitvec.Vec, res []Result, ok []bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// LookupBatch looks up a batch of headers — a PMD-style worker's receive
+// burst — and returns how many hit. res and ok must be at least as long as
+// hs; res[i], ok[i] receive what Lookup(hs[i]) would return. The counters
+// move once per batch, by as much as len(hs) Lookup calls would move them.
+// It performs no allocation.
+func (c *Cache) LookupBatch(hs []bitvec.Vec, res []Result, ok []bool) int {
+	hits := 0
 	for i, h := range hs {
-		ei := c.findLocked(h, bitvec.KeyHash(h))
+		ei := c.find(h, bitvec.KeyHash(h))
 		if ei < 0 {
-			c.stats.Misses++
 			res[i], ok[i] = Result{}, false
 			continue
 		}
-		c.stats.Hits++
 		res[i], ok[i] = c.ents[ei].res, true
+		hits++
 	}
+	c.stats.Hits += uint64(hits)
+	c.stats.Misses += uint64(len(hs) - hits)
+	return hits
 }
 
 // Sync keys the cache to table generation seq before a lookup; owners
 // pass their switch's CacheGen. Entries decided under an older generation
-// are flushed first. A seq older than the cache's comes from a caller that
-// raced a newer one and changes nothing: its inserts are dropped. The
-// returned Gen is what InsertAt takes for the verdicts decided from now
-// on; while open is false (a table swap awaits revalidation, so a megaflow
-// hit may be one the revalidator deletes) it admits none.
+// are flushed first. A seq older than the cache's changes nothing, and
+// the verdicts decided under it are dropped. The returned Gen is what
+// InsertAt takes for the verdicts decided from now on; while open is false
+// (a table swap awaits revalidation, so a megaflow hit may be one the
+// revalidator deletes) it admits none.
 func (c *Cache) Sync(seq uint64, open bool) Gen {
-	if seq > c.gen.Load() {
-		c.mu.Lock()
-		if seq > c.gen.Load() {
-			c.flushLocked()
-			c.gen.Store(seq)
-		}
-		c.mu.Unlock()
+	if seq > c.gen {
+		c.flush()
+		c.gen = seq
 	}
 	return Gen{seq: seq, open: open}
 }
 
 // InsertAt is Insert for a verdict decided under g: it is dropped unless
-// g is open and the cache is still keyed to its generation.
+// g is open and the cache is still keyed to its generation. A closed g
+// does not advance the draw.
 func (c *Cache) InsertAt(g Gen, h bitvec.Vec, r Result) {
-	if !g.open || !c.admit() {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if g.seq == c.gen.Load() {
-		c.insertLocked(h, r)
+	if g.open && c.admit() && g.seq == c.gen {
+		c.store(h, r)
 	}
 }
 
@@ -227,12 +216,9 @@ func (c *Cache) InsertAt(g Gen, h bitvec.Vec, r Result) {
 // keeps ownership of h); a first-time insert allocates the clone, while an
 // evict-and-replace reuses the evicted entry's key storage.
 func (c *Cache) Insert(h bitvec.Vec, r Result) {
-	if !c.admit() {
-		return
+	if c.admit() {
+		c.store(h, r)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.insertLocked(h, r)
 }
 
 // admit applies the insertion policy to one offer: it advances the draw
@@ -249,10 +235,10 @@ func (c *Cache) admit() bool {
 	return x>>32 < (1<<32)/insertInvProb
 }
 
-// insertLocked caches the result for header h.
-func (c *Cache) insertLocked(h bitvec.Vec, r Result) {
+// store caches the result for header h.
+func (c *Cache) store(h bitvec.Vec, r Result) {
 	fp := bitvec.KeyHash(h)
-	if ei := c.findLocked(h, fp); ei >= 0 {
+	if ei := c.find(h, fp); ei >= 0 {
 		c.ents[ei].res = r
 		return
 	}
@@ -266,7 +252,7 @@ func (c *Cache) insertLocked(h bitvec.Vec, r Result) {
 			c.head = 0
 		}
 		c.n--
-		c.deleteSlotLocked(c.ents[ei].key)
+		c.deleteSlot(c.ents[ei].key)
 		c.stats.Evictions++
 		if len(c.ents[ei].key) == len(h) {
 			copy(c.ents[ei].key, h)
@@ -278,14 +264,14 @@ func (c *Cache) insertLocked(h bitvec.Vec, r Result) {
 		ei = int32(len(c.ents))
 		c.ents = append(c.ents, entry{key: h.Clone(), res: r})
 	}
-	c.insertSlotLocked(fp, ei)
+	c.insertSlot(fp, ei)
 	c.fifo[(c.head+c.n)%c.cap] = ei
 	c.n++
 }
 
-// insertSlotLocked places entry index ei at the first free cell of fp's
-// probe chain.
-func (c *Cache) insertSlotLocked(fp uint64, ei int32) {
+// insertSlot places entry index ei at the first free cell of fp's probe
+// chain.
+func (c *Cache) insertSlot(fp uint64, ei int32) {
 	m := uint64(len(c.slots) - 1)
 	for i := fp & m; ; i = (i + 1) & m {
 		if c.slots[i] < 0 {
@@ -295,9 +281,9 @@ func (c *Cache) insertSlotLocked(fp uint64, ei int32) {
 	}
 }
 
-// deleteSlotLocked removes the slot holding key, compacting the probe
-// cluster behind it (backward-shift deletion, no tombstones).
-func (c *Cache) deleteSlotLocked(key bitvec.Vec) {
+// deleteSlot removes the slot holding key, compacting the probe cluster
+// behind it (backward-shift deletion, no tombstones).
+func (c *Cache) deleteSlot(key bitvec.Vec) {
 	fp := bitvec.KeyHash(key)
 	m := uint64(len(c.slots) - 1)
 	i := fp & m
@@ -328,17 +314,13 @@ func (c *Cache) deleteSlotLocked(key bitvec.Vec) {
 }
 
 // Len returns the number of cached headers.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
+func (c *Cache) Len() int { return c.n }
 
-// flushLocked empties the cache, resetting the hash table, the dense
+// flush empties the cache, resetting the hash table, the dense
 // entry storage, and the FIFO eviction state together so later inserts
 // rebuild the insertion order from scratch. Activity counters (hits,
 // misses, evictions) are cumulative and survive a flush.
-func (c *Cache) flushLocked() {
+func (c *Cache) flush() {
 	for i := range c.slots {
 		c.slots[i] = -1
 	}
@@ -347,8 +329,4 @@ func (c *Cache) flushLocked() {
 }
 
 // Stats returns a snapshot of the activity counters.
-func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}
+func (c *Cache) Stats() Stats { return c.stats }

@@ -15,11 +15,7 @@ func hyp(v uint64) bitvec.Vec {
 
 // put caches r for h past the insertion draw, for the tests of the store
 // itself: lookup, refresh, FIFO eviction, flush and key storage.
-func put(c *Cache, h bitvec.Vec, r Result) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.insertLocked(h, r)
-}
+func put(c *Cache, h bitvec.Vec, r Result) { c.store(h, r) }
 
 func TestLookupInsert(t *testing.T) {
 	c := New(4)
