@@ -1,6 +1,7 @@
 package tss
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -127,7 +128,7 @@ func inPlaceInsertIsolation(t *testing.T, scan Scan) {
 		for k, e := range live {
 			v.want[k] = e
 		}
-		if v.g = v.sn.prune.groups.at(g.id); v.g != nil {
+		if v.g = v.sn.groupOf(bitvec.FullMask(l)); v.g != nil {
 			v.slots = slices.Clone(v.g.slots)
 		}
 		mu.Lock()
@@ -286,15 +287,15 @@ func TestInPlaceInsertStaleRecord(t *testing.T) {
 	}
 }
 
-// heldIndexView is a snapshot a reader keeps through an attack ramp, with
-// what it answered when it was published: each header's lookup, the
-// number of candidate groups its walk handed out, and its dump's length.
+// heldIndexView is a snapshot a reader keeps while the writer moves on,
+// with what it answered when it was published: each header's lookup, the
+// number of candidate groups its walk handed out, and its dump.
 type heldIndexView struct {
-	sn      *snapshot
-	hs      []bitvec.Vec
-	want    []BatchResult
-	walks   []int
-	entries int
+	sn    *snapshot
+	hs    []bitvec.Vec
+	want  []BatchResult
+	walks []int
+	dump  []string
 }
 
 func (v *heldIndexView) answer(i int) (BatchResult, int) {
@@ -302,8 +303,17 @@ func (v *heldIndexView) answer(i int) (BatchResult, int) {
 	return BatchResult{Entry: e, Probes: probes, OK: e != nil}, v.sn.missProbes(v.hs[i])
 }
 
+// dumpOf lists sn's dump, one string per entry: its key, mask and action.
+func dumpOf(sn *snapshot) []string {
+	var d []string
+	for _, e := range sn.entries() {
+		d = append(d, fmt.Sprintf("%x/%x:%v", e.Key, e.Mask, e.Action))
+	}
+	return d
+}
+
 // check fails unless the view answers every header as it did; dump also
-// compares its dump's length.
+// compares its dump.
 func (v *heldIndexView) check(t *testing.T, dump bool) bool {
 	t.Helper()
 	for i := range v.hs {
@@ -313,73 +323,217 @@ func (v *heldIndexView) check(t *testing.T, dump bool) bool {
 			return false
 		}
 	}
-	if n := len(v.sn.entries()); dump && n != v.entries {
-		t.Errorf("snapshot of epoch %d dumps %d entries, held %d", v.sn.epoch, n, v.entries)
+	if dump && !slices.Equal(dumpOf(v.sn), v.dump) {
+		t.Errorf("snapshot of epoch %d dumps other entries than it held", v.sn.epoch)
 		return false
 	}
 	return true
 }
 
-// TestIndexAppendIsolation checks the pruning index's in-place adds
-// against the snapshots they write under. The writer ramps a pruned
-// classifier through the 8 192 attack masks, one Insert per mask, and
-// every 16th install adds a key to one exact-match group, which takes it
-// through its second entry and its doublings: the copies stored over the
-// group's id in place. Every 128 installs it installs again the attack
-// entry it deleted 128 installs before, which keeps the install epoch the
-// older snapshots held it under but takes a new id (or one a removal
-// freed), refreshes the entry it has just installed, and deletes an
-// attack entry and an exact one (a removal, and a clone of the exact
-// group). Halfway it sweeps out one key-hash class. Every
-// 256 installs it holds the snapshot with its answers for keys installed
-// by then, keys still to come and near misses.
+// TestIndexAppendIsolation checks the pruning index's writes against the
+// snapshots they write under, one row per way a write changes a leaf's
+// refs. Every row holds a snapshot after each of its writes, with its
+// answers for the row's headers, and readers check the held snapshots
+// while the writer runs; every one is checked once more after it. Each
+// must return the same entry with the same probes for every header, hand
+// out the same number of candidate groups from its walk, and dump exactly
+// the entries it held.
 //
-// Readers check the held snapshots while the writer runs, and every one is
-// checked once more after it: each must return the same entry with the
-// same probes for every header, hand out the same number of candidate
-// groups from its walk, and dump as many entries as it held.
+//   - ramp: the 8 192 attack masks, one Insert each, with an exact group
+//     growing alongside, deletes, reinstalls of deleted entries, refreshes
+//     and a sweep: refs appended behind their leaves' published counts.
+//   - second entry and doubling: copies of a group that only add an entry,
+//     stored over the group in its ref in place; the snapshot before holds
+//     the copy, and skips the entry on its epoch.
+//   - refresh and partial sweep: clones stored into a copy of the path, so
+//     the snapshot before keeps the group it was published with.
+//   - rebuild after sweep: a sweep empties leaves, and a mask on new fields
+//     then rebuilds the tree from what is left.
 func TestIndexAppendIsolation(t *testing.T) {
-	l := bitvec.IPv4Tuple
-	attack := attackEntries(l, 32*16*16)
-	exact := exactEntries(l, len(attack)/16)
-	sip, _ := l.FieldIndex("ip_src")
-	c := New(l, Options{})
-	rng := rand.New(rand.NewSource(5))
+	for _, tc := range []struct {
+		name  string
+		write func(t *testing.T, c *Classifier, hold func(hs []bitvec.Vec))
+	}{
+		{"ramp", indexRamp},
+		{"second entry", func(t *testing.T, c *Classifier, hold func([]bitvec.Vec)) {
+			es, hs := prefixFamily(40)
+			mustInsertBatch(t, c, es, 0)
+			hold(hs)
+			for _, e := range es[:8] {
+				e2 := secondEntry(e)
+				hs = append(hs, e2.Key)
+				checkInPlace(t, c, e.Mask, true, func() { mustInsertBatch(t, c, []*Entry{e2}, 1) })
+				hold(hs)
+			}
+		}},
+		{"doubling", func(t *testing.T, c *Classifier, hold func([]bitvec.Vec)) {
+			es, hs := prefixFamily(40)
+			mustInsertBatch(t, c, es, 0)
+			ex := exactEntries(bitvec.IPv4Tuple, 30)
+			for _, e := range ex {
+				hs = append(hs, e.Key)
+			}
+			hold(hs)
+			full := bitvec.FullMask(bitvec.IPv4Tuple)
+			copies, doublings := 0, 0
+			for _, e := range ex {
+				sn, old := c.snap.Load(), c.groupOf(full)
+				mustInsertBatch(t, c, []*Entry{e}, 1)
+				if g := c.groupOf(full); old != nil && g != old {
+					if sn.groupOf(full) != g {
+						t.Fatalf("the copy of a %d-entry group is not in the snapshot before it", old.n)
+					}
+					copies++
+					if old.slots != nil {
+						doublings++
+					}
+				}
+				hold(hs)
+			}
+			if copies != 4 || doublings != 3 {
+				t.Fatalf("%d copies, %d of them doublings; want 4, 3", copies, doublings)
+			}
+		}},
+		{"refresh", func(t *testing.T, c *Classifier, hold func([]bitvec.Vec)) {
+			es, hs := prefixFamily(40)
+			ex := exactEntries(bitvec.IPv4Tuple, 10)
+			mustInsertBatch(t, c, append(slices.Clone(es), ex...), 0)
+			for _, e := range ex {
+				hs = append(hs, e.Key)
+			}
+			hold(hs)
+			for i, e := range append(es[:8:8], ex[:4]...) {
+				checkInPlace(t, c, e.Mask, false, func() { mustInsertBatch(t, c, []*Entry{fresh(e, flowtable.Allow)}, int64(1+i)) })
+				hold(hs)
+			}
+		}},
+		{"partial sweep", func(t *testing.T, c *Classifier, hold func([]bitvec.Vec)) {
+			es, hs := prefixFamily(20)
+			var seconds []*Entry
+			for _, e := range es {
+				seconds = append(seconds, secondEntry(e))
+				hs = append(hs, seconds[len(seconds)-1].Key)
+			}
+			ex := exactEntries(bitvec.IPv4Tuple, 30)
+			for _, e := range ex {
+				hs = append(hs, e.Key)
+			}
+			mustInsertBatch(t, c, slices.Concat(es, seconds, ex), 0)
+			hold(hs)
+			// Each round takes some entries out of groups it leaves
+			// nonempty: the group of mask is one of them.
+			for _, r := range []struct {
+				mask bitvec.Vec
+				pick func(i int) []*Entry
+			}{
+				{es[0].Mask, func(i int) []*Entry { return []*Entry{seconds[i*2%20]} }},
+				{bitvec.FullMask(bitvec.IPv4Tuple), func(i int) []*Entry { return []*Entry{ex[i*3%30]} }},
+				{es[1].Mask, func(i int) []*Entry { return []*Entry{es[(i*4+1)%20], ex[(i*3+1)%30]} }},
+			} {
+				victims := map[*Entry]bool{}
+				for i := range 10 {
+					for _, e := range r.pick(i) {
+						victims[e] = true
+					}
+				}
+				checkInPlace(t, c, r.mask, false, func() { c.DeleteWhere(func(e *Entry) bool { return victims[e] }) })
+				hold(hs)
+			}
+		}},
+		{"rebuild after sweep", func(t *testing.T, c *Classifier, hold func([]bitvec.Vec)) {
+			es, hs := prefixFamily(40)
+			ex := exactEntries(bitvec.IPv4Tuple, 4)
+			for _, e := range ex {
+				hs = append(hs, e.Key)
+			}
+			mustInsertBatch(t, c, es, 0)
+			hold(hs)
+			// Fifteen groups, each alone in its leaf.
+			victims := map[*Entry]bool{}
+			for i, e := range es {
+				victims[e] = i%16 < 5
+			}
+			c.DeleteWhere(func(e *Entry) bool { return victims[e] })
+			hold(hs)
+			levels := len(c.snap.Load().prune.levels)
+			for i, e := range ex {
+				mustInsertBatch(t, c, []*Entry{e, es[i]}, 1)
+				hold(hs)
+			}
+			if got := len(c.snap.Load().prune.levels); got <= levels {
+				t.Fatalf("%d tree levels after an exact mask, %d before", got, levels)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkIndexIsolation(t, tc.write) })
+	}
+}
 
+// prefixFamily returns n ≤ 64 one-entry groups: entry i on ip_src /1+i%32,
+// from the 33rd on with tp_src exactly too, and on tp_dst 1000+i exactly,
+// so they are pairwise disjoint and disjoint from exactEntries; and
+// headers: each key and a near miss.
+func prefixFamily(n int) (es []*Entry, hs []bitvec.Vec) {
+	for i := range n {
+		e := soloEntry(1+i%32, uint64(0x0a000000+i*0x01010101), uint64(i/32*2000), 1000+uint64(i), flowtable.Drop)
+		es, hs = append(es, e), append(hs, e.Key, flipSrc(e.Key))
+	}
+	return es, hs
+}
+
+// flipSrc returns key with the first bit of ip_src flipped.
+func flipSrc(key bitvec.Vec) bitvec.Vec {
+	l := bitvec.IPv4Tuple
+	sip, _ := l.FieldIndex("ip_src")
+	h := key.Clone()
+	h.FlipFieldBit(l, sip, 0)
+	return h
+}
+
+// secondEntry returns an entry for e's group, disjoint from e by the first
+// bit of ip_src.
+func secondEntry(e *Entry) *Entry {
+	return &Entry{Key: flipSrc(e.Key), Mask: e.Mask, Action: flowtable.Allow, RuleName: "second"}
+}
+
+// checkInPlace runs write and fails t unless it gave mask a new group and
+// stored it over the old one in the ref the snapshot before it holds
+// (inPlace), or left that snapshot the old group.
+func checkInPlace(t *testing.T, c *Classifier, mask bitvec.Vec, inPlace bool, write func()) {
+	t.Helper()
+	sn, old := c.snap.Load(), c.groupOf(mask)
+	write()
+	g := c.groupOf(mask)
+	if g == old || (sn.groupOf(mask) == g) != inPlace {
+		t.Fatalf("the write of %s: new group %v, the snapshot before holds it %v; want %v",
+			mask.Format(c.layout), g != old, sn.groupOf(mask) == g, inPlace)
+	}
+}
+
+// checkIndexIsolation runs write on a new pruned IPv4Tuple classifier.
+// hold keeps the current snapshot with its answers for hs; two readers
+// check the held snapshots while write runs, and every one is checked
+// once more, dump and all, after it.
+func checkIndexIsolation(t *testing.T, write func(t *testing.T, c *Classifier, hold func(hs []bitvec.Vec))) {
+	c := New(bitvec.IPv4Tuple, Options{})
 	var mu sync.Mutex
 	var held []*heldIndexView
-	hold := func(installed int) {
-		v := &heldIndexView{sn: c.snap.Load()}
-		for k := 0; k < 24; k++ {
-			var h bitvec.Vec
-			switch k % 4 {
-			case 0: // an attack key installed by now, or since removed
-				h = attack[rng.Intn(installed)].Key.Clone()
-			case 1: // an attack key still to come, once the ramp has any left
-				h = attack[rng.Intn(len(attack))].Key.Clone()
-				if installed < len(attack) {
-					h = attack[installed+rng.Intn(len(attack)-installed)].Key.Clone()
-				}
-			case 2: // an exact key, installed or not
-				h = exact[rng.Intn(len(exact))].Key.Clone()
-			default: // a near miss of an attack key
-				h = attack[rng.Intn(len(attack))].Key.Clone()
-				h.SetFieldBit(l, sip, rng.Intn(32))
-			}
-			v.hs = append(v.hs, h)
-		}
+	hold := func(hs []bitvec.Vec) {
+		v := &heldIndexView{sn: c.snap.Load(), hs: slices.Clone(hs)}
 		for i := range v.hs {
 			got, walk := v.answer(i)
 			v.want, v.walks = append(v.want, got), append(v.walks, walk)
 		}
-		v.entries = len(v.sn.entries())
+		v.dump = dumpOf(v.sn)
 		mu.Lock()
 		held = append(held, v)
 		mu.Unlock()
 	}
 
 	done := make(chan struct{})
+	stop := sync.OnceFunc(func() { close(done) })
 	var readers sync.WaitGroup
+	defer func() { stop(); readers.Wait() }() // also when write fails t
 	for r := 0; r < 2; r++ {
 		readers.Add(1)
 		go func(r int) {
@@ -405,6 +559,65 @@ func TestIndexAppendIsolation(t *testing.T) {
 			}
 		}(r)
 	}
+	write(t, c, hold)
+	stop()
+
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		readers.Wait()
+		for _, v := range held {
+			if !v.check(t, true) {
+				return
+			}
+		}
+	}()
+	select {
+	case <-finished:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("a lookup over a held snapshot did not return")
+	}
+	checkPruneIndex(t, c, c.snap.Load())
+}
+
+// indexRamp ramps the classifier through the 8 192 attack masks, one
+// Insert per mask, and every 16th install adds a key to one exact-match
+// group, which takes it through its second entry and its doublings. Every
+// 128 installs it installs again the attack entry it deleted 128 installs
+// before, which keeps the install epoch the older snapshots held it under
+// but takes a new ref, refreshes the entry it has just installed, and
+// deletes an attack entry and an exact one (a removal, and a clone of the
+// exact group). Halfway it sweeps out one key-hash class. Every 256
+// installs it holds the snapshot with its answers for keys installed by
+// then, keys still to come and near misses.
+func indexRamp(t *testing.T, c *Classifier, hold func(hs []bitvec.Vec)) {
+	l := bitvec.IPv4Tuple
+	attack := attackEntries(l, 32*16*16)
+	exact := exactEntries(l, len(attack)/16)
+	sip, _ := l.FieldIndex("ip_src")
+	rng := rand.New(rand.NewSource(5))
+	headers := func(installed int) []bitvec.Vec {
+		var hs []bitvec.Vec
+		for k := 0; k < 24; k++ {
+			var h bitvec.Vec
+			switch k % 4 {
+			case 0: // an attack key installed by now, or since removed
+				h = attack[rng.Intn(installed)].Key.Clone()
+			case 1: // an attack key still to come, once the ramp has any left
+				h = attack[rng.Intn(len(attack))].Key.Clone()
+				if installed < len(attack) {
+					h = attack[installed+rng.Intn(len(attack)-installed)].Key.Clone()
+				}
+			case 2: // an exact key, installed or not
+				h = exact[rng.Intn(len(exact))].Key.Clone()
+			default: // a near miss of an attack key
+				h = attack[rng.Intn(len(attack))].Key.Clone()
+				h.SetFieldBit(l, sip, rng.Intn(32))
+			}
+			hs = append(hs, h)
+		}
+		return hs
+	}
 
 	mustInsert := func(e *Entry, now int64) {
 		t.Helper()
@@ -412,7 +625,7 @@ func TestIndexAppendIsolation(t *testing.T) {
 			t.Fatalf("insert %s: %v", e.Format(l), err)
 		}
 	}
-	nExact := 0
+	nExact, holds := 0, 0
 	inst := make([]*Entry, len(attack)) // the entry installed for each mask
 	var gone *Entry                     // the attack entry deleted last
 	for i, e := range attack {
@@ -438,27 +651,11 @@ func TestIndexAppendIsolation(t *testing.T) {
 			c.DeleteWhere(func(e *Entry) bool { return keyHash(e.Key)%7 == 0 })
 		}
 		if i%256 == 255 {
-			hold(i + 1)
+			hold(headers(i + 1))
+			holds++
 		}
 	}
-	close(done)
-
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		readers.Wait()
-		for _, v := range held {
-			if !v.check(t, true) {
-				return
-			}
-		}
-	}()
-	select {
-	case <-finished:
-	case <-time.After(2 * time.Minute):
-		t.Fatal("a lookup over a held snapshot did not return")
-	}
-	if len(held) != len(attack)/256 {
-		t.Fatalf("held %d snapshots, want %d", len(held), len(attack)/256)
+	if holds != len(attack)/256 {
+		t.Fatalf("held %d snapshots, want %d", holds, len(attack)/256)
 	}
 }

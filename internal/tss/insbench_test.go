@@ -11,7 +11,7 @@ import (
 // BenchmarkInsertAtManyMasks measures the writer-side cost of one megaflow
 // install into an attack-inflated classifier under the default scan, which
 // keeps no probe mirror: an idempotent refresh clones its one-entry group,
-// copies the id table's chunk and directory for the clone, and publishes.
+// stores the clone into a copy of its pruning-tree path, and publishes.
 // It is the per-upcall bill of the snapshot design when the flood repeats
 // a megaflow; a new mask's bill is BenchmarkInsertAttackRamp's.
 //
@@ -33,8 +33,8 @@ func BenchmarkInsertAtManyMasks(b *testing.B) {
 
 // BenchmarkInsertBatchAtManyMasks is the amortised counterpart: one
 // 32-entry InsertBatch per op — the handler-drain burst shape — so the
-// id table's directory copy and the publish are paid once per 32 installs
-// instead of per install. Compare ns/op/32 against
+// tree's top nodes, which the refreshes' paths share, and the publish are
+// copied and paid once per 32 installs instead of per install. Compare ns/op/32 against
 // BenchmarkInsertAtManyMasks to read the per-install win.
 func BenchmarkInsertBatchAtManyMasks(b *testing.B) {
 	const burst = 32

@@ -96,21 +96,19 @@ func ledgerDelta(before, after Stats) ledger {
 // mirror's bill, the one the paper's linear-scan model pays, in view.
 //
 // No install copies anything of the pruning index (indexCopied 0). The
-// attack install writes its new group's id into an empty cell of the id
-// table and its ref past the published count of the leaf on its path,
-// where no snapshot looks; it used to copy the table's directory, the root,
-// the level-1 node and the leaf (4). The install into the 12 k group writes
-// one slot in place: a new key that keeps a published multi-entry group
-// within its load. The install that doubles a 12 288-entry group builds the
-// doubled group straight from the published one, so it copies no slot, and
-// stores it over the old one in its id's cell, since every older snapshot
-// skips the one entry it adds (it used to copy the id's chunk and the
-// directory, 2). Removals still copy: a sweep that removes entries from a
-// multi-entry group clones it, a clone copies its one slot table whole
-// (16 384 slots for the 12 k group whether the sweep expires 4 096 entries
-// or 64), and the clone's id is written into a copy of its chunk and of the
-// directory (2). A sweep of 4 096 one-entry attack groups copies the nodes
-// on their paths, their 16 chunks and the directory (562).
+// attack install writes its new group's ref past the published count of
+// the leaf on its path, where no snapshot looks, and so do the installs
+// that follow a sweep of half the attack groups. The install into the 12 k
+// group writes one slot in place: a new key that keeps a published
+// multi-entry group within its load. The install that doubles a
+// 12 288-entry group builds the doubled group straight from the published
+// one, so it copies no slot, and stores it over the old one in its leaf's
+// ref, since every older snapshot skips the one entry it adds. Removals
+// still copy: a sweep that removes entries from a multi-entry group clones
+// it, a clone copies its one slot table whole (16 384 slots for the 12 k
+// group whether the sweep expires 4 096 entries or 64), and the clone is
+// stored into a copy of the five tree nodes on its path (5). A sweep of
+// 4 096 one-entry attack groups copies the nodes on their paths (545).
 // attackInstall returns TestWorkLedgerPins' attack install: a classifier
 // holding masks-1 attack masks, and the install of the last one.
 func attackInstall(masks int, scan Scan) (func(t *testing.T) *Classifier, func(*Classifier) error) {
@@ -154,6 +152,18 @@ func TestWorkLedgerPins(t *testing.T) {
 		}
 		return nil
 	}
+	// afterSweep holds 4 000 attack masks, 2 048 of them expired, and
+	// installs 4 more, one publish each.
+	afterSweep := func(t *testing.T) *Classifier {
+		c := New(l, Options{})
+		es := attackEntries(l, 4000)
+		mustInsertBatch(t, c, es[:2048], 0)
+		mustInsertBatch(t, c, es[2048:], 100)
+		if n := expireIdle(c, 105, 10); n != 2048 {
+			t.Fatalf("expired %d, want 2048", n)
+		}
+		return c
+	}
 	ins1024, op1024 := attackInstall(1024, ScanPruned)
 	ins8192, op8192 := attackInstall(8192, ScanPruned)
 	lin1024, linOp1024 := attackInstall(1024, ScanLinear)
@@ -172,6 +182,14 @@ func TestWorkLedgerPins(t *testing.T) {
 			ledger{publishes: 1, probesCopied: 253, slotsCopied: 0, overlapCompared: 0, indexCopied: 0}},
 		{"attack install at 8192 masks under ScanLinear", lin8192, linOp8192,
 			ledger{publishes: 1, probesCopied: 210, slotsCopied: 0, overlapCompared: 0, indexCopied: 0}},
+		{"4 attack installs after a sweep of 2048 of 4000 masks", afterSweep, func(c *Classifier) error {
+			for _, e := range attackEntries(l, 4004)[4000:] {
+				if err := c.Insert(e, 100); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, ledger{publishes: 4, probesCopied: 0, slotsCopied: 0, overlapCompared: 0, indexCopied: 0}},
 		{"install into a 12k-entry group", exactGroup, func(c *Classifier) error {
 			return c.Insert(exactEntries(l, 12001)[12000], 100)
 		}, ledger{publishes: 1, probesCopied: 0, slotsCopied: 0, overlapCompared: 0, indexCopied: 0}},
@@ -183,17 +201,17 @@ func TestWorkLedgerPins(t *testing.T) {
 				return fmt.Errorf("expired %d, want 4096", n)
 			}
 			return nil
-		}, ledger{publishes: 1, probesCopied: 0, slotsCopied: 16384, overlapCompared: 0, indexCopied: 2}},
+		}, ledger{publishes: 1, probesCopied: 0, slotsCopied: 16384, overlapCompared: 0, indexCopied: 5}},
 		{"expire 64 of a 12k-entry group", exactGroupOf(12000, 64), func(c *Classifier) error {
 			if n := expireIdle(c, 105, 10); n != 64 {
 				return fmt.Errorf("expired %d, want 64", n)
 			}
 			return nil
-		}, ledger{publishes: 1, probesCopied: 0, slotsCopied: 16384, overlapCompared: 0, indexCopied: 2}},
+		}, ledger{publishes: 1, probesCopied: 0, slotsCopied: 16384, overlapCompared: 0, indexCopied: 5}},
 		{"expire 4096 one-entry attack groups", attackGroups(ScanPruned), expire4096,
-			ledger{publishes: 1, probesCopied: 0, slotsCopied: 0, overlapCompared: 0, indexCopied: 562}},
+			ledger{publishes: 1, probesCopied: 0, slotsCopied: 0, overlapCompared: 0, indexCopied: 545}},
 		{"expire 4096 one-entry attack groups under ScanLinear", attackGroups(ScanLinear), expire4096,
-			ledger{publishes: 1, probesCopied: 4096, slotsCopied: 0, overlapCompared: 0, indexCopied: 562}},
+			ledger{publishes: 1, probesCopied: 4096, slotsCopied: 0, overlapCompared: 0, indexCopied: 545}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -227,13 +245,11 @@ func TestWorkLedgerPins(t *testing.T) {
 // TestAttackInstallBytesFlat pins that an attack install allocates as
 // much at 8 192 masks as at 1 024, and at most 420 bytes: the two installs'
 // bytes fall in the same power-of-two class, under the bound. An install
-// that copies something whose size grows with |M| fails here; the id
-// table's directory copy made it 1 344 bytes at 1 024 masks and 2 240 at
-// 8 192, before an install wrote the index in place. The bound holds the
-// one-entry group to one small object: its slot table, stage filters, mask
-// key string and word list made the install 592 bytes. Each count takes
-// the least of three builds, so an allocation the runtime makes meanwhile
-// does not count.
+// that copies something whose size grows with |M| fails here. The bound
+// holds the one-entry group to one small object: its slot table, stage
+// filters, mask key string and word list made the install 592 bytes. Each
+// count takes the least of three builds, so an allocation the runtime
+// makes meanwhile does not count.
 func TestAttackInstallBytesFlat(t *testing.T) {
 	const bound = 420
 	var b [2]uint64

@@ -238,25 +238,26 @@ func (c *Classifier) thawLocked(g *group) *group {
 		return g
 	}
 	c.slotsCopied += uint64(len(g.slots))
-	return c.adoptLocked(g.clone())
+	return c.adoptLocked(g, g.clone())
 }
 
-// adoptLocked wires ng, a mutable copy of a published group, into the mask
-// index and the pruning index in the original's place.
-func (c *Classifier) adoptLocked(ng *group) *group {
+// adoptLocked wires ng, a mutable copy of published g, into the mask index
+// and the pruning index in g's place. The pruning index copies the nodes on
+// g's path and stores ng into the copied leaf, so every snapshot keeps g.
+func (c *Classifier) adoptLocked(g, ng *group) *group {
 	c.byMask.set(ng)
 	c.thawed = append(c.thawed, ng)
-	c.prune.setGroup(ng.id, ng, false)
+	c.prune.replace(g, ng, false)
 	return ng
 }
 
 // insertCopyLocked installs e, which no classifier has installed before,
 // into a copy of published g: the one-entry group's second entry, or, when
 // e would take g past 3/4 load, g doubled (group.doubled). The copy holds
-// g's entries and e, which every snapshot that reaches g's id skips on its
-// epoch, so once complete it replaces g in its id's cell in place, without
-// copying the id table, and counts as published from then on: a later
-// write to it in the same batch copies it again or writes in place.
+// g's entries and e, which every snapshot that reaches g's ref skips on its
+// epoch, so once complete it is stored over g in that ref in place, without
+// copying a node, and counts as published from then on: a later write to it
+// in the same batch copies it again or writes in place.
 func (c *Classifier) insertCopyLocked(g *group, e *Entry) {
 	var ci, k int
 	if c.mirrored() {
@@ -272,7 +273,7 @@ func (c *Classifier) insertCopyLocked(g *group, e *Entry) {
 	ng.put(e)
 	ng.frozen = true
 	c.byMask.set(ng)
-	c.prune.setGroup(ng.id, ng, true)
+	c.prune.replace(g, ng, true)
 	c.setProbeLocked(ci, k, ng)
 }
 

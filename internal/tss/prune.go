@@ -36,36 +36,32 @@ import (
 // nonzero class on it is installed, at most once per field, so a field no
 // mask constrains costs a lookup nothing. An inner node indexes its kids
 // by the class of its level's field: kid c holds the groups of class c,
-// and bit c of bits is set while it exists. A last-level node lists its
-// groups' ids with their class there. A lookup descends only into the
-// children in bits & candidates[level]. One iterative walk (walk) serves
-// the lookup, MissProbes and the insert-time overlap check: it hands each
-// caller the candidate groups in tree order, and the caller probes them in
-// its own loop.
+// and bit c of bits is set while it exists. A last-level node holds its
+// groups, each in a ref with its class there. A lookup descends only into
+// the children in bits & candidates[level]. One iterative walk (walk)
+// serves the lookup, MissProbes and the insert-time overlap check: it
+// hands each caller the candidate groups in tree order, and the caller
+// probes them in its own loop. A walk with every class a candidate lists
+// the groups for Entries, DeleteWhere and a rebuild.
 //
-// Ids name groups through a chunked table, so the clone a write to an
-// existing group makes rewrites one table entry, not the tree. A snapshot
-// holds the index's view by value (pruneView): the tree's root, its levels,
-// the candidate tables and the id table's directory. An install writes the
-// tree and the id table in place, RCU-style, as an append behind a
-// published length [OVS lib/cmap.c; MemC3, Fan et al., NSDI'13]: a new id
-// fills a cell no snapshot lists (each lists only the ids below its next);
-// a new kid fills its empty cell before its bit is set; a new ref lands past
-// its leaf's published count before the count moves, and carries the epoch
-// of its add, which the walk of an older snapshot skips before it loads the
+// A snapshot holds the index's view by value (pruneView): the tree's root,
+// its levels and the candidate tables. An install writes the tree in
+// place, RCU-style, as an append behind a published length or a store
+// into a cell [OVS lib/cmap.c; MemC3, Fan et al., NSDI'13]: a new kid fills
+// its empty cell before its bit is set; a new ref lands past its leaf's
+// published count before the count moves, and carries the epoch of its
+// add, which the walk of an older snapshot skips before it loads the
 // group. A copy of a group that only adds an entry (a one-entry group's
-// second, a doubling) replaces the group in its id's cell once complete,
+// second, a doubling) is stored over the group in its ref once complete,
 // since every older snapshot skips that entry on its epoch. So an install
 // copies nothing of the index. Every other write copies what a snapshot
-// could see change, so each snapshot keeps the index it was published with:
-// a removal copies the nodes on its path; a removal, a reused id and any
-// other clone of a published group (a refresh's, a sweep's) copy the id's
-// chunk and the directory; a new level rebuilds the tree, at most once per
-// field; and a publish rebuilds the candidate table of a field whose values
-// changed. The index is built in New and kept under both scans: ScanPruned
-// lookups walk the tree from the first mask, the insert-time overlap check
-// walks it under either scan, and the id table is the group directory
-// Entries and DeleteWhere read.
+// could see change, so each snapshot keeps the index it was published
+// with: a removal and any other clone of a published group (a refresh's,
+// a sweep's) copy the nodes on its path; a new level rebuilds the tree, at
+// most once per field; and a publish rebuilds the candidate table of a
+// field whose values changed. The index is built in New and kept under
+// both scans: ScanPruned lookups walk the tree from the first mask, and
+// the insert-time overlap check walks it under either scan.
 //
 // The insert-time overlap check walks the same tree. Its candidates on
 // field f are the classes with a value agreeing with the new entry's key
@@ -81,12 +77,6 @@ const maxLevels = 8
 // field matched exactly on an ever-new value (flow_setup's ip_src /32)
 // pays one counter check per install once dense.
 const denseVals = 8
-
-// The group-id table is a directory of chunks of idChunk ids.
-const (
-	idShift = 8
-	idChunk = 1 << idShift
-)
 
 // pfield locates one pruned field in a Vec: its bits start at bit shift of
 // word word and may run into the next word. get returns the field's raw
@@ -171,9 +161,9 @@ func (fc *fieldCands) match(h bitvec.Vec) uint64 {
 // the published count (nrefs) before it moves the count, all atomically;
 // the kid or the ref array it publishes is complete before that. A removal
 // never writes a node a snapshot may reach: it copies the nodes on its path
-// (own). epoch is the writer epoch that copied the node for a removal; such
-// a node is reachable only once published, so the removals of its own
-// epoch mutate it in place. A node an add makes has epoch 0, which no write
+// (own), as does a clone of a published group. epoch is the writer epoch
+// that copied the node; such a node is reachable only once published, so
+// the writes of its own epoch mutate it in place. A node an add makes has epoch 0, which no write
 // runs in (New publishes first).
 type inode struct {
 	bits  atomic.Uint64
@@ -184,14 +174,24 @@ type inode struct {
 	capr  uint32                  // the ref array's length; the writer's alone
 }
 
-// leafRef is one group of a last-level node: its id, its class there, and
-// the epoch of the add that placed it, which a walk of a snapshot published
-// before skips.
+// leafRef is one group of a last-level node: the group, and in one word the
+// epoch of the add that placed it, which a walk of a snapshot published
+// before skips, above the group's class there. g is loaded and stored
+// atomically (group, set): the writer stores a copy of the group that only
+// adds entries over it in place.
 type leafRef struct {
-	epoch uint64
-	id    uint32
-	cls   uint8
+	g  unsafe.Pointer // *group
+	ec uint64         // epoch<<8 | class
 }
+
+func newRef(g *group, epoch uint64, cls uint8) leafRef {
+	return leafRef{g: unsafe.Pointer(g), ec: epoch<<8 | uint64(cls)}
+}
+
+func (r *leafRef) group() *group { return (*group)(atomic.LoadPointer(&r.g)) }
+func (r *leafRef) set(g *group)  { atomic.StorePointer(&r.g, unsafe.Pointer(g)) }
+func (r *leafRef) epoch() uint64 { return r.ec >> 8 }
+func (r *leafRef) cls() uint8    { return uint8(r.ec) }
 
 // loadRefs returns the node's published refs. The count is loaded first:
 // the array loaded after it is the one the count was published with or a
@@ -214,49 +214,25 @@ func (n *inode) appendRef(r leafRef) {
 	}
 	refs[k] = r
 	n.nrefs.Store(k + 1)
-	n.bits.Or(1 << r.cls)
+	n.bits.Or(1 << r.cls())
 }
 
-// idCells is one chunk of the group-id table, allocated at its full
-// length. The writer stores into a cell a snapshot lists only to replace a
-// group with a copy that only adds entries, and readers load cells
-// atomically.
-type idCells [idChunk]atomic.Pointer[group]
-
-// idTable is the group-id table: group id sits in chunk id>>idShift at
-// id&(idChunk-1). New ids are handed out in order, so a new one fills the
-// next empty cell of the last chunk, and a new chunk is appended to the
-// directory.
-type idTable []*idCells
-
-func (t idTable) at(id uint32) *group { return t[id>>idShift][id&(idChunk-1)].Load() }
-
 // pruneView is the part of the index a snapshot publishes, by value: the
-// tree, its levels' fields, the candidate tables of every pruned field, and
-// the group-id table with the number of ids it had handed out.
+// tree, its levels' fields and the candidate tables of every pruned field.
 type pruneView struct {
 	root   *inode
 	levels []uint8 // field index of each tree level
 	cands  []fieldCands
-	groups idTable
-	next   uint32 // ids at or past next are not the view's
 }
 
-// list returns the view's groups in id order.
-func (v *pruneView) list(n int) []*group {
-	gs := make([]*group, 0, n)
-	for id := uint32(0); id < v.next; id++ {
-		if g := v.groups.at(id); g != nil {
-			gs = append(gs, g)
-		}
-	}
-	return gs
-}
-
-// groups returns the snapshot's groups for Entries: the pruning index's id
-// table sorted by (hash, mask words), which is OrderHash scan order.
+// groups returns the snapshot's groups for Entries: every group of its
+// tree, sorted by (hash, mask words), which is OrderHash scan order.
 func (sn *snapshot) groups() []*group {
-	gs := sn.prune.list(sn.masks)
+	gs := make([]*group, 0, sn.masks)
+	var w walk
+	for g := w.every(&sn.prune, sn.epoch); g != nil; g = w.next() {
+		gs = append(gs, g)
+	}
 	slices.SortFunc(gs, func(a, b *group) int {
 		if a.hash != b.hash {
 			return cmp.Compare(a.hash, b.hash)
@@ -285,7 +261,6 @@ type walk struct {
 	node    [maxLevels]*inode
 	rest    [maxLevels]uint64
 	refs    []leafRef // the current leaf's refs not yet visited
-	v       *pruneView
 	ep      uint64
 	d, last int
 }
@@ -293,7 +268,7 @@ type walk struct {
 // first starts the walk over v's tree for a reader of epoch ep and returns
 // its first group, or nil.
 func (w *walk) first(v *pruneView, ep uint64) *group {
-	w.v, w.ep, w.last, w.d = v, ep, len(v.levels)-1, -1
+	w.ep, w.last, w.d = ep, len(v.levels)-1, -1
 	switch n := v.root; {
 	case n == nil || n.bits.Load()&w.cand[0] == 0:
 	case w.last == 0:
@@ -304,16 +279,25 @@ func (w *walk) first(v *pruneView, ep uint64) *group {
 	return w.next()
 }
 
+// every starts a walk with every class a candidate: it returns, in tree
+// order, every group of v a reader of epoch ep sees.
+func (w *walk) every(v *pruneView, ep uint64) *group {
+	for d := range w.cand {
+		w.cand[d] = ^uint64(0)
+	}
+	return w.first(v, ep)
+}
+
 // next returns the walk's next group, or nil once it is done. A ref newer
 // than the walk's epoch is skipped before its group is loaded, so a reader
 // never meets a group added after its snapshot.
 func (w *walk) next() *group {
 	c, d, refs := w.cand[w.last], w.d, w.refs
 	for {
-		for i, r := range refs {
-			if c>>r.cls&1 != 0 && r.epoch <= w.ep {
+		for i := range refs {
+			if r := &refs[i]; c>>r.cls()&1 != 0 && r.epoch() <= w.ep {
 				w.refs, w.d = refs[i+1:], d
-				return w.v.groups.at(r.id)
+				return r.group()
 			}
 		}
 		for {
@@ -385,22 +369,14 @@ type valCount struct {
 }
 
 // pruneIndex is the writer side of the tuple-pruning index, under the
-// classifier's writer lock. view is what the next publish shares, and its
-// next is the last publish's: an id at or past it is in no snapshot.
-// fields never changes after New.
+// classifier's writer lock. view is what the next publish shares. epoch
+// counts publishes: a node the writer copied since the last one carries it
+// (own). fields never changes after New.
 type pruneIndex struct {
 	view     pruneView
 	fields   []pfield
 	levelSet uint64 // fields that are tree levels
 	epoch    uint64
-
-	// dirEpoch and chunkEpoch[i] are the epochs that copied (or made) the
-	// group-id table's directory and its chunk i. Ids below next not in
-	// free name groups.
-	dirEpoch   uint64
-	chunkEpoch []uint64
-	next       uint32
-	free       []uint32
 
 	// present[f] has bit L set while class L of field f holds entries;
 	// vals[f] is allocated with the field's first entry.
@@ -442,7 +418,7 @@ func (x *pruneIndex) classes(mask bitvec.Vec) (cls [maxLevels]uint8) {
 }
 
 // publish rebuilds the stale candidate tables and returns the view the
-// snapshot shares; the ids handed out until then are the view's.
+// snapshot shares.
 func (x *pruneIndex) publish() pruneView {
 	x.epoch++
 	if x.dirty != 0 {
@@ -473,7 +449,6 @@ func (x *pruneIndex) publish() pruneView {
 		}
 		x.dirty = 0
 	}
-	x.view.next = x.next
 	return x.view
 }
 
@@ -572,9 +547,9 @@ func (x *pruneIndex) overlapCands(key, mask bitvec.Vec) (cand [maxLevels]uint64)
 	return cand
 }
 
-// add gives a new group, whose mask has classes cls, an id and places it
-// in the tree, first making a level of every field its mask is the first
-// to constrain. Its ref carries the epoch of the next publish.
+// add places a new group, whose mask has classes cls, in the tree, first
+// making a level of every field its mask is the first to constrain. Its
+// ref carries the epoch of the next publish.
 func (x *pruneIndex) add(g *group, cls *[maxLevels]uint8) {
 	var need uint64
 	for f := range x.fields {
@@ -585,81 +560,61 @@ func (x *pruneIndex) add(g *group, cls *[maxLevels]uint8) {
 	if need&^x.levelSet != 0 {
 		x.rebuild(x.levelSet | need)
 	}
-	id := x.next
-	if n := len(x.free); n > 0 {
-		id, x.free = x.free[n-1], x.free[:n-1]
-	} else {
-		x.next++
-	}
-	g.id = id
-	x.setGroup(id, g, false)
-	x.addLeaf(cls, leafRef{epoch: nextEpoch(), id: id})
+	x.addLeaf(cls, g, nextEpoch())
 }
 
-// remove drops g, whose mask has classes cls, from the tree and frees its
-// id.
+// remove drops g, whose mask has classes cls, from the tree.
 func (x *pruneIndex) remove(g *group, cls *[maxLevels]uint8) {
-	x.view.root = x.removeAt(x.view.root, 0, cls, g.id)
-	x.setGroup(g.id, nil, false)
-	x.free = append(x.free, g.id)
+	x.view.root = x.removeAt(x.view.root, 0, cls, g)
 }
 
-// setGroup stores g at id. The cell is written in place when no snapshot
-// lists it (a new id), when its chunk was copied since the last publish,
-// or when inPlace says that g is a copy of the group there that only adds
-// entries stamped after every published snapshot, which skip them;
-// otherwise the chunk is copied first, and with it the directory if a
-// snapshot shares that. A new chunk is appended to the directory, into
-// spare capacity no snapshot reads.
-func (x *pruneIndex) setGroup(id uint32, g *group, inPlace bool) {
-	i := int(id >> idShift)
-	if i == len(x.view.groups) {
-		if len(x.view.groups) == cap(x.view.groups) {
-			x.dirEpoch = x.epoch // append copies it
-		}
-		x.view.groups = append(x.view.groups, new(idCells))
-		x.chunkEpoch = append(x.chunkEpoch, x.epoch)
+// replace stores ng, a copy of g, over g in its ref. With inPlace, ng only
+// adds entries stamped after every published snapshot, which skip them, so
+// the ref is written where every snapshot sharing its leaf reads it.
+// Otherwise the nodes on its path are copied first (own), as for a
+// removal, so each snapshot keeps g.
+func (x *pruneIndex) replace(g, ng *group, inPlace bool) {
+	cls := x.classes(g.mask)
+	if !inPlace {
+		x.view.root = x.own(x.view.root)
 	}
-	if !inPlace && id < x.view.next && x.chunkEpoch[i] != x.epoch {
-		if x.dirEpoch != x.epoch {
-			x.view.groups = append(make(idTable, 0, cap(x.view.groups)), x.view.groups...)
-			x.dirEpoch = x.epoch
-			x.copied++
+	n, last := x.view.root, len(x.view.levels)-1
+	for _, f := range x.view.levels[:last] {
+		kid := n.kids[cls[f]].Load()
+		if !inPlace {
+			kid = x.own(kid)
+			n.kids[cls[f]].Store(kid)
 		}
-		ch := new(idCells)
-		for k := range ch {
-			ch[k].Store(x.view.groups[i][k].Load())
-		}
-		x.view.groups[i] = ch
-		x.chunkEpoch[i] = x.epoch
-		x.copied++
+		n = kid
 	}
-	x.view.groups[i][id&(idChunk-1)].Store(g)
+	refs := n.loadRefs()
+	refs[slices.IndexFunc(refs, func(r leafRef) bool { return r.g == unsafe.Pointer(g) })].set(ng)
 }
 
 // rebuild makes the fields of set the tree's levels, in layout order, and
-// rebuilds the tree over every group. The new tree is reachable only once
-// published, so its refs carry epoch 0.
+// rebuilds the tree over every group of the old one, in its order. The new
+// tree is reachable only once published, so its refs carry epoch 0.
 func (x *pruneIndex) rebuild(set uint64) {
+	old := x.view
 	x.levelSet = set
 	x.view.levels = nil
 	for m := set; m != 0; m &= m - 1 {
 		x.view.levels = append(x.view.levels, uint8(bits.TrailingZeros64(m)))
 	}
 	x.view.root = nil
-	for id := uint32(0); id < x.next; id++ {
-		if g := x.view.groups.at(id); g != nil {
-			cls := x.classes(g.mask)
-			x.addLeaf(&cls, leafRef{id: id})
-		}
+	var w walk
+	for g := w.every(&old, allEpochs); g != nil; g = w.next() {
+		cls := x.classes(g.mask)
+		x.addLeaf(&cls, g, 0)
 	}
 }
 
-// addLeaf places r in the tree under classes cls, in place: into the leaf
-// on its path, or as a new path from the first level it has no node on.
-func (x *pruneIndex) addLeaf(cls *[maxLevels]uint8, r leafRef) {
+// addLeaf places g's ref, of epoch ep, in the tree under classes cls, in
+// place: into the leaf on its path, or as a new path from the first level
+// it has no node on.
+func (x *pruneIndex) addLeaf(cls *[maxLevels]uint8, g *group, ep uint64) {
 	if x.view.root == nil {
-		x.view.root = x.path(cls, 0, r)
+		x.view.root = x.path(cls, 0, g, ep)
 		return
 	}
 	n, last := x.view.root, len(x.view.levels)-1
@@ -667,36 +622,34 @@ func (x *pruneIndex) addLeaf(cls *[maxLevels]uint8, r leafRef) {
 		c := cls[x.view.levels[d]]
 		kid := n.kids[c].Load()
 		if kid == nil {
-			n.kids[c].Store(x.path(cls, d+1, r))
+			n.kids[c].Store(x.path(cls, d+1, g, ep))
 			n.bits.Or(1 << c)
 			return
 		}
 		n = kid
 	}
-	r.cls = cls[x.view.levels[last]]
-	n.appendRef(r)
+	n.appendRef(newRef(g, ep, cls[x.view.levels[last]]))
 }
 
-// path returns a new subtree holding r alone, from level d down.
-func (x *pruneIndex) path(cls *[maxLevels]uint8, d int, r leafRef) *inode {
+// path returns a new subtree holding g's ref alone, from level d down.
+func (x *pruneIndex) path(cls *[maxLevels]uint8, d int, g *group, ep uint64) *inode {
 	f := x.view.levels[d]
 	n := &inode{}
 	if d == len(x.view.levels)-1 {
-		r.cls = cls[f]
-		n.appendRef(r)
+		n.appendRef(newRef(g, ep, cls[f]))
 		return n
 	}
 	c := cls[f]
 	n.kids = make([]atomic.Pointer[inode], x.fields[f].width+1)
-	n.kids[c].Store(x.path(cls, d+1, r))
+	n.kids[c].Store(x.path(cls, d+1, g, ep))
 	n.bits.Store(1 << c)
 	return n
 }
 
-// removeAt drops id, under classes cls, from the subtree n of level d and
+// removeAt drops g, under classes cls, from the subtree n of level d and
 // returns the subtree left: nil once empty, else n if nothing on the path
 // needed a copy, else a copy (own).
-func (x *pruneIndex) removeAt(n *inode, d int, cls *[maxLevels]uint8, id uint32) *inode {
+func (x *pruneIndex) removeAt(n *inode, d int, cls *[maxLevels]uint8, g *group) *inode {
 	c := cls[x.view.levels[d]]
 	if d == len(x.view.levels)-1 {
 		if n.nrefs.Load() == 1 {
@@ -704,18 +657,19 @@ func (x *pruneIndex) removeAt(n *inode, d int, cls *[maxLevels]uint8, id uint32)
 		}
 		n = x.own(n)
 		refs := n.loadRefs()
-		i := slices.IndexFunc(refs, func(r leafRef) bool { return r.id == id })
+		i := slices.IndexFunc(refs, func(r leafRef) bool { return r.g == unsafe.Pointer(g) })
 		copy(refs[i:], refs[i+1:])
+		refs[len(refs)-1] = leafRef{} // spare room must not pin a removed group
 		n.nrefs.Store(uint32(len(refs) - 1))
 		var b uint64
-		for _, r := range refs[:len(refs)-1] {
-			b |= 1 << r.cls
+		for i := range refs[:len(refs)-1] {
+			b |= 1 << refs[i].cls()
 		}
 		n.bits.Store(b)
 		return n
 	}
 	kid := n.kids[c].Load()
-	nk := x.removeAt(kid, d+1, cls, id)
+	nk := x.removeAt(kid, d+1, cls, g)
 	switch {
 	case nk == kid:
 		return n // the kid was written in place

@@ -13,6 +13,29 @@ import (
 // groupOf returns the writer's group of mask, or nil.
 func (c *Classifier) groupOf(mask bitvec.Vec) *group { return c.byMask.get(mask, c.hashMask(mask)) }
 
+// treeGroups returns the groups of sn's tree, as its refs hold them now, in
+// the order a walk with every class a candidate hands them out. The order
+// is fixed for as long as sn lives: later refs carry later epochs, which
+// the walk skips, and a removal or clone copies the nodes it changes.
+func (sn *snapshot) treeGroups() []*group {
+	var gs []*group
+	var w walk
+	for g := w.every(&sn.prune, sn.epoch); g != nil; g = w.next() {
+		gs = append(gs, g)
+	}
+	return gs
+}
+
+// groupOf returns sn's group of mask, as its ref holds it now, or nil.
+func (sn *snapshot) groupOf(mask bitvec.Vec) *group {
+	for _, g := range sn.treeGroups() {
+		if g.mask.Equal(mask) {
+			return g
+		}
+	}
+	return nil
+}
+
 // list returns every group of the directory, first and ties, each once.
 func (d *maskDir) list() []*group {
 	var gs []*group
@@ -24,17 +47,17 @@ func (d *maskDir) list() []*group {
 
 // checkPruneIndex fails t unless sn's pruning index describes the writer's
 // groups (byMask, which sn was published from) exactly: every field some
-// mask constrains is a tree level; the tree holds every group's id once,
-// under the path of its mask's classes, in a ref no newer than sn, with no
-// empty node and every bitmap equal to what its node holds; the id table
-// maps each id to its group, holds nothing else below the view's next and
-// nothing at all past it; and each field's candidate table lists, for
-// every class its entries occupy, either exactly their values or the class
-// as dense, and nothing for a class no entry occupies.
+// mask constrains is a tree level; the tree holds every group once and
+// nothing else, each in a ref that holds the writer's current pointer to
+// it, under the path of its mask's classes, no newer than sn, with no
+// empty node and every bitmap equal to what its node holds; and each
+// field's candidate table lists, for every class its entries occupy,
+// either exactly their values or the class as dense, and nothing for a
+// class no entry occupies.
 func checkPruneIndex(t *testing.T, c *Classifier, sn *snapshot) {
 	t.Helper()
 	x, v := c.prune, sn.prune
-	want := make([]*group, v.next) // by id, until the tree names it
+	want := map[*group]bool{} // the writer's groups, until the tree names them
 	var levels uint64
 	for _, f := range v.levels {
 		levels |= 1 << f
@@ -50,18 +73,12 @@ func checkPruneIndex(t *testing.T, c *Classifier, sn *snapshot) {
 		t.Fatalf("writer holds %d groups, snapshot %d masks", len(dir), sn.masks)
 	}
 	for _, g := range dir {
-		if g.id >= v.next {
-			t.Fatalf("group %s has id %d, past the view's %d", g.mask.Format(c.layout), g.id, v.next)
-		}
-		want[g.id] = g
+		want[g] = true
 		cls := x.classes(g.mask)
 		for f := range x.fields {
 			if cls[f] != 0 && levels>>f&1 == 0 {
 				t.Fatalf("group %s constrains field %d, not a tree level", g.mask.Format(c.layout), f)
 			}
-		}
-		if v.groups.at(g.id) != g {
-			t.Fatalf("id %d of group %s names another group", g.id, g.mask.Format(c.layout))
 		}
 		var listed [maxLevels]int // fields whose class here lists values
 		n := 0
@@ -94,17 +111,6 @@ func checkPruneIndex(t *testing.T, c *Classifier, sn *snapshot) {
 		})
 	}
 
-	for i, ch := range v.groups {
-		for k := range ch {
-			if id := uint32(i<<idShift + k); ch[k].Load() != nil && id >= v.next {
-				t.Fatalf("id table holds id %d, past the view's %d", id, v.next)
-			}
-		}
-	}
-	if held := len(v.list(0)); held != sn.masks {
-		t.Fatalf("id table holds %d groups, snapshot %d", held, sn.masks)
-	}
-
 	seen := 0
 	var walk func(n *inode, d int, path [maxLevels]uint8)
 	walk = func(n *inode, d int, path [maxLevels]uint8) {
@@ -114,23 +120,24 @@ func checkPruneIndex(t *testing.T, c *Classifier, sn *snapshot) {
 			if len(refs) == 0 || n.kids != nil {
 				t.Fatal("empty last-level node")
 			}
-			for _, r := range refs {
-				if r.epoch > sn.epoch {
-					t.Fatalf("ref of id %d has epoch %d, after its snapshot's %d", r.id, r.epoch, sn.epoch)
+			for i := range refs {
+				r := &refs[i]
+				g := r.group()
+				if r.epoch() > sn.epoch {
+					t.Fatalf("ref of group %p has epoch %d, after its snapshot's %d", g, r.epoch(), sn.epoch)
 				}
-				path[d] = r.cls
-				union |= 1 << r.cls
-				if r.id >= v.next || want[r.id] == nil || want[r.id] != v.groups.at(r.id) {
-					t.Fatalf("tree holds id %d, no group of the snapshot", r.id)
+				path[d] = r.cls()
+				union |= 1 << r.cls()
+				if !want[g] {
+					t.Fatalf("tree holds group %p, not a current group of the writer or held twice", g)
 				}
-				g := want[r.id]
 				cls := x.classes(g.mask)
 				for l, f := range v.levels {
 					if cls[f] != path[l] {
 						t.Fatalf("group %s under path %v, classes %v", g.mask.Format(c.layout), path, cls)
 					}
 				}
-				want[r.id] = nil
+				delete(want, g)
 				seen++
 			}
 			if union != n.bits.Load() {
@@ -155,8 +162,8 @@ func checkPruneIndex(t *testing.T, c *Classifier, sn *snapshot) {
 	if v.root != nil {
 		walk(v.root, 0, [maxLevels]uint8{})
 	}
-	if seen != sn.masks {
-		t.Fatalf("tree holds %d groups, the snapshot %d", seen, sn.masks)
+	if seen != sn.masks || len(want) != 0 {
+		t.Fatalf("tree holds %d groups, the snapshot %d; %d of the writer's are missing", seen, sn.masks, len(want))
 	}
 
 	for d := range x.fields {
@@ -346,25 +353,26 @@ func FuzzPruneCandidates(f *testing.F) {
 	})
 }
 
-// refWalk appends to ids, in tree order (depth first, classes ascending),
-// the id of every group under n whose class is in cand on every level: the
-// recursive walk that walk replaced, kept as its reference.
-func refWalk(v *pruneView, n *inode, d int, cand *[maxLevels]uint64, ids []uint32) []uint32 {
+// refWalk appends to gs, in tree order (depth first, classes ascending),
+// every group under n whose class is in cand on every level: the recursive
+// walk that walk replaced, kept as its reference.
+func refWalk(v *pruneView, n *inode, d int, cand *[maxLevels]uint64, gs []*group) []*group {
 	if n == nil {
-		return ids
+		return gs
 	}
 	if d == len(v.levels)-1 {
-		for _, r := range n.loadRefs() {
-			if cand[d]>>r.cls&1 != 0 {
-				ids = append(ids, r.id)
+		refs := n.loadRefs()
+		for i := range refs {
+			if cand[d]>>refs[i].cls()&1 != 0 {
+				gs = append(gs, refs[i].group())
 			}
 		}
-		return ids
+		return gs
 	}
 	for m := n.bits.Load() & cand[d]; m != 0; m &= m - 1 {
-		ids = refWalk(v, n.kids[bits.TrailingZeros64(m)].Load(), d+1, cand, ids)
+		gs = refWalk(v, n.kids[bits.TrailingZeros64(m)].Load(), d+1, cand, gs)
 	}
-	return ids
+	return gs
 }
 
 // TestWalkOrder checks that walk hands out exactly the candidate groups of
@@ -431,9 +439,9 @@ func TestWalkOrder(t *testing.T) {
 				}
 			}
 			want := refWalk(v, v.root, 0, &w.cand, nil)
-			var got []uint32
+			var got []*group
 			for g := w.first(v, sn.epoch); g != nil; g = w.next() {
-				got = append(got, g.id)
+				got = append(got, g)
 			}
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s: walk visits %v, reference %v", name, got, want)

@@ -196,7 +196,7 @@ func (tc scanPinCase) headers(es []*Entry, seed int64) []bitvec.Vec {
 // and wide ScanPruned rows moved (75 274 / 70 690 → 75 168 / 70 584 and
 // 202 496 → 201 914 probes) when a cache of 16 masks or fewer came to be
 // pruned too: the index is built from the first mask, so its first groups
-// take their ids and tree places in insertion order rather than in the
+// take their tree places in insertion order rather than in the
 // probe mirror's hash order at the 17th mask, and a hit is reached after
 // a different number of candidates.
 func TestScanCountPins(t *testing.T) {
@@ -266,10 +266,8 @@ func TestScanCountPins(t *testing.T) {
 // until a second entry arrives, no word list (only a mask too wide for the
 // inline sparse view keeps one) and no mask key string (the mask directory
 // files it by its hash); those made 9. None is a copy of the pruning index:
-// its id fills an empty cell of the id table and its ref lands in spare room
-// of its leaf. It used to make 17, eight of them the index's (the three
-// tree nodes on its path and their child arrays, the id table's directory,
-// and the published view, which the snapshot now holds by value). None is
+// the group's ref lands in spare room of its leaf, and the snapshot holds
+// the index's view by value. None is
 // the probe mirror's: ScanPruned keeps no mirror, so the insert copies no
 // chunk's two record arrays and no snapshot chunk directory. An Entry stays
 // 96 bytes, a size class of its own: its install epoch took the word that

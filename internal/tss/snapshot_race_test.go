@@ -23,7 +23,7 @@ import (
 //
 // It runs over both snapshot shapes: ScanPruned's, which carry no probe
 // mirror, and ScanLinear's mirrored ones. Under both the dump readers walk
-// the pruning index's id table.
+// the pruning index's tree.
 func TestSnapshotConsistencyUnderWrites(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -2,7 +2,7 @@ package tss
 
 import (
 	"errors"
-	"maps"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -45,30 +45,67 @@ func snapLookup(sn *snapshot, h bitvec.Vec) *Entry {
 // TestSoloGroupLifecycle walks a group without a slot table through every
 // write under both scans: a one-entry group is its solo entry alone (no
 // table, no stage filters, no word list); a refresh clones it without
-// copying a slot; a second entry, installed while older snapshots are
-// held, gives the copy its table and filters, and the copy replaces the
-// held group, unchanged, in its id cell, where the held snapshots skip the
-// new entry on its epoch; the overlap check confirms against the solo
-// entry, by its masked probe and by the full comparison; a sweep drops it;
-// and every snapshot keeps answering, and dumping, what it was published
-// with.
+// copying a slot, and the clone goes into a copy of its tree path, so the
+// held snapshot keeps the original; a second entry, installed while older
+// snapshots are held, gives the copy its table and filters, and the copy
+// is stored over the held group, unchanged, in its leaf's ref, where the
+// held snapshots skip the new entry on its epoch; the overlap check
+// confirms against the solo entry, by its masked probe and by the full
+// comparison; a sweep drops it, emptying its leaf, and takes an entry out
+// of the other group through a path copy; the survivor takes a second
+// entry again and doubles, each copy stored in place; and a mask on a new
+// field rebuilds the tree. Every snapshot keeps answering, and dumping,
+// exactly what it was published with, and hands out as many candidate
+// groups for every header as it did then.
 func TestSoloGroupLifecycle(t *testing.T) {
 	for _, scan := range []Scan{ScanPruned, ScanLinear} {
 		t.Run(map[Scan]string{ScanPruned: "pruned", ScanLinear: "linear"}[scan], func(t *testing.T) {
 			c := New(bitvec.IPv4Tuple, Options{Scan: scan})
 			a := soloEntry(16, 0xc0010000, 0, 80, flowtable.Drop)
 			n := soloEntry(8, 0x0b000000, 1000, 0, flowtable.Drop)
+			a2 := fresh(a, flowtable.Allow)
+			b := soloEntry(16, 0xc0020000, 0, 80, flowtable.Drop)
+			var more []*Entry // a's mask on more /16s: enough to double b's group
+			for i := uint64(3); i < 10; i++ {
+				more = append(more, soloEntry(16, 0xc0000000|i<<16, 0, 80, flowtable.Drop))
+			}
+			// dst constrains ip_dst, which no other mask does.
+			l := bitvec.IPv4Tuple
+			dip, _ := l.FieldIndex("ip_dst")
+			dst := soloEntry(0, 0, 0, 443, flowtable.Allow)
+			dst.Mask = dst.Mask.Or(bitvec.FieldMask(l, dip))
+			dst.Key.SetField(l, dip, 0x08080808)
+			headers := append([]*Entry{a, n, b, dst}, more...)
+
+			// held is a snapshot with the entries it holds and the
+			// candidate groups its walk hands out for each header.
+			type held struct {
+				name  string
+				sn    *snapshot
+				live  []*Entry
+				walks []int
+			}
+			var rows []held
+			hold := func(name string, live ...*Entry) *snapshot {
+				sn := c.snap.Load()
+				h := held{name: name, sn: sn, live: live}
+				for _, x := range headers {
+					h.walks = append(h.walks, sn.missProbes(x.Key))
+				}
+				rows = append(rows, h)
+				return sn
+			}
+
 			mustInsertBatch(t, c, []*Entry{a, n}, 0)
 			g := c.groupOf(a.Mask)
 			if g.slots != nil || g.filters != nil || g.words != nil || g.solo != a || g.n != 1 || !g.frozen {
 				t.Fatalf("one-entry group: slots %d, filters %d, words %v, solo %v, n %d, frozen %v; want the solo entry alone",
 					len(g.slots), len(g.filters), g.words, g.solo == a, g.n, g.frozen)
 			}
-			s1 := c.snap.Load()
+			s1 := hold("initial", a, n)
 
 			// A refresh clones the group and copies no slot.
 			before := c.Stats()
-			a2 := fresh(a, flowtable.Allow)
 			if err := c.Insert(a2, 1); err != nil {
 				t.Fatal(err)
 			}
@@ -77,13 +114,12 @@ func TestSoloGroupLifecycle(t *testing.T) {
 				t.Fatalf("refresh: new group %v, slots %d, solo %v, %d slots copied; want a tableless clone holding the new entry",
 					g2 != g, len(g2.slots), g2.solo == a2, d.slotsCopied)
 			}
-			if g.solo != a {
-				t.Fatal("refresh rewrote the published group's solo entry")
+			if g.solo != a || s1.groupOf(a.Mask) != g {
+				t.Fatal("refresh rewrote the published group's solo entry or its snapshot's ref")
 			}
-			s2 := c.snap.Load()
+			s2 := hold("refresh", a2, n)
 
 			// A second entry builds the table and the filters, in a copy.
-			b := soloEntry(16, 0xc0020000, 0, 80, flowtable.Drop)
 			if err := c.Insert(b, 2); err != nil {
 				t.Fatal(err)
 			}
@@ -102,11 +138,12 @@ func TestSoloGroupLifecycle(t *testing.T) {
 					t.Fatalf("%s is missing from the stage-0 filter", e.Format(c.layout))
 				}
 			}
-			// The copy took g2's id cell in place (s2 skips b on its epoch);
-			// g2 itself is as s2 published it.
-			if s2.prune.groups.at(g2.id) != g3 || g2.slots != nil || g2.solo != a2 || g2.n != 1 {
+			// The copy took g2's ref in place (s2 skips b on its epoch); g2
+			// itself is as s2 published it.
+			if s2.groupOf(a.Mask) != g3 || g2.slots != nil || g2.solo != a2 || g2.n != 1 {
 				t.Fatal("the second entry's copy did not replace the one-entry group in place, or changed it")
 			}
+			s3 := hold("second entry", a2, n, b)
 
 			// The overlap check against the tableless group n: a mask that
 			// holds n's (one masked probe of the solo entry) and one that
@@ -129,7 +166,8 @@ func TestSoloGroupLifecycle(t *testing.T) {
 				}
 			}
 
-			// A sweep drops n's group whole and takes a2 out of g3's table.
+			// A sweep drops n's group whole, emptying its leaf, and takes a2
+			// out of g3's table, in a clone on a copied path.
 			if got := c.DeleteWhere(func(e *Entry) bool { return e == n || e == a2 }); got != 2 {
 				t.Fatalf("sweep removed %d, want 2", got)
 			}
@@ -140,39 +178,76 @@ func TestSoloGroupLifecycle(t *testing.T) {
 			if g4.n != 1 || g4.solo != b || g4.find(b.Key) != b || g4.find(a.Key) != nil {
 				t.Fatalf("swept group: n %d, solo %v; want b alone", g4.n, g4.solo)
 			}
-			s3 := c.snap.Load()
+			if s3.groupOf(a.Mask) != g3 || s3.groupOf(n.Mask) == nil {
+				t.Fatal("the sweep rewrote a ref of the snapshot before it")
+			}
+			hold("partial sweep", b)
 
-			for _, tc := range []struct {
-				name   string
-				sn     *snapshot
-				want   map[*Entry]*Entry // header's entry → expected hit
-				action map[string]flowtable.Action
-			}{
-				{"s1", s1, map[*Entry]*Entry{a: a, b: nil, n: n}, map[string]flowtable.Action{"a": flowtable.Drop, "n": flowtable.Drop}},
-				{"s2", s2, map[*Entry]*Entry{a: a2, b: nil, n: n}, map[string]flowtable.Action{"a": flowtable.Allow, "n": flowtable.Drop}},
-				{"s3", s3, map[*Entry]*Entry{a: nil, b: b, n: nil}, map[string]flowtable.Action{"b": flowtable.Drop}},
-			} {
-				for h, want := range tc.want {
-					if got := snapLookup(tc.sn, h.Key); got != want {
-						t.Errorf("%s: lookup of %s = %v, want %v", tc.name, h.Format(c.layout), got, want)
-					}
+			// The survivor takes a second entry again, then doubles: every
+			// copy is stored over the group its snapshots hold.
+			live := []*Entry{b}
+			doubled := 0
+			for i, e := range more {
+				prev, sn := c.groupOf(a.Mask), c.snap.Load()
+				if err := c.Insert(e, int64(4+i)); err != nil {
+					t.Fatal(err)
 				}
-				got := map[string]flowtable.Action{}
-				for _, e := range tc.sn.entries() {
-					for name, x := range map[string]*Entry{"a": a, "b": b, "n": n} {
-						if e.Key.Equal(x.Key) && e.Mask.Equal(x.Mask) {
-							got[name] = e.Action
+				live = append(live, e)
+				ng := c.groupOf(a.Mask)
+				if ng.slotBits > prev.slotBits && prev.slots != nil {
+					doubled++
+				}
+				if sn.groupOf(a.Mask) != ng {
+					t.Fatalf("install %d: the snapshot before it does not hold the group's copy", i)
+				}
+				hold(fmt.Sprintf("install %d", i), slices.Clone(live)...)
+			}
+			if doubled != 1 {
+				t.Fatalf("%d doublings, want 1", doubled)
+			}
+
+			// A mask on ip_dst makes it a tree level: the tree is rebuilt
+			// over what the sweep left.
+			levels := len(c.snap.Load().prune.levels)
+			if err := c.Insert(dst, 20); err != nil {
+				t.Fatal(err)
+			}
+			if got := len(c.snap.Load().prune.levels); got != levels+1 {
+				t.Fatalf("%d tree levels after a mask on a new field, want %d", got, levels+1)
+			}
+			hold("rebuild", append(slices.Clone(live), dst)...)
+
+			for _, r := range rows {
+				for i, h := range headers {
+					var want *Entry
+					for _, x := range r.live {
+						if x.Key.Equal(h.Key) && x.Mask.Equal(h.Mask) {
+							want = x
 						}
 					}
+					if got := snapLookup(r.sn, h.Key); got != want {
+						t.Errorf("%s: lookup of %s = %v, want %v", r.name, h.Format(c.layout), got, want)
+					}
+					if got := r.sn.missProbes(h.Key); got != r.walks[i] {
+						t.Errorf("%s: %d candidate groups for %s, %d when held", r.name, got, h.Format(c.layout), r.walks[i])
+					}
 				}
-				if len(tc.sn.entries()) != len(got) || !maps.Equal(got, tc.action) {
-					t.Errorf("%s: entries %v, want %v", tc.name, got, tc.action)
+				es := r.sn.entries()
+				for _, e := range es {
+					if !slices.ContainsFunc(r.live, func(x *Entry) bool {
+						return e.Key.Equal(x.Key) && e.Mask.Equal(x.Mask) && e.Action == x.Action
+					}) {
+						t.Errorf("%s: dumps %s, which it does not hold", r.name, e.Format(c.layout))
+					}
+				}
+				if len(es) != len(r.live) {
+					t.Errorf("%s: dumps %d entries, holds %d", r.name, len(es), len(r.live))
 				}
 			}
-			if got := c.Entries(); len(got) != 1 || !got[0].Key.Equal(b.Key) {
-				t.Errorf("Entries lists %d entries, want b alone", len(got))
+			if got := c.Entries(); len(got) != len(live)+1 {
+				t.Errorf("Entries lists %d entries, want %d", len(got), len(live)+1)
 			}
-			checkPruneIndex(t, c, s3)
+			checkPruneIndex(t, c, c.snap.Load())
 		})
 	}
 }

@@ -196,15 +196,16 @@ func refProbe(g *group, h bitvec.Vec, ep uint64) (*Entry, bool) {
 
 // refView is what the pruned reference knows of one snapshot: the
 // candidate tables it was published with (refCands of the writer right
-// after the publish), the ids it lists, and per field and class the set of
-// those ids' groups of that class, as a bitset over the list. An id the
-// snapshot lists keeps its mask for as long as the snapshot lives (only a
-// copy that adds entries replaces its group in place), so the classes stay
-// valid while the snapshot's cells change.
+// after the publish), the number of groups its tree holds, and per field
+// and class the set of those groups of that class, as a bitset over their
+// positions in treeGroups. The positions are fixed for as long as the
+// snapshot lives, and the group at one keeps its mask (only a copy that
+// adds entries is stored over it in place), so the classes stay valid
+// while the snapshot's refs change.
 type refView struct {
 	sn    *snapshot
 	cands []candRef
-	ids   []uint32
+	n     int
 	sets  [maxLevels][64][]uint64
 }
 
@@ -212,14 +213,11 @@ type refView struct {
 // the writer has just published.
 func refViewOf(c *Classifier, sn *snapshot) *refView {
 	v := &refView{sn: sn, cands: refCands(c.prune)}
-	for id := uint32(0); id < sn.prune.next; id++ {
-		if g := sn.prune.groups.at(id); g != nil {
-			v.ids = append(v.ids, id)
-		}
-	}
-	words := (len(v.ids) + 63) / 64
-	for i, id := range v.ids {
-		cls := c.prune.classes(sn.prune.groups.at(id).mask)
+	gs := sn.treeGroups()
+	v.n = len(gs)
+	words := (len(gs) + 63) / 64
+	for i, g := range gs {
+		cls := c.prune.classes(g.mask)
 		for f := range v.cands {
 			set := &v.sets[f][cls[f]]
 			if *set == nil {
@@ -232,16 +230,17 @@ func refViewOf(c *Classifier, sn *snapshot) *refView {
 }
 
 // refPruned is the pruned lookup decided group by group: it probes, with
-// refProbe, every group of sn's id table whose mask class is a candidate
-// for h on every pruned field — computed by the reference triple loop over
-// ref's candidate tables, the ones sn was published with, not from the
-// published tables or the tree — in id order. It returns the covering
-// entry and the probes and skips of all candidates: a pruned lookup that
-// misses makes exactly those, one that hits at most those.
-func refPruned(ref *refView, sn *snapshot, h bitvec.Vec) (*Entry, int, int) {
+// refProbe, every group of gs, sn's treeGroups as its refs hold them now,
+// whose mask class is a candidate for h on every pruned field —
+// computed by the reference triple loop over ref's candidate tables, the
+// ones sn was published with, not from the published tables or the
+// tree's class paths — in tree order. It returns the covering entry and
+// the probes and skips of all candidates: a pruned lookup that misses
+// makes exactly those, one that hits at most those.
+func refPruned(ref *refView, sn *snapshot, gs []*group, h bitvec.Vec) (*Entry, int, int) {
 	var hit *Entry
 	probes, skips := 0, 0
-	cand := make([]uint64, (len(ref.ids)+63)/64)
+	cand := make([]uint64, (ref.n+63)/64)
 	for i := range cand {
 		cand[i] = ^uint64(0)
 	}
@@ -260,8 +259,7 @@ func refPruned(ref *refView, sn *snapshot, h bitvec.Vec) (*Entry, int, int) {
 	for i, w := range cand {
 		for ; w != 0; w &= w - 1 {
 			probes++
-			id := ref.ids[i*64+bits.TrailingZeros64(w)]
-			e, skip := refProbe(sn.prune.groups.at(id), h, sn.epoch)
+			e, skip := refProbe(gs[i*64+bits.TrailingZeros64(w)], h, sn.epoch)
 			if skip {
 				skips++
 			}
@@ -281,7 +279,11 @@ func refPruned(ref *refView, sn *snapshot, h bitvec.Vec) (*Entry, int, int) {
 func checkScan(t *testing.T, c *Classifier, sn *snapshot, ref *refView, h bitvec.Vec, e *Entry, probes, skips int) {
 	t.Helper()
 	if sn.pruned {
-		re, rp, rs := refPruned(ref, sn, h)
+		gs := sn.treeGroups()
+		if len(gs) != ref.n {
+			t.Fatalf("snapshot of epoch %d: its tree holds %d groups, %d when published", sn.epoch, len(gs), ref.n)
+		}
+		re, rp, rs := refPruned(ref, sn, gs, h)
 		if e != re || e == nil && (probes != rp || skips != rs) || e != nil && (probes < 1 || probes > rp || skips > rs) {
 			t.Fatalf("pruned lookup %s = (%v, %d probes, %d skips), candidate groups (%v, %d, %d)",
 				h.Format(c.layout), e, probes, skips, re, rp, rs)

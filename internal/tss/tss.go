@@ -39,9 +39,9 @@
 // publish it atomically. The snapshot also carries the pruning index.
 // Installs are made in place, as OVS's cmap makes them: a new key
 // installed into a published group of two or more entries fills an empty
-// slot of the table that group already has, and a new group's id and tree
-// ref fill cells and spare room of the index that no snapshot reads yet
-// (prune.go). Every publish carries an epoch, and every entry and tree ref
+// slot of the table that group already has, and a new group's tree ref
+// fills spare room of its leaf that no snapshot reads yet (prune.go).
+// Every publish carries an epoch, and every entry and tree ref
 // the epoch it was installed in, so a reader of an older snapshot skips
 // what was written in place after it and sees exactly its snapshot (see
 // group). A retired snapshot lives until its last in-flight reader drops
@@ -69,7 +69,7 @@
 // insert-time overlap check walks the pruning index, which leaves only the
 // groups whose per-field values agree with the new entry, and confirms
 // those survivors exactly. A sweep
-// (DeleteWhere) makes one pass over the index's id table, or over the
+// (DeleteWhere) makes one walk of the index's tree, or one pass over the
 // mirror it compacts, and rebuilds each touched group's stage filters once.
 // Stats.ProbesCopied, SlotsCopied, OverlapCompared and IndexCopied count
 // that work exactly.
@@ -243,7 +243,6 @@ type group struct {
 	mask  bitvec.Vec
 	hash  uint64 // hashMask(mask): the mask directory's key and the OrderHash sort key
 	words []int  // nonzero word indices of mask, in order; !sparseOK only
-	id    uint32 // the group's id in the pruning index; clones keep it
 }
 
 // slot is one open-addressing cell: the key's fingerprint (keyHash) for a
@@ -667,10 +666,9 @@ type Stats struct {
 	// lookup path: probe records copied into published snapshots
 	// (ScanLinear only), group slots copied by copy-on-write clones,
 	// entries passed to the full bitvec.Overlap by the insert-time overlap
-	// check, and pruning-index pieces copied by writes: a tree node on a
-	// removal's path, an id-table chunk and its directory copied for a
-	// removal, a reused id or a refresh or sweep clone, and a field's
-	// candidate table rebuilt at publish. An install copies none of them.
+	// check, and pruning-index pieces copied by writes: a tree node on the
+	// path of a removal or of a refresh's or sweep's clone, and a field's
+	// candidate table rebuilt at publish. An install copies no node.
 	// Unlike timings they repeat exactly, so tests pin them.
 	ProbesCopied, SlotsCopied, OverlapCompared, IndexCopied uint64
 }
@@ -842,7 +840,7 @@ func (d *maskDir) del(g *group) {
 }
 
 // snapshot is one immutable published scan state: the pruning index, whose
-// id table is the group directory Entries reads (see groups), plus under
+// tree holds the groups Entries reads (see groups), plus under
 // ScanLinear the probe mirror's chunk directory in scan order. Readers
 // obtained it from the atomic pointer; nothing it references is mutated
 // after publication (entry and hit counters are updated atomically through
@@ -1247,7 +1245,7 @@ func (c *Classifier) insertLocked(e *Entry, now int64) error {
 			// place — concurrent lookups may still hold the old pointer
 			// lock-free — so the entry itself is replaced in a cloned
 			// group.
-			e.LastUsed = now
+			atomic.StoreInt64(&e.LastUsed, now)
 			stamp(e)
 			g, ci, k := c.mutableLocked(g)
 			g.replace(old, e)
@@ -1260,7 +1258,9 @@ func (c *Classifier) insertLocked(e *Entry, now int64) error {
 			return &ErrOverlap{Existing: ex}
 		}
 	}
-	e.LastUsed = now
+	// Atomically: an entry installed before, and deleted or refreshed
+	// since, may still be hit through an older snapshot.
+	atomic.StoreInt64(&e.LastUsed, now)
 	first := stamp(e)
 	cls := c.prune.classes(e.Mask)
 	switch {
@@ -1381,9 +1381,10 @@ func (c *Classifier) placeLocked(g *group) {
 // undisturbed for the duration (the revalidator's dump never stalls the
 // fast path).
 //
-// The sweep is one pass, O(|M| + |C|), over the pruning index's id table
-// or, under ScanLinear, the probe mirror. A group that loses every entry is
-// dropped without being cloned, and a group that loses some is cloned once.
+// The sweep is one pass, O(|M| + |C|), over the pruning index's tree as
+// the sweep began or, under ScanLinear, the probe mirror. A group that
+// loses every entry is dropped without being cloned, and a group that
+// loses some is cloned once.
 // The mirror is compacted as it is walked: a chunk is copied first only if
 // it changes and a snapshot shares it.
 func (c *Classifier) DeleteWhere(pred func(*Entry) bool) int {
@@ -1432,12 +1433,12 @@ func (c *Classifier) DeleteWhere(pred func(*Entry) bool) int {
 		return g, gone
 	}
 	if !c.mirrored() {
-		// An id's slot is rewritten only while that id is swept, so reading
-		// each through the current table visits every group once.
-		for id := uint32(0); id < c.prune.next; id++ {
-			if g := c.prune.view.groups.at(id); g != nil {
-				sweep(g)
-			}
+		// The walk reads the tree as the sweep began: a removal or a clone
+		// copies the nodes on its path (the last publish left the writer
+		// none of its own), so it visits every group once.
+		var w walk
+		for g := w.every(&c.prune.view, allEpochs); g != nil; g = w.next() {
+			sweep(g)
 		}
 	}
 	out := 0
